@@ -42,7 +42,8 @@ class CategoricalModel:
         cat = self.poi_category.get(p)
         if cat is None:
             return 0.0
-        user_count = self.user_cat_counts.get(u, Counter()).get(cat, 0)
+        user_cats = self.user_cat_counts.get(u)
+        user_count = user_cats.get(cat, 0) if user_cats else 0
         if user_count == 0:
             return 0.0
         max_count = self.cat_max_count.get(cat, 0)

@@ -35,17 +35,29 @@ def distance_km(lat1, lon1, lat2, lon2) -> float:
 
 @dataclass(frozen=True)
 class KdeModel:
+    """Product-Gaussian KDE over distinct projected points.
+
+    `weights` holds each point's sample count (check-ins at one POI share its
+    coordinates); None means every point is one sample.
+    """
+
     points_km: np.ndarray  # (n, 2)
     bandwidth: tuple[float, float]  # (h_lat, h_lon) in km
     mode: str
     lat_ref: float
+    weights: np.ndarray | None = None  # (n,)
+
+    def sample_weights(self) -> np.ndarray:
+        if self.weights is None:
+            return np.ones(len(self.points_km))
+        return self.weights
 
     def dump(self) -> str:
         return json.dumps(
             {
                 "mode": self.mode,
                 "bandwidth_km": list(self.bandwidth),
-                "n_samples": int(len(self.points_km)),
+                "n_samples": int(self.sample_weights().sum()),
             },
             sort_keys=True,
         )
@@ -59,14 +71,22 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def fit_kde(coords: list[tuple[float, float]], mode: str = PER_USER) -> KdeModel:
-    """Fit a product-Gaussian KDE over (lat, lon) degree coordinates."""
+    """Fit a product-Gaussian KDE over (lat, lon) degree coordinates.
+
+    The bandwidth comes from every sample; the model keeps each distinct
+    point once, weighted by how many samples share it.
+    """
     if not coords:
         raise ValueError("cannot fit KDE on empty sample")
     arr = np.asarray(coords, dtype=float)
     lat_ref = float(arr[:, 0].mean())
     pts = project_km(arr[:, 0], arr[:, 1], lat_ref)
     h = (silverman_bandwidth(pts[:, 0]), silverman_bandwidth(pts[:, 1]))
-    return KdeModel(points_km=pts, bandwidth=h, mode=mode, lat_ref=lat_ref)
+    distinct, counts = np.unique(pts, axis=0, return_counts=True)
+    return KdeModel(
+        points_km=distinct, bandwidth=h, mode=mode, lat_ref=lat_ref,
+        weights=counts.astype(float),
+    )
 
 
 def fit_user_kdes(train: dict[str, list[CheckIn]]) -> dict[str, KdeModel]:
@@ -91,7 +111,8 @@ def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
     dx = (q[:, None, 0] - model.points_km[None, :, 0]) / h1
     dy = (q[:, None, 1] - model.points_km[None, :, 1]) / h2
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
-    return norm * np.exp(-0.5 * (dx * dx + dy * dy)).mean(axis=1)
+    w = model.sample_weights()
+    return norm * ((np.exp(-0.5 * (dx * dx + dy * dy)) @ w) / w.sum())
 
 
 def geo_score(model: KdeModel, latitude: float, longitude: float) -> float:

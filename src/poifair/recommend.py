@@ -74,6 +74,8 @@ class FittedModel:
         self.poi_coords = {
             p: (poi.latitude, poi.longitude) for p, poi in dataset.pois.items()
         }
+        self.poi_lats = np.array([self.poi_coords[p][0] for p in self.poi_ids])
+        self.poi_lons = np.array([self.poi_coords[p][1] for p in self.poi_ids])
 
         if name == GEOSOCA:
             self.user_kdes = geo.fit_user_kdes(split.train)
@@ -88,6 +90,10 @@ class FittedModel:
             self.enabled = (True, True, self.cat_model.has_categories)
         else:
             self.global_kde = geo.fit_global_kde(split.train)
+            # The global density does not depend on the user: once per POI.
+            self.global_geo = geo.geo_scores(
+                self.global_kde, self.poi_lats, self.poi_lons
+            )
             self.residences = {
                 u: social.residence(u, self.counts)
                 for u in sorted(split.train)
@@ -101,17 +107,7 @@ class FittedModel:
     def _positive_social_frequencies(self) -> list[int]:
         freqs = []
         for u in sorted(self.split.train):
-            friend_counts = [
-                self.counts.get(v)
-                for v in self.dataset.social.friends(u)
-                if self.counts.get(v)
-            ]
-            if not friend_counts:
-                continue
-            merged: dict[str, int] = {}
-            for fc in friend_counts:
-                for p, n in fc.items():
-                    merged[p] = merged.get(p, 0) + n
+            merged = social.social_frequency(u, self.counts, self.dataset.social)
             freqs.extend(n for n in merged.values() if n >= 1)
         return freqs
 
@@ -132,28 +128,28 @@ class FittedModel:
                         freqs.append(y)
         return freqs
 
-    def candidates_for(self, u: str) -> list[str]:
-        visited = set(self.counts.get(u, ()))
-        return [p for p in self.poi_ids if p not in visited]
+    def candidate_positions(self, u: str) -> list[int]:
+        """Indices into poi_ids of the POIs u has not visited in train."""
+        visited = self.counts.get(u, {})
+        return [i for i, p in enumerate(self.poi_ids) if p not in visited]
 
     def score_candidates(self, u: str) -> CandidateScores:
         """Raw (c1, c2, c3) for every POI the user has not visited in train."""
         if u not in self.split.train or not self.split.train[u]:
             raise ValueError(f"user {u!r} absent from the training split")
-        cands = self.candidates_for(u)
+        pos = self.candidate_positions(u)
+        cands = [self.poi_ids[i] for i in pos]
         if not cands:
             log.warning("user %s visited every POI; no candidates", u)
             return CandidateScores(u, [], np.zeros((0, 3)), self.enabled)
-        lats = [self.poi_coords[p][0] for p in cands]
-        lons = [self.poi_coords[p][1] for p in cands]
         if self.name == GEOSOCA:
-            c1 = geo.geo_scores(self.user_kdes[u], lats, lons)
+            c1 = geo.geo_scores(
+                self.user_kdes[u], self.poi_lats[pos], self.poi_lons[pos]
+            )
+            friend_freq = social.social_frequency(u, self.counts, self.dataset.social)
             c2 = np.array(
                 [
-                    social.power_law_score(
-                        self.social_fit,
-                        social.social_frequency(u, p, self.counts, self.dataset.social),
-                    )
+                    social.power_law_score(self.social_fit, friend_freq.get(p, 0))
                     for p in cands
                 ]
             )
@@ -167,15 +163,10 @@ class FittedModel:
             else:
                 c3 = np.zeros(len(cands))
         else:
-            c1 = geo.geo_scores(self.global_kde, lats, lons)
-            c2 = np.array(
-                [
-                    social.fcf_score(
-                        u, p, self.counts, self.dataset.social,
-                        self.residences, self.poi_coords,
-                    )
-                    for p in cands
-                ]
+            c1 = self.global_geo[pos]
+            c2 = social.fcf_score(
+                u, cands, self.counts, self.dataset.social,
+                self.residences, self.poi_coords,
             )
             history = [c.poi_id for c in self.split.train[u]]
             c3 = np.array(
@@ -183,7 +174,14 @@ class FittedModel:
                     self.l2tg, history, cands, self.amc_alpha, self.amc_memory
                 )
             )
-        return CandidateScores(u, cands, np.stack([c1, c2, c3], axis=1), self.enabled)
+        raw = np.stack([c1, c2, c3], axis=1)
+        bad = ~np.isfinite(raw).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"{self.name}: non-finite context score for user {u!r} "
+                f"at POI {cands[int(bad.argmax())]!r}"
+            )
+        return CandidateScores(u, cands, raw, self.enabled)
 
 
 def _fit_or_default(freqs) -> social.PowerLawFit:

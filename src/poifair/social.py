@@ -6,6 +6,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import CheckIn, SocialGraph
 from .geo import distance_km
 
@@ -27,10 +29,16 @@ def visit_counts(train: dict[str, list[CheckIn]]) -> dict[str, Counter]:
 
 
 def social_frequency(
-    u: str, p: str, counts: dict[str, Counter], social: SocialGraph
-) -> int:
-    """Total training check-ins of u's friends at POI p."""
-    return sum(counts.get(v, Counter()).get(p, 0) for v in social.friends(u))
+    u: str, counts: dict[str, Counter], social: SocialGraph
+) -> Counter:
+    """Total training check-ins of u's friends at each POI they visited, in
+    first-visit order over the sorted friends."""
+    merged = Counter()
+    for v in sorted(social.friends(u)):
+        friend_counts = counts.get(v)
+        if friend_counts:
+            merged.update(friend_counts)
+    return merged
 
 
 def fit_power_law(frequencies) -> PowerLawFit:
@@ -67,25 +75,32 @@ def residence(u: str, counts: dict[str, Counter]) -> str:
 
 def fcf_score(
     u: str,
-    p: str,
+    candidates: list[str],
     counts: dict[str, Counter],
     social: SocialGraph,
     residences: dict[str, str],
     poi_coords: dict[str, tuple[float, float]],
-) -> float:
-    """Similarity-weighted mean of friends' check-in counts at p.
+) -> np.ndarray:
+    """Similarity-weighted mean of friends' check-in counts at each candidate.
 
-    sim(u, v) = 1 / (1 + km distance between residences).
+    sim(u, v) = 1 / (1 + km distance between residences), computed once per
+    friend. Each candidate's numerator adds the friends' terms in friend
+    order, so it equals the sum taken one candidate at a time. Friends are
+    sorted: set order follows string hashing, which differs per process.
     """
-    friends = [v for v in social.friends(u) if v in residences]
+    num = np.zeros(len(candidates))
+    friends = [v for v in sorted(social.friends(u)) if v in residences]
     if not friends or u not in residences:
-        return 0.0
+        return num
+    position = {p: i for i, p in enumerate(candidates)}
     ru = poi_coords[residences[u]]
-    num = 0.0
     den = 0.0
     for v in friends:
         rv = poi_coords[residences[v]]
         sim = 1.0 / (1.0 + distance_km(ru[0], ru[1], rv[0], rv[1]))
-        num += sim * counts.get(v, Counter()).get(p, 0)
+        hits = [(position[p], n) for p, n in counts[v].items() if p in position]
+        if hits:
+            idx, n = zip(*hits)
+            num[list(idx)] += sim * np.array(n, dtype=float)
         den += sim
-    return num / den if den > 0 else 0.0
+    return num / den

@@ -225,3 +225,32 @@ def test_c11_run_determinism(tmp_path):
         assert main(["run", "--config", str(cfg_path)]) == 0
         outputs.append((tmp_path / run_dir / "table3.csv").read_bytes())
     report("11 run-determinism", outputs[0] == outputs[1])
+
+
+def test_run_determinism_default_models(tmp_path):
+    """c11 covers GeoSoCa alone; this runs the default config (GeoSoCa and
+    LORE, product and sum fusion) twice."""
+    import json
+
+    from poifair.cli import main
+
+    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=3))
+    paths = write_tsv(ds, tmp_path / "data")
+    base = {
+        "checkin_path": str(paths["checkins"]),
+        "poi_path": str(paths["pois"]),
+        "social_path": str(paths["social"]),
+    }
+    names = ["table3.csv"] + [
+        f"recommendations_{m}_{r}.tsv"
+        for m in ("geosoca", "lore") for r in ("product", "sum")
+    ]
+    outputs = []
+    for run_dir in ("r1", "r2"):
+        cfg = dict(base, out_dir=str(tmp_path / run_dir))
+        cfg_path = tmp_path / f"{run_dir}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        outputs.append({n: (tmp_path / run_dir / n).read_bytes() for n in names})
+    assert all(outputs[0][n] for n in names)
+    assert outputs[0] == outputs[1]

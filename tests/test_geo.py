@@ -19,6 +19,7 @@ from poifair.geo import (
 )
 
 from conftest import make_checkin
+from oracles import expanded_kde_score
 
 
 class TestFit:
@@ -66,6 +67,27 @@ class TestFit:
         assert payload["n_samples"] == 2
         assert payload["mode"] == PER_USER
 
+    def test_repeated_coordinates_kept_once_with_counts(self):
+        import json
+
+        coords = [(40.0, -100.0)] * 3 + [(40.1, -100.1)] * 2 + [(40.2, -99.9)]
+        m = fit_kde(coords)
+        assert len(m.points_km) == 3
+        assert sorted(m.weights.tolist()) == [1.0, 2.0, 3.0]
+        assert json.loads(m.dump())["n_samples"] == 6
+        expanded = project_km([c[0] for c in coords], [c[1] for c in coords], m.lat_ref)
+        assert m.bandwidth == (
+            silverman_bandwidth(expanded[:, 0]),
+            silverman_bandwidth(expanded[:, 1]),
+        )
+
+    def test_unweighted_model_counts_each_point(self):
+        import json
+
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        m = KdeModel(points_km=pts, bandwidth=(0.5, 0.5), mode=PER_USER, lat_ref=0.0)
+        assert json.loads(m.dump())["n_samples"] == 3
+
 
 class TestScore:
     def test_peak_at_single_sample(self):
@@ -106,6 +128,30 @@ class TestScore:
         assert geo_score(m1, *q) == pytest.approx(
             geo_score(m2, q[0], q[1] + shift), abs=1e-9
         )
+
+
+class TestRepeatedCoordinates:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_density_as_expanded_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        sites = [(40.0 + rng.normal(0, 0.02), -100.0 + rng.normal(0, 0.02)) for _ in range(6)]
+        coords = [sites[i] for i in rng.integers(0, len(sites), size=40)]
+        m = fit_kde(coords)
+        assert len(m.points_km) < len(coords)
+        for lat, lon in [*sites, (40.01, -99.99), (40.3, -100.3)]:
+            got = geo_score(m, lat, lon)
+            assert got == pytest.approx(
+                expanded_kde_score(m, coords, lat, lon), rel=1e-12, abs=0.0
+            )
+
+    def test_global_kde_weights_sum_to_checkins(self):
+        train = {
+            "a": [make_checkin("a", "p", t, 40.0, -100.0) for t in (1, 2, 3)],
+            "b": [make_checkin("b", "q", 4, 41.0, -101.0)],
+        }
+        m = fit_global_kde(train)
+        assert len(m.points_km) == 2
+        assert sorted(m.weights.tolist()) == [1.0, 3.0]
 
 
 class TestNormalization:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from poifair.recommend import (
     recommend_topn,
 )
 from poifair.synth import SynthConfig, generate
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +63,7 @@ class TestScoreCandidates:
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
             poi = ds.pois[p]
             g = geo.geo_score(geosoca.user_kdes[u], poi.latitude, poi.longitude)
-            x = social.social_frequency(u, p, geosoca.counts, ds.social)
+            x = oracles.social_frequency(u, p, geosoca.counts, ds.social)
             s = social.power_law_score(geosoca.social_fit, x)
             c = social.power_law_score(
                 geosoca.cat_fit, geosoca.cat_model.frequency(u, p)
@@ -74,7 +80,7 @@ class TestScoreCandidates:
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
             poi = ds.pois[p]
             g = geo.geo_score(lore.global_kde, poi.latitude, poi.longitude)
-            f = social.fcf_score(
+            f = oracles.fcf_score(
                 u, p, lore.counts, ds.social, lore.residences, lore.poi_coords
             )
             a = sequential.amc_score(lore.l2tg, history, p)
@@ -82,10 +88,49 @@ class TestScoreCandidates:
             assert row[1] == pytest.approx(f, rel=1e-9)
             assert row[2] == pytest.approx(a, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected(self, small_world, bad):
+        ds, split = small_world
+        model = FittedModel(LORE, ds, split)
+        model.global_geo = np.full_like(model.global_geo, bad)
+        u = sorted(split.train)[0]
+        with pytest.raises(ValueError, match="non-finite context score"):
+            model.score_candidates(u)
+
     def test_unknown_model_name(self, small_world):
         ds, split = small_world
         with pytest.raises(ValueError):
             FittedModel("mystery", ds, split)
+
+
+SCORE_DIGEST = """
+import hashlib
+from poifair.data import temporal_split
+from poifair.recommend import FittedModel
+from poifair.synth import SynthConfig, generate
+ds = generate(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
+split = temporal_split(ds)
+for name in ("geosoca", "lore"):
+    model = FittedModel(name, ds, split)
+    h = hashlib.sha256()
+    for u in sorted(split.train):
+        h.update(model.score_candidates(u).raw.tobytes())
+    print(name, h.hexdigest())
+"""
+
+
+def test_scores_bitwise_independent_of_string_hashing():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", SCORE_DIGEST], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(out.stdout)
+    assert digests[0] == digests[1] == digests[2]
 
 
 class TestTopN:

@@ -17,6 +17,7 @@ from poifair.social import (
     visit_counts,
 )
 
+import oracles
 from conftest import make_checkin
 
 
@@ -24,10 +25,10 @@ class TestSocialFrequency:
     def test_direct_sum(self):
         counts = {"v1": Counter({"p": 3}), "v2": Counter()}
         g = SocialGraph([("u", "v1"), ("u", "v2")])
-        assert social_frequency("u", "p", counts, g) == 3
+        assert social_frequency("u", counts, g) == Counter({"p": 3})
 
     def test_no_friends(self):
-        assert social_frequency("u", "p", {}, SocialGraph()) == 0
+        assert social_frequency("u", {}, SocialGraph()) == Counter()
 
     def test_random_graph_matches_double_loop(self):
         rnd = random.Random(9)
@@ -46,6 +47,7 @@ class TestSocialFrequency:
             edges.add((min(a, b), max(a, b)))
         g = SocialGraph(edges)
         for u in users:
+            merged = social_frequency(u, counts, g)
             for p in [f"p{i}" for i in range(8)]:
                 expected = 0
                 for v in users:
@@ -53,7 +55,8 @@ class TestSocialFrequency:
                         expected += sum(
                             1 for c in train[v] if c.poi_id == p
                         )
-                assert social_frequency(u, p, counts, g) == expected
+                assert merged.get(p, 0) == expected
+                assert oracles.social_frequency(u, p, counts, g) == expected
 
 
 class TestPowerLawFit:
@@ -134,12 +137,13 @@ class TestFcf:
         counts = {"u": Counter({"h0": 2}), "v": Counter({"h1": 1, "p": 4})}
         g = SocialGraph([("u", "v")])
         residences = {"u": "h0", "v": "h1"}
-        score = fcf_score("u", "p", counts, g, residences, self.poi_coords())
-        assert score == pytest.approx(4.0)
+        score = fcf_score("u", ["p"], counts, g, residences, self.poi_coords())
+        assert score.tolist() == pytest.approx([4.0])
 
     def test_no_friends(self):
         counts = {"u": Counter({"h0": 2})}
-        assert fcf_score("u", "p", counts, SocialGraph(), {"u": "h0"}, self.poi_coords()) == 0.0
+        scores = fcf_score("u", ["h1", "p"], counts, SocialGraph(), {"u": "h0"}, self.poi_coords())
+        assert scores.tolist() == [0.0, 0.0]
 
     def test_weighted_mean_oracle(self):
         coords = self.poi_coords()
@@ -156,8 +160,9 @@ class TestFcf:
             for v in ("v1", "v2", "v3")
         }
         expected = (sims["v1"] * 3 + sims["v2"] * 5 + sims["v3"] * 0) / sum(sims.values())
-        score = fcf_score("u", "p", counts, g, residences, coords)
+        score = fcf_score("u", ["p"], counts, g, residences, coords)[0]
         assert score == pytest.approx(expected, abs=1e-12)
+        assert score == oracles.fcf_score("u", "p", counts, g, residences, coords)
 
     def test_friend_order_invariance(self):
         coords = self.poi_coords()
@@ -169,6 +174,25 @@ class TestFcf:
         residences = {"u": "h0", "v1": "h1", "v2": "h2"}
         g1 = SocialGraph([("u", "v1"), ("u", "v2")])
         g2 = SocialGraph([("u", "v2"), ("u", "v1")])
-        s1 = fcf_score("u", "p", counts, g1, residences, coords)
-        s2 = fcf_score("u", "p", counts, g2, residences, coords)
-        assert s1 == s2
+        s1 = fcf_score("u", ["p"], counts, g1, residences, coords)
+        s2 = fcf_score("u", ["p"], counts, g2, residences, coords)
+        assert s1.tolist() == s2.tolist()
+
+    def test_matches_scalar_oracle_per_candidate(self):
+        rnd = random.Random(17)
+        pois = [f"p{i}" for i in range(12)]
+        coords = {p: (40.0 + rnd.random(), -100.0 + rnd.random()) for p in pois}
+        users = [f"u{i}" for i in range(10)]
+        counts = {
+            u: Counter(rnd.choice(pois) for _ in range(rnd.randrange(1, 20)))
+            for u in users
+        }
+        residences = {u: residence(u, counts) for u in users[:8]}
+        g = SocialGraph([(a, b) for a in users for b in users if a < b and rnd.random() < 0.4])
+        for u in users:
+            cands = rnd.sample(pois, rnd.randrange(1, len(pois)))
+            scores = fcf_score(u, cands, counts, g, residences, coords)
+            expected = [
+                oracles.fcf_score(u, p, counts, g, residences, coords) for p in cands
+            ]
+            assert scores.tolist() == expected
