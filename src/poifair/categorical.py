@@ -51,9 +51,5 @@ class CategoricalModel:
         return user_count * pop
 
 
-def categorical_frequency(u: str, p: str, model: CategoricalModel) -> float:
-    return model.frequency(u, p)
-
-
 def categorical_score(fit: PowerLawFit, y: float) -> float:
     return power_law_score(fit, y)

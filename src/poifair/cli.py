@@ -94,7 +94,7 @@ def _dispatch(command: str, cfg: ExperimentConfig) -> None:
     if command == "analyze":
         p.write_manifest()
         return
-    fitted, caches = p.fit_and_recommend(d, split)
+    caches = p.fit_and_recommend(d, split)
     if command == "sweep":
         p.sweep(caches, assignment, split)
         p.write_manifest()

@@ -55,9 +55,6 @@ class SocialGraph:
     def n_edges(self) -> int:
         return self._n_edges
 
-    def users(self) -> set[str]:
-        return set(self._adj)
-
 
 @dataclass
 class LoadReport:
@@ -65,6 +62,8 @@ class LoadReport:
     checkin_lines_malformed: list[int] = field(default_factory=list)
     poi_lines_parsed: int = 0
     poi_lines_malformed: list[int] = field(default_factory=list)
+    # Lines whose poi_id an earlier line already defined; the last one wins.
+    poi_lines_duplicate: list[int] = field(default_factory=list)
     social_edges_parsed: int = 0
     social_edges_dropped: int = 0
 
@@ -89,9 +88,6 @@ class SplitDataset:
     validation: dict[str, list[CheckIn]]
     test: dict[str, list[CheckIn]]
     empty_test_users: set[str] = field(default_factory=set)
-
-    def users(self) -> set[str]:
-        return set(self.train)
 
 
 @dataclass
@@ -148,6 +144,8 @@ def parse_dataset(
             report.poi_lines_malformed.append(lineno)
             continue
         category = parts[3] if len(parts) > 3 and parts[3] != "" else None
+        if parts[0] in pois:
+            report.poi_lines_duplicate.append(lineno)
         pois[parts[0]] = Poi(parts[0], lat, lon, category)
     report.poi_lines_parsed = poi_lines - len(report.poi_lines_malformed)
     _check_malformed(report.poi_lines_malformed, poi_lines, max_malformed_frac, poi_path)

@@ -37,6 +37,14 @@ class FusionWeights:
         return astuple(self)
 
 
+def stack_weights(weights: list[FusionWeights]) -> FusionWeights:
+    """One FusionWeights whose fields are (G, 1) columns, row g from
+    weights[g]. fuse_arrays broadcasts it against the candidates and returns
+    (G, n) rows, each equal bit for bit to fusing with weights[g] alone."""
+    columns = zip(*(w.as_tuple() for w in weights))
+    return FusionWeights(*(np.array(c, dtype=float)[:, None] for c in columns))
+
+
 def rule_weights(rule: str, lambdas: tuple[float, float, float] | None = None) -> FusionWeights:
     """Named weight presets for the three fusion rules."""
     if rule == PRODUCT:

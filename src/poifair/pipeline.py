@@ -6,9 +6,12 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
@@ -25,10 +28,19 @@ from .fusion import (
     OBJECTIVE_MIN_DELTA,
     PRODUCT,
     WEIGHTED_SUM,
+    simplex_grid,
+    stack_weights,
     weight_sweep,
 )
 from .metrics import evaluate_run, group_metrics, ranking_metrics
-from .recommend import FittedModel, fused_scores, fusion_weights_for, recommend_topn
+from .recommend import (
+    CandidateScores,
+    FittedModel,
+    fused_scores,
+    fusion_weights_for,
+    rank_order,
+    recommend_topn,
+)
 from .temporal import (
     assign_groups,
     build_profiles,
@@ -62,6 +74,33 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def sweep_ndcg(
+    cache: dict[str, CandidateScores],
+    relevant: dict[str, set[str]],
+    grid: list[tuple[float, float, float]],
+    cutoff: int,
+) -> dict[str, list[float]]:
+    """Validation nDCG@cutoff of each user's weighted-sum list at every grid
+    point, in grid order. Each user's scores are normalised and fused once
+    for the whole grid; users with no relevant POI or no candidate are left
+    out."""
+    stacked = {}
+    out = {}
+    for u, cs in cache.items():
+        rel = relevant.get(u)
+        if not rel or not cs.poi_ids:
+            continue
+        if cs.enabled not in stacked:
+            stacked[cs.enabled] = stack_weights(
+                [fusion_weights_for(WEIGHTED_SUM, cs.enabled, lam) for lam in grid]
+            )
+        scores = fused_scores(cs, WEIGHTED_SUM, stacked[cs.enabled])
+        ids = np.array(cs.poi_ids, dtype=object)
+        tops = ids[rank_order(scores)[:, :cutoff]].tolist()
+        out[u] = [ranking_metrics(top, rel, cutoff).ndcg for top in tops]
+    return out
 
 
 def relevant_sets(
@@ -174,7 +213,6 @@ class Pipeline:
     def fit_and_recommend(self, d: Dataset, split: SplitDataset):
         """Fit each model once and cache raw candidate context scores."""
         with self._stage("recommend"):
-            fitted = {}
             caches = {}
             for name in self.cfg.models:
                 model = FittedModel(
@@ -186,9 +224,8 @@ class Pipeline:
                 cache = {
                     u: model.score_candidates(u) for u in sorted(split.train)
                 }
-                fitted[name] = model
                 caches[name] = cache
-            return fitted, caches
+            return caches
 
     def sweep(self, caches, assignment, split: SplitDataset):
         """Tune weighted-sum lambdas on the validation split."""
@@ -203,20 +240,18 @@ class Pipeline:
                 if self.cfg.sweep_objective == "min_delta"
                 else OBJECTIVE_MAX_ACC_UNF
             )
+            grid = simplex_grid(self.cfg.sweep_step)
+            column = {lambdas: j for j, lambdas in enumerate(grid)}
             best_lambdas = {}
             all_rows = []
             for name, cache in sorted(caches.items()):
+                ndcg = sweep_ndcg(cache, val_relevant, grid, cutoff)
+
                 def evaluate(lambdas):
-                    per_user = {}
-                    for u, cs in cache.items():
-                        relevant = val_relevant.get(u)
-                        if not relevant or not cs.poi_ids:
-                            continue
-                        w = fusion_weights_for(WEIGHTED_SUM, cs.enabled, lambdas)
-                        scores = fused_scores(cs, WEIGHTED_SUM, w)
-                        pois, _ = recommend_topn(cs.poi_ids, scores, cutoff)
-                        per_user[u] = ranking_metrics(pois, relevant, cutoff).ndcg
-                    gm = group_metrics(per_user, assignment)
+                    j = column[lambdas]
+                    gm = group_metrics(
+                        {u: row[j] for u, row in ndcg.items()}, assignment
+                    )
                     return {
                         "ndcg": gm.ndcg_all,
                         "ndcg_leisure": gm.ndcg_leisure,
@@ -331,12 +366,20 @@ class Pipeline:
     # -- helpers -----------------------------------------------------------
 
     def _write(self, path: Path, text: str) -> None:
-        path.write_text(text, encoding="utf-8")
-        self._stage_files.append(path)
+        self._replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def _write_csv_artifact(self, name: str, header, rows) -> None:
-        path = self.out / name
-        _write_csv(path, header, rows)
+        self._replace(self.out / name, lambda tmp: _write_csv(tmp, header, rows))
+
+    def _replace(self, path: Path, write) -> None:
+        """Write through a temporary file next to path and move it into
+        place, so path is never left truncated."""
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         self._stage_files.append(path)
 
     def _mark_partial(self) -> None:
@@ -371,8 +414,8 @@ def run_pipeline(config: ExperimentConfig):
     d = p.parse()
     d = p.preprocess(d)
     split = p.split(d)
-    profiles, assignment = p.analyze(d, split)
-    fitted, caches = p.fit_and_recommend(d, split)
+    _, assignment = p.analyze(d, split)
+    caches = p.fit_and_recommend(d, split)
     need_sweep = config.run_sweep or WEIGHTED_SUM in config.fusion_rules
     best_lambdas = (
         p.sweep(caches, assignment, split) if need_sweep else {}

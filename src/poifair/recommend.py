@@ -12,7 +12,6 @@ from .categorical import CategoricalModel
 from .data import Dataset, SplitDataset
 from .fusion import (
     PRODUCT,
-    SUM,
     WEIGHTED_SUM,
     FusionWeights,
     fuse_arrays,
@@ -29,13 +28,6 @@ MODEL_NAMES = (GEOSOCA, LORE)
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    fusion_rule: str = PRODUCT
-    lambdas: tuple[float, float, float] | None = None
-
-
-@dataclass(frozen=True)
 class RankedList:
     user_id: str
     poi_ids: list[str]
@@ -44,7 +36,10 @@ class RankedList:
 
 @dataclass
 class CandidateScores:
-    """Raw (c1, c2, c3) context scores for one user's unvisited candidates."""
+    """Raw (c1, c2, c3) context scores for one user's unvisited candidates.
+
+    poi_ids are in ascending order, so a candidate's position is its
+    poi_id tie-break when ranking."""
 
     user_id: str
     poi_ids: list[str]
@@ -203,11 +198,18 @@ def fusion_weights_for(
 
 def fused_scores(cs: CandidateScores, rule: str, w: FusionWeights) -> np.ndarray:
     """Fuse candidate context scores: product on raw scores, additive rules on
-    per-user min-max-normalized scores."""
+    per-user min-max-normalized scores. With stacked weights (fields of shape
+    (G, 1), see `stack_weights`) the result has one row per weight set."""
     if len(cs.poi_ids) == 0:
         return np.zeros(0)
     mat = cs.raw if rule == PRODUCT else normalize_scores(cs.raw)
     return fuse_arrays(mat, w, cs.enabled)
+
+
+def rank_order(scores: np.ndarray) -> np.ndarray:
+    """Positions by descending score along the last axis; equal scores keep
+    position order."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
 def recommend_topn(
@@ -216,8 +218,13 @@ def recommend_topn(
     """Sort descending by fused score, ties by poi_id ascending, truncate."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    order = sorted(range(len(poi_ids)), key=lambda i: (-scores[i], poi_ids[i]))[:n]
-    return [poi_ids[i] for i in order], [float(scores[i]) for i in order]
+    ids = np.array(poi_ids, dtype=object)
+    scores = np.asarray(scores, dtype=float)
+    if not (ids[:-1] <= ids[1:]).all():
+        by_id = np.argsort(ids, kind="stable")
+        ids, scores = ids[by_id], scores[by_id]
+    top = rank_order(scores)[:n]
+    return ids[top].tolist(), scores[top].tolist()
 
 
 def recommend(

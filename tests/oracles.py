@@ -1,10 +1,14 @@
-"""Scalar, one-candidate-at-a-time reference versions of the context scores
-that the library computes per user. Tests compare the library against them."""
+"""Scalar, one-candidate-at-a-time reference versions of the context scores,
+the top-N ranking and the weighted-sum sweep that the library computes in
+bulk. Tests compare the library against them."""
 from __future__ import annotations
 
 import numpy as np
 
+from poifair.fusion import WEIGHTED_SUM, weight_sweep
 from poifair.geo import KdeModel, distance_km, geo_score, project_km
+from poifair.metrics import group_metrics, ranking_metrics
+from poifair.recommend import fused_scores, fusion_weights_for
 
 
 def social_frequency(u, p, counts, social) -> int:
@@ -41,3 +45,48 @@ def expanded_kde_score(fitted: KdeModel, samples, latitude, longitude) -> float:
         lat_ref=fitted.lat_ref,
     )
     return geo_score(expanded, latitude, longitude)
+
+
+def topn(poi_ids, scores, n):
+    """The n best candidates by descending score, ties by poi_id ascending,
+    with their scores."""
+    order = sorted(range(len(poi_ids)), key=lambda i: (-scores[i], poi_ids[i]))[:n]
+    return [poi_ids[i] for i in order], [float(scores[i]) for i in order]
+
+
+def sweep(caches, assignment, val_relevant, cutoff, step, objective):
+    """Weighted-sum sweep that re-fuses and re-ranks every user's list at
+    each grid point. Returns ({model: best lambdas}, sweep.csv rows)."""
+    best_lambdas = {}
+    rows = []
+    for name, cache in sorted(caches.items()):
+        def evaluate(lambdas):
+            per_user = {}
+            for u, cs in cache.items():
+                relevant = val_relevant.get(u)
+                if not relevant or not cs.poi_ids:
+                    continue
+                w = fusion_weights_for(WEIGHTED_SUM, cs.enabled, lambdas)
+                scores = fused_scores(cs, WEIGHTED_SUM, w)
+                pois, _ = topn(cs.poi_ids, scores, cutoff)
+                per_user[u] = ranking_metrics(pois, relevant, cutoff).ndcg
+            gm = group_metrics(per_user, assignment)
+            return {
+                "ndcg": gm.ndcg_all,
+                "ndcg_leisure": gm.ndcg_leisure,
+                "ndcg_working": gm.ndcg_working,
+                "delta_ndcg": gm.delta_ndcg,
+                "acc_unf": gm.acc_unf if gm.acc_unf is not None else float("inf"),
+            }
+
+        best, table = weight_sweep(evaluate, step, objective)
+        best_lambdas[name] = best.lambdas
+        for p in table:
+            rows.append(
+                [
+                    name, p.lambdas[0], p.lambdas[1], p.lambdas[2],
+                    p.ndcg, p.ndcg_leisure, p.ndcg_working, p.delta_ndcg,
+                    p.acc_unf if p.acc_unf != float("inf") else None,
+                ]
+            )
+    return best_lambdas, rows

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from poifair.data import (
     DataError,
+    Poi,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
@@ -41,6 +42,24 @@ class TestParse:
         assert len(d.pois) == 2
         assert d.pois["p1"].category_id == "cafe"
         assert d.pois["p2"].category_id is None
+
+    def test_duplicate_poi_lines_reported_last_wins(self, tmp_path):
+        ci, po, _ = write_files(
+            tmp_path,
+            ["u1\tp1\t100"],
+            [
+                "p1\t40.0\t-100.0\tcafe", "p2\t40.1\t-100.1\t",
+                "p1\t41.0\t-101.0\tbar", "bad", "p2\t40.2\t-100.2\t",
+                "p1\t42.0\t-102.0\t",
+            ],
+        )
+        d = parse_dataset(ci, po, max_malformed_frac=0.5)
+        assert d.load_report.poi_lines_duplicate == [3, 5, 6]
+        assert d.load_report.poi_lines_malformed == [4]
+        assert d.load_report.poi_lines_parsed == 5
+        assert d.pois["p1"] == Poi("p1", 42.0, -102.0, None)
+        assert d.checkins[0].latitude == 42.0
+        assert json.loads(d.load_report.to_json())["poi_lines_duplicate"] == [3, 5, 6]
 
     def test_unknown_poi_is_hard_error(self, tmp_path):
         ci, po, _ = write_files(tmp_path, ["u1\tpX\t100"], ["p1\t40\t-100\t"])

@@ -1,0 +1,104 @@
+import csv
+import os
+
+import pytest
+
+from poifair.config import ExperimentConfig
+from poifair.data import Dataset, Poi
+from poifair.pipeline import Pipeline, StageFailure, _fmt, relevant_sets
+from poifair.synth import SynthConfig, generate, write_tsv
+
+import oracles
+
+
+def _world(tmp_path, seed, categories):
+    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=seed))
+    if not categories:
+        pois = {p: Poi(p, x.latitude, x.longitude, None) for p, x in ds.pois.items()}
+        ds = Dataset(ds.checkins, pois, ds.social, ds.users)
+    paths = write_tsv(ds, tmp_path / "data")
+    cfg = ExperimentConfig(
+        checkin_path=str(paths["checkins"]),
+        poi_path=str(paths["pois"]),
+        social_path=str(paths["social"]),
+        out_dir=str(tmp_path / "fit"),
+    )
+    p = Pipeline(cfg)
+    d = p.preprocess(p.parse())
+    split = p.split(d)
+    _, assignment = p.analyze(d, split)
+    return cfg, split, assignment, p.fit_and_recommend(d, split)
+
+
+@pytest.fixture(scope="module", params=[(11, True), (3, False)],
+                ids=["categories", "no-categories"])
+def world(request, tmp_path_factory):
+    seed, categories = request.param
+    return _world(tmp_path_factory.mktemp("world"), seed, categories)
+
+
+@pytest.mark.parametrize("objective", ["min_delta", "max_acc_unf"])
+@pytest.mark.parametrize("step", [0.1, 0.5])
+def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
+    cfg, split, assignment, caches = world
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
+        out_dir=str(tmp_path), sweep_step=step, sweep_objective=objective,
+    ))
+    best = p.sweep(caches, assignment, split)
+
+    train_visited = {u: {c.poi_id for c in seq} for u, seq in split.train.items()}
+    val_relevant = relevant_sets(split.validation, train_visited)
+    want_best, want_rows = oracles.sweep(
+        caches, assignment, val_relevant, 10, step, objective
+    )
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        got_rows = list(csv.reader(fh))[1:]
+    assert got_rows == [[_fmt(v) for v in row] for row in want_rows]
+    assert best == want_best
+    assert set(best) == {"geosoca", "lore"}
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def _pipeline(tmp_path):
+    return Pipeline(ExperimentConfig(checkin_path="x", poi_path="y", out_dir=str(tmp_path)))
+
+
+def test_failed_csv_write_keeps_previous_file_and_no_temporary(tmp_path):
+    p = _pipeline(tmp_path)
+    (tmp_path / "a.csv").write_text("previous\n")
+    rows = [[i, i] for i in range(1000)] + [[_Unprintable(), 0]]
+    with pytest.raises(RuntimeError):
+        p._write_csv_artifact("a.csv", ["x", "y"], rows)
+    assert (tmp_path / "a.csv").read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
+def test_failed_text_write_leaves_nothing(tmp_path):
+    p = _pipeline(tmp_path)
+    with pytest.raises(UnicodeEncodeError):
+        p._write(tmp_path / "a.json", "x" * 10_000 + "\ud800")
+    assert os.listdir(tmp_path) == []
+
+
+def test_stage_failure_marks_earlier_files_partial_only(tmp_path):
+    p = _pipeline(tmp_path)
+    with pytest.raises(StageFailure):
+        with p._stage("evaluate"):
+            p._write(tmp_path / "done.json", "{}")
+            p._write_csv_artifact("b.csv", ["x"], [[1], [_Unprintable()]])
+    assert sorted(os.listdir(tmp_path)) == ["done.json.partial"]
+
+
+def test_successful_write_replaces_content(tmp_path):
+    p = _pipeline(tmp_path)
+    p._write(tmp_path / "a.json", "old")
+    p._write(tmp_path / "a.json", "new")
+    p._write_csv_artifact("b.csv", ["x"], [[1.5]])
+    assert (tmp_path / "a.json").read_text() == "new"
+    assert (tmp_path / "b.csv").read_bytes() == b"x\r\n1.5\r\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.csv"]
