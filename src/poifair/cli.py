@@ -10,6 +10,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig
 from .data import DataError
+from .fusion import WEIGHTED_SUM
 from .pipeline import Pipeline, StageFailure, run_pipeline
 
 EXIT_OK = 0
@@ -84,33 +85,24 @@ def _dispatch(command: str, cfg: ExperimentConfig) -> None:
         run_pipeline(cfg)
         return
     p = Pipeline(cfg)
-    d = p.parse()
-    d = p.preprocess(d)
-    if command == "preprocess":
-        p.write_manifest()
-        return
-    split = p.split(d)
-    profiles, assignment = p.analyze(d, split)
-    if command == "analyze":
-        p.write_manifest()
-        return
-    caches = p.fit_and_recommend(d, split)
-    if command == "sweep":
-        p.sweep(caches, assignment, split)
-        p.write_manifest()
-        return
-    from .fusion import WEIGHTED_SUM
-
-    best = (
-        p.sweep(caches, assignment, split)
-        if WEIGHTED_SUM in cfg.fusion_rules
-        else {}
-    )
-    if command == "recommend" or command == "evaluate":
-        p.evaluate(caches, assignment, split, best)
-        p.write_manifest()
-        return
-    raise ValueError(f"unknown command {command!r}")
+    d = p.preprocess(p.parse())
+    if command != "preprocess":
+        split = p.split(d)
+        _, assignment = p.analyze(d, split)
+        if command != "analyze":
+            caches = p.fit_and_recommend(d, split)
+            if command == "sweep":
+                p.sweep(caches, assignment, split)
+            elif command in ("recommend", "evaluate"):
+                best = (
+                    p.sweep(caches, assignment, split)
+                    if WEIGHTED_SUM in cfg.fusion_rules
+                    else {}
+                )
+                p.evaluate(caches, assignment, split, best)
+            else:
+                raise ValueError(f"unknown command {command!r}")
+    p.write_manifest()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,27 @@
-"""Check-in dataset loading, validation, filtering, and temporal splitting."""
+"""Check-in dataset loading, validation, filtering, and temporal splitting.
+
+Check-ins are numpy columns: one user code, one POI code and one timestamp
+per check-in, in input order. User and POI ids are interned to int32 codes in
+sorted order, so ordering by code is ordering by id and every tie-break on
+ids can be taken on codes. `CheckIn` objects are built from the columns only
+for the model stages (`SplitDataset.train`, `validation`, `test`).
+"""
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, asdict
+from collections import defaultdict
+from dataclasses import dataclass, field, asdict, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
+
+INT64_MAX = 2**63 - 1
+# temporal_split needs this many check-ins per user; preprocess_filter
+# drops any user it leaves with fewer.
+MIN_SPLIT_CHECKINS = 3
+# SplitDataset.part labels.
+TRAIN, VALIDATION, TEST = 0, 1, 2
 
 
 class DataError(Exception):
@@ -73,21 +90,123 @@ class LoadReport:
 
 @dataclass
 class Dataset:
-    checkins: list[CheckIn]
+    """Check-ins as parallel columns, in input order.
+
+    `user` and `poi` are int32 codes into `user_ids` and `poi_ids`; both are
+    sorted, so code order is id order. `poi_ids` is `sorted(pois)` and
+    `user_ids` holds the users with at least one check-in. `ts` is int64
+    epoch seconds."""
+
+    user_ids: list[str]
+    poi_ids: list[str]
+    user: np.ndarray
+    poi: np.ndarray
+    ts: np.ndarray
     pois: dict[str, Poi]
     social: SocialGraph
-    users: set[str]
     load_report: LoadReport | None = None
+
+    @classmethod
+    def from_checkins(
+        cls, checkins: list[CheckIn], pois: dict[str, Poi], social: SocialGraph
+    ) -> Dataset:
+        """Columns for a list of check-ins; their coordinates are taken from
+        `pois`, which must define every POI they name."""
+        user_ids = sorted({c.user_id for c in checkins})
+        poi_ids = sorted(pois)
+        ucode = {u: i for i, u in enumerate(user_ids)}
+        pcode = {p: i for i, p in enumerate(poi_ids)}
+        return cls(
+            user_ids,
+            poi_ids,
+            np.array([ucode[c.user_id] for c in checkins], dtype=np.int32),
+            np.array([pcode[c.poi_id] for c in checkins], dtype=np.int32),
+            np.array([c.timestamp for c in checkins], dtype=np.int64),
+            pois,
+            social,
+        )
+
+    def take(self, rows: np.ndarray) -> Dataset:
+        """The check-ins at `rows`, in that order, with the same id lists
+        (so some users may have no check-in left)."""
+        return replace(
+            self, user=self.user[rows], poi=self.poi[rows], ts=self.ts[rows]
+        )
+
+    def visits(self) -> np.ndarray:
+        """The distinct (user, POI) pairs as sorted `user * len(poi_ids) + poi`
+        keys: by user, then POI."""
+        keys = np.sort(self.user.astype(np.int64) * len(self.poi_ids) + self.poi)
+        return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+
+    def to_checkins(self, rows: np.ndarray | None = None) -> list[CheckIn]:
+        """`CheckIn` objects for the check-ins at `rows` (all, by default),
+        in that order, with the coordinates of their POI."""
+        if rows is None:
+            rows = np.arange(len(self.ts))
+        poi = self.poi[rows]
+        lat = np.array([self.pois[p].latitude for p in self.poi_ids])
+        lon = np.array([self.pois[p].longitude for p in self.poi_ids])
+        return list(map(
+            CheckIn,
+            np.array(self.user_ids, dtype=object)[self.user[rows]].tolist(),
+            np.array(self.poi_ids, dtype=object)[poi].tolist(),
+            self.ts[rows].tolist(),
+            lat[poi].tolist(),
+            lon[poi].tolist(),
+        ))
 
 
 @dataclass
 class SplitDataset:
-    """Per-user chronological partition of check-ins."""
+    """Per-user chronological partition of a dataset's check-ins.
 
-    train: dict[str, list[CheckIn]]
-    validation: dict[str, list[CheckIn]]
-    test: dict[str, list[CheckIn]]
+    `rows` holds the dataset's row indices sorted by (user, timestamp,
+    poi_id, input order); `part[i]` is TRAIN, VALIDATION or TEST for
+    `rows[i]`. Within each user's block the three parts follow each other in
+    that order."""
+
+    dataset: Dataset
+    rows: np.ndarray
+    part: np.ndarray
     empty_test_users: set[str] = field(default_factory=set)
+
+    def columns(self, part: int) -> Dataset:
+        """The check-ins of one part as columns, in (user, time) order, with
+        the dataset's id lists."""
+        return self.dataset.take(self.rows[self.part == part])
+
+    @property
+    def train(self) -> dict[str, list[CheckIn]]:
+        return self._checkin_lists[TRAIN]
+
+    @property
+    def validation(self) -> dict[str, list[CheckIn]]:
+        return self._checkin_lists[VALIDATION]
+
+    @property
+    def test(self) -> dict[str, list[CheckIn]]:
+        return self._checkin_lists[TEST]
+
+    @cached_property
+    def _checkin_lists(self) -> tuple[dict[str, list[CheckIn]], ...]:
+        """{user_id: [CheckIn, ...]} for each part, users in id order. Built
+        on first use, for the model stages."""
+        d = self.dataset
+        checkins = d.to_checkins(self.rows)
+        part = self.part.tolist()
+        ends = np.cumsum(np.bincount(d.user, minlength=len(d.user_ids))).tolist()
+        lists = ({}, {}, {})
+        start = 0
+        for u, end in zip(d.user_ids, ends):
+            labels = part[start:end]
+            a = start + labels.count(TRAIN)
+            b = end - labels.count(TEST)
+            lists[TRAIN][u] = checkins[start:a]
+            lists[VALIDATION][u] = checkins[a:b]
+            lists[TEST][u] = checkins[b:end]
+            start = end
+        return lists
 
 
 @dataclass
@@ -109,6 +228,12 @@ class FilterReport:
     pois_removed: int
     checkins_removed: int
 
+    # Of the totals above: the users that the single pass left with 1 to
+    # MIN_SPLIT_CHECKINS - 1 check-ins, and those check-ins. Plain attributes,
+    # not fields, so asdict() and dataset_stats.json keep three keys.
+    short_users_removed = 0
+    short_checkins_removed = 0
+
 
 def _validate_coords(lat: float, lon: float) -> bool:
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
@@ -124,12 +249,13 @@ def parse_dataset(
 
     Check-in coordinates are joined from the POI file. Social edges whose
     endpoints never check in are dropped and counted in the load report.
+    Line numbers in the report count every physical line, blank ones too.
     """
     report = LoadReport()
 
     pois: dict[str, Poi] = {}
     poi_lines = 0
-    for lineno, line in enumerate(_read_lines(poi_path), start=1):
+    for lineno, line in _read_lines(poi_path):
         poi_lines += 1
         parts = line.rstrip("\n").split("\t")
         if len(parts) < 3:
@@ -150,59 +276,79 @@ def parse_dataset(
     report.poi_lines_parsed = poi_lines - len(report.poi_lines_malformed)
     _check_malformed(report.poi_lines_malformed, poi_lines, max_malformed_frac, poi_path)
 
-    checkins: list[CheckIn] = []
-    users: set[str] = set()
+    poi_ids = sorted(pois)
+    poi_code = {p: i for i, p in enumerate(poi_ids)}
+    user_code: dict[str, int] = {}  # in order of first appearance
+    user_col: list[int] = []
+    poi_col: list[int] = []
+    ts_col: list[int] = []
+    malformed = report.checkin_lines_malformed
     ci_lines = 0
-    for lineno, line in enumerate(_read_lines(checkin_path), start=1):
+    for lineno, line in _read_lines(checkin_path):
         ci_lines += 1
         parts = line.rstrip("\n").split("\t")
         if len(parts) < 3:
-            report.checkin_lines_malformed.append(lineno)
+            malformed.append(lineno)
             continue
         try:
             ts = int(parts[2])
         except ValueError:
-            report.checkin_lines_malformed.append(lineno)
+            malformed.append(lineno)
             continue
-        if ts <= 0:
-            report.checkin_lines_malformed.append(lineno)
+        if not 0 < ts <= INT64_MAX:
+            malformed.append(lineno)
             continue
-        poi = pois.get(parts[1])
-        if poi is None:
+        p = poi_code.get(parts[1])
+        if p is None:
             raise DataError(
                 f"check-in at line {lineno} references unknown poi_id {parts[1]!r}"
             )
-        checkins.append(CheckIn(parts[0], parts[1], ts, poi.latitude, poi.longitude))
-        users.add(parts[0])
-    report.checkin_lines_parsed = ci_lines - len(report.checkin_lines_malformed)
-    _check_malformed(
-        report.checkin_lines_malformed, ci_lines, max_malformed_frac, checkin_path
-    )
+        user_col.append(user_code.setdefault(parts[0], len(user_code)))
+        poi_col.append(p)
+        ts_col.append(ts)
+    report.checkin_lines_parsed = ci_lines - len(malformed)
+    _check_malformed(malformed, ci_lines, max_malformed_frac, checkin_path)
+
+    # Renumber users from first appearance to sorted id order.
+    user_ids = sorted(user_code)
+    sorted_code = np.empty(len(user_ids), dtype=np.int32)
+    sorted_code[[user_code[u] for u in user_ids]] = np.arange(len(user_ids))
+    user = sorted_code[np.array(user_col, dtype=np.intp)]
 
     social = SocialGraph()
     if social_path is not None:
-        for lineno, line in enumerate(_read_lines(social_path), start=1):
+        for _, line in _read_lines(social_path):
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 2 or parts[0] == parts[1]:
                 report.social_edges_dropped += 1
                 continue
-            if parts[0] not in users or parts[1] not in users:
+            if parts[0] not in user_code or parts[1] not in user_code:
                 report.social_edges_dropped += 1
                 continue
             social.add_edge(parts[0], parts[1])
             report.social_edges_parsed += 1
 
-    return Dataset(checkins, pois, social, users, report)
+    return Dataset(
+        user_ids,
+        poi_ids,
+        user,
+        np.array(poi_col, dtype=np.int32),
+        np.array(ts_col, dtype=np.int64),
+        pois,
+        social,
+        report,
+    )
 
 
 def _read_lines(path):
+    """(physical line number, line) for every non-blank line of path."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"unreadable file: {p}")
     with p.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield line
+                yield lineno, line
 
 
 def _check_malformed(bad_lines, total, max_frac, path):
@@ -214,51 +360,60 @@ def _check_malformed(bad_lines, total, max_frac, path):
         )
 
 
+def _recode(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Renumber codes to the ids they use, keeping the ids' order."""
+    used = np.bincount(codes, minlength=len(ids)) > 0
+    new_code = (np.cumsum(used) - 1).astype(np.int32)
+    return new_code[codes], [i for i, u in zip(ids, used.tolist()) if u]
+
+
 def preprocess_filter(
     d: Dataset, min_user_checkins: int, min_poi_checkins: int
 ) -> tuple[Dataset, FilterReport]:
     """Single-pass cold-start filter: users, then POIs, then orphaned check-ins.
 
     No fixpoint iteration: a surviving user may end up below threshold after
-    POI removal takes some of their check-ins with it.
+    POI removal takes some of their check-ins with it. A user left with fewer
+    than MIN_SPLIT_CHECKINS cannot be split, so they are dropped with their
+    check-ins; the output always passes `temporal_split`.
     """
     if min_user_checkins < 0 or min_poi_checkins < 0:
         raise ValueError("thresholds must be >= 0")
 
-    user_counts = Counter(c.user_id for c in d.checkins)
-    kept_users = {u for u, n in user_counts.items() if n >= min_user_checkins}
-
-    poi_counts = Counter(c.poi_id for c in d.checkins if c.user_id in kept_users)
-    kept_pois = {p for p, n in poi_counts.items() if n >= min_poi_checkins}
-
-    checkins = [
-        c for c in d.checkins if c.user_id in kept_users and c.poi_id in kept_pois
-    ]
-    if not checkins:
+    n_users = len(d.user_ids)
+    kept_users = np.bincount(d.user, minlength=n_users) >= min_user_checkins
+    keep = kept_users[d.user]
+    kept_pois = np.bincount(d.poi[keep], minlength=len(d.poi_ids)) >= min_poi_checkins
+    keep &= kept_pois[d.poi]
+    left = np.bincount(d.user[keep], minlength=n_users)
+    short = (left > 0) & (left < MIN_SPLIT_CHECKINS)
+    keep &= ~short[d.user]
+    rows = np.flatnonzero(keep)
+    if not len(rows):
         raise DataError("dataset exhausted by filters")
 
-    final_users = {c.user_id for c in checkins}
-    final_pois = {c.poi_id for c in checkins}
-    pois = {p: poi for p, poi in d.pois.items() if p in final_pois}
+    user, user_ids = _recode(d.user[rows], d.user_ids)
+    poi, poi_ids = _recode(d.poi[rows], d.poi_ids)
+    kept_ids = set(poi_ids)
+    pois = {p: poi for p, poi in d.pois.items() if p in kept_ids}
+    final_users = set(user_ids)
     social = SocialGraph()
-    for u in sorted(final_users):
+    for u in user_ids:
         for v in sorted(d.social.friends(u)):
             if v in final_users and u < v:
                 social.add_edge(u, v)
 
     report = FilterReport(
-        users_removed=len(d.users) - len(final_users),
+        users_removed=len(d.user_ids) - len(user_ids),
         pois_removed=len(d.pois) - len(pois),
-        checkins_removed=len(d.checkins) - len(checkins),
+        checkins_removed=len(d.ts) - len(rows),
     )
-    return Dataset(checkins, pois, social, final_users, d.load_report), report
-
-
-def sort_user_checkins(checkins: list[CheckIn]) -> list[CheckIn]:
-    """Chronological order with (timestamp, poi_id, input order) tie-breaking."""
-    indexed = list(enumerate(checkins))
-    indexed.sort(key=lambda ic: (ic[1].timestamp, ic[1].poi_id, ic[0]))
-    return [c for _, c in indexed]
+    report.short_users_removed = int(short.sum())
+    report.short_checkins_removed = int(left[short].sum())
+    filtered = Dataset(
+        user_ids, poi_ids, user, poi, d.ts[rows], pois, social, d.load_report
+    )
+    return filtered, report
 
 
 def temporal_split(
@@ -268,36 +423,39 @@ def temporal_split(
     test_frac: float = 0.2,
 ) -> SplitDataset:
     """Per-user earliest/latest split: floor(train_frac*n) train, floor(test_frac*n)
-    test from the end, remainder validation."""
+    test from the end, remainder validation. Each user's check-ins are
+    ordered by (timestamp, poi_id, input order)."""
     if abs(train_frac + val_frac + test_frac - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
+    if min(train_frac, val_frac, test_frac) < 0:
+        raise ValueError("split fractions must be >= 0")
 
-    by_user: dict[str, list[CheckIn]] = defaultdict(list)
-    for c in d.checkins:
-        by_user[c.user_id].append(c)
-
-    train, val, test = {}, {}, {}
-    empty_test = set()
-    for u in sorted(by_user):
-        seq = sort_user_checkins(by_user[u])
-        n = len(seq)
-        if n < 3:
-            raise DataError(f"user {u!r} has {n} check-ins (< 3); filter first")
-        n_train = int(train_frac * n)
-        n_test = int(test_frac * n)
-        train[u] = seq[:n_train]
-        test[u] = seq[n - n_test :] if n_test else []
-        val[u] = seq[n_train : n - n_test]
-        if not test[u]:
-            empty_test.add(u)
-    return SplitDataset(train, val, test, empty_test)
+    n = np.bincount(d.user, minlength=len(d.user_ids))
+    short = np.flatnonzero(n < MIN_SPLIT_CHECKINS)
+    if len(short):
+        u = short[0]
+        raise DataError(
+            f"user {d.user_ids[u]!r} has {int(n[u])} check-ins "
+            f"(< {MIN_SPLIT_CHECKINS}); filter first"
+        )
+    rows = np.lexsort((np.arange(len(d.ts)), d.poi, d.ts, d.user))
+    n_train = (train_frac * n).astype(np.int64)
+    n_test = (test_frac * n).astype(np.int64)
+    # Position of each sorted row within its user's block.
+    block_user = np.repeat(np.arange(len(n)), n)
+    pos = np.arange(len(rows)) - (np.cumsum(n) - n)[block_user]
+    part = np.full(len(rows), VALIDATION, dtype=np.int8)
+    part[pos < n_train[block_user]] = TRAIN
+    part[pos >= (n - n_test)[block_user]] = TEST
+    empty_test = {d.user_ids[u] for u in np.flatnonzero(n_test == 0).tolist()}
+    return SplitDataset(d, rows, part, empty_test)
 
 
 def dataset_stats(d: Dataset) -> DatasetStats:
-    n_users = len(d.users)
+    n_users = len(d.user_ids)
     n_pois = len(d.pois)
-    n_checkins = len(d.checkins)
-    n_unique = len({(c.user_id, c.poi_id) for c in d.checkins})
+    n_checkins = len(d.ts)
+    n_unique = len(d.visits())
     n_cats = len({p.category_id for p in d.pois.values() if p.category_id is not None})
     return DatasetStats(
         n_users=n_users,

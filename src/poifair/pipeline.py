@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .data import (
+    TRAIN,
     Dataset,
     SplitDataset,
     dataset_stats,
@@ -120,6 +121,7 @@ class Pipeline:
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.timings: dict[str, float] = {}
+        self.counts: dict[str, int] = {}
         self._stage_files: list[Path] = []
 
     # -- stages ------------------------------------------------------------
@@ -141,6 +143,10 @@ class Pipeline:
             filtered, report = preprocess_filter(
                 d, self.cfg.min_user_checkins, self.cfg.min_poi_checkins
             )
+            self.counts["preprocess.short_users_removed"] = report.short_users_removed
+            self.counts["preprocess.short_checkins_removed"] = (
+                report.short_checkins_removed
+            )
             stats = dataset_stats(filtered)
             payload = {"filter": asdict(report), "stats": asdict(stats)}
             self._write(
@@ -157,15 +163,16 @@ class Pipeline:
 
     def analyze(self, d: Dataset, split: SplitDataset):
         with self._stage("analyze"):
-            popularity = poi_popularity(split.train, len(split.train))
+            train = split.columns(TRAIN)
+            popularity = poi_popularity(train)
             profiles = build_profiles(
-                split.train,
+                train,
                 popularity,
                 (self.cfg.work_start_hour, self.cfg.work_end_hour),
             )
             assignment = assign_groups(profiles, self.cfg.group_quantile)
-            gstats = group_stats(assignment, profiles, split.train)
-            hist = temporal_histogram(d.checkins)
+            gstats = group_stats(assignment, profiles)
+            hist = temporal_histogram(d.ts)
 
             self._write_csv_artifact(
                 "histogram.csv",
@@ -358,6 +365,7 @@ class Pipeline:
             "config_sha256": hashlib.sha256(cfg_json.encode()).hexdigest(),
             "version": __version__,
             "timings_s": {k: round(v, 4) for k, v in self.timings.items()},
+            "counts": self.counts,
         }
         self._write(
             self.out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)

@@ -105,8 +105,7 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
         for v in pool[: cfg.friends_per_user]:
             social.add_edge(u, v)
 
-    users = set(user_ids)
-    return Dataset(checkins, pois, social, users)
+    return Dataset.from_checkins(checkins, pois, social)
 
 
 def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
@@ -119,7 +118,7 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
         "social": out / "social.tsv",
     }
     with paths["checkins"].open("w", encoding="utf-8") as fh:
-        for c in dataset.checkins:
+        for c in dataset.to_checkins():
             fh.write(f"{c.user_id}\t{c.poi_id}\t{c.timestamp}\n")
     with paths["pois"].open("w", encoding="utf-8") as fh:
         for p in sorted(dataset.pois):
@@ -128,7 +127,7 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
             fh.write(f"{poi.poi_id}\t{poi.latitude}\t{poi.longitude}\t{cat}\n")
     with paths["social"].open("w", encoding="utf-8") as fh:
         seen = set()
-        for u in sorted(dataset.users):
+        for u in dataset.user_ids:
             for v in sorted(dataset.social.friends(u)):
                 if (v, u) not in seen:
                     seen.add((u, v))

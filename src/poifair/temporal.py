@@ -1,15 +1,13 @@
 """Working/leisure period labelling, user temporal profiles, and fairness groups."""
 from __future__ import annotations
 
-import enum
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CheckIn, SplitDataset
+from .data import Dataset
 
 log = logging.getLogger(__name__)
 
@@ -17,22 +15,10 @@ WORK_START_HOUR = 8
 WORK_END_HOUR = 18
 
 
-class PeriodLabel(enum.Enum):
-    WORKING = "working"
-    LEISURE = "leisure"
-
-
-def hour_of(timestamp: int) -> int:
-    # timestamps are stored as already-local epoch seconds
-    return (timestamp // 3600) % 24
-
-
-def label_period(
-    timestamp: int, work_start: int = WORK_START_HOUR, work_end: int = WORK_END_HOUR
-) -> PeriodLabel:
-    """Working iff the local hour falls in the half-open [work_start, work_end)."""
-    h = hour_of(timestamp)
-    return PeriodLabel.WORKING if work_start <= h < work_end else PeriodLabel.LEISURE
+def hours(timestamps: np.ndarray) -> np.ndarray:
+    """Hour of day of each timestamp; timestamps are already-local epoch
+    seconds."""
+    return timestamps // 3600 % 24
 
 
 @dataclass(frozen=True)
@@ -61,42 +47,50 @@ class GroupStats:
     n_users: int
 
 
-def poi_popularity(train: dict[str, list[CheckIn]], n_users: int) -> dict[str, float]:
-    """Fraction of users that visited each POI in the training split."""
-    visitors: dict[str, set[str]] = {}
-    for u, seq in train.items():
-        for c in seq:
-            visitors.setdefault(c.poi_id, set()).add(u)
-    return {p: len(us) / n_users for p, us in visitors.items()}
+def poi_popularity(train: Dataset) -> np.ndarray:
+    """Fraction of users that visited each POI in the training split, by POI
+    code."""
+    n_pois = len(train.poi_ids)
+    visits = train.visits()
+    return np.bincount(visits % n_pois, minlength=n_pois) / len(train.user_ids)
 
 
 def build_profiles(
-    train: dict[str, list[CheckIn]],
-    popularity: dict[str, float],
+    train: Dataset,
+    popularity: np.ndarray,
     work_window: tuple[int, int] = (WORK_START_HOUR, WORK_END_HOUR),
 ) -> list[UserTemporalProfile]:
-    """One temporal profile per user, computed on training check-ins only."""
+    """One temporal profile per user, computed on training check-ins only.
+
+    A check-in is in the working period iff its hour falls in the half-open
+    [start, end) of work_window. A user's popularity consumption is the mean
+    popularity of their distinct POIs, summed left to right in poi_id order.
+    """
     start, end = work_window
+    n_users, n_pois = len(train.user_ids), len(train.poi_ids)
+    h = hours(train.ts)
+    working = (start <= h) & (h < end)
+    n_all = np.bincount(train.user, minlength=n_users).tolist()
+    n_work = np.bincount(train.user[working], minlength=n_users).tolist()
+    # Sorted by user, then POI code, which is poi_id order.
+    visits = train.visits()
+    pops = popularity[visits % n_pois].tolist()
+    bounds = np.searchsorted(visits // n_pois, np.arange(n_users + 1)).tolist()
     profiles = []
-    for u in sorted(train):
-        seq = train[u]
-        if not seq:
-            log.warning("user %s has no training check-ins; excluded", u)
+    for u, user_id in enumerate(train.user_ids):
+        n = n_all[u]
+        if not n:
+            log.warning("user %s has no training check-ins; excluded", user_id)
             continue
-        n_work = sum(
-            1 for c in seq if label_period(c.timestamp, start, end) is PeriodLabel.WORKING
-        )
-        n = len(seq)
-        distinct = sorted({c.poi_id for c in seq})
-        pop = sum(popularity.get(p, 0.0) for p in distinct) / len(distinct)
+        lo, hi = bounds[u], bounds[u + 1]
         profiles.append(
             UserTemporalProfile(
-                user_id=u,
+                user_id=user_id,
                 n_checkins=n,
-                n_working=n_work,
-                n_leisure=n - n_work,
-                leisure_ratio=(n - n_work) / n,
-                avg_popularity_consumption=pop,
+                n_working=n_work[u],
+                n_leisure=n - n_work[u],
+                leisure_ratio=(n - n_work[u]) / n,
+                avg_popularity_consumption=sum(pops[lo:hi]) / (hi - lo),
             )
         )
     return profiles
@@ -119,9 +113,7 @@ def assign_groups(
 
 
 def group_stats(
-    assignment: GroupAssignment,
-    profiles: list[UserTemporalProfile],
-    train: dict[str, list[CheckIn]],
+    assignment: GroupAssignment, profiles: list[UserTemporalProfile]
 ) -> list[GroupStats]:
     by_id = {p.user_id: p for p in profiles}
     out = []
@@ -135,7 +127,7 @@ def group_stats(
         out.append(
             GroupStats(
                 group=name,
-                n_checkins=sum(len(train[u]) for u in members),
+                n_checkins=sum(p.n_checkins for p in ps),
                 avg_popularity_consumption=float(
                     np.mean([p.avg_popularity_consumption for p in ps])
                 ),
@@ -146,12 +138,9 @@ def group_stats(
     return out
 
 
-def temporal_histogram(checkins: list[CheckIn]) -> np.ndarray:
+def temporal_histogram(timestamps) -> np.ndarray:
     """24-bin hour-of-day check-in counts."""
-    bins = np.zeros(24, dtype=np.int64)
-    for c in checkins:
-        bins[hour_of(c.timestamp)] += 1
-    return bins
+    return np.bincount(hours(np.asarray(timestamps, dtype=np.int64)), minlength=24)
 
 
 def ols_fit(x, y) -> dict[str, float]:

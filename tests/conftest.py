@@ -12,8 +12,7 @@ def make_dataset(checkins, pois=None, edges=()):
         pois = {}
         for c in checkins:
             pois.setdefault(c.poi_id, Poi(c.poi_id, c.latitude, c.longitude))
-    users = {c.user_id for c in checkins}
-    return Dataset(list(checkins), pois, SocialGraph(edges), users)
+    return Dataset.from_checkins(list(checkins), pois, SocialGraph(edges))
 
 
 @pytest.fixture

@@ -1,14 +1,140 @@
-"""Scalar, one-candidate-at-a-time reference versions of the context scores,
-the top-N ranking and the weighted-sum sweep that the library computes in
-bulk. Tests compare the library against them."""
+"""Scalar reference versions of what the library computes in bulk: the
+per-`CheckIn` filter, split and temporal analysis, the one-candidate-at-a-time
+context scores, the top-N ranking and the weighted-sum sweep. Tests compare
+the library against them."""
 from __future__ import annotations
+
+import enum
+from collections import Counter, defaultdict
 
 import numpy as np
 
+from poifair.data import DatasetStats
 from poifair.fusion import WEIGHTED_SUM, weight_sweep
 from poifair.geo import KdeModel, distance_km, geo_score, project_km
 from poifair.metrics import group_metrics, ranking_metrics
 from poifair.recommend import fused_scores, fusion_weights_for
+from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
+
+
+class PeriodLabel(enum.Enum):
+    WORKING = "working"
+    LEISURE = "leisure"
+
+
+def hour_of(timestamp: int) -> int:
+    # timestamps are stored as already-local epoch seconds
+    return (timestamp // 3600) % 24
+
+
+def label_period(
+    timestamp: int, work_start: int = WORK_START_HOUR, work_end: int = WORK_END_HOUR
+) -> PeriodLabel:
+    """Working iff the local hour falls in the half-open [work_start, work_end)."""
+    h = hour_of(timestamp)
+    return PeriodLabel.WORKING if work_start <= h < work_end else PeriodLabel.LEISURE
+
+
+def sort_user_checkins(checkins):
+    """Chronological order with (timestamp, poi_id, input order) tie-breaking."""
+    indexed = list(enumerate(checkins))
+    indexed.sort(key=lambda ic: (ic[1].timestamp, ic[1].poi_id, ic[0]))
+    return [c for _, c in indexed]
+
+
+def preprocess_filter(checkins, min_user_checkins, min_poi_checkins):
+    """The check-ins that survive the single-pass cold-start filter (users,
+    then POIs) and the drop of users it leaves with fewer than 3, in input
+    order."""
+    user_counts = Counter(c.user_id for c in checkins)
+    kept_users = {u for u, n in user_counts.items() if n >= min_user_checkins}
+    poi_counts = Counter(c.poi_id for c in checkins if c.user_id in kept_users)
+    kept_pois = {p for p, n in poi_counts.items() if n >= min_poi_checkins}
+    kept = [c for c in checkins if c.user_id in kept_users and c.poi_id in kept_pois]
+    left = Counter(c.user_id for c in kept)
+    return [c for c in kept if left[c.user_id] >= 3]
+
+
+def temporal_split(checkins, train_frac=0.7, val_frac=0.1, test_frac=0.2):
+    """(train, validation, test) as {user_id: [CheckIn, ...]}, users in id
+    order: floor(train_frac*n) earliest to train, floor(test_frac*n) latest
+    to test, the rest to validation."""
+    by_user = defaultdict(list)
+    for c in checkins:
+        by_user[c.user_id].append(c)
+    train, val, test = {}, {}, {}
+    for u in sorted(by_user):
+        seq = sort_user_checkins(by_user[u])
+        n = len(seq)
+        n_train = int(train_frac * n)
+        n_test = int(test_frac * n)
+        train[u] = seq[:n_train]
+        test[u] = seq[n - n_test :] if n_test else []
+        val[u] = seq[n_train : n - n_test]
+    return train, val, test
+
+
+def poi_popularity(train, n_users):
+    """Fraction of users that visited each POI in the training split."""
+    visitors = {}
+    for u, seq in train.items():
+        for c in seq:
+            visitors.setdefault(c.poi_id, set()).add(u)
+    return {p: len(us) / n_users for p, us in visitors.items()}
+
+
+def build_profiles(train, popularity, work_window=(WORK_START_HOUR, WORK_END_HOUR)):
+    """One temporal profile per user with training check-ins."""
+    start, end = work_window
+    profiles = []
+    for u in sorted(train):
+        seq = train[u]
+        if not seq:
+            continue
+        n_work = sum(
+            1 for c in seq if label_period(c.timestamp, start, end) is PeriodLabel.WORKING
+        )
+        n = len(seq)
+        distinct = sorted({c.poi_id for c in seq})
+        pop = sum(popularity.get(p, 0.0) for p in distinct) / len(distinct)
+        profiles.append(
+            UserTemporalProfile(
+                user_id=u,
+                n_checkins=n,
+                n_working=n_work,
+                n_leisure=n - n_work,
+                leisure_ratio=(n - n_work) / n,
+                avg_popularity_consumption=pop,
+            )
+        )
+    return profiles
+
+
+def temporal_histogram(checkins):
+    """24-bin hour-of-day check-in counts."""
+    bins = np.zeros(24, dtype=np.int64)
+    for c in checkins:
+        bins[hour_of(c.timestamp)] += 1
+    return bins
+
+
+def dataset_stats(checkins, pois, n_social_links) -> DatasetStats:
+    n_users = len({c.user_id for c in checkins})
+    n_pois = len(pois)
+    n_checkins = len(checkins)
+    return DatasetStats(
+        n_users=n_users,
+        n_pois=n_pois,
+        n_checkins=n_checkins,
+        n_unique_checkins=len({(c.user_id, c.poi_id) for c in checkins}),
+        n_social_links=n_social_links,
+        n_categories=len(
+            {p.category_id for p in pois.values() if p.category_id is not None}
+        ),
+        checkins_per_user=n_checkins / n_users if n_users else 0.0,
+        checkins_per_poi=n_checkins / n_pois if n_pois else 0.0,
+        density=n_checkins / (n_users * n_pois) if n_users and n_pois else 0.0,
+    )
 
 
 def social_frequency(u, p, counts, social) -> int:

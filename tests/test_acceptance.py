@@ -192,9 +192,9 @@ def test_c10_conditional_full_data():
             os.path.join(root, "social.tsv"),
         )
         filtered, _ = preprocess_filter(d, min_u, min_p)
-        ok &= len(filtered.users) == n_users
+        ok &= len(filtered.user_ids) == n_users
         ok &= len(filtered.pois) == n_pois
-        ok &= len(filtered.checkins) == n_checkins
+        ok &= len(filtered.ts) == n_checkins
     if not ran_any:
         print("\nACCEPTANCE 10 full-data-check: SKIP "
               "(set POIFAIR_GOWALLA_DIR / POIFAIR_YELP_DIR to run)")

@@ -116,6 +116,51 @@ class TestRun:
         assert main(["evaluate", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "table3.csv").is_file()
 
+    def test_recommend_and_evaluate_write_the_same_artifacts(self, tmp_path, fixture_files):
+        path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
+        outs = {}
+        for command in ("recommend", "evaluate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            outs[command] = {
+                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+            }
+        assert "table3.csv" in outs["recommend"]
+        assert "sweep.csv" in outs["recommend"]
+        assert "recommendations_geosoca_weighted_sum.tsv" in outs["recommend"]
+        assert outs["recommend"] == outs["evaluate"]
+
+    def test_user_left_below_three_is_dropped_not_fatal(self, tmp_path, fixture_files):
+        # A passes the 15-check-in user filter, then loses 13 check-ins to
+        # POIs below the 10-check-in POI filter; split would need 3.
+        rows = [f"A\tr{i}\t{1_300_000_000 + 3600 * i}" for i in range(13)]
+        rows += [f"A\thub\t{1_300_100_000 + 3600 * i}" for i in range(2)]
+        rows += [
+            f"x{j}\thub\t{1_300_000_000 + 86400 * j + 3600 * i}"
+            for j in range(6) for i in range(15)
+        ]
+        checkins = tmp_path / "checkins.tsv"
+        checkins.write_text("".join(r + "\n" for r in rows))
+        pois = tmp_path / "pois.tsv"
+        pois.write_text("".join(
+            f"{p}\t40.0\t-100.0\t\n" for p in ["hub"] + [f"r{i}" for i in range(13)]
+        ))
+        path = write_config(
+            tmp_path, fixture_files, checkin_path=str(checkins), poi_path=str(pois),
+            social_path=None,
+        )
+        assert main(["analyze", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert json.loads((out / "manifest.json").read_text())["counts"] == {
+            "preprocess.short_checkins_removed": 2,
+            "preprocess.short_users_removed": 1,
+        }
+        assert json.loads((out / "dataset_stats.json").read_text())["filter"] == {
+            "users_removed": 1, "pois_removed": 13, "checkins_removed": 15,
+        }
+        with (out / "profiles.csv").open() as fh:
+            assert [r["user_id"] for r in csv.DictReader(fh)] == [f"x{j}" for j in range(6)]
+
     def test_out_override(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files)
         other = tmp_path / "elsewhere"

@@ -1,0 +1,132 @@
+"""Property test: the columnar parse -> filter -> split -> profiles path
+equals the per-`CheckIn` oracles in `oracles.py`, exactly, on small random
+inputs written as TSV files."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poifair.data import (
+    TRAIN,
+    CheckIn,
+    DataError,
+    dataset_stats,
+    parse_dataset,
+    preprocess_filter,
+    temporal_split,
+)
+from poifair.temporal import build_profiles, poi_popularity, temporal_histogram
+
+import oracles
+from conftest import make_dataset
+
+# Ids whose string order differs from their numeric order.
+USER_IDS = ["u9", "u10", "u1", "U", "a b"]
+POI_IDS = ["p2", "p10", "p1", "P", "q"]
+SITES = [(40.0, -100.0), (40.5, -100.25), (-33.9, 151.2)]
+CATEGORIES = [None, "c0", "c1"]
+DAY = 1_300_000_000 // 86400 * 86400
+# Hours 8 and 18, and both sides of hour boundaries; few values, so equal
+# timestamps and repeated (ts, poi) pairs are common.
+SPECIAL_TS = [
+    DAY + h * 3600 + s for h in (0, 7, 8, 17, 18, 23) for s in (-1, 0, 1)
+]
+timestamps = st.one_of(
+    st.sampled_from(SPECIAL_TS), st.integers(1, 3 * 86400).map(lambda s: DAY + s)
+)
+FRACTIONS = [(0.7, 0.1, 0.2), (1.0, 0.0, 0.0), (0.5, 0.25, 0.25), (0.34, 0.33, 0.33)]
+
+
+@st.composite
+def inputs(draw):
+    """(pois, rows): POI lines as (id, site, category), in file order; check-in
+    lines as (user_id, poi_id, ts), in file order."""
+    n_pois = draw(st.integers(1, len(POI_IDS)))
+    poi_ids = draw(st.permutations(POI_IDS))[:n_pois]
+    pois = [
+        (p, draw(st.sampled_from(range(len(SITES)))), draw(st.sampled_from(CATEGORIES)))
+        for p in poi_ids
+    ]
+    rows = []
+    for u in USER_IDS[: draw(st.integers(1, len(USER_IDS)))]:
+        # Counts around 3, the fewest a split takes.
+        for _ in range(draw(st.integers(1, 7))):
+            rows.append((u, draw(st.sampled_from(poi_ids)), draw(timestamps)))
+    order = draw(st.permutations(range(len(rows))))
+    return pois, [rows[i] for i in order]
+
+
+def write_inputs(tmp_path, pois, rows):
+    ci, po = tmp_path / "checkins.tsv", tmp_path / "pois.tsv"
+    po.write_text("".join(
+        f"{p}\t{SITES[s][0]}\t{SITES[s][1]}\t{c or ''}\n" for p, s, c in pois
+    ))
+    ci.write_text("".join(f"{u}\t{p}\t{ts}\n" for u, p, ts in rows))
+    return ci, po
+
+
+@given(
+    world=inputs(),
+    min_user=st.integers(0, 6),
+    min_poi=st.integers(0, 6),
+    fractions=st.sampled_from(FRACTIONS),
+    window=st.sampled_from([(8, 18), (0, 24), (17, 19), (9, 9)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_poi,
+                                       fractions, window):
+    pois_spec, rows = world
+    ci, po = write_inputs(tmp_path_factory.mktemp("cols"), pois_spec, rows)
+    d = parse_dataset(ci, po)
+    checkins = [
+        CheckIn(u, p, ts, d.pois[p].latitude, d.pois[p].longitude) for u, p, ts in rows
+    ]
+    assert d.to_checkins() == checkins
+    assert d.user_ids == sorted({u for u, _, _ in rows})
+    assert d.poi_ids == sorted(d.pois)
+
+    kept = oracles.preprocess_filter(checkins, min_user, min_poi)
+    try:
+        filtered, report = preprocess_filter(d, min_user, min_poi)
+    except DataError:
+        assert not kept
+        return
+    assert filtered.to_checkins() == kept
+    kept_pois = {c.poi_id for c in kept}
+    assert list(filtered.pois) == [p for p in d.pois if p in kept_pois]
+    assert report.users_removed == len(d.user_ids) - len({c.user_id for c in kept})
+    assert report.checkins_removed == len(checkins) - len(kept)
+    assert report.pois_removed == len(d.pois) - len(kept_pois)
+    assert dataset_stats(filtered) == oracles.dataset_stats(
+        kept, filtered.pois, filtered.social.n_edges
+    )
+    hist = temporal_histogram(filtered.ts)
+    assert hist.tolist() == oracles.temporal_histogram(kept).tolist()
+
+    split = temporal_split(filtered, *fractions)
+    train, val, test = oracles.temporal_split(kept, *fractions)
+    assert split.train == train
+    assert split.validation == val
+    assert split.test == test
+    assert split.empty_test_users == {u for u, seq in test.items() if not seq}
+
+    cols = split.columns(TRAIN)
+    assert cols.to_checkins() == [c for seq in train.values() for c in seq]
+    pop = poi_popularity(cols)
+    want_pop = oracles.poi_popularity(train, len(train))
+    assert pop.tolist() == [want_pop.get(p, 0.0) for p in cols.poi_ids]
+    assert build_profiles(cols, pop, window) == oracles.build_profiles(
+        train, want_pop, window
+    )
+
+
+def test_popularity_consumption_sums_left_to_right():
+    """One user with 64 distinct POIs whose popularities numpy's pairwise
+    sum adds up to a different last bit than a left-to-right sum; dividing
+    by 64 keeps that bit."""
+    pop = np.random.default_rng(0).random(64)
+    assert float(np.sum(pop)) / 64 != sum(pop.tolist()) / 64
+    checkins = [
+        CheckIn("u", f"p{i:02d}", 1000 + i, 40.0, -100.0) for i in range(64)
+    ]
+    (profile,) = build_profiles(make_dataset(checkins), pop)
+    assert profile.avg_popularity_consumption == sum(pop.tolist()) / 64

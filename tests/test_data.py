@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 
 from poifair.data import (
     DataError,
+    Dataset,
     Poi,
+    SocialGraph,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
-    sort_user_checkins,
     temporal_split,
 )
 
+import oracles
 from conftest import make_checkin, make_dataset
 
 
@@ -38,7 +41,7 @@ class TestParse:
             ["p1\t40.0\t-100.0\tcafe", "p2\t40.1\t-100.1\t"],
         )
         d = parse_dataset(ci, po)
-        assert len(d.checkins) == 3
+        assert len(d.ts) == 3
         assert len(d.pois) == 2
         assert d.pois["p1"].category_id == "cafe"
         assert d.pois["p2"].category_id is None
@@ -58,7 +61,7 @@ class TestParse:
         assert d.load_report.poi_lines_malformed == [4]
         assert d.load_report.poi_lines_parsed == 5
         assert d.pois["p1"] == Poi("p1", 42.0, -102.0, None)
-        assert d.checkins[0].latitude == 42.0
+        assert d.to_checkins()[0].latitude == 42.0
         assert json.loads(d.load_report.to_json())["poi_lines_duplicate"] == [3, 5, 6]
 
     def test_unknown_poi_is_hard_error(self, tmp_path):
@@ -81,8 +84,53 @@ class TestParse:
         with pytest.raises(DataError, match="malformed"):
             parse_dataset(ci, po)
         d = parse_dataset(ci, po, max_malformed_frac=0.9)
-        assert len(d.checkins) == 1
+        assert len(d.ts) == 1
         assert d.load_report.checkin_lines_malformed == [2, 3]
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        ci, po, _ = write_files(
+            tmp_path,
+            ["u1\tp1\t100", "", "u1\tp1\tnot_a_ts", "  ", "u2\tp1\t300"],
+            ["", "p1\t40\t-100\t", "bad", "p2\t40\t-100\t"],
+        )
+        d = parse_dataset(ci, po, max_malformed_frac=0.5)
+        assert d.load_report.checkin_lines_malformed == [3]
+        assert d.load_report.checkin_lines_parsed == 2
+        assert d.load_report.poi_lines_malformed == [3]
+        assert d.load_report.poi_lines_parsed == 2
+        assert len(d.ts) == 2
+
+    def test_unknown_poi_reports_physical_line(self, tmp_path):
+        ci, po, _ = write_files(
+            tmp_path, ["u1\tp1\t100", "", "u1\tpX\t200"], ["p1\t40\t-100\t"]
+        )
+        with pytest.raises(DataError, match="line 3 references unknown poi_id 'pX'"):
+            parse_dataset(ci, po)
+
+    def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
+        ci, po, _ = write_files(
+            tmp_path,
+            ["u1\tp1\t100", f"u1\tp1\t{2**63}", f"u1\tp1\t{2**63 - 1}", "u1\tp1\t0"],
+            ["p1\t40\t-100\t"],
+        )
+        d = parse_dataset(ci, po, max_malformed_frac=0.9)
+        assert d.load_report.checkin_lines_malformed == [2, 4]
+        assert d.ts.tolist() == [100, 2**63 - 1]
+
+    def test_ids_interned_in_sorted_order(self, tmp_path):
+        ci, po, _ = write_files(
+            tmp_path,
+            ["u9\tp2\t100", "u10\tp10\t200", "U\tp2\t300", "u9\tp10\t400"],
+            ["p2\t40\t-100\t", "p10\t41\t-101\t", "p1\t42\t-102\t"],
+        )
+        d = parse_dataset(ci, po)
+        assert d.user_ids == ["U", "u10", "u9"]
+        assert d.poi_ids == ["p1", "p10", "p2"]
+        assert d.user.tolist() == [2, 1, 0, 2]
+        assert d.poi.tolist() == [2, 1, 2, 1]
+        assert [(c.user_id, c.poi_id, c.timestamp) for c in d.to_checkins()] == [
+            ("u9", "p2", 100), ("u10", "p10", 200), ("U", "p2", 300), ("u9", "p10", 400),
+        ]
 
     def test_social_edges_dropped_for_unknown_users(self, tmp_path):
         ci, po, so = write_files(
@@ -106,7 +154,7 @@ class TestFilter:
         checkins += [make_checkin("B", "p0", 50 + i) for i in range(3)]
         d = make_dataset(checkins)
         filtered, report = preprocess_filter(d, 15, 0)
-        assert filtered.users == {"A"}
+        assert filtered.user_ids == ["A"]
         assert report.users_removed == 1
 
     def test_user_retained_when_poi_filter_drops_their_count(self):
@@ -119,9 +167,9 @@ class TestFilter:
         d = make_dataset(checkins)
         filtered, _ = preprocess_filter(d, 15, 10)
         # 'rare' has only 5 check-ins -> removed; A keeps 10 and survives
-        assert "A" in filtered.users
+        assert "A" in filtered.user_ids
         assert "rare" not in filtered.pois
-        assert sum(1 for c in filtered.checkins if c.user_id == "A") == 10
+        assert sum(1 for c in filtered.to_checkins() if c.user_id == "A") == 10
 
     def test_not_idempotent_in_general(self):
         # after POI removal drops user A to 10 check-ins, a second identical
@@ -134,8 +182,8 @@ class TestFilter:
         d = make_dataset(checkins)
         once, _ = preprocess_filter(d, 15, 10)
         twice, _ = preprocess_filter(once, 15, 10)
-        assert "A" in once.users
-        assert "A" not in twice.users
+        assert "A" in once.user_ids
+        assert "A" not in twice.user_ids
 
     def test_exhausted(self, tiny_dataset):
         with pytest.raises(DataError, match="exhausted"):
@@ -152,21 +200,69 @@ class TestFilter:
         d = make_dataset(checkins)
         filtered, _ = preprocess_filter(d, 10, 5)
         stats = dataset_stats(filtered)
+        kept = filtered.to_checkins()
         # independent recount
-        assert stats.n_checkins == len(filtered.checkins)
-        assert stats.n_users == len({c.user_id for c in filtered.checkins})
-        assert stats.n_pois == len({c.poi_id for c in filtered.checkins})
-        assert stats.n_unique_checkins == len(
-            {(c.user_id, c.poi_id) for c in filtered.checkins}
-        )
-        user_counts = Counter(c.user_id for c in d.checkins)
+        assert stats.n_checkins == len(kept)
+        assert stats.n_users == len({c.user_id for c in kept})
+        assert stats.n_pois == len({c.poi_id for c in kept})
+        assert stats.n_unique_checkins == len({(c.user_id, c.poi_id) for c in kept})
+        user_counts = Counter(c.user_id for c in checkins)
         survivors = {u for u, n in user_counts.items() if n >= 10}
-        poi_counts = Counter(c.poi_id for c in d.checkins if c.user_id in survivors)
+        poi_counts = Counter(c.poi_id for c in checkins if c.user_id in survivors)
         kept_pois = {p for p, n in poi_counts.items() if n >= 5}
         expected = [
-            c for c in d.checkins if c.user_id in survivors and c.poi_id in kept_pois
+            c for c in checkins if c.user_id in survivors and c.poi_id in kept_pois
         ]
-        assert len(filtered.checkins) == len(expected)
+        assert len(kept) == len(expected)
+
+    def test_users_left_below_three_are_dropped(self):
+        # A passes the user filter with 6 check-ins, then loses 4 to a rare
+        # POI: 2 are left, too few to split, so A goes with them.
+        checkins = [make_checkin("A", "rare", 100 + i) for i in range(4)]
+        checkins += [make_checkin("A", "hub", 200 + i) for i in range(2)]
+        checkins += [make_checkin(f"x{j}", "hub", 1000 + 10 * j + i)
+                     for j in range(3) for i in range(6)]
+        d = make_dataset(checkins)
+        filtered, report = preprocess_filter(d, 5, 5)
+        assert filtered.user_ids == ["x0", "x1", "x2"]
+        assert len(filtered.ts) == 18
+        assert (report.users_removed, report.pois_removed, report.checkins_removed) == (
+            1, 1, 6,
+        )
+        assert (report.short_users_removed, report.short_checkins_removed) == (1, 2)
+        assert set(asdict(report)) == {"users_removed", "pois_removed", "checkins_removed"}
+        temporal_split(filtered)
+
+    def test_low_thresholds_still_drop_unsplittable_users(self):
+        checkins = [make_checkin("A", "p", 100), make_checkin("A", "q", 200)]
+        checkins += [make_checkin("B", "p", 300 + i) for i in range(3)]
+        filtered, report = preprocess_filter(make_dataset(checkins), 0, 0)
+        assert filtered.user_ids == ["B"]
+        assert list(filtered.pois) == ["p"]
+        assert (report.users_removed, report.pois_removed, report.checkins_removed) == (
+            1, 1, 2,
+        )
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 50)),
+            min_size=1, max_size=40,
+        ),
+        min_user=st.integers(0, 8),
+        min_poi=st.integers(0, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_output_always_splits(self, rows, min_user, min_poi):
+        d = make_dataset([make_checkin(f"u{u}", f"p{p}", ts) for u, p, ts in rows])
+        try:
+            filtered, report = preprocess_filter(d, min_user, min_poi)
+        except DataError as e:
+            assert "exhausted" in str(e)
+            return
+        s = temporal_split(filtered)
+        assert sorted(s.train) == filtered.user_ids
+        assert report.checkins_removed == len(d.ts) - len(filtered.ts)
+        assert report.users_removed == len(d.user_ids) - len(filtered.user_ids)
 
 
 class TestSplit:
@@ -230,9 +326,16 @@ class TestSplit:
             make_checkin("u", "pA", 100),
             make_checkin("u", "pA", 100),
         ]
-        ordered = sort_user_checkins(checkins)
+        ordered = oracles.sort_user_checkins(checkins)
         assert [c.poi_id for c in ordered] == ["pA", "pA", "pB"]
         assert ordered[0] is checkins[1]
+        s = temporal_split(make_dataset(checkins), 1.0, 0.0, 0.0)
+        assert [c.poi_id for c in s.train["u"]] == ["pA", "pA", "pB"]
+        assert s.rows.tolist() == [1, 2, 0]
+
+    def test_negative_fraction_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError, match=">= 0"):
+            temporal_split(tiny_dataset, 0.8, -0.1, 0.3)
 
 
 class TestStats:
@@ -250,9 +353,7 @@ class TestStats:
         assert round(620_683 / 5_628, 2) == 110.28
 
     def test_empty_zeroes(self):
-        from poifair.data import Dataset, SocialGraph
-
-        d = Dataset([], {}, SocialGraph(), set())
+        d = Dataset.from_checkins([], {}, SocialGraph())
         stats = dataset_stats(d)
         assert stats.n_checkins == 0
         assert stats.density == 0.0

@@ -1,10 +1,12 @@
 import csv
 import os
+from dataclasses import replace
 
 import pytest
 
+from poifair import data
 from poifair.config import ExperimentConfig
-from poifair.data import Dataset, Poi
+from poifair.data import Poi
 from poifair.pipeline import Pipeline, StageFailure, _fmt, relevant_sets
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -15,7 +17,7 @@ def _world(tmp_path, seed, categories):
     ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=seed))
     if not categories:
         pois = {p: Poi(p, x.latitude, x.longitude, None) for p, x in ds.pois.items()}
-        ds = Dataset(ds.checkins, pois, ds.social, ds.users)
+        ds = replace(ds, pois=pois)
     paths = write_tsv(ds, tmp_path / "data")
     cfg = ExperimentConfig(
         checkin_path=str(paths["checkins"]),
@@ -102,3 +104,23 @@ def test_successful_write_replaces_content(tmp_path):
     assert (tmp_path / "a.json").read_text() == "new"
     assert (tmp_path / "b.csv").read_bytes() == b"x\r\n1.5\r\n"
     assert sorted(os.listdir(tmp_path)) == ["a.json", "b.csv"]
+
+
+def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
+    paths = write_tsv(ds, tmp_path / "data")
+    p = Pipeline(ExperimentConfig(
+        checkin_path=str(paths["checkins"]), poi_path=str(paths["pois"]),
+        social_path=str(paths["social"]), out_dir=str(tmp_path / "out"),
+    ))
+
+    def no_checkins(*args):
+        raise AssertionError("a CheckIn was built before any model stage")
+
+    monkeypatch.setattr(data, "CheckIn", no_checkins)
+    d = p.preprocess(p.parse())
+    split = p.split(d)
+    profiles, _ = p.analyze(d, split)
+    assert profiles
+    monkeypatch.undo()
+    assert sum(map(len, split.train.values())) == sum(p.n_checkins for p in profiles)

@@ -188,14 +188,16 @@ class TestRecommend:
 
 class TestDisabledContext:
     def test_geosoca_runs_without_categories(self, small_world):
-        from poifair.data import Dataset, Poi
+        from dataclasses import replace
+
+        from poifair.data import Poi
 
         ds, _ = small_world
         stripped_pois = {
             p: Poi(p, poi.latitude, poi.longitude, None)
             for p, poi in ds.pois.items()
         }
-        bare = Dataset(ds.checkins, stripped_pois, ds.social, ds.users)
+        bare = replace(ds, pois=stripped_pois)
         split = temporal_split(bare)
         model = FittedModel(GEOSOCA, bare, split)
         assert model.enabled == (True, True, False)

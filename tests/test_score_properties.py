@@ -59,7 +59,7 @@ def build(world) -> Dataset:
             poi = pois[f"p{poi_idx}"]
             checkins.append(CheckIn(u, poi.poi_id, ts, poi.latitude, poi.longitude))
     graph = SocialGraph((names[a], names[b]) for a, b in edges if a != b)
-    return Dataset(checkins, pois, graph, set(names[: len(users_spec)]))
+    return Dataset.from_checkins(checkins, pois, graph)
 
 
 def same(got: float, want: float) -> bool:

@@ -8,53 +8,76 @@ from hypothesis import strategies as st
 
 from poifair.temporal import (
     GroupAssignment,
-    PeriodLabel,
     UserTemporalProfile,
     assign_groups,
     build_profiles,
     correlation_analysis,
     group_stats,
-    hour_of,
-    label_period,
     ols_fit,
     poi_popularity,
     temporal_histogram,
 )
 
-from conftest import make_checkin
+import oracles
+from conftest import make_checkin, make_dataset
+from oracles import PeriodLabel, hour_of, label_period
 
 
 def ts_at(hour, minute=0, day=0):
     return day * 86400 + hour * 3600 + minute * 60
 
 
+def columns(train):
+    """A {user: [CheckIn, ...]} training split as columns."""
+    return make_dataset([c for seq in train.values() for c in seq])
+
+
+def profiles_of(train, popularity=None):
+    """build_profiles on columns; popularity as {poi_id: value}, absent = 0."""
+    d = columns(train)
+    pop = np.array([(popularity or {}).get(p, 0.0) for p in d.poi_ids])
+    return build_profiles(d, pop)
+
+
+def working_count(timestamps, window=(8, 18)):
+    """n_working of one user's profile over the given check-in times."""
+    train = {"u": [make_checkin("u", "p", ts) for ts in timestamps]}
+    return build_profiles(columns(train), np.zeros(1), window)[0].n_working
+
+
 class TestLabelPeriod:
     def test_working_hours(self):
         assert label_period(ts_at(10, 30)) is PeriodLabel.WORKING
+        assert working_count([ts_at(10, 30)]) == 1
 
     def test_midnight(self):
         assert label_period(ts_at(0)) is PeriodLabel.LEISURE
+        assert working_count([ts_at(0)]) == 0
 
     def test_half_open_boundaries(self):
         assert label_period(ts_at(8)) is PeriodLabel.WORKING
         assert label_period(ts_at(18)) is PeriodLabel.LEISURE
+        assert working_count([ts_at(8), ts_at(18)]) == 1
+        assert working_count([ts_at(8) - 1, ts_at(18) - 1]) == 1
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_total_function(self, ts):
         assert label_period(ts) in (PeriodLabel.WORKING, PeriodLabel.LEISURE)
+        expected = label_period(ts) is PeriodLabel.WORKING
+        assert working_count([ts]) == expected
 
 
 class TestProfiles:
     def test_leisure_ratio(self):
         checkins = [make_checkin("u", f"p{i}", ts_at(10, day=i)) for i in range(6)]
         checkins += [make_checkin("u", f"q{i}", ts_at(22, day=i)) for i in range(4)]
-        profiles = build_profiles({"u": checkins}, {})
+        profiles = profiles_of({"u": checkins})
         assert profiles[0].leisure_ratio == pytest.approx(0.4)
         assert profiles[0].n_working == 6
 
     def test_all_night(self):
         checkins = [make_checkin("u", "p", ts_at(3, day=i)) for i in range(5)]
-        profiles = build_profiles({"u": checkins}, {})
+        profiles = profiles_of({"u": checkins})
         assert profiles[0].leisure_ratio == 1.0
 
     def test_matches_bruteforce_recount(self):
@@ -65,8 +88,10 @@ class TestProfiles:
                 make_checkin(u, f"p{rnd.randrange(5)}", ts_at(rnd.randrange(24), day=i))
                 for i in range(rnd.randrange(5, 20))
             ]
-        pop = poi_popularity(train, 3)
-        profiles = {p.user_id: p for p in build_profiles(train, pop)}
+        d = columns(train)
+        pop_codes = poi_popularity(d)
+        pop = {p: pop_codes[i] for i, p in enumerate(d.poi_ids)}
+        profiles = {p.user_id: p for p in build_profiles(d, pop_codes)}
         for u, seq in train.items():
             n_leis = sum(1 for c in seq if not (8 <= hour_of(c.timestamp) < 18))
             assert profiles[u].n_leisure == n_leis
@@ -74,15 +99,28 @@ class TestProfiles:
             distinct = {c.poi_id for c in seq}
             expected_pop = sum(pop[p] for p in distinct) / len(distinct)
             assert profiles[u].avg_popularity_consumption == pytest.approx(expected_pop)
+        assert list(profiles.values()) == oracles.build_profiles(
+            train, oracles.poi_popularity(train, 3)
+        )
 
     def test_popularity_definition(self):
         train = {
             "a": [make_checkin("a", "p1", 100), make_checkin("a", "p1", 200)],
             "b": [make_checkin("b", "p1", 300)],
         }
-        pop = poi_popularity(train, 2)
+        pop = poi_popularity(columns(train))
         # two distinct visitors out of two users
-        assert pop["p1"] == 1.0
+        assert pop.tolist() == [1.0]
+        assert oracles.poi_popularity(train, 2) == {"p1": 1.0}
+
+    def test_popularity_counts_users_not_visits(self):
+        train = {
+            "a": [make_checkin("a", "p1", 100), make_checkin("a", "p2", 200)],
+            "b": [make_checkin("b", "p2", 300), make_checkin("b", "p2", 400)],
+            "c": [make_checkin("c", "p3", 500)],
+            "d": [make_checkin("d", "p3", 600)],
+        }
+        assert poi_popularity(columns(train)).tolist() == [0.25, 0.5, 0.5]
 
 
 def profile(u, ratio, n=10):
@@ -143,10 +181,10 @@ class TestGroupStats:
             "m": [make_checkin("m", "p", ts_at(8, day=i)) for i in range(5)]
             + [make_checkin("m", "p", ts_at(20, day=i)) for i in range(5)],
         }
-        pop = poi_popularity(train, 5)
-        profiles = build_profiles(train, pop)
+        d = columns(train)
+        profiles = build_profiles(d, poi_popularity(d))
         a = GroupAssignment({"l1", "l2"}, {"w1", "w2"}, {"m"})
-        stats = {g.group: g for g in group_stats(a, profiles, train)}
+        stats = {g.group: g for g in group_stats(a, profiles)}
         assert stats["leisure-focused"].n_checkins == 10
         assert stats["leisure-focused"].avg_activity_level == pytest.approx(5.0)
         assert stats["working-focused"].n_checkins == 10
@@ -154,15 +192,15 @@ class TestGroupStats:
 
     def test_empty_group_errors(self):
         train = {"u": [make_checkin("u", "p", 100)]}
-        profiles = build_profiles(train, {"p": 1.0})
+        profiles = profiles_of(train, {"p": 1.0})
         with pytest.raises(ValueError):
-            group_stats(GroupAssignment(set(), {"u"}, set()), profiles, train)
+            group_stats(GroupAssignment(set(), {"u"}, set()), profiles)
 
 
 class TestHistogram:
     def test_single_hour(self):
         checkins = [make_checkin("u", "p", ts_at(9, m)) for m in (1, 2, 3)]
-        bins = temporal_histogram(checkins)
+        bins = temporal_histogram([c.timestamp for c in checkins])
         assert bins[9] == 3
         assert bins.sum() == 3
 
@@ -174,7 +212,8 @@ class TestHistogram:
         checkins = [
             make_checkin("u", "p", rnd.randrange(1, 10**8)) for _ in range(1000)
         ]
-        bins = temporal_histogram(checkins)
+        bins = temporal_histogram(make_dataset(checkins).ts)
+        assert bins.tolist() == oracles.temporal_histogram(checkins).tolist()
         for h in range(24):
             assert bins[h] == sum(
                 1 for c in checkins if (c.timestamp // 3600) % 24 == h
@@ -225,7 +264,7 @@ class TestCorrelation:
             ] + [
                 make_checkin(u, "p", ts_at(21, day=d)) for d in range(size - n_work)
             ]
-        profiles = build_profiles(train, {"p": 1.0})
+        profiles = profiles_of(train, {"p": 1.0})
         corr = correlation_analysis(profiles)
         assert corr["leisure_ratio_vs_size"]["pearson_r"] < 0
         assert corr["working_ratio_vs_size"]["pearson_r"] > 0
