@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .data import CheckIn, Poi
-from .social import PowerLawFit, power_law_score
 
 
 class CategoricalModel:
@@ -49,7 +48,3 @@ class CategoricalModel:
         max_count = self.cat_max_count.get(cat, 0)
         pop = self.poi_counts.get(p, 0) / max_count if max_count else 0.0
         return user_count * pop
-
-
-def categorical_score(fit: PowerLawFit, y: float) -> float:
-    return power_law_score(fit, y)

@@ -10,8 +10,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig
 from .data import DataError
-from .fusion import WEIGHTED_SUM
-from .pipeline import Pipeline, StageFailure, run_pipeline
+from .pipeline import StageFailure, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        _dispatch(args.command, cfg)
+        run_pipeline(cfg, args.command)
     except StageFailure as e:
         if isinstance(e.cause, DataError):
             print(f"data error in stage {e.stage!r}: {e.cause}", file=sys.stderr)
@@ -78,31 +77,6 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
-
-
-def _dispatch(command: str, cfg: ExperimentConfig) -> None:
-    if command == "run":
-        run_pipeline(cfg)
-        return
-    p = Pipeline(cfg)
-    d = p.preprocess(p.parse())
-    if command != "preprocess":
-        split = p.split(d)
-        _, assignment = p.analyze(d, split)
-        if command != "analyze":
-            caches = p.fit_and_recommend(d, split)
-            if command == "sweep":
-                p.sweep(caches, assignment, split)
-            elif command in ("recommend", "evaluate"):
-                best = (
-                    p.sweep(caches, assignment, split)
-                    if WEIGHTED_SUM in cfg.fusion_rules
-                    else {}
-                )
-                p.evaluate(caches, assignment, split, best)
-            else:
-                raise ValueError(f"unknown command {command!r}")
-    p.write_manifest()
 
 
 if __name__ == "__main__":

@@ -61,6 +61,8 @@ class ExperimentConfig:
                 raise ConfigError(f"input file not found: {path}")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
+        if min(self.train_frac, self.val_frac, self.test_frac) < 0:
+            raise ConfigError("split fractions must be >= 0")
         if not 0 < self.group_quantile <= 0.5:
             raise ConfigError("group_quantile must be in (0, 0.5]")
         for m in self.models:
@@ -71,6 +73,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown fusion rule {r!r}")
         if any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be >= 1")
+        if not 0 < self.amc_alpha < 1 or self.amc_memory < 1:
+            raise ConfigError("amc_alpha must be in (0, 1) and amc_memory >= 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -65,9 +65,6 @@ class SocialGraph:
     def friends(self, u: str) -> frozenset[str]:
         return frozenset(self._adj.get(u, ()))
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adj.get(a, ())
-
     @property
     def n_edges(self) -> int:
         return self._n_edges
@@ -169,7 +166,6 @@ class SplitDataset:
     dataset: Dataset
     rows: np.ndarray
     part: np.ndarray
-    empty_test_users: set[str] = field(default_factory=set)
 
     def columns(self, part: int) -> Dataset:
         """The check-ins of one part as columns, in (user, time) order, with
@@ -447,8 +443,7 @@ def temporal_split(
     part = np.full(len(rows), VALIDATION, dtype=np.int8)
     part[pos < n_train[block_user]] = TRAIN
     part[pos >= (n - n_test)[block_user]] = TEST
-    empty_test = {d.user_ids[u] for u in np.flatnonzero(n_test == 0).tolist()}
-    return SplitDataset(d, rows, part, empty_test)
+    return SplitDataset(d, rows, part)
 
 
 def dataset_stats(d: Dataset) -> DatasetStats:

@@ -1,8 +1,8 @@
-"""Polynomial context fusion: product, sum, and weighted-sum instantiations,
-score normalization, and the simplex weight sweep."""
+"""Context fusion by rule (product, sum or weighted-sum), score
+normalization, and the simplex weight sweep for weighted-sum."""
 from __future__ import annotations
 
-from dataclasses import dataclass, astuple
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,98 +15,45 @@ OBJECTIVE_MIN_DELTA = "min_delta"
 OBJECTIVE_MAX_ACC_UNF = "max_acc_unf"
 
 
-@dataclass(frozen=True)
-class ContextScores:
-    c1: float
-    c2: float
-    c3: float
-    enabled: tuple[bool, bool, bool] = (True, True, True)
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    lambda3: float = 0.0
-    lambda12: float = 0.0
-    lambda13: float = 0.0
-    lambda23: float = 0.0
-    lambda123: float = 0.0
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
-
-
-def stack_weights(weights: list[FusionWeights]) -> FusionWeights:
-    """One FusionWeights whose fields are (G, 1) columns, row g from
-    weights[g]. fuse_arrays broadcasts it against the candidates and returns
-    (G, n) rows, each equal bit for bit to fusing with weights[g] alone."""
-    columns = zip(*(w.as_tuple() for w in weights))
-    return FusionWeights(*(np.array(c, dtype=float)[:, None] for c in columns))
-
-
-def rule_weights(rule: str, lambdas: tuple[float, float, float] | None = None) -> FusionWeights:
-    """Named weight presets for the three fusion rules."""
+def rule_lambdas(
+    rule: str,
+    enabled: tuple[bool, bool, bool],
+    points: list[tuple[float, float, float]] | None = None,
+) -> np.ndarray | None:
+    """Per-context weights of an additive rule, one (l1, l2, l3) row per
+    fusion: None for product, [[1, 1, 1]] for sum, and for weighted-sum each
+    simplex point renormalised over the enabled contexts."""
     if rule == PRODUCT:
-        return FusionWeights(lambda123=1.0)
+        return None
     if rule == SUM:
-        return FusionWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0)
-    if rule == WEIGHTED_SUM:
-        if lambdas is None:
-            raise ValueError("weighted_sum needs (lambda1, lambda2, lambda3)")
-        l1, l2, l3 = lambdas
-        if min(l1, l2, l3) < 0 or abs(l1 + l2 + l3 - 1.0) > 1e-9:
-            raise ValueError(f"not a simplex point: {lambdas}")
-        return FusionWeights(lambda1=l1, lambda2=l2, lambda3=l3)
-    raise ValueError(f"unknown fusion rule: {rule!r}")
+        return np.ones((1, 3))
+    if rule != WEIGHTED_SUM:
+        raise ValueError(f"unknown fusion rule: {rule!r}")
+    if points is None:
+        raise ValueError("weighted_sum needs (lambda1, lambda2, lambda3) points")
+    for p in points:
+        if min(p) < 0 or abs(sum(p) - 1.0) > 1e-9:
+            raise ValueError(f"not a simplex point: {p}")
+    return np.array([renormalize_weighted_sum(p, enabled) for p in points])
 
 
-def fuse(s: ContextScores, w: FusionWeights):
-    """Polynomial combination of the three context scores.
-
-    Disabled contexts contribute the multiplicative identity to interaction
-    terms and are dropped from the linear terms (the caller renormalizes
-    weighted-sum lambdas over the enabled contexts).
-    """
-    e1, e2, e3 = s.enabled
-    c1 = s.c1 if e1 else 1.0
-    c2 = s.c2 if e2 else 1.0
-    c3 = s.c3 if e3 else 1.0
-    lin = 0.0
-    if e1:
-        lin = lin + w.lambda1 * c1
-    if e2:
-        lin = lin + w.lambda2 * c2
-    if e3:
-        lin = lin + w.lambda3 * c3
-    return (
-        lin
-        + w.lambda12 * c1 * c2
-        + w.lambda13 * c1 * c3
-        + w.lambda23 * c2 * c3
-        + w.lambda123 * c1 * c2 * c3
-    )
-
-
-def fuse_arrays(scores: np.ndarray, w: FusionWeights, enabled=(True, True, True)) -> np.ndarray:
-    """Vectorized fuse over an (n, 3) score matrix."""
-    c1 = scores[:, 0] if enabled[0] else np.ones(len(scores))
-    c2 = scores[:, 1] if enabled[1] else np.ones(len(scores))
-    c3 = scores[:, 2] if enabled[2] else np.ones(len(scores))
-    lin = np.zeros(len(scores))
-    if enabled[0]:
-        lin = lin + w.lambda1 * c1
-    if enabled[1]:
-        lin = lin + w.lambda2 * c2
-    if enabled[2]:
-        lin = lin + w.lambda3 * c3
-    return (
-        lin
-        + w.lambda12 * c1 * c2
-        + w.lambda13 * c1 * c3
-        + w.lambda23 * c2 * c3
-        + w.lambda123 * c1 * c2 * c3
-    )
+def fuse_arrays(
+    scores: np.ndarray, lambdas: np.ndarray | None, enabled=(True, True, True)
+) -> np.ndarray:
+    """Fuse an (n, 3) score matrix over the enabled contexts into (G, n):
+    with lambdas None, one row, the product c1 * c2 * c3; otherwise one row
+    per (G, 3) lambda row, l1 * c1 + l2 * c2 + l3 * c3 added left to right."""
+    cols = [scores[:, j] for j in range(3) if enabled[j]]
+    if lambdas is None:
+        out = cols[0]
+        for c in cols[1:]:
+            out = out * c
+        return out[None, :]
+    lams = [lambdas[:, j, None] for j in range(3) if enabled[j]]
+    out = lams[0] * cols[0]
+    for lam, c in zip(lams[1:], cols[1:]):
+        out = out + lam * c
+    return out
 
 
 def renormalize_weighted_sum(

@@ -1,7 +1,6 @@
 """Kernel-density geographical influence with per-user or global bandwidth."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,16 +50,6 @@ class KdeModel:
         if self.weights is None:
             return np.ones(len(self.points_km))
         return self.weights
-
-    def dump(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "bandwidth_km": list(self.bandwidth),
-                "n_samples": int(self.sample_weights().sum()),
-            },
-            sort_keys=True,
-        )
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -113,11 +102,6 @@ def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
     w = model.sample_weights()
     return norm * ((np.exp(-0.5 * (dx * dx + dy * dy)) @ w) / w.sum())
-
-
-def geo_score(model: KdeModel, latitude: float, longitude: float) -> float:
-    q = project_km([latitude], [longitude], model.lat_ref)
-    return float(geo_score_km(model, q)[0])
 
 
 def geo_scores(model: KdeModel, lats, lons) -> np.ndarray:

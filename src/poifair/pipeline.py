@@ -29,8 +29,8 @@ from .fusion import (
     OBJECTIVE_MIN_DELTA,
     PRODUCT,
     WEIGHTED_SUM,
+    rule_lambdas,
     simplex_grid,
-    stack_weights,
     weight_sweep,
 )
 from .metrics import evaluate_run, group_metrics, ranking_metrics
@@ -38,7 +38,6 @@ from .recommend import (
     CandidateScores,
     FittedModel,
     fused_scores,
-    fusion_weights_for,
     rank_order,
     recommend_topn,
 )
@@ -87,17 +86,15 @@ def sweep_ndcg(
     point, in grid order. Each user's scores are normalised and fused once
     for the whole grid; users with no relevant POI or no candidate are left
     out."""
-    stacked = {}
+    lambdas = {}
     out = {}
     for u, cs in cache.items():
         rel = relevant.get(u)
         if not rel or not cs.poi_ids:
             continue
-        if cs.enabled not in stacked:
-            stacked[cs.enabled] = stack_weights(
-                [fusion_weights_for(WEIGHTED_SUM, cs.enabled, lam) for lam in grid]
-            )
-        scores = fused_scores(cs, WEIGHTED_SUM, stacked[cs.enabled])
+        if cs.enabled not in lambdas:
+            lambdas[cs.enabled] = rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
+        scores = fused_scores(cs, lambdas[cs.enabled])
         ids = np.array(cs.poi_ids, dtype=object)
         tops = ids[rank_order(scores)[:, :cutoff]].tolist()
         out[u] = [ranking_metrics(top, rel, cutoff).ndcg for top in tops]
@@ -301,15 +298,16 @@ class Pipeline:
                 cache = caches[name]
                 recs_by_rule = {}
                 for rule in self.cfg.fusion_rules:
-                    lambdas = best_lambdas.get(name) if rule == WEIGHTED_SUM else None
+                    points = [best_lambdas[name]] if rule == WEIGHTED_SUM else None
                     recs = {}
                     rec_rows = []
                     for u in sorted(cache):
                         cs = cache[u]
                         if not cs.poi_ids:
                             continue
-                        w = fusion_weights_for(rule, cs.enabled, lambdas)
-                        scores = fused_scores(cs, rule, w)
+                        (scores,) = fused_scores(
+                            cs, rule_lambdas(rule, cs.enabled, points)
+                        )
                         pois, vals = recommend_topn(cs.poi_ids, scores, max_n)
                         recs[u] = pois
                         for rank, (p, v) in enumerate(zip(pois, vals), start=1):
@@ -416,18 +414,34 @@ class _StageContext:
         return False
 
 
-def run_pipeline(config: ExperimentConfig):
-    """Execute every stage and return the emitted evaluation reports."""
+def run_pipeline(config: ExperimentConfig, command: str = "run"):
+    """Run the stages in order up to the last one `command` needs, write the
+    manifest and return the evaluation reports (none for the commands that
+    stop before evaluate). `recommend`, `evaluate` and `run` run every stage;
+    the sweep runs for `sweep`, when `run_sweep` is set, or when weighted-sum
+    fusion needs its lambdas."""
+    commands = ("preprocess", "analyze", "recommend", "sweep", "evaluate", "run")
+    if command not in commands:
+        raise ValueError(f"unknown command {command!r}")
     p = Pipeline(config)
-    d = p.parse()
-    d = p.preprocess(d)
-    split = p.split(d)
-    _, assignment = p.analyze(d, split)
-    caches = p.fit_and_recommend(d, split)
-    need_sweep = config.run_sweep or WEIGHTED_SUM in config.fusion_rules
-    best_lambdas = (
-        p.sweep(caches, assignment, split) if need_sweep else {}
-    )
-    reports = p.evaluate(caches, assignment, split, best_lambdas)
+    reports = _run_stages(p, command)
     p.write_manifest()
     return reports
+
+
+def _run_stages(p: Pipeline, command: str):
+    cfg = p.cfg
+    d = p.preprocess(p.parse())
+    if command == "preprocess":
+        return []
+    split = p.split(d)
+    _, assignment = p.analyze(d, split)
+    if command == "analyze":
+        return []
+    caches = p.fit_and_recommend(d, split)
+    best_lambdas = {}
+    if command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules:
+        best_lambdas = p.sweep(caches, assignment, split)
+    if command == "sweep":
+        return []
+    return p.evaluate(caches, assignment, split, best_lambdas)

@@ -10,28 +10,13 @@ import numpy as np
 from . import geo, sequential, social
 from .categorical import CategoricalModel
 from .data import Dataset, SplitDataset
-from .fusion import (
-    PRODUCT,
-    WEIGHTED_SUM,
-    FusionWeights,
-    fuse_arrays,
-    normalize_scores,
-    renormalize_weighted_sum,
-    rule_weights,
-)
+from .fusion import fuse_arrays, normalize_scores
 
 log = logging.getLogger(__name__)
 
 GEOSOCA = "geosoca"
 LORE = "lore"
 MODEL_NAMES = (GEOSOCA, LORE)
-
-
-@dataclass(frozen=True)
-class RankedList:
-    user_id: str
-    poi_ids: list[str]
-    scores: list[float]
 
 
 @dataclass
@@ -186,24 +171,12 @@ def _fit_or_default(freqs) -> social.PowerLawFit:
     return social.fit_power_law(freqs)
 
 
-def fusion_weights_for(
-    rule: str,
-    enabled: tuple[bool, bool, bool],
-    lambdas: tuple[float, float, float] | None = None,
-) -> FusionWeights:
-    if rule == WEIGHTED_SUM and lambdas is not None:
-        lambdas = renormalize_weighted_sum(lambdas, enabled)
-    return rule_weights(rule, lambdas)
-
-
-def fused_scores(cs: CandidateScores, rule: str, w: FusionWeights) -> np.ndarray:
-    """Fuse candidate context scores: product on raw scores, additive rules on
-    per-user min-max-normalized scores. With stacked weights (fields of shape
-    (G, 1), see `stack_weights`) the result has one row per weight set."""
-    if len(cs.poi_ids) == 0:
-        return np.zeros(0)
-    mat = cs.raw if rule == PRODUCT else normalize_scores(cs.raw)
-    return fuse_arrays(mat, w, cs.enabled)
+def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None) -> np.ndarray:
+    """Fuse candidate context scores with a rule's `rule_lambdas`, one row
+    per lambda row: product (None) on raw scores, additive rules on per-user
+    min-max-normalized scores."""
+    mat = cs.raw if lambdas is None else normalize_scores(cs.raw)
+    return fuse_arrays(mat, lambdas, cs.enabled)
 
 
 def rank_order(scores: np.ndarray) -> np.ndarray:
@@ -215,25 +188,9 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
 def recommend_topn(
     poi_ids: list[str], scores: np.ndarray, n: int
 ) -> tuple[list[str], list[float]]:
-    """Sort descending by fused score, ties by poi_id ascending, truncate."""
+    """The n best candidates by descending fused score, ties by position,
+    which is poi_id order for `CandidateScores.poi_ids`."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    ids = np.array(poi_ids, dtype=object)
-    scores = np.asarray(scores, dtype=float)
-    if not (ids[:-1] <= ids[1:]).all():
-        by_id = np.argsort(ids, kind="stable")
-        ids, scores = ids[by_id], scores[by_id]
     top = rank_order(scores)[:n]
-    return ids[top].tolist(), scores[top].tolist()
-
-
-def recommend(
-    model: FittedModel, u: str, spec_rule: str, n: int,
-    lambdas: tuple[float, float, float] | None = None,
-    cached: CandidateScores | None = None,
-) -> RankedList:
-    cs = cached if cached is not None else model.score_candidates(u)
-    w = fusion_weights_for(spec_rule, cs.enabled, lambdas)
-    scores = fused_scores(cs, spec_rule, w)
-    pois, vals = recommend_topn(cs.poi_ids, scores, n) if len(cs.poi_ids) else ([], [])
-    return RankedList(user_id=u, poi_ids=pois, scores=vals)
+    return [poi_ids[i] for i in top.tolist()], scores[top].tolist()

@@ -23,32 +23,11 @@ class TransitionGraph:
         row[dst] = row.get(dst, 0) + n
         self.out_totals[src] += n
 
-    @property
-    def counts(self) -> dict[tuple[str, str], int]:
-        return {
-            (s, d): n for s, row in self._adj.items() for d, n in row.items()
-        }
-
-    def count(self, src: str, dst: str) -> int:
-        return self._adj.get(src, {}).get(dst, 0)
-
-    def transition_prob(self, src: str, dst: str) -> float:
-        total = self.out_totals.get(src, 0)
-        if total == 0:
-            return 0.0
-        return self.count(src, dst) / total
-
     def out_edges(self, src: str) -> dict[str, float]:
         total = self.out_totals.get(src, 0)
         if total == 0:
             return {}
         return {dst: n / total for dst, n in self._adj[src].items()}
-
-    def dump_tsv(self) -> str:
-        lines = [
-            f"{s}\t{d}\t{n}" for (s, d), n in sorted(self.counts.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def build_l2tg(
@@ -71,30 +50,6 @@ def _amc_weights(k: int, alpha: float) -> list[float]:
     return [w / total for w in raw]
 
 
-def amc_score(
-    g: TransitionGraph,
-    history: list[str],
-    p: str,
-    alpha: float = AMC_DECAY,
-    memory: int = AMC_MEMORY,
-) -> float:
-    """Decay-weighted sum of transition probabilities from the most recent
-    history POIs (history most-recent-last) into p.
-
-    History POIs with no out-edges contribute 0 but still consume weight.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if memory < 1:
-        raise ValueError("memory must be >= 1")
-    k = min(memory, len(history))
-    if k == 0:
-        return 0.0
-    weights = _amc_weights(k, alpha)
-    recent = history[::-1][:k]  # index 0 = most recent
-    return sum(w * g.transition_prob(src, p) for w, src in zip(weights, recent))
-
-
 def amc_scores(
     g: TransitionGraph,
     history: list[str],
@@ -102,7 +57,15 @@ def amc_scores(
     alpha: float = AMC_DECAY,
     memory: int = AMC_MEMORY,
 ) -> list[float]:
-    """amc_score over a candidate list, sharing the per-source edge lookups."""
+    """Decay-weighted sum of transition probabilities from the most recent
+    history POIs (history most-recent-last) into each candidate.
+
+    History POIs with no out-edges contribute 0 but still consume weight.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if memory < 1:
+        raise ValueError("memory must be >= 1")
     k = min(memory, len(history))
     if k == 0:
         return [0.0] * len(candidates)

@@ -1,19 +1,21 @@
 """Scalar reference versions of what the library computes in bulk: the
 per-`CheckIn` filter, split and temporal analysis, the one-candidate-at-a-time
-context scores, the top-N ranking and the weighted-sum sweep. Tests compare
-the library against them."""
+context scores, the transition counts, the one-candidate fusion, the top-N
+ranking and the weighted-sum sweep. Tests compare the library against them."""
 from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from poifair.data import DatasetStats
-from poifair.fusion import WEIGHTED_SUM, weight_sweep
-from poifair.geo import KdeModel, distance_km, geo_score, project_km
+from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, weight_sweep
+from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
 from poifair.metrics import group_metrics, ranking_metrics
-from poifair.recommend import fused_scores, fusion_weights_for
+from poifair.recommend import fused_scores
+from poifair.sequential import AMC_DECAY, AMC_MEMORY, TransitionGraph
 from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
 
 
@@ -161,6 +163,12 @@ def fcf_score(u, p, counts, social, residences, poi_coords) -> float:
     return num / den if den > 0 else 0.0
 
 
+def geo_score(model: KdeModel, latitude: float, longitude: float) -> float:
+    """Density of `model` at one (lat, lon) point."""
+    q = project_km([latitude], [longitude], model.lat_ref)
+    return float(geo_score_km(model, q)[0])
+
+
 def expanded_kde_score(fitted: KdeModel, samples, latitude, longitude) -> float:
     """Density of a KDE that keeps every sample as its own unweighted point,
     with the bandwidth and projection of `fitted`."""
@@ -171,6 +179,61 @@ def expanded_kde_score(fitted: KdeModel, samples, latitude, longitude) -> float:
         lat_ref=fitted.lat_ref,
     )
     return geo_score(expanded, latitude, longitude)
+
+
+def transition_counts(train, session_gap_hours) -> dict[tuple[str, str], int]:
+    """{(src, dst): n} over consecutive same-user check-ins at most
+    session_gap_hours apart."""
+    counts = Counter()
+    for seq in train.values():
+        for a, b in zip(seq, seq[1:]):
+            if b.timestamp - a.timestamp <= session_gap_hours * 3600:
+                counts[a.poi_id, b.poi_id] += 1
+    return dict(counts)
+
+
+def amc_score(
+    g: TransitionGraph, history, p, alpha=AMC_DECAY, memory=AMC_MEMORY
+) -> float:
+    """Decay-weighted sum of transition probabilities from the `memory` most
+    recent history POIs (history most-recent-last) into p. Weights are
+    alpha**i for the i-th most recent, normalised to sum to 1."""
+    recent = history[::-1][:memory]
+    if not recent:
+        return 0.0
+    raw = [alpha**i for i in range(1, len(recent) + 1)]
+    total = sum(raw)
+    return sum(
+        w / total * g.out_edges(src).get(p, 0.0) for w, src in zip(raw, recent)
+    )
+
+
+@dataclass(frozen=True)
+class ContextScores:
+    c1: float
+    c2: float
+    c3: float
+    enabled: tuple[bool, bool, bool] = (True, True, True)
+
+
+def fuse(s: ContextScores, rule: str, lambdas=(1.0, 1.0, 1.0)) -> float:
+    """One candidate's fused score: under product, the product of the enabled
+    contexts; under sum or weighted-sum, lambda_j * c_j summed over them, left
+    to right (sum fusion: every lambda 1)."""
+    terms = [
+        (lam, c)
+        for lam, c, on in zip(lambdas, (s.c1, s.c2, s.c3), s.enabled)
+        if on
+    ]
+    if rule == PRODUCT:
+        out = terms[0][1]
+        for _, c in terms[1:]:
+            out = out * c
+        return out
+    out = terms[0][0] * terms[0][1]
+    for lam, c in terms[1:]:
+        out = out + lam * c
+    return out
 
 
 def topn(poi_ids, scores, n):
@@ -192,8 +255,9 @@ def sweep(caches, assignment, val_relevant, cutoff, step, objective):
                 relevant = val_relevant.get(u)
                 if not relevant or not cs.poi_ids:
                     continue
-                w = fusion_weights_for(WEIGHTED_SUM, cs.enabled, lambdas)
-                scores = fused_scores(cs, WEIGHTED_SUM, w)
+                (scores,) = fused_scores(
+                    cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, [lambdas])
+                )
                 pois, _ = topn(cs.poi_ids, scores, cutoff)
                 per_user[u] = ranking_metrics(pois, relevant, cutoff).ndcg
             gm = group_metrics(per_user, assignment)

@@ -10,15 +10,16 @@ import pytest
 
 from poifair.config import ExperimentConfig
 from poifair.data import parse_dataset, preprocess_filter, temporal_split
-from poifair.fusion import PRODUCT, SUM, ContextScores, fuse, rule_weights
+from poifair.fusion import PRODUCT, SUM, fuse_arrays, rule_lambdas
 from poifair.metrics import fairness_summary, ranking_metrics
 from poifair.pipeline import run_pipeline
-from poifair.sequential import TransitionGraph, amc_score
+from poifair.sequential import TransitionGraph, amc_scores
 from poifair.social import fit_power_law
 from poifair.synth import SynthConfig, generate, write_tsv
 from poifair.temporal import UserTemporalProfile, assign_groups
 
 from conftest import make_checkin, make_dataset
+from oracles import geo_score
 from test_geo import quadrature_mass
 from test_metrics import brute_force_metrics
 
@@ -49,13 +50,15 @@ def test_c01_metric_oracle_equivalence():
 def test_c02_fusion_algebra():
     rng = np.random.default_rng(7)
     triples = rng.random((10_000, 3)) * rng.choice([1.0, 100.0], size=(10_000, 1))
-    prod_w = rule_weights(PRODUCT)
-    sum_w = rule_weights(SUM)
     ok = True
-    for c1, c2, c3 in triples:
-        s = ContextScores(c1, c2, c3)
-        ok &= math.isclose(fuse(s, prod_w), c1 * c2 * c3, rel_tol=1e-12, abs_tol=1e-12)
-        ok &= math.isclose(fuse(s, sum_w), c1 + c2 + c3, rel_tol=1e-12, abs_tol=1e-12)
+    for enabled in ((True, True, True), (True, True, False)):
+        (prod,) = fuse_arrays(triples, rule_lambdas(PRODUCT, enabled), enabled)
+        (add,) = fuse_arrays(triples, rule_lambdas(SUM, enabled), enabled)
+        for (c1, c2, c3), p, s in zip(triples.tolist(), prod.tolist(), add.tolist()):
+            if enabled[2]:
+                ok &= p == c1 * c2 * c3 and s == c1 + c2 + c3
+            else:
+                ok &= p == c1 * c2 and s == c1 + c2
     report("2 fusion-algebra", ok)
 
 
@@ -89,7 +92,7 @@ def test_c04_group_split_sizes_and_rank_invariance():
 
 
 def test_c05_kde_properties():
-    from poifair.geo import KdeModel, PER_USER, fit_kde, geo_score
+    from poifair.geo import KdeModel, PER_USER, fit_kde
 
     t0 = time.perf_counter()
     ok = True
@@ -119,7 +122,8 @@ def test_c06_amc_properties():
     worked = TransitionGraph()
     worked.add("A", "B", 3)
     worked.add("A", "C", 1)
-    ok &= abs(amc_score(worked, ["X", "A"], "B", alpha=0.5, memory=5) - 0.5) <= 1e-12
+    (score,) = amc_scores(worked, ["X", "A"], ["B"], alpha=0.5, memory=5)
+    ok &= abs(score - 0.5) <= 1e-12
     report("6 amc-properties", ok)
 
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from poifair.categorical import CategoricalModel, categorical_score
+from poifair.categorical import CategoricalModel
 from poifair.data import Poi
-from poifair.social import PowerLawFit
+from poifair.social import PowerLawFit, power_law_score
 
 from conftest import make_checkin
 
@@ -79,14 +79,14 @@ class TestFrequency:
 
 class TestScore:
     def test_zero(self):
-        assert categorical_score(PowerLawFit(beta=2.0), 0.0) == 0.0
+        assert power_law_score(PowerLawFit(beta=2.0), 0.0) == 0.0
 
     def test_direct_formula(self):
         # beta=2, y=4: 1 - 1/4
-        assert categorical_score(PowerLawFit(beta=2.0), 4.0) == pytest.approx(0.75)
+        assert power_law_score(PowerLawFit(beta=2.0), 4.0) == pytest.approx(0.75)
 
     def test_monotone(self):
         fit = PowerLawFit(beta=3.0)
         ys = [0.0, 1.0, 2.0, 5.0, 50.0]
-        scores = [categorical_score(fit, y) for y in ys]
+        scores = [power_law_score(fit, y) for y in ys]
         assert scores == sorted(scores)

@@ -49,6 +49,15 @@ class TestConfig:
         path = write_config(tmp_path, fixture_files, poi_path="/nope/pois.tsv")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides", [
+        {"train_frac": 0.8, "val_frac": -0.1, "test_frac": 0.3},
+        {"amc_alpha": 1.5},
+        {"amc_memory": 0},
+    ], ids=["negative-split-fraction", "amc-alpha", "amc-memory"])
+    def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides):
+        path = write_config(tmp_path, fixture_files, models=["lore"], **overrides)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+
 
 class TestRun:
     def test_end_to_end_artifacts(self, tmp_path, fixture_files):
@@ -129,6 +138,18 @@ class TestRun:
         assert "sweep.csv" in outs["recommend"]
         assert "recommendations_geosoca_weighted_sum.tsv" in outs["recommend"]
         assert outs["recommend"] == outs["evaluate"]
+
+    def test_recommend_and_evaluate_honour_run_sweep_like_run(self, tmp_path, fixture_files):
+        path = write_config(tmp_path, fixture_files, run_sweep=True)
+        outs = {}
+        for command in ("run", "recommend", "evaluate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            outs[command] = {
+                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+            }
+        assert "sweep.csv" in outs["run"]
+        assert outs["recommend"] == outs["run"] == outs["evaluate"]
 
     def test_user_left_below_three_is_dropped_not_fatal(self, tmp_path, fixture_files):
         # A passes the 15-check-in user filter, then loses 13 check-ins to

@@ -107,7 +107,6 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
     assert split.train == train
     assert split.validation == val
     assert split.test == test
-    assert split.empty_test_users == {u for u, seq in test.items() if not seq}
 
     cols = split.columns(TRAIN)
     assert cols.to_checkins() == [c for seq in train.values() for c in seq]

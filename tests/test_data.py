@@ -140,8 +140,8 @@ class TestParse:
             ["u1\tu2", "u1\tghost", "u1\tu1"],
         )
         d = parse_dataset(ci, po, so)
-        assert d.social.has_edge("u1", "u2")
-        assert d.social.has_edge("u2", "u1")
+        assert d.social.friends("u1") == {"u2"}
+        assert d.social.friends("u2") == {"u1"}
         assert d.social.n_edges == 1
         assert d.load_report.social_edges_dropped == 2
         # report serializes
@@ -286,7 +286,7 @@ class TestSplit:
     def test_empty_test_flagged(self):
         checkins = [make_checkin("u", f"p{i}", 100 * (i + 1)) for i in range(3)]
         s = temporal_split(make_dataset(checkins))
-        assert s.empty_test_users == {"u"}
+        assert s.test["u"] == []
 
     def test_too_few_checkins(self):
         checkins = [make_checkin("u", "p", 100), make_checkin("u", "q", 200)]

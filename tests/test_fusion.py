@@ -8,94 +8,98 @@ from poifair.fusion import (
     PRODUCT,
     SUM,
     WEIGHTED_SUM,
-    ContextScores,
-    FusionWeights,
-    fuse,
     fuse_arrays,
     normalize_scores,
     renormalize_weighted_sum,
-    rule_weights,
+    rule_lambdas,
     simplex_grid,
     weight_sweep,
 )
 
+from oracles import ContextScores, fuse
+
 scores_st = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+ALL = (True, True, True)
+
+
+def fuse_one(rule, c, enabled=ALL, points=None):
+    """fuse_arrays on one candidate under a rule, as a Python float."""
+    (row,) = fuse_arrays(np.array([c]), rule_lambdas(rule, enabled, points), enabled)
+    return float(row[0])
 
 
 class TestRuleWeights:
     def test_product_preset(self):
-        w = rule_weights(PRODUCT)
-        assert w.as_tuple() == (0, 0, 0, 0, 0, 0, 1)
+        assert rule_lambdas(PRODUCT, ALL) is None
 
     def test_sum_preset(self):
-        w = rule_weights(SUM)
-        assert w.as_tuple() == (1, 1, 1, 0, 0, 0, 0)
+        assert rule_lambdas(SUM, ALL).tolist() == [[1.0, 1.0, 1.0]]
+        assert rule_lambdas(SUM, (True, True, False)).tolist() == [[1.0, 1.0, 1.0]]
 
     def test_weighted_sum_projection(self):
-        w = rule_weights(WEIGHTED_SUM, (1.0, 0.0, 0.0))
-        s = ContextScores(0.7, 0.2, 0.9)
-        assert fuse(s, w) == pytest.approx(0.7)
+        lam = rule_lambdas(WEIGHTED_SUM, ALL, [(1.0, 0.0, 0.0), (0.5, 0.3, 0.2)])
+        assert lam.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.3, 0.2]]
+        assert fuse_one(WEIGHTED_SUM, (0.7, 0.2, 0.9), points=[(1.0, 0.0, 0.0)]) == 0.7
+        renormalized = rule_lambdas(WEIGHTED_SUM, (True, True, False), [(0.5, 0.3, 0.2)])
+        assert renormalized.tolist() == [
+            list(renormalize_weighted_sum((0.5, 0.3, 0.2), (True, True, False)))
+        ]
 
     def test_invalid_simplex(self):
         with pytest.raises(ValueError):
-            rule_weights(WEIGHTED_SUM, (0.5, 0.5, 0.5))
+            rule_lambdas(WEIGHTED_SUM, ALL, [(0.5, 0.5, 0.5)])
         with pytest.raises(ValueError):
-            rule_weights(WEIGHTED_SUM, (-0.2, 0.6, 0.6))
+            rule_lambdas(WEIGHTED_SUM, ALL, [(1.0, 0.0, 0.0), (-0.2, 0.6, 0.6)])
         with pytest.raises(ValueError):
-            rule_weights("mystery")
+            rule_lambdas(WEIGHTED_SUM, ALL)
+        with pytest.raises(ValueError):
+            rule_lambdas("mystery", ALL)
 
 
 class TestFuse:
     def test_product_example(self):
-        s = ContextScores(0.5, 0.4, 0.2)
-        assert fuse(s, rule_weights(PRODUCT)) == pytest.approx(0.04, abs=1e-12)
+        assert fuse_one(PRODUCT, (0.5, 0.4, 0.2)) == pytest.approx(0.04, abs=1e-12)
 
     def test_sum_example(self):
-        s = ContextScores(0.5, 0.4, 0.2)
-        assert fuse(s, rule_weights(SUM)) == pytest.approx(1.1, abs=1e-12)
+        assert fuse_one(SUM, (0.5, 0.4, 0.2)) == pytest.approx(1.1, abs=1e-12)
 
     def test_all_zero(self):
-        s = ContextScores(0.0, 0.0, 0.0)
         for rule in (PRODUCT, SUM):
-            assert fuse(s, rule_weights(rule)) == 0.0
-
-    def test_full_polynomial(self):
-        w = FusionWeights(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-        c1, c2, c3 = 2.0, 3.0, 5.0
-        expected = (
-            0.1 * c1 + 0.2 * c2 + 0.3 * c3
-            + 0.4 * c1 * c2 + 0.5 * c1 * c3 + 0.6 * c2 * c3
-            + 0.7 * c1 * c2 * c3
-        )
-        assert fuse(ContextScores(c1, c2, c3), w) == pytest.approx(expected, abs=1e-12)
+            assert fuse_one(rule, (0.0, 0.0, 0.0)) == 0.0
 
     @given(c1=scores_st, c2=scores_st, c3=scores_st)
     @settings(max_examples=200)
     def test_product_equals_multiplication(self, c1, c2, c3):
-        s = ContextScores(c1, c2, c3)
-        assert fuse(s, rule_weights(PRODUCT)) == pytest.approx(c1 * c2 * c3, rel=1e-12, abs=1e-12)
+        assert fuse_one(PRODUCT, (c1, c2, c3)) == c1 * c2 * c3
+        assert fuse(ContextScores(c1, c2, c3), PRODUCT) == c1 * c2 * c3
 
     @given(c1=scores_st, c2=scores_st, c3=scores_st)
     @settings(max_examples=200)
     def test_sum_equals_addition(self, c1, c2, c3):
-        s = ContextScores(c1, c2, c3)
-        assert fuse(s, rule_weights(SUM)) == pytest.approx(c1 + c2 + c3, rel=1e-12, abs=1e-12)
+        assert fuse_one(SUM, (c1, c2, c3)) == c1 + c2 + c3
+        assert fuse(ContextScores(c1, c2, c3), SUM) == c1 + c2 + c3
 
     def test_disabled_context_product_neutral(self):
-        s = ContextScores(0.5, 0.4, 0.0, enabled=(True, True, False))
-        assert fuse(s, rule_weights(PRODUCT)) == pytest.approx(0.2)
+        assert fuse_one(PRODUCT, (0.5, 0.4, 0.0), (True, True, False)) == 0.5 * 0.4
 
     def test_disabled_context_sum_dropped(self):
-        s = ContextScores(0.5, 0.4, 0.9, enabled=(True, True, False))
-        assert fuse(s, rule_weights(SUM)) == pytest.approx(0.9)
+        assert fuse_one(SUM, (0.5, 0.4, 0.9), (True, True, False)) == 0.5 + 0.4
 
     def test_array_fuse_matches_scalar(self):
         rng = np.random.default_rng(0)
         mat = rng.random((50, 3))
-        w = FusionWeights(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-        batch = fuse_arrays(mat, w)
-        for row, val in zip(mat, batch):
-            assert val == pytest.approx(fuse(ContextScores(*row), w), abs=1e-12)
+        lambdas = rng.random((4, 3))
+        for enabled in (ALL, (True, True, False)):
+            for rule, lam in ((PRODUCT, None), (SUM, lambdas)):
+                rows = fuse_arrays(mat, lam, enabled)
+                assert rows.shape == (1 if lam is None else 4, 50)
+                for g, row in enumerate(rows):
+                    weights = (1.0, 1.0, 1.0) if lam is None else tuple(lam[g])
+                    want = [
+                        fuse(ContextScores(*c, enabled), rule, weights)
+                        for c in mat.tolist()
+                    ]
+                    assert row.tolist() == want
 
 
 class TestRenormalize:

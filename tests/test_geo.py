@@ -11,7 +11,6 @@ from poifair.geo import (
     fit_global_kde,
     fit_kde,
     fit_user_kdes,
-    geo_score,
     geo_score_km,
     geo_scores,
     project_km,
@@ -19,7 +18,7 @@ from poifair.geo import (
 )
 
 from conftest import make_checkin
-from oracles import expanded_kde_score
+from oracles import expanded_kde_score, geo_score
 
 
 class TestFit:
@@ -59,22 +58,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_kde([])
 
-    def test_model_dump(self):
-        import json
-
+    def test_model_mode_and_sample_count(self):
         m = fit_kde([(40.0, -100.0), (40.1, -100.1)])
-        payload = json.loads(m.dump())
-        assert payload["n_samples"] == 2
-        assert payload["mode"] == PER_USER
+        assert m.sample_weights().sum() == 2
+        assert m.mode == PER_USER
 
     def test_repeated_coordinates_kept_once_with_counts(self):
-        import json
-
         coords = [(40.0, -100.0)] * 3 + [(40.1, -100.1)] * 2 + [(40.2, -99.9)]
         m = fit_kde(coords)
         assert len(m.points_km) == 3
         assert sorted(m.weights.tolist()) == [1.0, 2.0, 3.0]
-        assert json.loads(m.dump())["n_samples"] == 6
+        assert m.sample_weights().sum() == 6
         expanded = project_km([c[0] for c in coords], [c[1] for c in coords], m.lat_ref)
         assert m.bandwidth == (
             silverman_bandwidth(expanded[:, 0]),
@@ -82,11 +76,9 @@ class TestFit:
         )
 
     def test_unweighted_model_counts_each_point(self):
-        import json
-
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         m = KdeModel(points_km=pts, bandwidth=(0.5, 0.5), mode=PER_USER, lat_ref=0.0)
-        assert json.loads(m.dump())["n_samples"] == 3
+        assert m.sample_weights().sum() == 3
 
 
 class TestScore:

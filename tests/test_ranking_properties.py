@@ -1,6 +1,6 @@
 """Property tests of the bulk ranking and fusion paths against their scalar
-oracles: recommend_topn against a full Python sort, and stacked-weight
-fusion against one fuse_arrays call per weight set."""
+oracles: recommend_topn against a full Python sort, and multi-row fusion
+against one-row calls and the one-candidate fusion oracle, bit for bit."""
 import struct
 
 import numpy as np
@@ -12,18 +12,12 @@ from poifair.fusion import (
     PRODUCT,
     SUM,
     WEIGHTED_SUM,
-    FusionWeights,
     fuse_arrays,
     normalize_scores,
+    rule_lambdas,
     simplex_grid,
-    stack_weights,
 )
-from poifair.recommend import (
-    CandidateScores,
-    fused_scores,
-    fusion_weights_for,
-    recommend_topn,
-)
+from poifair.recommend import CandidateScores, fused_scores, recommend_topn
 
 import oracles
 
@@ -40,12 +34,8 @@ def bits(values):
 
 @st.composite
 def candidates(draw):
-    ids = draw(st.lists(st.text("abcAB0_", min_size=1, max_size=3), max_size=40))
-    order = draw(st.sampled_from(["ascending", "shuffled", "as drawn"]))
-    if order == "ascending":
-        ids.sort()
-    elif order == "shuffled":
-        ids = draw(st.permutations(ids))
+    """Distinct ids in ascending order, as `CandidateScores.poi_ids` are."""
+    ids = sorted(draw(st.sets(st.text("abcAB0_", min_size=1, max_size=3), max_size=40)))
     scores = np.array(draw(st.lists(score_st, min_size=len(ids), max_size=len(ids))))
     n = draw(st.integers(min_value=1, max_value=len(ids) + 5))
     return list(ids), scores, n
@@ -63,7 +53,7 @@ def test_topn_matches_sort_oracle(case):
 
 
 def test_topn_signed_zero_ties_break_by_poi_id():
-    ids = ["d", "c", "b", "a"]
+    ids = ["a", "b", "c", "d"]
     scores = np.array([0.0, -0.0, -0.0, 0.0])
     pois, vals = recommend_topn(ids, scores, 10)
     assert pois == ["a", "b", "c", "d"]
@@ -87,19 +77,27 @@ def candidate_scores(raw, enabled):
     return CandidateScores("u", ids, raw, enabled)
 
 
+def oracle_row(mat, enabled, rule, lambdas):
+    return [
+        oracles.fuse(oracles.ContextScores(*c, enabled), rule, lambdas)
+        for c in mat.tolist()
+    ]
+
+
 @pytest.mark.parametrize("enabled", [(True, True, True), (True, True, False)])
 @pytest.mark.parametrize("step", [0.1, 0.5])
 @settings(max_examples=40, deadline=None)
 @given(raw=raw_scores())
 def test_stacked_weighted_sum_rows_equal_per_point_fusion(raw, enabled, step):
     grid = simplex_grid(step)
-    weights = [fusion_weights_for(WEIGHTED_SUM, enabled, lam) for lam in grid]
-    rows = fused_scores(candidate_scores(raw, enabled), WEIGHTED_SUM,
-                        stack_weights(weights))
+    cs = candidate_scores(raw, enabled)
+    rows = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid))
     assert rows.shape == (len(grid), len(raw))
     normalized = normalize_scores(raw)
-    for row, w in zip(rows, weights):
-        assert row.tobytes() == fuse_arrays(normalized, w, enabled).tobytes()
+    for row, point in zip(rows, grid):
+        one = rule_lambdas(WEIGHTED_SUM, enabled, [point])
+        assert row.tobytes() == fused_scores(cs, one).tobytes()
+        assert bits(row) == bits(oracle_row(normalized, enabled, WEIGHTED_SUM, one[0]))
 
 
 @pytest.mark.parametrize("enabled", [(True, True, True), (True, True, False)])
@@ -107,13 +105,22 @@ def test_stacked_weighted_sum_rows_equal_per_point_fusion(raw, enabled, step):
 @settings(max_examples=40, deadline=None)
 @given(
     raw=raw_scores(),
-    weights=st.lists(
-        st.builds(FusionWeights, *[unit_st] * 7), min_size=1, max_size=5
-    ),
+    lambdas=st.lists(st.tuples(unit_st, unit_st, unit_st), min_size=1, max_size=5),
 )
-def test_stacked_arbitrary_weights_equal_per_set_fusion(raw, weights, enabled, rule):
-    """Interaction terms too, on raw (product) and normalised (sum) scores."""
-    rows = fused_scores(candidate_scores(raw, enabled), rule, stack_weights(weights))
-    mat = raw if rule == PRODUCT else normalize_scores(raw)
-    for row, w in zip(rows, weights):
-        assert row.tobytes() == fuse_arrays(mat, w, enabled).tobytes()
+def test_stacked_arbitrary_weights_equal_per_set_fusion(raw, lambdas, enabled, rule):
+    """Product on raw scores; any non-negative lambda rows on normalised
+    scores. Each row of a multi-row call equals a one-row call and the
+    scalar oracle."""
+    if rule == PRODUCT:
+        mat, stacked = raw, None
+        assert fused_scores(candidate_scores(raw, enabled), None).tobytes() == (
+            fuse_arrays(raw, None, enabled).tobytes()
+        )
+    else:
+        mat, stacked = normalize_scores(raw), np.array(lambdas)
+    rows = fuse_arrays(mat, stacked, enabled)
+    assert rows.shape == (1 if stacked is None else len(lambdas), len(raw))
+    for g, row in enumerate(rows):
+        if stacked is not None:
+            assert row.tobytes() == fuse_arrays(mat, stacked[g:g + 1], enabled)[0].tobytes()
+        assert bits(row) == bits(oracle_row(mat, enabled, rule, lambdas[g]))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from poifair.data import CheckIn, Dataset, Poi, SocialGraph, temporal_split
 from poifair.recommend import GEOSOCA, LORE, FittedModel
-from poifair.sequential import amc_score
 from poifair.social import power_law_score
 
 import oracles
@@ -105,7 +104,9 @@ def check_lore(model: FittedModel, ds: Dataset, split) -> None:
             f = oracles.fcf_score(
                 u, p, model.counts, ds.social, model.residences, model.poi_coords
             )
-            a = amc_score(model.l2tg, history, p, model.amc_alpha, model.amc_memory)
+            a = oracles.amc_score(
+                model.l2tg, history, p, model.amc_alpha, model.amc_memory
+            )
             assert same(c1, g), (u, p, c1, g)
             assert same(c2, f), (u, p, c2, f)
             assert same(c3, a), (u, p, c3, a)

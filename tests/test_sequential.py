@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from poifair.sequential import TransitionGraph, amc_score, amc_scores, build_l2tg
+from poifair.sequential import TransitionGraph, amc_scores, build_l2tg
 
 from conftest import make_checkin
+from oracles import amc_score, transition_counts
 
 H = 3600
 
@@ -14,23 +15,39 @@ def seq(user, path):
     return [make_checkin(user, p, int(t * H)) for p, t in path]
 
 
+def graph_view(g):
+    """(out_totals, {src: out_edges}) over every source with an out-edge."""
+    totals = {s: n for s, n in g.out_totals.items() if n}
+    return totals, {s: g.out_edges(s) for s in sorted(totals)}
+
+
+def assert_graph_counts(g, counts):
+    """g holds exactly the transition counts `counts` ({(src, dst): n})."""
+    totals = {}
+    for (src, _), n in counts.items():
+        totals[src] = totals.get(src, 0) + n
+    edges = {
+        src: {d: n / total for (s, d), n in counts.items() if s == src}
+        for src, total in sorted(totals.items())
+    }
+    assert graph_view(g) == (totals, edges)
+
+
 class TestBuild:
     def test_simple_chain(self):
         train = {"u": seq("u", [("A", 1), ("B", 2), ("C", 3)])}
         g = build_l2tg(train)
-        assert g.count("A", "B") == 1
-        assert g.count("B", "C") == 1
+        assert_graph_counts(g, {("A", "B"): 1, ("B", "C"): 1})
         assert g.out_totals["A"] == 1
 
     def test_session_gap_cut(self):
         train = {"u": seq("u", [("A", 1), ("B", 2), ("C", 33)])}
         g = build_l2tg(train, session_gap_hours=24)
-        assert g.count("A", "B") == 1
-        assert g.count("B", "C") == 0
+        assert_graph_counts(g, {("A", "B"): 1})
 
     def test_empty_graph_legal(self):
         g = build_l2tg({})
-        assert g.counts == {}
+        assert_graph_counts(g, {})
 
     def test_random_sequences_match_pair_scan(self):
         rnd = random.Random(31)
@@ -43,13 +60,7 @@ class TestBuild:
                 path.append((f"p{rnd.randrange(10)}", t))
             train[f"u{i}"] = seq(f"u{i}", path)
         g = build_l2tg(train, session_gap_hours=24)
-        expected = {}
-        for u, checkins in train.items():
-            for a, b in zip(checkins, checkins[1:]):
-                if b.timestamp - a.timestamp <= 24 * H:
-                    key = (a.poi_id, b.poi_id)
-                    expected[key] = expected.get(key, 0) + 1
-        assert g.counts == expected
+        assert_graph_counts(g, transition_counts(train, 24))
 
     def test_user_permutation_invariance(self):
         paths = {
@@ -59,38 +70,38 @@ class TestBuild:
         }
         g1 = build_l2tg({u: seq(u, p) for u, p in paths.items()})
         g2 = build_l2tg({u: seq(u, paths[u]) for u in reversed(sorted(paths))})
-        assert g1.counts == g2.counts
+        assert graph_view(g1) == graph_view(g2)
 
 
 class TestScore:
     def test_single_deterministic_transition(self):
         g = TransitionGraph()
         g.add("A", "B")
-        assert amc_score(g, ["A"], "B") == pytest.approx(1.0)
+        assert amc_scores(g, ["A"], ["B"]) == [pytest.approx(1.0)]
 
     def test_absent_edge(self):
         g = TransitionGraph()
         g.add("A", "B")
-        assert amc_score(g, ["A"], "C") == 0.0
+        assert amc_scores(g, ["A"], ["C"]) == [0.0]
 
     def test_worked_two_step_example(self):
         # weights for k=2 at alpha=0.5: (2/3, 1/3); X has no out-edges
         g = TransitionGraph()
         g.add("A", "B", 3)
         g.add("A", "C", 1)
-        score = amc_score(g, ["X", "A"], "B", alpha=0.5, memory=5)
-        assert score == pytest.approx(0.5)
+        score = amc_scores(g, ["X", "A"], ["B"], alpha=0.5, memory=5)
+        assert score == [pytest.approx(0.5)]
 
     def test_empty_history(self):
         g = TransitionGraph()
-        assert amc_score(g, [], "A") == 0.0
+        assert amc_scores(g, [], ["A"]) == [0.0]
 
     def test_parameter_validation(self):
         g = TransitionGraph()
         with pytest.raises(ValueError):
-            amc_score(g, ["A"], "B", alpha=1.5)
+            amc_scores(g, ["A"], ["B"], alpha=1.5)
         with pytest.raises(ValueError):
-            amc_score(g, ["A"], "B", memory=0)
+            amc_scores(g, ["A"], ["B"], memory=0)
 
     def test_rows_sum_to_one(self):
         rnd = random.Random(5)
@@ -108,7 +119,7 @@ class TestScore:
         for _ in range(300):
             g.add(rnd.choice(nodes), rnd.choice(nodes))
         history = [rnd.choice(nodes) for _ in range(8)]
-        total = sum(amc_score(g, history, p) for p in nodes)
+        total = sum(amc_scores(g, history, nodes))
         assert total <= 1.0 + 1e-9
         # every history node has out-edges here -> equality
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -123,9 +134,3 @@ class TestScore:
         batch = amc_scores(g, history, nodes)
         for p, s in zip(nodes, batch):
             assert s == pytest.approx(amc_score(g, history, p), abs=1e-12)
-
-    def test_dump_tsv(self):
-        g = TransitionGraph()
-        g.add("A", "B", 2)
-        g.add("A", "C")
-        assert g.dump_tsv() == "A\tB\t2\nA\tC\t1\n"

@@ -51,7 +51,7 @@ class TestSocialFrequency:
             for p in [f"p{i}" for i in range(8)]:
                 expected = 0
                 for v in users:
-                    if g.has_edge(u, v):
+                    if v in g.friends(u):
                         expected += sum(
                             1 for c in train[v] if c.poi_id == p
                         )
