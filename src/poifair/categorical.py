@@ -2,49 +2,43 @@
 POI popularity, pushed through the same power-law CDF as the social context."""
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
-from .data import CheckIn, Poi
+from .data import PairCounts
 
 
 class CategoricalModel:
-    """Precomputed per-user category counts and within-category POI popularity."""
+    """Per-user category counts and within-category POI popularity.
 
-    def __init__(self, train: dict[str, list[CheckIn]], pois: dict[str, Poi]):
-        self.poi_category = {
-            p: poi.category_id for p, poi in pois.items() if poi.category_id is not None
-        }
-        self.user_cat_counts: dict[str, Counter] = {}
-        poi_counts: Counter = Counter()
-        for u, seq in train.items():
-            cc = Counter()
-            for c in seq:
-                poi_counts[c.poi_id] += 1
-                cat = self.poi_category.get(c.poi_id)
-                if cat is not None:
-                    cc[cat] += 1
-            self.user_cat_counts[u] = cc
-        self.cat_max_count: dict[str, int] = {}
-        for p, n in poi_counts.items():
-            cat = self.poi_category.get(p)
-            if cat is not None and n > self.cat_max_count.get(cat, 0):
-                self.cat_max_count[cat] = n
-        self.poi_counts = poi_counts
+    `category` holds each POI code's category code, -1 for none."""
+
+    def __init__(self, visits: PairCounts, category: np.ndarray):
+        n_cats = int(category.max(initial=-1)) + 1
+        self.visits = visits
+        # Uncategorised POIs share an extra last slot.
+        self.category = np.where(category < 0, n_cats, category)
+        self.n_slots = n_cats + 1
+        poi_counts = np.bincount(
+            visits.col, weights=visits.count, minlength=len(category)
+        )
+        cat_max = np.zeros(self.n_slots)
+        np.maximum.at(cat_max, self.category, poi_counts)
+        top = cat_max[self.category]
+        self.popularity = np.divide(
+            poi_counts, top, out=np.zeros(len(category)),
+            where=(category >= 0) & (top > 0),
+        )
 
     @property
     def has_categories(self) -> bool:
-        return bool(self.poi_category)
+        return self.n_slots > 1
 
-    def frequency(self, u: str, p: str) -> float:
-        """u's check-in count in p's category, scaled by p's popularity within
-        that category. 0 when p carries no category (flag via has_categories)."""
-        cat = self.poi_category.get(p)
-        if cat is None:
-            return 0.0
-        user_cats = self.user_cat_counts.get(u)
-        user_count = user_cats.get(cat, 0) if user_cats else 0
-        if user_count == 0:
-            return 0.0
-        max_count = self.cat_max_count.get(cat, 0)
-        pop = self.poi_counts.get(p, 0) / max_count if max_count else 0.0
-        return user_count * pop
+    def frequency(self, u: int) -> np.ndarray:
+        """u's check-in count in each POI's category, scaled by the POI's
+        popularity within that category, by POI code. 0 for a POI without a
+        category (flag via has_categories)."""
+        pois, n = self.visits.row(u)
+        user_counts = np.bincount(
+            self.category[pois], weights=n, minlength=self.n_slots
+        )
+        return user_counts[self.category] * self.popularity

@@ -3,15 +3,14 @@
 Check-ins are numpy columns: one user code, one POI code and one timestamp
 per check-in, in input order. User and POI ids are interned to int32 codes in
 sorted order, so ordering by code is ordering by id and every tie-break on
-ids can be taken on codes. `CheckIn` objects are built from the columns only
-for the model stages (`SplitDataset.train`, `validation`, `test`).
+ids can be taken on codes. `CheckIn` is only the input of
+`Dataset.from_checkins`.
 """
 from __future__ import annotations
 
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, asdict, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +53,16 @@ class SocialGraph:
         for a, b in edges:
             self.add_edge(a, b)
 
-    def add_edge(self, a: str, b: str) -> None:
+    def add_edge(self, a: str, b: str) -> bool:
+        """Add the edge; False if it was already there, in either direction."""
         if a == b:
             raise DataError(f"self-loop on user {a!r}")
-        if b not in self._adj[a]:
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-            self._n_edges += 1
+        if b in self._adj[a]:
+            return False
+        self._adj[a].add(b)
+        self._adj[b].add(a)
+        self._n_edges += 1
+        return True
 
     def friends(self, u: str) -> frozenset[str]:
         return frozenset(self._adj.get(u, ()))
@@ -68,6 +70,45 @@ class SocialGraph:
     @property
     def n_edges(self) -> int:
         return self._n_edges
+
+    def subgraph(self, users: set[str]) -> SocialGraph:
+        """The edges between `users`."""
+        g = SocialGraph()
+        for u in users:
+            kept = self._adj.get(u, set()) & users
+            if kept:
+                g._adj[u] = kept
+        g._n_edges = sum(map(len, g._adj.values())) // 2
+        return g
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """How often each distinct (row, column) code pair occurs, as CSR: row
+    r's columns are `col[indptr[r]:indptr[r + 1]]`, ascending, each seen
+    `count` times."""
+
+    indptr: np.ndarray
+    col: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> PairCounts:
+        keys = np.sort(row.astype(np.int64) * n_cols + col)
+        # bounds[i]: keys[i] starts a run; bounds[-1] closes the last one.
+        # Few temporaries: this runs on every check-in of a Gowalla-sized
+        # dataset.
+        bounds = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+        count = np.diff(np.flatnonzero(bounds))
+        keys = keys[bounds[:-1]]
+        indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+        return cls(indptr, np.remainder(keys, n_cols, out=keys), count)
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row r's columns and their counts."""
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        return self.col[lo:hi], self.count[lo:hi]
 
 
 @dataclass
@@ -79,6 +120,10 @@ class LoadReport:
     # Lines whose poi_id an earlier line already defined; the last one wins.
     poi_lines_duplicate: list[int] = field(default_factory=list)
     social_edges_parsed: int = 0
+    # Of the parsed edges: those an earlier line already gave, in either
+    # direction; the graph keeps one. A count, not line numbers, because
+    # some LBSN dumps list every edge in both directions.
+    social_edges_duplicate: int = 0
     social_edges_dropped: int = 0
 
     def to_json(self) -> str:
@@ -130,28 +175,37 @@ class Dataset:
             self, user=self.user[rows], poi=self.poi[rows], ts=self.ts[rows]
         )
 
-    def visits(self) -> np.ndarray:
-        """The distinct (user, POI) pairs as sorted `user * len(poi_ids) + poi`
-        keys: by user, then POI."""
-        keys = np.sort(self.user.astype(np.int64) * len(self.poi_ids) + self.poi)
-        return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+    def visits(self) -> PairCounts:
+        """Check-ins per distinct (user, POI) pair, by user code then POI
+        code."""
+        return PairCounts.of(self.user, self.poi, len(self.user_ids), len(self.poi_ids))
 
-    def to_checkins(self, rows: np.ndarray | None = None) -> list[CheckIn]:
-        """`CheckIn` objects for the check-ins at `rows` (all, by default),
-        in that order, with the coordinates of their POI."""
-        if rows is None:
-            rows = np.arange(len(self.ts))
-        poi = self.poi[rows]
-        lat = np.array([self.pois[p].latitude for p in self.poi_ids])
-        lon = np.array([self.pois[p].longitude for p in self.poi_ids])
-        return list(map(
-            CheckIn,
-            np.array(self.user_ids, dtype=object)[self.user[rows]].tolist(),
-            np.array(self.poi_ids, dtype=object)[poi].tolist(),
-            self.ts[rows].tolist(),
-            lat[poi].tolist(),
-            lon[poi].tolist(),
-        ))
+    def user_rows(self) -> np.ndarray:
+        """Row bounds of each user's check-ins, for columns sorted by user:
+        user u's rows are `bounds[u]:bounds[u + 1]`."""
+        return np.searchsorted(self.user, np.arange(len(self.user_ids) + 1))
+
+    def poi_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Latitude, longitude and category code of each POI, by POI code.
+        Category codes number the distinct categories in sorted order; a POI
+        without one gets -1."""
+        pois = [self.pois[p] for p in self.poi_ids]
+        cats = sorted({p.category_id for p in pois} - {None})
+        code = {c: i for i, c in enumerate(cats)}
+        return (
+            np.array([p.latitude for p in pois], dtype=float),
+            np.array([p.longitude for p in pois], dtype=float),
+            np.array([code.get(p.category_id, -1) for p in pois], dtype=np.intp),
+        )
+
+    def friend_codes(self) -> list[np.ndarray]:
+        """Each user's friends that have check-ins, as ascending user codes."""
+        code = {u: i for i, u in enumerate(self.user_ids)}
+        return [
+            np.array(sorted(code[v] for v in self.social.friends(u) if v in code),
+                     dtype=np.intp)
+            for u in self.user_ids
+        ]
 
 
 @dataclass
@@ -171,38 +225,6 @@ class SplitDataset:
         """The check-ins of one part as columns, in (user, time) order, with
         the dataset's id lists."""
         return self.dataset.take(self.rows[self.part == part])
-
-    @property
-    def train(self) -> dict[str, list[CheckIn]]:
-        return self._checkin_lists[TRAIN]
-
-    @property
-    def validation(self) -> dict[str, list[CheckIn]]:
-        return self._checkin_lists[VALIDATION]
-
-    @property
-    def test(self) -> dict[str, list[CheckIn]]:
-        return self._checkin_lists[TEST]
-
-    @cached_property
-    def _checkin_lists(self) -> tuple[dict[str, list[CheckIn]], ...]:
-        """{user_id: [CheckIn, ...]} for each part, users in id order. Built
-        on first use, for the model stages."""
-        d = self.dataset
-        checkins = d.to_checkins(self.rows)
-        part = self.part.tolist()
-        ends = np.cumsum(np.bincount(d.user, minlength=len(d.user_ids))).tolist()
-        lists = ({}, {}, {})
-        start = 0
-        for u, end in zip(d.user_ids, ends):
-            labels = part[start:end]
-            a = start + labels.count(TRAIN)
-            b = end - labels.count(TEST)
-            lists[TRAIN][u] = checkins[start:a]
-            lists[VALIDATION][u] = checkins[a:b]
-            lists[TEST][u] = checkins[b:end]
-            start = end
-        return lists
 
 
 @dataclass
@@ -321,7 +343,8 @@ def parse_dataset(
             if parts[0] not in user_code or parts[1] not in user_code:
                 report.social_edges_dropped += 1
                 continue
-            social.add_edge(parts[0], parts[1])
+            if not social.add_edge(parts[0], parts[1]):
+                report.social_edges_duplicate += 1
             report.social_edges_parsed += 1
 
     return Dataset(
@@ -392,12 +415,7 @@ def preprocess_filter(
     poi, poi_ids = _recode(d.poi[rows], d.poi_ids)
     kept_ids = set(poi_ids)
     pois = {p: poi for p, poi in d.pois.items() if p in kept_ids}
-    final_users = set(user_ids)
-    social = SocialGraph()
-    for u in user_ids:
-        for v in sorted(d.social.friends(u)):
-            if v in final_users and u < v:
-                social.add_edge(u, v)
+    social = d.social.subgraph(set(user_ids))
 
     report = FilterReport(
         users_removed=len(d.user_ids) - len(user_ids),
@@ -450,7 +468,7 @@ def dataset_stats(d: Dataset) -> DatasetStats:
     n_users = len(d.user_ids)
     n_pois = len(d.pois)
     n_checkins = len(d.ts)
-    n_unique = len(d.visits())
+    n_unique = len(d.visits().col)
     n_cats = len({p.category_id for p in d.pois.values() if p.category_id is not None})
     return DatasetStats(
         n_users=n_users,

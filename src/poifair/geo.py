@@ -6,14 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CheckIn
+from .data import Dataset
 
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQUATOR = 111.320
 BANDWIDTH_FLOOR_KM = 0.01
-
-PER_USER = "per_user"
-GLOBAL = "global"
 
 
 def project_km(lats, lons, lat_ref: float) -> np.ndarray:
@@ -37,19 +34,13 @@ class KdeModel:
     """Product-Gaussian KDE over distinct projected points.
 
     `weights` holds each point's sample count (check-ins at one POI share its
-    coordinates); None means every point is one sample.
+    coordinates).
     """
 
     points_km: np.ndarray  # (n, 2)
     bandwidth: tuple[float, float]  # (h_lat, h_lon) in km
-    mode: str
     lat_ref: float
-    weights: np.ndarray | None = None  # (n,)
-
-    def sample_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(len(self.points_km))
-        return self.weights
+    weights: np.ndarray  # (n,)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -59,38 +50,40 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return max(1.06 * sigma * n ** (-0.2), BANDWIDTH_FLOOR_KM)
 
 
-def fit_kde(coords: list[tuple[float, float]], mode: str = PER_USER) -> KdeModel:
-    """Fit a product-Gaussian KDE over (lat, lon) degree coordinates.
+def fit_kde(coords) -> KdeModel:
+    """Fit a product-Gaussian KDE over (n, 2) (lat, lon) degree coordinates.
 
     The bandwidth comes from every sample; the model keeps each distinct
     point once, weighted by how many samples share it.
     """
-    if not coords:
-        raise ValueError("cannot fit KDE on empty sample")
     arr = np.asarray(coords, dtype=float)
+    if not len(arr):
+        raise ValueError("cannot fit KDE on empty sample")
     lat_ref = float(arr[:, 0].mean())
     pts = project_km(arr[:, 0], arr[:, 1], lat_ref)
     h = (silverman_bandwidth(pts[:, 0]), silverman_bandwidth(pts[:, 1]))
     distinct, counts = np.unique(pts, axis=0, return_counts=True)
     return KdeModel(
-        points_km=distinct, bandwidth=h, mode=mode, lat_ref=lat_ref,
+        points_km=distinct, bandwidth=h, lat_ref=lat_ref,
         weights=counts.astype(float),
     )
 
 
-def fit_user_kdes(train: dict[str, list[CheckIn]]) -> dict[str, KdeModel]:
-    return {
-        u: fit_kde([(c.latitude, c.longitude) for c in seq], PER_USER)
-        for u, seq in train.items()
-        if seq
-    }
-
-
-def fit_global_kde(train: dict[str, list[CheckIn]]) -> KdeModel:
-    coords = [
-        (c.latitude, c.longitude) for u in sorted(train) for c in train[u]
+def fit_user_kdes(train: Dataset, coords: np.ndarray) -> list[KdeModel | None]:
+    """One KDE per user code over the (lat, lon) `coords[poi]` of their
+    check-ins, in row order; None for a user without check-ins. `train` is
+    sorted by user."""
+    bounds = train.user_rows().tolist()
+    return [
+        fit_kde(coords[train.poi[lo:hi]]) if hi > lo else None
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    return fit_kde(coords, GLOBAL)
+
+
+def fit_global_kde(train: Dataset, coords: np.ndarray) -> KdeModel:
+    """One KDE over the (lat, lon) `coords[poi]` of every check-in, in row
+    order."""
+    return fit_kde(coords[train.poi])
 
 
 def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
@@ -100,7 +93,7 @@ def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
     dx = (q[:, None, 0] - model.points_km[None, :, 0]) / h1
     dy = (q[:, None, 1] - model.points_km[None, :, 1]) / h2
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
-    w = model.sample_weights()
+    w = model.weights
     return norm * ((np.exp(-0.5 * (dx * dx + dy * dy)) @ w) / w.sum())
 
 

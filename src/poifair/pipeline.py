@@ -16,7 +16,9 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .data import (
+    TEST,
     TRAIN,
+    VALIDATION,
     Dataset,
     SplitDataset,
     dataset_stats,
@@ -78,7 +80,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def sweep_ndcg(
     cache: dict[str, CandidateScores],
-    relevant: dict[str, set[str]],
+    relevant: dict[str, set[int]],
     grid: list[tuple[float, float, float]],
     cutoff: int,
 ) -> dict[str, list[float]]:
@@ -90,26 +92,25 @@ def sweep_ndcg(
     out = {}
     for u, cs in cache.items():
         rel = relevant.get(u)
-        if not rel or not cs.poi_ids:
+        if not rel or not len(cs.poi_ids):
             continue
         if cs.enabled not in lambdas:
             lambdas[cs.enabled] = rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
         scores = fused_scores(cs, lambdas[cs.enabled])
-        ids = np.array(cs.poi_ids, dtype=object)
-        tops = ids[rank_order(scores)[:, :cutoff]].tolist()
+        tops = cs.poi_ids[rank_order(scores)[:, :cutoff]].tolist()
         out[u] = [ranking_metrics(top, rel, cutoff).ndcg for top in tops]
     return out
 
 
-def relevant_sets(
-    split_part: dict, train_visited: dict[str, set[str]]
-) -> dict[str, set[str]]:
-    """Per-user ground-truth POI sets: held-out POIs not already visited in
-    train (train-visited POIs are never candidates)."""
-    out = {}
-    for u, seq in split_part.items():
-        out[u] = {c.poi_id for c in seq} - train_visited.get(u, set())
-    return out
+def relevant_sets(split: SplitDataset, part: int) -> dict[str, set[int]]:
+    """Per-user ground truth, users in id order: the POI codes of one part
+    that the user did not visit in train (train-visited POIs are never
+    candidates)."""
+    held, train = (split.columns(p).visits() for p in (part, TRAIN))
+    return {
+        u: set(held.row(i)[0].tolist()) - set(train.row(i)[0].tolist())
+        for i, u in enumerate(split.dataset.user_ids)
+    }
 
 
 class Pipeline:
@@ -214,30 +215,27 @@ class Pipeline:
             )
             return profiles, assignment
 
-    def fit_and_recommend(self, d: Dataset, split: SplitDataset):
+    def fit_and_recommend(self, split: SplitDataset):
         """Fit each model once and cache raw candidate context scores."""
         with self._stage("recommend"):
+            train = split.columns(TRAIN)
             caches = {}
             for name in self.cfg.models:
                 model = FittedModel(
-                    name, d, split,
+                    name, train,
                     session_gap_hours=self.cfg.session_gap_hours,
                     amc_alpha=self.cfg.amc_alpha,
                     amc_memory=self.cfg.amc_memory,
                 )
-                cache = {
-                    u: model.score_candidates(u) for u in sorted(split.train)
+                caches[name] = {
+                    u: model.score_candidates(i) for i, u in enumerate(train.user_ids)
                 }
-                caches[name] = cache
             return caches
 
     def sweep(self, caches, assignment, split: SplitDataset):
         """Tune weighted-sum lambdas on the validation split."""
         with self._stage("sweep"):
-            train_visited = {u: set() for u in split.train}
-            for u, seq in split.train.items():
-                train_visited[u] = {c.poi_id for c in seq}
-            val_relevant = relevant_sets(split.validation, train_visited)
+            val_relevant = relevant_sets(split, VALIDATION)
             cutoff = 10 if 10 in self.cfg.cutoffs else self.cfg.cutoffs[0]
             objective = (
                 OBJECTIVE_MIN_DELTA
@@ -287,10 +285,8 @@ class Pipeline:
 
     def evaluate(self, caches, assignment, split: SplitDataset, best_lambdas):
         with self._stage("evaluate"):
-            train_visited = {
-                u: {c.poi_id for c in seq} for u, seq in split.train.items()
-            }
-            test_relevant = relevant_sets(split.test, train_visited)
+            test_relevant = relevant_sets(split, TEST)
+            poi_ids = split.dataset.poi_ids
             max_n = max(self.cfg.cutoffs)
             rows = []
             reports = []
@@ -303,7 +299,7 @@ class Pipeline:
                     rec_rows = []
                     for u in sorted(cache):
                         cs = cache[u]
-                        if not cs.poi_ids:
+                        if not len(cs.poi_ids):
                             continue
                         (scores,) = fused_scores(
                             cs, rule_lambdas(rule, cs.enabled, points)
@@ -311,7 +307,9 @@ class Pipeline:
                         pois, vals = recommend_topn(cs.poi_ids, scores, max_n)
                         recs[u] = pois
                         for rank, (p, v) in enumerate(zip(pois, vals), start=1):
-                            rec_rows.append(f"{u}\t{rank}\t{p}\t{_fmt(v)}\n")
+                            rec_rows.append(
+                                f"{u}\t{rank}\t{poi_ids[p]}\t{_fmt(v)}\n"
+                            )
                     recs_by_rule[rule] = recs
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",
@@ -438,7 +436,7 @@ def _run_stages(p: Pipeline, command: str):
     _, assignment = p.analyze(d, split)
     if command == "analyze":
         return []
-    caches = p.fit_and_recommend(d, split)
+    caches = p.fit_and_recommend(split)
     best_lambdas = {}
     if command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules:
         best_lambdas = p.sweep(caches, assignment, split)

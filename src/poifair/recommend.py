@@ -9,7 +9,7 @@ import numpy as np
 
 from . import geo, sequential, social
 from .categorical import CategoricalModel
-from .data import Dataset, SplitDataset
+from .data import Dataset
 from .fusion import fuse_arrays, normalize_scores
 
 log = logging.getLogger(__name__)
@@ -23,152 +23,113 @@ MODEL_NAMES = (GEOSOCA, LORE)
 class CandidateScores:
     """Raw (c1, c2, c3) context scores for one user's unvisited candidates.
 
-    poi_ids are in ascending order, so a candidate's position is its
+    poi_ids are ascending POI codes, so a candidate's position is its
     poi_id tie-break when ranking."""
 
-    user_id: str
-    poi_ids: list[str]
+    poi_ids: np.ndarray
     raw: np.ndarray  # (n_candidates, 3)
     enabled: tuple[bool, bool, bool]
 
 
 class FittedModel:
-    """Context components fitted on the training split.
+    """Context components fitted on the training split's columns, which are
+    sorted by (user, time) as `SplitDataset.columns` gives them.
 
     GeoSoCa binds (per-user KDE, friends' power-law frequency, categorical
     power-law frequency); LORE binds (global KDE, friend-based CF, additive
-    Markov chain).
+    Markov chain). Users and POIs are codes of `train`.
     """
 
-    def __init__(self, name: str, dataset: Dataset, split: SplitDataset,
+    def __init__(self, name: str, train: Dataset,
                  session_gap_hours: float = sequential.SESSION_GAP_HOURS,
                  amc_alpha: float = sequential.AMC_DECAY,
                  amc_memory: int = sequential.AMC_MEMORY):
         if name not in MODEL_NAMES:
             raise ValueError(f"unknown model {name!r}")
         self.name = name
-        self.dataset = dataset
-        self.split = split
-        self.counts = social.visit_counts(split.train)
-        self.poi_ids = sorted(dataset.pois)
-        self.poi_coords = {
-            p: (poi.latitude, poi.longitude) for p, poi in dataset.pois.items()
-        }
-        self.poi_lats = np.array([self.poi_coords[p][0] for p in self.poi_ids])
-        self.poi_lons = np.array([self.poi_coords[p][1] for p in self.poi_ids])
+        self.user_ids, self.poi_ids = train.user_ids, train.poi_ids
+        self.poi = train.poi
+        self.bounds = train.user_rows()
+        self.visits = train.visits()
+        self.friends = train.friend_codes()
+        self.lats, self.lons, category = train.poi_columns()
+        coords = np.stack([self.lats, self.lons], axis=1)
 
         if name == GEOSOCA:
-            self.user_kdes = geo.fit_user_kdes(split.train)
-            freqs = self._positive_social_frequencies()
-            self.social_fit = _fit_or_default(freqs)
-            self.cat_model = CategoricalModel(split.train, dataset.pois)
+            users = range(len(self.user_ids))
+            self.user_kdes = geo.fit_user_kdes(train, coords)
+            # fit_power_law's log-sum depends on order: users in code order,
+            # each user's POIs in first-visit order over the sorted friends.
+            self.social_fit = _fit_or_default(np.concatenate([
+                totals[order] for order, totals in map(self._social_frequency, users)
+            ]))
+            self.cat_model = CategoricalModel(self.visits, category)
             if self.cat_model.has_categories:
-                cat_freqs = self._positive_categorical_frequencies()
-                self.cat_fit = _fit_or_default(cat_freqs)
+                # Users in code order, each user's POIs in code order.
+                freqs = map(self.cat_model.frequency, users)
+                self.cat_fit = _fit_or_default(np.concatenate([f[f >= 1.0] for f in freqs]))
             else:
                 self.cat_fit = None
             self.enabled = (True, True, self.cat_model.has_categories)
         else:
-            self.global_kde = geo.fit_global_kde(split.train)
+            self.global_kde = geo.fit_global_kde(train, coords)
             # The global density does not depend on the user: once per POI.
-            self.global_geo = geo.geo_scores(
-                self.global_kde, self.poi_lats, self.poi_lons
-            )
-            self.residences = {
-                u: social.residence(u, self.counts)
-                for u in sorted(split.train)
-                if self.counts.get(u)
-            }
-            self.l2tg = sequential.build_l2tg(split.train, session_gap_hours)
+            self.global_geo = geo.geo_scores(self.global_kde, self.lats, self.lons)
+            self.residence = social.residences(self.visits)
+            self.l2tg = sequential.build_l2tg(train, session_gap_hours)
             self.amc_alpha = amc_alpha
             self.amc_memory = amc_memory
             self.enabled = (True, True, True)
 
-    def _positive_social_frequencies(self) -> list[int]:
-        freqs = []
-        for u in sorted(self.split.train):
-            merged = social.social_frequency(u, self.counts, self.dataset.social)
-            freqs.extend(n for n in merged.values() if n >= 1)
-        return freqs
+    def _social_frequency(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        return social.social_frequency(
+            self.friends[u], self.bounds, self.poi, len(self.poi_ids)
+        )
 
-    def _positive_categorical_frequencies(self) -> list[float]:
-        freqs = []
-        for u in sorted(self.split.train):
-            seen_cats = {
-                c
-                for c in (
-                    self.cat_model.poi_category.get(p) for p in self.counts[u]
-                )
-                if c is not None
-            }
-            for p in self.poi_ids:
-                if self.cat_model.poi_category.get(p) in seen_cats:
-                    y = self.cat_model.frequency(u, p)
-                    if y >= 1.0:
-                        freqs.append(y)
-        return freqs
-
-    def candidate_positions(self, u: str) -> list[int]:
-        """Indices into poi_ids of the POIs u has not visited in train."""
-        visited = self.counts.get(u, {})
-        return [i for i, p in enumerate(self.poi_ids) if p not in visited]
-
-    def score_candidates(self, u: str) -> CandidateScores:
-        """Raw (c1, c2, c3) for every POI the user has not visited in train."""
-        if u not in self.split.train or not self.split.train[u]:
-            raise ValueError(f"user {u!r} absent from the training split")
-        pos = self.candidate_positions(u)
-        cands = [self.poi_ids[i] for i in pos]
-        if not cands:
-            log.warning("user %s visited every POI; no candidates", u)
-            return CandidateScores(u, [], np.zeros((0, 3)), self.enabled)
+    def score_candidates(self, u: int) -> CandidateScores:
+        """Raw (c1, c2, c3) for every POI user code u has not visited in
+        train."""
+        if not 0 <= u < len(self.user_ids):
+            raise ValueError(f"no user code {u!r}")
+        if self.bounds[u] == self.bounds[u + 1]:
+            raise ValueError(f"user {self.user_ids[u]!r} absent from the training split")
+        candidate = np.ones(len(self.poi_ids), dtype=bool)
+        candidate[self.visits.row(u)[0]] = False
+        pos = np.flatnonzero(candidate)
+        if not len(pos):
+            log.warning("user %s visited every POI; no candidates", self.user_ids[u])
+            return CandidateScores(pos, np.zeros((0, 3)), self.enabled)
         if self.name == GEOSOCA:
-            c1 = geo.geo_scores(
-                self.user_kdes[u], self.poi_lats[pos], self.poi_lons[pos]
-            )
-            friend_freq = social.social_frequency(u, self.counts, self.dataset.social)
-            c2 = np.array(
-                [
-                    social.power_law_score(self.social_fit, friend_freq.get(p, 0))
-                    for p in cands
-                ]
-            )
+            c1 = geo.geo_scores(self.user_kdes[u], self.lats[pos], self.lons[pos])
+            c2 = social.power_law_score(self.social_fit, self._social_frequency(u)[1][pos])
             if self.cat_fit is not None:
-                c3 = np.array(
-                    [
-                        social.power_law_score(self.cat_fit, self.cat_model.frequency(u, p))
-                        for p in cands
-                    ]
-                )
+                c3 = social.power_law_score(self.cat_fit, self.cat_model.frequency(u)[pos])
             else:
-                c3 = np.zeros(len(cands))
+                c3 = np.zeros(len(pos))
         else:
             c1 = self.global_geo[pos]
             c2 = social.fcf_score(
-                u, cands, self.counts, self.dataset.social,
-                self.residences, self.poi_coords,
-            )
-            history = [c.poi_id for c in self.split.train[u]]
-            c3 = np.array(
-                sequential.amc_scores(
-                    self.l2tg, history, cands, self.amc_alpha, self.amc_memory
-                )
+                u, self.friends[u], self.visits, self.residence, self.lats, self.lons
+            )[pos]
+            c3 = sequential.amc_scores(
+                self.l2tg, self.poi[self.bounds[u]:self.bounds[u + 1]], pos,
+                self.amc_alpha, self.amc_memory,
             )
         raw = np.stack([c1, c2, c3], axis=1)
         bad = ~np.isfinite(raw).all(axis=1)
         if bad.any():
             raise ValueError(
-                f"{self.name}: non-finite context score for user {u!r} "
-                f"at POI {cands[int(bad.argmax())]!r}"
+                f"{self.name}: non-finite context score for user "
+                f"{self.user_ids[u]!r} at POI {self.poi_ids[pos[bad.argmax()]]!r}"
             )
-        return CandidateScores(u, cands, raw, self.enabled)
+        return CandidateScores(pos, raw, self.enabled)
 
 
-def _fit_or_default(freqs) -> social.PowerLawFit:
+def _fit_or_default(freqs: np.ndarray) -> social.PowerLawFit:
     if len(freqs) < social.MIN_FIT_OBSERVATIONS:
         log.warning("too few positive frequencies (%d); using beta=2", len(freqs))
         return social.PowerLawFit(beta=2.0)
-    return social.fit_power_law(freqs)
+    return social.fit_power_law(freqs.tolist())
 
 
 def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None) -> np.ndarray:
@@ -185,12 +146,10 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def recommend_topn(
-    poi_ids: list[str], scores: np.ndarray, n: int
-) -> tuple[list[str], list[float]]:
+def recommend_topn(poi_ids, scores: np.ndarray, n: int) -> tuple[list, list[float]]:
     """The n best candidates by descending fused score, ties by position,
     which is poi_id order for `CandidateScores.poi_ids`."""
     if n < 1:
         raise ValueError("N must be >= 1")
     top = rank_order(scores)[:n]
-    return [poi_ids[i] for i in top.tolist()], scores[top].tolist()
+    return np.asarray(poi_ids)[top].tolist(), scores[top].tolist()

@@ -2,46 +2,45 @@
 Markov chain scoring over a user's recent history."""
 from __future__ import annotations
 
-from collections import defaultdict
+from dataclasses import dataclass
 
-from .data import CheckIn
+import numpy as np
+
+from .data import Dataset, PairCounts
 
 SESSION_GAP_HOURS = 24.0
 AMC_DECAY = 0.5
 AMC_MEMORY = 5
 
 
+@dataclass(frozen=True)
 class TransitionGraph:
-    """Directed transition counts between POIs."""
+    """Transitions between POI codes as CSR rows by source: source s moves to
+    `dst[indptr[s]:indptr[s + 1]]` with probability `prob`, its count over
+    s's out-total."""
 
-    def __init__(self):
-        self._adj: dict[str, dict[str, int]] = defaultdict(dict)
-        self.out_totals: dict[str, int] = defaultdict(int)
+    indptr: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
 
-    def add(self, src: str, dst: str, n: int = 1) -> None:
-        row = self._adj[src]
-        row[dst] = row.get(dst, 0) + n
-        self.out_totals[src] += n
 
-    def out_edges(self, src: str) -> dict[str, float]:
-        total = self.out_totals.get(src, 0)
-        if total == 0:
-            return {}
-        return {dst: n / total for dst, n in self._adj[src].items()}
+def transition_graph(src: np.ndarray, dst: np.ndarray, n_pois: int) -> TransitionGraph:
+    """The graph of the transitions src[i] -> dst[i]."""
+    pairs = PairCounts.of(src, dst, n_pois, n_pois)
+    out_total = np.bincount(src, minlength=n_pois)
+    source = np.repeat(np.arange(n_pois), np.diff(pairs.indptr))
+    return TransitionGraph(pairs.indptr, pairs.col, pairs.count / out_total[source])
 
 
 def build_l2tg(
-    train: dict[str, list[CheckIn]], session_gap_hours: float = SESSION_GAP_HOURS
+    train: Dataset, session_gap_hours: float = SESSION_GAP_HOURS
 ) -> TransitionGraph:
-    """Count consecutive same-user POI transitions within the session gap."""
-    g = TransitionGraph()
-    gap_s = session_gap_hours * 3600.0
-    for u in sorted(train):
-        seq = train[u]
-        for a, b in zip(seq, seq[1:]):
-            if b.timestamp - a.timestamp <= gap_s:
-                g.add(a.poi_id, b.poi_id)
-    return g
+    """Count consecutive same-user POI transitions within the session gap;
+    `train` is sorted by (user, time)."""
+    step = (train.user[1:] == train.user[:-1]) & (
+        np.diff(train.ts) <= session_gap_hours * 3600.0
+    )
+    return transition_graph(train.poi[:-1][step], train.poi[1:][step], len(train.poi_ids))
 
 
 def _amc_weights(k: int, alpha: float) -> list[float]:
@@ -52,13 +51,13 @@ def _amc_weights(k: int, alpha: float) -> list[float]:
 
 def amc_scores(
     g: TransitionGraph,
-    history: list[str],
-    candidates: list[str],
+    history: np.ndarray,
+    candidates: np.ndarray,
     alpha: float = AMC_DECAY,
     memory: int = AMC_MEMORY,
-) -> list[float]:
+) -> np.ndarray:
     """Decay-weighted sum of transition probabilities from the most recent
-    history POIs (history most-recent-last) into each candidate.
+    history POIs (history most-recent-last) into each candidate POI code.
 
     History POIs with no out-edges contribute 0 but still consume weight.
     """
@@ -66,13 +65,9 @@ def amc_scores(
         raise ValueError("alpha must be in (0, 1)")
     if memory < 1:
         raise ValueError("memory must be >= 1")
-    k = min(memory, len(history))
-    if k == 0:
-        return [0.0] * len(candidates)
-    weights = _amc_weights(k, alpha)
-    recent = history[::-1][:k]
-    acc = defaultdict(float)
-    for w, src in zip(weights, recent):
-        for dst, prob in g.out_edges(src).items():
-            acc[dst] += w * prob
-    return [acc.get(p, 0.0) for p in candidates]
+    recent = np.asarray(history)[::-1][:memory].tolist()
+    acc = np.zeros(len(g.indptr) - 1)
+    for w, src in zip(_amc_weights(len(recent), alpha), recent):
+        lo, hi = g.indptr[src], g.indptr[src + 1]
+        acc[g.dst[lo:hi]] += w * g.prob[lo:hi]
+    return acc[candidates]

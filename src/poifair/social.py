@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CheckIn, SocialGraph
+from .data import PairCounts
 from .geo import distance_km
 
 log = logging.getLogger(__name__)
@@ -23,22 +22,22 @@ class PowerLawFit:
     x_min: float = 1.0
 
 
-def visit_counts(train: dict[str, list[CheckIn]]) -> dict[str, Counter]:
-    """Per-user training check-in counts keyed by POI."""
-    return {u: Counter(c.poi_id for c in seq) for u, seq in train.items()}
-
-
 def social_frequency(
-    u: str, counts: dict[str, Counter], social: SocialGraph
-) -> Counter:
-    """Total training check-ins of u's friends at each POI they visited, in
-    first-visit order over the sorted friends."""
-    merged = Counter()
-    for v in sorted(social.friends(u)):
-        friend_counts = counts.get(v)
-        if friend_counts:
-            merged.update(friend_counts)
-    return merged
+    friends: np.ndarray, bounds: np.ndarray, poi: np.ndarray, n_pois: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The friends' POIs in order of first visit, and their total training
+    check-ins at each POI code.
+
+    Friend v's training POIs are `poi[bounds[v]:bounds[v + 1]]`, in time
+    order; first visits are taken over `friends` in order, each in time
+    order."""
+    lo, hi = bounds[friends], bounds[friends + 1]
+    n = hi - lo
+    # The friends' row ranges lo:hi, concatenated.
+    visited = poi[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
+    order = np.argsort(visited, kind="stable")
+    first = order[np.diff(visited[order], prepend=-1) != 0]
+    return visited[np.sort(first)], np.bincount(visited, minlength=n_pois)
 
 
 def fit_power_law(frequencies) -> PowerLawFit:
@@ -58,49 +57,51 @@ def fit_power_law(frequencies) -> PowerLawFit:
     return PowerLawFit(beta=min(beta, BETA_MAX))
 
 
-def power_law_score(fit: PowerLawFit, x: float) -> float:
-    """CDF-as-relevance: 0 below x_min, else 1 - (x/x_min)^(1-beta)."""
-    if x < fit.x_min:
-        return 0.0
-    return 1.0 - (x / fit.x_min) ** (1.0 - fit.beta)
+def power_law_score(fit: PowerLawFit, x) -> np.ndarray:
+    """CDF-as-relevance of each x: 0 below x_min, else 1 - (x/x_min)^(1-beta).
+
+    Python's float pow runs once per distinct x; np.power can differ from it
+    in the last bit."""
+    values, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    e = 1.0 - fit.beta
+    cdf = [0.0 if v < fit.x_min else 1.0 - (v / fit.x_min) ** e
+           for v in values.tolist()]
+    return np.array(cdf, dtype=float)[inverse]
 
 
-def residence(u: str, counts: dict[str, Counter]) -> str:
-    """Most frequent training POI; ties broken by smallest poi_id."""
-    profile = counts.get(u)
-    if not profile:
-        raise ValueError(f"user {u!r} has no training check-ins")
-    return min(profile, key=lambda p: (-profile[p], p))
+def residences(visits: PairCounts) -> np.ndarray:
+    """Each user's most visited training POI, ties to the smallest POI code;
+    -1 for a user with none."""
+    n = np.diff(visits.indptr)
+    order = np.lexsort((-visits.count, np.repeat(np.arange(len(n)), n)))
+    out = np.full(len(n), -1, dtype=np.intp)
+    out[n > 0] = visits.col[order[visits.indptr[:-1][n > 0]]]
+    return out
 
 
 def fcf_score(
-    u: str,
-    candidates: list[str],
-    counts: dict[str, Counter],
-    social: SocialGraph,
-    residences: dict[str, str],
-    poi_coords: dict[str, tuple[float, float]],
+    u: int,
+    friends: np.ndarray,
+    visits: PairCounts,
+    residence: np.ndarray,
+    lats: np.ndarray,
+    lons: np.ndarray,
 ) -> np.ndarray:
-    """Similarity-weighted mean of friends' check-in counts at each candidate.
+    """Similarity-weighted mean of friends' check-in counts at each POI code.
 
     sim(u, v) = 1 / (1 + km distance between residences), computed once per
-    friend. Each candidate's numerator adds the friends' terms in friend
-    order, so it equals the sum taken one candidate at a time. Friends are
-    sorted: set order follows string hashing, which differs per process.
-    """
-    num = np.zeros(len(candidates))
-    friends = [v for v in sorted(social.friends(u)) if v in residences]
-    if not friends or u not in residences:
+    friend with a residence. Each POI's numerator adds the friends' terms in
+    the order of `friends`, so it equals the sum taken one POI at a time."""
+    num = np.zeros(len(lats))
+    friends = friends[residence[friends] >= 0].tolist()
+    ru = residence[u]
+    if not friends or ru < 0:
         return num
-    position = {p: i for i, p in enumerate(candidates)}
-    ru = poi_coords[residences[u]]
     den = 0.0
     for v in friends:
-        rv = poi_coords[residences[v]]
-        sim = 1.0 / (1.0 + distance_km(ru[0], ru[1], rv[0], rv[1]))
-        hits = [(position[p], n) for p, n in counts[v].items() if p in position]
-        if hits:
-            idx, n = zip(*hits)
-            num[list(idx)] += sim * np.array(n, dtype=float)
+        rv = residence[v]
+        sim = 1.0 / (1.0 + distance_km(lats[ru], lons[ru], lats[rv], lons[rv]))
+        pois, n = visits.row(v)
+        num[pois] += sim * n
         den += sim
     return num / den

@@ -109,7 +109,8 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
 
 
 def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
-    """Write the canonical TSV files (check-ins, POIs, social) for the CLI."""
+    """Write the canonical TSV files (check-ins, POIs, social) for the CLI
+    from the dataset's columns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -117,19 +118,21 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
         "pois": out / "pois.tsv",
         "social": out / "social.tsv",
     }
+    users, pois = dataset.user_ids, dataset.poi_ids
     with paths["checkins"].open("w", encoding="utf-8") as fh:
-        for c in dataset.to_checkins():
-            fh.write(f"{c.user_id}\t{c.poi_id}\t{c.timestamp}\n")
+        fh.writelines(
+            f"{users[u]}\t{pois[p]}\t{t}\n"
+            for u, p, t in zip(
+                dataset.user.tolist(), dataset.poi.tolist(), dataset.ts.tolist()
+            )
+        )
     with paths["pois"].open("w", encoding="utf-8") as fh:
-        for p in sorted(dataset.pois):
+        for p in pois:
             poi = dataset.pois[p]
             cat = poi.category_id or ""
             fh.write(f"{poi.poi_id}\t{poi.latitude}\t{poi.longitude}\t{cat}\n")
     with paths["social"].open("w", encoding="utf-8") as fh:
-        seen = set()
-        for u in dataset.user_ids:
-            for v in sorted(dataset.social.friends(u)):
-                if (v, u) not in seen:
-                    seen.add((u, v))
-                    fh.write(f"{u}\t{v}\n")
+        # Each edge once, between users with check-ins.
+        for u, friends in zip(users, dataset.friend_codes()):
+            fh.writelines(f"{u}\t{users[v]}\n" for v in friends.tolist() if users[v] > u)
     return paths

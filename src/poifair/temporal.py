@@ -51,8 +51,7 @@ def poi_popularity(train: Dataset) -> np.ndarray:
     """Fraction of users that visited each POI in the training split, by POI
     code."""
     n_pois = len(train.poi_ids)
-    visits = train.visits()
-    return np.bincount(visits % n_pois, minlength=n_pois) / len(train.user_ids)
+    return np.bincount(train.visits().col, minlength=n_pois) / len(train.user_ids)
 
 
 def build_profiles(
@@ -67,15 +66,15 @@ def build_profiles(
     popularity of their distinct POIs, summed left to right in poi_id order.
     """
     start, end = work_window
-    n_users, n_pois = len(train.user_ids), len(train.poi_ids)
+    n_users = len(train.user_ids)
     h = hours(train.ts)
     working = (start <= h) & (h < end)
     n_all = np.bincount(train.user, minlength=n_users).tolist()
     n_work = np.bincount(train.user[working], minlength=n_users).tolist()
     # Sorted by user, then POI code, which is poi_id order.
     visits = train.visits()
-    pops = popularity[visits % n_pois].tolist()
-    bounds = np.searchsorted(visits // n_pois, np.arange(n_users + 1)).tolist()
+    pops = popularity[visits.col].tolist()
+    bounds = visits.indptr.tolist()
     profiles = []
     for u, user_id in enumerate(train.user_ids):
         n = n_all[u]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from poifair.data import CheckIn, Dataset, Poi, SocialGraph
@@ -13,6 +14,18 @@ def make_dataset(checkins, pois=None, edges=()):
         for c in checkins:
             pois.setdefault(c.poi_id, Poi(c.poi_id, c.latitude, c.longitude))
     return Dataset.from_checkins(list(checkins), pois, SocialGraph(edges))
+
+
+def make_train(checkins, pois=None, edges=()):
+    """Columns sorted by (user, time), as `SplitDataset.columns` gives them."""
+    ordered = sorted(checkins, key=lambda c: (c.user_id, c.timestamp, c.poi_id))
+    return make_dataset(ordered, pois, edges)
+
+
+def coords(d):
+    """(P, 2) (lat, lon) of each POI code."""
+    lats, lons, _ = d.poi_columns()
+    return np.stack([lats, lons], axis=1)
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Scalar reference versions of what the library computes in bulk: the
-per-`CheckIn` filter, split and temporal analysis, the one-candidate-at-a-time
-context scores, the transition counts, the one-candidate fusion, the top-N
-ranking and the weighted-sum sweep. Tests compare the library against them."""
+per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
+(visit counts, residences, transition graph, category frequencies, power-law
+inputs), the one-candidate-at-a-time context scores, the one-candidate
+fusion, the top-N ranking and the weighted-sum sweep. Tests compare the
+library against them."""
 from __future__ import annotations
 
 import enum
@@ -10,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poifair.data import DatasetStats
+from poifair.data import CheckIn, DatasetStats
 from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, weight_sweep
 from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
 from poifair.metrics import group_metrics, ranking_metrics
 from poifair.recommend import fused_scores
-from poifair.sequential import AMC_DECAY, AMC_MEMORY, TransitionGraph
+from poifair.sequential import AMC_DECAY, AMC_MEMORY
 from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
 
 
@@ -35,6 +37,29 @@ def label_period(
     """Working iff the local hour falls in the half-open [work_start, work_end)."""
     h = hour_of(timestamp)
     return PeriodLabel.WORKING if work_start <= h < work_end else PeriodLabel.LEISURE
+
+
+def checkins(d, rows=None) -> list[CheckIn]:
+    """`CheckIn` objects for a dataset's check-ins at `rows` (all, by
+    default), in that order, with the coordinates of their POI."""
+    if rows is None:
+        rows = range(len(d.ts))
+    out = []
+    for i in rows:
+        u, p = d.user_ids[d.user[i]], d.poi_ids[d.poi[i]]
+        poi = d.pois[p]
+        out.append(CheckIn(u, p, int(d.ts[i]), poi.latitude, poi.longitude))
+    return out
+
+
+def checkin_lists(split):
+    """(train, validation, test) as {user_id: [CheckIn, ...]}, users in id
+    order, each list in the split's time order."""
+    d = split.dataset
+    lists = tuple({u: [] for u in d.user_ids} for _ in range(3))
+    for c, part in zip(checkins(d, split.rows), split.part.tolist()):
+        lists[part][c.user_id].append(c)
+    return lists
 
 
 def sort_user_checkins(checkins):
@@ -139,9 +164,99 @@ def dataset_stats(checkins, pois, n_social_links) -> DatasetStats:
     )
 
 
+def visit_counts(train) -> dict[str, Counter]:
+    """Per-user training check-in counts keyed by POI, in first-visit order."""
+    return {u: Counter(c.poi_id for c in seq) for u, seq in train.items()}
+
+
 def social_frequency(u, p, counts, social) -> int:
     """Total training check-ins of u's friends at POI p."""
     return sum(counts[v].get(p, 0) for v in social.friends(u) if v in counts)
+
+
+def merged_social_frequency(u, counts, social) -> Counter:
+    """Total training check-ins of u's friends at each POI they visited, in
+    first-visit order over the sorted friends."""
+    merged = Counter()
+    for v in sorted(social.friends(u)):
+        if counts.get(v):
+            merged.update(counts[v])
+    return merged
+
+
+def positive_social_frequencies(train, social) -> list[int]:
+    """GeoSoCa's c2 power-law sample, in the order it is summed: users in id
+    order, each user's friends' POIs in first-visit order."""
+    counts = visit_counts(train)
+    freqs = []
+    for u in sorted(train):
+        merged = merged_social_frequency(u, counts, social)
+        freqs.extend(n for n in merged.values() if n >= 1)
+    return freqs
+
+
+def power_law_score(fit, x: float) -> float:
+    """CDF-as-relevance: 0 below x_min, else 1 - (x/x_min)^(1-beta)."""
+    if x < fit.x_min:
+        return 0.0
+    return 1.0 - (x / fit.x_min) ** (1.0 - fit.beta)
+
+
+def residence(u, counts) -> str:
+    """Most frequent training POI; ties broken by smallest poi_id."""
+    profile = counts[u]
+    return min(profile, key=lambda p: (-profile[p], p))
+
+
+class CategoricalModel:
+    """Per-user category counts and within-category POI popularity, keyed by
+    id."""
+
+    def __init__(self, train, pois):
+        self.poi_category = {
+            p: poi.category_id for p, poi in pois.items() if poi.category_id is not None
+        }
+        self.user_cat_counts = {}
+        self.poi_counts = Counter()
+        for u, seq in train.items():
+            cc = Counter()
+            for c in seq:
+                self.poi_counts[c.poi_id] += 1
+                cat = self.poi_category.get(c.poi_id)
+                if cat is not None:
+                    cc[cat] += 1
+            self.user_cat_counts[u] = cc
+        self.cat_max_count = {}
+        for p, n in self.poi_counts.items():
+            cat = self.poi_category.get(p)
+            if cat is not None and n > self.cat_max_count.get(cat, 0):
+                self.cat_max_count[cat] = n
+
+    def frequency(self, u, p) -> float:
+        """u's check-in count in p's category, scaled by p's popularity within
+        that category; 0 when p carries no category."""
+        cat = self.poi_category.get(p)
+        if cat is None:
+            return 0.0
+        user_count = self.user_cat_counts.get(u, {}).get(cat, 0)
+        if user_count == 0:
+            return 0.0
+        max_count = self.cat_max_count.get(cat, 0)
+        pop = self.poi_counts.get(p, 0) / max_count if max_count else 0.0
+        return user_count * pop
+
+
+def positive_categorical_frequencies(train, pois) -> list[float]:
+    """GeoSoCa's c3 power-law sample, in the order it is summed: users in id
+    order, each user's POIs in id order."""
+    model = CategoricalModel(train, pois)
+    freqs = []
+    for u in sorted(train):
+        for p in sorted(pois):
+            y = model.frequency(u, p)
+            if y >= 1.0:
+                freqs.append(y)
+    return freqs
 
 
 def fcf_score(u, p, counts, social, residences, poi_coords) -> float:
@@ -175,10 +290,37 @@ def expanded_kde_score(fitted: KdeModel, samples, latitude, longitude) -> float:
     arr = np.asarray(samples, dtype=float)
     pts = project_km(arr[:, 0], arr[:, 1], fitted.lat_ref)
     expanded = KdeModel(
-        points_km=pts, bandwidth=fitted.bandwidth, mode=fitted.mode,
-        lat_ref=fitted.lat_ref,
+        points_km=pts, bandwidth=fitted.bandwidth, lat_ref=fitted.lat_ref,
+        weights=np.ones(len(pts)),
     )
     return geo_score(expanded, latitude, longitude)
+
+
+class TransitionGraph:
+    """Directed transition counts between POI ids."""
+
+    def __init__(self):
+        self._adj = defaultdict(dict)
+        self.out_totals = defaultdict(int)
+
+    def add(self, src, dst, n=1) -> None:
+        row = self._adj[src]
+        row[dst] = row.get(dst, 0) + n
+        self.out_totals[src] += n
+
+    def out_edges(self, src) -> dict[str, float]:
+        total = self.out_totals.get(src, 0)
+        if total == 0:
+            return {}
+        return {dst: n / total for dst, n in self._adj[src].items()}
+
+
+def build_l2tg(train, session_gap_hours) -> TransitionGraph:
+    """Consecutive same-user POI transitions within the session gap."""
+    g = TransitionGraph()
+    for (src, dst), n in transition_counts(train, session_gap_hours).items():
+        g.add(src, dst, n)
+    return g
 
 
 def transition_counts(train, session_gap_hours) -> dict[tuple[str, str], int]:
@@ -253,7 +395,7 @@ def sweep(caches, assignment, val_relevant, cutoff, step, objective):
             per_user = {}
             for u, cs in cache.items():
                 relevant = val_relevant.get(u)
-                if not relevant or not cs.poi_ids:
+                if not relevant or not len(cs.poi_ids):
                     continue
                 (scores,) = fused_scores(
                     cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, [lambdas])

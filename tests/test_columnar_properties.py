@@ -80,7 +80,7 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
     checkins = [
         CheckIn(u, p, ts, d.pois[p].latitude, d.pois[p].longitude) for u, p, ts in rows
     ]
-    assert d.to_checkins() == checkins
+    assert oracles.checkins(d) == checkins
     assert d.user_ids == sorted({u for u, _, _ in rows})
     assert d.poi_ids == sorted(d.pois)
 
@@ -90,7 +90,7 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
     except DataError:
         assert not kept
         return
-    assert filtered.to_checkins() == kept
+    assert oracles.checkins(filtered) == kept
     kept_pois = {c.poi_id for c in kept}
     assert list(filtered.pois) == [p for p in d.pois if p in kept_pois]
     assert report.users_removed == len(d.user_ids) - len({c.user_id for c in kept})
@@ -104,12 +104,10 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
 
     split = temporal_split(filtered, *fractions)
     train, val, test = oracles.temporal_split(kept, *fractions)
-    assert split.train == train
-    assert split.validation == val
-    assert split.test == test
+    assert oracles.checkin_lists(split) == (train, val, test)
 
     cols = split.columns(TRAIN)
-    assert cols.to_checkins() == [c for seq in train.values() for c in seq]
+    assert oracles.checkins(cols) == [c for seq in train.values() for c in seq]
     pop = poi_popularity(cols)
     want_pop = oracles.poi_popularity(train, len(train))
     assert pop.tolist() == [want_pop.get(p, 0.0) for p in cols.poi_ids]

@@ -61,7 +61,7 @@ class TestParse:
         assert d.load_report.poi_lines_malformed == [4]
         assert d.load_report.poi_lines_parsed == 5
         assert d.pois["p1"] == Poi("p1", 42.0, -102.0, None)
-        assert d.to_checkins()[0].latitude == 42.0
+        assert oracles.checkins(d)[0].latitude == 42.0
         assert json.loads(d.load_report.to_json())["poi_lines_duplicate"] == [3, 5, 6]
 
     def test_unknown_poi_is_hard_error(self, tmp_path):
@@ -128,7 +128,7 @@ class TestParse:
         assert d.poi_ids == ["p1", "p10", "p2"]
         assert d.user.tolist() == [2, 1, 0, 2]
         assert d.poi.tolist() == [2, 1, 2, 1]
-        assert [(c.user_id, c.poi_id, c.timestamp) for c in d.to_checkins()] == [
+        assert [(c.user_id, c.poi_id, c.timestamp) for c in oracles.checkins(d)] == [
             ("u9", "p2", 100), ("u10", "p10", 200), ("U", "p2", 300), ("u9", "p10", 400),
         ]
 
@@ -146,6 +146,19 @@ class TestParse:
         assert d.load_report.social_edges_dropped == 2
         # report serializes
         json.loads(d.load_report.to_json())
+
+    def test_duplicate_social_edges_counted(self, tmp_path):
+        ci, po, so = write_files(
+            tmp_path,
+            ["u1\tp1\t100", "u2\tp1\t200", "u3\tp1\t300"],
+            ["p1\t40\t-100\t"],
+            ["u1\tu2", "u1\tu2", "u2\tu1", "u2\tu3"],
+        )
+        report = parse_dataset(ci, po, so).load_report
+        assert report.social_edges_parsed == 4
+        assert report.social_edges_duplicate == 2
+        assert report.social_edges_dropped == 0
+        assert json.loads(report.to_json())["social_edges_duplicate"] == 2
 
 
 class TestFilter:
@@ -169,7 +182,7 @@ class TestFilter:
         # 'rare' has only 5 check-ins -> removed; A keeps 10 and survives
         assert "A" in filtered.user_ids
         assert "rare" not in filtered.pois
-        assert sum(1 for c in filtered.to_checkins() if c.user_id == "A") == 10
+        assert sum(1 for c in oracles.checkins(filtered) if c.user_id == "A") == 10
 
     def test_not_idempotent_in_general(self):
         # after POI removal drops user A to 10 check-ins, a second identical
@@ -200,7 +213,7 @@ class TestFilter:
         d = make_dataset(checkins)
         filtered, _ = preprocess_filter(d, 10, 5)
         stats = dataset_stats(filtered)
-        kept = filtered.to_checkins()
+        kept = oracles.checkins(filtered)
         # independent recount
         assert stats.n_checkins == len(kept)
         assert stats.n_users == len({c.user_id for c in kept})
@@ -260,7 +273,8 @@ class TestFilter:
             assert "exhausted" in str(e)
             return
         s = temporal_split(filtered)
-        assert sorted(s.train) == filtered.user_ids
+        train, _, _ = oracles.checkin_lists(s)
+        assert all(train[u] for u in filtered.user_ids)
         assert report.checkins_removed == len(d.ts) - len(filtered.ts)
         assert report.users_removed == len(d.user_ids) - len(filtered.user_ids)
 
@@ -280,13 +294,13 @@ class TestSplit:
     def test_floor_rule(self, n, expected):
         checkins = [make_checkin("u", f"p{i}", 100 * (i + 1)) for i in range(n)]
         d = make_dataset(checkins)
-        s = temporal_split(d)
-        assert (len(s.train["u"]), len(s.validation["u"]), len(s.test["u"])) == expected
+        parts = oracles.checkin_lists(temporal_split(d))
+        assert tuple(len(p["u"]) for p in parts) == expected
 
     def test_empty_test_flagged(self):
         checkins = [make_checkin("u", f"p{i}", 100 * (i + 1)) for i in range(3)]
-        s = temporal_split(make_dataset(checkins))
-        assert s.test["u"] == []
+        _, _, test = oracles.checkin_lists(temporal_split(make_dataset(checkins)))
+        assert test["u"] == []
 
     def test_too_few_checkins(self):
         checkins = [make_checkin("u", "p", 100), make_checkin("u", "q", 200)]
@@ -310,7 +324,7 @@ class TestSplit:
             make_checkin("u", f"p{i}", rnd.randrange(1, 10**6)) for i in range(n)
         ]
         s = temporal_split(make_dataset(checkins))
-        parts = [s.train["u"], s.validation["u"], s.test["u"]]
+        parts = [p["u"] for p in oracles.checkin_lists(s)]
         assert sum(len(p) for p in parts) == n
         merged = parts[0] + parts[1] + parts[2]
         assert sorted(c.timestamp for c in merged) == sorted(
@@ -330,7 +344,8 @@ class TestSplit:
         assert [c.poi_id for c in ordered] == ["pA", "pA", "pB"]
         assert ordered[0] is checkins[1]
         s = temporal_split(make_dataset(checkins), 1.0, 0.0, 0.0)
-        assert [c.poi_id for c in s.train["u"]] == ["pA", "pA", "pB"]
+        train, _, _ = oracles.checkin_lists(s)
+        assert [c.poi_id for c in train["u"]] == ["pA", "pA", "pB"]
         assert s.rows.tolist() == [1, 2, 0]
 
     def test_negative_fraction_rejected(self, tiny_dataset):

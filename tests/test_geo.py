@@ -5,8 +5,6 @@ import pytest
 
 from poifair.geo import (
     BANDWIDTH_FLOOR_KM,
-    GLOBAL,
-    PER_USER,
     KdeModel,
     fit_global_kde,
     fit_kde,
@@ -17,7 +15,7 @@ from poifair.geo import (
     silverman_bandwidth,
 )
 
-from conftest import make_checkin
+from conftest import coords, make_checkin, make_train
 from oracles import expanded_kde_score, geo_score
 
 
@@ -36,49 +34,42 @@ class TestFit:
         assert h == pytest.approx(0.4219, abs=5e-4)
 
     def test_identical_profiles_identical_models(self):
-        coords = [(40.0, -100.0), (40.01, -100.02), (40.02, -99.99)]
-        train = {
-            "a": [make_checkin("a", "p", 1, lat, lon) for lat, lon in coords],
-            "b": [make_checkin("b", "p", 1, lat, lon) for lat, lon in coords],
-        }
-        models = fit_user_kdes(train)
-        assert np.array_equal(models["a"].points_km, models["b"].points_km)
-        assert models["a"].bandwidth == models["b"].bandwidth
+        sites = [(40.0, -100.0), (40.01, -100.02), (40.02, -99.99)]
+        train = make_train([
+            make_checkin(u, f"p{i}", i, lat, lon)
+            for u in ("a", "b") for i, (lat, lon) in enumerate(sites)
+        ])
+        a, b = fit_user_kdes(train, coords(train))
+        assert np.array_equal(a.points_km, b.points_km)
+        assert a.bandwidth == b.bandwidth
 
     def test_global_uses_all_points(self):
-        train = {
-            "a": [make_checkin("a", "p", 1, 40.0, -100.0)],
-            "b": [make_checkin("b", "p", 1, 41.0, -101.0)],
-        }
-        m = fit_global_kde(train)
-        assert m.mode == GLOBAL
+        train = make_train([
+            make_checkin("a", "p", 1, 40.0, -100.0),
+            make_checkin("b", "q", 1, 41.0, -101.0),
+        ])
+        m = fit_global_kde(train, coords(train))
         assert len(m.points_km) == 2
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             fit_kde([])
 
-    def test_model_mode_and_sample_count(self):
+    def test_model_sample_count(self):
         m = fit_kde([(40.0, -100.0), (40.1, -100.1)])
-        assert m.sample_weights().sum() == 2
-        assert m.mode == PER_USER
+        assert m.weights.sum() == 2
 
     def test_repeated_coordinates_kept_once_with_counts(self):
         coords = [(40.0, -100.0)] * 3 + [(40.1, -100.1)] * 2 + [(40.2, -99.9)]
         m = fit_kde(coords)
         assert len(m.points_km) == 3
         assert sorted(m.weights.tolist()) == [1.0, 2.0, 3.0]
-        assert m.sample_weights().sum() == 6
+        assert m.weights.sum() == 6
         expanded = project_km([c[0] for c in coords], [c[1] for c in coords], m.lat_ref)
         assert m.bandwidth == (
             silverman_bandwidth(expanded[:, 0]),
             silverman_bandwidth(expanded[:, 1]),
         )
-
-    def test_unweighted_model_counts_each_point(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        m = KdeModel(points_km=pts, bandwidth=(0.5, 0.5), mode=PER_USER, lat_ref=0.0)
-        assert m.sample_weights().sum() == 3
 
 
 class TestScore:
@@ -96,7 +87,7 @@ class TestScore:
     def test_hand_summed_line_model(self):
         # 5 points on a lat line; oracle is the direct kernel sum in km space
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
-        m = KdeModel(points_km=pts, bandwidth=(0.5, 0.5), mode=PER_USER, lat_ref=0.0)
+        m = KdeModel(points_km=pts, bandwidth=(0.5, 0.5), lat_ref=0.0, weights=np.ones(5))
         q = np.array([[2.0, 0.0]])
         expected = 0.0
         for p in pts:
@@ -137,11 +128,11 @@ class TestRepeatedCoordinates:
             )
 
     def test_global_kde_weights_sum_to_checkins(self):
-        train = {
-            "a": [make_checkin("a", "p", t, 40.0, -100.0) for t in (1, 2, 3)],
-            "b": [make_checkin("b", "q", 4, 41.0, -101.0)],
-        }
-        m = fit_global_kde(train)
+        train = make_train([
+            *(make_checkin("a", "p", t, 40.0, -100.0) for t in (1, 2, 3)),
+            make_checkin("b", "q", 4, 41.0, -101.0),
+        ])
+        m = fit_global_kde(train, coords(train))
         assert len(m.points_km) == 2
         assert sorted(m.weights.tolist()) == [1.0, 3.0]
 
@@ -153,7 +144,7 @@ class TestNormalization:
         n = int(rng.integers(2, 15))
         pts = rng.normal(0, 1.0, size=(n, 2))
         h = (max(0.3, rng.uniform(0.2, 1.0)), max(0.3, rng.uniform(0.2, 1.0)))
-        m = KdeModel(points_km=pts, bandwidth=h, mode=PER_USER, lat_ref=0.0)
+        m = KdeModel(points_km=pts, bandwidth=h, lat_ref=0.0, weights=np.ones(n))
         mass = quadrature_mass(m)
         assert mass == pytest.approx(1.0, abs=0.02)
 

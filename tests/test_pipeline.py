@@ -6,7 +6,7 @@ import pytest
 
 from poifair import data
 from poifair.config import ExperimentConfig
-from poifair.data import Poi
+from poifair.data import TRAIN, VALIDATION, Poi
 from poifair.pipeline import Pipeline, StageFailure, _fmt, relevant_sets
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -29,7 +29,7 @@ def _world(tmp_path, seed, categories):
     d = p.preprocess(p.parse())
     split = p.split(d)
     _, assignment = p.analyze(d, split)
-    return cfg, split, assignment, p.fit_and_recommend(d, split)
+    return cfg, split, assignment, p.fit_and_recommend(split)
 
 
 @pytest.fixture(scope="module", params=[(11, True), (3, False)],
@@ -49,8 +49,12 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
     ))
     best = p.sweep(caches, assignment, split)
 
-    train_visited = {u: {c.poi_id for c in seq} for u, seq in split.train.items()}
-    val_relevant = relevant_sets(split.validation, train_visited)
+    train, val, _ = oracles.checkin_lists(split)
+    val_relevant = relevant_sets(split, VALIDATION)
+    names = split.dataset.poi_ids
+    assert {u: {names[p] for p in rel} for u, rel in val_relevant.items()} == {
+        u: {c.poi_id for c in val[u]} - {c.poi_id for c in train[u]} for u in train
+    }
     want_best, want_rows = oracles.sweep(
         caches, assignment, val_relevant, 10, step, objective
     )
@@ -123,4 +127,25 @@ def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
     profiles, _ = p.analyze(d, split)
     assert profiles
     monkeypatch.undo()
-    assert sum(map(len, split.train.values())) == sum(p.n_checkins for p in profiles)
+    assert len(split.columns(TRAIN).ts) == sum(p.n_checkins for p in profiles)
+
+
+def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
+    paths = write_tsv(ds, tmp_path / "data")
+    p = Pipeline(ExperimentConfig(
+        checkin_path=str(paths["checkins"]), poi_path=str(paths["pois"]),
+        social_path=str(paths["social"]), out_dir=str(tmp_path / "out"),
+        fusion_rules=["product", "weighted_sum"],
+    ))
+
+    def no_checkins(*args):
+        raise AssertionError("a CheckIn was built by a pipeline stage")
+
+    monkeypatch.setattr(data, "CheckIn", no_checkins)
+    d = p.preprocess(p.parse())
+    split = p.split(d)
+    _, assignment = p.analyze(d, split)
+    caches = p.fit_and_recommend(split)
+    best = p.sweep(caches, assignment, split)
+    assert p.evaluate(caches, assignment, split, best)

@@ -74,7 +74,7 @@ def raw_scores(draw):
 
 def candidate_scores(raw, enabled):
     ids = [f"p{i:03d}" for i in range(len(raw))]
-    return CandidateScores("u", ids, raw, enabled)
+    return CandidateScores(ids, raw, enabled)
 
 
 def oracle_row(mat, enabled, rule, lambdas):

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poifair import social
-from poifair.data import temporal_split
+from poifair.data import TRAIN, temporal_split
 from poifair.fusion import PRODUCT, SUM, rule_lambdas
 from poifair.recommend import (
     GEOSOCA,
@@ -24,94 +23,94 @@ import oracles
 
 @pytest.fixture(scope="module")
 def small_world():
+    """(dataset, train columns, id-keyed train lists)."""
     ds = generate(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
     split = temporal_split(ds)
-    return ds, split
+    return ds, split.columns(TRAIN), oracles.checkin_lists(split)[0]
 
 
 @pytest.fixture(scope="module")
 def geosoca(small_world):
-    ds, split = small_world
-    return FittedModel(GEOSOCA, ds, split)
+    return FittedModel(GEOSOCA, small_world[1])
 
 
 @pytest.fixture(scope="module")
 def lore(small_world):
-    ds, split = small_world
-    return FittedModel(LORE, ds, split)
+    return FittedModel(LORE, small_world[1])
 
 
 class TestScoreCandidates:
     def test_candidates_exclude_visited(self, geosoca, small_world):
-        ds, split = small_world
-        u = sorted(split.train)[0]
-        visited = {c.poi_id for c in split.train[u]}
-        cs = geosoca.score_candidates(u)
-        assert set(cs.poi_ids) == set(ds.pois) - visited
+        ds, _, train = small_world
+        visited = {c.poi_id for c in train[ds.user_ids[0]]}
+        cs = geosoca.score_candidates(0)
+        assert {ds.poi_ids[p] for p in cs.poi_ids} == set(ds.pois) - visited
         assert cs.raw.shape == (len(cs.poi_ids), 3)
 
-    def test_unknown_user_errors(self, geosoca):
-        with pytest.raises(ValueError):
-            geosoca.score_candidates("nobody")
+    def test_unknown_user_errors(self, geosoca, small_world):
+        for u in (-1, len(small_world[0].user_ids)):
+            with pytest.raises(ValueError):
+                geosoca.score_candidates(u)
 
     def test_geosoca_matches_component_oracles(self, geosoca, small_world):
-        ds, split = small_world
-        u = sorted(split.train)[0]
-        cs = geosoca.score_candidates(u)
+        ds, _, train = small_world
+        u = ds.user_ids[0]
+        counts = oracles.visit_counts(train)
+        categories = oracles.CategoricalModel(train, ds.pois)
+        cs = geosoca.score_candidates(0)
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
-            poi = ds.pois[p]
-            g = oracles.geo_score(geosoca.user_kdes[u], poi.latitude, poi.longitude)
-            x = oracles.social_frequency(u, p, geosoca.counts, ds.social)
-            s = social.power_law_score(geosoca.social_fit, x)
-            c = social.power_law_score(
-                geosoca.cat_fit, geosoca.cat_model.frequency(u, p)
+            poi = ds.pois[ds.poi_ids[p]]
+            g = oracles.geo_score(geosoca.user_kdes[0], poi.latitude, poi.longitude)
+            x = oracles.social_frequency(u, poi.poi_id, counts, ds.social)
+            s = oracles.power_law_score(geosoca.social_fit, x)
+            c = oracles.power_law_score(
+                geosoca.cat_fit, categories.frequency(u, poi.poi_id)
             )
             assert row[0] == pytest.approx(g, rel=1e-9)
             assert row[1] == pytest.approx(s, rel=1e-9)
             assert row[2] == pytest.approx(c, rel=1e-9)
 
     def test_lore_matches_component_oracles(self, lore, small_world):
-        ds, split = small_world
-        u = sorted(split.train)[1]
-        cs = lore.score_candidates(u)
-        history = [c.poi_id for c in split.train[u]]
+        ds, _, train = small_world
+        u = ds.user_ids[1]
+        counts = oracles.visit_counts(train)
+        residences = {v: oracles.residence(v, counts) for v in train if train[v]}
+        coords = {p: (x.latitude, x.longitude) for p, x in ds.pois.items()}
+        l2tg = oracles.build_l2tg(train, 24.0)
+        cs = lore.score_candidates(1)
+        history = [c.poi_id for c in train[u]]
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
-            poi = ds.pois[p]
+            poi = ds.pois[ds.poi_ids[p]]
             g = oracles.geo_score(lore.global_kde, poi.latitude, poi.longitude)
-            f = oracles.fcf_score(
-                u, p, lore.counts, ds.social, lore.residences, lore.poi_coords
-            )
-            a = oracles.amc_score(lore.l2tg, history, p)
+            f = oracles.fcf_score(u, poi.poi_id, counts, ds.social, residences, coords)
+            a = oracles.amc_score(l2tg, history, poi.poi_id)
             assert row[0] == pytest.approx(g, rel=1e-9)
             assert row[1] == pytest.approx(f, rel=1e-9)
             assert row[2] == pytest.approx(a, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_score_rejected(self, small_world, bad):
-        ds, split = small_world
-        model = FittedModel(LORE, ds, split)
+        model = FittedModel(LORE, small_world[1])
         model.global_geo = np.full_like(model.global_geo, bad)
-        u = sorted(split.train)[0]
         with pytest.raises(ValueError, match="non-finite context score"):
-            model.score_candidates(u)
+            model.score_candidates(0)
 
     def test_unknown_model_name(self, small_world):
-        ds, split = small_world
         with pytest.raises(ValueError):
-            FittedModel("mystery", ds, split)
+            FittedModel("mystery", small_world[1])
 
 
 SCORE_DIGEST = """
 import hashlib
-from poifair.data import temporal_split
+from poifair.data import TRAIN, temporal_split
 from poifair.recommend import FittedModel
 from poifair.synth import SynthConfig, generate
 ds = generate(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
-split = temporal_split(ds)
+train = temporal_split(ds).columns(TRAIN)
 for name in ("geosoca", "lore"):
-    model = FittedModel(name, ds, split)
+    model = FittedModel(name, train)
     h = hashlib.sha256()
-    for u in sorted(split.train):
+    for u in range(len(train.user_ids)):
         h.update(model.score_candidates(u).raw.tobytes())
     print(name, h.hexdigest())
 """
@@ -166,24 +165,20 @@ def top_n(model, u, rule, n):
 
 class TestRecommend:
     def test_no_leakage(self, geosoca, small_world):
-        ds, split = small_world
-        for u in sorted(split.train)[:10]:
-            visited = {c.poi_id for c in split.train[u]}
+        ds, _, train = small_world
+        for u in range(10):
+            visited = {c.poi_id for c in train[ds.user_ids[u]]}
             pois, scores = top_n(geosoca, u, PRODUCT, 10)
-            assert not set(pois) & visited
+            assert not {ds.poi_ids[p] for p in pois} & visited
             assert scores == sorted(scores, reverse=True)
 
     def test_determinism_across_runs(self, small_world):
-        ds, split = small_world
-        a = FittedModel(LORE, ds, split)
-        b = FittedModel(LORE, ds, split)
-        u = sorted(split.train)[3]
-        assert top_n(a, u, SUM, 10) == top_n(b, u, SUM, 10)
+        a = FittedModel(LORE, small_world[1])
+        b = FittedModel(LORE, small_world[1])
+        assert top_n(a, 3, SUM, 10) == top_n(b, 3, SUM, 10)
 
-    def test_monotone_transform_keeps_order(self, lore, small_world):
-        ds, split = small_world
-        u = sorted(split.train)[2]
-        cs = lore.score_candidates(u)
+    def test_monotone_transform_keeps_order(self, lore):
+        cs = lore.score_candidates(2)
         (scores,) = fused_scores(cs, rule_lambdas(SUM, cs.enabled))
         base, _ = recommend_topn(cs.poi_ids, scores, len(cs.poi_ids))
         boosted, _ = recommend_topn(cs.poi_ids, 3.0 * scores + 7.0, len(cs.poi_ids))
@@ -196,19 +191,17 @@ class TestDisabledContext:
 
         from poifair.data import Poi
 
-        ds, _ = small_world
+        ds = small_world[0]
         stripped_pois = {
             p: Poi(p, poi.latitude, poi.longitude, None)
             for p, poi in ds.pois.items()
         }
         bare = replace(ds, pois=stripped_pois)
-        split = temporal_split(bare)
-        model = FittedModel(GEOSOCA, bare, split)
+        model = FittedModel(GEOSOCA, temporal_split(bare).columns(TRAIN))
         assert model.enabled == (True, True, False)
-        u = sorted(split.train)[0]
-        pois, _ = top_n(model, u, PRODUCT, 5)
+        pois, _ = top_n(model, 0, PRODUCT, 5)
         assert len(pois) == 5
         # product fusion ignores the disabled context entirely
-        cs = model.score_candidates(u)
+        cs = model.score_candidates(0)
         (fused,) = fused_scores(cs, rule_lambdas(PRODUCT, cs.enabled))
         assert fused.tobytes() == (cs.raw[:, 0] * cs.raw[:, 1]).tobytes()

@@ -1,14 +1,21 @@
-"""Property test: FittedModel.score_candidates, which shares per-user and
-per-model work across candidates, equals the one-candidate-at-a-time oracles
-on random small worlds."""
+"""Property tests on random small worlds: FittedModel.score_candidates, which
+shares per-user and per-model work across candidates, equals the
+one-candidate-at-a-time oracles, and the int-indexed fit structures equal
+the string-keyed oracles."""
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poifair.data import CheckIn, Dataset, Poi, SocialGraph, temporal_split
+from poifair import recommend
+from poifair.data import TRAIN, CheckIn, Dataset, Poi, SocialGraph, temporal_split
 from poifair.recommend import GEOSOCA, LORE, FittedModel
-from poifair.social import power_law_score
+from poifair.sequential import SESSION_GAP_HOURS
+from poifair.synth import SynthConfig, generate
 
 import oracles
 
@@ -68,48 +75,93 @@ def same(got: float, want: float) -> bool:
     return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
 
-def check_geosoca(model: FittedModel, ds: Dataset, split) -> None:
-    for u, seq in split.train.items():
-        cs = model.score_candidates(u)
-        assert cs.poi_ids == sorted(set(ds.pois) - {c.poi_id for c in seq})
-        samples = [(c.latitude, c.longitude) for c in seq]
-        for p, (c1, c2, c3) in zip(cs.poi_ids, cs.raw):
+def check_geosoca(model: FittedModel, ds: Dataset, train) -> None:
+    counts = oracles.visit_counts(train)
+    categories = oracles.CategoricalModel(train, ds.pois)
+    for i, u in enumerate(ds.user_ids):
+        cs = model.score_candidates(i)
+        cands = [ds.poi_ids[p] for p in cs.poi_ids]
+        assert cands == sorted(set(ds.pois) - {c.poi_id for c in train[u]})
+        samples = [(c.latitude, c.longitude) for c in train[u]]
+        for p, (c1, c2, c3) in zip(cands, cs.raw):
             poi = ds.pois[p]
             g = oracles.expanded_kde_score(
-                model.user_kdes[u], samples, poi.latitude, poi.longitude
+                model.user_kdes[i], samples, poi.latitude, poi.longitude
             )
-            x = oracles.social_frequency(u, p, model.counts, ds.social)
-            s = power_law_score(model.social_fit, x)
+            x = oracles.social_frequency(u, p, counts, ds.social)
+            s = oracles.power_law_score(model.social_fit, x)
             c = (
-                power_law_score(model.cat_fit, model.cat_model.frequency(u, p))
+                oracles.power_law_score(model.cat_fit, categories.frequency(u, p))
                 if model.cat_fit is not None else 0.0
             )
             assert same(c1, g), (u, p, c1, g)
-            assert same(c2, s), (u, p, c2, s)
-            assert same(c3, c), (u, p, c3, c)
+            assert c2 == s, (u, p, c2, s)
+            assert c3 == c, (u, p, c3, c)
 
 
-def check_lore(model: FittedModel, ds: Dataset, split) -> None:
-    samples = [
-        (c.latitude, c.longitude) for u in sorted(split.train) for c in split.train[u]
-    ]
-    for u, seq in split.train.items():
-        cs = model.score_candidates(u)
-        history = [c.poi_id for c in seq]
+def check_lore(model: FittedModel, ds: Dataset, train) -> None:
+    samples = [(c.latitude, c.longitude) for u in sorted(train) for c in train[u]]
+    counts = oracles.visit_counts(train)
+    residences = {u: oracles.residence(u, counts) for u in train if counts[u]}
+    coords = {p: (x.latitude, x.longitude) for p, x in ds.pois.items()}
+    l2tg = oracles.build_l2tg(train, SESSION_GAP_HOURS)
+    for i, u in enumerate(ds.user_ids):
+        cs = model.score_candidates(i)
+        history = [c.poi_id for c in train[u]]
         for p, (c1, c2, c3) in zip(cs.poi_ids, cs.raw):
-            poi = ds.pois[p]
+            poi = ds.pois[ds.poi_ids[p]]
             g = oracles.expanded_kde_score(
                 model.global_kde, samples, poi.latitude, poi.longitude
             )
-            f = oracles.fcf_score(
-                u, p, model.counts, ds.social, model.residences, model.poi_coords
-            )
+            f = oracles.fcf_score(u, poi.poi_id, counts, ds.social, residences, coords)
             a = oracles.amc_score(
-                model.l2tg, history, p, model.amc_alpha, model.amc_memory
+                l2tg, history, poi.poi_id, model.amc_alpha, model.amc_memory
             )
             assert same(c1, g), (u, p, c1, g)
-            assert same(c2, f), (u, p, c2, f)
+            assert c2 == f, (u, p, c2, f)
             assert same(c3, a), (u, p, c3, a)
+
+
+def check_fit_structures(ds: Dataset, split) -> None:
+    """The int-indexed fit structures, read back by id, equal the string
+    oracles exactly; so do the ordered samples given to fit_power_law."""
+    train = oracles.checkin_lists(split)[0]
+    cols = split.columns(TRAIN)
+    users, pois = ds.user_ids, ds.poi_ids
+    with patch.object(recommend, "_fit_or_default", wraps=recommend._fit_or_default) as fit:
+        geosoca = FittedModel(GEOSOCA, cols)
+    lore = FittedModel(LORE, cols)
+
+    counts = oracles.visit_counts(train)
+    visits = lore.visits
+    assert {
+        u: dict(zip((pois[p] for p in visits.row(i)[0]), visits.row(i)[1].tolist()))
+        for i, u in enumerate(users)
+    } == counts
+    assert {
+        users[i]: pois[r] for i, r in enumerate(lore.residence.tolist()) if r >= 0
+    } == {u: oracles.residence(u, counts) for u in train if counts[u]}
+
+    want = oracles.build_l2tg(train, SESSION_GAP_HOURS)
+    g = lore.l2tg
+    assert {
+        pois[s]: dict(zip(
+            (pois[d] for d in g.dst[g.indptr[s]:g.indptr[s + 1]]),
+            g.prob[g.indptr[s]:g.indptr[s + 1]].tolist(),
+        ))
+        for s in np.flatnonzero(np.diff(g.indptr))
+    } == {s: want.out_edges(s) for s in want.out_totals if want.out_totals[s]}
+
+    categories = oracles.CategoricalModel(train, ds.pois)
+    assert [geosoca.cat_model.frequency(i).tolist() for i in range(len(users))] == [
+        [categories.frequency(u, p) for p in pois] for u in users
+    ]
+
+    samples = [call.args[0].tolist() for call in fit.call_args_list]
+    want_samples = [oracles.positive_social_frequencies(train, ds.social)]
+    if geosoca.cat_model.has_categories:
+        want_samples.append(oracles.positive_categorical_frequencies(train, ds.pois))
+    assert samples == want_samples
 
 
 # u0 visits two of three POIs (p0, p1 share a site): a single candidate, p2,
@@ -128,14 +180,35 @@ SINGLE_CANDIDATE = (
 def test_score_candidates_match_scalar_oracles(world):
     ds = build(world)
     split = temporal_split(ds)
-    check_geosoca(FittedModel(GEOSOCA, ds, split), ds, split)
-    check_lore(FittedModel(LORE, ds, split), ds, split)
+    cols = split.columns(TRAIN)
+    train = oracles.checkin_lists(split)[0]
+    check_geosoca(FittedModel(GEOSOCA, cols), ds, train)
+    check_lore(FittedModel(LORE, cols), ds, train)
+
+
+@settings(max_examples=60, deadline=None)
+@example(SINGLE_CANDIDATE)
+@given(worlds())
+def test_fit_structures_match_string_oracles(world):
+    ds = build(world)
+    check_fit_structures(ds, temporal_split(ds))
+
+
+@pytest.mark.parametrize("categories", [True, False])
+def test_power_law_samples_in_oracle_order_on_synthetic_world(categories):
+    """A world large enough that both power laws are fitted: users with many
+    friends whose histories overlap."""
+    ds = generate(SynthConfig(n_users=40, n_clusters=3, pois_per_cluster=8, seed=5))
+    if not categories:
+        ds = replace(ds, pois={
+            p: Poi(p, x.latitude, x.longitude, None) for p, x in ds.pois.items()
+        })
+    check_fit_structures(ds, temporal_split(ds))
 
 
 def test_single_candidate_example_shape():
     ds = build(SINGLE_CANDIDATE)
-    split = temporal_split(ds)
-    lore = FittedModel(LORE, ds, split)
-    assert lore.score_candidates("u0").poi_ids == ["p2"]
-    assert "g0" in ds.social.friends("u0") and "g0" not in lore.residences
+    lore = FittedModel(LORE, temporal_split(ds).columns(TRAIN))
+    assert lore.score_candidates(0).poi_ids.tolist() == [ds.poi_ids.index("p2")]
+    assert "g0" in ds.social.friends("u0") and "g0" not in ds.user_ids
     assert not ds.social.friends("u1")

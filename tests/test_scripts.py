@@ -1,0 +1,32 @@
+"""The demo scripts run end to end as their own processes and leave their
+outputs behind."""
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run(script, *args, cwd):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_make_synthetic_writes_the_three_tsvs(tmp_path):
+    out = run("make_synthetic.py", "data", "--users", "50", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    for name in ("checkins.tsv", "pois.tsv", "social.tsv"):
+        assert (tmp_path / "data" / name).stat().st_size > 0
+    assert out.stdout.startswith("50 users")
+
+
+def test_run_experiment_writes_table3(tmp_path):
+    out = run("run_experiment.py", "exp", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    table = (tmp_path / "exp" / "out" / "table3.csv").read_text().splitlines()
+    assert table[0].startswith("model,fusion,N,")
+    assert len(table) == 1 + 4  # two models x product, sum at one cutoff
+    for name in ("checkins.tsv", "pois.tsv", "social.tsv"):
+        assert (tmp_path / "exp" / "data" / name).is_file()

@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
-from poifair.sequential import TransitionGraph, amc_scores, build_l2tg
+from poifair.sequential import amc_scores, build_l2tg, transition_graph
 
-from conftest import make_checkin
+import oracles
+from conftest import make_checkin, make_train
 from oracles import amc_score, transition_counts
 
 H = 3600
+# POI codes of the hand-built graphs below.
+A, B, C, X = range(4)
 
 
 def seq(user, path):
@@ -15,13 +19,20 @@ def seq(user, path):
     return [make_checkin(user, p, int(t * H)) for p, t in path]
 
 
-def graph_view(g):
-    """(out_totals, {src: out_edges}) over every source with an out-edge."""
-    totals = {s: n for s, n in g.out_totals.items() if n}
-    return totals, {s: g.out_edges(s) for s in sorted(totals)}
+def graph_view(g, poi_ids):
+    """{src: {dst: probability}} by POI id over every source with an
+    out-edge."""
+    view = {}
+    for s, src in enumerate(poi_ids):
+        lo, hi = g.indptr[s], g.indptr[s + 1]
+        if hi > lo:
+            view[src] = {
+                poi_ids[d]: p for d, p in zip(g.dst[lo:hi].tolist(), g.prob[lo:hi].tolist())
+            }
+    return view
 
 
-def assert_graph_counts(g, counts):
+def assert_graph_counts(g, poi_ids, counts):
     """g holds exactly the transition counts `counts` ({(src, dst): n})."""
     totals = {}
     for (src, _), n in counts.items():
@@ -30,24 +41,32 @@ def assert_graph_counts(g, counts):
         src: {d: n / total for (s, d), n in counts.items() if s == src}
         for src, total in sorted(totals.items())
     }
-    assert graph_view(g) == (totals, edges)
+    assert graph_view(g, poi_ids) == edges
+
+
+def graph(edges, n_pois):
+    """The transition graph of [(src, dst, n), ...] over POI codes."""
+    pairs = [(s, d) for s, d, n in edges for _ in range(n)]
+    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return transition_graph(src, dst, n_pois)
 
 
 class TestBuild:
     def test_simple_chain(self):
-        train = {"u": seq("u", [("A", 1), ("B", 2), ("C", 3)])}
+        train = make_train(seq("u", [("A", 1), ("B", 2), ("C", 3)]))
         g = build_l2tg(train)
-        assert_graph_counts(g, {("A", "B"): 1, ("B", "C"): 1})
-        assert g.out_totals["A"] == 1
+        assert_graph_counts(g, train.poi_ids, {("A", "B"): 1, ("B", "C"): 1})
+        assert g.indptr.tolist() == [0, 1, 2, 2]
 
     def test_session_gap_cut(self):
-        train = {"u": seq("u", [("A", 1), ("B", 2), ("C", 33)])}
+        train = make_train(seq("u", [("A", 1), ("B", 2), ("C", 33)]))
         g = build_l2tg(train, session_gap_hours=24)
-        assert_graph_counts(g, {("A", "B"): 1})
+        assert_graph_counts(g, train.poi_ids, {("A", "B"): 1})
 
     def test_empty_graph_legal(self):
-        g = build_l2tg({})
-        assert_graph_counts(g, {})
+        train = make_train(seq("u", [("A", 1)]) + seq("v", [("B", 1)]))
+        g = build_l2tg(train)
+        assert_graph_counts(g, train.poi_ids, {})
 
     def test_random_sequences_match_pair_scan(self):
         rnd = random.Random(31)
@@ -59,8 +78,13 @@ class TestBuild:
                 t += rnd.uniform(0.5, 40.0)
                 path.append((f"p{rnd.randrange(10)}", t))
             train[f"u{i}"] = seq(f"u{i}", path)
-        g = build_l2tg(train, session_gap_hours=24)
-        assert_graph_counts(g, transition_counts(train, 24))
+        cols = make_train([c for s in train.values() for c in s])
+        g = build_l2tg(cols, session_gap_hours=24)
+        assert_graph_counts(g, cols.poi_ids, transition_counts(train, 24))
+        want = oracles.build_l2tg(train, 24)
+        assert graph_view(g, cols.poi_ids) == {
+            s: want.out_edges(s) for s in sorted(want.out_totals)
+        }
 
     def test_user_permutation_invariance(self):
         paths = {
@@ -68,69 +92,67 @@ class TestBuild:
             "u2": [("B", 1), ("C", 2)],
             "u3": [("A", 5), ("C", 6)],
         }
-        g1 = build_l2tg({u: seq(u, p) for u, p in paths.items()})
-        g2 = build_l2tg({u: seq(u, paths[u]) for u in reversed(sorted(paths))})
-        assert graph_view(g1) == graph_view(g2)
+        t1 = make_train([c for u, p in paths.items() for c in seq(u, p)])
+        t2 = make_train([c for u in reversed(sorted(paths)) for c in seq(u, paths[u])])
+        assert graph_view(build_l2tg(t1), t1.poi_ids) == graph_view(
+            build_l2tg(t2), t2.poi_ids
+        )
 
 
 class TestScore:
     def test_single_deterministic_transition(self):
-        g = TransitionGraph()
-        g.add("A", "B")
-        assert amc_scores(g, ["A"], ["B"]) == [pytest.approx(1.0)]
+        g = graph([(A, B, 1)], 2)
+        assert amc_scores(g, [A], [B]).tolist() == [pytest.approx(1.0)]
 
     def test_absent_edge(self):
-        g = TransitionGraph()
-        g.add("A", "B")
-        assert amc_scores(g, ["A"], ["C"]) == [0.0]
+        g = graph([(A, B, 1)], 3)
+        assert amc_scores(g, [A], [C]).tolist() == [0.0]
 
     def test_worked_two_step_example(self):
         # weights for k=2 at alpha=0.5: (2/3, 1/3); X has no out-edges
-        g = TransitionGraph()
-        g.add("A", "B", 3)
-        g.add("A", "C", 1)
-        score = amc_scores(g, ["X", "A"], ["B"], alpha=0.5, memory=5)
-        assert score == [pytest.approx(0.5)]
+        g = graph([(A, B, 3), (A, C, 1)], 4)
+        score = amc_scores(g, [X, A], [B], alpha=0.5, memory=5)
+        assert score.tolist() == [pytest.approx(0.5)]
 
     def test_empty_history(self):
-        g = TransitionGraph()
-        assert amc_scores(g, [], ["A"]) == [0.0]
+        g = graph([], 1)
+        assert amc_scores(g, [], [A]).tolist() == [0.0]
 
     def test_parameter_validation(self):
-        g = TransitionGraph()
+        g = graph([], 2)
         with pytest.raises(ValueError):
-            amc_scores(g, ["A"], ["B"], alpha=1.5)
+            amc_scores(g, [A], [B], alpha=1.5)
         with pytest.raises(ValueError):
-            amc_scores(g, ["A"], ["B"], memory=0)
+            amc_scores(g, [A], [B], memory=0)
 
     def test_rows_sum_to_one(self):
         rnd = random.Random(5)
-        g = TransitionGraph()
-        for _ in range(200):
-            g.add(f"p{rnd.randrange(15)}", f"p{rnd.randrange(15)}", rnd.randrange(1, 4))
-        for src in g.out_totals:
-            total = sum(g.out_edges(src).values())
+        g = graph(
+            [(rnd.randrange(15), rnd.randrange(15), rnd.randrange(1, 4)) for _ in range(200)],
+            15,
+        )
+        for s in np.flatnonzero(np.diff(g.indptr)):
+            total = g.prob[g.indptr[s]:g.indptr[s + 1]].sum()
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_score_mass_bounded_by_one(self):
         rnd = random.Random(6)
-        g = TransitionGraph()
-        nodes = [f"p{i}" for i in range(12)]
-        for _ in range(300):
-            g.add(rnd.choice(nodes), rnd.choice(nodes))
+        nodes = list(range(12))
+        g = graph([(rnd.choice(nodes), rnd.choice(nodes), 1) for _ in range(300)], 12)
         history = [rnd.choice(nodes) for _ in range(8)]
-        total = sum(amc_scores(g, history, nodes))
+        total = amc_scores(g, history, nodes).sum()
         assert total <= 1.0 + 1e-9
         # every history node has out-edges here -> equality
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_vectorized_matches_scalar(self):
         rnd = random.Random(8)
-        g = TransitionGraph()
-        nodes = [f"p{i}" for i in range(10)]
-        for _ in range(100):
-            g.add(rnd.choice(nodes), rnd.choice(nodes))
-        history = [rnd.choice(nodes) for _ in range(7)]
-        batch = amc_scores(g, history, nodes)
-        for p, s in zip(nodes, batch):
-            assert s == pytest.approx(amc_score(g, history, p), abs=1e-12)
+        edges = [(rnd.randrange(10), rnd.randrange(10), 1) for _ in range(100)]
+        g = graph(edges, 10)
+        by_id = oracles.TransitionGraph()
+        for s, d, n in edges:
+            by_id.add(f"p{s}", f"p{d}", n)
+        history = [rnd.randrange(10) for _ in range(7)]
+        batch = amc_scores(g, history, list(range(10)))
+        for p, s in enumerate(batch.tolist()):
+            assert s == amc_score(by_id, [f"p{h}" for h in history], f"p{p}")

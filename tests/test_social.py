@@ -5,30 +5,75 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from poifair.data import SocialGraph
+from poifair.data import PairCounts, SocialGraph
 from poifair.geo import distance_km
 from poifair.social import (
+    BETA_MAX,
     PowerLawFit,
     fcf_score,
     fit_power_law,
     power_law_score,
-    residence,
+    residences,
     social_frequency,
-    visit_counts,
 )
 
 import oracles
 from conftest import make_checkin
+from oracles import residence, visit_counts
+
+
+def rows_of(counts, users, pois):
+    """(user code, POI code) training rows that replay each Counter in its
+    insertion order, users in the order of `users`."""
+    rows = [
+        (i, pois.index(p))
+        for i, v in enumerate(users) for p, n in counts.get(v, {}).items()
+        for _ in range(n)
+    ]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2).T
+
+
+def social_frequency_by_id(u, counts, g) -> Counter:
+    """social_frequency on an id-keyed world: {POI: friends' total}, in the
+    order the library gives first visits."""
+    users = sorted(set(counts) | {u})
+    pois = sorted({p for c in counts.values() for p in c})
+    user, poi = rows_of(counts, users, pois)
+    bounds = np.searchsorted(user, np.arange(len(users) + 1))
+    friends = np.array([users.index(v) for v in sorted(g.friends(u)) if v in users],
+                       dtype=np.intp)
+    order, totals = social_frequency(friends, bounds, poi, len(pois))
+    return Counter({pois[p]: int(totals[p]) for p in order.tolist()})
+
+
+def residence_by_id(u, counts) -> str:
+    users = sorted(counts)
+    pois = sorted({p for c in counts.values() for p in c})
+    visits = PairCounts.of(*rows_of(counts, users, pois), len(users), len(pois))
+    return pois[residences(visits)[users.index(u)]]
+
+
+def fcf_by_id(u, cands, counts, g, residence, poi_coords) -> np.ndarray:
+    """fcf_score on an id-keyed world, at the candidates `cands`."""
+    users = sorted(set(counts) | set(residence) | {u})
+    pois = sorted(poi_coords)
+    visits = PairCounts.of(*rows_of(counts, users, pois), len(users), len(pois))
+    res = np.array([pois.index(residence[v]) if v in residence else -1 for v in users])
+    friends = np.array([users.index(v) for v in sorted(g.friends(u)) if v in users],
+                       dtype=np.intp)
+    lats, lons = (np.array([poi_coords[p][i] for p in pois]) for i in (0, 1))
+    scores = fcf_score(users.index(u), friends, visits, res, lats, lons)
+    return scores[[pois.index(p) for p in cands]]
 
 
 class TestSocialFrequency:
     def test_direct_sum(self):
         counts = {"v1": Counter({"p": 3}), "v2": Counter()}
         g = SocialGraph([("u", "v1"), ("u", "v2")])
-        assert social_frequency("u", counts, g) == Counter({"p": 3})
+        assert social_frequency_by_id("u", counts, g) == Counter({"p": 3})
 
     def test_no_friends(self):
-        assert social_frequency("u", {}, SocialGraph()) == Counter()
+        assert social_frequency_by_id("u", {"u": Counter("p")}, SocialGraph()) == Counter()
 
     def test_random_graph_matches_double_loop(self):
         rnd = random.Random(9)
@@ -47,7 +92,9 @@ class TestSocialFrequency:
             edges.add((min(a, b), max(a, b)))
         g = SocialGraph(edges)
         for u in users:
-            merged = social_frequency(u, counts, g)
+            merged = social_frequency_by_id(u, counts, g)
+            want = oracles.merged_social_frequency(u, counts, g)
+            assert list(merged.items()) == list(want.items())
             for p in [f"p{i}" for i in range(8)]:
                 expected = 0
                 for v in users:
@@ -87,40 +134,59 @@ class TestPowerLawFit:
 
 class TestPowerLawScore:
     def test_below_threshold(self):
-        assert power_law_score(PowerLawFit(beta=2.0), 0) == 0.0
+        assert power_law_score(PowerLawFit(beta=2.0), [0]).tolist() == [0.0]
 
     def test_direct_formula(self):
-        assert power_law_score(PowerLawFit(beta=2.0), 2) == pytest.approx(0.5)
+        assert power_law_score(PowerLawFit(beta=2.0), [2])[0] == pytest.approx(0.5)
 
     def test_limit_and_monotone(self):
         fit = PowerLawFit(beta=2.5)
         xs = [1, 2, 5, 10, 100, 10**6]
-        scores = [power_law_score(fit, x) for x in xs]
+        scores = power_law_score(fit, xs).tolist()
         assert all(0 <= s < 1 for s in scores)
         assert scores == sorted(scores)
         assert scores[-1] > 0.999
+
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 2.7, BETA_MAX])
+    def test_matches_scalar_oracle_bit_for_bit(self, beta):
+        rnd = random.Random(beta)
+        xs = [0.0, 0.25, 0.999, 1.0, 1.0, 2.0, 3.5, 17.0, 1e6, 3.7e12, 0.0]
+        xs += [rnd.uniform(0.0, 60.0) for _ in range(200)] + [rnd.randrange(60) for _ in range(200)]
+        fit = PowerLawFit(beta=beta)
+        got = power_law_score(fit, xs).tolist()
+        assert got == [oracles.power_law_score(fit, x) for x in xs]
+
+    def test_clamped_fit_matches_scalar_oracle(self):
+        fit = fit_power_law([1.0] * 12)
+        assert fit.beta == BETA_MAX
+        xs = [0, 0.5, 1, 2, 10**9]
+        assert power_law_score(fit, xs).tolist() == [
+            oracles.power_law_score(fit, x) for x in xs
+        ]
 
 
 class TestResidence:
     def test_max_count(self):
         counts = {"u": Counter({"A": 3, "B": 1})}
-        assert residence("u", counts) == "A"
+        assert residence_by_id("u", counts) == "A"
 
     def test_tie_smallest_id(self):
         counts = {"u": Counter({"B": 2, "A": 2})}
-        assert residence("u", counts) == "A"
+        assert residence_by_id("u", counts) == "A"
 
     def test_empty_profile(self):
-        with pytest.raises(ValueError):
-            residence("u", {})
+        # User 1 has no training visit.
+        visits = PairCounts.of(np.array([0]), np.array([2]), 2, 3)
+        assert residences(visits).tolist() == [2, -1]
 
     def test_random_argmax(self):
         rnd = random.Random(13)
         profile = Counter({f"p{i}": rnd.randrange(1, 50) for i in range(30)})
-        r = residence("u", {"u": profile})
+        r = residence_by_id("u", {"u": profile})
         best = max(profile.values())
         assert profile[r] == best
         assert r == min(p for p, n in profile.items() if n == best)
+        assert r == residence("u", {"u": profile})
 
 
 class TestFcf:
@@ -137,12 +203,12 @@ class TestFcf:
         counts = {"u": Counter({"h0": 2}), "v": Counter({"h1": 1, "p": 4})}
         g = SocialGraph([("u", "v")])
         residences = {"u": "h0", "v": "h1"}
-        score = fcf_score("u", ["p"], counts, g, residences, self.poi_coords())
+        score = fcf_by_id("u", ["p"], counts, g, residences, self.poi_coords())
         assert score.tolist() == pytest.approx([4.0])
 
     def test_no_friends(self):
         counts = {"u": Counter({"h0": 2})}
-        scores = fcf_score("u", ["h1", "p"], counts, SocialGraph(), {"u": "h0"}, self.poi_coords())
+        scores = fcf_by_id("u", ["h1", "p"], counts, SocialGraph(), {"u": "h0"}, self.poi_coords())
         assert scores.tolist() == [0.0, 0.0]
 
     def test_weighted_mean_oracle(self):
@@ -160,7 +226,7 @@ class TestFcf:
             for v in ("v1", "v2", "v3")
         }
         expected = (sims["v1"] * 3 + sims["v2"] * 5 + sims["v3"] * 0) / sum(sims.values())
-        score = fcf_score("u", ["p"], counts, g, residences, coords)[0]
+        score = fcf_by_id("u", ["p"], counts, g, residences, coords)[0]
         assert score == pytest.approx(expected, abs=1e-12)
         assert score == oracles.fcf_score("u", "p", counts, g, residences, coords)
 
@@ -174,8 +240,8 @@ class TestFcf:
         residences = {"u": "h0", "v1": "h1", "v2": "h2"}
         g1 = SocialGraph([("u", "v1"), ("u", "v2")])
         g2 = SocialGraph([("u", "v2"), ("u", "v1")])
-        s1 = fcf_score("u", ["p"], counts, g1, residences, coords)
-        s2 = fcf_score("u", ["p"], counts, g2, residences, coords)
+        s1 = fcf_by_id("u", ["p"], counts, g1, residences, coords)
+        s2 = fcf_by_id("u", ["p"], counts, g2, residences, coords)
         assert s1.tolist() == s2.tolist()
 
     def test_matches_scalar_oracle_per_candidate(self):
@@ -191,7 +257,7 @@ class TestFcf:
         g = SocialGraph([(a, b) for a in users for b in users if a < b and rnd.random() < 0.4])
         for u in users:
             cands = rnd.sample(pois, rnd.randrange(1, len(pois)))
-            scores = fcf_score(u, cands, counts, g, residences, coords)
+            scores = fcf_by_id(u, cands, counts, g, residences, coords)
             expected = [
                 oracles.fcf_score(u, p, counts, g, residences, coords) for p in cands
             ]
