@@ -1,17 +1,24 @@
 """Ranking metrics and group-fairness aggregation."""
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .temporal import GroupAssignment
 
 
 @dataclass(frozen=True)
 class RankingMetrics:
-    precision: float
-    recall: float
-    ndcg: float
+    """Per-row metrics, each an (R,) float array."""
+
+    precision: np.ndarray
+    recall: np.ndarray
+    ndcg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -25,23 +32,33 @@ class GroupMetrics:
     pct_delta: float | None  # None when no baseline supplied
 
 
-def ranking_metrics(recommended: list[str], relevant: set[str], n: int) -> RankingMetrics:
-    """Precision/recall/nDCG at cutoff n with binary gains.
+def ranking_metrics(hits: np.ndarray, n_relevant: np.ndarray, n: int) -> RankingMetrics:
+    """Precision/recall/nDCG at cutoff n with binary gains, one row per list.
 
-    DCG discount is 1/log2(rank+1) with 1-indexed ranks; IDCG assumes
-    min(n, |relevant|) hits at the top.
-    """
+    hits is an (R, <= n) bool matrix, True where a list's item at that rank
+    is relevant; a list shorter than n has no hit past its end. n_relevant
+    is each row's number of relevant items. The DCG discount is
+    1/log2(rank+1) with 1-indexed ranks; IDCG assumes min(n, n_relevant)
+    hits at the top. DCG adds one rank column at a time, left to right, and
+    IDCG is a sequential prefix sum, so each row equals the scalar sums taken
+    in rank order."""
     if n < 1:
         raise ValueError("cutoff must be >= 1")
-    top = recommended[:n]
-    hits = [i for i, p in enumerate(top, start=1) if p in relevant]
-    precision = len(hits) / n
-    recall = len(hits) / len(relevant) if relevant else 0.0
-    dcg = sum(1.0 / math.log2(rank + 1) for rank in hits)
-    ideal = min(n, len(relevant))
-    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal + 1))
-    ndcg = dcg / idcg if idcg > 0 else 0.0
-    return RankingMetrics(precision=precision, recall=recall, ndcg=ndcg)
+    hits = np.asarray(hits, dtype=bool)[:, :n]
+    n_relevant = np.asarray(n_relevant, dtype=np.intp)
+    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, n + 1)]
+    dcg = np.zeros(len(hits))
+    for j in range(hits.shape[1]):
+        dcg[hits[:, j]] += discounts[j]
+    idcg = np.array(list(itertools.accumulate(discounts, initial=0.0)))[
+        np.minimum(n, n_relevant)
+    ]
+    n_hits = hits.sum(axis=1)
+    recall = np.zeros(len(hits))
+    np.divide(n_hits, n_relevant, out=recall, where=n_relevant > 0)
+    ndcg = np.zeros(len(hits))
+    np.divide(dcg, idcg, out=ndcg, where=idcg > 0)
+    return RankingMetrics(precision=n_hits / n, recall=recall, ndcg=ndcg)
 
 
 def fairness_summary(
@@ -71,8 +88,10 @@ def fairness_summary(
     )
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+def _mean(values) -> float:
+    """Mean with the values added strictly left to right: the builtin sum()
+    of floats is compensated from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0) / len(values)
 
 
 def group_metrics(
@@ -124,31 +143,28 @@ def evaluate_run(
     Users recommended-for but absent from the test split (or with an empty
     relevant set) are excluded and counted.
     """
-    per_user: dict[str, RankingMetrics] = {}
-    skipped = 0
-    for u, recs in recommendations.items():
-        relevant = test_relevant.get(u)
-        if not relevant:
-            skipped += 1
-            continue
-        per_user[u] = ranking_metrics(recs, relevant, cutoff)
-    if not per_user:
+    users = [u for u in recommendations if test_relevant.get(u)]
+    if not users:
         raise ValueError("no users with nonempty test sets")
-    gm = group_metrics(
-        {u: m.ndcg for u, m in per_user.items()}, assignment, baseline_delta
-    )
+    hits = np.zeros((len(users), cutoff), dtype=bool)
+    for i, u in enumerate(users):
+        relevant = test_relevant[u]
+        top = recommendations[u][:cutoff]
+        hits[i, :len(top)] = [p in relevant for p in top]
+    m = ranking_metrics(hits, [len(test_relevant[u]) for u in users], cutoff)
+    gm = group_metrics(dict(zip(users, m.ndcg.tolist())), assignment, baseline_delta)
     return EvalReport(
         model=model,
         fusion=fusion,
         cutoff=cutoff,
-        precision=_mean([m.precision for m in per_user.values()]),
-        recall=_mean([m.recall for m in per_user.values()]),
+        precision=_mean(m.precision.tolist()),
+        recall=_mean(m.recall.tolist()),
         ndcg=gm.ndcg_all,
         ndcg_leisure=gm.ndcg_leisure,
         ndcg_working=gm.ndcg_working,
         delta_ndcg=gm.delta_ndcg,
         pct_delta=gm.pct_delta,
         acc_unf=gm.acc_unf,
-        n_users_evaluated=len(per_user),
-        n_users_skipped=skipped,
+        n_users_evaluated=len(users),
+        n_users_skipped=len(recommendations) - len(users),
     )

@@ -40,8 +40,8 @@ from .recommend import (
     CandidateScores,
     FittedModel,
     fused_scores,
-    rank_order,
     recommend_topn,
+    top_k,
 )
 from .temporal import (
     assign_groups,
@@ -86,7 +86,8 @@ def sweep_ndcg(
 ) -> dict[str, list[float]]:
     """Validation nDCG@cutoff of each user's weighted-sum list at every grid
     point, in grid order. Each user's scores are normalised and fused once
-    for the whole grid; users with no relevant POI or no candidate are left
+    for the whole grid, its top lists are selected at once, and one metrics
+    call scores them; users with no relevant POI or no candidate are left
     out."""
     lambdas = {}
     out = {}
@@ -97,8 +98,9 @@ def sweep_ndcg(
         if cs.enabled not in lambdas:
             lambdas[cs.enabled] = rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
         scores = fused_scores(cs, lambdas[cs.enabled])
-        tops = cs.poi_ids[rank_order(scores)[:, :cutoff]].tolist()
-        out[u] = [ranking_metrics(top, rel, cutoff).ndcg for top in tops]
+        is_relevant = np.isin(cs.poi_ids, list(rel))
+        hits = is_relevant[top_k(scores, cutoff)]
+        out[u] = ranking_metrics(hits, np.full(len(hits), len(rel)), cutoff).ndcg.tolist()
     return out
 
 
@@ -216,9 +218,16 @@ class Pipeline:
             return profiles, assignment
 
     def fit_and_recommend(self, split: SplitDataset):
-        """Fit each model once and cache raw candidate context scores."""
+        """Fit each model once and cache raw candidate context scores. A user
+        with no training check-in has nothing to score from; such users are
+        left out and counted."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
+            users = np.flatnonzero(np.diff(train.user_rows()))
+            missing = len(train.user_ids) - len(users)
+            self.counts["recommend.users_without_train"] = missing
+            if missing:
+                log.warning("%d users have no training check-in; not scored", missing)
             caches = {}
             for name in self.cfg.models:
                 model = FittedModel(
@@ -228,7 +237,7 @@ class Pipeline:
                     amc_memory=self.cfg.amc_memory,
                 )
                 caches[name] = {
-                    u: model.score_candidates(i) for i, u in enumerate(train.user_ids)
+                    train.user_ids[i]: model.score_candidates(i) for i in users.tolist()
                 }
             return caches
 

@@ -41,15 +41,20 @@ def social_frequency(
 
 
 def fit_power_law(frequencies) -> PowerLawFit:
-    """Continuous-approximation MLE with x_min = 1, exponent clamped to (1, 10]."""
-    xs = [float(x) for x in frequencies]
+    """Continuous-approximation MLE with x_min = 1, exponent clamped to (1, 10].
+
+    The log-sum adds Python's `math.log` of each observation strictly in
+    input order; the log runs once per distinct value."""
+    xs = np.asarray(frequencies, dtype=float)
     if len(xs) < MIN_FIT_OBSERVATIONS:
         raise ValueError(
             f"need >= {MIN_FIT_OBSERVATIONS} positive observations, got {len(xs)}"
         )
-    if any(x < 1.0 for x in xs):
+    if (xs < 1.0).any():
         raise ValueError("frequencies must be >= x_min = 1")
-    log_sum = sum(math.log(x) for x in xs)
+    values, inverse = np.unique(xs, return_inverse=True)
+    logs = np.array([math.log(v) for v in values.tolist()])
+    log_sum = float(np.add.accumulate(logs[inverse])[-1])
     if log_sum <= 0.0:
         log.warning("all observations at x_min; exponent clamped to %s", BETA_MAX)
         return PowerLawFit(beta=BETA_MAX)

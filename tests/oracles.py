@@ -2,11 +2,12 @@
 per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
 (visit counts, residences, transition graph, category frequencies, power-law
 inputs), the one-candidate-at-a-time context scores, the one-candidate
-fusion, the top-N ranking and the weighted-sum sweep. Tests compare the
-library against them."""
+fusion, the top-N ranking, the one-list ranking metrics and the weighted-sum
+sweep. Tests compare the library against them."""
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 from poifair.data import CheckIn, DatasetStats
 from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, weight_sweep
 from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
-from poifair.metrics import group_metrics, ranking_metrics
+from poifair.metrics import group_metrics
 from poifair.recommend import fused_scores
 from poifair.sequential import AMC_DECAY, AMC_MEMORY
 from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
@@ -383,6 +384,41 @@ def topn(poi_ids, scores, n):
     with their scores."""
     order = sorted(range(len(poi_ids)), key=lambda i: (-scores[i], poi_ids[i]))[:n]
     return [poi_ids[i] for i in order], [float(scores[i]) for i in order]
+
+
+@dataclass(frozen=True)
+class RankingMetrics:
+    precision: float
+    recall: float
+    ndcg: float
+
+
+def sequential_sum(values) -> float:
+    """Floats added strictly left to right from 0.0, as the builtin sum()
+    does up to Python 3.11 (3.12's is compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def ranking_metrics(recommended, relevant, n: int) -> RankingMetrics:
+    """Precision/recall/nDCG of one list at cutoff n with binary gains.
+
+    DCG discount is 1/log2(rank+1) with 1-indexed ranks; IDCG assumes
+    min(n, |relevant|) hits at the top.
+    """
+    if n < 1:
+        raise ValueError("cutoff must be >= 1")
+    top = recommended[:n]
+    hits = [i for i, p in enumerate(top, start=1) if p in relevant]
+    precision = len(hits) / n
+    recall = len(hits) / len(relevant) if relevant else 0.0
+    dcg = sequential_sum(1.0 / math.log2(rank + 1) for rank in hits)
+    ideal = min(n, len(relevant))
+    idcg = sequential_sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal + 1))
+    ndcg = dcg / idcg if idcg > 0 else 0.0
+    return RankingMetrics(precision=precision, recall=recall, ndcg=ndcg)
 
 
 def sweep(caches, assignment, val_relevant, cutoff, step, objective):

@@ -11,7 +11,7 @@ import pytest
 from poifair.config import ExperimentConfig
 from poifair.data import parse_dataset, preprocess_filter, temporal_split
 from poifair.fusion import PRODUCT, SUM, fuse_arrays, rule_lambdas
-from poifair.metrics import fairness_summary, ranking_metrics
+from poifair.metrics import fairness_summary
 from poifair.pipeline import run_pipeline
 from poifair.sequential import amc_scores, transition_graph
 from poifair.social import fit_power_law
@@ -21,7 +21,7 @@ from poifair.temporal import UserTemporalProfile, assign_groups
 from conftest import make_checkin, make_dataset
 from oracles import checkin_lists, geo_score
 from test_geo import quadrature_mass
-from test_metrics import brute_force_metrics
+from test_metrics import brute_force_metrics, list_metrics
 
 
 def report(criterion, ok):
@@ -38,7 +38,7 @@ def test_c01_metric_oracle_equivalence():
         recs = rnd.sample(items, rnd.randrange(1, 40))
         relevant = set(rnd.sample(items, rnd.randrange(0, 30)))
         n = rnd.randrange(1, 30)
-        m = ranking_metrics(recs, relevant, n)
+        m = list_metrics(recs, relevant, n)
         p, r, nd = brute_force_metrics(recs, relevant, n)
         ok &= abs(m.precision - p) <= 1e-12
         ok &= abs(m.recall - r) <= 1e-12

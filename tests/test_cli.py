@@ -182,6 +182,20 @@ class TestRun:
         with (out / "profiles.csv").open() as fh:
             assert [r["user_id"] for r in csv.DictReader(fh)] == [f"x{j}" for j in range(6)]
 
+    def test_users_without_training_rows_are_skipped_and_counted(self, tmp_path):
+        # floor(0.02 * n) is 0 for a user with fewer than 50 check-ins.
+        ds = generate(SynthConfig(n_users=80))
+        paths = write_tsv(ds, tmp_path / "data")
+        path = write_config(
+            tmp_path, paths, models=["geosoca", "lore"],
+            train_frac=0.02, val_frac=0.38, test_frac=0.6,
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert (out / "table3.csv").is_file()
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["recommend.users_without_train"] > 0
+
     def test_out_override(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files)
         other = tmp_path / "elsewhere"

@@ -1,15 +1,21 @@
+import functools
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from poifair.metrics import (
+    _mean,
     evaluate_run,
     fairness_summary,
     group_metrics,
     ranking_metrics,
 )
 from poifair.temporal import GroupAssignment
+
+import oracles
 
 
 def brute_force_metrics(recommended, relevant, n):
@@ -29,28 +35,38 @@ def brute_force_metrics(recommended, relevant, n):
     return precision, recall, ndcg
 
 
+def list_metrics(recommended, relevant, n) -> oracles.RankingMetrics:
+    """ranking_metrics of one list, built as one hit row."""
+    hits = np.zeros((1, len(recommended[:n])), dtype=bool)
+    hits[0] = [p in relevant for p in recommended[:n]]
+    m = ranking_metrics(hits, [len(relevant)], n)
+    return oracles.RankingMetrics(
+        precision=float(m.precision[0]), recall=float(m.recall[0]), ndcg=float(m.ndcg[0])
+    )
+
+
 class TestRankingMetrics:
     def test_perfect_ranking(self):
-        m = ranking_metrics(["a", "b", "c"], {"a", "b", "c", "d"}, 3)
+        m = list_metrics(["a", "b", "c"], {"a", "b", "c", "d"}, 3)
         assert m.precision == 1.0
         assert m.ndcg == 1.0
 
     def test_zero_hits(self):
-        m = ranking_metrics(["x", "y"], {"a"}, 2)
+        m = list_metrics(["x", "y"], {"a"}, 2)
         assert (m.precision, m.recall, m.ndcg) == (0.0, 0.0, 0.0)
 
     def test_single_hit_at_rank_two(self):
-        m = ranking_metrics(["x", "a"], {"a"}, 2)
+        m = list_metrics(["x", "a"], {"a"}, 2)
         assert m.ndcg == pytest.approx(1.0 / math.log2(3), abs=1e-9)
         assert m.ndcg == pytest.approx(0.6309, abs=5e-5)
 
     def test_empty_relevant(self):
-        m = ranking_metrics(["a"], set(), 1)
+        m = list_metrics(["a"], set(), 1)
         assert m.recall == 0.0
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
-            ranking_metrics(["a"], {"a"}, 0)
+            ranking_metrics(np.ones((1, 1), dtype=bool), [1], 0)
 
     def test_bounds_and_oracle_equivalence(self):
         rnd = random.Random(99)
@@ -59,7 +75,7 @@ class TestRankingMetrics:
             recs = rnd.sample(items, rnd.randrange(1, 30))
             relevant = set(rnd.sample(items, rnd.randrange(0, 20)))
             n = rnd.randrange(1, 25)
-            m = ranking_metrics(recs, relevant, n)
+            m = list_metrics(recs, relevant, n)
             p, r, nd = brute_force_metrics(recs, relevant, n)
             assert m.precision == p
             assert m.recall == r
@@ -67,8 +83,16 @@ class TestRankingMetrics:
             assert 0 <= m.precision <= 1 and 0 <= m.recall <= 1 and 0 <= m.ndcg <= 1
 
     def test_ndcg_one_iff_top_ranks_are_hits(self):
-        assert ranking_metrics(["a", "b", "x"], {"a", "b"}, 3).ndcg == 1.0
-        assert ranking_metrics(["a", "x", "b"], {"a", "b"}, 3).ndcg < 1.0
+        assert list_metrics(["a", "b", "x"], {"a", "b"}, 3).ndcg == 1.0
+        assert list_metrics(["a", "x", "b"], {"a", "b"}, 3).ndcg < 1.0
+
+
+def test_mean_adds_left_to_right():
+    """A compensated sum, as the builtin sum() of floats is from Python 3.12
+    on, keeps the tiny terms; adding left to right absorbs each one into 1.0."""
+    values = [1.0] + [1e-16] * 10
+    assert math.fsum(values) != functools.reduce(operator.add, values)
+    assert _mean(values) == functools.reduce(operator.add, values) / len(values)
 
 
 class TestFairnessSummary:

@@ -1,7 +1,9 @@
 """Property tests of the bulk ranking and fusion paths against their scalar
-oracles: recommend_topn against a full Python sort, and multi-row fusion
-against one-row calls and the one-candidate fusion oracle, bit for bit."""
+oracles: top_k and recommend_topn against a full sort, the row-wise ranking
+metrics against the one-list oracle, and multi-row fusion against one-row
+calls and the one-candidate fusion oracle, bit for bit."""
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from poifair.fusion import (
     rule_lambdas,
     simplex_grid,
 )
-from poifair.recommend import CandidateScores, fused_scores, recommend_topn
+from poifair import recommend
+from poifair.metrics import ranking_metrics
+from poifair.recommend import CandidateScores, fused_scores, recommend_topn, top_k
 
 import oracles
 
@@ -58,6 +62,87 @@ def test_topn_signed_zero_ties_break_by_poi_id():
     pois, vals = recommend_topn(ids, scores, 10)
     assert pois == ["a", "b", "c", "d"]
     assert bits(vals) == bits([0.0, -0.0, -0.0, 0.0])
+
+
+@st.composite
+def score_matrices(draw):
+    """(scores, k): G = 1 (as one row or 1-D) or G = 66 rows, values drawn
+    from a small pool so that ties are common, with a run of zeros of both
+    signs across every row."""
+    g = draw(st.sampled_from([1, 66]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    pool = np.array(draw(st.lists(score_st, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scores = rng.choice(pool, size=(g, n))
+    lo = draw(st.integers(min_value=0, max_value=n))
+    hi = draw(st.integers(min_value=lo, max_value=n))
+    scores[:, lo:hi] = rng.choice([0.0, -0.0], size=(g, hi - lo))
+    if g == 1 and draw(st.booleans()):
+        scores = scores[0]
+    k = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=n + 3)))
+    return scores, k
+
+
+@pytest.mark.parametrize("full_sort_max", [-1, 10**9], ids=["partition", "full-sort"])
+@settings(max_examples=200, deadline=None)
+@given(case=score_matrices())
+def test_top_k_equals_stable_argsort(case, full_sort_max):
+    """Both branches of top_k's shape cut give the stable argsort's prefix,
+    which is a Python sort by (-score, position)."""
+    scores, k = case
+    with mock.patch.object(recommend, "FULL_SORT_MAX_SIZE", full_sort_max):
+        got = top_k(scores, k)
+    want = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    for row, top in zip(np.atleast_2d(scores).tolist(), np.atleast_2d(got).tolist()):
+        assert top == sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
+
+
+@pytest.mark.parametrize("shape", [(210,), (1, 210), (66, 210), (4000,)])
+def test_top_k_at_pipeline_shapes(shape):
+    """The shapes evaluate and the sweep pass, on whichever branch the shape
+    cut takes, with a tenth of the scores zero and the rest on a 0.01 grid."""
+    rng = np.random.default_rng(sum(shape))
+    scores = np.round(rng.random(shape), 2)
+    scores[..., rng.random(shape[-1]) < 0.1] = 0.0
+    for k in (1, 10, 20):
+        want = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+        assert top_k(scores, k).tolist() == want.tolist()
+
+
+def test_top_k_rejects_k_below_one():
+    with pytest.raises(ValueError):
+        top_k(np.zeros(5), 0)
+
+
+@st.composite
+def ranked_lists(draw):
+    """(lists, relevant sets, n): lists over 30 items, some shorter than n,
+    some relevant sets empty or larger than n."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    item = st.integers(min_value=0, max_value=29)
+    rows = draw(st.lists(
+        st.tuples(st.lists(item, unique=True, max_size=n + 5), st.sets(item)),
+        min_size=1, max_size=8,
+    ))
+    lists, relevant = zip(*rows)
+    return list(lists), list(relevant), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranked_lists())
+def test_row_metrics_equal_one_list_oracle(case):
+    lists, relevant, n = case
+    width = max(len(top[:n]) for top in lists)
+    hits = np.zeros((len(lists), width), dtype=bool)
+    for i, (top, rel) in enumerate(zip(lists, relevant)):
+        hits[i, :len(top[:n])] = [p in rel for p in top[:n]]
+    m = ranking_metrics(hits, [len(rel) for rel in relevant], n)
+    for i, (top, rel) in enumerate(zip(lists, relevant)):
+        want = oracles.ranking_metrics(top, rel, n)
+        got = (m.precision[i], m.recall[i], m.ndcg[i])
+        assert bits(got) == bits([want.precision, want.recall, want.ndcg])
 
 
 unit_st = st.one_of(

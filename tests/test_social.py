@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poifair.data import PairCounts, SocialGraph
 from poifair.geo import distance_km
@@ -130,6 +132,22 @@ class TestPowerLawFit:
         # independent closed-form oracle on the same sample
         oracle = 1.0 + len(xs) / float(np.log(xs).sum())
         assert fit.beta == pytest.approx(oracle, rel=1e-12)
+
+
+# Logs from about 1e-12 to about 690: the order in which they are added
+# changes the rounded sum.
+FREQUENCY_POOL = [1.0, 1.0 + 2**-40, 1.5, 2.0, 3.0, 7.0, 1e5, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.sampled_from(FREQUENCY_POOL), min_size=10, max_size=300))
+def test_power_law_fit_equals_sequential_log_sum(xs):
+    """fit_power_law's beta equals the MLE from Python's math.log of each
+    observation, added left to right, bit for bit."""
+    log_sum = oracles.sequential_sum(math.log(x) for x in xs)
+    beta = BETA_MAX if log_sum <= 0.0 else min(1.0 + len(xs) / log_sum, BETA_MAX)
+    assert fit_power_law(xs).beta.hex() == beta.hex()
+    assert fit_power_law(np.array(xs)).beta.hex() == beta.hex()
 
 
 class TestPowerLawScore:
