@@ -39,7 +39,7 @@ def main():
     )
     ds = generate(cfg)
     paths = write_tsv(ds, args.out_dir)
-    print(f"{len(ds.user_ids)} users, {len(ds.pois)} POIs, {len(ds.ts)} check-ins")
+    print(f"{len(ds.user_ids)} users, {len(ds.poi_ids)} POIs, {len(ds.ts)} check-ins")
     for name, p in paths.items():
         print(f"  {name}: {p}")
 

@@ -1,21 +1,31 @@
 """Check-in dataset loading, validation, filtering, and temporal splitting.
 
-Check-ins are numpy columns: one user code, one POI code and one timestamp
-per check-in, in input order. User and POI ids are interned to int32 codes in
-sorted order, so ordering by code is ordering by id and every tie-break on
-ids can be taken on codes. `CheckIn` is only the input of
-`Dataset.from_checkins`.
+A dataset is numpy columns: one user code, one POI code and one timestamp
+per check-in, in input order; coordinates and a category code per POI; one
+pair of user codes per friendship. User, POI and category ids are interned
+to int32 codes in sorted order, so ordering by code is ordering by id and
+every tie-break on ids can be taken on codes.
 """
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+import math
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+# Input files are read in blocks of whole lines of about this many bytes.
+BLOCK_BYTES = 1 << 20
+# Longer ids take the per-line path, which bounds the width of an id key.
+MAX_ID_BYTES = 64
+# A timestamp of at most this many digits fits int64 and is decoded in bulk.
+MAX_TS_DIGITS = 18
+# _PREFIX_MASK[k]: the first k bytes of a big-endian uint64.
+_PREFIX_MASK = np.array(
+    [(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64
+)
 # temporal_split needs this many check-ins per user; preprocess_filter
 # drops any user it leaves with fewer.
 MIN_SPLIT_CHECKINS = 3
@@ -25,61 +35,6 @@ TRAIN, VALIDATION, TEST = 0, 1, 2
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True)
-class CheckIn:
-    user_id: str
-    poi_id: str
-    timestamp: int
-    latitude: float
-    longitude: float
-
-
-@dataclass(frozen=True)
-class Poi:
-    poi_id: str
-    latitude: float
-    longitude: float
-    category_id: str | None = None
-
-
-class SocialGraph:
-    """Undirected friendship graph with symmetric membership queries."""
-
-    def __init__(self, edges=()):
-        self._adj: dict[str, set[str]] = defaultdict(set)
-        self._n_edges = 0
-        for a, b in edges:
-            self.add_edge(a, b)
-
-    def add_edge(self, a: str, b: str) -> bool:
-        """Add the edge; False if it was already there, in either direction."""
-        if a == b:
-            raise DataError(f"self-loop on user {a!r}")
-        if b in self._adj[a]:
-            return False
-        self._adj[a].add(b)
-        self._adj[b].add(a)
-        self._n_edges += 1
-        return True
-
-    def friends(self, u: str) -> frozenset[str]:
-        return frozenset(self._adj.get(u, ()))
-
-    @property
-    def n_edges(self) -> int:
-        return self._n_edges
-
-    def subgraph(self, users: set[str]) -> SocialGraph:
-        """The edges between `users`."""
-        g = SocialGraph()
-        for u in users:
-            kept = self._adj.get(u, set()) & users
-            if kept:
-                g._adj[u] = kept
-        g._n_edges = sum(map(len, g._adj.values())) // 2
-        return g
 
 
 @dataclass(frozen=True)
@@ -126,47 +81,43 @@ class LoadReport:
     social_edges_duplicate: int = 0
     social_edges_dropped: int = 0
 
+    # Blocks read from the three files, and the non-empty lines that took
+    # the line-at-a-time path. Plain attributes, not fields, so asdict() and
+    # load_report.json keep their keys.
+    blocks = 0
+    scalar_lines = 0
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
 class Dataset:
-    """Check-ins as parallel columns, in input order.
+    """Check-ins, POIs and friendships as numpy columns.
 
-    `user` and `poi` are int32 codes into `user_ids` and `poi_ids`; both are
-    sorted, so code order is id order. `poi_ids` is `sorted(pois)` and
+    Check-ins are in input order: `user` and `poi` are int32 codes into
+    `user_ids` and `poi_ids`; both are sorted, so code order is id order.
     `user_ids` holds the users with at least one check-in. `ts` is int64
-    epoch seconds."""
+    epoch seconds.
+
+    POIs are aligned to `poi_ids`: `lat`, `lon` and `category`, an int32 code
+    into the sorted `category_ids` (-1 for none), which holds exactly the
+    categories some POI has.
+
+    `edges` holds each friendship once as an int32 (a, b) pair of user codes
+    with a < b, in ascending order."""
 
     user_ids: list[str]
     poi_ids: list[str]
     user: np.ndarray
     poi: np.ndarray
     ts: np.ndarray
-    pois: dict[str, Poi]
-    social: SocialGraph
+    lat: np.ndarray
+    lon: np.ndarray
+    category: np.ndarray
+    category_ids: list[str]
+    edges: np.ndarray
     load_report: LoadReport | None = None
-
-    @classmethod
-    def from_checkins(
-        cls, checkins: list[CheckIn], pois: dict[str, Poi], social: SocialGraph
-    ) -> Dataset:
-        """Columns for a list of check-ins; their coordinates are taken from
-        `pois`, which must define every POI they name."""
-        user_ids = sorted({c.user_id for c in checkins})
-        poi_ids = sorted(pois)
-        ucode = {u: i for i, u in enumerate(user_ids)}
-        pcode = {p: i for i, p in enumerate(poi_ids)}
-        return cls(
-            user_ids,
-            poi_ids,
-            np.array([ucode[c.user_id] for c in checkins], dtype=np.int32),
-            np.array([pcode[c.poi_id] for c in checkins], dtype=np.int32),
-            np.array([c.timestamp for c in checkins], dtype=np.int64),
-            pois,
-            social,
-        )
 
     def take(self, rows: np.ndarray) -> Dataset:
         """The check-ins at `rows`, in that order, with the same id lists
@@ -185,27 +136,13 @@ class Dataset:
         user u's rows are `bounds[u]:bounds[u + 1]`."""
         return np.searchsorted(self.user, np.arange(len(self.user_ids) + 1))
 
-    def poi_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latitude, longitude and category code of each POI, by POI code.
-        Category codes number the distinct categories in sorted order; a POI
-        without one gets -1."""
-        pois = [self.pois[p] for p in self.poi_ids]
-        cats = sorted({p.category_id for p in pois} - {None})
-        code = {c: i for i, c in enumerate(cats)}
-        return (
-            np.array([p.latitude for p in pois], dtype=float),
-            np.array([p.longitude for p in pois], dtype=float),
-            np.array([code.get(p.category_id, -1) for p in pois], dtype=np.intp),
-        )
-
     def friend_codes(self) -> list[np.ndarray]:
-        """Each user's friends that have check-ins, as ascending user codes."""
-        code = {u: i for i, u in enumerate(self.user_ids)}
-        return [
-            np.array(sorted(code[v] for v in self.social.friends(u) if v in code),
-                     dtype=np.intp)
-            for u in self.user_ids
-        ]
+        """Each user's friends as ascending user codes: the rows of the
+        friendship CSR."""
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        n = len(self.user_ids)
+        csr = PairCounts.of(np.concatenate((a, b)), np.concatenate((b, a)), n, n)
+        return [csr.row(u)[0] for u in range(n)]
 
 
 @dataclass
@@ -253,10 +190,6 @@ class FilterReport:
     short_checkins_removed = 0
 
 
-def _validate_coords(lat: float, lon: float) -> bool:
-    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
-
-
 def parse_dataset(
     checkin_path,
     poi_path,
@@ -265,109 +198,339 @@ def parse_dataset(
 ) -> Dataset:
     """Load the canonical TSV files into a referentially-consistent Dataset.
 
-    Check-in coordinates are joined from the POI file. Social edges whose
-    endpoints never check in are dropped and counted in the load report.
-    Line numbers in the report count every physical line, blank ones too.
+    The files are UTF-8 with `\n`, `\r\n` or `\r` line ends, decoded in
+    blocks of whole lines. A line in the canonical form (the expected number
+    of tabs, no NUL byte, ids of 1 to MAX_ID_BYTES bytes, a timestamp of 1 to
+    MAX_TS_DIGITS ASCII digits above 0, coordinates in range) is decoded in
+    bulk; any other line goes through the per-line rules of `_poi_fields`,
+    `_checkin_fields` or `_edge_fields`, which give the same verdict on a
+    canonical line. Line numbers in the report count every physical line,
+    blank ones too. Social edges whose endpoints never check in are dropped
+    and counted in the load report.
     """
     report = LoadReport()
-
-    pois: dict[str, Poi] = {}
-    poi_lines = 0
-    for lineno, line in _read_lines(poi_path):
-        poi_lines += 1
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3:
-            report.poi_lines_malformed.append(lineno)
-            continue
-        try:
-            lat, lon = float(parts[1]), float(parts[2])
-        except ValueError:
-            report.poi_lines_malformed.append(lineno)
-            continue
-        if not _validate_coords(lat, lon):
-            report.poi_lines_malformed.append(lineno)
-            continue
-        category = parts[3] if len(parts) > 3 and parts[3] != "" else None
-        if parts[0] in pois:
-            report.poi_lines_duplicate.append(lineno)
-        pois[parts[0]] = Poi(parts[0], lat, lon, category)
-    report.poi_lines_parsed = poi_lines - len(report.poi_lines_malformed)
-    _check_malformed(report.poi_lines_malformed, poi_lines, max_malformed_frac, poi_path)
-
-    poi_ids = sorted(pois)
-    poi_code = {p: i for i, p in enumerate(poi_ids)}
-    user_code: dict[str, int] = {}  # in order of first appearance
-    user_col: list[int] = []
-    poi_col: list[int] = []
-    ts_col: list[int] = []
-    malformed = report.checkin_lines_malformed
-    ci_lines = 0
-    for lineno, line in _read_lines(checkin_path):
-        ci_lines += 1
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3:
-            malformed.append(lineno)
-            continue
-        try:
-            ts = int(parts[2])
-        except ValueError:
-            malformed.append(lineno)
-            continue
-        if not 0 < ts <= INT64_MAX:
-            malformed.append(lineno)
-            continue
-        p = poi_code.get(parts[1])
-        if p is None:
-            raise DataError(
-                f"check-in at line {lineno} references unknown poi_id {parts[1]!r}"
-            )
-        user_col.append(user_code.setdefault(parts[0], len(user_code)))
-        poi_col.append(p)
-        ts_col.append(ts)
-    report.checkin_lines_parsed = ci_lines - len(malformed)
-    _check_malformed(malformed, ci_lines, max_malformed_frac, checkin_path)
-
-    # Renumber users from first appearance to sorted id order.
-    user_ids = sorted(user_code)
-    sorted_code = np.empty(len(user_ids), dtype=np.int32)
-    sorted_code[[user_code[u] for u in user_ids]] = np.arange(len(user_ids))
-    user = sorted_code[np.array(user_col, dtype=np.intp)]
-
-    social = SocialGraph()
-    if social_path is not None:
-        for _, line in _read_lines(social_path):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2 or parts[0] == parts[1]:
-                report.social_edges_dropped += 1
-                continue
-            if parts[0] not in user_code or parts[1] not in user_code:
-                report.social_edges_dropped += 1
-                continue
-            if not social.add_edge(parts[0], parts[1]):
-                report.social_edges_duplicate += 1
-            report.social_edges_parsed += 1
-
-    return Dataset(
-        user_ids,
-        poi_ids,
-        user,
-        np.array(poi_col, dtype=np.int32),
-        np.array(ts_col, dtype=np.int64),
-        pois,
-        social,
-        report,
+    poi_ids, *poi_columns = _parse_pois(poi_path, report, max_malformed_frac)
+    user_ids, user, poi, ts = _parse_checkins(
+        checkin_path, poi_ids, report, max_malformed_frac
     )
+    if social_path is None:
+        edges = np.zeros((0, 2), dtype=np.int32)
+    else:
+        edges = _parse_social(social_path, user_ids, report)
+    return Dataset(user_ids, poi_ids, user, poi, ts, *poi_columns, edges, report)
 
 
-def _read_lines(path):
-    """(physical line number, line) for every non-blank line of path."""
+def _poi_fields(line: str):
+    """(poi_id, lat, lon, category or None) of one POI line, or None if it
+    is malformed."""
+    parts = line.split("\t")
+    if len(parts) < 3:
+        return None
+    try:
+        lat, lon = float(parts[1]), float(parts[2])
+    except ValueError:
+        return None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None
+    return parts[0], lat, lon, parts[3] if len(parts) > 3 and parts[3] != "" else None
+
+
+def _checkin_fields(line: str):
+    """(user_id, poi_id, ts) of one check-in line, or None if it is
+    malformed."""
+    parts = line.split("\t")
+    if len(parts) < 3:
+        return None
+    try:
+        ts = int(parts[2])
+    except ValueError:
+        return None
+    return (parts[0], parts[1], ts) if 0 < ts <= INT64_MAX else None
+
+
+def _edge_fields(line: str):
+    """(user_id, user_id) of one social line, or None if it has one field."""
+    parts = line.split("\t")
+    return (parts[0], parts[1]) if len(parts) >= 2 else None
+
+
+def _poi_block(b: _Block):
+    lat, lon = b.floats(1), b.floats(2)
+    ok = b.id_ok(0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    return ok, (b.keys(0, ok), lat[ok], lon[ok], b.texts(3, ok))
+
+
+def _checkin_block(b: _Block):
+    ts = b.timestamps(2)
+    ok = b.id_ok(0) & b.id_ok(1) & (ts > 0)
+    return ok, (b.keys(0, ok), b.keys(1, ok), ts[ok])
+
+
+def _edge_block(b: _Block):
+    # A line of whitespace is blank, though its ids are not empty; one that
+    # starts with a visible ASCII character is not.
+    first = b.buf[b.lo[0]]
+    ok = b.id_ok(0) & b.id_ok(1) & (first > ord(" ")) & (first < 0x80)
+    return ok, (b.keys(0, ok), b.keys(1, ok))
+
+
+def _parse_pois(path, report: LoadReport, max_frac: float):
+    """poi_ids, lat, lon, category and category_ids of the POI file."""
+    (line, (poi_ids, code), lat, lon, cat), bad = _scan(
+        path, 3, _poi_block, _poi_fields, report
+    )
+    report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
+    _check_malformed(bad, len(line) + len(bad), max_frac, path)
+    # The first line of a poi_id defines it, later ones are duplicates and
+    # the last one wins.
+    dup = np.ones(len(code), dtype=bool)
+    dup[np.unique(code, return_index=True)[1]] = False
+    report.poi_lines_duplicate = line[dup].tolist()
+    last = len(code) - 1 - np.unique(code[::-1], return_index=True)[1]
+    cat = cat[last].tolist()
+    category_ids = sorted(set(cat) - {None})
+    category = _codes(cat, slice(None), {c: i for i, c in enumerate(category_ids)})
+    return poi_ids, lat[last], lon[last], category, category_ids
+
+
+def _parse_checkins(path, poi_ids: list[str], report: LoadReport, max_frac: float):
+    """user_ids and the user, poi and ts columns of the check-in file."""
+    (line, (user_ids, user), (names, name), ts), bad = _scan(
+        path, 2, _checkin_block, _checkin_fields, report
+    )
+    report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(line)
+    poi = _codes(names, name, {p: i for i, p in enumerate(poi_ids)})
+    unknown = np.flatnonzero(poi < 0)
+    if len(unknown):
+        i = unknown[0]
+        raise DataError(
+            f"check-in at line {line[i]} references unknown poi_id {names[name[i]]!r}"
+        )
+    _check_malformed(bad, len(line) + len(bad), max_frac, path)
+    return user_ids, user.astype(np.int32), poi, ts
+
+
+def _parse_social(path, user_ids: list[str], report: LoadReport) -> np.ndarray:
+    """The distinct edges of the social file between users with check-ins."""
+    (_, a, b), bad = _scan(path, 1, _edge_block, _edge_fields, report)
+    code = {u: i for i, u in enumerate(user_ids)}
+    a, b = _codes(*a, code), _codes(*b, code)
+    keep = (a >= 0) & (b >= 0) & (a != b)
+    report.social_edges_dropped = len(bad) + int(len(keep) - keep.sum())
+    report.social_edges_parsed = int(keep.sum())
+    edges = edge_pairs(a[keep], b[keep], len(user_ids))
+    report.social_edges_duplicate = report.social_edges_parsed - len(edges)
+    return edges
+
+
+def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
+    """Each distinct undirected pair of user codes once, as an int32
+    (lower, higher) row, in ascending order."""
+    key = np.sort(np.minimum(a, b).astype(np.int64) * n_users + np.maximum(a, b))
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    return np.stack((key // n_users, key % n_users), axis=1).astype(np.int32)
+
+
+def _scan(path, n_tabs: int, decode, scalar, report: LoadReport):
+    """The parsed lines of `path`, decoded block by block, and the line
+    numbers of its malformed ones, in file order.
+
+    `decode(block)` gives the mask of the block's `rows` in the canonical
+    form and their fields: id keys (see `_Block.keys`) or values. Every other
+    non-empty line is a scalar line: if it is not blank, `scalar(text)`
+    applies the per-line rules to it and gives its fields, or None if it is
+    malformed. The parsed lines come as columns: their line numbers, then
+    each field, an id field as (sorted distinct ids, code of each line)."""
+    fast, slow, bad = [], [], []
+    first_line = 1
+    for raw in _read_blocks(path):
+        b = _Block(raw, first_line, n_tabs, path)
+        ok, fields = decode(b)
+        fast.append((first_line + b.rows[ok], *fields))
+        is_fast = np.zeros(len(b.ends), dtype=bool)
+        is_fast[b.rows[ok]] = True
+        scalar_rows = np.flatnonzero(~is_fast & (b.ends > b.starts)).tolist()
+        for i in scalar_rows:
+            text = raw[b.starts[i]:b.ends[i]].decode("utf-8")
+            if text.strip():
+                fields = scalar(text)
+                if fields is None:
+                    bad.append(first_line + i)
+                else:
+                    slow.append((first_line + i, *fields))
+        report.blocks += 1
+        report.scalar_lines += len(scalar_rows)
+        first_line += len(b.ends)
+    fields = [list(blocks) for blocks in zip(*fast)]
+    del fast
+    columns = []
+    for extra in zip(*slow) if slow else [()] * len(fields):
+        blocks = fields.pop(0)  # so that each field's blocks go once merged
+        columns.append(
+            _intern(blocks, list(extra)) if blocks[0].ndim == 2
+            else np.concatenate((*blocks, np.array(extra, dtype=blocks[0].dtype)))
+        )
+    if slow:
+        order = np.argsort(columns[0], kind="stable")
+        columns = [(c[0], c[1][order]) if isinstance(c, tuple) else c[order] for c in columns]
+    return columns, bad
+
+
+def _read_blocks(path):
+    """The bytes of `path` in blocks of whole lines of about BLOCK_BYTES, at
+    least one. Each block ends at a line end; "\n" ends an unterminated last
+    line."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"unreadable file: {p}")
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, line
+    with p.open("rb") as fh:
+        parts, blocks = [], 0  # parts: the bytes after the last line end
+        while chunk := fh.read(BLOCK_BYTES):
+            # A CR at the very end may be the first half of a CRLF pair.
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+            if cut:
+                blocks += 1
+                yield b"".join((*parts, chunk[:cut]))
+                parts = []
+            parts.append(chunk[cut:])
+    rest = b"".join(parts)
+    if rest and not rest.endswith(b"\r"):
+        rest += b"\n"
+    if rest or not blocks:
+        yield rest
+
+
+class _Block:
+    """One block of whole lines of an input file.
+
+    Line i spans bytes `starts[i]:ends[i]`, its line end excluded, and is
+    physical line `first_line + i` of the file. `rows` are the lines with
+    exactly `n_tabs` tabs and no NUL byte; field j of `rows[k]` spans bytes
+    `lo[j][k]:hi[j][k]`."""
+
+    def __init__(self, raw: bytes, first_line: int, n_tabs: int, path):
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        eol = np.flatnonzero((buf == 10) | (buf == 13))
+        is_lf = buf[eol] == 10
+        # crlf[i]: eol[i] and eol[i + 1] are a CR and an LF, one line end.
+        crlf = ~is_lf[:-1] & is_lf[1:] & (np.diff(eol) == 1)
+        first, last = np.ones(len(eol), dtype=bool), np.ones(len(eol), dtype=bool)
+        first[1:] = ~crlf
+        last[:-1] = ~crlf
+        self.ends = eol[first]
+        self.starts = np.concatenate(([0], eol[last] + 1))[:-1]
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = first_line + int(np.searchsorted(self.ends, e.start))
+            raise DataError(f"line {line} of {path} is not valid UTF-8") from None
+
+        tabs = np.flatnonzero(buf == 9)
+        n_tabs_of = np.bincount(np.searchsorted(self.ends, tabs), minlength=len(self.ends))
+        has_nul = np.zeros(len(self.ends), dtype=bool)
+        has_nul[np.searchsorted(self.ends, np.flatnonzero(buf == 0))] = True
+        self.rows = np.flatnonzero((n_tabs_of == n_tabs) & ~has_nul)
+        first_tab = (np.cumsum(n_tabs_of) - n_tabs_of)[self.rows]
+        t = [tabs[first_tab + j] for j in range(n_tabs)]
+        self.lo = [self.starts[self.rows], *(x + 1 for x in t)]
+        self.hi = [*t, self.ends[self.rows]]
+        self.raw, self.buf = raw, buf
+        # words[i]: bytes i to i + 7 as one big-endian integer.
+        padded = np.zeros(len(buf) + 8, dtype=np.uint8)
+        padded[:len(buf)] = buf
+        self.words = np.ndarray((len(buf) + 1,), dtype=">u8", buffer=padded, strides=(1,))
+
+    def id_ok(self, j: int) -> np.ndarray:
+        """Whether field j of each of `rows` is 1 to MAX_ID_BYTES bytes."""
+        width = self.hi[j] - self.lo[j]
+        return (width > 0) & (width <= MAX_ID_BYTES)
+
+    def keys(self, j: int, ok: np.ndarray) -> np.ndarray:
+        """Field j of the rows at `ok` as rows of big-endian uint64 words of
+        its bytes, NUL-padded. With no NUL in an id, row order is UTF-8 byte
+        order, which is code-point order, which is `sorted(str)` order."""
+        lo = self.lo[j][ok]
+        n = self.hi[j][ok] - lo
+        keys = np.empty((len(lo), max(1, -(-int(n.max(initial=0)) // 8))), dtype=np.uint64)
+        for w in range(keys.shape[1]):
+            # A shorter id's word is masked to 0 wherever it reads.
+            at = np.minimum(lo + 8 * w, len(self.buf))
+            keys[:, w] = self.words[at] & _PREFIX_MASK[np.clip(n - 8 * w, 0, 8)]
+        return keys
+
+    def timestamps(self, j: int) -> np.ndarray:
+        """Field j as int64 where it is 1 to MAX_TS_DIGITS ASCII digits, else
+        -1: the digits' weighted sum, taken one digit column at a time."""
+        lo, hi = self.lo[j], self.hi[j]
+        n = hi - lo
+        width = int(np.clip(n.max(initial=1), 1, MAX_TS_DIGITS))
+        # Right-aligned: column k holds byte hi - width + k.
+        padded = np.zeros(len(self.buf) + width, dtype=np.uint8)
+        padded[width:] = self.buf
+        window = np.lib.stride_tricks.sliding_window_view(padded, width)
+        digit = window[hi] - np.uint8(ord("0"))  # non-digits wrap above 9
+        digit[np.arange(width) < (width - n)[:, None]] = 0
+        value = np.zeros(len(n), dtype=np.int64)
+        for k in range(width):
+            value = value * 10 + digit[:, k]
+        ok = (digit <= 9).all(axis=1) & (n > 0) & (n <= width)
+        return np.where(ok, value, -1)
+
+    def floats(self, j: int) -> np.ndarray:
+        """Python's float() of field j's bytes; nan where it raises, as it
+        does on non-ASCII text that float() of the str might accept."""
+        fields = self._slices(j, slice(None))
+        try:
+            return np.array(list(map(float, fields)), dtype=float)
+        except ValueError:
+            return np.array(list(map(_float, fields)), dtype=float)
+
+    def texts(self, j: int, ok: np.ndarray) -> np.ndarray:
+        """Field j of the rows at `ok` as str, None where it is empty."""
+        return np.array([f.decode("utf-8") or None for f in self._slices(j, ok)], dtype=object)
+
+    def _slices(self, j: int, ok) -> list[bytes]:
+        return [self.raw[a:b] for a, b in zip(self.lo[j][ok].tolist(), self.hi[j][ok].tolist())]
+
+
+def _float(text: bytes) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _intern(keys: list[np.ndarray], extra: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids of the key rows (see `_Block.keys`) and of
+    `extra`, and the code of each key row, then of each extra id."""
+    width = max(k.shape[1] for k in keys)
+    rows = np.concatenate([np.pad(k, ((0, 0), (0, width - k.shape[1]))) for k in keys])
+    order = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    code = np.empty(len(rows), dtype=np.intp)
+    code[order] = np.cumsum(new) - 1
+    # Ids are non-empty and hold no NUL: with a NUL word after each, the NUL
+    # runs split them apart.
+    text = np.pad(rows[new], ((0, 0), (0, 1))).astype(">u8").tobytes().decode("utf-8")
+    ids = list(filter(None, text.split("\0")))
+    if extra:
+        merged = sorted(set(ids).union(extra))
+        new_code = {s: i for i, s in enumerate(merged)}
+        code = np.concatenate((
+            _codes(ids, code, new_code), _codes(extra, slice(None), new_code)
+        ))
+        ids = merged
+    return ids, code
+
+
+def _codes(names: list, idx, code: dict) -> np.ndarray:
+    """`code` of each name at `idx` (an index array or a slice) as int32, -1
+    for a name not in it."""
+    return np.array([code.get(s, -1) for s in names], dtype=np.int32)[idx]
 
 
 def _check_malformed(bad_lines, total, max_frac, path):
@@ -379,11 +542,13 @@ def _check_malformed(bad_lines, total, max_frac, path):
         )
 
 
-def _recode(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Renumber codes to the ids they use, keeping the ids' order."""
-    used = np.bincount(codes, minlength=len(ids)) > 0
-    new_code = (np.cumsum(used) - 1).astype(np.int32)
-    return new_code[codes], [i for i, u in zip(ids, used.tolist()) if u]
+def renumber(used: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """The used ids, in order, and a map from old codes to new int32 ones:
+    -1 for an unused id, and one extra last slot so that code -1 maps to
+    -1."""
+    new = np.full(len(ids) + 1, -1, dtype=np.int32)
+    new[:-1][used] = np.arange(int(used.sum()), dtype=np.int32)
+    return new, [i for i, u in zip(ids, used.tolist()) if u]
 
 
 def preprocess_filter(
@@ -411,21 +576,28 @@ def preprocess_filter(
     if not len(rows):
         raise DataError("dataset exhausted by filters")
 
-    user, user_ids = _recode(d.user[rows], d.user_ids)
-    poi, poi_ids = _recode(d.poi[rows], d.poi_ids)
-    kept_ids = set(poi_ids)
-    pois = {p: poi for p, poi in d.pois.items() if p in kept_ids}
-    social = d.social.subgraph(set(user_ids))
+    user, poi = d.user[rows], d.poi[rows]
+    new_user, user_ids = renumber(np.bincount(user, minlength=n_users) > 0, d.user_ids)
+    new_poi, poi_ids = renumber(np.bincount(poi, minlength=len(d.poi_ids)) > 0, d.poi_ids)
+    kept = new_poi[:-1] >= 0
+    category = d.category[kept]
+    new_cat, category_ids = renumber(
+        np.bincount(category[category >= 0], minlength=len(d.category_ids)) > 0,
+        d.category_ids,
+    )
+    edges = new_user[d.edges]
 
     report = FilterReport(
         users_removed=len(d.user_ids) - len(user_ids),
-        pois_removed=len(d.pois) - len(pois),
+        pois_removed=len(d.poi_ids) - len(poi_ids),
         checkins_removed=len(d.ts) - len(rows),
     )
     report.short_users_removed = int(short.sum())
     report.short_checkins_removed = int(left[short].sum())
     filtered = Dataset(
-        user_ids, poi_ids, user, poi, d.ts[rows], pois, social, d.load_report
+        user_ids, poi_ids, new_user[user], new_poi[poi], d.ts[rows],
+        d.lat[kept], d.lon[kept], new_cat[category], category_ids,
+        edges[(edges >= 0).all(axis=1)], d.load_report,
     )
     return filtered, report
 
@@ -466,17 +638,16 @@ def temporal_split(
 
 def dataset_stats(d: Dataset) -> DatasetStats:
     n_users = len(d.user_ids)
-    n_pois = len(d.pois)
+    n_pois = len(d.poi_ids)
     n_checkins = len(d.ts)
     n_unique = len(d.visits().col)
-    n_cats = len({p.category_id for p in d.pois.values() if p.category_id is not None})
     return DatasetStats(
         n_users=n_users,
         n_pois=n_pois,
         n_checkins=n_checkins,
         n_unique_checkins=n_unique,
-        n_social_links=d.social.n_edges,
-        n_categories=n_cats,
+        n_social_links=len(d.edges),
+        n_categories=len(d.category_ids),
         checkins_per_user=n_checkins / n_users if n_users else 0.0,
         checkins_per_poi=n_checkins / n_pois if n_pois else 0.0,
         density=n_checkins / (n_users * n_pois) if n_users and n_pois else 0.0,

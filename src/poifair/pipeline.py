@@ -136,6 +136,8 @@ class Pipeline:
             )
             if d.load_report is not None:
                 self._write(self.out / "load_report.json", d.load_report.to_json())
+                self.counts["parse.blocks"] = d.load_report.blocks
+                self.counts["parse.scalar_lines"] = d.load_report.scalar_lines
             return d
 
     def preprocess(self, d: Dataset) -> Dataset:

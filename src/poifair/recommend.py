@@ -52,7 +52,7 @@ class FittedModel:
         self.bounds = train.user_rows()
         self.visits = train.visits()
         self.friends = train.friend_codes()
-        self.lats, self.lons, category = train.poi_columns()
+        self.lats, self.lons = train.lat, train.lon
         coords = np.stack([self.lats, self.lons], axis=1)
 
         if name == GEOSOCA:
@@ -71,7 +71,7 @@ class FittedModel:
             self.social_fit = _fit_or_default(
                 np.concatenate([totals for _, totals in self.social_totals])
             )
-            self.cat_model = CategoricalModel(self.visits, category)
+            self.cat_model = CategoricalModel(self.visits, train.category)
             if self.cat_model.has_categories:
                 # Users in code order, each user's POIs in code order.
                 freqs = map(self.cat_model.frequency, users)

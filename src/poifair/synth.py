@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CheckIn, Dataset, Poi, SocialGraph
+from .data import Dataset, edge_pairs, renumber
 
 
 @dataclass
@@ -47,29 +47,29 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
             )
         )
     spread_deg = cfg.cluster_spread_km / 111.0
-    pois: dict[str, Poi] = {}
-    cluster_pois: list[list[str]] = [[] for _ in range(cfg.n_clusters)]
-    pid = 0
-    for k, (clat, clon) in enumerate(centers):
+    poi_names: list[str] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    cats: list[str] = []
+    for clat, clon in centers:
         for _ in range(cfg.pois_per_cluster):
-            poi_id = f"p{pid:04d}"
-            pid += 1
-            lat = clat + rng.normal(0, spread_deg)
-            lon = clon + rng.normal(0, spread_deg)
-            cat = f"cat{rng.integers(cfg.n_categories)}"
-            pois[poi_id] = Poi(poi_id, float(lat), float(lon), cat)
-            cluster_pois[k].append(poi_id)
+            poi_names.append(f"p{len(poi_names):04d}")
+            lats.append(float(clat + rng.normal(0, spread_deg)))
+            lons.append(float(clon + rng.normal(0, spread_deg)))
+            cats.append(f"cat{rng.integers(cfg.n_categories)}")
 
     n_leisure = int(cfg.leisure_fraction * cfg.n_users)
-    checkins: list[CheckIn] = []
-    user_ids = [f"u{i:04d}" for i in range(cfg.n_users)]
-    user_home = {}
-    user_is_leisure = {}
-    for i, u in enumerate(user_ids):
+    # One row per check-in: user index, POI index (both in generation
+    # order), timestamp.
+    user_col: list[int] = []
+    poi_col: list[int] = []
+    ts_col: list[int] = []
+    user_names = [f"u{i:04d}" for i in range(cfg.n_users)]
+    user_home = []
+    for i in range(cfg.n_users):
         is_leisure = i < n_leisure
-        user_is_leisure[u] = is_leisure
         home = int(rng.integers(cfg.n_clusters))
-        user_home[u] = home
+        user_home.append(home)
         focus = cfg.home_focus_leisure if is_leisure else cfg.home_focus_working
         # period preference: leisure users check in at night, with some noise
         leisure_prob = rng.uniform(0.7, 0.95) if is_leisure else rng.uniform(0.05, 0.3)
@@ -80,7 +80,7 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
                 cluster = home
             else:
                 cluster = int(rng.integers(cfg.n_clusters))
-            poi_id = cluster_pois[cluster][int(rng.integers(cfg.pois_per_cluster))]
+            poi = cluster * cfg.pois_per_cluster + int(rng.integers(cfg.pois_per_cluster))
             if rng.random() < leisure_prob:
                 hour = int(rng.choice([19, 20, 21, 22, 23, 0, 1, 2, 3, 6, 7]))
             else:
@@ -89,23 +89,47 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
             ts = int(day * 86400 + hour * 3600 + rng.integers(0, 3600))
             # advance time: mostly short gaps so transitions land inside sessions
             ts += int(rng.choice([4 * 3600, 8 * 3600, 30 * 3600], p=[0.45, 0.35, 0.2]))
-            poi = pois[poi_id]
-            checkins.append(CheckIn(u, poi_id, ts, poi.latitude, poi.longitude))
+            user_col.append(i)
+            poi_col.append(poi)
+            ts_col.append(ts)
 
-    social = SocialGraph()
-    for i, u in enumerate(user_ids):
+    friends: list[tuple[int, int]] = []
+    for i in range(cfg.n_users):
         local = cfg.friend_scheme == "home" or (
-            cfg.friend_scheme == "mixed" and user_is_leisure[u]
+            cfg.friend_scheme == "mixed" and i < n_leisure
         )
-        if local:
-            pool = [v for v in user_ids if v != u and user_home[v] == user_home[u]]
-        else:
-            pool = [v for v in user_ids if v != u]
+        pool = [
+            j for j in range(cfg.n_users)
+            if j != i and (not local or user_home[j] == user_home[i])
+        ]
         rng.shuffle(pool)
-        for v in pool[: cfg.friends_per_user]:
-            social.add_edge(u, v)
+        friends += [(i, j) for j in pool[: cfg.friends_per_user]]
 
-    return Dataset.from_checkins(checkins, pois, social)
+    # Renumber users and POIs in id order; users without check-ins go.
+    u_order, p_order = np.argsort(user_names), np.argsort(poi_names)
+    new_user, user_ids = renumber(
+        np.bincount(user_col, minlength=cfg.n_users)[u_order] > 0,
+        [user_names[i] for i in u_order],
+    )
+    user_code = np.empty(cfg.n_users, dtype=np.int32)
+    user_code[u_order] = new_user[:-1]
+    poi_code = np.argsort(p_order).astype(np.int32)
+    category_ids = sorted(set(cats))
+    cat_code = {c: i for i, c in enumerate(category_ids)}
+    pairs = user_code[np.array(friends, dtype=np.intp).reshape(-1, 2)]
+    pairs = pairs[(pairs >= 0).all(axis=1)]
+    return Dataset(
+        user_ids,
+        [poi_names[i] for i in p_order],
+        user_code[user_col],
+        poi_code[poi_col],
+        np.array(ts_col, dtype=np.int64),
+        np.array(lats)[p_order],
+        np.array(lons)[p_order],
+        np.array([cat_code[cats[i]] for i in p_order], dtype=np.int32),
+        category_ids,
+        edge_pairs(pairs[:, 0], pairs[:, 1], len(user_ids)),
+    )
 
 
 def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
@@ -118,7 +142,7 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
         "pois": out / "pois.tsv",
         "social": out / "social.tsv",
     }
-    users, pois = dataset.user_ids, dataset.poi_ids
+    users, pois, cats = dataset.user_ids, dataset.poi_ids, dataset.category_ids
     with paths["checkins"].open("w", encoding="utf-8") as fh:
         fh.writelines(
             f"{users[u]}\t{pois[p]}\t{t}\n"
@@ -127,12 +151,13 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
             )
         )
     with paths["pois"].open("w", encoding="utf-8") as fh:
-        for p in pois:
-            poi = dataset.pois[p]
-            cat = poi.category_id or ""
-            fh.write(f"{poi.poi_id}\t{poi.latitude}\t{poi.longitude}\t{cat}\n")
+        fh.writelines(
+            f"{p}\t{lat}\t{lon}\t{cats[c] if c >= 0 else ''}\n"
+            for p, lat, lon, c in zip(
+                pois, dataset.lat.tolist(), dataset.lon.tolist(),
+                dataset.category.tolist(),
+            )
+        )
     with paths["social"].open("w", encoding="utf-8") as fh:
-        # Each edge once, between users with check-ins.
-        for u, friends in zip(users, dataset.friend_codes()):
-            fh.writelines(f"{u}\t{users[v]}\n" for v in friends.tolist() if users[v] > u)
+        fh.writelines(f"{users[a]}\t{users[b]}\n" for a, b in dataset.edges.tolist())
     return paths

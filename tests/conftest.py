@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from poifair.data import CheckIn, Dataset, Poi, SocialGraph
+import oracles
+from oracles import CheckIn, Poi, SocialGraph
 
 
 def make_checkin(user, poi, ts, lat=40.0, lon=-100.0):
@@ -13,7 +14,7 @@ def make_dataset(checkins, pois=None, edges=()):
         pois = {}
         for c in checkins:
             pois.setdefault(c.poi_id, Poi(c.poi_id, c.latitude, c.longitude))
-    return Dataset.from_checkins(list(checkins), pois, SocialGraph(edges))
+    return oracles.from_checkins(list(checkins), pois, SocialGraph(edges))
 
 
 def make_train(checkins, pois=None, edges=()):
@@ -24,8 +25,7 @@ def make_train(checkins, pois=None, edges=()):
 
 def coords(d):
     """(P, 2) (lat, lon) of each POI code."""
-    lats, lons, _ = d.poi_columns()
-    return np.stack([lats, lons], axis=1)
+    return np.stack([d.lat, d.lon], axis=1)
 
 
 @pytest.fixture

@@ -1,25 +1,265 @@
 """Scalar reference versions of what the library computes in bulk: the
-per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
+line-at-a-time TSV parse with its string-keyed POI table and social graph,
+the per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
 (visit counts, residences, transition graph, category frequencies, power-law
 inputs), the one-candidate-at-a-time context scores, the one-candidate
 fusion, the top-N ranking, the one-list ranking metrics and the weighted-sum
-sweep. Tests compare the library against them."""
+sweep. Tests compare the library against them. `from_checkins` is the
+fixture constructor: it builds a `Dataset` from `CheckIn`, `Poi` and
+`SocialGraph` objects."""
 from __future__ import annotations
 
 import enum
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from poifair.data import CheckIn, DatasetStats
+from poifair.data import INT64_MAX, DataError, Dataset, DatasetStats, LoadReport
 from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, weight_sweep
 from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
 from poifair.metrics import group_metrics
 from poifair.recommend import fused_scores
 from poifair.sequential import AMC_DECAY, AMC_MEMORY
 from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
+
+
+@dataclass(frozen=True)
+class CheckIn:
+    user_id: str
+    poi_id: str
+    timestamp: int
+    latitude: float
+    longitude: float
+
+
+@dataclass(frozen=True)
+class Poi:
+    poi_id: str
+    latitude: float
+    longitude: float
+    category_id: str | None = None
+
+
+class SocialGraph:
+    """Undirected friendship graph with symmetric membership queries."""
+
+    def __init__(self, edges=()):
+        self._adj: dict[str, set[str]] = defaultdict(set)
+        self._n_edges = 0
+        for a, b in edges:
+            self.add_edge(a, b)
+
+    def add_edge(self, a: str, b: str) -> bool:
+        """Add the edge; False if it was already there, in either direction."""
+        if a == b:
+            raise DataError(f"self-loop on user {a!r}")
+        if b in self._adj[a]:
+            return False
+        self._adj[a].add(b)
+        self._adj[b].add(a)
+        self._n_edges += 1
+        return True
+
+    def friends(self, u: str) -> frozenset[str]:
+        return frozenset(self._adj.get(u, ()))
+
+    @property
+    def n_edges(self) -> int:
+        return self._n_edges
+
+
+def poi_columns(pois: dict[str, Poi], poi_ids: list[str]):
+    """(lat, lon, category, category_ids) of the POIs in `poi_ids` order:
+    category codes number the distinct categories in sorted order, -1 for
+    none."""
+    rows = [pois[p] for p in poi_ids]
+    cats = sorted({p.category_id for p in rows} - {None})
+    code = {c: i for i, c in enumerate(cats)}
+    return (
+        np.array([p.latitude for p in rows], dtype=float),
+        np.array([p.longitude for p in rows], dtype=float),
+        np.array([code.get(p.category_id, -1) for p in rows], dtype=np.int32),
+        cats,
+    )
+
+
+def friend_codes(social: SocialGraph, user_ids: list[str]) -> list[list[int]]:
+    """Each user's friends that have check-ins, as ascending user codes."""
+    code = {u: i for i, u in enumerate(user_ids)}
+    return [sorted(code[v] for v in social.friends(u) if v in code) for u in user_ids]
+
+
+def edge_rows(social: SocialGraph, user_ids: list[str]) -> np.ndarray:
+    """Each friendship between `user_ids` once, as (a, b) codes with a < b,
+    in ascending order."""
+    rows = [(a, b) for a, friends in enumerate(friend_codes(social, user_ids))
+            for b in friends if a < b]
+    return np.array(rows, dtype=np.int32).reshape(-1, 2)
+
+
+def from_checkins(checkins: list[CheckIn], pois: dict[str, Poi],
+                  social: SocialGraph) -> Dataset:
+    """Columns for a list of check-ins; `pois` must define every POI they
+    name. Friendships of users without a check-in are left out."""
+    user_ids = sorted({c.user_id for c in checkins})
+    poi_ids = sorted(pois)
+    ucode = {u: i for i, u in enumerate(user_ids)}
+    pcode = {p: i for i, p in enumerate(poi_ids)}
+    return Dataset(
+        user_ids,
+        poi_ids,
+        np.array([ucode[c.user_id] for c in checkins], dtype=np.int32),
+        np.array([pcode[c.poi_id] for c in checkins], dtype=np.int32),
+        np.array([c.timestamp for c in checkins], dtype=np.int64),
+        *poi_columns(pois, poi_ids),
+        edge_rows(social, user_ids),
+    )
+
+
+def pois_of(d: Dataset) -> dict[str, Poi]:
+    """A dataset's POI columns as `Poi` objects keyed by poi_id."""
+    return {
+        p: Poi(p, lat, lon, d.category_ids[c] if c >= 0 else None)
+        for p, lat, lon, c in zip(
+            d.poi_ids, d.lat.tolist(), d.lon.tolist(), d.category.tolist()
+        )
+    }
+
+
+def without_categories(d: Dataset) -> Dataset:
+    """The dataset with no POI category."""
+    return replace(
+        d, category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=[]
+    )
+
+
+def graph_of(d: Dataset) -> SocialGraph:
+    """A dataset's friendships as a `SocialGraph` of user ids."""
+    return SocialGraph((d.user_ids[a], d.user_ids[b]) for a, b in d.edges.tolist())
+
+
+@dataclass
+class Parsed:
+    """What the line-at-a-time parse gives: check-in columns, the
+    string-keyed POI table and social graph, and the load report."""
+
+    user_ids: list[str]
+    poi_ids: list[str]
+    user: np.ndarray
+    poi: np.ndarray
+    ts: np.ndarray
+    pois: dict[str, Poi]
+    social: SocialGraph
+    load_report: LoadReport = field(default_factory=LoadReport)
+
+
+def parse_dataset(checkin_path, poi_path, social_path=None,
+                  max_malformed_frac: float = 0.01) -> Parsed:
+    """The canonical TSV files read one text-mode line at a time."""
+    report = LoadReport()
+
+    pois: dict[str, Poi] = {}
+    poi_lines = 0
+    for lineno, line in _read_lines(poi_path):
+        poi_lines += 1
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) < 3:
+            report.poi_lines_malformed.append(lineno)
+            continue
+        try:
+            lat, lon = float(parts[1]), float(parts[2])
+        except ValueError:
+            report.poi_lines_malformed.append(lineno)
+            continue
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            report.poi_lines_malformed.append(lineno)
+            continue
+        category = parts[3] if len(parts) > 3 and parts[3] != "" else None
+        if parts[0] in pois:
+            report.poi_lines_duplicate.append(lineno)
+        pois[parts[0]] = Poi(parts[0], lat, lon, category)
+    report.poi_lines_parsed = poi_lines - len(report.poi_lines_malformed)
+    _check_malformed(report.poi_lines_malformed, poi_lines, max_malformed_frac, poi_path)
+
+    poi_ids = sorted(pois)
+    poi_code = {p: i for i, p in enumerate(poi_ids)}
+    user_code: dict[str, int] = {}  # in order of first appearance
+    user_col: list[int] = []
+    poi_col: list[int] = []
+    ts_col: list[int] = []
+    malformed = report.checkin_lines_malformed
+    ci_lines = 0
+    for lineno, line in _read_lines(checkin_path):
+        ci_lines += 1
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) < 3:
+            malformed.append(lineno)
+            continue
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            malformed.append(lineno)
+            continue
+        if not 0 < ts <= INT64_MAX:
+            malformed.append(lineno)
+            continue
+        p = poi_code.get(parts[1])
+        if p is None:
+            raise DataError(
+                f"check-in at line {lineno} references unknown poi_id {parts[1]!r}"
+            )
+        user_col.append(user_code.setdefault(parts[0], len(user_code)))
+        poi_col.append(p)
+        ts_col.append(ts)
+    report.checkin_lines_parsed = ci_lines - len(malformed)
+    _check_malformed(malformed, ci_lines, max_malformed_frac, checkin_path)
+
+    user_ids = sorted(user_code)
+    sorted_code = np.empty(len(user_ids), dtype=np.int32)
+    sorted_code[[user_code[u] for u in user_ids]] = np.arange(len(user_ids))
+    user = sorted_code[np.array(user_col, dtype=np.intp)]
+
+    social = SocialGraph()
+    if social_path is not None:
+        for _, line in _read_lines(social_path):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) < 2 or parts[0] == parts[1]:
+                report.social_edges_dropped += 1
+                continue
+            if parts[0] not in user_code or parts[1] not in user_code:
+                report.social_edges_dropped += 1
+                continue
+            if not social.add_edge(parts[0], parts[1]):
+                report.social_edges_duplicate += 1
+            report.social_edges_parsed += 1
+
+    return Parsed(
+        user_ids, poi_ids, user, np.array(poi_col, dtype=np.int32),
+        np.array(ts_col, dtype=np.int64), pois, social, report,
+    )
+
+
+def _read_lines(path):
+    """(physical line number, line) for every non-blank line of path."""
+    p = Path(path)
+    if not p.is_file():
+        raise DataError(f"unreadable file: {p}")
+    with p.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _check_malformed(bad_lines, total, max_frac, path):
+    if total and len(bad_lines) / total > max_frac:
+        shown = ", ".join(str(n) for n in bad_lines[:20])
+        raise DataError(
+            f"{len(bad_lines)}/{total} malformed lines in {path} "
+            f"(> {max_frac:.0%} threshold); lines: {shown}"
+        )
 
 
 class PeriodLabel(enum.Enum):
@@ -48,8 +288,8 @@ def checkins(d, rows=None) -> list[CheckIn]:
     out = []
     for i in rows:
         u, p = d.user_ids[d.user[i]], d.poi_ids[d.poi[i]]
-        poi = d.pois[p]
-        out.append(CheckIn(u, p, int(d.ts[i]), poi.latitude, poi.longitude))
+        lat, lon = float(d.lat[d.poi[i]]), float(d.lon[d.poi[i]])
+        out.append(CheckIn(u, p, int(d.ts[i]), lat, lon))
     return out
 
 

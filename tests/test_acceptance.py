@@ -197,7 +197,7 @@ def test_c10_conditional_full_data():
         )
         filtered, _ = preprocess_filter(d, min_u, min_p)
         ok &= len(filtered.user_ids) == n_users
-        ok &= len(filtered.pois) == n_pois
+        ok &= len(filtered.poi_ids) == n_pois
         ok &= len(filtered.ts) == n_checkins
     if not ran_any:
         print("\nACCEPTANCE 10 full-data-check: SKIP "

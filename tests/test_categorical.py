@@ -3,10 +3,10 @@ import random
 import pytest
 
 from poifair.categorical import CategoricalModel
-from poifair.data import Poi
 from poifair.social import PowerLawFit, power_law_score
 
 from conftest import make_checkin, make_train
+from oracles import Poi
 
 
 class ById:
@@ -23,8 +23,7 @@ class ById:
                     ts += 100
                     checkins.append(make_checkin(u, p, ts))
         self.train = make_train(checkins, pois)
-        _, _, category = self.train.poi_columns()
-        self.model = CategoricalModel(self.train.visits(), category)
+        self.model = CategoricalModel(self.train.visits(), self.train.category)
         self.has_categories = self.model.has_categories
 
     def frequency(self, u, p) -> float:

@@ -116,6 +116,20 @@ class TestRun:
         path = write_config(tmp_path, fixture_files, checkin_path=str(bad))
         assert main(["run", "--config", str(path)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("kind,text", [
+        ("checkin_path", b"u0000\tp0000\t1000\r\nu\xff\tp0000\t2000\r\n"),
+        ("poi_path", b"p0000\t40\t-100\t\r\np\xff\t40\t-100\t\r\n"),
+        ("social_path", b"u0000\tu0001\r\nu\xff\tu0001\r\n"),
+    ], ids=["checkins", "pois", "social"])
+    def test_invalid_utf8_is_a_data_error_naming_file_and_line(
+        self, tmp_path, fixture_files, capsys, kind, text
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(text)
+        path = write_config(tmp_path, fixture_files, **{kind: str(bad)})
+        assert main(["analyze", "--config", str(path)]) == EXIT_DATA
+        assert f"line 2 of {bad} is not valid UTF-8" in capsys.readouterr().err
+
     def test_subcommands(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files)
         assert main(["preprocess", "--config", str(path)]) == EXIT_OK
@@ -173,6 +187,8 @@ class TestRun:
         assert main(["analyze", "--config", str(path)]) == EXIT_OK
         out = tmp_path / "out"
         assert json.loads((out / "manifest.json").read_text())["counts"] == {
+            "parse.blocks": 2,
+            "parse.scalar_lines": 0,
             "preprocess.short_checkins_removed": 2,
             "preprocess.short_users_removed": 1,
         }

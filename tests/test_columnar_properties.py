@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from poifair.data import (
     TRAIN,
-    CheckIn,
     DataError,
     dataset_stats,
     parse_dataset,
@@ -18,6 +17,7 @@ from poifair.temporal import build_profiles, poi_popularity, temporal_histogram
 
 import oracles
 from conftest import make_dataset
+from oracles import CheckIn
 
 # Ids whose string order differs from their numeric order.
 USER_IDS = ["u9", "u10", "u1", "U", "a b"]
@@ -77,12 +77,13 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
     pois_spec, rows = world
     ci, po = write_inputs(tmp_path_factory.mktemp("cols"), pois_spec, rows)
     d = parse_dataset(ci, po)
+    pois = oracles.pois_of(d)
     checkins = [
-        CheckIn(u, p, ts, d.pois[p].latitude, d.pois[p].longitude) for u, p, ts in rows
+        CheckIn(u, p, ts, pois[p].latitude, pois[p].longitude) for u, p, ts in rows
     ]
     assert oracles.checkins(d) == checkins
     assert d.user_ids == sorted({u for u, _, _ in rows})
-    assert d.poi_ids == sorted(d.pois)
+    assert d.poi_ids == sorted({p for p, _, _ in pois_spec})
 
     kept = oracles.preprocess_filter(checkins, min_user, min_poi)
     try:
@@ -92,12 +93,12 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
         return
     assert oracles.checkins(filtered) == kept
     kept_pois = {c.poi_id for c in kept}
-    assert list(filtered.pois) == [p for p in d.pois if p in kept_pois]
+    assert filtered.poi_ids == [p for p in d.poi_ids if p in kept_pois]
     assert report.users_removed == len(d.user_ids) - len({c.user_id for c in kept})
     assert report.checkins_removed == len(checkins) - len(kept)
-    assert report.pois_removed == len(d.pois) - len(kept_pois)
+    assert report.pois_removed == len(d.poi_ids) - len(kept_pois)
     assert dataset_stats(filtered) == oracles.dataset_stats(
-        kept, filtered.pois, filtered.social.n_edges
+        kept, oracles.pois_of(filtered), len(filtered.edges)
     )
     hist = temporal_histogram(filtered.ts)
     assert hist.tolist() == oracles.temporal_histogram(kept).tolist()

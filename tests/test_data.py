@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from poifair.data import (
     DataError,
-    Dataset,
-    Poi,
-    SocialGraph,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
@@ -19,6 +16,7 @@ from poifair.data import (
 
 import oracles
 from conftest import make_checkin, make_dataset
+from oracles import Poi, SocialGraph
 
 
 def write_files(tmp_path, checkin_rows, poi_rows, social_rows=None):
@@ -42,9 +40,10 @@ class TestParse:
         )
         d = parse_dataset(ci, po)
         assert len(d.ts) == 3
-        assert len(d.pois) == 2
-        assert d.pois["p1"].category_id == "cafe"
-        assert d.pois["p2"].category_id is None
+        pois = oracles.pois_of(d)
+        assert len(d.poi_ids) == len(pois) == 2
+        assert pois["p1"].category_id == "cafe"
+        assert pois["p2"].category_id is None
 
     def test_duplicate_poi_lines_reported_last_wins(self, tmp_path):
         ci, po, _ = write_files(
@@ -60,7 +59,7 @@ class TestParse:
         assert d.load_report.poi_lines_duplicate == [3, 5, 6]
         assert d.load_report.poi_lines_malformed == [4]
         assert d.load_report.poi_lines_parsed == 5
-        assert d.pois["p1"] == Poi("p1", 42.0, -102.0, None)
+        assert oracles.pois_of(d)["p1"] == Poi("p1", 42.0, -102.0, None)
         assert oracles.checkins(d)[0].latitude == 42.0
         assert json.loads(d.load_report.to_json())["poi_lines_duplicate"] == [3, 5, 6]
 
@@ -140,9 +139,10 @@ class TestParse:
             ["u1\tu2", "u1\tghost", "u1\tu1"],
         )
         d = parse_dataset(ci, po, so)
-        assert d.social.friends("u1") == {"u2"}
-        assert d.social.friends("u2") == {"u1"}
-        assert d.social.n_edges == 1
+        graph = oracles.graph_of(d)
+        assert graph.friends("u1") == {"u2"}
+        assert graph.friends("u2") == {"u1"}
+        assert graph.n_edges == len(d.edges) == 1
         assert d.load_report.social_edges_dropped == 2
         # report serializes
         json.loads(d.load_report.to_json())
@@ -181,7 +181,7 @@ class TestFilter:
         filtered, _ = preprocess_filter(d, 15, 10)
         # 'rare' has only 5 check-ins -> removed; A keeps 10 and survives
         assert "A" in filtered.user_ids
-        assert "rare" not in filtered.pois
+        assert "rare" not in filtered.poi_ids
         assert sum(1 for c in oracles.checkins(filtered) if c.user_id == "A") == 10
 
     def test_not_idempotent_in_general(self):
@@ -251,7 +251,7 @@ class TestFilter:
         checkins += [make_checkin("B", "p", 300 + i) for i in range(3)]
         filtered, report = preprocess_filter(make_dataset(checkins), 0, 0)
         assert filtered.user_ids == ["B"]
-        assert list(filtered.pois) == ["p"]
+        assert filtered.poi_ids == ["p"]
         assert (report.users_removed, report.pois_removed, report.checkins_removed) == (
             1, 1, 2,
         )
@@ -368,7 +368,7 @@ class TestStats:
         assert round(620_683 / 5_628, 2) == 110.28
 
     def test_empty_zeroes(self):
-        d = Dataset.from_checkins([], {}, SocialGraph())
+        d = oracles.from_checkins([], {}, SocialGraph())
         stats = dataset_stats(d)
         assert stats.n_checkins == 0
         assert stats.density == 0.0

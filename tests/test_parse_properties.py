@@ -1,0 +1,161 @@
+"""Property test: the block-wise `parse_dataset` equals the line-at-a-time
+oracle (`oracles.parse_dataset`) on adversarial TSV files. Both give the
+same check-in columns, POI columns, friend CSR and load report, or the same
+DataError message; also with blocks of a few bytes, so that lines and CRLF
+pairs straddle blocks."""
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from poifair import data
+from poifair.data import DataError, parse_dataset
+
+import oracles
+
+# Ids that sort differently as strings and as numbers, non-ASCII ones, ids
+# of 8, 9, 64 and 65 UTF-8 bytes (one or two key words, at and past the
+# per-line limit), ids with NUL, empty and whitespace ids.
+LONG = "M" * 64
+IDS = [
+    "u1", "u10", "u9", "U", "a b", "é", "日本", "abcdefgh", "abcdefghi",
+    "abcdefghé", LONG, LONG[:-1] + "é", "x", "x\x00y", "\x00", "", " ",
+    "\x85", "\u2028",
+]
+TIMESTAMPS = [
+    "1", "100", "1300000000", "0012", "0", "000", "+12", "-5", " 12 ", "1_000",
+    "١٢", "１２", "9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "12a", "", "1e5",
+]
+COORDS = [
+    "40.0", "-100.5", "0", "-0.0", "1.5e-300", "+40", " 40 ", "4_0", "nan", "inf",
+    "1e1", "٤٠", "91", "-181", "", "abc", "40.000000000000001", "0x10",
+]
+CATEGORIES = [None, "", "cafe", "bar", "é", "c\x00", LONG + "é"]
+BLANK = ["", " ", "\t", "\t\t", "\t\t\t", "\u2028", "\x85", "  \t "]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def lines(record):
+    """Lines that are blank or a record, with an extra field now and then."""
+    extra = st.sampled_from(["", "\textra", "\t"])
+    return st.lists(st.one_of(
+        st.sampled_from(BLANK), st.tuples(record, extra).map("".join)
+    ), max_size=12)
+
+
+@st.composite
+def text(draw, line_list):
+    """The lines joined by mixed line ends, the last one possibly without."""
+    out = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in line_list)
+    if out and draw(st.booleans()):
+        out = out.rstrip("\r\n")
+    return out
+
+
+@st.composite
+def files(draw):
+    """(POI text, check-in text, social text or None, max_malformed_frac)."""
+    pool = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=8, unique=True))
+    # Mostly known POIs, sometimes one the POI file does not define.
+    poi_ref = st.one_of(*[st.sampled_from(pool)] * 9, st.sampled_from(IDS))
+    coord = st.one_of(st.just("40.25"), st.sampled_from(COORDS))
+    ts = st.one_of(st.just("1300000000"), st.sampled_from(TIMESTAMPS))
+    category = st.sampled_from(CATEGORIES).map(lambda c: "" if c is None else "\t" + c)
+    poi_line = st.tuples(st.sampled_from(pool), coord, coord).map("\t".join)
+    poi_line = st.tuples(poi_line, category).map("".join)
+    user = st.sampled_from(IDS)
+    checkin_line = st.tuples(user, poi_ref, ts).map("\t".join)
+    edge_line = st.one_of(
+        st.tuples(user, st.one_of(user, st.just("ghost"))).map("\t".join),
+        user.map(lambda u: f"{u}\t{u}"),
+        user,
+    )
+    social = draw(st.one_of(st.none(), text(draw(lines(edge_line)))))
+    return (
+        draw(text(draw(lines(poi_line)))),
+        draw(text(draw(lines(checkin_line)))),
+        social,
+        draw(st.sampled_from([0.01, 0.5, 1.0])),
+    )
+
+
+def outcome(parse, paths, frac):
+    try:
+        return parse(*paths, max_malformed_frac=frac)
+    except DataError as e:
+        return str(e)
+
+
+def check_same(tmp_path, world):
+    poi_text, checkin_text, social_text, frac = world
+    po, ci = tmp_path / "pois.tsv", tmp_path / "checkins.tsv"
+    po.write_bytes(poi_text.encode("utf-8"))
+    ci.write_bytes(checkin_text.encode("utf-8"))
+    so = None
+    if social_text is not None:
+        so = tmp_path / "social.tsv"
+        so.write_bytes(social_text.encode("utf-8"))
+    got = outcome(parse_dataset, (ci, po, so), frac)
+    want = outcome(oracles.parse_dataset, (ci, po, so), frac)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.load_report.to_json() == want.load_report.to_json()
+    assert (got.user_ids, got.poi_ids) == (want.user_ids, want.poi_ids)
+    for name in ("user", "poi", "ts"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+    lat, lon, category, category_ids = oracles.poi_columns(want.pois, want.poi_ids)
+    assert got.lat.tobytes() == lat.tobytes() and got.lon.tobytes() == lon.tobytes()
+    assert got.category.tolist() == category.tolist()
+    assert got.category_ids == category_ids
+    assert [f.tolist() for f in got.friend_codes()] == oracles.friend_codes(
+        want.social, want.user_ids
+    )
+    assert got.edges.tolist() == oracles.edge_rows(want.social, want.user_ids).tolist()
+
+
+@given(world=files())
+@settings(max_examples=200, deadline=None)
+# A short id after a 64-byte one, at the end of a block: its key words past
+# its end must be read inside the block.
+@example(world=("", f"u1\t{LONG}\t1\nu1\tu1\t1\n", None, 0.01))
+def test_parse_equals_line_oracle(tmp_path_factory, world):
+    check_same(tmp_path_factory.mktemp("parse"), world)
+
+
+@given(world=files(), block_bytes=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_parse_equals_line_oracle_in_tiny_blocks(tmp_path_factory, world, block_bytes):
+    with patch.object(data, "BLOCK_BYTES", block_bytes):
+        check_same(tmp_path_factory.mktemp("parse"), world)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2, 3, data.BLOCK_BYTES])
+def test_crlf_and_lone_cr_straddling_blocks(tmp_path, block_bytes):
+    po, ci = tmp_path / "pois.tsv", tmp_path / "checkins.tsv"
+    po.write_bytes(b"p1\t40\t-100\tc\r\np2\t41\t-101\t\r")
+    ci.write_bytes(b"u1\tp1\t100\r\n\r\nu2\tp2\t200\r\rbad\r\nu1\tp2\t300")
+    with patch.object(data, "BLOCK_BYTES", block_bytes):
+        d = parse_dataset(ci, po, max_malformed_frac=0.5)
+    assert d.load_report.checkin_lines_malformed == [5]
+    assert d.load_report.checkin_lines_parsed == 3
+    assert d.ts.tolist() == [100, 200, 300]
+    assert d.category_ids == ["c"] and d.category.tolist() == [0, -1]
+    assert d.load_report.blocks >= 2
+    assert d.load_report.scalar_lines == 1
+
+
+def test_fast_path_carries_canonical_lines(tmp_path):
+    po, ci, so = tmp_path / "pois.tsv", tmp_path / "checkins.tsv", tmp_path / "social.tsv"
+    po.write_text("p1\t40.5\t-100.25\tcafe\np2\t41\t-101\t\n")
+    ci.write_text("u1\tp1\t100\nu2\tp2\t999999999999999999\n\nu1\tp2\t+3\n")
+    so.write_text("u1\tu2\nu2\tu1\n")
+    d = parse_dataset(ci, po, so)
+    # Only the signed timestamp takes the per-line path; it is still valid.
+    assert d.load_report.scalar_lines == 1
+    assert d.ts.tolist() == [100, 999999999999999999, 3]
+    assert d.edges.tolist() == [[0, 1]]
+    assert np.array_equal(d.lat, [40.5, 41.0])

@@ -1,12 +1,10 @@
 import csv
 import os
-from dataclasses import replace
 
 import pytest
 
-from poifair import data
 from poifair.config import ExperimentConfig
-from poifair.data import TRAIN, VALIDATION, Poi
+from poifair.data import TRAIN, VALIDATION
 from poifair.pipeline import Pipeline, StageFailure, _fmt, relevant_sets
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -16,8 +14,7 @@ import oracles
 def _world(tmp_path, seed, categories):
     ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=seed))
     if not categories:
-        pois = {p: Poi(p, x.latitude, x.longitude, None) for p, x in ds.pois.items()}
-        ds = replace(ds, pois=pois)
+        ds = oracles.without_categories(ds)
     paths = write_tsv(ds, tmp_path / "data")
     cfg = ExperimentConfig(
         checkin_path=str(paths["checkins"]),
@@ -121,7 +118,7 @@ def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
     def no_checkins(*args):
         raise AssertionError("a CheckIn was built before any model stage")
 
-    monkeypatch.setattr(data, "CheckIn", no_checkins)
+    monkeypatch.setattr(oracles, "CheckIn", no_checkins)
     d = p.preprocess(p.parse())
     split = p.split(d)
     profiles, _ = p.analyze(d, split)
@@ -142,7 +139,7 @@ def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
     def no_checkins(*args):
         raise AssertionError("a CheckIn was built by a pipeline stage")
 
-    monkeypatch.setattr(data, "CheckIn", no_checkins)
+    monkeypatch.setattr(oracles, "CheckIn", no_checkins)
     d = p.preprocess(p.parse())
     split = p.split(d)
     _, assignment = p.analyze(d, split)

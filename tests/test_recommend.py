@@ -44,7 +44,7 @@ class TestScoreCandidates:
         ds, _, train = small_world
         visited = {c.poi_id for c in train[ds.user_ids[0]]}
         cs = geosoca.score_candidates(0)
-        assert {ds.poi_ids[p] for p in cs.poi_ids} == set(ds.pois) - visited
+        assert {ds.poi_ids[p] for p in cs.poi_ids} == set(ds.poi_ids) - visited
         assert cs.raw.shape == (len(cs.poi_ids), 3)
 
     def test_unknown_user_errors(self, geosoca, small_world):
@@ -56,12 +56,13 @@ class TestScoreCandidates:
         ds, _, train = small_world
         u = ds.user_ids[0]
         counts = oracles.visit_counts(train)
-        categories = oracles.CategoricalModel(train, ds.pois)
+        pois = oracles.pois_of(ds)
+        categories = oracles.CategoricalModel(train, pois)
         cs = geosoca.score_candidates(0)
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
-            poi = ds.pois[ds.poi_ids[p]]
+            poi = pois[ds.poi_ids[p]]
             g = oracles.geo_score(geosoca.user_kdes[0], poi.latitude, poi.longitude)
-            x = oracles.social_frequency(u, poi.poi_id, counts, ds.social)
+            x = oracles.social_frequency(u, poi.poi_id, counts, oracles.graph_of(ds))
             s = oracles.power_law_score(geosoca.social_fit, x)
             c = oracles.power_law_score(
                 geosoca.cat_fit, categories.frequency(u, poi.poi_id)
@@ -75,14 +76,17 @@ class TestScoreCandidates:
         u = ds.user_ids[1]
         counts = oracles.visit_counts(train)
         residences = {v: oracles.residence(v, counts) for v in train if train[v]}
-        coords = {p: (x.latitude, x.longitude) for p, x in ds.pois.items()}
+        pois = oracles.pois_of(ds)
+        coords = {p: (x.latitude, x.longitude) for p, x in pois.items()}
         l2tg = oracles.build_l2tg(train, 24.0)
         cs = lore.score_candidates(1)
         history = [c.poi_id for c in train[u]]
         for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
-            poi = ds.pois[ds.poi_ids[p]]
+            poi = pois[ds.poi_ids[p]]
             g = oracles.geo_score(lore.global_kde, poi.latitude, poi.longitude)
-            f = oracles.fcf_score(u, poi.poi_id, counts, ds.social, residences, coords)
+            f = oracles.fcf_score(
+                u, poi.poi_id, counts, oracles.graph_of(ds), residences, coords
+            )
             a = oracles.amc_score(l2tg, history, poi.poi_id)
             assert row[0] == pytest.approx(g, rel=1e-9)
             assert row[1] == pytest.approx(f, rel=1e-9)
@@ -187,16 +191,7 @@ class TestRecommend:
 
 class TestDisabledContext:
     def test_geosoca_runs_without_categories(self, small_world):
-        from dataclasses import replace
-
-        from poifair.data import Poi
-
-        ds = small_world[0]
-        stripped_pois = {
-            p: Poi(p, poi.latitude, poi.longitude, None)
-            for p, poi in ds.pois.items()
-        }
-        bare = replace(ds, pois=stripped_pois)
+        bare = oracles.without_categories(small_world[0])
         model = FittedModel(GEOSOCA, temporal_split(bare).columns(TRAIN))
         assert model.enabled == (True, True, False)
         pois, _ = top_n(model, 0, PRODUCT, 5)

@@ -3,7 +3,6 @@ shares per-user and per-model work across candidates, equals the
 one-candidate-at-a-time oracles, and the int-indexed fit structures equal
 the string-keyed oracles."""
 import math
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -12,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair import recommend
-from poifair.data import TRAIN, CheckIn, Dataset, Poi, SocialGraph, temporal_split
+from poifair.data import TRAIN, Dataset, temporal_split
 from poifair.recommend import GEOSOCA, LORE, FittedModel
 from poifair.sequential import SESSION_GAP_HOURS
 from poifair.synth import SynthConfig, generate
 
 import oracles
+from oracles import CheckIn, Poi, SocialGraph
 
 # Few sites, so POIs often share coordinates.
 SITES = [(40.0, -100.0), (40.001, -100.002), (40.03, -99.97)]
@@ -65,7 +65,7 @@ def build(world) -> Dataset:
             poi = pois[f"p{poi_idx}"]
             checkins.append(CheckIn(u, poi.poi_id, ts, poi.latitude, poi.longitude))
     graph = SocialGraph((names[a], names[b]) for a, b in edges if a != b)
-    return Dataset.from_checkins(checkins, pois, graph)
+    return oracles.from_checkins(checkins, pois, graph)
 
 
 def same(got: float, want: float) -> bool:
@@ -77,18 +77,19 @@ def same(got: float, want: float) -> bool:
 
 def check_geosoca(model: FittedModel, ds: Dataset, train) -> None:
     counts = oracles.visit_counts(train)
-    categories = oracles.CategoricalModel(train, ds.pois)
+    pois, social = oracles.pois_of(ds), oracles.graph_of(ds)
+    categories = oracles.CategoricalModel(train, pois)
     for i, u in enumerate(ds.user_ids):
         cs = model.score_candidates(i)
         cands = [ds.poi_ids[p] for p in cs.poi_ids]
-        assert cands == sorted(set(ds.pois) - {c.poi_id for c in train[u]})
+        assert cands == sorted(set(pois) - {c.poi_id for c in train[u]})
         samples = [(c.latitude, c.longitude) for c in train[u]]
         for p, (c1, c2, c3) in zip(cands, cs.raw):
-            poi = ds.pois[p]
+            poi = pois[p]
             g = oracles.expanded_kde_score(
                 model.user_kdes[i], samples, poi.latitude, poi.longitude
             )
-            x = oracles.social_frequency(u, p, counts, ds.social)
+            x = oracles.social_frequency(u, p, counts, social)
             s = oracles.power_law_score(model.social_fit, x)
             c = (
                 oracles.power_law_score(model.cat_fit, categories.frequency(u, p))
@@ -103,17 +104,18 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
     samples = [(c.latitude, c.longitude) for u in sorted(train) for c in train[u]]
     counts = oracles.visit_counts(train)
     residences = {u: oracles.residence(u, counts) for u in train if counts[u]}
-    coords = {p: (x.latitude, x.longitude) for p, x in ds.pois.items()}
+    pois, social = oracles.pois_of(ds), oracles.graph_of(ds)
+    coords = {p: (x.latitude, x.longitude) for p, x in pois.items()}
     l2tg = oracles.build_l2tg(train, SESSION_GAP_HOURS)
     for i, u in enumerate(ds.user_ids):
         cs = model.score_candidates(i)
         history = [c.poi_id for c in train[u]]
         for p, (c1, c2, c3) in zip(cs.poi_ids, cs.raw):
-            poi = ds.pois[ds.poi_ids[p]]
+            poi = pois[ds.poi_ids[p]]
             g = oracles.expanded_kde_score(
                 model.global_kde, samples, poi.latitude, poi.longitude
             )
-            f = oracles.fcf_score(u, poi.poi_id, counts, ds.social, residences, coords)
+            f = oracles.fcf_score(u, poi.poi_id, counts, social, residences, coords)
             a = oracles.amc_score(
                 l2tg, history, poi.poi_id, model.amc_alpha, model.amc_memory
             )
@@ -152,15 +154,16 @@ def check_fit_structures(ds: Dataset, split) -> None:
         for s in np.flatnonzero(np.diff(g.indptr))
     } == {s: want.out_edges(s) for s in want.out_totals if want.out_totals[s]}
 
-    categories = oracles.CategoricalModel(train, ds.pois)
+    pois = oracles.pois_of(ds)
+    categories = oracles.CategoricalModel(train, pois)
     assert [geosoca.cat_model.frequency(i).tolist() for i in range(len(users))] == [
         [categories.frequency(u, p) for p in pois] for u in users
     ]
 
     samples = [call.args[0].tolist() for call in fit.call_args_list]
-    want_samples = [oracles.positive_social_frequencies(train, ds.social)]
+    want_samples = [oracles.positive_social_frequencies(train, oracles.graph_of(ds))]
     if geosoca.cat_model.has_categories:
-        want_samples.append(oracles.positive_categorical_frequencies(train, ds.pois))
+        want_samples.append(oracles.positive_categorical_frequencies(train, pois))
     assert samples == want_samples
 
 
@@ -200,9 +203,7 @@ def test_power_law_samples_in_oracle_order_on_synthetic_world(categories):
     friends whose histories overlap."""
     ds = generate(SynthConfig(n_users=40, n_clusters=3, pois_per_cluster=8, seed=5))
     if not categories:
-        ds = replace(ds, pois={
-            p: Poi(p, x.latitude, x.longitude, None) for p, x in ds.pois.items()
-        })
+        ds = oracles.without_categories(ds)
     check_fit_structures(ds, temporal_split(ds))
 
 
@@ -210,5 +211,7 @@ def test_single_candidate_example_shape():
     ds = build(SINGLE_CANDIDATE)
     lore = FittedModel(LORE, temporal_split(ds).columns(TRAIN))
     assert lore.score_candidates(0).poi_ids.tolist() == [ds.poi_ids.index("p2")]
-    assert "g0" in ds.social.friends("u0") and "g0" not in ds.user_ids
-    assert not ds.social.friends("u1")
+    # u0's one friend, g0, has no check-in, so no code: neither user has a
+    # friend in the dataset.
+    assert SINGLE_CANDIDATE[3] == [(0, 2)] and "g0" not in ds.user_ids
+    assert [f.tolist() for f in ds.friend_codes()] == [[], []]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poifair.data import PairCounts, SocialGraph
+from poifair.data import PairCounts
 from poifair.geo import distance_km
 from poifair.social import (
     BETA_MAX,
@@ -21,7 +21,7 @@ from poifair.social import (
 
 import oracles
 from conftest import make_checkin
-from oracles import residence, visit_counts
+from oracles import SocialGraph, residence, visit_counts
 
 
 def rows_of(counts, users, pois):
