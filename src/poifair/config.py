@@ -63,8 +63,18 @@ class ExperimentConfig:
             raise ConfigError("split fractions must sum to 1")
         if min(self.train_frac, self.val_frac, self.test_frac) < 0:
             raise ConfigError("split fractions must be >= 0")
+        if min(self.min_user_checkins, self.min_poi_checkins) < 0:
+            raise ConfigError("min_user_checkins and min_poi_checkins must be >= 0")
+        # The working window is [start, end) within one day; it does not wrap
+        # midnight.
+        if not 0 <= self.work_start_hour < self.work_end_hour <= 24:
+            raise ConfigError("need 0 <= work_start_hour < work_end_hour <= 24")
         if not 0 < self.group_quantile <= 0.5:
             raise ConfigError("group_quantile must be in (0, 0.5]")
+        for key in ("models", "fusion_rules", "cutoffs"):
+            values = getattr(self, key)
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{key} must be nonempty without repeats")
         for m in self.models:
             if m not in ("geosoca", "lore"):
                 raise ConfigError(f"unknown model {m!r}")
@@ -73,6 +83,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown fusion rule {r!r}")
         if any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be >= 1")
+        if self.sweep_objective not in ("min_delta", "max_acc_unf"):
+            raise ConfigError(f"unknown sweep_objective {self.sweep_objective!r}")
+        step = self.sweep_step  # the simplex grid's step must divide 1
+        if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:
+            raise ConfigError("sweep_step must be in (0, 1] and divide 1")
         if not 0 < self.amc_alpha < 1 or self.amc_memory < 1:
             raise ConfigError("amc_alpha must be in (0, 1) and amc_memory >= 1")
 

@@ -2,10 +2,9 @@
 normalization, and the simplex weight sweep for weighted-sum."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
+
+from .metrics import GroupMetrics, group_metrics
 
 PRODUCT = "product"
 SUM = "sum"
@@ -61,7 +60,9 @@ def renormalize_weighted_sum(
 ) -> tuple[float, float, float]:
     """Rescale weighted-sum lambdas over the enabled contexts to sum to 1."""
     masked = [l if e else 0.0 for l, e in zip(lambdas, enabled)]
-    total = sum(masked)
+    # Left to right: the builtin sum() of floats is compensated from Python
+    # 3.12 on.
+    total = masked[0] + masked[1] + masked[2]
     if total <= 0:
         n = sum(enabled)
         return tuple((1.0 / n if e else 0.0) for e in enabled)
@@ -94,45 +95,25 @@ def simplex_grid(step: float = 0.1) -> list[tuple[float, float, float]]:
     return points
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    lambdas: tuple[float, float, float]
-    ndcg: float
-    ndcg_leisure: float
-    ndcg_working: float
-    delta_ndcg: float
-    acc_unf: float
-
-
 def weight_sweep(
-    evaluate: Callable[[tuple[float, float, float]], dict],
-    step: float = 0.1,
+    ndcg: np.ndarray,
+    labels: np.ndarray,
+    grid: list[tuple[float, float, float]],
     objective: str = OBJECTIVE_MIN_DELTA,
-) -> tuple[SweepPoint, list[SweepPoint]]:
-    """Exhaustive simplex grid search of weighted-sum lambdas.
+) -> tuple[tuple[float, float, float], list[GroupMetrics]]:
+    """Exhaustive grid search of weighted-sum lambdas: the best grid point
+    and the group metrics of each, from the (users, grid) validation nDCG
+    matrix and the users' group labels.
 
-    `evaluate` maps a lambda triple to a dict with keys ndcg, ndcg_leisure,
-    ndcg_working, delta_ndcg, acc_unf (measured on the validation split).
-    Ties break by higher overall ndcg, then lexicographic lambdas.
+    Ties break by higher overall ndcg, then lexicographic lambdas; no gap
+    (acc_unf None) is the highest acc_unf.
     """
     if objective not in (OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF):
         raise ValueError(f"unknown objective: {objective!r}")
-    table = []
-    for lambdas in simplex_grid(step):
-        m = evaluate(lambdas)
-        table.append(
-            SweepPoint(
-                lambdas=lambdas,
-                ndcg=m["ndcg"],
-                ndcg_leisure=m["ndcg_leisure"],
-                ndcg_working=m["ndcg_working"],
-                delta_ndcg=m["delta_ndcg"],
-                acc_unf=m["acc_unf"],
-            )
-        )
+    table = [group_metrics(ndcg[:, j], labels) for j in range(len(grid))]
     if objective == OBJECTIVE_MIN_DELTA:
-        key = lambda p: (p.delta_ndcg, -p.ndcg, p.lambdas)
+        key = lambda j: (table[j].delta_ndcg, -table[j].ndcg_all, grid[j])
     else:
-        key = lambda p: (-p.acc_unf, -p.ndcg, p.lambdas)
-    best = min(table, key=key)
-    return best, table
+        key = lambda j: (table[j].acc_unf is not None, -(table[j].acc_unf or 0),
+                         -table[j].ndcg_all, grid[j])
+    return grid[min(range(len(grid)), key=key)], table

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .temporal import GroupAssignment
+from .data import PairCounts
+from .temporal import LEISURE, WORKING
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,15 @@ def _mean(values) -> float:
 
 
 def group_metrics(
-    per_user_ndcg: dict[str, float],
-    assignment: GroupAssignment,
-    baseline_delta: float | None = None,
+    ndcg: np.ndarray, labels: np.ndarray, baseline_delta: float | None = None
 ) -> GroupMetrics:
-    """Macro-averaged nDCG overall and per fairness group."""
-    leisure = [v for u, v in per_user_ndcg.items() if u in assignment.leisure_focused]
-    working = [v for u, v in per_user_ndcg.items() if u in assignment.working_focused]
+    """Macro-averaged nDCG overall and per fairness group; users in code order."""
+    leisure = ndcg[labels == LEISURE].tolist()
+    working = ndcg[labels == WORKING].tolist()
     if not leisure or not working:
         raise ValueError("both fairness groups must be nonempty")
     return fairness_summary(
-        ndcg_all=_mean(list(per_user_ndcg.values())),
+        ndcg_all=_mean(ndcg.tolist()),
         ndcg_leisure=_mean(leisure),
         ndcg_working=_mean(working),
         baseline_delta=baseline_delta,
@@ -129,10 +128,16 @@ class EvalReport:
     n_users_skipped: int
 
 
+def hit_matrix(relevant: PairCounts, users, top: np.ndarray, n_pois: int) -> np.ndarray:
+    """Whether POI code top[i, j] is relevant to user code users[i]; -1, which
+    pads a short list, never is."""
+    return relevant.contains(np.asarray(users)[:, None], top, n_pois) & (top >= 0)
+
+
 def evaluate_run(
-    recommendations: dict[str, list[str]],
-    test_relevant: dict[str, set[str]],
-    assignment: GroupAssignment,
+    hits: np.ndarray,
+    n_relevant: np.ndarray,
+    labels: np.ndarray,
     cutoff: int,
     model: str,
     fusion: str,
@@ -140,19 +145,15 @@ def evaluate_run(
 ) -> EvalReport:
     """One report row: metrics macro-averaged over users with nonempty test sets.
 
-    Users recommended-for but absent from the test split (or with an empty
-    relevant set) are excluded and counted.
+    Hit rows are the recommended-for users' lists, in user code order; users
+    with no relevant POI are excluded and counted.
     """
-    users = [u for u in recommendations if test_relevant.get(u)]
-    if not users:
+    kept = n_relevant > 0
+    if not kept.any():
         raise ValueError("no users with nonempty test sets")
-    hits = np.zeros((len(users), cutoff), dtype=bool)
-    for i, u in enumerate(users):
-        relevant = test_relevant[u]
-        top = recommendations[u][:cutoff]
-        hits[i, :len(top)] = [p in relevant for p in top]
-    m = ranking_metrics(hits, [len(test_relevant[u]) for u in users], cutoff)
-    gm = group_metrics(dict(zip(users, m.ndcg.tolist())), assignment, baseline_delta)
+    m = ranking_metrics(hits[kept], n_relevant[kept], cutoff)
+    gm = group_metrics(m.ndcg, labels[kept], baseline_delta)
+    n_evaluated = int(kept.sum())
     return EvalReport(
         model=model,
         fusion=fusion,
@@ -165,6 +166,6 @@ def evaluate_run(
         delta_ndcg=gm.delta_ndcg,
         pct_delta=gm.pct_delta,
         acc_unf=gm.acc_unf,
-        n_users_evaluated=len(users),
-        n_users_skipped=len(recommendations) - len(users),
+        n_users_evaluated=n_evaluated,
+        n_users_skipped=len(kept) - n_evaluated,
     )

@@ -20,6 +20,7 @@ from .data import (
     TRAIN,
     VALIDATION,
     Dataset,
+    PairCounts,
     SplitDataset,
     dataset_stats,
     parse_dataset,
@@ -27,15 +28,13 @@ from .data import (
     temporal_split,
 )
 from .fusion import (
-    OBJECTIVE_MAX_ACC_UNF,
-    OBJECTIVE_MIN_DELTA,
     PRODUCT,
     WEIGHTED_SUM,
     rule_lambdas,
     simplex_grid,
     weight_sweep,
 )
-from .metrics import evaluate_run, group_metrics, ranking_metrics
+from .metrics import evaluate_run, hit_matrix, ranking_metrics
 from .recommend import (
     CandidateScores,
     FittedModel,
@@ -44,6 +43,7 @@ from .recommend import (
     top_k,
 )
 from .temporal import (
+    UNASSIGNED,
     assign_groups,
     build_profiles,
     correlation_analysis,
@@ -79,40 +79,38 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def sweep_ndcg(
-    cache: dict[str, CandidateScores],
-    relevant: dict[str, set[int]],
+    cache: list[CandidateScores | None],
+    relevant: PairCounts,
     grid: list[tuple[float, float, float]],
     cutoff: int,
-) -> dict[str, list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Validation nDCG@cutoff of each user's weighted-sum list at every grid
-    point, in grid order. Each user's scores are normalised and fused once
-    for the whole grid, its top lists are selected at once, and one metrics
-    call scores them; users with no relevant POI or no candidate are left
-    out."""
+    point: the scored user codes, ascending, and their (users, grid) nDCG
+    matrix. Each user's scores are normalised and fused once for the whole
+    grid, its top lists are selected at once, and one metrics call scores
+    them; users with no relevant POI or no candidate are left out."""
     lambdas = {}
-    out = {}
-    for u, cs in cache.items():
-        rel = relevant.get(u)
-        if not rel or not len(cs.poi_ids):
+    users, rows = [], []
+    for u, cs in enumerate(cache):
+        rel = relevant.row(u)[0]
+        if cs is None or not len(rel) or not len(cs.poi_ids):
             continue
         if cs.enabled not in lambdas:
             lambdas[cs.enabled] = rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
         scores = fused_scores(cs, lambdas[cs.enabled])
-        is_relevant = np.isin(cs.poi_ids, list(rel))
-        hits = is_relevant[top_k(scores, cutoff)]
-        out[u] = ranking_metrics(hits, np.full(len(hits), len(rel)), cutoff).ndcg.tolist()
-    return out
+        hits = np.isin(cs.poi_ids, rel)[top_k(scores, cutoff)]
+        users.append(u)
+        rows.append(ranking_metrics(hits, np.full(len(hits), len(rel)), cutoff).ndcg)
+    return np.array(users, dtype=np.intp), np.array(rows).reshape(len(rows), len(grid))
 
 
-def relevant_sets(split: SplitDataset, part: int) -> dict[str, set[int]]:
-    """Per-user ground truth, users in id order: the POI codes of one part
-    that the user did not visit in train (train-visited POIs are never
-    candidates)."""
-    held, train = (split.columns(p).visits() for p in (part, TRAIN))
-    return {
-        u: set(held.row(i)[0].tolist()) - set(train.row(i)[0].tolist())
-        for i, u in enumerate(split.dataset.user_ids)
-    }
+def ground_truth(split: SplitDataset, part: int) -> PairCounts:
+    """Per user code, the POI codes of one part that the user did not visit
+    in train (train-visited POIs are never candidates), as a CSR."""
+    held, train = (split.columns(p) for p in (part, TRAIN))
+    n_pois = len(held.poi_ids)
+    new = ~train.visits().contains(held.user, held.poi, n_pois)
+    return PairCounts.of(held.user[new], held.poi[new], len(held.user_ids), n_pois)
 
 
 class Pipeline:
@@ -172,8 +170,8 @@ class Pipeline:
                 popularity,
                 (self.cfg.work_start_hour, self.cfg.work_end_hour),
             )
-            assignment = assign_groups(profiles, self.cfg.group_quantile)
-            gstats = group_stats(assignment, profiles)
+            groups = assign_groups(profiles, self.cfg.group_quantile)
+            gstats = group_stats(groups, profiles)
             hist = temporal_histogram(d.ts)
 
             self._write_csv_artifact(
@@ -217,16 +215,19 @@ class Pipeline:
                 self.out / "correlations.json",
                 json.dumps(corr, indent=2, sort_keys=True),
             )
-            return profiles, assignment
+            # Profiles are the users with training rows, in code order.
+            labels = np.full(len(train.user_ids), UNASSIGNED, dtype=np.int8)
+            labels[np.diff(train.user_rows()) > 0] = groups
+            return profiles, labels
 
     def fit_and_recommend(self, split: SplitDataset):
-        """Fit each model once and cache raw candidate context scores. A user
-        with no training check-in has nothing to score from; such users are
-        left out and counted."""
+        """Fit each model once and cache raw candidate context scores, per
+        model a list indexed by user code. A user with no training check-in
+        has nothing to score from; such users hold None and are counted."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
-            users = np.flatnonzero(np.diff(train.user_rows()))
-            missing = len(train.user_ids) - len(users)
+            scored = (np.diff(train.user_rows()) > 0).tolist()
+            missing = scored.count(False)
             self.counts["recommend.users_without_train"] = missing
             if missing:
                 log.warning("%d users have no training check-in; not scored", missing)
@@ -238,52 +239,30 @@ class Pipeline:
                     amc_alpha=self.cfg.amc_alpha,
                     amc_memory=self.cfg.amc_memory,
                 )
-                caches[name] = {
-                    train.user_ids[i]: model.score_candidates(i) for i in users.tolist()
-                }
+                caches[name] = [
+                    model.score_candidates(u) if ok else None
+                    for u, ok in enumerate(scored)
+                ]
             return caches
 
-    def sweep(self, caches, assignment, split: SplitDataset):
+    def sweep(self, caches, labels, split: SplitDataset):
         """Tune weighted-sum lambdas on the validation split."""
         with self._stage("sweep"):
-            val_relevant = relevant_sets(split, VALIDATION)
+            relevant = ground_truth(split, VALIDATION)
             cutoff = 10 if 10 in self.cfg.cutoffs else self.cfg.cutoffs[0]
-            objective = (
-                OBJECTIVE_MIN_DELTA
-                if self.cfg.sweep_objective == "min_delta"
-                else OBJECTIVE_MAX_ACC_UNF
-            )
             grid = simplex_grid(self.cfg.sweep_step)
-            column = {lambdas: j for j, lambdas in enumerate(grid)}
             best_lambdas = {}
             all_rows = []
             for name, cache in sorted(caches.items()):
-                ndcg = sweep_ndcg(cache, val_relevant, grid, cutoff)
-
-                def evaluate(lambdas):
-                    j = column[lambdas]
-                    gm = group_metrics(
-                        {u: row[j] for u, row in ndcg.items()}, assignment
-                    )
-                    return {
-                        "ndcg": gm.ndcg_all,
-                        "ndcg_leisure": gm.ndcg_leisure,
-                        "ndcg_working": gm.ndcg_working,
-                        "delta_ndcg": gm.delta_ndcg,
-                        "acc_unf": gm.acc_unf if gm.acc_unf is not None else float("inf"),
-                    }
-
-                best, table = weight_sweep(evaluate, self.cfg.sweep_step, objective)
-                best_lambdas[name] = best.lambdas
-                for p in table:
-                    all_rows.append(
-                        [
-                            name, p.lambdas[0], p.lambdas[1], p.lambdas[2],
-                            p.ndcg, p.ndcg_leisure, p.ndcg_working,
-                            p.delta_ndcg,
-                            p.acc_unf if p.acc_unf != float("inf") else None,
-                        ]
-                    )
+                users, ndcg = sweep_ndcg(cache, relevant, grid, cutoff)
+                best_lambdas[name], table = weight_sweep(
+                    ndcg, labels[users], grid, self.cfg.sweep_objective
+                )
+                all_rows += [
+                    [name, *lambdas, gm.ndcg_all, gm.ndcg_leisure, gm.ndcg_working,
+                     gm.delta_ndcg, gm.acc_unf]
+                    for lambdas, gm in zip(grid, table)
+                ]
             self._write_csv_artifact(
                 "sweep.csv",
                 [
@@ -294,50 +273,47 @@ class Pipeline:
             )
             return best_lambdas
 
-    def evaluate(self, caches, assignment, split: SplitDataset, best_lambdas):
+    def evaluate(self, caches, labels, split: SplitDataset, best_lambdas):
         with self._stage("evaluate"):
-            test_relevant = relevant_sets(split, TEST)
-            poi_ids = split.dataset.poi_ids
+            relevant = ground_truth(split, TEST)
+            user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
             max_n = max(self.cfg.cutoffs)
             rows = []
             reports = []
             for name in self.cfg.models:
                 cache = caches[name]
-                recs_by_rule = {}
+                users = np.flatnonzero([cs is not None and len(cs.poi_ids) > 0 for cs in cache])
+                n_relevant, group = np.diff(relevant.indptr)[users], labels[users]
+                hits_by_rule = {}
                 for rule in self.cfg.fusion_rules:
                     points = [best_lambdas[name]] if rule == WEIGHTED_SUM else None
-                    recs = {}
+                    top = np.full((len(users), max_n), -1, dtype=np.intp)
                     rec_rows = []
-                    for u in sorted(cache):
+                    for i, u in enumerate(users.tolist()):
                         cs = cache[u]
-                        if not len(cs.poi_ids):
-                            continue
                         (scores,) = fused_scores(
                             cs, rule_lambdas(rule, cs.enabled, points)
                         )
                         pois, vals = recommend_topn(cs.poi_ids, scores, max_n)
-                        recs[u] = pois
+                        top[i, :len(pois)] = pois
                         for rank, (p, v) in enumerate(zip(pois, vals), start=1):
                             rec_rows.append(
-                                f"{u}\t{rank}\t{poi_ids[p]}\t{_fmt(v)}\n"
+                                f"{user_ids[u]}\t{rank}\t{poi_ids[p]}\t{_fmt(v)}\n"
                             )
-                    recs_by_rule[rule] = recs
+                    hits_by_rule[rule] = hit_matrix(relevant, users, top, len(poi_ids))
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",
                         "".join(rec_rows),
                     )
                 for n in self.cfg.cutoffs:
                     baseline_delta = None
-                    if PRODUCT in recs_by_rule:
-                        baseline = evaluate_run(
-                            recs_by_rule[PRODUCT], test_relevant, assignment,
-                            n, name, PRODUCT,
-                        )
-                        baseline_delta = baseline.delta_ndcg
+                    if PRODUCT in hits_by_rule:
+                        baseline_delta = evaluate_run(
+                            hits_by_rule[PRODUCT], n_relevant, group, n, name, PRODUCT
+                        ).delta_ndcg
                     for rule in self.cfg.fusion_rules:
                         rep = evaluate_run(
-                            recs_by_rule[rule], test_relevant, assignment, n,
-                            name, rule,
+                            hits_by_rule[rule], n_relevant, group, n, name, rule,
                             baseline_delta=baseline_delta,
                         )
                         reports.append(rep)
@@ -444,13 +420,13 @@ def _run_stages(p: Pipeline, command: str):
     if command == "preprocess":
         return []
     split = p.split(d)
-    _, assignment = p.analyze(d, split)
+    _, labels = p.analyze(d, split)
     if command == "analyze":
         return []
     caches = p.fit_and_recommend(split)
     best_lambdas = {}
     if command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules:
-        best_lambdas = p.sweep(caches, assignment, split)
+        best_lambdas = p.sweep(caches, labels, split)
     if command == "sweep":
         return []
-    return p.evaluate(caches, assignment, split, best_lambdas)
+    return p.evaluate(caches, labels, split, best_lambdas)

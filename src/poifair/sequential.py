@@ -2,6 +2,8 @@
 Markov chain scoring over a user's recent history."""
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,9 @@ def build_l2tg(
 
 def _amc_weights(k: int, alpha: float) -> list[float]:
     raw = [alpha**i for i in range(1, k + 1)]
-    total = sum(raw)
+    # Left to right: the builtin sum() of floats is compensated from Python
+    # 3.12 on.
+    total = functools.reduce(operator.add, raw, 0.0)
     return [w / total for w in raw]
 
 

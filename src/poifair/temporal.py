@@ -1,8 +1,10 @@
 """Working/leisure period labelling, user temporal profiles, and fairness groups."""
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +15,8 @@ log = logging.getLogger(__name__)
 
 WORK_START_HOUR = 8
 WORK_END_HOUR = 18
+
+UNASSIGNED, LEISURE, WORKING = 0, 1, 2  # group labels
 
 
 def hours(timestamps: np.ndarray) -> np.ndarray:
@@ -29,13 +33,6 @@ class UserTemporalProfile:
     n_leisure: int
     leisure_ratio: float
     avg_popularity_consumption: float
-
-
-@dataclass
-class GroupAssignment:
-    leisure_focused: set[str]
-    working_focused: set[str]
-    unassigned: set[str]
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,9 @@ def build_profiles(
 
     A check-in is in the working period iff its hour falls in the half-open
     [start, end) of work_window. A user's popularity consumption is the mean
-    popularity of their distinct POIs, summed left to right in poi_id order.
+    popularity of their distinct POIs, added strictly left to right in
+    poi_id order (the builtin sum() of floats is compensated from Python
+    3.12 on).
     """
     start, end = work_window
     n_users = len(train.user_ids)
@@ -89,7 +88,9 @@ def build_profiles(
                 n_working=n_work[u],
                 n_leisure=n - n_work[u],
                 leisure_ratio=(n - n_work[u]) / n,
-                avg_popularity_consumption=sum(pops[lo:hi]) / (hi - lo),
+                avg_popularity_consumption=functools.reduce(
+                    operator.add, pops[lo:hi], 0.0
+                ) / (hi - lo),
             )
         )
     return profiles
@@ -97,32 +98,32 @@ def build_profiles(
 
 def assign_groups(
     profiles: list[UserTemporalProfile], quantile: float = 0.2
-) -> GroupAssignment:
-    """Top/bottom quantile of users ranked by leisure-check-in ratio."""
+) -> np.ndarray:
+    """Each profile's int8 group label: LEISURE for the top quantile of users
+    ranked by leisure-check-in ratio, WORKING for the bottom one, UNASSIGNED
+    for the rest."""
     if len(profiles) < 5:
         raise ValueError("need at least 5 users to assign groups")
     if quantile > 0.5:
         raise ValueError("quantile > 0.5 makes the groups overlap")
-    ranked = sorted(profiles, key=lambda p: (-p.leisure_ratio, p.user_id))
+    key = lambda i: (-profiles[i].leisure_ratio, profiles[i].user_id)
+    ranked = sorted(range(len(profiles)), key=key)
     k = int(quantile * len(ranked))
-    leisure = {p.user_id for p in ranked[:k]}
-    working = {p.user_id for p in ranked[len(ranked) - k :]}
-    rest = {p.user_id for p in ranked} - leisure - working
-    return GroupAssignment(leisure, working, rest)
+    labels = np.full(len(profiles), UNASSIGNED, dtype=np.int8)
+    labels[ranked[:k]] = LEISURE
+    labels[ranked[len(ranked) - k :]] = WORKING
+    return labels
 
 
 def group_stats(
-    assignment: GroupAssignment, profiles: list[UserTemporalProfile]
+    labels: np.ndarray, profiles: list[UserTemporalProfile]
 ) -> list[GroupStats]:
-    by_id = {p.user_id: p for p in profiles}
+    """Per fairness group, from each profile's group label."""
     out = []
-    for name, members in (
-        ("leisure-focused", assignment.leisure_focused),
-        ("working-focused", assignment.working_focused),
-    ):
-        if not members:
+    for name, label in (("leisure-focused", LEISURE), ("working-focused", WORKING)):
+        ps = [p for p, g in zip(profiles, labels.tolist()) if g == label]
+        if not ps:
             raise ValueError(f"empty group: {name}")
-        ps = [by_id[u] for u in sorted(members)]
         out.append(
             GroupStats(
                 group=name,
@@ -131,7 +132,7 @@ def group_stats(
                     np.mean([p.avg_popularity_consumption for p in ps])
                 ),
                 avg_activity_level=float(np.mean([p.n_checkins for p in ps])),
-                n_users=len(members),
+                n_users=len(ps),
             )
         )
     return out

@@ -3,8 +3,10 @@ line-at-a-time TSV parse with its string-keyed POI table and social graph,
 the per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
 (visit counts, residences, transition graph, category frequencies, power-law
 inputs), the one-candidate-at-a-time context scores, the one-candidate
-fusion, the top-N ranking, the one-list ranking metrics and the weighted-sum
-sweep. Tests compare the library against them. `from_checkins` is the
+fusion, the top-N ranking, the one-list ranking metrics, the fairness
+groups as sets of users, the user-keyed group metrics and evaluation, and the
+weighted-sum sweep with its per-point callback. Tests compare the library
+against them. `from_checkins` is the
 fixture constructor: it builds a `Dataset` from `CheckIn`, `Poi` and
 `SocialGraph` objects."""
 from __future__ import annotations
@@ -18,9 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from poifair.data import INT64_MAX, DataError, Dataset, DatasetStats, LoadReport
-from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, weight_sweep
+from poifair.fusion import (
+    OBJECTIVE_MAX_ACC_UNF,
+    OBJECTIVE_MIN_DELTA,
+    PRODUCT,
+    WEIGHTED_SUM,
+    rule_lambdas,
+    simplex_grid,
+)
 from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
-from poifair.metrics import group_metrics
+from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
 from poifair.recommend import fused_scores
 from poifair.sequential import AMC_DECAY, AMC_MEMORY
 from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
@@ -364,7 +373,7 @@ def build_profiles(train, popularity, work_window=(WORK_START_HOUR, WORK_END_HOU
         )
         n = len(seq)
         distinct = sorted({c.poi_id for c in seq})
-        pop = sum(popularity.get(p, 0.0) for p in distinct) / len(distinct)
+        pop = sequential_sum(popularity.get(p, 0.0) for p in distinct) / len(distinct)
         profiles.append(
             UserTemporalProfile(
                 user_id=u,
@@ -585,8 +594,8 @@ def amc_score(
     if not recent:
         return 0.0
     raw = [alpha**i for i in range(1, len(recent) + 1)]
-    total = sum(raw)
-    return sum(
+    total = sequential_sum(raw)
+    return sequential_sum(
         w / total * g.out_edges(src).get(p, 0.0) for w, src in zip(raw, recent)
     )
 
@@ -661,40 +670,149 @@ def ranking_metrics(recommended, relevant, n: int) -> RankingMetrics:
     return RankingMetrics(precision=precision, recall=recall, ndcg=ndcg)
 
 
+def mean(values) -> float:
+    return sequential_sum(values) / len(values)
+
+
+@dataclass
+class GroupAssignment:
+    leisure_focused: set
+    working_focused: set
+    unassigned: set
+
+
+def assign_groups(profiles, quantile=0.2) -> GroupAssignment:
+    """Top/bottom quantile of users ranked by leisure-check-in ratio, as sets
+    of user ids."""
+    if len(profiles) < 5:
+        raise ValueError("need at least 5 users to assign groups")
+    if quantile > 0.5:
+        raise ValueError("quantile > 0.5 makes the groups overlap")
+    ranked = sorted(profiles, key=lambda p: (-p.leisure_ratio, p.user_id))
+    k = int(quantile * len(ranked))
+    leisure = {p.user_id for p in ranked[:k]}
+    working = {p.user_id for p in ranked[len(ranked) - k :]}
+    rest = {p.user_id for p in ranked} - leisure - working
+    return GroupAssignment(leisure, working, rest)
+
+
+def group_metrics(per_user_ndcg: dict, assignment: GroupAssignment,
+                  baseline_delta=None) -> GroupMetrics:
+    """Macro-averaged nDCG overall and per fairness group, users keyed as in
+    the assignment's sets."""
+    leisure = [v for u, v in per_user_ndcg.items() if u in assignment.leisure_focused]
+    working = [v for u, v in per_user_ndcg.items() if u in assignment.working_focused]
+    if not leisure or not working:
+        raise ValueError("both fairness groups must be nonempty")
+    return fairness_summary(
+        ndcg_all=mean(list(per_user_ndcg.values())),
+        ndcg_leisure=mean(leisure),
+        ndcg_working=mean(working),
+        baseline_delta=baseline_delta,
+    )
+
+
+def evaluate_run(recommendations: dict, test_relevant: dict, assignment: GroupAssignment,
+                 cutoff, model, fusion, baseline_delta=None) -> EvalReport:
+    """One report row from {user: ranked list} and {user: relevant set}:
+    metrics macro-averaged over users with nonempty relevant sets; the other
+    recommended-for users are counted as skipped."""
+    users = [u for u in recommendations if test_relevant.get(u)]
+    if not users:
+        raise ValueError("no users with nonempty test sets")
+    m = {u: ranking_metrics(recommendations[u], test_relevant[u], cutoff) for u in users}
+    gm = group_metrics({u: m[u].ndcg for u in users}, assignment, baseline_delta)
+    return EvalReport(
+        model=model,
+        fusion=fusion,
+        cutoff=cutoff,
+        precision=mean([m[u].precision for u in users]),
+        recall=mean([m[u].recall for u in users]),
+        ndcg=gm.ndcg_all,
+        ndcg_leisure=gm.ndcg_leisure,
+        ndcg_working=gm.ndcg_working,
+        delta_ndcg=gm.delta_ndcg,
+        pct_delta=gm.pct_delta,
+        acc_unf=gm.acc_unf,
+        n_users_evaluated=len(users),
+        n_users_skipped=len(recommendations) - len(users),
+    )
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    lambdas: tuple[float, float, float]
+    ndcg: float
+    ndcg_leisure: float
+    ndcg_working: float
+    delta_ndcg: float
+    acc_unf: float
+
+
+def weight_sweep(evaluate, step=0.1, objective=OBJECTIVE_MIN_DELTA):
+    """Exhaustive simplex grid search of weighted-sum lambdas: (best point,
+    every point in grid order).
+
+    `evaluate` maps a lambda triple to a dict with keys ndcg, ndcg_leisure,
+    ndcg_working, delta_ndcg, acc_unf (inf for no gap). Ties break by higher
+    overall ndcg, then lexicographic lambdas.
+    """
+    if objective not in (OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF):
+        raise ValueError(f"unknown objective: {objective!r}")
+    table = [SweepPoint(lambdas=lam, **evaluate(lam)) for lam in simplex_grid(step)]
+    if objective == OBJECTIVE_MIN_DELTA:
+        key = lambda p: (p.delta_ndcg, -p.ndcg, p.lambdas)
+    else:
+        key = lambda p: (-p.acc_unf, -p.ndcg, p.lambdas)
+    return min(table, key=key), table
+
+
+def sweep_point(gm: GroupMetrics) -> dict:
+    """The `weight_sweep` callback's dict of one point's group metrics."""
+    return {
+        "ndcg": gm.ndcg_all,
+        "ndcg_leisure": gm.ndcg_leisure,
+        "ndcg_working": gm.ndcg_working,
+        "delta_ndcg": gm.delta_ndcg,
+        "acc_unf": gm.acc_unf if gm.acc_unf is not None else float("inf"),
+    }
+
+
+def sweep_rows(name, table) -> list[list]:
+    """sweep.csv rows of one model's sweep table."""
+    return [
+        [
+            name, p.lambdas[0], p.lambdas[1], p.lambdas[2],
+            p.ndcg, p.ndcg_leisure, p.ndcg_working, p.delta_ndcg,
+            p.acc_unf if p.acc_unf != float("inf") else None,
+        ]
+        for p in table
+    ]
+
+
 def sweep(caches, assignment, val_relevant, cutoff, step, objective):
     """Weighted-sum sweep that re-fuses and re-ranks every user's list at
-    each grid point. Returns ({model: best lambdas}, sweep.csv rows)."""
+    each grid point. caches[name] is a list of `CandidateScores` (None for a
+    user not scored) by user code, val_relevant a {user code: set of POI
+    codes} and the assignment's sets hold user codes. Returns ({model: best
+    lambdas}, sweep.csv rows)."""
     best_lambdas = {}
     rows = []
     for name, cache in sorted(caches.items()):
         def evaluate(lambdas):
             per_user = {}
-            for u, cs in cache.items():
+            for u, cs in enumerate(cache):
                 relevant = val_relevant.get(u)
-                if not relevant or not len(cs.poi_ids):
+                if cs is None or not relevant or not len(cs.poi_ids):
                     continue
                 (scores,) = fused_scores(
                     cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, [lambdas])
                 )
                 pois, _ = topn(cs.poi_ids, scores, cutoff)
                 per_user[u] = ranking_metrics(pois, relevant, cutoff).ndcg
-            gm = group_metrics(per_user, assignment)
-            return {
-                "ndcg": gm.ndcg_all,
-                "ndcg_leisure": gm.ndcg_leisure,
-                "ndcg_working": gm.ndcg_working,
-                "delta_ndcg": gm.delta_ndcg,
-                "acc_unf": gm.acc_unf if gm.acc_unf is not None else float("inf"),
-            }
+            return sweep_point(group_metrics(per_user, assignment))
 
         best, table = weight_sweep(evaluate, step, objective)
         best_lambdas[name] = best.lambdas
-        for p in table:
-            rows.append(
-                [
-                    name, p.lambdas[0], p.lambdas[1], p.lambdas[2],
-                    p.ndcg, p.ndcg_leisure, p.ndcg_working, p.delta_ndcg,
-                    p.acc_unf if p.acc_unf != float("inf") else None,
-                ]
-            )
+        rows += sweep_rows(name, table)
     return best_lambdas, rows

@@ -53,9 +53,29 @@ class TestConfig:
         {"train_frac": 0.8, "val_frac": -0.1, "test_frac": 0.3},
         {"amc_alpha": 1.5},
         {"amc_memory": 0},
-    ], ids=["negative-split-fraction", "amc-alpha", "amc-memory"])
+        {"sweep_objective": "max_acc_unff"},
+        {"sweep_step": 0.3},
+        {"sweep_step": 0},
+        {"work_start_hour": 18, "work_end_hour": 8},
+        {"work_end_hour": 25},
+        {"min_user_checkins": -1},
+        {"min_poi_checkins": -1},
+        {"cutoffs": []},
+        {"models": []},
+        {"fusion_rules": []},
+        {"models": ["geosoca", "geosoca"]},
+        {"fusion_rules": ["sum", "sum"]},
+        {"cutoffs": [10, 10]},
+    ], ids=[
+        "negative-split-fraction", "amc-alpha", "amc-memory",
+        "unknown-sweep-objective", "sweep-step-not-dividing-1", "sweep-step-zero",
+        "work-window-wrapping-midnight", "work-window-past-24",
+        "negative-min-user-checkins", "negative-min-poi-checkins",
+        "no-cutoffs", "no-models", "no-fusion-rules",
+        "repeated-model", "repeated-fusion-rule", "repeated-cutoff",
+    ])
     def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides):
-        path = write_config(tmp_path, fixture_files, models=["lore"], **overrides)
+        path = write_config(tmp_path, fixture_files, **{"models": ["lore"], **overrides})
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
 

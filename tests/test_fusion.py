@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from poifair.fusion import (
     simplex_grid,
     weight_sweep,
 )
+from poifair.temporal import LEISURE, WORKING
 
 from oracles import ContextScores, fuse
 
@@ -111,6 +114,18 @@ class TestRenormalize:
         lam = renormalize_weighted_sum((0.0, 0.0, 1.0), (True, True, False))
         assert lam == pytest.approx((0.5, 0.5, 0.0))
 
+    @pytest.mark.parametrize("point", [
+        (0.2, 0.7, 0.1), (0.3, 0.6, 0.1), (0.6, 0.3, 0.1), (0.7, 0.2, 0.1),
+    ])
+    def test_total_is_added_left_to_right(self, point):
+        """These grid points total 0.9999999999999999 added left to right; a
+        compensated sum, as the builtin sum() of floats is from Python 3.12
+        on, gives 1.0 and other lambdas."""
+        assert math.fsum(point) == 1.0
+        assert renormalize_weighted_sum(point, ALL) == tuple(
+            l / 0.9999999999999999 for l in point
+        )
+
 
 class TestNormalize:
     def test_min_max(self):
@@ -151,48 +166,52 @@ class TestSweep:
         with pytest.raises(ValueError):
             simplex_grid(0.3)
 
-    def _neutral_context_eval(self, lambdas):
-        # context 1 is group-neutral: delta shrinks as lambda1 grows
-        l1 = lambdas[0]
-        delta = 1.0 - l1
-        ndcg = 0.5
-        return {
-            "ndcg": ndcg,
-            "ndcg_leisure": ndcg + delta / 2,
-            "ndcg_working": ndcg - delta / 2,
-            "delta_ndcg": delta,
-            "acc_unf": ndcg / delta if delta else float("inf"),
-        }
+    @staticmethod
+    def neutral_context_ndcg(grid):
+        """One leisure and one working user whose nDCG gap shrinks as
+        lambda1 grows: context 1 is group-neutral."""
+        return np.array([[0.5 + (1.0 - l[0]) / 2 for l in grid],
+                         [0.5 - (1.0 - l[0]) / 2 for l in grid]])
+
+    labels = np.array([LEISURE, WORKING])
 
     def test_selects_neutral_corner(self):
-        best, table = weight_sweep(self._neutral_context_eval, step=0.1)
-        assert best.lambdas == (1.0, 0.0, 0.0)
+        grid = simplex_grid(0.1)
+        ndcg = self.neutral_context_ndcg(grid)
+        best, table = weight_sweep(ndcg, self.labels, grid)
+        assert best == (1.0, 0.0, 0.0)
         assert len(table) == 66
         # independent exhaustive recomputation
         oracle = min(
-            ((self._neutral_context_eval(l)["delta_ndcg"], l) for l in simplex_grid(0.1))
+            (abs(ndcg[0, j] - ndcg[1, j]), -(ndcg[0, j] + ndcg[1, j]) / 2, l)
+            for j, l in enumerate(grid)
         )
-        assert best.delta_ndcg == oracle[0]
+        assert best == oracle[2]
+        assert table[grid.index(best)].delta_ndcg == oracle[0]
 
     def test_tie_break_deterministic(self):
-        def flat(lambdas):
-            return {
-                "ndcg": 0.5,
-                "ndcg_leisure": 0.5,
-                "ndcg_working": 0.5,
-                "delta_ndcg": 0.0,
-                "acc_unf": float("inf"),
-            }
-
-        best, _ = weight_sweep(flat, step=0.5)
-        assert best.lambdas == min(simplex_grid(0.5))
+        grid = simplex_grid(0.5)
+        best, table = weight_sweep(np.full((2, len(grid)), 0.5), self.labels, grid)
+        assert best == min(grid)
+        assert all(gm.delta_ndcg == 0.0 and gm.acc_unf is None for gm in table)
 
     def test_max_acc_unf_objective(self):
+        grid = simplex_grid(0.5)
         best, _ = weight_sweep(
-            self._neutral_context_eval, step=0.5, objective=OBJECTIVE_MAX_ACC_UNF
+            self.neutral_context_ndcg(grid), self.labels, grid,
+            objective=OBJECTIVE_MAX_ACC_UNF,
         )
-        assert best.lambdas == (1.0, 0.0, 0.0)
+        assert best == (1.0, 0.0, 0.0)
+
+    def test_no_gap_is_the_highest_acc_unf(self):
+        grid = simplex_grid(0.5)
+        ndcg = np.full((2, len(grid)), 0.5)
+        ndcg[0, 1:] = 0.9  # only point 0 has no gap, and the lowest nDCG
+        best, table = weight_sweep(ndcg, self.labels, grid, OBJECTIVE_MAX_ACC_UNF)
+        assert best == grid[0]
+        assert table[0].acc_unf is None
 
     def test_unknown_objective(self):
+        grid = simplex_grid(0.5)
         with pytest.raises(ValueError):
-            weight_sweep(self._neutral_context_eval, objective="party")
+            weight_sweep(self.neutral_context_ndcg(grid), self.labels, grid, objective="party")

@@ -6,14 +6,16 @@ import random
 import numpy as np
 import pytest
 
+from poifair.data import PairCounts
 from poifair.metrics import (
     _mean,
     evaluate_run,
     fairness_summary,
     group_metrics,
+    hit_matrix,
     ranking_metrics,
 )
-from poifair.temporal import GroupAssignment
+from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 
 import oracles
 
@@ -119,61 +121,61 @@ class TestFairnessSummary:
 class TestGroupMetrics:
     def test_macro_average_is_flat_mean(self):
         rnd = random.Random(1)
-        users = {f"u{i}": rnd.random() for i in range(30)}
-        leisure = {f"u{i}" for i in range(0, 10)}
-        working = {f"u{i}" for i in range(10, 20)}
-        a = GroupAssignment(leisure, working, set(users) - leisure - working)
-        gm = group_metrics(users, a)
-        assert gm.ndcg_all == pytest.approx(sum(users.values()) / 30, abs=1e-12)
-        assert gm.ndcg_leisure == pytest.approx(
-            sum(users[u] for u in leisure) / 10, abs=1e-12
-        )
-        assert gm.ndcg_working == pytest.approx(
-            sum(users[u] for u in working) / 10, abs=1e-12
-        )
+        ndcg = np.array([rnd.random() for _ in range(30)])
+        labels = np.array([LEISURE] * 10 + [WORKING] * 10 + [UNASSIGNED] * 10)
+        gm = group_metrics(ndcg, labels)
+        assert gm.ndcg_all == pytest.approx(sum(ndcg) / 30, abs=1e-12)
+        assert gm.ndcg_leisure == pytest.approx(sum(ndcg[:10]) / 10, abs=1e-12)
+        assert gm.ndcg_working == pytest.approx(sum(ndcg[10:20]) / 10, abs=1e-12)
 
     def test_empty_group_errors(self):
-        a = GroupAssignment({"u1"}, {"u2"}, set())
         with pytest.raises(ValueError):
-            group_metrics({"u1": 0.5}, a)
+            group_metrics(np.array([0.5]), np.array([LEISURE]))
 
 
 class TestEvaluateRun:
-    def assignment(self):
-        return GroupAssignment({"l1", "l2"}, {"w1", "w2"}, set())
+    labels = np.array([LEISURE, LEISURE, WORKING, WORKING])
 
     def test_perfect_run_flags_undefined_acc_unf(self):
-        recs = {u: ["a", "b"] for u in ("l1", "l2", "w1", "w2")}
-        relevant = {u: {"a", "b"} for u in recs}
-        rep = evaluate_run(recs, relevant, self.assignment(), 2, "m", "product")
+        hits = np.ones((4, 2), dtype=bool)
+        rep = evaluate_run(hits, np.full(4, 2), self.labels, 2, "m", "product")
         assert rep.ndcg == 1.0
         assert rep.delta_ndcg == 0.0
         assert rep.acc_unf is None
 
     def test_engineered_group_gap_recomputed_by_brute_force(self):
         # leisure users get a hit at rank 1, working users at rank 3
-        recs = {
-            "l1": ["hit", "x", "y"],
-            "l2": ["hit", "x", "y"],
-            "w1": ["x", "y", "hit"],
-            "w2": ["x", "y", "hit"],
-        }
-        relevant = {u: {"hit"} for u in recs}
-        rep = evaluate_run(recs, relevant, self.assignment(), 3, "m", "product")
+        hits = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
+        rep = evaluate_run(hits, np.ones(4, dtype=int), self.labels, 3, "m", "product")
         assert rep.ndcg_leisure == pytest.approx(1.0)
         assert rep.ndcg_working == pytest.approx(1.0 / math.log2(4))
         expected_delta = 1.0 - 1.0 / math.log2(4)
         assert rep.delta_ndcg == pytest.approx(expected_delta, abs=1e-12)
 
     def test_users_without_test_data_excluded(self):
-        recs = {
-            "l1": ["a"], "l2": ["a"], "w1": ["a"], "w2": ["a"], "ghost": ["a"],
-        }
-        relevant = {u: {"a"} for u in ("l1", "l2", "w1", "w2")}
-        rep = evaluate_run(recs, relevant, self.assignment(), 1, "m", "product")
+        hits = np.ones((5, 1), dtype=bool)
+        labels = np.append(self.labels, UNASSIGNED)
+        rep = evaluate_run(hits, np.array([1, 1, 1, 1, 0]), labels, 1, "m", "product")
         assert rep.n_users_evaluated == 4
         assert rep.n_users_skipped == 1
 
     def test_all_users_skipped_errors(self):
         with pytest.raises(ValueError):
-            evaluate_run({"u": ["a"]}, {}, self.assignment(), 1, "m", "product")
+            evaluate_run(np.ones((1, 1), dtype=bool), np.zeros(1, dtype=int),
+                         np.array([LEISURE]), 1, "m", "product")
+
+
+class TestHitMatrix:
+    def test_padding_is_never_a_hit(self):
+        # POI 2 is relevant to user 0; user 1's list is one POI long, padded
+        # with -1, whose key 1 * 3 - 1 is user 0's (0, 2).
+        relevant = PairCounts.of(np.array([0, 1]), np.array([2, 0]), 2, 3)
+        top = np.array([[1, 2], [0, -1]])
+        assert hit_matrix(relevant, np.array([0, 1]), top, 3).tolist() == [
+            [False, True], [True, False],
+        ]
+
+    def test_no_relevant_pairs(self):
+        relevant = PairCounts.of(np.array([], dtype=int), np.array([], dtype=int), 2, 3)
+        top = np.array([[0, 1], [2, -1]])
+        assert not hit_matrix(relevant, np.array([0, 1]), top, 3).any()

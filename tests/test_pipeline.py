@@ -1,11 +1,13 @@
 import csv
 import os
+from dataclasses import asdict
 
 import pytest
 
 from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, VALIDATION
-from poifair.pipeline import Pipeline, StageFailure, _fmt, relevant_sets
+from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth
+from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.synth import SynthConfig, generate, write_tsv
 
 import oracles
@@ -25,8 +27,8 @@ def _world(tmp_path, seed, categories):
     p = Pipeline(cfg)
     d = p.preprocess(p.parse())
     split = p.split(d)
-    _, assignment = p.analyze(d, split)
-    return cfg, split, assignment, p.fit_and_recommend(split)
+    profiles, labels = p.analyze(d, split)
+    return cfg, split, profiles, labels, p.fit_and_recommend(split)
 
 
 @pytest.fixture(scope="module", params=[(11, True), (3, False)],
@@ -36,30 +38,78 @@ def world(request, tmp_path_factory):
     return _world(tmp_path_factory.mktemp("world"), seed, categories)
 
 
+def code_groups(split, profiles, labels):
+    """The oracle's fairness groups as sets of user codes, after checking
+    that the pipeline's label of each user code agrees with them."""
+    a = oracles.assign_groups(profiles)
+    code = {u: i for i, u in enumerate(split.dataset.user_ids)}
+    groups = oracles.GroupAssignment(
+        *({code[u] for u in users} for users in (a.leisure_focused, a.working_focused, a.unassigned))
+    )
+    assert labels.tolist() == [
+        LEISURE if u in groups.leisure_focused
+        else WORKING if u in groups.working_focused else UNASSIGNED
+        for u in range(len(code))
+    ]
+    return groups
+
+
 @pytest.mark.parametrize("objective", ["min_delta", "max_acc_unf"])
 @pytest.mark.parametrize("step", [0.1, 0.5])
 def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
-    cfg, split, assignment, caches = world
+    cfg, split, profiles, labels, caches = world
     p = Pipeline(ExperimentConfig(
         checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
         out_dir=str(tmp_path), sweep_step=step, sweep_objective=objective,
     ))
-    best = p.sweep(caches, assignment, split)
+    best = p.sweep(caches, labels, split)
 
     train, val, _ = oracles.checkin_lists(split)
-    val_relevant = relevant_sets(split, VALIDATION)
-    names = split.dataset.poi_ids
-    assert {u: {names[p] for p in rel} for u, rel in val_relevant.items()} == {
+    user_ids, names = split.dataset.user_ids, split.dataset.poi_ids
+    truth = ground_truth(split, VALIDATION)
+    val_relevant = {u: set(truth.row(u)[0].tolist()) for u in range(len(user_ids))}
+    assert {user_ids[u]: {names[p] for p in rel} for u, rel in val_relevant.items()} == {
         u: {c.poi_id for c in val[u]} - {c.poi_id for c in train[u]} for u in train
     }
     want_best, want_rows = oracles.sweep(
-        caches, assignment, val_relevant, 10, step, objective
+        caches, code_groups(split, profiles, labels), val_relevant, 10, step, objective
     )
     with (tmp_path / "sweep.csv").open(newline="") as fh:
         got_rows = list(csv.reader(fh))[1:]
     assert got_rows == [[_fmt(v) for v in row] for row in want_rows]
     assert best == want_best
     assert set(best) == {"geosoca", "lore"}
+
+
+def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
+    """Every report equals the oracle's, computed from the written
+    recommendation lists and the check-in lists, all keyed by user id."""
+    cfg, split, profiles, labels, caches = world
+    rules, cutoffs = ["product", "sum", "weighted_sum"], [5, 10, 20]
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
+        out_dir=str(tmp_path), fusion_rules=rules, cutoffs=cutoffs,
+    ))
+    reports = p.evaluate(caches, labels, split, p.sweep(caches, labels, split))
+
+    train, _, test = oracles.checkin_lists(split)
+    relevant = {u: {c.poi_id for c in test[u]} - {c.poi_id for c in train[u]} for u in train}
+    groups = oracles.assign_groups(profiles)
+    want = []
+    for name in cfg.models:
+        recs = {}
+        for rule in rules:
+            recs[rule] = {}
+            with (tmp_path / f"recommendations_{name}_{rule}.tsv").open() as fh:
+                for user, _, poi, _ in csv.reader(fh, delimiter="\t"):
+                    recs[rule].setdefault(user, []).append(poi)
+        for n in cutoffs:
+            base = oracles.evaluate_run(recs["product"], relevant, groups, n, name, "product")
+            want += [
+                oracles.evaluate_run(recs[r], relevant, groups, n, name, r, base.delta_ndcg)
+                for r in rules
+            ]
+    assert repr([asdict(r) for r in reports]) == repr([asdict(r) for r in want])
 
 
 class _Unprintable:
@@ -142,7 +192,7 @@ def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
     monkeypatch.setattr(oracles, "CheckIn", no_checkins)
     d = p.preprocess(p.parse())
     split = p.split(d)
-    _, assignment = p.analyze(d, split)
+    _, labels = p.analyze(d, split)
     caches = p.fit_and_recommend(split)
-    best = p.sweep(caches, assignment, split)
-    assert p.evaluate(caches, assignment, split, best)
+    best = p.sweep(caches, labels, split)
+    assert p.evaluate(caches, labels, split, best)

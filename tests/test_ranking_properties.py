@@ -1,8 +1,10 @@
 """Property tests of the bulk ranking and fusion paths against their scalar
 oracles: top_k and recommend_topn against a full sort, the row-wise ranking
-metrics against the one-list oracle, and multi-row fusion against one-row
+metrics against the one-list oracle, evaluation and the weight sweep on user
+codes against their user-keyed oracles, and multi-row fusion against one-row
 calls and the one-candidate fusion oracle, bit for bit."""
 import struct
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poifair.data import PairCounts
 from poifair.fusion import (
+    OBJECTIVE_MAX_ACC_UNF,
+    OBJECTIVE_MIN_DELTA,
     PRODUCT,
     SUM,
     WEIGHTED_SUM,
@@ -18,9 +23,11 @@ from poifair.fusion import (
     normalize_scores,
     rule_lambdas,
     simplex_grid,
+    weight_sweep,
 )
 from poifair import recommend
-from poifair.metrics import ranking_metrics
+from poifair.metrics import evaluate_run, hit_matrix, ranking_metrics
+from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.recommend import CandidateScores, fused_scores, recommend_topn, top_k
 
 import oracles
@@ -143,6 +150,107 @@ def test_row_metrics_equal_one_list_oracle(case):
         want = oracles.ranking_metrics(top, rel, n)
         got = (m.precision[i], m.recall[i], m.ndcg[i])
         assert bits(got) == bits([want.precision, want.recall, want.ndcg])
+
+
+label_st = st.sampled_from([UNASSIGNED, LEISURE, WORKING])
+
+
+def groups_of(labels):
+    """The oracle's fairness groups: sets of the user codes with each label."""
+    return oracles.GroupAssignment(
+        *({u for u, g in enumerate(labels.tolist()) if g == label}
+          for label in (LEISURE, WORKING, UNASSIGNED))
+    )
+
+
+def outcome(f):
+    """repr of f's result, which tells -0.0 from 0.0, or its ValueError."""
+    try:
+        return repr(f())
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def evaluation_runs(draw):
+    """(n_pois, recommended-for user codes, their ranked POI codes, relevant
+    POI codes of every user code, labels of every user code, list width,
+    cutoff). Lists may be shorter than the width; relevant sets may be empty.
+    With the trap on, the last POI code is relevant to every user: a padding
+    -1 keyed as user * n_pois - 1 would hit the previous user's last POI."""
+    n_pois = draw(st.integers(min_value=1, max_value=12))
+    n_users = draw(st.integers(min_value=1, max_value=10))
+    users = sorted(draw(st.sets(st.integers(min_value=0, max_value=n_users - 1), min_size=1)))
+    width = draw(st.integers(min_value=1, max_value=8))
+    poi = st.integers(min_value=0, max_value=n_pois - 1)
+    lists = {u: draw(st.lists(poi, unique=True, min_size=1, max_size=width)) for u in users}
+    trap = {n_pois - 1} if draw(st.booleans()) else set()
+    relevant = {u: draw(st.sets(poi)) | trap for u in range(n_users)}
+    labels = np.array(draw(st.lists(label_st, min_size=n_users, max_size=n_users)), dtype=np.int8)
+    cutoff = draw(st.integers(min_value=1, max_value=width))
+    return n_pois, users, lists, relevant, labels, width, cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluation_runs(), baseline=st.sampled_from([None, 0.0, 0.25]))
+def test_array_evaluation_equals_user_keyed_oracle(case, baseline):
+    n_pois, users, lists, relevant, labels, width, cutoff = case
+    pairs = [(u, p) for u in sorted(relevant) for p in sorted(relevant[u])]
+    row, col = (np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1))
+    truth = PairCounts.of(row, col, len(labels), n_pois)
+    top = np.full((len(users), width), -1)
+    for i, u in enumerate(users):
+        top[i, :len(lists[u])] = lists[u]
+    hits = hit_matrix(truth, np.array(users), top, n_pois)
+    got = outcome(lambda: asdict(evaluate_run(
+        hits, np.diff(truth.indptr)[users], labels[users], cutoff, "m", "r", baseline
+    )))
+    want = outcome(lambda: asdict(oracles.evaluate_run(
+        lists, relevant, groups_of(labels), cutoff, "m", "r", baseline
+    )))
+    assert got == want
+
+
+ndcg_st = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 0.6309297535714575]),
+    st.floats(min_value=0, max_value=1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    step=st.sampled_from([1.0, 0.5, 1 / 3]),
+    objective=st.sampled_from([OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF]),
+)
+def test_matrix_weight_sweep_equals_callback_oracle(data, step, objective):
+    grid = simplex_grid(step)
+    n_users = data.draw(st.integers(min_value=1, max_value=8))
+    ndcg = np.array(data.draw(st.lists(
+        st.lists(ndcg_st, min_size=len(grid), max_size=len(grid)),
+        min_size=n_users, max_size=n_users,
+    )))
+    labels = np.array(data.draw(st.lists(label_st, min_size=n_users, max_size=n_users)),
+                      dtype=np.int8)
+    column = {lambdas: j for j, lambdas in enumerate(grid)}
+
+    def evaluate(lambdas):
+        per_user = {u: float(ndcg[u, column[lambdas]]) for u in range(n_users)}
+        return oracles.sweep_point(oracles.group_metrics(per_user, groups_of(labels)))
+
+    def array_sweep():
+        best, table = weight_sweep(ndcg, labels, grid, objective)
+        return best, [
+            ["m", *lambdas, gm.ndcg_all, gm.ndcg_leisure, gm.ndcg_working,
+             gm.delta_ndcg, gm.acc_unf]
+            for lambdas, gm in zip(grid, table)
+        ]
+
+    def callback_sweep():
+        best, table = oracles.weight_sweep(evaluate, step, objective)
+        return best.lambdas, oracles.sweep_rows("m", table)
+
+    assert outcome(array_sweep) == outcome(callback_sweep)
 
 
 unit_st = st.one_of(

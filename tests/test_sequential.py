@@ -1,9 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from poifair.sequential import amc_scores, build_l2tg, transition_graph
+from poifair.sequential import _amc_weights, amc_scores, build_l2tg, transition_graph
 
 import oracles
 from conftest import make_checkin, make_train
@@ -113,6 +114,18 @@ class TestScore:
         g = graph([(A, B, 3), (A, C, 1)], 4)
         score = amc_scores(g, [X, A], [B], alpha=0.5, memory=5)
         assert score.tolist() == [pytest.approx(0.5)]
+
+    @pytest.mark.parametrize("alpha, k, total", [
+        (0.3, 3, 0.41700000000000004), (0.3, 5, 0.42753),
+        (0.7, 4, 1.7731), (0.9, 5, 3.68559),
+    ])
+    def test_weights_total_is_added_left_to_right(self, alpha, k, total):
+        """Each total is alpha + alpha**2 + ... added left to right; a
+        compensated sum, as the builtin sum() of floats is from Python 3.12
+        on, differs in the last bit."""
+        raw = [alpha**i for i in range(1, k + 1)]
+        assert math.fsum(raw) != total
+        assert _amc_weights(k, alpha) == [w / total for w in raw]
 
     def test_empty_history(self):
         g = graph([], 1)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poifair.temporal import (
-    GroupAssignment,
+    LEISURE,
+    UNASSIGNED,
+    WORKING,
     UserTemporalProfile,
     assign_groups,
     build_profiles,
@@ -103,6 +105,15 @@ class TestProfiles:
             train, oracles.poi_popularity(train, 3)
         )
 
+    def test_popularity_mean_adds_left_to_right(self):
+        """0.1 + 0.2 + 0.3 is 0.6000000000000001 added left to right; a
+        compensated sum, as the builtin sum() of floats is from Python 3.12
+        on, gives 0.6."""
+        train = {"u": [make_checkin("u", p, 100) for p in ("p1", "p2", "p3")]}
+        (profile,) = profiles_of(train, {"p1": 0.1, "p2": 0.2, "p3": 0.3})
+        assert math.fsum([0.1, 0.2, 0.3]) == 0.6
+        assert profile.avg_popularity_consumption == 0.6000000000000001 / 3
+
     def test_popularity_definition(self):
         train = {
             "a": [make_checkin("a", "p1", 100), make_checkin("a", "p1", 200)],
@@ -131,17 +142,15 @@ def profile(u, ratio, n=10):
 class TestGroups:
     def test_floor_sizes(self):
         profiles = [profile(f"u{i}", i / 10) for i in range(10)]
-        a = assign_groups(profiles)
-        assert len(a.leisure_focused) == 2
-        assert len(a.working_focused) == 2
-        assert not a.leisure_focused & a.working_focused
+        labels = assign_groups(profiles)
+        assert (labels == LEISURE).sum() == 2
+        assert (labels == WORKING).sum() == 2
+        assert labels.dtype == np.int8
 
     def test_hand_sorted_extremes(self):
         ratios = [1.0, 0.9, 0.9, 0.5, 0.2, 0.1, 0.0]
         profiles = [profile(f"u{i}", r) for i, r in enumerate(ratios)]
-        a = assign_groups(profiles)
-        assert a.leisure_focused == {"u0"}
-        assert a.working_focused == {"u6"}
+        assert assign_groups(profiles).tolist() == [LEISURE] + [UNASSIGNED] * 5 + [WORKING]
 
     def test_too_few_users(self):
         with pytest.raises(ValueError):
@@ -165,10 +174,11 @@ class TestGroups:
         transformed = [
             profile(f"u{i:03d}", math.tanh(2 * r)) for i, r in enumerate(ratios)
         ]
-        a = assign_groups(profiles)
-        b = assign_groups(transformed)
-        assert a.leisure_focused == b.leisure_focused
-        assert a.working_focused == b.working_focused
+        labels = assign_groups(profiles)
+        assert assign_groups(transformed).tolist() == labels.tolist()
+        want = oracles.assign_groups(profiles)
+        assert {p.user_id for p, g in zip(profiles, labels) if g == LEISURE} == want.leisure_focused
+        assert {p.user_id for p, g in zip(profiles, labels) if g == WORKING} == want.working_focused
 
 
 class TestGroupStats:
@@ -183,8 +193,9 @@ class TestGroupStats:
         }
         d = columns(train)
         profiles = build_profiles(d, poi_popularity(d))
-        a = GroupAssignment({"l1", "l2"}, {"w1", "w2"}, {"m"})
-        stats = {g.group: g for g in group_stats(a, profiles)}
+        # Profiles in user id order: l1, l2, m, w1, w2.
+        labels = np.array([LEISURE, LEISURE, UNASSIGNED, WORKING, WORKING])
+        stats = {g.group: g for g in group_stats(labels, profiles)}
         assert stats["leisure-focused"].n_checkins == 10
         assert stats["leisure-focused"].avg_activity_level == pytest.approx(5.0)
         assert stats["working-focused"].n_checkins == 10
@@ -194,7 +205,7 @@ class TestGroupStats:
         train = {"u": [make_checkin("u", "p", 100)]}
         profiles = profiles_of(train, {"p": 1.0})
         with pytest.raises(ValueError):
-            group_stats(GroupAssignment(set(), {"u"}, set()), profiles)
+            group_stats(np.array([WORKING]), profiles)
 
 
 class TestHistogram:
