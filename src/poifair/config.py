@@ -3,7 +3,7 @@ default rather than a hard-coded value."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 
@@ -54,6 +54,10 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         if not self.checkin_path or not self.poi_path:
             raise ConfigError("checkin_path and poi_path are required")
         for path in (self.checkin_path, self.poi_path, self.social_path):
@@ -93,3 +97,15 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a JSON value has a field's annotated type: a bool is not a
+    number, and an int is a float."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    if kind == "str | None":
+        return value is None or isinstance(value, str)
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"str": str, "int": int, "float": (int, float), "bool": bool}[kind])

@@ -209,9 +209,9 @@ def parse_dataset(
 
     The files are UTF-8 with `\n`, `\r\n` or `\r` line ends, decoded in
     blocks of whole lines. A line in the canonical form (the expected number
-    of tabs, no NUL byte, ids of 1 to MAX_ID_BYTES bytes, a timestamp of 1 to
-    MAX_TS_DIGITS ASCII digits above 0, coordinates in range) is decoded in
-    bulk; any other line goes through the per-line rules of `_poi_fields`,
+    of tabs, or a POI line without the category's, no NUL byte, ids of 1 to
+    MAX_ID_BYTES bytes, a timestamp of 1 to MAX_TS_DIGITS ASCII digits above
+    0, coordinates in range) is decoded in bulk; any other line goes through the per-line rules of `_poi_fields`,
     `_checkin_fields` or `_edge_fields`, which give the same verdict on a
     canonical line. Line numbers in the report count every physical line,
     blank ones too. Social edges whose endpoints never check in are dropped
@@ -286,7 +286,7 @@ def _edge_block(b: _Block):
 def _parse_pois(path, report: LoadReport, max_frac: float):
     """poi_ids, lat, lon, category and category_ids of the POI file."""
     (line, (poi_ids, code), lat, lon, cat), bad = _scan(
-        path, 3, _poi_block, _poi_fields, report
+        path, (2, 3), _poi_block, _poi_fields, report
     )
     report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
@@ -305,7 +305,7 @@ def _parse_pois(path, report: LoadReport, max_frac: float):
 def _parse_checkins(path, poi_ids: list[str], report: LoadReport, max_frac: float):
     """user_ids and the user, poi and ts columns of the check-in file."""
     (line, (user_ids, user), (names, name), ts), bad = _scan(
-        path, 2, _checkin_block, _checkin_fields, report
+        path, (2, 2), _checkin_block, _checkin_fields, report
     )
     report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(line)
     poi = _codes(names, name, {p: i for i, p in enumerate(poi_ids)})
@@ -321,7 +321,7 @@ def _parse_checkins(path, poi_ids: list[str], report: LoadReport, max_frac: floa
 
 def _parse_social(path, user_ids: list[str], report: LoadReport) -> np.ndarray:
     """The distinct edges of the social file between users with check-ins."""
-    (_, a, b), bad = _scan(path, 1, _edge_block, _edge_fields, report)
+    (_, a, b), bad = _scan(path, (1, 1), _edge_block, _edge_fields, report)
     code = {u: i for i, u in enumerate(user_ids)}
     a, b = _codes(*a, code), _codes(*b, code)
     keep = (a >= 0) & (b >= 0) & (a != b)
@@ -342,7 +342,7 @@ def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
     return np.stack((key // n_users, key % n_users), axis=1).astype(np.int32)
 
 
-def _scan(path, n_tabs: int, decode, scalar, report: LoadReport):
+def _scan(path, n_tabs: tuple[int, int], decode, scalar, report: LoadReport):
     """The parsed lines of `path`, decoded block by block, and the line
     numbers of its malformed ones, in file order.
 
@@ -416,10 +416,11 @@ class _Block:
 
     Line i spans bytes `starts[i]:ends[i]`, its line end excluded, and is
     physical line `first_line + i` of the file. `rows` are the lines with
-    exactly `n_tabs` tabs and no NUL byte; field j of `rows[k]` spans bytes
-    `lo[j][k]:hi[j][k]`."""
+    `n_tabs[0]` to `n_tabs[1]` tabs and no NUL byte; field j of `rows[k]`
+    spans bytes `lo[j][k]:hi[j][k]`, and a field past a line's last tab is
+    empty."""
 
-    def __init__(self, raw: bytes, first_line: int, n_tabs: int, path):
+    def __init__(self, raw: bytes, first_line: int, n_tabs: tuple[int, int], path):
         buf = np.frombuffer(raw, dtype=np.uint8)
         eol = np.flatnonzero((buf == 10) | (buf == 13))
         is_lf = buf[eol] == 10
@@ -440,11 +441,15 @@ class _Block:
         n_tabs_of = np.bincount(np.searchsorted(self.ends, tabs), minlength=len(self.ends))
         has_nul = np.zeros(len(self.ends), dtype=bool)
         has_nul[np.searchsorted(self.ends, np.flatnonzero(buf == 0))] = True
-        self.rows = np.flatnonzero((n_tabs_of == n_tabs) & ~has_nul)
+        fewest, most = n_tabs
+        self.rows = np.flatnonzero((fewest <= n_tabs_of) & (n_tabs_of <= most) & ~has_nul)
         first_tab = (np.cumsum(n_tabs_of) - n_tabs_of)[self.rows]
-        t = [tabs[first_tab + j] for j in range(n_tabs)]
-        self.lo = [self.starts[self.rows], *(x + 1 for x in t)]
-        self.hi = [*t, self.ends[self.rows]]
+        n, end = n_tabs_of[self.rows], self.ends[self.rows]
+        # A missing tab sits at the line end, so the fields after it are empty.
+        t = [np.where(j < n, tabs[np.minimum(first_tab + j, len(tabs) - 1)], end)
+             for j in range(most)]
+        self.lo = [self.starts[self.rows], *(np.minimum(x + 1, end) for x in t)]
+        self.hi = [*t, end]
         self.raw, self.buf = raw, buf
         # words[i]: bytes i to i + 7 as one big-endian integer.
         padded = np.zeros(len(buf) + 8, dtype=np.uint8)

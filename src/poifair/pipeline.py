@@ -35,13 +35,7 @@ from .fusion import (
     weight_sweep,
 )
 from .metrics import evaluate_run, hit_matrix, ranking_metrics
-from .recommend import (
-    CandidateScores,
-    FittedModel,
-    fused_scores,
-    recommend_topn,
-    top_k,
-)
+from .recommend import FittedModel, fused_scores, recommend_topn
 from .temporal import (
     UNASSIGNED,
     assign_groups,
@@ -76,32 +70,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def sweep_ndcg(
-    cache: list[CandidateScores | None],
-    relevant: PairCounts,
-    grid: list[tuple[float, float, float]],
-    cutoff: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validation nDCG@cutoff of each user's weighted-sum list at every grid
-    point: the scored user codes, ascending, and their (users, grid) nDCG
-    matrix. Each user's scores are normalised and fused once for the whole
-    grid, its top lists are selected at once, and one metrics call scores
-    them; users with no relevant POI or no candidate are left out."""
-    lambdas = {}
-    users, rows = [], []
-    for u, cs in enumerate(cache):
-        rel = relevant.row(u)[0]
-        if cs is None or not len(rel) or not len(cs.poi_ids):
-            continue
-        if cs.enabled not in lambdas:
-            lambdas[cs.enabled] = rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
-        scores = fused_scores(cs, lambdas[cs.enabled])
-        hits = np.isin(cs.poi_ids, rel)[top_k(scores, cutoff)]
-        users.append(u)
-        rows.append(ranking_metrics(hits, np.full(len(hits), len(rel)), cutoff).ndcg)
-    return np.array(users, dtype=np.intp), np.array(rows).reshape(len(rows), len(grid))
 
 
 def ground_truth(split: SplitDataset, part: int) -> PairCounts:
@@ -220,18 +188,23 @@ class Pipeline:
             labels[np.diff(train.user_rows()) > 0] = groups
             return profiles, labels
 
-    def fit_and_recommend(self, split: SplitDataset):
-        """Fit each model once and cache raw candidate context scores, per
-        model a list indexed by user code. A user with no training check-in
-        has nothing to score from; such users hold None and are counted."""
+    def fit_and_recommend(self, split: SplitDataset, rules):
+        """Fit each model once and rank each user once. Per model: the ranked
+        user codes, ascending, and per rule in `rules` their (users, rows, K)
+        top POI codes, -1 past a short list, and fused scores, K being
+        max(cutoffs). Weighted-sum has a row per simplex grid point, the
+        other rules one. Raw scores are dropped user by user. Users with no
+        training check-in or no candidate are counted and left out."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
-            scored = (np.diff(train.user_rows()) > 0).tolist()
-            missing = scored.count(False)
+            scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
+            missing = len(train.user_ids) - len(scored)
             self.counts["recommend.users_without_train"] = missing
             if missing:
                 log.warning("%d users have no training check-in; not scored", missing)
-            caches = {}
+            k = max(self.cfg.cutoffs)
+            grid = simplex_grid(self.cfg.sweep_step)
+            ranked = {}
             for name in self.cfg.models:
                 model = FittedModel(
                     name, train,
@@ -239,22 +212,48 @@ class Pipeline:
                     amc_alpha=self.cfg.amc_alpha,
                     amc_memory=self.cfg.amc_memory,
                 )
-                caches[name] = [
-                    model.score_candidates(u) if ok else None
-                    for u, ok in enumerate(scored)
-                ]
-            return caches
+                lists = {}
+                for rule in rules:
+                    lam = rule_lambdas(rule, model.enabled, grid)
+                    shape = (len(scored), 1 if lam is None else len(lam), k)
+                    lists[rule] = lam, np.full(shape, -1, dtype=np.int32), np.zeros(shape)
+                users, candidates = [], 0
+                for u in scored.tolist():
+                    cs = model.score_candidates(u)
+                    candidates += len(cs.poi_ids)
+                    if len(cs.poi_ids):
+                        for lam, codes, scores in lists.values():
+                            pois, vals = recommend_topn(cs.poi_ids, fused_scores(cs, lam), k)
+                            codes[len(users), :, :pois.shape[1]] = pois
+                            scores[len(users), :, :pois.shape[1]] = vals
+                        users.append(u)
+                n = len(users)
+                self.counts[f"recommend.users_ranked.{name}"] = n
+                self.counts[f"recommend.candidates.{name}"] = candidates
+                self.counts[f"recommend.empty_candidate_users.{name}"] = len(scored) - n
+                ranked[name] = np.array(users, dtype=np.intp), {
+                    rule: (codes[:n], scores[:n]) for rule, (_, codes, scores) in lists.items()
+                }
+            return ranked
 
-    def sweep(self, caches, labels, split: SplitDataset):
-        """Tune weighted-sum lambdas on the validation split."""
+    def sweep(self, ranked, labels, split: SplitDataset):
+        """Tune weighted-sum lambdas on the validation split, on the first
+        cutoff columns of the grid lists of the users with a relevant POI."""
         with self._stage("sweep"):
             relevant = ground_truth(split, VALIDATION)
             cutoff = 10 if 10 in self.cfg.cutoffs else self.cfg.cutoffs[0]
             grid = simplex_grid(self.cfg.sweep_step)
             best_lambdas = {}
             all_rows = []
-            for name, cache in sorted(caches.items()):
-                users, ndcg = sweep_ndcg(cache, relevant, grid, cutoff)
+            for name, (users, lists) in sorted(ranked.items()):
+                kept = np.diff(relevant.indptr)[users] > 0
+                codes, _ = lists[WEIGHTED_SUM]
+                users, top = users[kept], codes[kept, :, :cutoff]
+                ndcg = np.empty((len(users), len(grid)))
+                for i, u in enumerate(users.tolist()):
+                    rel = relevant.row(u)[0]
+                    hits = np.isin(top[i], rel)
+                    ndcg[i] = ranking_metrics(hits, np.full(len(grid), len(rel)), cutoff).ndcg
                 best_lambdas[name], table = weight_sweep(
                     ndcg, labels[users], grid, self.cfg.sweep_objective
                 )
@@ -273,30 +272,26 @@ class Pipeline:
             )
             return best_lambdas
 
-    def evaluate(self, caches, labels, split: SplitDataset, best_lambdas):
+    def evaluate(self, ranked, labels, split: SplitDataset, best_lambdas):
         with self._stage("evaluate"):
             relevant = ground_truth(split, TEST)
             user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
-            max_n = max(self.cfg.cutoffs)
+            grid = simplex_grid(self.cfg.sweep_step)
             rows = []
             reports = []
             for name in self.cfg.models:
-                cache = caches[name]
-                users = np.flatnonzero([cs is not None and len(cs.poi_ids) > 0 for cs in cache])
+                users, lists = ranked[name]
                 n_relevant, group = np.diff(relevant.indptr)[users], labels[users]
                 hits_by_rule = {}
                 for rule in self.cfg.fusion_rules:
-                    points = [best_lambdas[name]] if rule == WEIGHTED_SUM else None
-                    top = np.full((len(users), max_n), -1, dtype=np.intp)
+                    # Weighted-sum's list is the best lambdas' grid row.
+                    g = grid.index(best_lambdas[name]) if rule == WEIGHTED_SUM else 0
+                    top, scores = (a[:, g] for a in lists[rule])
                     rec_rows = []
-                    for i, u in enumerate(users.tolist()):
-                        cs = cache[u]
-                        (scores,) = fused_scores(
-                            cs, rule_lambdas(rule, cs.enabled, points)
-                        )
-                        pois, vals = recommend_topn(cs.poi_ids, scores, max_n)
-                        top[i, :len(pois)] = pois
+                    for u, pois, vals in zip(users.tolist(), top.tolist(), scores.tolist()):
                         for rank, (p, v) in enumerate(zip(pois, vals), start=1):
+                            if p < 0:
+                                break
                             rec_rows.append(
                                 f"{user_ids[u]}\t{rank}\t{poi_ids[p]}\t{_fmt(v)}\n"
                             )
@@ -404,7 +399,7 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
     manifest and return the evaluation reports (none for the commands that
     stop before evaluate). `recommend`, `evaluate` and `run` run every stage;
     the sweep runs for `sweep`, when `run_sweep` is set, or when weighted-sum
-    fusion needs its lambdas."""
+    fusion needs its lambdas. `sweep` ranks only the weighted-sum grid."""
     commands = ("preprocess", "analyze", "recommend", "sweep", "evaluate", "run")
     if command not in commands:
         raise ValueError(f"unknown command {command!r}")
@@ -423,10 +418,10 @@ def _run_stages(p: Pipeline, command: str):
     _, labels = p.analyze(d, split)
     if command == "analyze":
         return []
-    caches = p.fit_and_recommend(split)
-    best_lambdas = {}
-    if command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules:
-        best_lambdas = p.sweep(caches, labels, split)
+    sweeps = command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules
+    rules = ([] if command == "sweep" else cfg.fusion_rules) + [WEIGHTED_SUM] * sweeps
+    ranked = p.fit_and_recommend(split, sorted(set(rules)))
+    best_lambdas = p.sweep(ranked, labels, split) if sweeps else {}
     if command == "sweep":
         return []
-    return p.evaluate(caches, labels, split, best_lambdas)
+    return p.evaluate(ranked, labels, split, best_lambdas)

@@ -174,10 +174,11 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return c[order[start[:, None] + np.arange(k)]].reshape(scores.shape[:-1] + (k,))
 
 
-def recommend_topn(poi_ids, scores: np.ndarray, n: int) -> tuple[list, list[float]]:
-    """The n best candidates by descending fused score, ties by position,
-    which is poi_id order for `CandidateScores.poi_ids`."""
+def recommend_topn(poi_ids, scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n best candidates of each score row by descending fused score,
+    ties by position, which is poi_id order for `CandidateScores.poi_ids`:
+    their ids and scores, each shaped like scores with n or fewer columns."""
     if n < 1:
         raise ValueError("N must be >= 1")
     top = top_k(scores, n)
-    return np.asarray(poi_ids)[top].tolist(), scores[top].tolist()
+    return np.asarray(poi_ids)[top], np.take_along_axis(scores, top, axis=-1)

@@ -66,6 +66,11 @@ class TestConfig:
         {"models": ["geosoca", "geosoca"]},
         {"fusion_rules": ["sum", "sum"]},
         {"cutoffs": [10, 10]},
+        {"cutoffs": ["10"]},
+        {"cutoffs": [True]},
+        {"sweep_step": "0.1"},
+        {"run_sweep": "no"},
+        {"min_user_checkins": 2.5},
     ], ids=[
         "negative-split-fraction", "amc-alpha", "amc-memory",
         "unknown-sweep-objective", "sweep-step-not-dividing-1", "sweep-step-zero",
@@ -73,10 +78,13 @@ class TestConfig:
         "negative-min-user-checkins", "negative-min-poi-checkins",
         "no-cutoffs", "no-models", "no-fusion-rules",
         "repeated-model", "repeated-fusion-rule", "repeated-cutoff",
+        "string-cutoff", "bool-cutoff", "string-sweep-step", "string-run-sweep",
+        "fractional-min-user-checkins",
     ])
-    def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides):
+    def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides, capsys):
         path = write_config(tmp_path, fixture_files, **{"models": ["lore"], **overrides})
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestRun:
@@ -231,6 +239,43 @@ class TestRun:
         assert (out / "table3.csv").is_file()
         counts = json.loads((out / "manifest.json").read_text())["counts"]
         assert counts["recommend.users_without_train"] > 0
+        with (out / "profiles.csv").open() as fh:
+            n_trained = len(list(csv.DictReader(fh)))
+        for name in ("geosoca", "lore"):
+            with (out / f"recommendations_{name}_product.tsv").open() as fh:
+                listed = {row[0] for row in csv.reader(fh, delimiter="\t")}
+            assert counts[f"recommend.users_ranked.{name}"] == len(listed) == n_trained
+            assert counts[f"recommend.empty_candidate_users.{name}"] == 0
+            assert counts[f"recommend.candidates.{name}"] >= len(listed)
+
+    def test_ranking_counts_leave_out_a_user_with_no_candidate(self, tmp_path, fixture_files):
+        # "everywhere" visits every POI twice over; its first 70% already
+        # covers them all, so no POI is left to recommend to it.
+        pois = [line.split("\t")[0] for line in fixture_files["pois"].read_text().splitlines()]
+        checkins = tmp_path / "checkins.tsv"
+        checkins.write_text(fixture_files["checkins"].read_text() + "".join(
+            f"everywhere\t{p}\t{1_300_000_000 + 3600 * i}\n" for i, p in enumerate(pois * 2)
+        ))
+        path = write_config(
+            tmp_path, fixture_files, checkin_path=str(checkins), models=["geosoca", "lore"],
+            fusion_rules=["product", "sum", "weighted_sum"],
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        with (out / "profiles.csv").open() as fh:
+            n_trained = len(list(csv.DictReader(fh)))
+        for name in ("geosoca", "lore"):
+            for rule in ("product", "sum", "weighted_sum"):
+                with (out / f"recommendations_{name}_{rule}.tsv").open() as fh:
+                    listed = [row[0] for row in csv.reader(fh, delimiter="\t")]
+                assert "everywhere" not in listed
+                assert counts[f"recommend.users_ranked.{name}"] == len(set(listed))
+            assert counts[f"recommend.empty_candidate_users.{name}"] == 1
+            assert counts[f"recommend.users_ranked.{name}"] == n_trained - 1
+            # Every ranked user has a full list of 10 and more candidates.
+            assert counts[f"recommend.candidates.{name}"] > 10 * (n_trained - 1)
+        assert counts["recommend.users_without_train"] == 0
 
     def test_out_override(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files)

@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +34,41 @@ def write_files(tmp_path, checkin_rows, poi_rows, social_rows=None):
     return ci, po, so
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_corpus(workload: str) -> dict[str, str]:
+    """The TSV texts of a benchmark workload's corpus, by file name."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built.
+    sys.modules[spec.name] = corpus
+    spec.loader.exec_module(corpus)
+    w = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"][workload]
+    return corpus.generate(corpus.CorpusSpec.from_json(w["corpus"]), w["corpus_seed"])
+
+
 class TestParse:
+    def test_pois_without_category_column_decode_in_bulk(self, tmp_path):
+        """A POI file with no category column (SNAP's loc-gowalla has none)
+        takes no line through the per-line rules, and parses as it does with
+        each line's empty category kept."""
+        texts = benchmark_corpus("geosoca-sweep")
+        fields = [line.split("\t")[:3] for line in texts["pois.tsv"].splitlines()]
+        ci, cut, _ = write_files(
+            tmp_path, texts["checkins.tsv"].splitlines(), ["\t".join(f) for f in fields]
+        )
+        empty = tmp_path / "empty_category.tsv"
+        empty.write_text("".join("\t".join(f) + "\t\n" for f in fields))
+        got, want = parse_dataset(ci, cut), parse_dataset(ci, empty)
+        assert got.load_report.scalar_lines == 0
+        assert got.load_report.poi_lines_parsed == len(fields) == 240
+        assert got.poi_ids == want.poi_ids
+        assert got.lat.tobytes() == want.lat.tobytes()
+        assert got.lon.tobytes() == want.lon.tobytes()
+        assert got.category.tolist() == want.category.tolist() == [-1] * 240
+        assert got.category_ids == []
+
     def test_basic_counts(self, tmp_path):
         ci, po, _ = write_files(
             tmp_path,

@@ -2,11 +2,14 @@ import csv
 import os
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, VALIDATION
+from poifair.fusion import WEIGHTED_SUM, rule_lambdas, simplex_grid
 from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth
+from poifair.recommend import FittedModel, fused_scores, recommend_topn, top_k
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -28,7 +31,24 @@ def _world(tmp_path, seed, categories):
     d = p.preprocess(p.parse())
     split = p.split(d)
     profiles, labels = p.analyze(d, split)
-    return cfg, split, profiles, labels, p.fit_and_recommend(split)
+    return cfg, split, profiles, labels, oracle_caches(split, cfg)
+
+
+def oracle_caches(split, cfg):
+    """Per model, each user code's raw `CandidateScores` (None for a user
+    with no training check-in), as the oracles take them."""
+    train = split.columns(TRAIN)
+    caches = {}
+    for name in cfg.models:
+        model = FittedModel(
+            name, train, session_gap_hours=cfg.session_gap_hours,
+            amc_alpha=cfg.amc_alpha, amc_memory=cfg.amc_memory,
+        )
+        caches[name] = [
+            model.score_candidates(u) if ok else None
+            for u, ok in enumerate(np.diff(train.user_rows()) > 0)
+        ]
+    return caches
 
 
 @pytest.fixture(scope="module", params=[(11, True), (3, False)],
@@ -62,7 +82,7 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
         checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
         out_dir=str(tmp_path), sweep_step=step, sweep_objective=objective,
     ))
-    best = p.sweep(caches, labels, split)
+    best = p.sweep(p.fit_and_recommend(split, [WEIGHTED_SUM]), labels, split)
 
     train, val, _ = oracles.checkin_lists(split)
     user_ids, names = split.dataset.user_ids, split.dataset.poi_ids
@@ -84,13 +104,14 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
     """Every report equals the oracle's, computed from the written
     recommendation lists and the check-in lists, all keyed by user id."""
-    cfg, split, profiles, labels, caches = world
+    cfg, split, profiles, labels, _ = world
     rules, cutoffs = ["product", "sum", "weighted_sum"], [5, 10, 20]
     p = Pipeline(ExperimentConfig(
         checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
         out_dir=str(tmp_path), fusion_rules=rules, cutoffs=cutoffs,
     ))
-    reports = p.evaluate(caches, labels, split, p.sweep(caches, labels, split))
+    ranked = p.fit_and_recommend(split, rules)
+    reports = p.evaluate(ranked, labels, split, p.sweep(ranked, labels, split))
 
     train, _, test = oracles.checkin_lists(split)
     relevant = {u: {c.poi_id for c in test[u]} - {c.poi_id for c in train[u]} for u in train}
@@ -110,6 +131,50 @@ def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
                 for r in rules
             ]
     assert repr([asdict(r) for r in reports]) == repr([asdict(r) for r in want])
+
+
+def test_evaluate_reuses_the_ranked_grid_lists(world, tmp_path):
+    """Each weighted-sum recommendation list is the one-row ranking at the
+    best lambdas, the sweep's lists are the grid's top_k at its cutoff, and
+    the ranking counts are the candidates'."""
+    cfg, split, _, labels, caches = world
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path,
+        out_dir=str(tmp_path), fusion_rules=["weighted_sum"], cutoffs=[5, 20],
+    ))
+    ranked = p.fit_and_recommend(split, [WEIGHTED_SUM])
+    best = p.sweep(ranked, labels, split)
+    p.evaluate(ranked, labels, split, best)
+
+    grid = simplex_grid(p.cfg.sweep_step)
+    user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
+    for name in cfg.models:
+        ranked_users, lists = ranked[name]
+        codes = lists[WEIGHTED_SUM][0]
+        users = [u for u, cs in enumerate(caches[name]) if cs is not None and len(cs.poi_ids)]
+        assert ranked_users.tolist() == users
+        want = []
+        for i, u in enumerate(users):
+            cs = caches[name][u]
+            one = rule_lambdas(WEIGHTED_SUM, cs.enabled, [best[name]])
+            (pois,), (vals,) = recommend_topn(cs.poi_ids, fused_scores(cs, one), 20)
+            assert codes[i, grid.index(best[name]), :len(pois)].tolist() == pois.tolist()
+            want += [
+                [user_ids[u], str(rank), poi_ids[q], _fmt(v)]
+                for rank, (q, v) in enumerate(zip(pois.tolist(), vals.tolist()), start=1)
+            ]
+            top = top_k(fused_scores(cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)), 5)
+            assert codes[i, :, :top.shape[1]].tolist() == cs.poi_ids[top].tolist()
+            assert (codes[i, :, top.shape[1]:5] == -1).all()
+        with (tmp_path / f"recommendations_{name}_weighted_sum.tsv").open(newline="") as fh:
+            assert list(csv.reader(fh, delimiter="\t")) == want
+        assert p.counts[f"recommend.users_ranked.{name}"] == len(users)
+        assert p.counts[f"recommend.candidates.{name}"] == sum(
+            len(cs.poi_ids) for cs in caches[name] if cs is not None
+        )
+        assert p.counts[f"recommend.empty_candidate_users.{name}"] == sum(
+            cs is not None and not len(cs.poi_ids) for cs in caches[name]
+        )
 
 
 class _Unprintable:
@@ -193,6 +258,6 @@ def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
     d = p.preprocess(p.parse())
     split = p.split(d)
     _, labels = p.analyze(d, split)
-    caches = p.fit_and_recommend(split)
-    best = p.sweep(caches, labels, split)
-    assert p.evaluate(caches, labels, split, best)
+    ranked = p.fit_and_recommend(split, ["product", "weighted_sum"])
+    best = p.sweep(ranked, labels, split)
+    assert p.evaluate(ranked, labels, split, best)

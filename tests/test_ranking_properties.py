@@ -58,8 +58,8 @@ def test_topn_matches_sort_oracle(case):
     ids, scores, n = case
     pois, vals = recommend_topn(ids, scores, n)
     want_pois, want_vals = oracles.topn(ids, scores, n)
-    assert pois == want_pois
-    assert bits(vals) == bits(want_vals)
+    assert pois.tolist() == want_pois
+    assert bits(vals.tolist()) == bits(want_vals)
     assert len(pois) == min(n, len(ids))
 
 
@@ -67,8 +67,8 @@ def test_topn_signed_zero_ties_break_by_poi_id():
     ids = ["a", "b", "c", "d"]
     scores = np.array([0.0, -0.0, -0.0, 0.0])
     pois, vals = recommend_topn(ids, scores, 10)
-    assert pois == ["a", "b", "c", "d"]
-    assert bits(vals) == bits([0.0, -0.0, -0.0, 0.0])
+    assert pois.tolist() == ["a", "b", "c", "d"]
+    assert bits(vals.tolist()) == bits([0.0, -0.0, -0.0, 0.0])
 
 
 @st.composite

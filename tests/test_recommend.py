@@ -137,19 +137,20 @@ def test_scores_bitwise_independent_of_string_hashing():
 class TestTopN:
     def test_argmax(self):
         pois, scores = recommend_topn(["A", "B"], np.array([0.9, 0.1]), 1)
-        assert pois == ["A"]
+        assert pois.tolist() == ["A"]
 
     def test_tie_breaks_by_poi_id(self):
         pois, _ = recommend_topn(["A", "B"], np.array([0.5, 0.5]), 2)
-        assert pois == ["A", "B"]
+        assert pois.tolist() == ["A", "B"]
         pois, _ = recommend_topn(["A", "B"], np.array([0.4, 0.5]), 2)
-        assert pois == ["B", "A"]
+        assert pois.tolist() == ["B", "A"]
 
     def test_matches_full_sort_oracle(self):
         rnd = random.Random(21)
         ids = [f"p{i:04d}" for i in range(1000)]
         scores = np.array([rnd.random() for _ in ids])
-        assert recommend_topn(ids, scores, 50) == oracles.topn(ids, scores, 50)
+        pois, vals = recommend_topn(ids, scores, 50)
+        assert (pois.tolist(), vals.tolist()) == oracles.topn(ids, scores, 50)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -157,14 +158,15 @@ class TestTopN:
 
     def test_shorter_when_few_candidates(self):
         pois, _ = recommend_topn(["A"], np.array([1.0]), 10)
-        assert pois == ["A"]
+        assert pois.tolist() == ["A"]
 
 
 def top_n(model, u, rule, n):
-    """u's top-n (POIs, fused scores) under a product or sum rule."""
+    """u's top-n (POIs, fused scores) under a product or sum rule, as lists."""
     cs = model.score_candidates(u)
     (scores,) = fused_scores(cs, rule_lambdas(rule, cs.enabled))
-    return recommend_topn(cs.poi_ids, scores, n)
+    pois, vals = recommend_topn(cs.poi_ids, scores, n)
+    return pois.tolist(), vals.tolist()
 
 
 class TestRecommend:
@@ -186,7 +188,7 @@ class TestRecommend:
         (scores,) = fused_scores(cs, rule_lambdas(SUM, cs.enabled))
         base, _ = recommend_topn(cs.poi_ids, scores, len(cs.poi_ids))
         boosted, _ = recommend_topn(cs.poi_ids, 3.0 * scores + 7.0, len(cs.poi_ids))
-        assert base == boosted
+        assert base.tolist() == boosted.tolist()
 
 
 class TestDisabledContext:
