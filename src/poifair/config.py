@@ -43,8 +43,10 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"invalid JSON in {p}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{p} must hold a JSON object, not {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:

@@ -37,7 +37,6 @@ from .fusion import (
 from .metrics import evaluate_run, hit_matrix, ranking_metrics
 from .recommend import FittedModel, fused_scores, recommend_topn
 from .temporal import (
-    UNASSIGNED,
     assign_groups,
     build_profiles,
     correlation_analysis,
@@ -132,14 +131,10 @@ class Pipeline:
     def analyze(self, d: Dataset, split: SplitDataset):
         with self._stage("analyze"):
             train = split.columns(TRAIN)
-            popularity = poi_popularity(train)
-            profiles = build_profiles(
-                train,
-                popularity,
-                (self.cfg.work_start_hour, self.cfg.work_end_hour),
-            )
-            groups = assign_groups(profiles, self.cfg.group_quantile)
-            gstats = group_stats(groups, profiles)
+            window = (self.cfg.work_start_hour, self.cfg.work_end_hour)
+            profiles = build_profiles(train, poi_popularity(train), window)
+            labels = assign_groups(profiles, len(train.user_ids), self.cfg.group_quantile)
+            gstats = group_stats(labels, profiles)
             hist = temporal_histogram(d.ts)
 
             self._write_csv_artifact(
@@ -153,13 +148,13 @@ class Pipeline:
                     "user_id", "n_checkins", "n_working", "n_leisure",
                     "leisure_ratio", "avg_popularity_consumption",
                 ],
-                [
-                    [
-                        p.user_id, p.n_checkins, p.n_working, p.n_leisure,
-                        p.leisure_ratio, p.avg_popularity_consumption,
-                    ]
-                    for p in profiles
-                ],
+                list(zip(
+                    [train.user_ids[u] for u in profiles.user.tolist()],
+                    *(c.tolist() for c in (
+                        profiles.n_checkins, profiles.n_working, profiles.n_leisure,
+                        profiles.leisure_ratio, profiles.avg_popularity_consumption,
+                    )),
+                )),
             )
             self._write_csv_artifact(
                 "groups.csv",
@@ -183,9 +178,6 @@ class Pipeline:
                 self.out / "correlations.json",
                 json.dumps(corr, indent=2, sort_keys=True),
             )
-            # Profiles are the users with training rows, in code order.
-            labels = np.full(len(train.user_ids), UNASSIGNED, dtype=np.int8)
-            labels[np.diff(train.user_rows()) > 0] = groups
             return profiles, labels
 
     def fit_and_recommend(self, split: SplitDataset, rules):
@@ -212,6 +204,7 @@ class Pipeline:
                     amc_alpha=self.cfg.amc_alpha,
                     amc_memory=self.cfg.amc_memory,
                 )
+                self.counts[f"recommend.power_law_fallbacks.{name}"] = model.power_law_fallbacks
                 lists = {}
                 for rule in rules:
                     lam = rule_lambdas(rule, model.enabled, grid)
@@ -247,6 +240,7 @@ class Pipeline:
             all_rows = []
             for name, (users, lists) in sorted(ranked.items()):
                 kept = np.diff(relevant.indptr)[users] > 0
+                self.counts[f"sweep.users_without_validation.{name}"] = int((~kept).sum())
                 codes, _ = lists[WEIGHTED_SUM]
                 users, top = users[kept], codes[kept, :, :cutoff]
                 ndcg = np.empty((len(users), len(grid)))
@@ -282,6 +276,7 @@ class Pipeline:
             for name in self.cfg.models:
                 users, lists = ranked[name]
                 n_relevant, group = np.diff(relevant.indptr)[users], labels[users]
+                self.counts[f"evaluate.users_without_test.{name}"] = int((n_relevant == 0).sum())
                 hits_by_rule = {}
                 for rule in self.cfg.fusion_rules:
                     # Weighted-sum's list is the best lambdas' grid row.

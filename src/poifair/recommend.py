@@ -17,6 +17,8 @@ log = logging.getLogger(__name__)
 GEOSOCA = "geosoca"
 LORE = "lore"
 MODEL_NAMES = (GEOSOCA, LORE)
+# The power law used when too few frequencies are positive to fit one.
+DEFAULT_FIT = social.PowerLawFit(beta=2.0)
 
 
 @dataclass
@@ -37,7 +39,8 @@ class FittedModel:
 
     GeoSoCa binds (per-user KDE, friends' power-law frequency, categorical
     power-law frequency); LORE binds (global KDE, friend-based CF, additive
-    Markov chain). Users and POIs are codes of `train`.
+    Markov chain). Users and POIs are codes of `train`. `power_law_fallbacks`
+    counts the power-law fits that fell back to `DEFAULT_FIT`.
     """
 
     def __init__(self, name: str, train: Dataset,
@@ -79,6 +82,8 @@ class FittedModel:
             else:
                 self.cat_fit = None
             self.enabled = (True, True, self.cat_model.has_categories)
+            fits = (self.social_fit, self.cat_fit)
+            self.power_law_fallbacks = sum(fit is DEFAULT_FIT for fit in fits)
         else:
             self.global_kde = geo.fit_global_kde(train, coords)
             # The global density does not depend on the user: once per POI.
@@ -88,6 +93,7 @@ class FittedModel:
             self.amc_alpha = amc_alpha
             self.amc_memory = amc_memory
             self.enabled = (True, True, True)
+            self.power_law_fallbacks = 0
 
     def score_candidates(self, u: int) -> CandidateScores:
         """Raw (c1, c2, c3) for every POI user code u has not visited in
@@ -134,7 +140,7 @@ class FittedModel:
 def _fit_or_default(freqs: np.ndarray) -> social.PowerLawFit:
     if len(freqs) < social.MIN_FIT_OBSERVATIONS:
         log.warning("too few positive frequencies (%d); using beta=2", len(freqs))
-        return social.PowerLawFit(beta=2.0)
+        return DEFAULT_FIT
     return social.fit_power_law(freqs)
 
 

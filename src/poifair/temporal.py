@@ -1,10 +1,8 @@
 """Working/leisure period labelling, user temporal profiles, and fairness groups."""
 from __future__ import annotations
 
-import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +24,19 @@ def hours(timestamps: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UserTemporalProfile:
-    user_id: str
-    n_checkins: int
-    n_working: int
-    n_leisure: int
-    leisure_ratio: float
-    avg_popularity_consumption: float
+class Profiles:
+    """Temporal profiles of the users with training check-ins, as columns in
+    ascending user code order."""
+
+    user: np.ndarray
+    n_checkins: np.ndarray
+    n_working: np.ndarray
+    leisure_ratio: np.ndarray
+    avg_popularity_consumption: np.ndarray
+
+    @property
+    def n_leisure(self) -> np.ndarray:
+        return self.n_checkins - self.n_working
 
 
 @dataclass(frozen=True)
@@ -55,84 +59,69 @@ def build_profiles(
     train: Dataset,
     popularity: np.ndarray,
     work_window: tuple[int, int] = (WORK_START_HOUR, WORK_END_HOUR),
-) -> list[UserTemporalProfile]:
-    """One temporal profile per user, computed on training check-ins only.
+) -> Profiles:
+    """The temporal profiles of the users with training check-ins.
 
     A check-in is in the working period iff its hour falls in the half-open
     [start, end) of work_window. A user's popularity consumption is the mean
     popularity of their distinct POIs, added strictly left to right in
     poi_id order (the builtin sum() of floats is compensated from Python
-    3.12 on).
+    3.12 on): pass j adds every user's j-th POI.
     """
     start, end = work_window
     n_users = len(train.user_ids)
     h = hours(train.ts)
     working = (start <= h) & (h < end)
-    n_all = np.bincount(train.user, minlength=n_users).tolist()
-    n_work = np.bincount(train.user[working], minlength=n_users).tolist()
-    # Sorted by user, then POI code, which is poi_id order.
+    n_all = np.bincount(train.user, minlength=n_users)
+    user = np.flatnonzero(n_all)
+    if len(user) < n_users:
+        log.warning("%d users have no training check-ins; excluded", n_users - len(user))
+    n = n_all[user]
+    n_work = np.bincount(train.user[working], minlength=n_users)[user]
+    # Each user's row is sorted by POI code, which is poi_id order.
     visits = train.visits()
-    pops = popularity[visits.col].tolist()
-    bounds = visits.indptr.tolist()
-    profiles = []
-    for u, user_id in enumerate(train.user_ids):
-        n = n_all[u]
-        if not n:
-            log.warning("user %s has no training check-ins; excluded", user_id)
-            continue
-        lo, hi = bounds[u], bounds[u + 1]
-        profiles.append(
-            UserTemporalProfile(
-                user_id=user_id,
-                n_checkins=n,
-                n_working=n_work[u],
-                n_leisure=n - n_work[u],
-                leisure_ratio=(n - n_work[u]) / n,
-                avg_popularity_consumption=functools.reduce(
-                    operator.add, pops[lo:hi], 0.0
-                ) / (hi - lo),
-            )
-        )
-    return profiles
+    first, n_distinct = visits.indptr[user], np.diff(visits.indptr)[user]
+    total = np.zeros(len(user))
+    for j in range(n_distinct.max(initial=0)):
+        more = n_distinct > j
+        total[more] += popularity[visits.col[first[more] + j]]
+    return Profiles(user, n, n_work, (n - n_work) / n, total / n_distinct)
 
 
-def assign_groups(
-    profiles: list[UserTemporalProfile], quantile: float = 0.2
-) -> np.ndarray:
-    """Each profile's int8 group label: LEISURE for the top quantile of users
-    ranked by leisure-check-in ratio, WORKING for the bottom one, UNASSIGNED
-    for the rest."""
-    if len(profiles) < 5:
+def assign_groups(profiles: Profiles, n_users: int, quantile: float = 0.2) -> np.ndarray:
+    """The int8 group label of each of n_users user codes: LEISURE for the
+    top quantile of profiles ranked by leisure-check-in ratio, ties in user
+    code order, WORKING for the bottom one, UNASSIGNED for the rest and for
+    users without a profile."""
+    n = len(profiles.user)
+    if n < 5:
         raise ValueError("need at least 5 users to assign groups")
     if quantile > 0.5:
         raise ValueError("quantile > 0.5 makes the groups overlap")
-    key = lambda i: (-profiles[i].leisure_ratio, profiles[i].user_id)
-    ranked = sorted(range(len(profiles)), key=key)
-    k = int(quantile * len(ranked))
-    labels = np.full(len(profiles), UNASSIGNED, dtype=np.int8)
+    ranked = profiles.user[np.lexsort((profiles.user, -profiles.leisure_ratio))]
+    k = int(quantile * n)
+    labels = np.full(n_users, UNASSIGNED, dtype=np.int8)
     labels[ranked[:k]] = LEISURE
-    labels[ranked[len(ranked) - k :]] = WORKING
+    labels[ranked[n - k :]] = WORKING
     return labels
 
 
-def group_stats(
-    labels: np.ndarray, profiles: list[UserTemporalProfile]
-) -> list[GroupStats]:
-    """Per fairness group, from each profile's group label."""
+def group_stats(labels: np.ndarray, profiles: Profiles) -> list[GroupStats]:
+    """Per fairness group, from each user code's group label."""
     out = []
     for name, label in (("leisure-focused", LEISURE), ("working-focused", WORKING)):
-        ps = [p for p, g in zip(profiles, labels.tolist()) if g == label]
-        if not ps:
+        member = labels[profiles.user] == label
+        if not member.any():
             raise ValueError(f"empty group: {name}")
         out.append(
             GroupStats(
                 group=name,
-                n_checkins=sum(p.n_checkins for p in ps),
+                n_checkins=int(profiles.n_checkins[member].sum()),
                 avg_popularity_consumption=float(
-                    np.mean([p.avg_popularity_consumption for p in ps])
+                    np.mean(profiles.avg_popularity_consumption[member])
                 ),
-                avg_activity_level=float(np.mean([p.n_checkins for p in ps])),
-                n_users=len(ps),
+                avg_activity_level=float(np.mean(profiles.n_checkins[member])),
+                n_users=int(member.sum()),
             )
         )
     return out
@@ -159,16 +148,12 @@ def ols_fit(x, y) -> dict[str, float]:
     return {"slope": slope, "intercept": intercept, "pearson_r": r}
 
 
-def correlation_analysis(profiles: list[UserTemporalProfile]) -> dict[str, dict]:
+def correlation_analysis(profiles: Profiles) -> dict[str, dict]:
     """The three scatter relations behind the observational analysis:
     leisure vs working counts, and each period's ratio vs profile size."""
-    n_work = [p.n_working for p in profiles]
-    n_leis = [p.n_leisure for p in profiles]
-    size = [p.n_checkins for p in profiles]
-    leis_ratio = [p.leisure_ratio for p in profiles]
-    work_ratio = [1.0 - p.leisure_ratio for p in profiles]
+    size, ratio = profiles.n_checkins, profiles.leisure_ratio
     return {
-        "leisure_vs_working": ols_fit(n_work, n_leis),
-        "leisure_ratio_vs_size": ols_fit(size, leis_ratio),
-        "working_ratio_vs_size": ols_fit(size, work_ratio),
+        "leisure_vs_working": ols_fit(profiles.n_working, profiles.n_leisure),
+        "leisure_ratio_vs_size": ols_fit(size, ratio),
+        "working_ratio_vs_size": ols_fit(size, 1.0 - ratio),
     }

@@ -1,6 +1,7 @@
 """Scalar reference versions of what the library computes in bulk: the
 line-at-a-time TSV parse with its string-keyed POI table and social graph,
-the per-`CheckIn` filter, split and temporal analysis, the string-keyed model fits
+the per-`CheckIn` filter and split, the temporal analysis with one
+`UserTemporalProfile` per user, the string-keyed model fits
 (visit counts, residences, transition graph, category frequencies, power-law
 inputs), the one-candidate-at-a-time context scores, the one-candidate
 fusion, the top-N ranking, the one-list ranking metrics, the fairness
@@ -32,7 +33,12 @@ from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
 from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
 from poifair.recommend import fused_scores
 from poifair.sequential import AMC_DECAY, AMC_MEMORY
-from poifair.temporal import WORK_END_HOUR, WORK_START_HOUR, UserTemporalProfile
+from poifair.temporal import (
+    WORK_END_HOUR,
+    WORK_START_HOUR,
+    GroupStats,
+    ols_fit,
+)
 
 
 @dataclass(frozen=True)
@@ -358,6 +364,28 @@ def poi_popularity(train, n_users):
         for c in seq:
             visitors.setdefault(c.poi_id, set()).add(u)
     return {p: len(us) / n_users for p, us in visitors.items()}
+
+
+@dataclass(frozen=True)
+class UserTemporalProfile:
+    user_id: str
+    n_checkins: int
+    n_working: int
+    n_leisure: int
+    leisure_ratio: float
+    avg_popularity_consumption: float
+
+
+def profile_objects(profiles, user_ids) -> list[UserTemporalProfile]:
+    """The library's `Profiles` columns as one object per user, keyed by id."""
+    columns = (
+        profiles.user, profiles.n_checkins, profiles.n_working, profiles.n_leisure,
+        profiles.leisure_ratio, profiles.avg_popularity_consumption,
+    )
+    return [
+        UserTemporalProfile(user_ids[u], *row)
+        for u, *row in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def build_profiles(train, popularity, work_window=(WORK_START_HOUR, WORK_END_HOUR)):
@@ -696,6 +724,38 @@ def assign_groups(profiles, quantile=0.2) -> GroupAssignment:
     return GroupAssignment(leisure, working, rest)
 
 
+def group_stats(profiles, assignment: GroupAssignment) -> list[GroupStats]:
+    """Per fairness group, from the profiles whose ids the group's set holds."""
+    out = []
+    for name, members in (("leisure-focused", assignment.leisure_focused),
+                          ("working-focused", assignment.working_focused)):
+        ps = [p for p in profiles if p.user_id in members]
+        if not ps:
+            raise ValueError(f"empty group: {name}")
+        out.append(GroupStats(
+            group=name,
+            n_checkins=sum(p.n_checkins for p in ps),
+            avg_popularity_consumption=float(
+                np.mean([p.avg_popularity_consumption for p in ps])
+            ),
+            avg_activity_level=float(np.mean([p.n_checkins for p in ps])),
+            n_users=len(ps),
+        ))
+    return out
+
+
+def correlation_analysis(profiles) -> dict[str, dict]:
+    """The three scatter relations, from lists over the profiles."""
+    size = [p.n_checkins for p in profiles]
+    return {
+        "leisure_vs_working": ols_fit(
+            [p.n_working for p in profiles], [p.n_leisure for p in profiles]
+        ),
+        "leisure_ratio_vs_size": ols_fit(size, [p.leisure_ratio for p in profiles]),
+        "working_ratio_vs_size": ols_fit(size, [1.0 - p.leisure_ratio for p in profiles]),
+    }
+
+
 def group_metrics(per_user_ndcg: dict, assignment: GroupAssignment,
                   baseline_delta=None) -> GroupMetrics:
     """Macro-averaged nDCG overall and per fairness group, users keyed as in
@@ -746,7 +806,7 @@ class SweepPoint:
     ndcg_leisure: float
     ndcg_working: float
     delta_ndcg: float
-    acc_unf: float
+    acc_unf: float | None  # None when there is no gap
 
 
 def weight_sweep(evaluate, step=0.1, objective=OBJECTIVE_MIN_DELTA):
@@ -754,8 +814,10 @@ def weight_sweep(evaluate, step=0.1, objective=OBJECTIVE_MIN_DELTA):
     every point in grid order).
 
     `evaluate` maps a lambda triple to a dict with keys ndcg, ndcg_leisure,
-    ndcg_working, delta_ndcg, acc_unf (inf for no gap). Ties break by higher
-    overall ndcg, then lexicographic lambdas.
+    ndcg_working, delta_ndcg, acc_unf (None for no gap; inf for a gap so
+    small that the ratio overflows). Under max_acc_unf no gap ranks above
+    every number, inf included. Ties break by higher overall ndcg, then
+    lexicographic lambdas.
     """
     if objective not in (OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF):
         raise ValueError(f"unknown objective: {objective!r}")
@@ -763,7 +825,8 @@ def weight_sweep(evaluate, step=0.1, objective=OBJECTIVE_MIN_DELTA):
     if objective == OBJECTIVE_MIN_DELTA:
         key = lambda p: (p.delta_ndcg, -p.ndcg, p.lambdas)
     else:
-        key = lambda p: (-p.acc_unf, -p.ndcg, p.lambdas)
+        no_gap_first = lambda a: (0, 0.0) if a is None else (1, -a)
+        key = lambda p: (no_gap_first(p.acc_unf), -p.ndcg, p.lambdas)
     return min(table, key=key), table
 
 
@@ -774,7 +837,7 @@ def sweep_point(gm: GroupMetrics) -> dict:
         "ndcg_leisure": gm.ndcg_leisure,
         "ndcg_working": gm.ndcg_working,
         "delta_ndcg": gm.delta_ndcg,
-        "acc_unf": gm.acc_unf if gm.acc_unf is not None else float("inf"),
+        "acc_unf": gm.acc_unf,
     }
 
 
@@ -783,8 +846,7 @@ def sweep_rows(name, table) -> list[list]:
     return [
         [
             name, p.lambdas[0], p.lambdas[1], p.lambdas[2],
-            p.ndcg, p.ndcg_leisure, p.ndcg_working, p.delta_ndcg,
-            p.acc_unf if p.acc_unf != float("inf") else None,
+            p.ndcg, p.ndcg_leisure, p.ndcg_working, p.delta_ndcg, p.acc_unf,
         ]
         for p in table
     ]

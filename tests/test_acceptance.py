@@ -4,6 +4,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from poifair.pipeline import run_pipeline
 from poifair.sequential import amc_scores, transition_graph
 from poifair.social import fit_power_law
 from poifair.synth import SynthConfig, generate, write_tsv
-from poifair.temporal import LEISURE, WORKING, UserTemporalProfile, assign_groups
+from poifair.temporal import LEISURE, WORKING, Profiles, assign_groups
 
 from conftest import make_checkin, make_dataset
 from oracles import checkin_lists, geo_score
@@ -73,18 +74,14 @@ def test_c03_published_fairness_arithmetic():
 
 def test_c04_group_split_sizes_and_rank_invariance():
     rnd = random.Random(5)
-    def mk(ratio, i):
-        return UserTemporalProfile(f"u{i:05d}", 10, 10 - round(10 * ratio),
-                                   round(10 * ratio), ratio, 0.5)
-    profiles = [mk(rnd.randrange(0, 101) / 100, i) for i in range(5628)]
-    a = assign_groups(profiles)
+    ratios = [rnd.randrange(0, 101) / 100 for _ in range(5628)]
+    n_leisure = np.array([round(10 * r) for r in ratios])
+    profiles = Profiles(np.arange(5628), np.full(5628, 10), 10 - n_leisure,
+                        np.array(ratios), np.full(5628, 0.5))
+    a = assign_groups(profiles, 5628)
     ok = (a == LEISURE).sum() == 1125 and (a == WORKING).sum() == 1125
-    transformed = [
-        UserTemporalProfile(p.user_id, p.n_checkins, p.n_working, p.n_leisure,
-                            math.tanh(3 * p.leisure_ratio), 0.5)
-        for p in profiles
-    ]
-    ok &= assign_groups(transformed).tolist() == a.tolist()
+    transformed = replace(profiles, leisure_ratio=np.array([math.tanh(3 * r) for r in ratios]))
+    ok &= assign_groups(transformed, 5628).tolist() == a.tolist()
     report("4 group-split", ok)
 
 

@@ -31,6 +31,15 @@ def write_config(tmp_path, paths, **overrides):
     return path
 
 
+def users_skipped(out):
+    """Per model, the users table3.json reports as skipped for want of a
+    test POI, after checking that every row of the model agrees."""
+    skipped = {}
+    for r in json.loads((out / "table3.json").read_text()):
+        assert skipped.setdefault(r["model"], r["n_users_skipped"]) == r["n_users_skipped"]
+    return skipped
+
+
 class TestConfig:
     def test_defaults_carry_protocol_constants(self):
         cfg = ExperimentConfig(checkin_path="x", poi_path="y")
@@ -83,6 +92,14 @@ class TestConfig:
     ])
     def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides, capsys):
         path = write_config(tmp_path, fixture_files, **{"models": ["lore"], **overrides})
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("content", [b"[]", b"1", b"null", b'{"seed": "\xff"}'],
+                             ids=["array", "number", "null", "not-utf-8"])
+    def test_config_file_not_a_json_object_rejected(self, tmp_path, content, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -247,6 +264,10 @@ class TestRun:
             assert counts[f"recommend.users_ranked.{name}"] == len(listed) == n_trained
             assert counts[f"recommend.empty_candidate_users.{name}"] == 0
             assert counts[f"recommend.candidates.{name}"] >= len(listed)
+        skipped = users_skipped(out)
+        for name in ("geosoca", "lore"):
+            assert counts[f"evaluate.users_without_test.{name}"] == skipped[name]
+            assert f"sweep.users_without_validation.{name}" not in counts
 
     def test_ranking_counts_leave_out_a_user_with_no_candidate(self, tmp_path, fixture_files):
         # "everywhere" visits every POI twice over; its first 70% already
@@ -275,7 +296,22 @@ class TestRun:
             assert counts[f"recommend.users_ranked.{name}"] == n_trained - 1
             # Every ranked user has a full list of 10 and more candidates.
             assert counts[f"recommend.candidates.{name}"] > 10 * (n_trained - 1)
+            assert counts[f"sweep.users_without_validation.{name}"] <= n_trained - 1
+            assert counts[f"evaluate.users_without_test.{name}"] == users_skipped(out)[name]
+            assert counts[f"recommend.power_law_fallbacks.{name}"] == 0
         assert counts["recommend.users_without_train"] == 0
+
+    @pytest.mark.parametrize("social", [True, False], ids=["friends", "no-friends"])
+    def test_power_law_fallbacks_are_counted(self, tmp_path, fixture_files, social):
+        # Without friendships GeoSoCa has no positive social frequency to fit.
+        path = write_config(
+            tmp_path, fixture_files, models=["geosoca", "lore"],
+            social_path=str(fixture_files["social"]) if social else None,
+        )
+        assert main(["recommend", "--config", str(path)]) == EXIT_OK
+        counts = json.loads((tmp_path / "out" / "manifest.json").read_text())["counts"]
+        assert counts["recommend.power_law_fallbacks.geosoca"] == (0 if social else 1)
+        assert counts["recommend.power_law_fallbacks.lore"] == 0
 
     def test_out_override(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files)

@@ -13,14 +13,25 @@ from poifair.data import (
     preprocess_filter,
     temporal_split,
 )
-from poifair.temporal import build_profiles, poi_popularity, temporal_histogram
+from poifair.temporal import (
+    LEISURE,
+    UNASSIGNED,
+    WORKING,
+    assign_groups,
+    build_profiles,
+    correlation_analysis,
+    group_stats,
+    poi_popularity,
+    temporal_histogram,
+)
 
 import oracles
 from conftest import make_dataset
 from oracles import CheckIn
+from test_ranking_properties import outcome
 
 # Ids whose string order differs from their numeric order.
-USER_IDS = ["u9", "u10", "u1", "U", "a b"]
+USER_IDS = ["u9", "u10", "u1", "U", "a b", "u2", "b", "u11"]
 POI_IDS = ["p2", "p10", "p1", "P", "q"]
 SITES = [(40.0, -100.0), (40.5, -100.25), (-33.9, 151.2)]
 CATEGORIES = [None, "c0", "c1"]
@@ -70,10 +81,11 @@ def write_inputs(tmp_path, pois, rows):
     min_poi=st.integers(0, 6),
     fractions=st.sampled_from(FRACTIONS),
     window=st.sampled_from([(8, 18), (0, 24), (17, 19), (9, 9)]),
+    quantile=st.sampled_from([0.2, 0.5]),
 )
 @settings(max_examples=150, deadline=None)
 def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_poi,
-                                       fractions, window):
+                                       fractions, window, quantile):
     pois_spec, rows = world
     ci, po = write_inputs(tmp_path_factory.mktemp("cols"), pois_spec, rows)
     d = parse_dataset(ci, po)
@@ -112,19 +124,54 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
     pop = poi_popularity(cols)
     want_pop = oracles.poi_popularity(train, len(train))
     assert pop.tolist() == [want_pop.get(p, 0.0) for p in cols.poi_ids]
-    assert build_profiles(cols, pop, window) == oracles.build_profiles(
-        train, want_pop, window
+    profiles = build_profiles(cols, pop, window)
+    objects = oracles.build_profiles(train, want_pop, window)
+    assert oracles.profile_objects(profiles, cols.user_ids) == objects
+
+    # With window (0, 24) every ratio ties; groups then rank by user id.
+    def groups():
+        labels = assign_groups(profiles, len(cols.user_ids), quantile)
+        return [
+            [cols.user_ids[u] for u in np.flatnonzero(labels == g).tolist()]
+            for g in (LEISURE, WORKING, UNASSIGNED)
+        ], group_stats(labels, profiles)
+
+    def oracle_groups():
+        a = oracles.assign_groups(objects, quantile)
+        # Users without a training row are unassigned too.
+        unassigned = a.unassigned | set(cols.user_ids) - {p.user_id for p in objects}
+        return [
+            sorted(users) for users in (a.leisure_focused, a.working_focused, unassigned)
+        ], oracles.group_stats(objects, a)
+
+    assert outcome(groups) == outcome(oracle_groups)
+    assert outcome(lambda: correlation_analysis(profiles)) == outcome(
+        lambda: oracles.correlation_analysis(objects)
     )
 
 
 def test_popularity_consumption_sums_left_to_right():
-    """One user with 64 distinct POIs whose popularities numpy's pairwise
-    sum adds up to a different last bit than a left-to-right sum; dividing
-    by 64 keeps that bit."""
+    """Users with 64, 1, 17 and 40 distinct POIs, some visited again and out
+    of poi_id order. The 64 popularities add up to a different last bit in
+    numpy's pairwise sum than left to right, and dividing by 64 keeps that
+    bit. A user whose rows are all outside the training columns gets no
+    profile."""
     pop = np.random.default_rng(0).random(64)
-    assert float(np.sum(pop)) / 64 != sum(pop.tolist()) / 64
+    assert float(np.sum(pop)) / 64 != oracles.sequential_sum(pop.tolist()) / 64
+    visited = {
+        "a": list(range(64)), "b": [5], "c": list(range(40, 23, -1)) + [30, 24],
+        "d": list(range(24, 64))[::-1], "z": [0, 1],
+    }
     checkins = [
-        CheckIn("u", f"p{i:02d}", 1000 + i, 40.0, -100.0) for i in range(64)
+        CheckIn(u, f"p{i:02d}", 1000 + t, 40.0, -100.0)
+        for u, pois in visited.items() for t, i in enumerate(pois)
     ]
-    (profile,) = build_profiles(make_dataset(checkins), pop)
-    assert profile.avg_popularity_consumption == sum(pop.tolist()) / 64
+    d = make_dataset(checkins)
+    train = d.take(np.flatnonzero(d.user != d.user_ids.index("z")))
+    profiles = build_profiles(train, pop)
+    assert profiles.user.tolist() == [0, 1, 2, 3]
+    assert profiles.avg_popularity_consumption.tolist() == [
+        oracles.sequential_sum(pop[sorted(set(visited[u]))].tolist()) / len(set(visited[u]))
+        for u in "abcd"
+    ]
+    assert profiles.avg_popularity_consumption[0] == oracles.sequential_sum(pop.tolist()) / 64

@@ -1,6 +1,8 @@
 import csv
+import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ def _world(tmp_path, seed, categories):
     d = p.preprocess(p.parse())
     split = p.split(d)
     profiles, labels = p.analyze(d, split)
+    profiles = oracles.profile_objects(profiles, split.dataset.user_ids)
     return cfg, split, profiles, labels, oracle_caches(split, cfg)
 
 
@@ -74,6 +77,28 @@ def code_groups(split, profiles, labels):
     return groups
 
 
+def test_analyze_artifacts_match_object_oracles(world):
+    """profiles.csv, groups.csv and correlations.json equal the object
+    path's, built from the check-in lists."""
+    cfg, split, profiles, _, _ = world
+    train = oracles.checkin_lists(split)[0]
+    want = oracles.build_profiles(train, oracles.poi_popularity(train, len(train)))
+    assert profiles == want
+    out = Path(cfg.out_dir)
+    with (out / "profiles.csv").open(newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            [_fmt(v) for v in astuple(profile)] for profile in want
+        ]
+    with (out / "groups.csv").open(newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            [_fmt(v) for v in astuple(g)]
+            for g in oracles.group_stats(want, oracles.assign_groups(want))
+        ]
+    assert json.loads((out / "correlations.json").read_text()) == (
+        oracles.correlation_analysis(want)
+    )
+
+
 @pytest.mark.parametrize("objective", ["min_delta", "max_acc_unf"])
 @pytest.mark.parametrize("step", [0.1, 0.5])
 def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
@@ -98,6 +123,11 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
         got_rows = list(csv.reader(fh))[1:]
     assert got_rows == [[_fmt(v) for v in row] for row in want_rows]
     assert best == want_best
+    for name, cache in caches.items():
+        ranked = [u for u, cs in enumerate(cache) if cs is not None and len(cs.poi_ids)]
+        assert p.counts[f"sweep.users_without_validation.{name}"] == sum(
+            not val_relevant[u] for u in ranked
+        )
     assert set(best) == {"geosoca", "lore"}
 
 
@@ -124,6 +154,9 @@ def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
             with (tmp_path / f"recommendations_{name}_{rule}.tsv").open() as fh:
                 for user, _, poi, _ in csv.reader(fh, delimiter="\t"):
                     recs[rule].setdefault(user, []).append(poi)
+        assert p.counts[f"evaluate.users_without_test.{name}"] == sum(
+            not relevant[u] for u in recs["product"]
+        )
         for n in cutoffs:
             base = oracles.evaluate_run(recs["product"], relevant, groups, n, name, "product")
             want += [
@@ -237,9 +270,9 @@ def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
     d = p.preprocess(p.parse())
     split = p.split(d)
     profiles, _ = p.analyze(d, split)
-    assert profiles
+    assert len(profiles.user)
     monkeypatch.undo()
-    assert len(split.columns(TRAIN).ts) == sum(p.n_checkins for p in profiles)
+    assert len(split.columns(TRAIN).ts) == profiles.n_checkins.sum()
 
 
 def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair.data import PairCounts
@@ -217,21 +217,37 @@ ndcg_st = st.one_of(
 )
 
 
+@st.composite
+def sweep_cases(draw):
+    """(step, (users, grid) validation nDCG matrix, the users' labels)."""
+    step = draw(st.sampled_from([1.0, 0.5, 1 / 3]))
+    n_users, width = draw(st.integers(min_value=1, max_value=8)), len(simplex_grid(step))
+    ndcg = draw(st.lists(
+        st.lists(ndcg_st, min_size=width, max_size=width), min_size=n_users, max_size=n_users,
+    ))
+    labels = draw(st.lists(label_st, min_size=n_users, max_size=n_users))
+    return step, ndcg, labels
+
+
+# A subnormal gap: the accuracy-to-unfairness ratio overflows to inf, which
+# is not "no gap" (None).
+SUBNORMAL_GAP = (1.0, [[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [0.5, 0.0, 0.0]],
+                 [LEISURE, WORKING, UNASSIGNED])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    data=st.data(),
-    step=st.sampled_from([1.0, 0.5, 1 / 3]),
+    case=sweep_cases(),
     objective=st.sampled_from([OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF]),
 )
-def test_matrix_weight_sweep_equals_callback_oracle(data, step, objective):
+@example(case=SUBNORMAL_GAP, objective=OBJECTIVE_MIN_DELTA)
+@example(case=SUBNORMAL_GAP, objective=OBJECTIVE_MAX_ACC_UNF)
+def test_matrix_weight_sweep_equals_callback_oracle(case, objective):
+    step, ndcg, labels = case
     grid = simplex_grid(step)
-    n_users = data.draw(st.integers(min_value=1, max_value=8))
-    ndcg = np.array(data.draw(st.lists(
-        st.lists(ndcg_st, min_size=len(grid), max_size=len(grid)),
-        min_size=n_users, max_size=n_users,
-    )))
-    labels = np.array(data.draw(st.lists(label_st, min_size=n_users, max_size=n_users)),
-                      dtype=np.int8)
+    n_users = len(ndcg)
+    ndcg = np.array(ndcg)
+    labels = np.array(labels, dtype=np.int8)
     column = {lambdas: j for j, lambdas in enumerate(grid)}
 
     def evaluate(lambdas):

@@ -10,7 +10,7 @@ from poifair.temporal import (
     LEISURE,
     UNASSIGNED,
     WORKING,
-    UserTemporalProfile,
+    Profiles,
     assign_groups,
     build_profiles,
     correlation_analysis,
@@ -44,7 +44,8 @@ def profiles_of(train, popularity=None):
 def working_count(timestamps, window=(8, 18)):
     """n_working of one user's profile over the given check-in times."""
     train = {"u": [make_checkin("u", "p", ts) for ts in timestamps]}
-    return build_profiles(columns(train), np.zeros(1), window)[0].n_working
+    (n_working,) = build_profiles(columns(train), np.zeros(1), window).n_working
+    return n_working
 
 
 class TestLabelPeriod:
@@ -74,13 +75,13 @@ class TestProfiles:
         checkins = [make_checkin("u", f"p{i}", ts_at(10, day=i)) for i in range(6)]
         checkins += [make_checkin("u", f"q{i}", ts_at(22, day=i)) for i in range(4)]
         profiles = profiles_of({"u": checkins})
-        assert profiles[0].leisure_ratio == pytest.approx(0.4)
-        assert profiles[0].n_working == 6
+        assert profiles.leisure_ratio[0] == pytest.approx(0.4)
+        assert profiles.n_working[0] == 6
 
     def test_all_night(self):
         checkins = [make_checkin("u", "p", ts_at(3, day=i)) for i in range(5)]
         profiles = profiles_of({"u": checkins})
-        assert profiles[0].leisure_ratio == 1.0
+        assert profiles.leisure_ratio[0] == 1.0
 
     def test_matches_bruteforce_recount(self):
         rnd = random.Random(3)
@@ -93,7 +94,8 @@ class TestProfiles:
         d = columns(train)
         pop_codes = poi_popularity(d)
         pop = {p: pop_codes[i] for i, p in enumerate(d.poi_ids)}
-        profiles = {p.user_id: p for p in build_profiles(d, pop_codes)}
+        objects = oracles.profile_objects(build_profiles(d, pop_codes), d.user_ids)
+        profiles = {p.user_id: p for p in objects}
         for u, seq in train.items():
             n_leis = sum(1 for c in seq if not (8 <= hour_of(c.timestamp) < 18))
             assert profiles[u].n_leisure == n_leis
@@ -110,9 +112,9 @@ class TestProfiles:
         compensated sum, as the builtin sum() of floats is from Python 3.12
         on, gives 0.6."""
         train = {"u": [make_checkin("u", p, 100) for p in ("p1", "p2", "p3")]}
-        (profile,) = profiles_of(train, {"p1": 0.1, "p2": 0.2, "p3": 0.3})
+        (mean,) = profiles_of(train, {"p1": 0.1, "p2": 0.2, "p3": 0.3}).avg_popularity_consumption
         assert math.fsum([0.1, 0.2, 0.3]) == 0.6
-        assert profile.avg_popularity_consumption == 0.6000000000000001 / 3
+        assert mean == 0.6000000000000001 / 3
 
     def test_popularity_definition(self):
         train = {
@@ -134,32 +136,46 @@ class TestProfiles:
         assert poi_popularity(columns(train)).tolist() == [0.25, 0.5, 0.5]
 
 
-def profile(u, ratio, n=10):
-    n_leisure = round(ratio * n)
-    return UserTemporalProfile(u, n, n - n_leisure, n_leisure, ratio, 0.5)
+def profiles(ratios, n=10, users=None):
+    """Profiles of n check-ins each with the given leisure ratios, for user
+    codes 0, 1, ... or `users`."""
+    ratio = np.array(ratios, dtype=float)
+    count = np.full(len(ratio), n)
+    user = np.arange(len(ratio)) if users is None else np.array(users)
+    return Profiles(user, count, count - np.round(ratio * n).astype(int), ratio,
+                    np.full(len(ratio), 0.5))
 
 
 class TestGroups:
     def test_floor_sizes(self):
-        profiles = [profile(f"u{i}", i / 10) for i in range(10)]
-        labels = assign_groups(profiles)
+        labels = assign_groups(profiles([i / 10 for i in range(10)]), 10)
         assert (labels == LEISURE).sum() == 2
         assert (labels == WORKING).sum() == 2
         assert labels.dtype == np.int8
 
     def test_hand_sorted_extremes(self):
         ratios = [1.0, 0.9, 0.9, 0.5, 0.2, 0.1, 0.0]
-        profiles = [profile(f"u{i}", r) for i, r in enumerate(ratios)]
-        assert assign_groups(profiles).tolist() == [LEISURE] + [UNASSIGNED] * 5 + [WORKING]
+        labels = assign_groups(profiles(ratios), 7)
+        assert labels.tolist() == [LEISURE] + [UNASSIGNED] * 5 + [WORKING]
+
+    def test_users_without_a_profile_are_unassigned(self):
+        ratios = [1.0, 0.9, 0.9, 0.5, 0.2, 0.1, 0.0]
+        labels = assign_groups(profiles(ratios, users=[1, 2, 4, 5, 6, 8, 9]), 11)
+        assert labels.tolist() == (
+            [UNASSIGNED, LEISURE] + [UNASSIGNED] * 7 + [WORKING, UNASSIGNED]
+        )
+
+    def test_equal_ratios_rank_in_user_code_order(self):
+        labels = assign_groups(profiles([0.5] * 10), 10, quantile=0.5)
+        assert labels.tolist() == [LEISURE] * 5 + [WORKING] * 5
 
     def test_too_few_users(self):
         with pytest.raises(ValueError):
-            assign_groups([profile("u", 0.5)] * 4)
+            assign_groups(profiles([0.5] * 4), 4)
 
     def test_overlapping_quantile(self):
-        profiles = [profile(f"u{i}", i / 10) for i in range(10)]
         with pytest.raises(ValueError):
-            assign_groups(profiles, quantile=0.6)
+            assign_groups(profiles([i / 10 for i in range(10)]), 10, quantile=0.6)
 
     @given(
         ratios=st.lists(
@@ -170,15 +186,15 @@ class TestGroups:
     )
     @settings(max_examples=50, deadline=None)
     def test_rank_invariance_under_monotone_transform(self, ratios):
-        profiles = [profile(f"u{i:03d}", r) for i, r in enumerate(ratios)]
-        transformed = [
-            profile(f"u{i:03d}", math.tanh(2 * r)) for i, r in enumerate(ratios)
-        ]
-        labels = assign_groups(profiles)
-        assert assign_groups(transformed).tolist() == labels.tolist()
-        want = oracles.assign_groups(profiles)
-        assert {p.user_id for p, g in zip(profiles, labels) if g == LEISURE} == want.leisure_focused
-        assert {p.user_id for p, g in zip(profiles, labels) if g == WORKING} == want.working_focused
+        n = len(ratios)
+        transformed = [math.tanh(2 * r) for r in ratios]
+        labels = assign_groups(profiles(ratios), n)
+        assert assign_groups(profiles(transformed), n).tolist() == labels.tolist()
+        # Ids in code order.
+        objects = oracles.profile_objects(profiles(ratios), [f"u{i:03d}" for i in range(n)])
+        want = oracles.assign_groups(objects)
+        assert {p.user_id for p, g in zip(objects, labels) if g == LEISURE} == want.leisure_focused
+        assert {p.user_id for p, g in zip(objects, labels) if g == WORKING} == want.working_focused
 
 
 class TestGroupStats:
