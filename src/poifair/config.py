@@ -3,6 +3,7 @@ default rather than a hard-coded value."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -60,6 +61,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+            # json.loads accepts NaN and Infinity; every comparison with NaN is false.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value!r}")
         if not self.checkin_path or not self.poi_path:
             raise ConfigError("checkin_path and poi_path are required")
         for path in (self.checkin_path, self.poi_path, self.social_path):
@@ -94,6 +98,8 @@ class ExperimentConfig:
         step = self.sweep_step  # the simplex grid's step must divide 1
         if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:
             raise ConfigError("sweep_step must be in (0, 1] and divide 1")
+        if self.session_gap_hours <= 0:
+            raise ConfigError("session_gap_hours must be > 0")
         if not 0 < self.amc_alpha < 1 or self.amc_memory < 1:
             raise ConfigError("amc_alpha must be in (0, 1) and amc_memory >= 1")
 

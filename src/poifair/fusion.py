@@ -37,11 +37,11 @@ def rule_lambdas(
 
 
 def fuse_arrays(
-    scores: np.ndarray, lambdas: np.ndarray | None, enabled=(True, True, True)
+    scores: np.ndarray, lambdas: np.ndarray | None, enabled=(True, True, True), out=None
 ) -> np.ndarray:
     """Fuse an (n, 3) score matrix over the enabled contexts into (G, n):
-    with lambdas None, one row, the product c1 * c2 * c3; otherwise one row
-    per (G, 3) lambda row, l1 * c1 + l2 * c2 + l3 * c3 added left to right."""
+    with lambdas None, one row, the product c1 * c2 * c3; otherwise, into `out`
+    if given, l1 * c1 + l2 * c2 + l3 * c3 added left to right per lambda row."""
     cols = [scores[:, j] for j in range(3) if enabled[j]]
     if lambdas is None:
         out = cols[0]
@@ -49,9 +49,9 @@ def fuse_arrays(
             out = out * c
         return out[None, :]
     lams = [lambdas[:, j, None] for j in range(3) if enabled[j]]
-    out = lams[0] * cols[0]
+    out = np.multiply(lams[0], cols[0], out=out)
     for lam, c in zip(lams[1:], cols[1:]):
-        out = out + lam * c
+        out += lam * c
     return out
 
 

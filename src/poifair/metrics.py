@@ -129,9 +129,10 @@ class EvalReport:
 
 
 def hit_matrix(relevant: PairCounts, users, top: np.ndarray, n_pois: int) -> np.ndarray:
-    """Whether POI code top[i, j] is relevant to user code users[i]; -1, which
-    pads a short list, never is."""
-    return relevant.contains(np.asarray(users)[:, None], top, n_pois) & (top >= 0)
+    """Whether POI code top[i, ...] is relevant to user code users[i]; -1,
+    which pads a short list, never is."""
+    users = np.asarray(users).reshape((-1,) + (1,) * (top.ndim - 1))
+    return relevant.contains(users, top, n_pois) & (top >= 0)
 
 
 def evaluate_run(

@@ -209,14 +209,17 @@ class Pipeline:
                 for rule in rules:
                     lam = rule_lambdas(rule, model.enabled, grid)
                     shape = (len(scored), 1 if lam is None else len(lam), k)
-                    lists[rule] = lam, np.full(shape, -1, dtype=np.int32), np.zeros(shape)
+                    # Fused in place: fresh (G, n) arrays per user cost page faults.
+                    buf = None if lam is None else np.empty((len(lam), len(train.poi_ids)))
+                    lists[rule] = lam, buf, np.full(shape, -1, dtype=np.int32), np.zeros(shape)
                 users, candidates = [], 0
                 for u in scored.tolist():
                     cs = model.score_candidates(u)
                     candidates += len(cs.poi_ids)
                     if len(cs.poi_ids):
-                        for lam, codes, scores in lists.values():
-                            pois, vals = recommend_topn(cs.poi_ids, fused_scores(cs, lam), k)
+                        for lam, buf, codes, scores in lists.values():
+                            out = None if buf is None else buf[:, :len(cs.poi_ids)]
+                            pois, vals = recommend_topn(cs.poi_ids, fused_scores(cs, lam, out), k)
                             codes[len(users), :, :pois.shape[1]] = pois
                             scores[len(users), :, :pois.shape[1]] = vals
                         users.append(u)
@@ -225,7 +228,7 @@ class Pipeline:
                 self.counts[f"recommend.candidates.{name}"] = candidates
                 self.counts[f"recommend.empty_candidate_users.{name}"] = len(scored) - n
                 ranked[name] = np.array(users, dtype=np.intp), {
-                    rule: (codes[:n], scores[:n]) for rule, (_, codes, scores) in lists.items()
+                    rule: (codes[:n], scores[:n]) for rule, (_, _, codes, scores) in lists.items()
                 }
             return ranked
 
@@ -243,11 +246,10 @@ class Pipeline:
                 self.counts[f"sweep.users_without_validation.{name}"] = int((~kept).sum())
                 codes, _ = lists[WEIGHTED_SUM]
                 users, top = users[kept], codes[kept, :, :cutoff]
-                ndcg = np.empty((len(users), len(grid)))
-                for i, u in enumerate(users.tolist()):
-                    rel = relevant.row(u)[0]
-                    hits = np.isin(top[i], rel)
-                    ndcg[i] = ranking_metrics(hits, np.full(len(grid), len(rel)), cutoff).ndcg
+                hits = hit_matrix(relevant, users, top, len(split.dataset.poi_ids))
+                n_relevant = np.repeat(np.diff(relevant.indptr)[users], len(grid))
+                m = ranking_metrics(hits.reshape(-1, cutoff), n_relevant, cutoff)
+                ndcg = m.ndcg.reshape(len(users), len(grid))
                 best_lambdas[name], table = weight_sweep(
                     ndcg, labels[users], grid, self.cfg.sweep_objective
                 )

@@ -17,8 +17,6 @@ log = logging.getLogger(__name__)
 GEOSOCA = "geosoca"
 LORE = "lore"
 MODEL_NAMES = (GEOSOCA, LORE)
-# The power law used when too few frequencies are positive to fit one.
-DEFAULT_FIT = social.PowerLawFit(beta=2.0)
 
 
 @dataclass
@@ -40,7 +38,7 @@ class FittedModel:
     GeoSoCa binds (per-user KDE, friends' power-law frequency, categorical
     power-law frequency); LORE binds (global KDE, friend-based CF, additive
     Markov chain). Users and POIs are codes of `train`. `power_law_fallbacks`
-    counts the power-law fits that fell back to `DEFAULT_FIT`.
+    counts the power-law fits that fell back to `social.DEFAULT_FIT`.
     """
 
     def __init__(self, name: str, train: Dataset,
@@ -61,29 +59,21 @@ class FittedModel:
         if name == GEOSOCA:
             users = range(len(self.user_ids))
             self.user_kdes = geo.fit_user_kdes(train, coords)
-            # Per user: the friends' POIs in first-visit order over the sorted
-            # friends, and the friends' total check-ins at each. Kept sparse
-            # for scoring; users in code order, they are also the power-law
-            # sample in the order its log-sum adds it.
-            self.social_totals = []
-            for u in users:
-                order, totals = social.social_frequency(
-                    self.friends[u], self.bounds, self.poi, len(self.poi_ids)
-                )
-                self.social_totals.append((order, totals[order]))
-            self.social_fit = _fit_or_default(
-                np.concatenate([totals for _, totals in self.social_totals])
+            # Both power laws are fitted user by user, users in code order:
+            # the friends' total check-ins at each of their POIs in first-visit
+            # order over the sorted friends, and each user's POIs in code order.
+            self.social_fit = social.fit_power_law(
+                totals[order] for order, totals in map(self._social_frequency, users)
             )
             self.cat_model = CategoricalModel(self.visits, train.category)
             if self.cat_model.has_categories:
-                # Users in code order, each user's POIs in code order.
                 freqs = map(self.cat_model.frequency, users)
-                self.cat_fit = _fit_or_default(np.concatenate([f[f >= 1.0] for f in freqs]))
+                self.cat_fit = social.fit_power_law(f[f >= 1.0] for f in freqs)
             else:
                 self.cat_fit = None
             self.enabled = (True, True, self.cat_model.has_categories)
             fits = (self.social_fit, self.cat_fit)
-            self.power_law_fallbacks = sum(fit is DEFAULT_FIT for fit in fits)
+            self.power_law_fallbacks = sum(fit is social.DEFAULT_FIT for fit in fits)
         else:
             self.global_kde = geo.fit_global_kde(train, coords)
             # The global density does not depend on the user: once per POI.
@@ -110,10 +100,7 @@ class FittedModel:
             return CandidateScores(pos, np.zeros((0, 3)), self.enabled)
         if self.name == GEOSOCA:
             c1 = geo.geo_scores(self.user_kdes[u], self.lats[pos], self.lons[pos])
-            pois, totals = self.social_totals[u]
-            frequency = np.zeros(len(self.poi_ids), dtype=totals.dtype)
-            frequency[pois] = totals
-            c2 = social.power_law_score(self.social_fit, frequency[pos])
+            c2 = social.power_law_score(self.social_fit, self._social_frequency(u)[1][pos])
             if self.cat_fit is not None:
                 c3 = social.power_law_score(self.cat_fit, self.cat_model.frequency(u)[pos])
             else:
@@ -136,20 +123,16 @@ class FittedModel:
             )
         return CandidateScores(pos, raw, self.enabled)
 
-
-def _fit_or_default(freqs: np.ndarray) -> social.PowerLawFit:
-    if len(freqs) < social.MIN_FIT_OBSERVATIONS:
-        log.warning("too few positive frequencies (%d); using beta=2", len(freqs))
-        return DEFAULT_FIT
-    return social.fit_power_law(freqs)
+    def _social_frequency(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        return social.social_frequency(self.friends[u], self.bounds, self.poi, len(self.poi_ids))
 
 
-def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None) -> np.ndarray:
+def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None, out=None) -> np.ndarray:
     """Fuse candidate context scores with a rule's `rule_lambdas`, one row
     per lambda row: product (None) on raw scores, additive rules on per-user
-    min-max-normalized scores."""
+    min-max-normalized scores, into the (G, n_candidates) `out` if given."""
     mat = cs.raw if lambdas is None else normalize_scores(cs.raw)
-    return fuse_arrays(mat, lambdas, cs.enabled)
+    return fuse_arrays(mat, lambdas, cs.enabled, out)
 
 
 # Inputs of at most this many scores are fully sorted: below it one stable

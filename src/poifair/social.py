@@ -22,6 +22,9 @@ class PowerLawFit:
     x_min: float = 1.0
 
 
+DEFAULT_FIT = PowerLawFit(beta=2.0)
+
+
 def social_frequency(
     friends: np.ndarray, bounds: np.ndarray, poi: np.ndarray, n_pois: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -40,25 +43,29 @@ def social_frequency(
     return visited[np.sort(first)], np.bincount(visited, minlength=n_pois)
 
 
-def fit_power_law(frequencies) -> PowerLawFit:
-    """Continuous-approximation MLE with x_min = 1, exponent clamped to (1, 10].
+def fit_power_law(chunks) -> PowerLawFit:
+    """Continuous-approximation MLE with x_min = 1, exponent clamped to (1, 10],
+    over the observations of every array in `chunks`; `DEFAULT_FIT`, the power
+    law used with fewer than `MIN_FIT_OBSERVATIONS` observations.
 
-    The log-sum adds Python's `math.log` of each observation strictly in
-    input order; the log runs once per distinct value."""
-    xs = np.asarray(frequencies, dtype=float)
-    if len(xs) < MIN_FIT_OBSERVATIONS:
-        raise ValueError(
-            f"need >= {MIN_FIT_OBSERVATIONS} positive observations, got {len(xs)}"
-        )
-    if (xs < 1.0).any():
-        raise ValueError("frequencies must be >= x_min = 1")
-    values, inverse = np.unique(xs, return_inverse=True)
-    logs = np.array([math.log(v) for v in values.tolist()])
-    log_sum = float(np.add.accumulate(logs[inverse])[-1])
+    The log-sum adds Python's `math.log` of each observation strictly in input
+    order across chunks; the log runs once per distinct value of a chunk."""
+    n, log_sum = 0, 0.0
+    for chunk in chunks:
+        xs = np.asarray(chunk, dtype=float)
+        if (xs < 1.0).any():
+            raise ValueError("frequencies must be >= x_min = 1")
+        values, inverse = np.unique(xs, return_inverse=True)
+        logs = np.array([math.log(v) for v in values.tolist()])
+        log_sum = float(np.add.accumulate(np.concatenate(([log_sum], logs[inverse])))[-1])
+        n += len(xs)
+    if n < MIN_FIT_OBSERVATIONS:
+        log.warning("too few positive frequencies (%d); using beta=2", n)
+        return DEFAULT_FIT
     if log_sum <= 0.0:
         log.warning("all observations at x_min; exponent clamped to %s", BETA_MAX)
         return PowerLawFit(beta=BETA_MAX)
-    beta = 1.0 + len(xs) / log_sum
+    beta = 1.0 + n / log_sum
     return PowerLawFit(beta=min(beta, BETA_MAX))
 
 

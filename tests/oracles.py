@@ -33,6 +33,7 @@ from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
 from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
 from poifair.recommend import fused_scores
 from poifair.sequential import AMC_DECAY, AMC_MEMORY
+from poifair.social import BETA_MAX, DEFAULT_FIT, MIN_FIT_OBSERVATIONS, PowerLawFit
 from poifair.temporal import (
     WORK_END_HOUR,
     WORK_START_HOUR,
@@ -471,6 +472,24 @@ def positive_social_frequencies(train, social) -> list[int]:
         merged = merged_social_frequency(u, counts, social)
         freqs.extend(n for n in merged.values() if n >= 1)
     return freqs
+
+
+def fit_power_law(frequencies) -> PowerLawFit:
+    """The one-shot power-law fit over a whole sample: one `np.unique` over
+    every observation, Python's `math.log` once per distinct value, and the
+    logs added strictly in input order; `DEFAULT_FIT` below
+    `MIN_FIT_OBSERVATIONS` observations, beta clamped to (1, BETA_MAX]."""
+    xs = np.asarray(frequencies, dtype=float)
+    if len(xs) < MIN_FIT_OBSERVATIONS:
+        return DEFAULT_FIT
+    if (xs < 1.0).any():
+        raise ValueError("frequencies must be >= x_min = 1")
+    values, inverse = np.unique(xs, return_inverse=True)
+    logs = np.array([math.log(v) for v in values.tolist()])
+    log_sum = float(np.add.accumulate(logs[inverse])[-1])
+    if log_sum <= 0.0:
+        return PowerLawFit(beta=BETA_MAX)
+    return PowerLawFit(beta=min(1.0 + len(xs) / log_sum, BETA_MAX))
 
 
 def power_law_score(fit, x: float) -> float:

@@ -125,7 +125,7 @@ def test_c07_power_law_recovery():
     rng = np.random.default_rng(2024)
     beta = 2.5
     xs = (1 - rng.random(10_000)) ** (-1.0 / (beta - 1.0))
-    fit = fit_power_law(xs)
+    fit = fit_power_law([xs])
     report("7 power-law-recovery", abs(fit.beta - beta) <= 0.1)
 
 

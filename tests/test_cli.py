@@ -80,6 +80,11 @@ class TestConfig:
         {"sweep_step": "0.1"},
         {"run_sweep": "no"},
         {"min_user_checkins": 2.5},
+        {"train_frac": float("nan")},
+        {"session_gap_hours": float("nan")},
+        {"session_gap_hours": float("inf")},
+        {"session_gap_hours": 0},
+        {"session_gap_hours": -1.0},
     ], ids=[
         "negative-split-fraction", "amc-alpha", "amc-memory",
         "unknown-sweep-objective", "sweep-step-not-dividing-1", "sweep-step-zero",
@@ -88,7 +93,8 @@ class TestConfig:
         "no-cutoffs", "no-models", "no-fusion-rules",
         "repeated-model", "repeated-fusion-rule", "repeated-cutoff",
         "string-cutoff", "bool-cutoff", "string-sweep-step", "string-run-sweep",
-        "fractional-min-user-checkins",
+        "fractional-min-user-checkins", "nan-train-frac", "nan-session-gap",
+        "infinite-session-gap", "zero-session-gap", "negative-session-gap",
     ])
     def test_out_of_range_value_rejected(self, tmp_path, fixture_files, overrides, capsys):
         path = write_config(tmp_path, fixture_files, **{"models": ["lore"], **overrides})

@@ -175,6 +175,14 @@ class TestHitMatrix:
             [False, True], [True, False],
         ]
 
+    def test_users_broadcast_over_trailing_axes(self):
+        # Two rows of lists per user, as the weighted-sum grid has.
+        relevant = PairCounts.of(np.array([0, 1]), np.array([2, 0]), 2, 3)
+        top = np.array([[[1, 2], [2, 0]], [[0, -1], [2, 1]]])
+        assert hit_matrix(relevant, np.array([0, 1]), top, 3).tolist() == [
+            [[False, True], [True, False]], [[True, False], [False, False]],
+        ]
+
     def test_no_relevant_pairs(self):
         relevant = PairCounts.of(np.array([], dtype=int), np.array([], dtype=int), 2, 3)
         top = np.array([[0, 1], [2, -1]])

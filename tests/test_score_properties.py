@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poifair import recommend
+from poifair import social
 from poifair.data import TRAIN, Dataset, temporal_split
 from poifair.recommend import GEOSOCA, LORE, FittedModel
 from poifair.sequential import SESSION_GAP_HOURS
+from poifair.social import fit_power_law
 from poifair.synth import SynthConfig, generate
 
 import oracles
@@ -126,11 +127,19 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
 
 def check_fit_structures(ds: Dataset, split) -> None:
     """The int-indexed fit structures, read back by id, equal the string
-    oracles exactly; so do the ordered samples given to fit_power_law."""
+    oracles exactly; so does each power-law sample, given to fit_power_law
+    as one chunk per user code and flattened in order."""
     train = oracles.checkin_lists(split)[0]
     cols = split.columns(TRAIN)
     users, pois = ds.user_ids, ds.poi_ids
-    with patch.object(recommend, "_fit_or_default", wraps=recommend._fit_or_default) as fit:
+    samples = []
+
+    def record(chunks):
+        chunks = [c.tolist() for c in chunks]
+        samples.append((len(chunks), [x for c in chunks for x in c]))
+        return fit_power_law(chunks)
+
+    with patch.object(social, "fit_power_law", side_effect=record):
         geosoca = FittedModel(GEOSOCA, cols)
     lore = FittedModel(LORE, cols)
 
@@ -160,11 +169,10 @@ def check_fit_structures(ds: Dataset, split) -> None:
         [categories.frequency(u, p) for p in pois] for u in users
     ]
 
-    samples = [call.args[0].tolist() for call in fit.call_args_list]
     want_samples = [oracles.positive_social_frequencies(train, oracles.graph_of(ds))]
     if geosoca.cat_model.has_categories:
         want_samples.append(oracles.positive_categorical_frequencies(train, pois))
-    assert samples == want_samples
+    assert samples == [(len(users), want) for want in want_samples]
 
 
 # u0 visits two of three POIs (p0, p1 share a site): a single candidate, p2,

@@ -4,13 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair.data import PairCounts
 from poifair.geo import distance_km
 from poifair.social import (
     BETA_MAX,
+    DEFAULT_FIT,
+    MIN_FIT_OBSERVATIONS,
     PowerLawFit,
     fcf_score,
     fit_power_law,
@@ -111,23 +113,27 @@ class TestSocialFrequency:
 class TestPowerLawFit:
     def test_closed_form_beta_two(self):
         # n copies of e: beta = 1 + n / n = 2 by hand
-        fit = fit_power_law([math.e] * 12)
+        fit = fit_power_law([[math.e] * 12])
         assert fit.beta == pytest.approx(2.0)
 
     def test_all_ones_clamps(self):
-        fit = fit_power_law([1.0] * 12)
+        fit = fit_power_law([[1.0] * 12])
         assert fit.beta == 10.0
 
     def test_too_few_observations(self):
+        assert fit_power_law([[2.0] * 9]) is DEFAULT_FIT
+        assert fit_power_law([]) is DEFAULT_FIT
+
+    def test_below_x_min_rejected(self):
         with pytest.raises(ValueError):
-            fit_power_law([2.0] * 9)
+            fit_power_law([[2.0] * 12, [0.5]])
 
     def test_recovery_at_beta_2_5(self):
         rng = np.random.default_rng(42)
         beta = 2.5
         u = rng.random(10_000)
         xs = (1 - u) ** (-1.0 / (beta - 1.0))  # inverse-CDF Pareto sampling
-        fit = fit_power_law(xs)
+        fit = fit_power_law([xs])
         assert abs(fit.beta - beta) < 0.1
         # independent closed-form oracle on the same sample
         oracle = 1.0 + len(xs) / float(np.log(xs).sum())
@@ -146,8 +152,31 @@ def test_power_law_fit_equals_sequential_log_sum(xs):
     observation, added left to right, bit for bit."""
     log_sum = oracles.sequential_sum(math.log(x) for x in xs)
     beta = BETA_MAX if log_sum <= 0.0 else min(1.0 + len(xs) / log_sum, BETA_MAX)
-    assert fit_power_law(xs).beta.hex() == beta.hex()
-    assert fit_power_law(np.array(xs)).beta.hex() == beta.hex()
+    assert fit_power_law([xs]).beta.hex() == beta.hex()
+    assert fit_power_law([np.array(xs)]).beta.hex() == beta.hex()
+
+
+# Chunks of 0, 1 and many values, with repeats and values at exactly x_min;
+# short samples fall back to DEFAULT_FIT.
+@settings(max_examples=300, deadline=None)
+@example(chunks=[[1.0] * 4, [], [1.0] * 6])  # all at x_min: the clamp
+@example(chunks=[[2.0] * (MIN_FIT_OBSERVATIONS - 1)])
+@example(chunks=[[3.0], [], [7.0, 7.0]] * 4)
+@given(chunks=st.lists(
+    st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(FREQUENCY_POOL), min_size=1, max_size=1),
+        st.lists(st.sampled_from(FREQUENCY_POOL), max_size=40),
+    ),
+    max_size=12,
+))
+def test_streaming_power_law_fit_equals_one_shot_oracle(chunks):
+    """Fitting chunk by chunk gives the one-shot fit over their concatenation
+    bit for bit, the fallback and the clamp included."""
+    got = fit_power_law(np.array(c, dtype=float) for c in chunks)
+    want = oracles.fit_power_law([x for c in chunks for x in c])
+    assert got.beta.hex() == want.beta.hex()
+    assert (got is DEFAULT_FIT) == (sum(map(len, chunks)) < MIN_FIT_OBSERVATIONS)
 
 
 class TestPowerLawScore:
@@ -175,7 +204,7 @@ class TestPowerLawScore:
         assert got == [oracles.power_law_score(fit, x) for x in xs]
 
     def test_clamped_fit_matches_scalar_oracle(self):
-        fit = fit_power_law([1.0] * 12)
+        fit = fit_power_law([[1.0] * 12])
         assert fit.beta == BETA_MAX
         xs = [0, 0.5, 1, 2, 10**9]
         assert power_law_score(fit, xs).tolist() == [
