@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ class PairCounts:
     indptr: np.ndarray
     col: np.ndarray
     count: np.ndarray
+    n_cols: int
 
     @classmethod
     def of(cls, row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> PairCounts:
@@ -58,21 +60,26 @@ class PairCounts:
         count = np.diff(np.flatnonzero(bounds))
         keys = keys[bounds[:-1]]
         indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
-        return cls(indptr, np.remainder(keys, n_cols, out=keys), count)
+        return cls(indptr, np.remainder(keys, n_cols, out=keys), count, n_cols)
 
     def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Row r's columns and their counts."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return self.col[lo:hi], self.count[lo:hi]
 
-    def contains(self, row, col, n_cols: int) -> np.ndarray:
-        """Whether each (row, col) pair, col in [0, n_cols), occurs: a binary
-        search of its key in the sorted pair keys. (np.isin raised the peak
-        RSS of a 100-user run by about 1 MB.)"""
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The ascending int64 key `row * n_cols + col` of each pair."""
         rows = np.arange(len(self.indptr) - 1, dtype=np.int64)
-        keys = np.repeat(rows * n_cols, np.diff(self.indptr)) + self.col
-        want = np.asarray(row, dtype=np.int64) * n_cols + col
-        return np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
+        return np.repeat(rows * self.n_cols, np.diff(self.indptr)) + self.col
+
+    def contains(self, row, col) -> np.ndarray:
+        """Whether each (row, col) pair, col in [0, n_cols), occurs: a binary
+        search of its key in the sorted pair keys, with three int64
+        temporaries per pair. (np.isin raised the peak RSS of a 100-user run
+        by about 1 MB.)"""
+        want = np.asarray(row, dtype=np.int64) * self.n_cols + col
+        return np.searchsorted(self.keys, want, side="right") > np.searchsorted(self.keys, want)
 
 
 @dataclass
@@ -316,7 +323,7 @@ def _parse_checkins(path, poi_ids: list[str], report: LoadReport, max_frac: floa
             f"check-in at line {line[i]} references unknown poi_id {names[name[i]]!r}"
         )
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
-    return user_ids, user.astype(np.int32), poi, ts
+    return user_ids, user, poi, ts
 
 
 def _parse_social(path, user_ids: list[str], report: LoadReport) -> np.ndarray:
@@ -518,19 +525,27 @@ def _float(text: bytes) -> float:
 
 def _intern(keys: list[np.ndarray], extra: list[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct ids of the key rows (see `_Block.keys`) and of
-    `extra`, and the code of each key row, then of each extra id."""
+    `extra`, and the int32 code of each key row, then of each extra id.
+    Empties `keys`, so that its blocks go once copied: interning the
+    check-ins' ids is the peak of a Gowalla-sized parse."""
     width = max(k.shape[1] for k in keys)
-    rows = np.concatenate([np.pad(k, ((0, 0), (0, width - k.shape[1]))) for k in keys])
+    rows = np.zeros((sum(map(len, keys)), width), dtype=np.uint64)
+    at = 0
+    for k in keys:
+        rows[at:at + len(k), :k.shape[1]] = k
+        at += len(k)
+    keys.clear()
     order = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T[::-1])
     rows = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    code = np.empty(len(rows), dtype=np.intp)
-    code[order] = np.cumsum(new) - 1
-    # Ids are non-empty and hold no NUL: with a NUL word after each, the NUL
-    # runs split them apart.
-    text = np.pad(rows[new], ((0, 0), (0, 1))).astype(">u8").tobytes().decode("utf-8")
-    ids = list(filter(None, text.split("\0")))
+    code = np.empty(len(rows), dtype=np.int32)
+    code[order] = np.cumsum(new, dtype=np.int32)
+    code -= 1
+    # Ids hold no NUL, so a fixed-width bytes view of the big-endian words
+    # gives each id with its NUL padding dropped.
+    text = rows[new].astype(">u8").view(f"S{8 * width}").ravel()
+    ids = list(map(bytes.decode, text))
     if extra:
         merged = sorted(set(ids).union(extra))
         new_code = {s: i for i, s in enumerate(merged)}
@@ -638,7 +653,20 @@ def temporal_split(
             f"user {d.user_ids[u]!r} has {int(n[u])} check-ins "
             f"(< {MIN_SPLIT_CHECKINS}); filter first"
         )
-    rows = np.lexsort((np.arange(len(d.ts)), d.poi, d.ts, d.user))
+    # One stable sort on (user code, dense timestamp rank), which cannot
+    # overflow int64; then only the rows that tie on it are ordered by POI
+    # code. Stability keeps input order within an exact tie.
+    distinct, rank = np.unique(d.ts, return_inverse=True)
+    key = d.user.astype(np.int64) * len(distinct) + rank
+    rows = np.argsort(key, kind="stable")
+    key = key[rows]
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        tied = np.zeros(len(rows), dtype=bool)
+        tied[1:] = tie
+        tied[:-1] |= tie
+        at = np.flatnonzero(tied)
+        rows[at] = rows[at][np.lexsort((d.poi[rows[at]], key[at]))]
     n_train = (train_frac * n).astype(np.int64)
     n_test = (test_frac * n).astype(np.int64)
     # Position of each sorted row within its user's block.

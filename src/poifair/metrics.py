@@ -128,11 +128,11 @@ class EvalReport:
     n_users_skipped: int
 
 
-def hit_matrix(relevant: PairCounts, users, top: np.ndarray, n_pois: int) -> np.ndarray:
+def hit_matrix(relevant: PairCounts, users, top: np.ndarray) -> np.ndarray:
     """Whether POI code top[i, ...] is relevant to user code users[i]; -1,
     which pads a short list, never is."""
     users = np.asarray(users).reshape((-1,) + (1,) * (top.ndim - 1))
-    return relevant.contains(users, top, n_pois) & (top >= 0)
+    return relevant.contains(users, top) & (top >= 0)
 
 
 def evaluate_run(

@@ -47,6 +47,10 @@ from .temporal import (
 
 log = logging.getLogger(__name__)
 
+# The sweep marks hits a block of users at a time, so that the int64
+# temporaries of one block stay under this many bytes.
+SWEEP_BLOCK_BYTES = 1 << 22
+
 
 class StageFailure(Exception):
     def __init__(self, stage: str, cause: Exception):
@@ -55,20 +59,38 @@ class StageFailure(Exception):
         self.cause = cause
 
 
+# The text of a float in every artifact; `"%.12g" % x` is `f"{x:.12g}"`.
+_fmt_float = "%.12g".__mod__
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return f"{x:.12g}"
+        return _fmt_float(x)
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of text fields as CSV."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _recommendation_text(
+    user_ids: np.ndarray, poi_ids: np.ndarray, top: np.ndarray, scores: np.ndarray
+) -> str:
+    """The lines `user_id, rank, poi_id, score` of a rule's (users, K) top
+    POI codes, each list up to its first -1, with the text `_fmt` gives."""
+    listed = np.logical_and.accumulate(top >= 0, axis=1)
+    return "".join(map("%s\t%d\t%s\t%s\n".__mod__, zip(
+        np.repeat(user_ids, listed.sum(axis=1)).tolist(),
+        (np.nonzero(listed)[1] + 1).tolist(),
+        poi_ids[top[listed]].tolist(),
+        map(_fmt_float, scores[listed].tolist()),
+    )))
 
 
 def ground_truth(split: SplitDataset, part: int) -> PairCounts:
@@ -76,7 +98,7 @@ def ground_truth(split: SplitDataset, part: int) -> PairCounts:
     in train (train-visited POIs are never candidates), as a CSR."""
     held, train = (split.columns(p) for p in (part, TRAIN))
     n_pois = len(held.poi_ids)
-    new = ~train.visits().contains(held.user, held.poi, n_pois)
+    new = ~train.visits().contains(held.user, held.poi)
     return PairCounts.of(held.user[new], held.poi[new], len(held.user_ids), n_pois)
 
 
@@ -142,19 +164,23 @@ class Pipeline:
                 ["hour", "count"],
                 [[h, int(n)] for h, n in enumerate(hist)],
             )
-            self._write_csv_artifact(
-                "profiles.csv",
-                [
-                    "user_id", "n_checkins", "n_working", "n_leisure",
-                    "leisure_ratio", "avg_popularity_consumption",
-                ],
-                list(zip(
-                    [train.user_ids[u] for u in profiles.user.tolist()],
-                    *(c.tolist() for c in (
-                        profiles.n_checkins, profiles.n_working, profiles.n_leisure,
-                        profiles.leisure_ratio, profiles.avg_popularity_consumption,
-                    )),
+            header = [
+                "user_id", "n_checkins", "n_working", "n_leisure",
+                "leisure_ratio", "avg_popularity_consumption",
+            ]
+            # Column by column, with the text `_fmt` gives.
+            columns = (
+                [train.user_ids[u] for u in profiles.user.tolist()],
+                *(map(str, c.tolist()) for c in (
+                    profiles.n_checkins, profiles.n_working, profiles.n_leisure,
                 )),
+                *(map(_fmt_float, c.tolist()) for c in (
+                    profiles.leisure_ratio, profiles.avg_popularity_consumption,
+                )),
+            )
+            self._replace(
+                self.out / "profiles.csv",
+                lambda tmp: _write_csv(tmp, header, zip(*columns)),
             )
             self._write_csv_artifact(
                 "groups.csv",
@@ -245,8 +271,15 @@ class Pipeline:
                 kept = np.diff(relevant.indptr)[users] > 0
                 self.counts[f"sweep.users_without_validation.{name}"] = int((~kept).sum())
                 codes, _ = lists[WEIGHTED_SUM]
-                users, top = users[kept], codes[kept, :, :cutoff]
-                hits = hit_matrix(relevant, users, top, len(split.dataset.poi_ids))
+                at, users = np.flatnonzero(kept), users[kept]
+                hits = np.empty((len(users), len(grid), cutoff), dtype=bool)
+                # Users in blocks: hit_matrix holds three int64s per entry.
+                step = max(1, SWEEP_BLOCK_BYTES // (3 * 8 * len(grid) * cutoff))
+                for lo in range(0, len(users), step):
+                    block = slice(lo, lo + step)
+                    hits[block] = hit_matrix(
+                        relevant, users[block], codes[at[block], :, :cutoff]
+                    )
                 n_relevant = np.repeat(np.diff(relevant.indptr)[users], len(grid))
                 m = ranking_metrics(hits.reshape(-1, cutoff), n_relevant, cutoff)
                 ndcg = m.ndcg.reshape(len(users), len(grid))
@@ -271,7 +304,12 @@ class Pipeline:
     def evaluate(self, ranked, labels, split: SplitDataset, best_lambdas):
         with self._stage("evaluate"):
             relevant = ground_truth(split, TEST)
-            user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
+            # Object arrays, so that ids are gathered by code without a
+            # Python lookup per list entry.
+            user_ids, poi_ids = (
+                np.array(ids, dtype=object)
+                for ids in (split.dataset.user_ids, split.dataset.poi_ids)
+            )
             grid = simplex_grid(self.cfg.sweep_step)
             rows = []
             reports = []
@@ -284,18 +322,10 @@ class Pipeline:
                     # Weighted-sum's list is the best lambdas' grid row.
                     g = grid.index(best_lambdas[name]) if rule == WEIGHTED_SUM else 0
                     top, scores = (a[:, g] for a in lists[rule])
-                    rec_rows = []
-                    for u, pois, vals in zip(users.tolist(), top.tolist(), scores.tolist()):
-                        for rank, (p, v) in enumerate(zip(pois, vals), start=1):
-                            if p < 0:
-                                break
-                            rec_rows.append(
-                                f"{user_ids[u]}\t{rank}\t{poi_ids[p]}\t{_fmt(v)}\n"
-                            )
-                    hits_by_rule[rule] = hit_matrix(relevant, users, top, len(poi_ids))
+                    hits_by_rule[rule] = hit_matrix(relevant, users, top)
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",
-                        "".join(rec_rows),
+                        _recommendation_text(user_ids[users], poi_ids, top, scores),
                     )
                 for n in self.cfg.cutoffs:
                     baseline_delta = None
@@ -352,7 +382,8 @@ class Pipeline:
         self._replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def _write_csv_artifact(self, name: str, header, rows) -> None:
-        self._replace(self.out / name, lambda tmp: _write_csv(tmp, header, rows))
+        text = ([_fmt(v) for v in row] for row in rows)
+        self._replace(self.out / name, lambda tmp: _write_csv(tmp, header, text))
 
     def _replace(self, path: Path, write) -> None:
         """Write through a temporary file next to path and move it into

@@ -326,6 +326,13 @@ def sort_user_checkins(checkins):
     return [c for _, c in indexed]
 
 
+def split_rows(d: Dataset) -> np.ndarray:
+    """The dataset's row indices in (user code, timestamp, POI code, input
+    order) order, by one four-key lexsort: the order `temporal_split`
+    keeps."""
+    return np.lexsort((np.arange(len(d.ts)), d.poi, d.ts, d.user))
+
+
 def preprocess_filter(checkins, min_user_checkins, min_poi_checkins):
     """The check-ins that survive the single-pass cold-start filter (users,
     then POIs) and the drop of users it leaves with fewer than 3, in input

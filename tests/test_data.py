@@ -5,12 +5,16 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair.data import (
+    INT64_MAX,
+    MIN_SPLIT_CHECKINS,
     DataError,
+    Dataset,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
@@ -316,6 +320,27 @@ class TestFilter:
         assert report.users_removed == len(d.user_ids) - len(filtered.user_ids)
 
 
+@st.composite
+def split_rows(draw):
+    """(user code, POI code, timestamp) rows in shuffled order, every user
+    with at least MIN_SPLIT_CHECKINS of them: few POIs and timestamps, so
+    that (user, timestamp) ties with different POIs and exact duplicate rows
+    are common, and timestamps at both ends of the valid range."""
+    stamps = draw(st.lists(
+        st.sampled_from([1, 2, 3, 10**9, INT64_MAX - 1, INT64_MAX])
+        | st.integers(1, INT64_MAX),
+        min_size=1, max_size=4,
+    ))
+    rows = []
+    for u in range(draw(st.integers(1, 4))):
+        n = draw(st.just(MIN_SPLIT_CHECKINS) | st.integers(MIN_SPLIT_CHECKINS, 12))
+        rows += [
+            (u, draw(st.integers(0, 3)), draw(st.sampled_from(stamps))) for _ in range(n)
+        ]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows))
+
+
 class TestSplit:
     # index cutoffs enumerated by hand for the floor rule
     @pytest.mark.parametrize(
@@ -388,6 +413,26 @@ class TestSplit:
     def test_negative_fraction_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match=">= 0"):
             temporal_split(tiny_dataset, 0.8, -0.1, 0.3)
+
+    @given(rows=split_rows())
+    @example(rows=[(0, p, 7) for p in (2, 1, 2, 0, 1, 0, 2)])
+    @example(rows=[
+        (1, 0, INT64_MAX), (0, 1, 1), (1, 1, 1), (0, 0, INT64_MAX),
+        (1, 0, INT64_MAX), (0, 1, INT64_MAX - 1), (1, 1, 2),
+    ])
+    @settings(max_examples=300, deadline=None)
+    def test_row_order_equals_lexsort_oracle(self, rows):
+        user, poi, ts = zip(*rows)
+        n_users, n_pois = max(user) + 1, max(poi) + 1
+        d = Dataset(
+            [f"u{i}" for i in range(n_users)], [f"p{i}" for i in range(n_pois)],
+            np.array(user, dtype=np.int32), np.array(poi, dtype=np.int32),
+            np.array(ts, dtype=np.int64), np.zeros(n_pois), np.zeros(n_pois),
+            np.full(n_pois, -1, dtype=np.int32), [], np.zeros((0, 2), dtype=np.int32),
+        )
+        got = temporal_split(d).rows
+        want = oracles.split_rows(d)
+        assert got.tolist() == want.tolist()
 
 
 class TestStats:

@@ -171,7 +171,7 @@ class TestHitMatrix:
         # with -1, whose key 1 * 3 - 1 is user 0's (0, 2).
         relevant = PairCounts.of(np.array([0, 1]), np.array([2, 0]), 2, 3)
         top = np.array([[1, 2], [0, -1]])
-        assert hit_matrix(relevant, np.array([0, 1]), top, 3).tolist() == [
+        assert hit_matrix(relevant, np.array([0, 1]), top).tolist() == [
             [False, True], [True, False],
         ]
 
@@ -179,11 +179,11 @@ class TestHitMatrix:
         # Two rows of lists per user, as the weighted-sum grid has.
         relevant = PairCounts.of(np.array([0, 1]), np.array([2, 0]), 2, 3)
         top = np.array([[[1, 2], [2, 0]], [[0, -1], [2, 1]]])
-        assert hit_matrix(relevant, np.array([0, 1]), top, 3).tolist() == [
+        assert hit_matrix(relevant, np.array([0, 1]), top).tolist() == [
             [[False, True], [True, False]], [[True, False], [False, False]],
         ]
 
     def test_no_relevant_pairs(self):
         relevant = PairCounts.of(np.array([], dtype=int), np.array([], dtype=int), 2, 3)
         top = np.array([[0, 1], [2, -1]])
-        assert not hit_matrix(relevant, np.array([0, 1]), top, 3).any()
+        assert not hit_matrix(relevant, np.array([0, 1]), top).any()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, VALIDATION
 from poifair.fusion import WEIGHTED_SUM, rule_lambdas, simplex_grid
-from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth
+from poifair import pipeline
+from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth, run_pipeline
 from poifair.recommend import FittedModel, fused_scores, recommend_topn, top_k
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.synth import SynthConfig, generate, write_tsv
@@ -129,6 +131,29 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
             not val_relevant[u] for u in ranked
         )
     assert set(best) == {"geosoca", "lore"}
+
+
+@pytest.mark.parametrize("users_per_block", [1, 7])
+def test_sweep_in_user_blocks_writes_the_same_rows(
+    world, tmp_path, monkeypatch, users_per_block
+):
+    """Marking hits a block of users at a time changes neither sweep.csv
+    nor the best lambdas; the default budget takes these users in one
+    block."""
+    cfg, split, _, labels, _ = world
+
+    def sweep(out):
+        p = Pipeline(ExperimentConfig(
+            checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(out),
+        ))
+        best = p.sweep(p.fit_and_recommend(split, [WEIGHTED_SUM]), labels, split)
+        return best, (out / "sweep.csv").read_bytes()
+
+    whole = sweep(tmp_path / "whole")
+    per_user = 3 * 8 * len(simplex_grid(cfg.sweep_step)) * 10
+    assert pipeline.SWEEP_BLOCK_BYTES // per_user >= len(split.dataset.user_ids)
+    monkeypatch.setattr(pipeline, "SWEEP_BLOCK_BYTES", users_per_block * per_user)
+    assert sweep(tmp_path / "blocks") == whole
 
 
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
@@ -294,3 +319,28 @@ def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
     ranked = p.fit_and_recommend(split, ["product", "weighted_sum"])
     best = p.sweep(ranked, labels, split)
     assert p.evaluate(ranked, labels, split, best)
+
+
+def test_checkin_line_order_does_not_change_the_artifacts(tmp_path):
+    """The same check-ins in another line order give every artifact but
+    manifest.json byte for byte: ids, the split and every tie-break depend
+    on codes and timestamps, not on input order."""
+    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
+    paths = write_tsv(ds, tmp_path / "data")
+    lines = paths["checkins"].read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(5).shuffle(lines)
+    shuffled = tmp_path / "data" / "shuffled.tsv"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    artifacts = []
+    for name, checkins in (("ordered", paths["checkins"]), ("shuffled", shuffled)):
+        out = tmp_path / name
+        run_pipeline(ExperimentConfig(
+            checkin_path=str(checkins), poi_path=str(paths["pois"]),
+            social_path=str(paths["social"]), out_dir=str(out),
+            fusion_rules=["product", "sum", "weighted_sum"],
+        ))
+        artifacts.append({
+            f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+        })
+    assert len(artifacts[0]) == 15
+    assert artifacts[1] == artifacts[0]

@@ -201,7 +201,7 @@ def test_array_evaluation_equals_user_keyed_oracle(case, baseline):
     top = np.full((len(users), width), -1)
     for i, u in enumerate(users):
         top[i, :len(lists[u])] = lists[u]
-    hits = hit_matrix(truth, np.array(users), top, n_pois)
+    hits = hit_matrix(truth, np.array(users), top)
     got = outcome(lambda: asdict(evaluate_run(
         hits, np.diff(truth.indptr)[users], labels[users], cutoff, "m", "r", baseline
     )))
