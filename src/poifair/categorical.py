@@ -33,12 +33,14 @@ class CategoricalModel:
     def has_categories(self) -> bool:
         return self.n_slots > 1
 
-    def frequency(self, u: int) -> np.ndarray:
-        """u's check-in count in each POI's category, scaled by the POI's
-        popularity within that category, by POI code. 0 for a POI without a
-        category (flag via has_categories)."""
-        pois, n = self.visits.row(u)
+    def frequency(self, users: np.ndarray) -> np.ndarray:
+        """For a block of user codes, (users, n_pois): each user's check-in
+        count in each POI's category, scaled by the POI's popularity within
+        that category, by POI code. 0 for a POI without a category (flag via
+        has_categories)."""
+        row, pois, n = self.visits.rows(users)
         user_counts = np.bincount(
-            self.category[pois], weights=n, minlength=self.n_slots
-        )
-        return user_counts[self.category] * self.popularity
+            row * self.n_slots + self.category[pois], weights=n,
+            minlength=len(users) * self.n_slots,
+        ).reshape(len(users), self.n_slots)
+        return user_counts[:, self.category] * self.popularity

@@ -38,6 +38,14 @@ class DataError(Exception):
     """Malformed or inconsistent input data."""
 
 
+def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices `lo[i]:hi[i]` of every range i, concatenated in order,
+    and the range i of each."""
+    n = hi - lo
+    of = np.repeat(np.arange(len(n)), n)
+    return np.arange(len(of)) + (lo - (np.cumsum(n) - n))[of], of
+
+
 @dataclass(frozen=True)
 class PairCounts:
     """How often each distinct (row, column) code pair occurs, as CSR: row
@@ -66,6 +74,12 @@ class PairCounts:
         """Row r's columns and their counts."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return self.col[lo:hi], self.count[lo:hi]
+
+    def rows(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs of rows `rs`, row by row in that order: each pair's
+        index into rs, its column and its count."""
+        at, of = ranges(self.indptr[rs], self.indptr[rs + 1])
+        return of, self.col[at], self.count[at]
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -152,13 +166,12 @@ class Dataset:
         user u's rows are `bounds[u]:bounds[u + 1]`."""
         return np.searchsorted(self.user, np.arange(len(self.user_ids) + 1))
 
-    def friend_codes(self) -> list[np.ndarray]:
-        """Each user's friends as ascending user codes: the rows of the
-        friendship CSR."""
+    def friends(self) -> PairCounts:
+        """The friendship CSR: row u holds u's friends as ascending user
+        codes."""
         a, b = self.edges[:, 0], self.edges[:, 1]
         n = len(self.user_ids)
-        csr = PairCounts.of(np.concatenate((a, b)), np.concatenate((b, a)), n, n)
-        return [csr.row(u)[0] for u in range(n)]
+        return PairCounts.of(np.concatenate((a, b)), np.concatenate((b, a)), n, n)
 
 
 @dataclass

@@ -39,15 +39,17 @@ def rule_lambdas(
 def fuse_arrays(
     scores: np.ndarray, lambdas: np.ndarray | None, enabled=(True, True, True), out=None
 ) -> np.ndarray:
-    """Fuse an (n, 3) score matrix over the enabled contexts into (G, n):
-    with lambdas None, one row, the product c1 * c2 * c3; otherwise, into `out`
-    if given, l1 * c1 + l2 * c2 + l3 * c3 added left to right per lambda row."""
-    cols = [scores[:, j] for j in range(3) if enabled[j]]
+    """Fuse (3, ..., n) context scores over the enabled contexts into
+    (..., G, n), into `out` if given: with lambdas None, one row, the product
+    c1 * c2 * c3; otherwise l1 * c1 + l2 * c2 + l3 * c3 added left to right
+    per lambda row."""
+    cols = [scores[j][..., None, :] for j in range(3) if enabled[j]]
     if lambdas is None:
-        out = cols[0]
-        for c in cols[1:]:
-            out = out * c
-        return out[None, :]
+        # Times 1.0 is exact: a lone context is copied as it is.
+        out = np.multiply(cols[0], cols[1] if len(cols) > 1 else 1.0, out=out)
+        for c in cols[2:]:
+            out *= c
+        return out
     lams = [lambdas[:, j, None] for j in range(3) if enabled[j]]
     out = np.multiply(lams[0], cols[0], out=out)
     for lam, c in zip(lams[1:], cols[1:]):
@@ -69,17 +71,25 @@ def renormalize_weighted_sum(
     return tuple(l / total for l in masked)
 
 
-def normalize_scores(raw: np.ndarray) -> np.ndarray:
-    """Per-context min-max normalization over one user's candidate set.
+def normalize_scores(raw: np.ndarray, candidate: np.ndarray | None = None) -> np.ndarray:
+    """Per-context min-max normalization of (3, ..., n) scores along the
+    last axis, over the (..., n) mask `candidate` if given.
 
     Constant columns map to 0.5 by convention.
     """
     raw = np.asarray(raw, dtype=float)
-    out = np.empty_like(raw)
-    for j in range(raw.shape[1]):
-        col = raw[:, j]
-        lo, hi = col.min(), col.max()
-        out[:, j] = 0.5 if hi == lo else (col - lo) / (hi - lo)
+    if candidate is None:
+        lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
+        out = np.empty_like(raw)
+    else:
+        out = np.where(candidate, raw, np.inf)
+        lo = out.min(axis=-1, keepdims=True)
+        np.copyto(out, -np.inf, where=~candidate)
+        hi = out.max(axis=-1, keepdims=True)
+    span = hi - lo
+    np.subtract(raw, lo, out=out)
+    np.divide(out, span, out=out, where=span != 0)
+    np.copyto(out, 0.5, where=span == 0)
     return out
 
 

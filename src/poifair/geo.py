@@ -22,11 +22,15 @@ def project_km(lats, lons, lat_ref: float) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-def distance_km(lat1, lon1, lat2, lon2) -> float:
-    """Equirectangular distance using the midpoint latitude as reference."""
+def distances_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Equirectangular distance of each pair of points, using the pair's
+    midpoint latitude as reference: `project_km` of the two points, with
+    Python's `math.cos` once per pair."""
     lat_ref = (lat1 + lat2) / 2.0
-    p = project_km([lat1, lat2], [lon1, lon2], lat_ref)
-    return float(np.hypot(*(p[0] - p[1])))
+    kx = KM_PER_DEG_LON_EQUATOR * np.array(
+        [math.cos(math.radians(x)) for x in lat_ref.tolist()], dtype=float
+    )
+    return np.hypot(KM_PER_DEG_LAT * lat1 - KM_PER_DEG_LAT * lat2, kx * lon1 - kx * lon2)
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,34 @@ def fit_kde(coords) -> KdeModel:
 
 def fit_user_kdes(train: Dataset, coords: np.ndarray) -> list[KdeModel | None]:
     """One KDE per user code over the (lat, lon) `coords[poi]` of their
-    check-ins, in row order; None for a user without check-ins. `train` is
-    sorted by user."""
+    check-ins, in row order, as `fit_kde` fits it; None for a user without
+    check-ins. `train` is sorted by user. Every user's distinct points come
+    from one lexsort over (user, x, y)."""
     bounds = train.user_rows().tolist()
+    samples = coords[train.poi]
+    pts = np.empty_like(samples)
+    fits = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi == lo:
+            fits.append(None)
+            continue
+        arr = samples[lo:hi]
+        lat_ref = float(arr[:, 0].mean())
+        p = pts[lo:hi] = project_km(arr[:, 0], arr[:, 1], lat_ref)
+        fits.append((lat_ref, (silverman_bandwidth(p[:, 0]), silverman_bandwidth(p[:, 1]))))
+    order = np.lexsort((pts[:, 1], pts[:, 0], train.user))
+    pts, user = pts[order], train.user[order]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = (user[1:] != user[:-1]) | (pts[1:] != pts[:-1]).any(axis=1)
+    at = np.flatnonzero(first)
+    counts = np.diff(at, append=len(pts))
+    ends = np.searchsorted(user[at], np.arange(len(bounds))).tolist()
     return [
-        fit_kde(coords[train.poi[lo:hi]]) if hi > lo else None
-        for lo, hi in zip(bounds, bounds[1:])
+        None if fit is None else KdeModel(
+            points_km=pts[at[a:b]], bandwidth=fit[1], lat_ref=fit[0],
+            weights=counts[a:b].astype(float),
+        )
+        for fit, a, b in zip(fits, ends, ends[1:])
     ]
 
 

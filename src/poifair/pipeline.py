@@ -35,7 +35,7 @@ from .fusion import (
     weight_sweep,
 )
 from .metrics import evaluate_run, hit_matrix, ranking_metrics
-from .recommend import FittedModel, fused_scores, recommend_topn
+from .recommend import FittedModel, block_rows, fused_scores, recommend_topn, score_block_rows
 from .temporal import (
     assign_groups,
     build_profiles,
@@ -211,8 +211,10 @@ class Pipeline:
         user codes, ascending, and per rule in `rules` their (users, rows, K)
         top POI codes, -1 past a short list, and fused scores, K being
         max(cutoffs). Weighted-sum has a row per simplex grid point, the
-        other rules one. Raw scores are dropped user by user. Users with no
-        training check-in or no candidate are counted and left out."""
+        other rules one. Users are scored, fused and ranked a block at a
+        time, blocks sized by `recommend.BLOCK_BYTES`, and raw scores are
+        dropped block by block. Users with no training check-in or no
+        candidate are counted and left out."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
             scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
@@ -222,38 +224,63 @@ class Pipeline:
                 log.warning("%d users have no training check-in; not scored", missing)
             k = max(self.cfg.cutoffs)
             grid = simplex_grid(self.cfg.sweep_step)
+            n_pois = len(train.poi_ids)
+            step = score_block_rows(n_pois)
+            pois = np.arange(n_pois)
             ranked = {}
             for name in self.cfg.models:
+                t0 = time.perf_counter()
                 model = FittedModel(
                     name, train,
                     session_gap_hours=self.cfg.session_gap_hours,
                     amc_alpha=self.cfg.amc_alpha,
                     amc_memory=self.cfg.amc_memory,
                 )
+                fit_s, score_s, select_s = time.perf_counter() - t0, 0.0, 0.0
                 self.counts[f"recommend.power_law_fallbacks.{name}"] = model.power_law_fallbacks
                 lists = {}
                 for rule in rules:
                     lam = rule_lambdas(rule, model.enabled, grid)
-                    shape = (len(scored), 1 if lam is None else len(lam), k)
-                    # Fused in place: fresh (G, n) arrays per user cost page faults.
-                    buf = None if lam is None else np.empty((len(lam), len(train.poi_ids)))
+                    rows = 1 if lam is None else len(lam)
+                    shape = (len(scored), rows, k)
+                    # Fused in place: a fresh array per block costs page faults.
+                    sub = max(1, min(step, len(scored), block_rows(8 * rows * n_pois)))
+                    buf = np.empty((sub, rows, n_pois))
                     lists[rule] = lam, buf, np.full(shape, -1, dtype=np.int32), np.zeros(shape)
-                users, candidates = [], 0
-                for u in scored.tolist():
-                    cs = model.score_candidates(u)
+                users, n, candidates, blocks = [], 0, 0, 0
+                for lo in range(0, len(scored), step):
+                    t0 = time.perf_counter()
+                    cs = model.score_candidates(scored[lo:lo + step])
+                    t1 = time.perf_counter()
+                    blocks += 1
                     candidates += len(cs.poi_ids)
-                    if len(cs.poi_ids):
-                        for lam, buf, codes, scores in lists.values():
-                            out = None if buf is None else buf[:, :len(cs.poi_ids)]
-                            pois, vals = recommend_topn(cs.poi_ids, fused_scores(cs, lam, out), k)
-                            codes[len(users), :, :pois.shape[1]] = pois
-                            scores[len(users), :, :pois.shape[1]] = vals
-                        users.append(u)
-                n = len(users)
+                    has = cs.candidate.any(axis=1)
+                    if not has.all():
+                        cs = cs.take(has)
+                    for lam, buf, codes, scores in lists.values():
+                        for a in range(0, len(cs.users), len(buf)):
+                            part = cs.take(slice(a, a + len(buf)))
+                            m = len(part.users)
+                            top, vals = recommend_topn(pois, fused_scores(part, lam, buf[:m]), k)
+                            listed = vals > -np.inf
+                            at = slice(n + a, n + a + m)
+                            codes[at, :, :top.shape[2]] = np.where(listed, top, -1)
+                            scores[at, :, :top.shape[2]] = np.where(listed, vals, 0.0)
+                    users.append(cs.users)
+                    n += len(cs.users)
+                    score_s += t1 - t0
+                    select_s += time.perf_counter() - t1
+                empty = len(scored) - n
+                if empty:
+                    log.warning("%s: %d users visited every POI; not ranked", name, empty)
+                self.timings[f"recommend.fit.{name}"] = fit_s
+                self.timings[f"recommend.score.{name}"] = score_s
+                self.timings[f"recommend.fuse_select.{name}"] = select_s
+                self.counts[f"recommend.blocks.{name}"] = blocks
                 self.counts[f"recommend.users_ranked.{name}"] = n
                 self.counts[f"recommend.candidates.{name}"] = candidates
-                self.counts[f"recommend.empty_candidate_users.{name}"] = len(scored) - n
-                ranked[name] = np.array(users, dtype=np.intp), {
+                self.counts[f"recommend.empty_candidate_users.{name}"] = empty
+                ranked[name] = np.concatenate(users or [np.empty(0, dtype=np.intp)]), {
                     rule: (codes[:n], scores[:n]) for rule, (_, _, codes, scores) in lists.items()
                 }
             return ranked

@@ -2,8 +2,8 @@
 produce top-N recommendations."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,23 +12,52 @@ from .categorical import CategoricalModel
 from .data import Dataset
 from .fusion import fuse_arrays, normalize_scores
 
-log = logging.getLogger(__name__)
-
 GEOSOCA = "geosoca"
 LORE = "lore"
 MODEL_NAMES = (GEOSOCA, LORE)
 
+# Users are scored, fused and ranked in blocks, each as many users as fit in
+# this many bytes: three float64 raw scores per POI for a scoring block, and
+# one fused float64 per (rule row, POI) for a fused block, so the 66 rows of
+# the weighted-sum grid are fused a few users at a time. Scoring holds a few
+# times its raw scores in temporaries; 256 KiB keeps the peak RSS of a
+# 100-user, 240-POI run where it was when users were scored one at a time.
+BLOCK_BYTES = 1 << 18
 
-@dataclass
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of `row_bytes` bytes make a block: at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
+
+def score_block_rows(n_pois: int) -> int:
+    """Users per scoring block."""
+    return block_rows(24 * n_pois)
+
+
+@dataclass(frozen=True)
 class CandidateScores:
-    """Raw (c1, c2, c3) context scores for one user's unvisited candidates.
+    """Raw (c1, c2, c3) context scores of a block of users at every POI code.
 
-    poi_ids are ascending POI codes, so a candidate's position is its
-    poi_id tie-break when ranking."""
+    A user's candidates are the POIs they did not visit in train; scores at
+    the other POIs are never ranked. Positions are POI codes, so position
+    order is the poi_id tie-break when ranking."""
 
-    poi_ids: np.ndarray
-    raw: np.ndarray  # (n_candidates, 3)
+    users: np.ndarray  # (B,) ascending user codes
+    candidate: np.ndarray  # (B, n_pois) bool
+    raw: np.ndarray  # (3, B, n_pois)
     enabled: tuple[bool, bool, bool]
+
+    @cached_property
+    def poi_ids(self) -> np.ndarray:
+        """Each candidate's POI code, row by row."""
+        return np.nonzero(self.candidate)[1]
+
+    def take(self, rows) -> CandidateScores:
+        """The scores of the block's rows `rows`."""
+        return CandidateScores(
+            self.users[rows], self.candidate[rows], self.raw[:, rows], self.enabled
+        )
 
 
 class FittedModel:
@@ -52,22 +81,27 @@ class FittedModel:
         self.poi = train.poi
         self.bounds = train.user_rows()
         self.visits = train.visits()
-        self.friends = train.friend_codes()
+        self.friends = train.friends()
         self.lats, self.lons = train.lat, train.lon
         coords = np.stack([self.lats, self.lons], axis=1)
 
         if name == GEOSOCA:
-            users = range(len(self.user_ids))
+            n_pois = len(self.poi_ids)
+            step = score_block_rows(n_pois)
+            users = np.arange(len(self.user_ids))
+            blocks = [users[lo:lo + step] for lo in range(0, len(users), step)]
             self.user_kdes = geo.fit_user_kdes(train, coords)
-            # Both power laws are fitted user by user, users in code order:
-            # the friends' total check-ins at each of their POIs in first-visit
-            # order over the sorted friends, and each user's POIs in code order.
+            # Both power laws are fitted over every user code in order: the
+            # friends' total check-ins at each of their POIs in first-visit
+            # order over the ascending friends, and each user's POIs in code
+            # order. Their log-sums run on across blocks.
             self.social_fit = social.fit_power_law(
-                totals[order] for order, totals in map(self._social_frequency, users)
+                totals.ravel()[keys[np.sort(np.unique(keys, return_index=True)[1])]]
+                for totals, keys in map(self._social_frequency, blocks)
             )
             self.cat_model = CategoricalModel(self.visits, train.category)
             if self.cat_model.has_categories:
-                freqs = map(self.cat_model.frequency, users)
+                freqs = map(self.cat_model.frequency, blocks)
                 self.cat_fit = social.fit_power_law(f[f >= 1.0] for f in freqs)
             else:
                 self.cat_fit = None
@@ -85,54 +119,68 @@ class FittedModel:
             self.enabled = (True, True, True)
             self.power_law_fallbacks = 0
 
-    def score_candidates(self, u: int) -> CandidateScores:
-        """Raw (c1, c2, c3) for every POI user code u has not visited in
-        train."""
-        if not 0 <= u < len(self.user_ids):
-            raise ValueError(f"no user code {u!r}")
-        if self.bounds[u] == self.bounds[u + 1]:
+    def score_candidates(self, users) -> CandidateScores:
+        """Raw (c1, c2, c3) of a block of ascending user codes at every POI;
+        each user's candidates are the POIs they did not visit in train."""
+        users = np.asarray(users, dtype=np.intp)
+        bad = (users < 0) | (users >= len(self.user_ids))
+        if bad.any():
+            raise ValueError(f"no user code {users[bad.argmax()]!r}")
+        absent = self.bounds[users] == self.bounds[users + 1]
+        if absent.any():
+            u = users[absent.argmax()]
             raise ValueError(f"user {self.user_ids[u]!r} absent from the training split")
-        candidate = np.ones(len(self.poi_ids), dtype=bool)
-        candidate[self.visits.row(u)[0]] = False
-        pos = np.flatnonzero(candidate)
-        if not len(pos):
-            log.warning("user %s visited every POI; no candidates", self.user_ids[u])
-            return CandidateScores(pos, np.zeros((0, 3)), self.enabled)
+        n_pois = len(self.poi_ids)
+        row, visited, _ = self.visits.rows(users)
+        candidate = np.ones((len(users), n_pois), dtype=bool)
+        candidate[row, visited] = False
+        raw = np.zeros((3, len(users), n_pois))
         if self.name == GEOSOCA:
-            c1 = geo.geo_scores(self.user_kdes[u], self.lats[pos], self.lons[pos])
-            c2 = social.power_law_score(self.social_fit, self._social_frequency(u)[1][pos])
+            # The KDE's bits depend on how many points it scores at once, so
+            # it scores each user's candidates on their own.
+            for b, u in enumerate(users.tolist()):
+                pos = np.flatnonzero(candidate[b])
+                if len(pos):
+                    raw[0, b, pos] = geo.geo_scores(
+                        self.user_kdes[u], self.lats[pos], self.lons[pos]
+                    )
+            totals, _ = self._social_frequency(users)
+            raw[1] = social.power_law_score(self.social_fit, totals)
             if self.cat_fit is not None:
-                c3 = social.power_law_score(self.cat_fit, self.cat_model.frequency(u)[pos])
-            else:
-                c3 = np.zeros(len(pos))
+                raw[2] = social.power_law_score(self.cat_fit, self.cat_model.frequency(users))
         else:
-            c1 = self.global_geo[pos]
-            c2 = social.fcf_score(
-                u, self.friends[u], self.visits, self.residence, self.lats, self.lons
-            )[pos]
-            c3 = sequential.amc_scores(
-                self.l2tg, self.poi[self.bounds[u]:self.bounds[u + 1]], pos,
+            raw[0] = self.global_geo
+            raw[1] = social.fcf_score(
+                users, self.friends, self.visits, self.residence, self.lats, self.lons
+            )
+            raw[2] = sequential.amc_scores(
+                self.l2tg, self.poi, self.bounds[users], self.bounds[users + 1],
                 self.amc_alpha, self.amc_memory,
             )
-        raw = np.stack([c1, c2, c3], axis=1)
-        bad = ~np.isfinite(raw).all(axis=1)
+        bad = candidate & ~np.isfinite(raw).all(axis=0)
         if bad.any():
+            b, p = np.unravel_index(bad.argmax(), bad.shape)
             raise ValueError(
                 f"{self.name}: non-finite context score for user "
-                f"{self.user_ids[u]!r} at POI {self.poi_ids[pos[bad.argmax()]]!r}"
+                f"{self.user_ids[users[b]]!r} at POI {self.poi_ids[p]!r}"
             )
-        return CandidateScores(pos, raw, self.enabled)
+        return CandidateScores(users, candidate, raw, self.enabled)
 
-    def _social_frequency(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        return social.social_frequency(self.friends[u], self.bounds, self.poi, len(self.poi_ids))
+    def _social_frequency(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return social.social_frequency(
+            self.friends, users, self.bounds, self.poi, len(self.poi_ids)
+        )
 
 
 def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None, out=None) -> np.ndarray:
-    """Fuse candidate context scores with a rule's `rule_lambdas`, one row
-    per lambda row: product (None) on raw scores, additive rules on per-user
-    min-max-normalized scores, into the (G, n_candidates) `out` if given."""
-    mat = cs.raw if lambdas is None else normalize_scores(cs.raw)
-    return fuse_arrays(mat, lambdas, cs.enabled, out)
+    """Fuse a block's context scores with a rule's `rule_lambdas`, one row
+    per lambda row: product (None) on raw scores, additive rules on scores
+    min-max-normalized over each user's candidates. (B, G, n_pois), into
+    `out` if given, -inf at every POI that is not a candidate."""
+    mat = cs.raw if lambdas is None else normalize_scores(cs.raw, cs.candidate)
+    fused = fuse_arrays(mat, lambdas, cs.enabled, out)
+    np.copyto(fused, -np.inf, where=~cs.candidate[:, None, :])
+    return fused
 
 
 # Inputs of at most this many scores are fully sorted: below it one stable

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PairCounts
+from .data import Dataset, PairCounts, ranges
 
 SESSION_GAP_HOURS = 24.0
 AMC_DECAY = 0.5
@@ -55,23 +55,34 @@ def _amc_weights(k: int, alpha: float) -> list[float]:
 
 def amc_scores(
     g: TransitionGraph,
-    history: np.ndarray,
-    candidates: np.ndarray,
+    poi: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     alpha: float = AMC_DECAY,
     memory: int = AMC_MEMORY,
 ) -> np.ndarray:
-    """Decay-weighted sum of transition probabilities from the most recent
-    history POIs (history most-recent-last) into each candidate POI code.
+    """For a block of histories, row b's being `poi[lo[b]:hi[b]]` oldest
+    first, (rows, n_pois): the decay-weighted sum of transition
+    probabilities from the most recent `memory` history POIs into each POI
+    code.
 
     History POIs with no out-edges contribute 0 but still consume weight.
-    """
+    One pass per history step, most recent first, so each POI adds its
+    terms in the order of a sum over one history at a time."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if memory < 1:
         raise ValueError("memory must be >= 1")
-    recent = np.asarray(history)[::-1][:memory].tolist()
-    acc = np.zeros(len(g.indptr) - 1)
-    for w, src in zip(_amc_weights(len(recent), alpha), recent):
-        lo, hi = g.indptr[src], g.indptr[src + 1]
-        acc[g.dst[lo:hi]] += w * g.prob[lo:hi]
-    return acc[candidates]
+    k = np.minimum(hi - lo, memory)
+    steps = int(k.max(initial=0))
+    # weights[n, i]: the weight of step i in a history of n steps.
+    weights = np.zeros((steps + 1, steps))
+    for n in range(1, steps + 1):
+        weights[n, :n] = _amc_weights(n, alpha)
+    acc = np.zeros((len(k), len(g.indptr) - 1))
+    for i in range(steps):
+        b = np.flatnonzero(k > i)
+        src = poi[hi[b] - 1 - i]
+        at, of = ranges(g.indptr[src], g.indptr[src + 1])
+        acc[b[of], g.dst[at]] += weights[k[b], i][of] * g.prob[at]
+    return acc

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairCounts
-from .geo import distance_km
+from .data import PairCounts, ranges
+from .geo import distances_km
 
 log = logging.getLogger(__name__)
 
@@ -26,21 +26,21 @@ DEFAULT_FIT = PowerLawFit(beta=2.0)
 
 
 def social_frequency(
-    friends: np.ndarray, bounds: np.ndarray, poi: np.ndarray, n_pois: int
+    friends: PairCounts, users: np.ndarray, bounds: np.ndarray, poi: np.ndarray,
+    n_pois: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The friends' POIs in order of first visit, and their total training
-    check-ins at each POI code.
+    """For a block of user codes: their friends' total training check-ins at
+    each POI code, (users, n_pois), and the key `row * n_pois + poi` of each
+    of those check-ins, row by row, each row's friends in ascending code order
+    and each friend's check-ins in time order.
 
-    Friend v's training POIs are `poi[bounds[v]:bounds[v + 1]]`, in time
-    order; first visits are taken over `friends` in order, each in time
-    order."""
-    lo, hi = bounds[friends], bounds[friends + 1]
-    n = hi - lo
-    # The friends' row ranges lo:hi, concatenated.
-    visited = poi[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
-    order = np.argsort(visited, kind="stable")
-    first = order[np.diff(visited[order], prepend=-1) != 0]
-    return visited[np.sort(first)], np.bincount(visited, minlength=n_pois)
+    Row u of `friends` holds u's friends; friend v's training POIs are
+    `poi[bounds[v]:bounds[v + 1]]`, in time order."""
+    row, v, _ = friends.rows(users)
+    at, of = ranges(bounds[v], bounds[v + 1])
+    keys = row[of] * n_pois + poi[at]
+    totals = np.bincount(keys, minlength=len(users) * n_pois)
+    return totals.reshape(len(users), n_pois), keys
 
 
 def fit_power_law(chunks) -> PowerLawFit:
@@ -72,13 +72,15 @@ def fit_power_law(chunks) -> PowerLawFit:
 def power_law_score(fit: PowerLawFit, x) -> np.ndarray:
     """CDF-as-relevance of each x: 0 below x_min, else 1 - (x/x_min)^(1-beta).
 
-    Python's float pow runs once per distinct x; np.power can differ from it
-    in the last bit."""
-    values, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    Python's float pow runs once per distinct x from x_min up; np.power can
+    differ from it in the last bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    at = ~(x < fit.x_min)
+    values, inverse = np.unique(x[at], return_inverse=True)
     e = 1.0 - fit.beta
-    cdf = [0.0 if v < fit.x_min else 1.0 - (v / fit.x_min) ** e
-           for v in values.tolist()]
-    return np.array(cdf, dtype=float)[inverse]
+    out[at] = np.array([1.0 - (v / fit.x_min) ** e for v in values.tolist()], dtype=float)[inverse]
+    return out
 
 
 def residences(visits: PairCounts) -> np.ndarray:
@@ -92,28 +94,38 @@ def residences(visits: PairCounts) -> np.ndarray:
 
 
 def fcf_score(
-    u: int,
-    friends: np.ndarray,
+    users: np.ndarray,
+    friends: PairCounts,
     visits: PairCounts,
     residence: np.ndarray,
     lats: np.ndarray,
     lons: np.ndarray,
 ) -> np.ndarray:
-    """Similarity-weighted mean of friends' check-in counts at each POI code.
+    """For a block of user codes, (users, n_pois): the similarity-weighted
+    mean of the friends' check-in counts at each POI code; 0 for a user
+    without a residence or without a friend who has one.
 
-    sim(u, v) = 1 / (1 + km distance between residences), computed once per
-    friend with a residence. Each POI's numerator adds the friends' terms in
-    the order of `friends`, so it equals the sum taken one POI at a time."""
-    num = np.zeros(len(lats))
-    friends = friends[residence[friends] >= 0].tolist()
-    ru = residence[u]
-    if not friends or ru < 0:
+    sim(u, v) = 1 / (1 + km distance between residences), once per (user,
+    friend) pair. The numerators and denominators add one friend rank per
+    pass, friends in ascending code order, so each POI adds its terms in the
+    order of a sum taken one user and one POI at a time."""
+    num = np.zeros((len(users), len(lats)))
+    row, v, _ = friends.rows(users)
+    ru, rv = residence[users][row], residence[v]
+    keep = np.flatnonzero((ru >= 0) & (rv >= 0))
+    if not len(keep):
         return num
-    den = 0.0
-    for v in friends:
-        rv = residence[v]
-        sim = 1.0 / (1.0 + distance_km(lats[ru], lons[ru], lats[rv], lons[rv]))
-        pois, n = visits.row(v)
-        num[pois] += sim * n
-        den += sim
-    return num / den
+    row, v, ru, rv = row[keep], v[keep], ru[keep], rv[keep]
+    sim = 1.0 / (1.0 + distances_km(lats[ru], lons[ru], lats[rv], lons[rv]))
+    # Rows are ascending: a pair's rank is its offset from its row's first.
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    den = np.zeros(len(users))
+    for r in range(int(rank.max()) + 1):
+        at = np.flatnonzero(rank == r)
+        b, s = row[at], sim[at]
+        of, pois, n = visits.rows(v[at])
+        num[b[of], pois] += s[of] * n
+        den[b] += s
+    has = np.flatnonzero(np.bincount(row, minlength=len(users)))
+    num[has] /= den[has, None]
+    return num

@@ -4,7 +4,8 @@ the per-`CheckIn` filter and split, the temporal analysis with one
 `UserTemporalProfile` per user, the string-keyed model fits
 (visit counts, residences, transition graph, category frequencies, power-law
 inputs), the one-candidate-at-a-time context scores, the one-candidate
-fusion, the top-N ranking, the one-list ranking metrics, the fairness
+fusion, the one-user-at-a-time numpy scoring, fusion and ranking, the top-N
+ranking, the one-list ranking metrics, the fairness
 groups as sets of users, the user-keyed group metrics and evaluation, and the
 weighted-sum sweep with its per-point callback. Tests compare the library
 against them. `from_checkins` is the
@@ -29,10 +30,11 @@ from poifair.fusion import (
     rule_lambdas,
     simplex_grid,
 )
-from poifair.geo import KdeModel, distance_km, geo_score_km, project_km
+from poifair import geo, social as lib_social
+from poifair.geo import KdeModel, geo_score_km, project_km
 from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
-from poifair.recommend import fused_scores
-from poifair.sequential import AMC_DECAY, AMC_MEMORY
+from poifair.recommend import GEOSOCA, recommend_topn
+from poifair.sequential import AMC_DECAY, AMC_MEMORY, _amc_weights
 from poifair.social import BETA_MAX, DEFAULT_FIT, MIN_FIT_OBSERVATIONS, PowerLawFit
 from poifair.temporal import (
     WORK_END_HOUR,
@@ -563,6 +565,13 @@ def positive_categorical_frequencies(train, pois) -> list[float]:
     return freqs
 
 
+def distance_km(lat1, lon1, lat2, lon2) -> float:
+    """Equirectangular distance using the midpoint latitude as reference."""
+    lat_ref = (lat1 + lat2) / 2.0
+    p = project_km([lat1, lat2], [lon1, lon2], lat_ref)
+    return float(np.hypot(*(p[0] - p[1])))
+
+
 def fcf_score(u, p, counts, social, residences, poi_coords) -> float:
     """Similarity-weighted mean of friends' check-in counts at p.
 
@@ -880,7 +889,7 @@ def sweep_rows(name, table) -> list[list]:
 
 def sweep(caches, assignment, val_relevant, cutoff, step, objective):
     """Weighted-sum sweep that re-fuses and re-ranks every user's list at
-    each grid point. caches[name] is a list of `CandidateScores` (None for a
+    each grid point. caches[name] is a list of `UserScores` (None for a
     user not scored) by user code, val_relevant a {user code: set of POI
     codes} and the assignment's sets hold user codes. Returns ({model: best
     lambdas}, sweep.csv rows)."""
@@ -893,7 +902,7 @@ def sweep(caches, assignment, val_relevant, cutoff, step, objective):
                 relevant = val_relevant.get(u)
                 if cs is None or not relevant or not len(cs.poi_ids):
                     continue
-                (scores,) = fused_scores(
+                (scores,) = fused_user_scores(
                     cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, [lambdas])
                 )
                 pois, _ = topn(cs.poi_ids, scores, cutoff)
@@ -904,3 +913,133 @@ def sweep(caches, assignment, val_relevant, cutoff, step, objective):
         best_lambdas[name] = best.lambdas
         rows += sweep_rows(name, table)
     return best_lambdas, rows
+
+
+# -- The per-user numpy path: one user's candidates scored, fused and ranked
+# at a time, as the library did before it worked on blocks of users. The
+# block path must equal it bit for bit.
+
+
+@dataclass
+class UserScores:
+    """Raw (c1, c2, c3) context scores for one user's candidates, ascending
+    POI codes."""
+
+    poi_ids: np.ndarray
+    raw: np.ndarray  # (n_candidates, 3)
+    enabled: tuple[bool, bool, bool]
+
+
+def user_social_frequency(friends, bounds, poi, n_pois) -> np.ndarray:
+    """The friends' total training check-ins at each POI code."""
+    lo, hi = bounds[friends], bounds[friends + 1]
+    n = hi - lo
+    visited = poi[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
+    return np.bincount(visited, minlength=n_pois)
+
+
+def user_category_frequency(model, u: int) -> np.ndarray:
+    """A library `CategoricalModel`'s frequency for user code u, by POI
+    code."""
+    pois, n = model.visits.row(u)
+    user_counts = np.bincount(model.category[pois], weights=n, minlength=model.n_slots)
+    return user_counts[model.category] * model.popularity
+
+
+def user_fcf_score(u, friends, visits, residence, lats, lons) -> np.ndarray:
+    """Similarity-weighted mean of friends' check-in counts at each POI code,
+    the friends' terms added in the order of `friends`."""
+    num = np.zeros(len(lats))
+    friends = friends[residence[friends] >= 0].tolist()
+    ru = residence[u]
+    if not friends or ru < 0:
+        return num
+    den = 0.0
+    for v in friends:
+        rv = residence[v]
+        sim = 1.0 / (1.0 + distance_km(lats[ru], lons[ru], lats[rv], lons[rv]))
+        pois, n = visits.row(v)
+        num[pois] += sim * n
+        den += sim
+    return num / den
+
+
+def user_amc_scores(g, history, candidates, alpha=AMC_DECAY, memory=AMC_MEMORY):
+    """Decay-weighted sum of transition probabilities from the most recent
+    history POIs (history most-recent-last) into each candidate POI code."""
+    recent = np.asarray(history)[::-1][:memory].tolist()
+    acc = np.zeros(len(g.indptr) - 1)
+    for w, src in zip(_amc_weights(len(recent), alpha), recent):
+        lo, hi = g.indptr[src], g.indptr[src + 1]
+        acc[g.dst[lo:hi]] += w * g.prob[lo:hi]
+    return acc[candidates]
+
+
+def normalize_user_scores(raw: np.ndarray) -> np.ndarray:
+    """Per-context min-max normalization over one user's (n, 3) candidate
+    scores; constant columns map to 0.5."""
+    raw = np.asarray(raw, dtype=float)
+    out = np.empty_like(raw)
+    for j in range(raw.shape[1]):
+        col = raw[:, j]
+        lo, hi = col.min(), col.max()
+        out[:, j] = 0.5 if hi == lo else (col - lo) / (hi - lo)
+    return out
+
+
+def fuse_user_arrays(scores, lambdas, enabled=(True, True, True)) -> np.ndarray:
+    """Fuse an (n, 3) score matrix over the enabled contexts into (G, n)."""
+    cols = [scores[:, j] for j in range(3) if enabled[j]]
+    if lambdas is None:
+        out = cols[0]
+        for c in cols[1:]:
+            out = out * c
+        return out[None, :]
+    lams = [lambdas[:, j, None] for j in range(3) if enabled[j]]
+    out = lams[0] * cols[0]
+    for lam, c in zip(lams[1:], cols[1:]):
+        out += lam * c
+    return out
+
+
+def fused_user_scores(cs: UserScores, lambdas) -> np.ndarray:
+    """One user's (G, n_candidates) fused scores: product on raw scores,
+    additive rules on min-max-normalized scores."""
+    mat = cs.raw if lambdas is None else normalize_user_scores(cs.raw)
+    return fuse_user_arrays(mat, lambdas, cs.enabled)
+
+
+def score_user(model, u: int) -> UserScores:
+    """A library `FittedModel`'s raw (c1, c2, c3) for the POIs user code u
+    has not visited in train, one user at a time."""
+    n_pois = len(model.poi_ids)
+    candidate = np.ones(n_pois, dtype=bool)
+    candidate[model.visits.row(u)[0]] = False
+    pos = np.flatnonzero(candidate)
+    if not len(pos):
+        return UserScores(pos, np.zeros((0, 3)), model.enabled)
+    friends = model.friends.row(u)[0]
+    if model.name == GEOSOCA:
+        c1 = geo.geo_scores(model.user_kdes[u], model.lats[pos], model.lons[pos])
+        totals = user_social_frequency(friends, model.bounds, model.poi, n_pois)
+        c2 = lib_social.power_law_score(model.social_fit, totals[pos])
+        if model.cat_fit is not None:
+            freq = user_category_frequency(model.cat_model, u)
+            c3 = lib_social.power_law_score(model.cat_fit, freq[pos])
+        else:
+            c3 = np.zeros(len(pos))
+    else:
+        c1 = model.global_geo[pos]
+        c2 = user_fcf_score(
+            u, friends, model.visits, model.residence, model.lats, model.lons
+        )[pos]
+        c3 = user_amc_scores(
+            model.l2tg, model.poi[model.bounds[u]:model.bounds[u + 1]], pos,
+            model.amc_alpha, model.amc_memory,
+        )
+    return UserScores(pos, np.stack([c1, c2, c3], axis=1), model.enabled)
+
+
+def user_topn(cs: UserScores, lambdas, n: int):
+    """One user's (G, <= n) top POI codes and fused scores."""
+    return recommend_topn(cs.poi_ids, fused_user_scores(cs, lambdas), n)

@@ -53,8 +53,8 @@ def test_c02_fusion_algebra():
     triples = rng.random((10_000, 3)) * rng.choice([1.0, 100.0], size=(10_000, 1))
     ok = True
     for enabled in ((True, True, True), (True, True, False)):
-        (prod,) = fuse_arrays(triples, rule_lambdas(PRODUCT, enabled), enabled)
-        (add,) = fuse_arrays(triples, rule_lambdas(SUM, enabled), enabled)
+        (prod,) = fuse_arrays(triples.T, rule_lambdas(PRODUCT, enabled), enabled)
+        (add,) = fuse_arrays(triples.T, rule_lambdas(SUM, enabled), enabled)
         for (c1, c2, c3), p, s in zip(triples.tolist(), prod.tolist(), add.tolist()):
             if enabled[2]:
                 ok &= p == c1 * c2 * c3 and s == c1 + c2 + c3
@@ -116,7 +116,9 @@ def test_c06_amc_properties():
     ok = bool(np.all(np.abs(row_sums - 1.0) <= 1e-9))
     # A=0 -> B=1 three times, A -> C=2 once; X=3 has no out-edges.
     worked = transition_graph(np.array([0, 0, 0, 0]), np.array([1, 1, 1, 2]), 4)
-    (score,) = amc_scores(worked, np.array([3, 0]), np.array([1]), alpha=0.5, memory=5)
+    (score,) = amc_scores(
+        worked, np.array([3, 0]), np.array([0]), np.array([2]), alpha=0.5, memory=5
+    )[:, 1]
     ok &= abs(score - 0.5) <= 1e-12
     report("6 amc-properties", ok)
 

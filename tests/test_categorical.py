@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from poifair.categorical import CategoricalModel
@@ -27,7 +28,7 @@ class ById:
         self.has_categories = self.model.has_categories
 
     def frequency(self, u, p) -> float:
-        f = self.model.frequency(self.train.user_ids.index(u))
+        (f,) = self.model.frequency(np.array([self.train.user_ids.index(u)]))
         return float(f[self.train.poi_ids.index(p)])
 
 

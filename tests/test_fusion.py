@@ -27,7 +27,7 @@ ALL = (True, True, True)
 
 def fuse_one(rule, c, enabled=ALL, points=None):
     """fuse_arrays on one candidate under a rule, as a Python float."""
-    (row,) = fuse_arrays(np.array([c]), rule_lambdas(rule, enabled, points), enabled)
+    (row,) = fuse_arrays(np.array([c]).T, rule_lambdas(rule, enabled, points), enabled)
     return float(row[0])
 
 
@@ -94,7 +94,7 @@ class TestFuse:
         lambdas = rng.random((4, 3))
         for enabled in (ALL, (True, True, False)):
             for rule, lam in ((PRODUCT, None), (SUM, lambdas)):
-                rows = fuse_arrays(mat, lam, enabled)
+                rows = fuse_arrays(mat.T, lam, enabled)
                 assert rows.shape == (1 if lam is None else 4, 50)
                 for g, row in enumerate(rows):
                     weights = (1.0, 1.0, 1.0) if lam is None else tuple(lam[g])
@@ -129,17 +129,17 @@ class TestRenormalize:
 
 class TestNormalize:
     def test_min_max(self):
-        out = normalize_scores(np.array([[2.0], [4.0], [6.0]]))
+        out = normalize_scores(np.array([[2.0, 4.0, 6.0]]))
         assert out.ravel() == pytest.approx([0.0, 0.5, 1.0])
 
     def test_constant_convention(self):
-        out = normalize_scores(np.array([[3.0], [3.0], [3.0]]))
+        out = normalize_scores(np.array([[3.0, 3.0, 3.0]]))
         assert out.ravel() == pytest.approx([0.5, 0.5, 0.5])
 
     def test_random_matches_direct_formula(self):
         rng = np.random.default_rng(3)
         raw = rng.random((40, 3)) * 100
-        out = normalize_scores(raw)
+        out = normalize_scores(raw.T).T
         for j in range(3):
             lo, hi = raw[:, j].min(), raw[:, j].max()
             assert out[:, j] == pytest.approx((raw[:, j] - lo) / (hi - lo), abs=1e-12)
@@ -147,7 +147,7 @@ class TestNormalize:
     def test_preserves_candidate_ordering(self):
         rng = np.random.default_rng(4)
         raw = rng.random((30, 3))
-        out = normalize_scores(raw)
+        out = normalize_scores(raw.T).T
         for j in range(3):
             assert np.array_equal(np.argsort(raw[:, j]), np.argsort(out[:, j]))
 

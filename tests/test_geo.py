@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from poifair.data import Dataset
 from poifair.geo import (
     BANDWIDTH_FLOOR_KM,
     KdeModel,
+    distances_km,
     fit_global_kde,
     fit_kde,
     fit_user_kdes,
@@ -16,7 +20,7 @@ from poifair.geo import (
 )
 
 from conftest import coords, make_checkin, make_train
-from oracles import expanded_kde_score, geo_score
+from oracles import distance_km, expanded_kde_score, geo_score
 
 
 class TestFit:
@@ -159,3 +163,55 @@ def quadrature_mass(m: KdeModel, cells: int = 220) -> float:
     q = np.stack([gx.ravel(), gy.ravel()], axis=1)
     dens = geo_score_km(m, q).reshape(cells, cells)
     return float(np.trapezoid(np.trapezoid(dens, ys, axis=0), xs))
+
+
+# Few sites, so users repeat points; two share a latitude, two a longitude.
+KDE_SITES = np.array([
+    (40.0, -100.0), (40.0, -100.002), (40.001, -100.0), (0.0, 0.5), (-33.9, 151.2),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@example(samples=[[0]])
+@example(samples=[[1, 1, 1], [], [3, 0, 3, 0, 4]])
+@given(samples=st.lists(
+    st.lists(st.integers(0, len(KDE_SITES) - 1), max_size=6), min_size=1, max_size=5,
+))
+def test_user_kdes_equal_per_user_fit_kde(samples):
+    """Every user's distinct points from one lexsort over (user, x, y) are
+    `fit_kde`'s from np.unique(axis=0), with the same weights, bandwidths
+    and lat_ref, bit for bit: repeated points, a single point, and None for
+    a user with no check-in."""
+    n = [len(s) for s in samples]
+    train = Dataset(
+        user_ids=[f"u{i}" for i in range(len(samples))],
+        poi_ids=[f"p{i}" for i in range(len(KDE_SITES))],
+        user=np.repeat(np.arange(len(samples)), n).astype(np.int32),
+        poi=np.array([p for s in samples for p in s], dtype=np.int32),
+        ts=np.zeros(sum(n), dtype=np.int64),
+        lat=KDE_SITES[:, 0], lon=KDE_SITES[:, 1],
+        category=np.full(len(KDE_SITES), -1, dtype=np.int32), category_ids=[],
+        edges=np.zeros((0, 2), dtype=np.int32),
+    )
+    for s, got in zip(samples, fit_user_kdes(train, KDE_SITES)):
+        if not s:
+            assert got is None
+            continue
+        want = fit_kde(KDE_SITES[s])
+        assert got.points_km.tobytes() == want.points_km.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.bandwidth, got.lat_ref) == (want.bandwidth, want.lat_ref)
+
+
+lat_st = st.floats(min_value=-89.0, max_value=89.0)
+lon_st = st.floats(min_value=-180.0, max_value=180.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(lat_st, lon_st, lat_st, lon_st), min_size=1, max_size=20))
+def test_distances_equal_pairwise_distance_km(pairs):
+    """The vectorised distance of each pair equals the scalar oracle's,
+    projection included, bit for bit."""
+    cols = [np.array(c) for c in zip(*pairs)]
+    want = [distance_km(*map(np.float64, p)) for p in pairs]
+    assert distances_km(*cols).tolist() == want

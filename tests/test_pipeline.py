@@ -1,7 +1,11 @@
 import csv
+import importlib.util
 import json
+import logging
 import os
 import random
+import re
+import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -9,15 +13,18 @@ import numpy as np
 import pytest
 
 from poifair.config import ExperimentConfig
-from poifair.data import TRAIN, VALIDATION
-from poifair.fusion import WEIGHTED_SUM, rule_lambdas, simplex_grid
-from poifair import pipeline
+from poifair.data import TRAIN, VALIDATION, temporal_split
+from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, simplex_grid
+from poifair import pipeline, recommend
 from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth, run_pipeline
-from poifair.recommend import FittedModel, fused_scores, recommend_topn, top_k
+from poifair.recommend import FittedModel, top_k
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.synth import SynthConfig, generate, write_tsv
 
 import oracles
+from oracles import CheckIn, Poi, SocialGraph
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _world(tmp_path, seed, categories):
@@ -40,8 +47,8 @@ def _world(tmp_path, seed, categories):
 
 
 def oracle_caches(split, cfg):
-    """Per model, each user code's raw `CandidateScores` (None for a user
-    with no training check-in), as the oracles take them."""
+    """Per model, each user code's raw `oracles.UserScores` (None for a user
+    with no training check-in), scored one user at a time."""
     train = split.columns(TRAIN)
     caches = {}
     for name in cfg.models:
@@ -50,7 +57,7 @@ def oracle_caches(split, cfg):
             amc_alpha=cfg.amc_alpha, amc_memory=cfg.amc_memory,
         )
         caches[name] = [
-            model.score_candidates(u) if ok else None
+            oracles.score_user(model, u) if ok else None
             for u, ok in enumerate(np.diff(train.user_rows()) > 0)
         ]
     return caches
@@ -215,13 +222,15 @@ def test_evaluate_reuses_the_ranked_grid_lists(world, tmp_path):
         for i, u in enumerate(users):
             cs = caches[name][u]
             one = rule_lambdas(WEIGHTED_SUM, cs.enabled, [best[name]])
-            (pois,), (vals,) = recommend_topn(cs.poi_ids, fused_scores(cs, one), 20)
+            (pois,), (vals,) = oracles.user_topn(cs, one, 20)
             assert codes[i, grid.index(best[name]), :len(pois)].tolist() == pois.tolist()
             want += [
                 [user_ids[u], str(rank), poi_ids[q], _fmt(v)]
                 for rank, (q, v) in enumerate(zip(pois.tolist(), vals.tolist()), start=1)
             ]
-            top = top_k(fused_scores(cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)), 5)
+            top = top_k(oracles.fused_user_scores(
+                cs, rule_lambdas(WEIGHTED_SUM, cs.enabled, grid)
+            ), 5)
             assert codes[i, :, :top.shape[1]].tolist() == cs.poi_ids[top].tolist()
             assert (codes[i, :, top.shape[1]:5] == -1).all()
         with (tmp_path / f"recommendations_{name}_weighted_sum.tsv").open(newline="") as fh:
@@ -344,3 +353,115 @@ def test_checkin_line_order_does_not_change_the_artifacts(tmp_path):
         })
     assert len(artifacts[0]) == 15
     assert artifacts[1] == artifacts[0]
+
+
+def _synthetic_run(tmp_path, name, **overrides):
+    """`run` on a 60-user synthetic corpus: its artifacts but manifest.json,
+    by name, and the manifest."""
+    data = tmp_path / "data"
+    if not data.exists():
+        ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
+        write_tsv(ds, data)
+    out = tmp_path / name
+    run_pipeline(ExperimentConfig(
+        checkin_path=str(data / "checkins.tsv"), poi_path=str(data / "pois.tsv"),
+        social_path=str(data / "social.tsv"), out_dir=str(out), **overrides,
+    ))
+    artifacts = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+    return artifacts, json.loads((out / "manifest.json").read_text())
+
+
+def test_one_user_per_block_writes_the_same_artifacts(tmp_path, monkeypatch):
+    """Both models and all three rules: scoring, fusing and ranking one user
+    at a time writes what the default block budget does, byte for byte."""
+    rules = ["product", "sum", "weighted_sum"]
+    whole, manifest = _synthetic_run(tmp_path, "whole", fusion_rules=rules)
+    assert manifest["counts"]["recommend.blocks.geosoca"] < 60
+    monkeypatch.setattr(recommend, "BLOCK_BYTES", 1)
+    blocks, manifest = _synthetic_run(tmp_path, "blocks", fusion_rules=rules)
+    counts = manifest["counts"]
+    for name in ("geosoca", "lore"):
+        assert counts[f"recommend.blocks.{name}"] == (
+            counts[f"recommend.users_ranked.{name}"]
+            + counts[f"recommend.empty_candidate_users.{name}"]
+        )
+    assert len(whole) == 15
+    assert blocks == whole
+
+
+def test_manifest_times_the_parts_of_recommend(tmp_path):
+    """Per model, the fit, scoring and fuse/select times, each within the
+    recommend stage's time, and the number of scoring blocks."""
+    _, manifest = _synthetic_run(tmp_path, "out")
+    timings, counts = manifest["timings_s"], manifest["counts"]
+    for name in ("geosoca", "lore"):
+        parts = [timings[f"recommend.{part}.{name}"] for part in ("fit", "score", "fuse_select")]
+        assert all(0 <= t <= timings["recommend"] for t in parts), (parts, timings)
+        scored = (
+            counts[f"recommend.users_ranked.{name}"]
+            + counts[f"recommend.empty_candidate_users.{name}"]
+        )
+        assert 1 <= counts[f"recommend.blocks.{name}"] <= scored
+
+
+def test_users_without_candidates_warn_once_per_model(tmp_path, caplog):
+    """Two users who visited every POI in train: one warning per model with
+    their count, and both are counted and left out."""
+    pois = {p: Poi(p, 40.0 + i / 100, -100.0, "c0") for i, p in enumerate(("p0", "p1", "p2"))}
+    checkins = []
+    for u, seq in (("a", "0120120"), ("b", "2100121"), ("c", "0000111")):
+        checkins += [
+            CheckIn(u, f"p{q}", 1_300_000_000 + 3600 * t, pois[f"p{q}"].latitude, -100.0)
+            for t, q in enumerate(seq)
+        ]
+    ds = oracles.from_checkins(checkins, pois, SocialGraph([("a", "c")]))
+    p = Pipeline(ExperimentConfig(checkin_path="x", poi_path="y", out_dir=str(tmp_path)))
+    with caplog.at_level(logging.WARNING, logger="poifair"):
+        ranked = p.fit_and_recommend(temporal_split(ds), [PRODUCT])
+    warned = [r.getMessage() for r in caplog.records if "visited every POI" in r.getMessage()]
+    assert warned == [f"{name}: 2 users visited every POI; not ranked" for name in ("geosoca", "lore")]
+    for name in ("geosoca", "lore"):
+        assert p.counts[f"recommend.empty_candidate_users.{name}"] == 2
+        assert ranked[name][0].tolist() == [ds.user_ids.index("c")]
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_table3_run_times_every_exercised_span(tmp_path, monkeypatch):
+    """perfbench/trace_run.py on the table3-default corpus, in this process:
+    every span the workload exercises reads a time above 0, so a target the
+    block path bypassed would fail here rather than read 0. Reads
+    perfbench/ and writes only to tmp_path."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    harness = _perfbench_module("harness")
+    trace_run = _perfbench_module("trace_run")
+    w = harness.load_workloads()["table3-default"]
+    corpus_dir = tmp_path / "corpus"
+    assert harness.corpus.write(w.corpus, w.corpus_seed, corpus_dir) == w.input_sha256
+    config = harness.write_config(w, corpus_dir, tmp_path)
+    # The tracer wraps its targets where they are bound; undo that after.
+    for span in trace_run.SPANS:
+        for site in span.sites:
+            target = trace_run._resolve(site)
+            if target is not None:
+                monkeypatch.setattr(*target, getattr(*target))
+    out = tmp_path / "trace.json"
+    assert trace_run.main([str(out), "run", "--config", str(config)]) == 0
+    result = json.loads(out.read_text())
+    assert result["missing"] == []
+    # The default config runs no sweep.
+    idle = {"pipeline.sweep_s", "fusion.weight_sweep_s"}
+    times = {
+        k: v for k, v in result["metrics"].items()
+        if re.search(r"_s(\.|$)", k) and k not in idle
+    }
+    # 24 spans, and 5 more timed per model.
+    assert len(times) == 24 + 5 * 2
+    assert [k for k, v in times.items() if not v > 0] == []

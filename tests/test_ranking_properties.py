@@ -282,8 +282,10 @@ def raw_scores(draw):
 
 
 def candidate_scores(raw, enabled):
-    ids = [f"p{i:03d}" for i in range(len(raw))]
-    return CandidateScores(ids, raw, enabled)
+    """A one-user block whose candidates are every POI, from (n, 3) scores."""
+    return CandidateScores(
+        np.array([0]), np.ones((1, len(raw)), dtype=bool), raw.T[:, None, :], enabled
+    )
 
 
 def oracle_row(mat, enabled, rule, lambdas):
@@ -300,9 +302,9 @@ def oracle_row(mat, enabled, rule, lambdas):
 def test_stacked_weighted_sum_rows_equal_per_point_fusion(raw, enabled, step):
     grid = simplex_grid(step)
     cs = candidate_scores(raw, enabled)
-    rows = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid))
+    (rows,) = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid))
     assert rows.shape == (len(grid), len(raw))
-    normalized = normalize_scores(raw)
+    normalized = normalize_scores(raw.T).T
     for row, point in zip(rows, grid):
         one = rule_lambdas(WEIGHTED_SUM, enabled, [point])
         assert row.tobytes() == fused_scores(cs, one).tobytes()
@@ -323,13 +325,13 @@ def test_stacked_arbitrary_weights_equal_per_set_fusion(raw, lambdas, enabled, r
     if rule == PRODUCT:
         mat, stacked = raw, None
         assert fused_scores(candidate_scores(raw, enabled), None).tobytes() == (
-            fuse_arrays(raw, None, enabled).tobytes()
+            fuse_arrays(raw.T, None, enabled).tobytes()
         )
     else:
-        mat, stacked = normalize_scores(raw), np.array(lambdas)
-    rows = fuse_arrays(mat, stacked, enabled)
+        mat, stacked = normalize_scores(raw.T).T, np.array(lambdas)
+    rows = fuse_arrays(mat.T, stacked, enabled)
     assert rows.shape == (1 if stacked is None else len(lambdas), len(raw))
     for g, row in enumerate(rows):
         if stacked is not None:
-            assert row.tobytes() == fuse_arrays(mat, stacked[g:g + 1], enabled)[0].tobytes()
+            assert row.tobytes() == fuse_arrays(mat.T, stacked[g:g + 1], enabled)[0].tobytes()
         assert bits(row) == bits(oracle_row(mat, enabled, rule, lambdas[g]))

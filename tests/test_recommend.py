@@ -43,14 +43,14 @@ class TestScoreCandidates:
     def test_candidates_exclude_visited(self, geosoca, small_world):
         ds, _, train = small_world
         visited = {c.poi_id for c in train[ds.user_ids[0]]}
-        cs = geosoca.score_candidates(0)
+        cs = geosoca.score_candidates([0])
         assert {ds.poi_ids[p] for p in cs.poi_ids} == set(ds.poi_ids) - visited
-        assert cs.raw.shape == (len(cs.poi_ids), 3)
+        assert cs.raw.shape == (3, 1, len(ds.poi_ids))
 
     def test_unknown_user_errors(self, geosoca, small_world):
         for u in (-1, len(small_world[0].user_ids)):
             with pytest.raises(ValueError):
-                geosoca.score_candidates(u)
+                geosoca.score_candidates([u])
 
     def test_geosoca_matches_component_oracles(self, geosoca, small_world):
         ds, _, train = small_world
@@ -58,8 +58,8 @@ class TestScoreCandidates:
         counts = oracles.visit_counts(train)
         pois = oracles.pois_of(ds)
         categories = oracles.CategoricalModel(train, pois)
-        cs = geosoca.score_candidates(0)
-        for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
+        cs = geosoca.score_candidates([0])
+        for p, row in list(zip(cs.poi_ids, cs.raw[:, 0, cs.poi_ids].T))[:5]:
             poi = pois[ds.poi_ids[p]]
             g = oracles.geo_score(geosoca.user_kdes[0], poi.latitude, poi.longitude)
             x = oracles.social_frequency(u, poi.poi_id, counts, oracles.graph_of(ds))
@@ -79,9 +79,9 @@ class TestScoreCandidates:
         pois = oracles.pois_of(ds)
         coords = {p: (x.latitude, x.longitude) for p, x in pois.items()}
         l2tg = oracles.build_l2tg(train, 24.0)
-        cs = lore.score_candidates(1)
+        cs = lore.score_candidates([1])
         history = [c.poi_id for c in train[u]]
-        for p, row in list(zip(cs.poi_ids, cs.raw))[:5]:
+        for p, row in list(zip(cs.poi_ids, cs.raw[:, 0, cs.poi_ids].T))[:5]:
             poi = pois[ds.poi_ids[p]]
             g = oracles.geo_score(lore.global_kde, poi.latitude, poi.longitude)
             f = oracles.fcf_score(
@@ -97,7 +97,7 @@ class TestScoreCandidates:
         model = FittedModel(LORE, small_world[1])
         model.global_geo = np.full_like(model.global_geo, bad)
         with pytest.raises(ValueError, match="non-finite context score"):
-            model.score_candidates(0)
+            model.score_candidates([0])
 
     def test_unknown_model_name(self, small_world):
         with pytest.raises(ValueError):
@@ -114,8 +114,8 @@ train = temporal_split(ds).columns(TRAIN)
 for name in ("geosoca", "lore"):
     model = FittedModel(name, train)
     h = hashlib.sha256()
-    for u in range(len(train.user_ids)):
-        h.update(model.score_candidates(u).raw.tobytes())
+    cs = model.score_candidates(range(len(train.user_ids)))
+    h.update(cs.raw[:, cs.candidate].tobytes())
     print(name, h.hexdigest())
 """
 
@@ -163,10 +163,11 @@ class TestTopN:
 
 def top_n(model, u, rule, n):
     """u's top-n (POIs, fused scores) under a product or sum rule, as lists."""
-    cs = model.score_candidates(u)
-    (scores,) = fused_scores(cs, rule_lambdas(rule, cs.enabled))
-    pois, vals = recommend_topn(cs.poi_ids, scores, n)
-    return pois.tolist(), vals.tolist()
+    cs = model.score_candidates([u])
+    ((scores,),) = fused_scores(cs, rule_lambdas(rule, cs.enabled))
+    pois, vals = recommend_topn(np.arange(len(scores)), scores, n)
+    listed = vals > -np.inf
+    return pois[listed].tolist(), vals[listed].tolist()
 
 
 class TestRecommend:
@@ -184,10 +185,10 @@ class TestRecommend:
         assert top_n(a, 3, SUM, 10) == top_n(b, 3, SUM, 10)
 
     def test_monotone_transform_keeps_order(self, lore):
-        cs = lore.score_candidates(2)
-        (scores,) = fused_scores(cs, rule_lambdas(SUM, cs.enabled))
-        base, _ = recommend_topn(cs.poi_ids, scores, len(cs.poi_ids))
-        boosted, _ = recommend_topn(cs.poi_ids, 3.0 * scores + 7.0, len(cs.poi_ids))
+        cs = lore.score_candidates([2])
+        ((scores,),) = fused_scores(cs, rule_lambdas(SUM, cs.enabled))
+        base, _ = recommend_topn(cs.poi_ids, scores[cs.poi_ids], len(cs.poi_ids))
+        boosted, _ = recommend_topn(cs.poi_ids, 3.0 * scores[cs.poi_ids] + 7.0, len(cs.poi_ids))
         assert base.tolist() == boosted.tolist()
 
 
@@ -199,6 +200,7 @@ class TestDisabledContext:
         pois, _ = top_n(model, 0, PRODUCT, 5)
         assert len(pois) == 5
         # product fusion ignores the disabled context entirely
-        cs = model.score_candidates(0)
-        (fused,) = fused_scores(cs, rule_lambdas(PRODUCT, cs.enabled))
-        assert fused.tobytes() == (cs.raw[:, 0] * cs.raw[:, 1]).tobytes()
+        cs = model.score_candidates([0])
+        ((fused,),) = fused_scores(cs, rule_lambdas(PRODUCT, cs.enabled))
+        c1, c2 = cs.raw[0, 0, cs.poi_ids], cs.raw[1, 0, cs.poi_ids]
+        assert fused[cs.poi_ids].tobytes() == (c1 * c2).tobytes()

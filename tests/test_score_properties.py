@@ -1,7 +1,8 @@
 """Property tests on random small worlds: FittedModel.score_candidates, which
-shares per-user and per-model work across candidates, equals the
-one-candidate-at-a-time oracles, and the int-indexed fit structures equal
-the string-keyed oracles."""
+scores a block of users at once, equals the one-candidate-at-a-time oracles;
+the pipeline's block path equals the one-user-at-a-time numpy path bit for
+bit at any block size; and the int-indexed fit structures equal the
+string-keyed oracles."""
 import math
 from unittest.mock import patch
 
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poifair import social
-from poifair.data import TRAIN, Dataset, temporal_split
-from poifair.recommend import GEOSOCA, LORE, FittedModel
+from poifair import recommend, social
+from poifair.config import ExperimentConfig
+from poifair.data import TRAIN, VALIDATION, Dataset, SplitDataset, temporal_split
+from poifair.fusion import PRODUCT, SUM, WEIGHTED_SUM, rule_lambdas, simplex_grid
+from poifair.pipeline import Pipeline
+from poifair.recommend import GEOSOCA, LORE, FittedModel, fused_scores
 from poifair.sequential import SESSION_GAP_HOURS
 from poifair.social import fit_power_law
 from poifair.synth import SynthConfig, generate
@@ -30,10 +34,12 @@ def worlds(draw):
     """(pois, users, n_ghosts, edges): POIs as (site, category); each user's
     check-ins as (poi index, hours since the previous check-in); ghosts are
     friends with no check-ins, hence no residence; edges index users then
-    ghosts."""
+    ghosts. Some worlds have no category at all, and in some the first user
+    visits every POI within the training part of their history."""
     n_pois = draw(st.integers(1, 6))
+    categories = st.just(None) if draw(st.booleans()) else st.sampled_from(CATEGORIES)
     pois = draw(st.lists(
-        st.tuples(st.integers(0, len(SITES) - 1), st.sampled_from(CATEGORIES)),
+        st.tuples(st.integers(0, len(SITES) - 1), categories),
         min_size=n_pois, max_size=n_pois,
     ))
     users = draw(st.lists(
@@ -41,6 +47,10 @@ def worlds(draw):
                  min_size=3, max_size=8),
         min_size=1, max_size=5,
     ))
+    if draw(st.booleans()):
+        # Every POI first, then enough later check-ins that the first
+        # floor(0.7 n) of them, the training part, cover every POI.
+        users[0] = [(p, 1) for p in range(n_pois)] + [(0, 1)] * (n_pois + 2)
     n_ghosts = draw(st.integers(0, 2))
     n_nodes = len(users) + n_ghosts
     edges = draw(st.lists(
@@ -76,16 +86,26 @@ def same(got: float, want: float) -> bool:
     return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
 
+def scored_rows(model: FittedModel):
+    """Each user code with training check-ins, its candidate POI codes and
+    their (n, 3) raw scores, all from one block."""
+    users = np.flatnonzero(np.diff(model.bounds) > 0)
+    cs = model.score_candidates(users)
+    for b, u in enumerate(users.tolist()):
+        pos = np.flatnonzero(cs.candidate[b])
+        yield u, pos, cs.raw[:, b, pos].T
+
+
 def check_geosoca(model: FittedModel, ds: Dataset, train) -> None:
     counts = oracles.visit_counts(train)
     pois, social = oracles.pois_of(ds), oracles.graph_of(ds)
     categories = oracles.CategoricalModel(train, pois)
-    for i, u in enumerate(ds.user_ids):
-        cs = model.score_candidates(i)
-        cands = [ds.poi_ids[p] for p in cs.poi_ids]
+    for i, pos, raw in scored_rows(model):
+        u = ds.user_ids[i]
+        cands = [ds.poi_ids[p] for p in pos]
         assert cands == sorted(set(pois) - {c.poi_id for c in train[u]})
         samples = [(c.latitude, c.longitude) for c in train[u]]
-        for p, (c1, c2, c3) in zip(cands, cs.raw):
+        for p, (c1, c2, c3) in zip(cands, raw):
             poi = pois[p]
             g = oracles.expanded_kde_score(
                 model.user_kdes[i], samples, poi.latitude, poi.longitude
@@ -108,10 +128,10 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
     pois, social = oracles.pois_of(ds), oracles.graph_of(ds)
     coords = {p: (x.latitude, x.longitude) for p, x in pois.items()}
     l2tg = oracles.build_l2tg(train, SESSION_GAP_HOURS)
-    for i, u in enumerate(ds.user_ids):
-        cs = model.score_candidates(i)
+    for i, pos, raw in scored_rows(model):
+        u = ds.user_ids[i]
         history = [c.poi_id for c in train[u]]
-        for p, (c1, c2, c3) in zip(cs.poi_ids, cs.raw):
+        for p, (c1, c2, c3) in zip(pos, raw):
             poi = pois[ds.poi_ids[p]]
             g = oracles.expanded_kde_score(
                 model.global_kde, samples, poi.latitude, poi.longitude
@@ -128,7 +148,8 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
 def check_fit_structures(ds: Dataset, split) -> None:
     """The int-indexed fit structures, read back by id, equal the string
     oracles exactly; so does each power-law sample, given to fit_power_law
-    as one chunk per user code and flattened in order."""
+    as one chunk per block of user codes and flattened in order, equals
+    the oracle's sample; one user per block gives the same fits."""
     train = oracles.checkin_lists(split)[0]
     cols = split.columns(TRAIN)
     users, pois = ds.user_ids, ds.poi_ids
@@ -165,14 +186,18 @@ def check_fit_structures(ds: Dataset, split) -> None:
 
     pois = oracles.pois_of(ds)
     categories = oracles.CategoricalModel(train, pois)
-    assert [geosoca.cat_model.frequency(i).tolist() for i in range(len(users))] == [
+    assert geosoca.cat_model.frequency(np.arange(len(users))).tolist() == [
         [categories.frequency(u, p) for p in pois] for u in users
     ]
 
     want_samples = [oracles.positive_social_frequencies(train, oracles.graph_of(ds))]
     if geosoca.cat_model.has_categories:
         want_samples.append(oracles.positive_categorical_frequencies(train, pois))
-    assert samples == [(len(users), want) for want in want_samples]
+    blocks = -(-len(users) // recommend.score_block_rows(len(ds.poi_ids)))
+    assert samples == [(blocks, want) for want in want_samples]
+    with patch.object(recommend, "BLOCK_BYTES", 24 * len(ds.poi_ids)):
+        one = FittedModel(GEOSOCA, cols)
+    assert (one.social_fit, one.cat_fit) == (geosoca.social_fit, geosoca.cat_fit)
 
 
 # u0 visits two of three POIs (p0, p1 share a site): a single candidate, p2,
@@ -218,8 +243,117 @@ def test_power_law_samples_in_oracle_order_on_synthetic_world(categories):
 def test_single_candidate_example_shape():
     ds = build(SINGLE_CANDIDATE)
     lore = FittedModel(LORE, temporal_split(ds).columns(TRAIN))
-    assert lore.score_candidates(0).poi_ids.tolist() == [ds.poi_ids.index("p2")]
+    assert lore.score_candidates([0]).poi_ids.tolist() == [ds.poi_ids.index("p2")]
     # u0's one friend, g0, has no check-in, so no code: neither user has a
     # friend in the dataset.
     assert SINGLE_CANDIDATE[3] == [(0, 2)] and "g0" not in ds.user_ids
-    assert [f.tolist() for f in ds.friend_codes()] == [[], []]
+    assert ds.friends().indptr.tolist() == [0, 0, 0]
+
+
+RULES = [PRODUCT, SUM, WEIGHTED_SUM]
+K = 4
+
+
+def without_training_rows(split: SplitDataset, u: int) -> SplitDataset:
+    """The split with user code u's training check-ins moved to validation:
+    u keeps a code but has no residence, so is a friend without one."""
+    part = split.part.copy()
+    part[(split.dataset.user[split.rows] == u) & (part == TRAIN)] = VALIDATION
+    return SplitDataset(split.dataset, split.rows, part)
+
+
+def check_blocks_against_users(split, cfg, users_per_block) -> None:
+    """The pipeline's lists, and each block's raw and fused scores, at
+    `users_per_block` users per block (None: one block), equal the
+    per-user path's bit for bit."""
+    train = split.columns(TRAIN)
+    n_pois = len(train.poi_ids)
+    budget = 1 << 40 if users_per_block is None else users_per_block * 24 * n_pois
+    grid = simplex_grid(cfg.sweep_step)
+    with patch.object(recommend, "BLOCK_BYTES", budget):
+        assert users_per_block is None or recommend.score_block_rows(n_pois) == users_per_block
+        ranked = Pipeline(cfg).fit_and_recommend(split, RULES)
+        for name in cfg.models:
+            model = FittedModel(name, train, amc_memory=cfg.amc_memory)
+            scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
+            step = recommend.score_block_rows(n_pois)
+            want_users, want = [], {rule: ([], []) for rule in RULES}
+            lams = {rule: rule_lambdas(rule, model.enabled, grid) for rule in RULES}
+            for lo in range(0, len(scored), step):
+                cs = model.score_candidates(scored[lo:lo + step])
+                # As the pipeline does, the block's rows with candidates
+                # are fused together.
+                has = cs.candidate.any(axis=1)
+                fused = {rule: fused_scores(cs.take(has), lam) for rule, lam in lams.items()}
+                for b, u in enumerate(cs.users.tolist()):
+                    one = oracles.score_user(model, u)
+                    pos = np.flatnonzero(cs.candidate[b])
+                    assert pos.tolist() == one.poi_ids.tolist()
+                    assert cs.raw[:, b, pos].T.tobytes() == one.raw.tobytes()
+                    if not len(pos):
+                        continue
+                    want_users.append(u)
+                    for rule, lam in lams.items():
+                        row = fused[rule][int(has[:b].sum())]
+                        assert row[:, pos].tobytes() == (
+                            oracles.fused_user_scores(one, lam).tobytes()
+                        )
+                        assert (row[:, ~cs.candidate[b]] == -np.inf).all()
+                        top, vals = oracles.user_topn(one, lam, K)
+                        pad = K - top.shape[1]
+                        want[rule][0].append(np.pad(top, ((0, 0), (0, pad)), constant_values=-1))
+                        want[rule][1].append(np.pad(vals, ((0, 0), (0, pad))))
+            users, lists = ranked[name]
+            assert users.tolist() == want_users
+            for rule, (codes, scores) in want.items():
+                got_codes, got_scores = lists[rule]
+                assert got_codes.tolist() == np.array(codes).reshape(got_codes.shape).tolist()
+                assert got_scores.tobytes() == np.array(scores).reshape(got_scores.shape).tobytes()
+
+
+# u0 visits both POIs in train; u1, u0's friend, keeps no training check-in.
+FULL_AND_GONE = (
+    [(0, "c0"), (1, None)],
+    [[(0, 1), (1, 1), (0, 1), (0, 1), (0, 1), (1, 1)], [(1, 1), (0, 2), (1, 3)]],
+    0,
+    [(0, 1)],
+)
+
+
+# u0's three friends visit p3 in train once, 3 and 3 times, two from a
+# residence at u0's site and one from 4 km away: the friend-CF score's
+# rounded sums depend on the order of their terms.
+THREE_FRIENDS = (
+    [(0, "c0"), (1, "c0"), (2, "c1"), (0, None)],
+    [
+        [(0, 1)] * 3,
+        [(0, 1), (0, 1), (3, 1), (0, 1), (0, 1)],
+        [(0, 1)] * 4 + [(3, 1)] * 3 + [(0, 1)] * 3,
+        [(2, 1)] * 4 + [(3, 1)] * 3 + [(2, 1)] * 3,
+    ],
+    0,
+    [(0, 1), (0, 2), (0, 3)],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(SINGLE_CANDIDATE, 5, None)
+@example(FULL_AND_GONE, 2, 1)
+@example(THREE_FRIENDS, 5, None)
+@given(worlds(), st.sampled_from([1, 2, 5, 9]), st.one_of(st.none(), st.integers(0, 4)))
+def test_blocks_equal_the_per_user_path(tmp_path_factory, world, memory, gone):
+    """At 1, 2 and 7 users per block and in one block: raw scores, fused rows
+    and top-K lists. Worlds include a user who visited every POI, a friend
+    with no residence (`gone`), histories shorter than `memory` and no
+    categories."""
+    ds = build(world)
+    split = temporal_split(ds)
+    # Another user keeps training check-ins: a model fits on at least one.
+    if gone is not None and 1 < len(ds.user_ids) and gone < len(ds.user_ids):
+        split = without_training_rows(split, gone)
+    cfg = ExperimentConfig(
+        checkin_path="x", poi_path="y", out_dir=str(tmp_path_factory.mktemp("blocks")),
+        cutoffs=[K], sweep_step=0.5, amc_memory=memory,
+    )
+    for users_per_block in (1, 2, 7, None):
+        check_blocks_against_users(split, cfg, users_per_block)

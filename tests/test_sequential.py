@@ -100,19 +100,26 @@ class TestBuild:
         )
 
 
+def amc(g, history, candidates, **kw):
+    """amc_scores of one history, at the candidate POI codes."""
+    history = np.asarray(history, dtype=np.intp)
+    (scores,) = amc_scores(g, history, np.array([0]), np.array([len(history)]), **kw)
+    return scores[np.asarray(candidates, dtype=np.intp)]
+
+
 class TestScore:
     def test_single_deterministic_transition(self):
         g = graph([(A, B, 1)], 2)
-        assert amc_scores(g, [A], [B]).tolist() == [pytest.approx(1.0)]
+        assert amc(g, [A], [B]).tolist() == [pytest.approx(1.0)]
 
     def test_absent_edge(self):
         g = graph([(A, B, 1)], 3)
-        assert amc_scores(g, [A], [C]).tolist() == [0.0]
+        assert amc(g, [A], [C]).tolist() == [0.0]
 
     def test_worked_two_step_example(self):
         # weights for k=2 at alpha=0.5: (2/3, 1/3); X has no out-edges
         g = graph([(A, B, 3), (A, C, 1)], 4)
-        score = amc_scores(g, [X, A], [B], alpha=0.5, memory=5)
+        score = amc(g, [X, A], [B], alpha=0.5, memory=5)
         assert score.tolist() == [pytest.approx(0.5)]
 
     @pytest.mark.parametrize("alpha, k, total", [
@@ -129,14 +136,14 @@ class TestScore:
 
     def test_empty_history(self):
         g = graph([], 1)
-        assert amc_scores(g, [], [A]).tolist() == [0.0]
+        assert amc(g, [], [A]).tolist() == [0.0]
 
     def test_parameter_validation(self):
         g = graph([], 2)
         with pytest.raises(ValueError):
-            amc_scores(g, [A], [B], alpha=1.5)
+            amc(g, [A], [B], alpha=1.5)
         with pytest.raises(ValueError):
-            amc_scores(g, [A], [B], memory=0)
+            amc(g, [A], [B], memory=0)
 
     def test_rows_sum_to_one(self):
         rnd = random.Random(5)
@@ -153,7 +160,7 @@ class TestScore:
         nodes = list(range(12))
         g = graph([(rnd.choice(nodes), rnd.choice(nodes), 1) for _ in range(300)], 12)
         history = [rnd.choice(nodes) for _ in range(8)]
-        total = amc_scores(g, history, nodes).sum()
+        total = amc(g, history, nodes).sum()
         assert total <= 1.0 + 1e-9
         # every history node has out-edges here -> equality
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -166,6 +173,6 @@ class TestScore:
         for s, d, n in edges:
             by_id.add(f"p{s}", f"p{d}", n)
         history = [rnd.randrange(10) for _ in range(7)]
-        batch = amc_scores(g, history, list(range(10)))
+        batch = amc(g, history, list(range(10)))
         for p, s in enumerate(batch.tolist()):
             assert s == amc_score(by_id, [f"p{h}" for h in history], f"p{p}")

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair.data import PairCounts
-from poifair.geo import distance_km
 from poifair.social import (
     BETA_MAX,
     DEFAULT_FIT,
@@ -23,7 +22,7 @@ from poifair.social import (
 
 import oracles
 from conftest import make_checkin
-from oracles import SocialGraph, residence, visit_counts
+from oracles import SocialGraph, distance_km, residence, visit_counts
 
 
 def rows_of(counts, users, pois):
@@ -44,10 +43,18 @@ def social_frequency_by_id(u, counts, g) -> Counter:
     pois = sorted({p for c in counts.values() for p in c})
     user, poi = rows_of(counts, users, pois)
     bounds = np.searchsorted(user, np.arange(len(users) + 1))
-    friends = np.array([users.index(v) for v in sorted(g.friends(u)) if v in users],
-                       dtype=np.intp)
-    order, totals = social_frequency(friends, bounds, poi, len(pois))
-    return Counter({pois[p]: int(totals[p]) for p in order.tolist()})
+    row = np.array([users.index(u)])
+    totals, keys = social_frequency(friend_rows(u, users, g), row, bounds, poi, len(pois))
+    # Row 0's keys are POI codes; first visits in check-in order.
+    order = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    return Counter({pois[p]: int(totals[0, p]) for p in order.tolist()})
+
+
+def friend_rows(u, users, g) -> PairCounts:
+    """The friendship CSR of `users` with u's friends alone."""
+    friends = [users.index(v) for v in sorted(g.friends(u)) if v in users]
+    row = np.full(len(friends), users.index(u))
+    return PairCounts.of(row, np.array(friends, dtype=np.intp), len(users), len(users))
 
 
 def residence_by_id(u, counts) -> str:
@@ -63,10 +70,9 @@ def fcf_by_id(u, cands, counts, g, residence, poi_coords) -> np.ndarray:
     pois = sorted(poi_coords)
     visits = PairCounts.of(*rows_of(counts, users, pois), len(users), len(pois))
     res = np.array([pois.index(residence[v]) if v in residence else -1 for v in users])
-    friends = np.array([users.index(v) for v in sorted(g.friends(u)) if v in users],
-                       dtype=np.intp)
     lats, lons = (np.array([poi_coords[p][i] for p in pois]) for i in (0, 1))
-    scores = fcf_score(users.index(u), friends, visits, res, lats, lons)
+    row = np.array([users.index(u)])
+    (scores,) = fcf_score(row, friend_rows(u, users, g), visits, res, lats, lons)
     return scores[[pois.index(p) for p in cands]]
 
 
