@@ -5,9 +5,17 @@ per check-in, in input order; coordinates and a category code per POI; one
 pair of user codes per friendship. User, POI and category ids are interned
 to int32 codes in sorted order, so ordering by code is ordering by id and
 every tie-break on ids can be taken on codes.
+
+The parse reads each file in blocks of whole lines and codes a block's ids
+before it reads the next. The POI file's ids and the check-in file's users
+are interned (`_Intern`); the check-ins' POIs and the friendships' users are
+looked up (`_Lookup`) in the ids of the file that defines them. So the parse
+holds its output columns, one block's work, and a key row and a string per
+distinct id, whatever the number or order of the lines.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
@@ -18,7 +26,9 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1
 # Input files are read in blocks of whole lines of about this many bytes.
-BLOCK_BYTES = 1 << 20
+# A block's work takes a few dozen times as much memory, more for short
+# lines; beyond that the parse holds only its columns and distinct ids.
+BLOCK_BYTES = 1 << 18
 # Longer ids take the per-line path, which bounds the width of an id key.
 MAX_ID_BYTES = 64
 # A timestamp of at most this many digits fits int64 and is decoded in bulk.
@@ -238,15 +248,13 @@ def parse_dataset(
     and counted in the load report.
     """
     report = LoadReport()
-    poi_ids, *poi_columns = _parse_pois(poi_path, report, max_malformed_frac)
-    user_ids, user, poi, ts = _parse_checkins(
-        checkin_path, poi_ids, report, max_malformed_frac
-    )
+    pois, *poi_columns = _parse_pois(poi_path, report, max_malformed_frac)
+    users, user, poi, ts = _parse_checkins(checkin_path, pois, report, max_malformed_frac)
     if social_path is None:
         edges = np.zeros((0, 2), dtype=np.int32)
     else:
-        edges = _parse_social(social_path, user_ids, report)
-    return Dataset(user_ids, poi_ids, user, poi, ts, *poi_columns, edges, report)
+        edges = _parse_social(social_path, users, report)
+    return Dataset(users.ids, pois.ids, user, poi, ts, *poi_columns, edges, report)
 
 
 def _poi_fields(line: str):
@@ -304,12 +312,15 @@ def _edge_block(b: _Block):
 
 
 def _parse_pois(path, report: LoadReport, max_frac: float):
-    """poi_ids, lat, lon, category and category_ids of the POI file."""
-    (line, (poi_ids, code), lat, lon, cat), bad = _scan(
-        path, (2, 3), _poi_block, _poi_fields, report
+    """The interned poi ids (see `_Intern`), lat, lon, category and
+    category_ids of the POI file."""
+    pois = _Intern()
+    (code, lat, lon, cat, line), bad = _scan(
+        path, (2, 3), _poi_block, _poi_fields, (pois, None, None, None), report, lines=True
     )
     report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
+    code = pois.finish(code)
     # The first line of a poi_id defines it, later ones are duplicates and
     # the last one wins.
     dup = np.ones(len(code), dtype=bool)
@@ -319,35 +330,32 @@ def _parse_pois(path, report: LoadReport, max_frac: float):
     cat = cat[last].tolist()
     category_ids = sorted(set(cat) - {None})
     category = _codes(cat, slice(None), {c: i for i, c in enumerate(category_ids)})
-    return poi_ids, lat[last], lon[last], category, category_ids
+    return pois, lat[last], lon[last], category, category_ids
 
 
-def _parse_checkins(path, poi_ids: list[str], report: LoadReport, max_frac: float):
-    """user_ids and the user, poi and ts columns of the check-in file."""
-    (line, (user_ids, user), (names, name), ts), bad = _scan(
-        path, (2, 2), _checkin_block, _checkin_fields, report
+def _parse_checkins(path, pois: _Intern, report: LoadReport, max_frac: float):
+    """The interned user ids and the user, poi and ts columns of the
+    check-in file. Its POI ids are looked up in `pois`, not interned."""
+    users, known = _Intern(), _Lookup(pois)
+    (user, poi, ts), bad = _scan(
+        path, (2, 2), _checkin_block, _checkin_fields, (users, known, None), report
     )
-    report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(line)
-    poi = _codes(names, name, {p: i for i, p in enumerate(poi_ids)})
-    unknown = np.flatnonzero(poi < 0)
-    if len(unknown):
-        i = unknown[0]
-        raise DataError(
-            f"check-in at line {line[i]} references unknown poi_id {names[name[i]]!r}"
-        )
-    _check_malformed(bad, len(line) + len(bad), max_frac, path)
-    return user_ids, user, poi, ts
+    report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(ts)
+    if known.unknown is not None:
+        line, name = known.unknown
+        raise DataError(f"check-in at line {line} references unknown poi_id {name!r}")
+    _check_malformed(bad, len(ts) + len(bad), max_frac, path)
+    return users, users.finish(user), poi, ts
 
 
-def _parse_social(path, user_ids: list[str], report: LoadReport) -> np.ndarray:
+def _parse_social(path, users: _Intern, report: LoadReport) -> np.ndarray:
     """The distinct edges of the social file between users with check-ins."""
-    (_, a, b), bad = _scan(path, (1, 1), _edge_block, _edge_fields, report)
-    code = {u: i for i, u in enumerate(user_ids)}
-    a, b = _codes(*a, code), _codes(*b, code)
+    known = _Lookup(users)
+    (a, b), bad = _scan(path, (1, 1), _edge_block, _edge_fields, (known, known), report)
     keep = (a >= 0) & (b >= 0) & (a != b)
     report.social_edges_dropped = len(bad) + int(len(keep) - keep.sum())
     report.social_edges_parsed = int(keep.sum())
-    edges = edge_pairs(a[keep], b[keep], len(user_ids))
+    edges = edge_pairs(a[keep], b[keep], len(users.ids))
     report.social_edges_duplicate = report.social_edges_parsed - len(edges)
     return edges
 
@@ -362,7 +370,8 @@ def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
     return np.stack((key // n_users, key % n_users), axis=1).astype(np.int32)
 
 
-def _scan(path, n_tabs: tuple[int, int], decode, scalar, report: LoadReport):
+def _scan(path, n_tabs: tuple[int, int], decode, scalar, coders, report: LoadReport,
+          lines: bool = False):
     """The parsed lines of `path`, decoded block by block, and the line
     numbers of its malformed ones, in file order.
 
@@ -370,40 +379,55 @@ def _scan(path, n_tabs: tuple[int, int], decode, scalar, report: LoadReport):
     form and their fields: id keys (see `_Block.keys`) or values. Every other
     non-empty line is a scalar line: if it is not blank, `scalar(text)`
     applies the per-line rules to it and gives its fields, or None if it is
-    malformed. The parsed lines come as columns: their line numbers, then
-    each field, an id field as (sorted distinct ids, code of each line)."""
-    fast, slow, bad = [], [], []
+    malformed. The parsed lines come as columns, one per field, then their
+    line numbers if `lines` is set. `coders[j]` (an `_Intern` or a
+    `_Lookup`) codes id field j to int32 before the next block is read. Each
+    column grows in place block by block, so no block outlives its turn and
+    no column is ever held twice."""
+    columns, bad = None, []
     first_line = 1
     for raw in _read_blocks(path):
         b = _Block(raw, first_line, n_tabs, path)
         ok, fields = decode(b)
-        fast.append((first_line + b.rows[ok], *fields))
         is_fast = np.zeros(len(b.ends), dtype=bool)
         is_fast[b.rows[ok]] = True
         scalar_rows = np.flatnonzero(~is_fast & (b.ends > b.starts)).tolist()
+        slow, slow_fields = [], []
         for i in scalar_rows:
             text = raw[b.starts[i]:b.ends[i]].decode("utf-8")
             if text.strip():
-                fields = scalar(text)
-                if fields is None:
+                parsed = scalar(text)
+                if parsed is None:
                     bad.append(first_line + i)
                 else:
-                    slow.append((first_line + i, *fields))
+                    slow.append(first_line + i)
+                    slow_fields.append(parsed)
         report.blocks += 1
         report.scalar_lines += len(scalar_rows)
+        fast = first_line + b.rows[ok]
+        # The block's parsed lines in file order: the scalar ones go between.
+        line = np.concatenate((fast, np.array(slow, dtype=fast.dtype)))
+        order = np.argsort(line, kind="stable") if slow else slice(None)
+        values = []
+        extras = zip(*slow_fields) if slow else [()] * len(fields)
+        for field, extra, coder in zip(fields, extras, coders):
+            if coder is not None:
+                field = coder.block(field, fast)
+                extra = [coder.scalar(name, n) for name, n in zip(extra, slow)]
+            values.append(
+                np.concatenate((field, np.array(extra, dtype=field.dtype)))[order] if slow
+                else field
+            )
+        if lines:
+            values.append(line[order])
+        if columns is None:
+            columns = [np.empty(0, dtype=v.dtype) for v in values]
+        for column, v in zip(columns, values):
+            n = len(column)
+            # A realloc: the column grows by the block, not by a copy of itself.
+            column.resize(n + len(v), refcheck=False)
+            column[n:] = v
         first_line += len(b.ends)
-    fields = [list(blocks) for blocks in zip(*fast)]
-    del fast
-    columns = []
-    for extra in zip(*slow) if slow else [()] * len(fields):
-        blocks = fields.pop(0)  # so that each field's blocks go once merged
-        columns.append(
-            _intern(blocks, list(extra)) if blocks[0].ndim == 2
-            else np.concatenate((*blocks, np.array(extra, dtype=blocks[0].dtype)))
-        )
-    if slow:
-        order = np.argsort(columns[0], kind="stable")
-        columns = [(c[0], c[1][order]) if isinstance(c, tuple) else c[order] for c in columns]
     return columns, bad
 
 
@@ -505,7 +529,8 @@ class _Block:
         padded[width:] = self.buf
         window = np.lib.stride_tricks.sliding_window_view(padded, width)
         digit = window[hi] - np.uint8(ord("0"))  # non-digits wrap above 9
-        digit[np.arange(width) < (width - n)[:, None]] = 0
+        # putmask, not a boolean index, which takes 16 bytes per masked digit.
+        np.putmask(digit, np.arange(width) < (width - n)[:, None], 0)
         value = np.zeros(len(n), dtype=np.int64)
         for k in range(width):
             value = value * 10 + digit[:, k]
@@ -536,37 +561,164 @@ def _float(text: bytes) -> float:
         return math.nan
 
 
-def _intern(keys: list[np.ndarray], extra: list[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct ids of the key rows (see `_Block.keys`) and of
-    `extra`, and the int32 code of each key row, then of each extra id.
-    Empties `keys`, so that its blocks go once copied: interning the
-    check-ins' ids is the peak of a Gowalla-sized parse."""
-    width = max(k.shape[1] for k in keys)
-    rows = np.zeros((sum(map(len, keys)), width), dtype=np.uint64)
-    at = 0
-    for k in keys:
-        rows[at:at + len(k), :k.shape[1]] = k
-        at += len(k)
-    keys.clear()
-    order = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T[::-1])
-    rows = rows[order]
+class _Intern:
+    """Codes the ids of one field, block by block, in sorted id order.
+
+    `block(keys, lines)` gives each key row (see `_Block.keys`) a number,
+    and `scalar(name, line)` a scalar line's id: each distinct key row and
+    each distinct scalar id is numbered when first seen, whatever the block.
+    (They take the lines' numbers as `_Lookup`'s do, and ignore them.)
+    `keys` holds the
+    distinct key rows seen so far, sorted, and `number` each one's number,
+    so only a block's distinct keys are searched and inserted; no key is
+    kept per line. Once every block is in, `finish` turns the numbers into
+    codes: the sorted key rows are the sorted ids, so no line is sorted."""
+
+    def __init__(self):
+        self.keys = np.zeros((0, 1), dtype=np.uint64)
+        self.number = np.zeros(0, dtype=np.int32)
+        self.names: dict[str, int] = {}  # id of a scalar line -> number
+        self.n = 0
+
+    def block(self, keys: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        distinct, of = _distinct(keys)
+        self.keys, distinct = _widen(self.keys, distinct)
+        at, found = _search(self.keys, distinct)
+        number = np.empty(len(distinct), dtype=np.int32)
+        number[found] = self.number[at[found]]
+        new = np.flatnonzero(~found)
+        number[new] = np.arange(self.n, self.n + len(new))
+        self.n += len(new)
+        self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
+        self.number = np.insert(self.number, at[new], number[new])
+        return number[of]
+
+    def scalar(self, name: str, line: int) -> int:
+        if name not in self.names:
+            self.names[name] = self.n
+            self.n += 1
+        return self.names[name]
+
+    def finish(self, numbers: np.ndarray) -> np.ndarray:
+        """Sets `ids`, the sorted distinct ids, and `key_code`, the code of
+        each row of `keys`, which then holds the key rows of every id a
+        canonical line could hold; gives `numbers` as codes, mapped in
+        place."""
+        ids = _decode(self.keys)
+        code = np.empty(self.n, dtype=np.int32)
+        if self.names:
+            merged = sorted(set(ids).union(self.names))
+            index = {s: i for i, s in enumerate(merged)}
+            code[self.number] = [index[s] for s in ids]
+            code[list(self.names.values())] = [index[s] for s in self.names]
+            ids = merged
+            keyed = [i for i, s in enumerate(ids) if _has_key(s)]
+            self.keys = _key_rows([ids[i] for i in keyed])
+            self.key_code = np.array(keyed, dtype=np.int32)
+        else:
+            code[self.number] = np.arange(len(ids), dtype=np.int32)
+            self.key_code = np.arange(len(ids), dtype=np.int32)
+        self.ids = ids
+        # A slice at a time: indexing makes an intp copy of the indices.
+        step = max(1, BLOCK_BYTES // 8)
+        for lo in range(0, len(numbers), step):
+            numbers[lo:lo + step] = code[numbers[lo:lo + step]]
+        return numbers
+
+
+class _Lookup:
+    """Codes the ids of one field by a finished `_Intern`'s codes, -1 for
+    an id it lacks. A block's distinct key rows are searched in the
+    intern's sorted key rows, a scalar line's id in its sorted ids.
+    `unknown` is (line, id) of the first line with an id it lacks."""
+
+    def __init__(self, interned: _Intern):
+        self.keys, self.code, self.ids = interned.keys, interned.key_code, interned.ids
+        self.unknown = None
+
+    def block(self, keys: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        distinct, of = _distinct(keys)
+        table, distinct = _widen(self.keys, distinct)
+        at, found = _search(table, distinct)
+        code = np.full(len(distinct), -1, dtype=np.int32)
+        code[found] = self.code[at[found]]
+        code = code[of]
+        if self.unknown is None and not found.all():
+            i = int(np.argmax(code < 0))
+            self._note(int(lines[i]), _decode(keys[i:i + 1])[0])
+        return code
+
+    def scalar(self, name: str, line: int) -> int:
+        i = bisect.bisect_left(self.ids, name)
+        if i < len(self.ids) and self.ids[i] == name:
+            return i
+        self._note(line, name)
+        return -1
+
+    def _note(self, line: int, name: str) -> None:
+        # A block's scalar lines are looked up after its canonical ones.
+        if self.unknown is None or line < self.unknown[0]:
+            self.unknown = (line, name)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct key rows, sorted, and the index of each row among
+    them."""
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    rows = keys[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    code = np.empty(len(rows), dtype=np.int32)
-    code[order] = np.cumsum(new, dtype=np.int32)
-    code -= 1
-    # Ids hold no NUL, so a fixed-width bytes view of the big-endian words
-    # gives each id with its NUL padding dropped.
-    text = rows[new].astype(">u8").view(f"S{8 * width}").ravel()
-    ids = list(map(bytes.decode, text))
-    if extra:
-        merged = sorted(set(ids).union(extra))
-        new_code = {s: i for i, s in enumerate(merged)}
-        code = np.concatenate((
-            _codes(ids, code, new_code), _codes(extra, slice(None), new_code)
-        ))
-        ids = merged
-    return ids, code
+    of = np.empty(len(rows), dtype=np.intp)
+    of[order] = np.cumsum(new) - 1
+    return rows[new], of
+
+
+def _widen(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key rows a and b, the narrower padded with zero words to the wider's
+    width; a zero word is all padding, so row order is kept."""
+    width = max(a.shape[1], b.shape[1])
+    return tuple(
+        k if k.shape[1] == width else np.pad(k, ((0, 0), (0, width - k.shape[1])))
+        for k in (a, b)
+    )
+
+
+def _search(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key row, the first row of `table` not below it (both sorted
+    key rows of one width), and whether that row equals it. Rows of more
+    than one word are searched as their big-endian bytes, which sort as the
+    rows do."""
+    if table.shape[1] == 1:
+        at = np.searchsorted(table[:, 0], keys[:, 0])
+    else:
+        at = np.searchsorted(_bytes(table), _bytes(keys))
+    found = at < len(table)
+    found[found] = (table[at[found]] == keys[found]).all(axis=1)
+    return at, found
+
+
+def _bytes(keys: np.ndarray) -> np.ndarray:
+    """Each key row as one fixed-width bytes string: its id, NUL-padded."""
+    return keys.astype(">u8").view(f"S{8 * keys.shape[1]}").ravel()
+
+
+def _decode(keys: np.ndarray) -> list[str]:
+    """The id of each key row. Ids hold no NUL, so a bytes string of the
+    row, which numpy gives without its trailing NULs, is the id."""
+    return list(map(bytes.decode, _bytes(keys)))
+
+
+def _has_key(name: str) -> bool:
+    """Whether a canonical line could hold id `name`."""
+    return "\0" not in name and 0 < len(name.encode("utf-8")) <= MAX_ID_BYTES
+
+
+def _key_rows(names: list[str]) -> np.ndarray:
+    """The key rows of ids that `_has_key`, as `_Block.keys` gives them."""
+    text = [s.encode("utf-8") for s in names]
+    width = max(1, -(-max(map(len, text), default=0) // 8))
+    rows = np.array(text, dtype=f"S{8 * width}").view(">u8").reshape(-1, width)
+    return rows.astype(np.uint64)
 
 
 def _codes(names: list, idx, code: dict) -> np.ndarray:

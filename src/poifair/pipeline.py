@@ -7,6 +7,8 @@ import hashlib
 import json
 import logging
 import os
+import resource
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -109,6 +111,7 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.timings: dict[str, float] = {}
         self.counts: dict[str, int] = {}
+        self.peak_rss_mb: dict[str, float] = {}
         self._stage_files: list[Path] = []
 
     # -- stages ------------------------------------------------------------
@@ -398,6 +401,7 @@ class Pipeline:
             "version": __version__,
             "timings_s": {k: round(v, 4) for k, v in self.timings.items()},
             "counts": self.counts,
+            "peak_rss_mb": self.peak_rss_mb,
         }
         self._write(
             self.out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
@@ -442,11 +446,21 @@ class _StageContext:
 
     def __exit__(self, exc_type, exc, tb):
         self.p.timings[self.name] = time.perf_counter() - self.t0
+        self.p.peak_rss_mb[self.name] = _peak_rss_mb()
         if exc is not None:
             self.p._mark_partial()
             raise StageFailure(self.name, exc) from exc
         log.info("stage %s done in %.2fs", self.name, self.p.timings[self.name])
         return False
+
+
+def _peak_rss_mb() -> float:
+    """The process's high-water resident memory so far, in MB (2**20
+    bytes). It starts from the spawning process's own high-water, which the
+    kernel carries into a child across exec."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux gives kilobytes, macOS bytes.
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 def run_pipeline(config: ExperimentConfig, command: str = "run"):

@@ -355,9 +355,9 @@ def test_checkin_line_order_does_not_change_the_artifacts(tmp_path):
     assert artifacts[1] == artifacts[0]
 
 
-def _synthetic_run(tmp_path, name, **overrides):
-    """`run` on a 60-user synthetic corpus: its artifacts but manifest.json,
-    by name, and the manifest."""
+def _synthetic_run(tmp_path, name, command="run", **overrides):
+    """`command` on a 60-user synthetic corpus: its artifacts but
+    manifest.json, by name, and the manifest."""
     data = tmp_path / "data"
     if not data.exists():
         ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
@@ -366,7 +366,7 @@ def _synthetic_run(tmp_path, name, **overrides):
     run_pipeline(ExperimentConfig(
         checkin_path=str(data / "checkins.tsv"), poi_path=str(data / "pois.tsv"),
         social_path=str(data / "social.tsv"), out_dir=str(out), **overrides,
-    ))
+    ), command)
     artifacts = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
     return artifacts, json.loads((out / "manifest.json").read_text())
 
@@ -402,6 +402,21 @@ def test_manifest_times_the_parts_of_recommend(tmp_path):
             + counts[f"recommend.empty_candidate_users.{name}"]
         )
         assert 1 <= counts[f"recommend.blocks.{name}"] <= scored
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("analyze", ["parse", "preprocess", "split", "analyze"]),
+    ("run", ["parse", "preprocess", "split", "analyze", "recommend", "evaluate"]),
+    ("sweep", ["parse", "preprocess", "split", "analyze", "recommend", "sweep"]),
+])
+def test_manifest_records_the_peak_rss_of_each_stage(tmp_path, command, stages):
+    """The process's high-water RSS as each stage that ran ended, in MB: one
+    value per stage, which can only grow from stage to stage."""
+    _, manifest = _synthetic_run(tmp_path, "out", command)
+    peak = manifest["peak_rss_mb"]
+    assert sorted(peak) == sorted(stages)
+    values = [peak[s] for s in stages]
+    assert values[0] > 0 and values == sorted(values), peak
 
 
 def test_users_without_candidates_warn_once_per_model(tmp_path, caplog):
