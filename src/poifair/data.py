@@ -56,6 +56,23 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(of)) + (lo - (np.cumsum(n) - n))[of], of
 
 
+def spans(n: int):
+    """Slices of BLOCK_BYTES // 8 items that cover range(n): a pass over a
+    column a slice at a time holds one slice's temporaries, not a column's."""
+    step = max(1, BLOCK_BYTES // 8)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _pair_keys(row: np.ndarray, col: np.ndarray, n_cols: int) -> np.ndarray:
+    """The int64 key `row * n_cols + col` of each pair, ascending: one key
+    per pair, built and sorted in place."""
+    keys = row.astype(np.int64)
+    keys *= n_cols
+    keys += col
+    keys.sort()
+    return keys
+
+
 @dataclass(frozen=True)
 class PairCounts:
     """How often each distinct (row, column) code pair occurs, as CSR: row
@@ -69,14 +86,18 @@ class PairCounts:
 
     @classmethod
     def of(cls, row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> PairCounts:
-        keys = np.sort(row.astype(np.int64) * n_cols + col)
-        # bounds[i]: keys[i] starts a run; bounds[-1] closes the last one.
         # Few temporaries: this runs on every check-in of a Gowalla-sized
-        # dataset.
+        # dataset. bounds[i]: keys[i] starts a run; bounds[-1] closes the
+        # last one.
+        keys = _pair_keys(row, col, n_cols)
         bounds = np.ones(len(keys) + 1, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
-        count = np.diff(np.flatnonzero(bounds))
         keys = keys[bounds[:-1]]
+        # The run starts, then their differences in place: the run lengths.
+        count = np.flatnonzero(bounds)
+        for s in spans(len(count) - 1):
+            np.subtract(count[s.start + 1:s.stop + 1], count[s], out=count[s])
+        count = count[:-1]
         indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
         return cls(indptr, np.remainder(keys, n_cols, out=keys), count, n_cols)
 
@@ -758,21 +779,19 @@ def preprocess_filter(
     if min_user_checkins < 0 or min_poi_checkins < 0:
         raise ValueError("thresholds must be >= 0")
 
-    n_users = len(d.user_ids)
-    kept_users = np.bincount(d.user, minlength=n_users) >= min_user_checkins
-    keep = kept_users[d.user]
-    kept_pois = np.bincount(d.poi[keep], minlength=len(d.poi_ids)) >= min_poi_checkins
-    keep &= kept_pois[d.poi]
+    # One bool per check-in: each kept column is gathered once through the
+    # mask, with no int64 row index.
+    n_users, n_pois = len(d.user_ids), len(d.poi_ids)
+    keep = (np.bincount(d.user, minlength=n_users) >= min_user_checkins)[d.user]
+    keep &= (np.bincount(d.poi[keep], minlength=n_pois) >= min_poi_checkins)[d.poi]
     left = np.bincount(d.user[keep], minlength=n_users)
     short = (left > 0) & (left < MIN_SPLIT_CHECKINS)
     keep &= ~short[d.user]
-    rows = np.flatnonzero(keep)
-    if not len(rows):
+    if not keep.any():
         raise DataError("dataset exhausted by filters")
 
-    user, poi = d.user[rows], d.poi[rows]
-    new_user, user_ids = renumber(np.bincount(user, minlength=n_users) > 0, d.user_ids)
-    new_poi, poi_ids = renumber(np.bincount(poi, minlength=len(d.poi_ids)) > 0, d.poi_ids)
+    new_user, user_ids = renumber(left >= MIN_SPLIT_CHECKINS, d.user_ids)
+    new_poi, poi_ids = renumber(np.bincount(d.poi[keep], minlength=n_pois) > 0, d.poi_ids)
     kept = new_poi[:-1] >= 0
     category = d.category[kept]
     new_cat, category_ids = renumber(
@@ -780,16 +799,19 @@ def preprocess_filter(
         d.category_ids,
     )
     edges = new_user[d.edges]
+    user = new_user[d.user[keep]]
+    poi = new_poi[d.poi[keep]]
+    ts = d.ts[keep]
 
     report = FilterReport(
         users_removed=len(d.user_ids) - len(user_ids),
         pois_removed=len(d.poi_ids) - len(poi_ids),
-        checkins_removed=len(d.ts) - len(rows),
+        checkins_removed=len(d.ts) - len(ts),
     )
     report.short_users_removed = int(short.sum())
     report.short_checkins_removed = int(left[short].sum())
     filtered = Dataset(
-        user_ids, poi_ids, new_user[user], new_poi[poi], d.ts[rows],
+        user_ids, poi_ids, user, poi, ts,
         d.lat[kept], d.lon[kept], new_cat[category], category_ids,
         edges[(edges >= 0).all(axis=1)], d.load_report,
     )
@@ -818,28 +840,40 @@ def temporal_split(
             f"user {d.user_ids[u]!r} has {int(n[u])} check-ins "
             f"(< {MIN_SPLIT_CHECKINS}); filter first"
         )
-    # One stable sort on (user code, dense timestamp rank), which cannot
-    # overflow int64; then only the rows that tie on it are ordered by POI
-    # code. Stability keeps input order within an exact tie.
-    distinct, rank = np.unique(d.ts, return_inverse=True)
-    key = d.user.astype(np.int64) * len(distinct) + rank
+    # Each timestamp's dense rank comes from one argsort, counted in place in
+    # the sorted copy of the timestamps. The key user code * distinct
+    # timestamps + rank cannot overflow int64, whatever the timestamps, and
+    # its stable argsort orders by (user, timestamp, input order); then only
+    # the rows that tie on it are ordered by POI code.
+    by_ts = np.argsort(d.ts)
+    rank = d.ts[by_ts]
+    new = rank[1:] != rank[:-1]
+    rank[:1] = 0
+    np.cumsum(new, out=rank[1:])
+    del new
+    key = np.empty_like(rank)
+    key[by_ts] = rank
+    n_distinct = int(rank[-1]) + 1 if len(rank) else 0
+    del by_ts, rank
+    for s in spans(len(key)):
+        key[s] += d.user[s].astype(np.int64) * n_distinct
     rows = np.argsort(key, kind="stable")
-    key = key[rows]
+    # Sorted in place, the key is in the order of the sorted rows.
+    key.sort()
     tie = key[1:] == key[:-1]
-    if tie.any():
-        tied = np.zeros(len(rows), dtype=bool)
-        tied[1:] = tie
-        tied[:-1] |= tie
-        at = np.flatnonzero(tied)
+    tied = np.zeros(len(key), dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    at = np.flatnonzero(tied)
+    if len(at):
         rows[at] = rows[at][np.lexsort((d.poi[rows[at]], key[at]))]
-    n_train = (train_frac * n).astype(np.int64)
+    del key, tie, tied
     n_test = (test_frac * n).astype(np.int64)
-    # Position of each sorted row within its user's block.
-    block_user = np.repeat(np.arange(len(n)), n)
-    pos = np.arange(len(rows)) - (np.cumsum(n) - n)[block_user]
-    part = np.full(len(rows), VALIDATION, dtype=np.int8)
-    part[pos < n_train[block_user]] = TRAIN
-    part[pos >= (n - n_test)[block_user]] = TEST
+    n_train = np.minimum((train_frac * n).astype(np.int64), n - n_test)
+    # Each user's sorted rows are n_train TRAIN, then VALIDATION, then n_test
+    # TEST rows.
+    parts = np.tile(np.array([TRAIN, VALIDATION, TEST], dtype=np.int8), len(n))
+    part = np.repeat(parts, np.stack((n_train, n - n_train - n_test, n_test), axis=1).ravel())
     return SplitDataset(d, rows, part)
 
 
@@ -847,7 +881,9 @@ def dataset_stats(d: Dataset) -> DatasetStats:
     n_users = len(d.user_ids)
     n_pois = len(d.poi_ids)
     n_checkins = len(d.ts)
-    n_unique = len(d.visits().col)
+    # Distinct (user, POI) pairs: where the sorted pair keys change.
+    key = _pair_keys(d.user, d.poi, n_pois)
+    n_unique = int(np.count_nonzero(key[1:] != key[:-1])) + (n_checkins > 0)
     return DatasetStats(
         n_users=n_users,
         n_pois=n_pois,

@@ -116,11 +116,20 @@ def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
     """Density at projected-km query points, shape (m, 2) -> (m,)."""
     q = np.atleast_2d(np.asarray(query_km, dtype=float))
     h1, h2 = model.bandwidth
-    dx = (q[:, None, 0] - model.points_km[None, :, 0]) / h1
-    dy = (q[:, None, 1] - model.points_km[None, :, 1]) / h2
+    # Two (m, n) arrays, each step in place: the operations and their order
+    # are those of exp(-0.5 * (dx * dx + dy * dy)).
+    dx = np.subtract.outer(q[:, 0], model.points_km[:, 0])
+    dx /= h1
+    dy = np.subtract.outer(q[:, 1], model.points_km[:, 1])
+    dy /= h2
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx *= -0.5
+    np.exp(dx, out=dx)
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
     w = model.weights
-    return norm * ((np.exp(-0.5 * (dx * dx + dy * dy)) @ w) / w.sum())
+    return norm * ((dx @ w) / w.sum())
 
 
 def geo_scores(model: KdeModel, lats, lons) -> np.ndarray:

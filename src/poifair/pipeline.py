@@ -3,7 +3,6 @@ plot-ready CSV artifacts."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -135,6 +134,13 @@ class Pipeline:
             filtered, report = preprocess_filter(
                 d, self.cfg.min_user_checkins, self.cfg.min_poi_checkins
             )
+            # The parsed columns are not needed past the filter: dropped
+            # before the stats build their key. That frees them only when
+            # this frame holds the last reference: `_run_stages` names no
+            # parsed dataset, and CPython 3.11 and later hand a call's
+            # argument to the callee, but 3.10 keeps it on the caller's
+            # stack until this returns.
+            del d
             self.counts["preprocess.short_users_removed"] = report.short_users_removed
             self.counts["preprocess.short_checkins_removed"] = (
                 report.short_checkins_removed
@@ -158,7 +164,11 @@ class Pipeline:
             train = split.columns(TRAIN)
             window = (self.cfg.work_start_hour, self.cfg.work_end_hour)
             profiles = build_profiles(train, poi_popularity(train), window)
-            labels = assign_groups(profiles, len(train.user_ids), self.cfg.group_quantile)
+            # The training columns are not needed past the profiles; their
+            # id lists are the split's.
+            del train
+            user_ids = split.dataset.user_ids
+            labels = assign_groups(profiles, len(user_ids), self.cfg.group_quantile)
             gstats = group_stats(labels, profiles)
             hist = temporal_histogram(d.ts)
 
@@ -173,7 +183,7 @@ class Pipeline:
             ]
             # Column by column, with the text `_fmt` gives.
             columns = (
-                [train.user_ids[u] for u in profiles.user.tolist()],
+                [user_ids[u] for u in profiles.user.tolist()],
                 *(map(str, c.tolist()) for c in (
                     profiles.n_checkins, profiles.n_working, profiles.n_leisure,
                 )),
@@ -394,6 +404,11 @@ class Pipeline:
             return reports
 
     def write_manifest(self) -> None:
+        # hashlib loads OpenSSL's libcrypto, a few MB of resident memory:
+        # imported here, after the last stage, it adds nothing to any
+        # stage's peak RSS.
+        import hashlib
+
         cfg_json = self.cfg.to_json()
         manifest = {
             "config": json.loads(cfg_json),
@@ -480,6 +495,7 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
 
 def _run_stages(p: Pipeline, command: str):
     cfg = p.cfg
+    # No name holds the parsed dataset: preprocess can free it.
     d = p.preprocess(p.parse())
     if command == "preprocess":
         return []

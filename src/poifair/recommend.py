@@ -196,8 +196,10 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
     Large inputs take each row's k-th largest score t with one partition.
     Every top-k position has a score >= t, and those positions come out of
-    `nonzero` in ascending order, so a stable sort of only them, cut at k,
-    is the full sort's prefix; ties at t only keep more of them."""
+    `flatnonzero` in ascending order, row by row, so a stable sort of each
+    row's positions alone, cut at k, is the full sort's prefix; ties at t
+    only keep more of them. Rows that ties leave shorter than the longest
+    are padded with NaN, which sorts after every score."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = scores.shape[-1]
@@ -205,10 +207,17 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     rows = scores.reshape(-1, n)
     t = np.partition(rows, n - k, axis=-1)[:, n - k]
-    r, c = np.nonzero(rows >= t[:, None])
-    order = np.lexsort((-rows[r, c], r))
-    start = np.searchsorted(r, np.arange(len(rows)))
-    return c[order[start[:, None] + np.arange(k)]].reshape(scores.shape[:-1] + (k,))
+    at = np.flatnonzero(rows >= t[:, None])
+    # Row r's positions fill the first width[r] slots of its row of `pos`.
+    r = at // n
+    width = np.bincount(r, minlength=len(rows))
+    slot = np.arange(len(at)) - (np.cumsum(width) - width)[r]
+    key = np.full((len(rows), int(width.max())), np.nan)
+    key[r, slot] = -rows.ravel()[at]
+    pos = np.zeros(key.shape, dtype=at.dtype)
+    pos[r, slot] = at
+    top = np.take_along_axis(pos, np.argsort(key, axis=-1, kind="stable")[:, :k], axis=-1)
+    return (top % n).reshape(scores.shape[:-1] + (k,))
 
 
 def recommend_topn(poi_ids, scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

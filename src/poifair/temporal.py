@@ -20,7 +20,10 @@ UNASSIGNED, LEISURE, WORKING = 0, 1, 2  # group labels
 def hours(timestamps: np.ndarray) -> np.ndarray:
     """Hour of day of each timestamp; timestamps are already-local epoch
     seconds."""
-    return timestamps // 3600 % 24
+    # In place: one array per call, not two.
+    h = timestamps // 3600
+    h %= 24
+    return h
 
 
 @dataclass(frozen=True)
@@ -70,14 +73,14 @@ def build_profiles(
     """
     start, end = work_window
     n_users = len(train.user_ids)
-    h = hours(train.ts)
-    working = (start <= h) & (h < end)
     n_all = np.bincount(train.user, minlength=n_users)
     user = np.flatnonzero(n_all)
     if len(user) < n_users:
         log.warning("%d users have no training check-ins; excluded", n_users - len(user))
     n = n_all[user]
-    n_work = np.bincount(train.user[working], minlength=n_users)[user]
+    h = hours(train.ts)
+    n_work = np.bincount(train.user[(start <= h) & (h < end)], minlength=n_users)[user]
+    del h  # an int64 per check-in, not held while the visits are built
     # Each user's row is sorted by POI code, which is poi_id order.
     visits = train.visits()
     first, n_distinct = visits.indptr[user], np.diff(visits.indptr)[user]

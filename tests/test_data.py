@@ -4,12 +4,14 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poifair import data
 from poifair.data import (
     INT64_MAX,
     MIN_SPLIT_CHECKINS,
@@ -341,6 +343,19 @@ def split_rows(draw):
     return draw(st.permutations(rows))
 
 
+def columns_of(rows) -> Dataset:
+    """A dataset of (user code, POI code, timestamp) rows, with ids
+    "u<code>" and "p<code>"."""
+    user, poi, ts = zip(*rows)
+    n_users, n_pois = max(user) + 1, max(poi) + 1
+    return Dataset(
+        [f"u{i}" for i in range(n_users)], [f"p{i}" for i in range(n_pois)],
+        np.array(user, dtype=np.int32), np.array(poi, dtype=np.int32),
+        np.array(ts, dtype=np.int64), np.zeros(n_pois), np.zeros(n_pois),
+        np.full(n_pois, -1, dtype=np.int32), [], np.zeros((0, 2), dtype=np.int32),
+    )
+
+
 class TestSplit:
     # index cutoffs enumerated by hand for the floor rule
     @pytest.mark.parametrize(
@@ -422,17 +437,42 @@ class TestSplit:
     ])
     @settings(max_examples=300, deadline=None)
     def test_row_order_equals_lexsort_oracle(self, rows):
-        user, poi, ts = zip(*rows)
-        n_users, n_pois = max(user) + 1, max(poi) + 1
-        d = Dataset(
-            [f"u{i}" for i in range(n_users)], [f"p{i}" for i in range(n_pois)],
-            np.array(user, dtype=np.int32), np.array(poi, dtype=np.int32),
-            np.array(ts, dtype=np.int64), np.zeros(n_pois), np.zeros(n_pois),
-            np.full(n_pois, -1, dtype=np.int32), [], np.zeros((0, 2), dtype=np.int32),
-        )
+        d = columns_of(rows)
         got = temporal_split(d).rows
         want = oracles.split_rows(d)
         assert got.tolist() == want.tolist()
+
+    @given(rows=split_rows(), min_checkins=st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_passes_a_slice_at_a_time_change_nothing(self, rows, min_checkins):
+        """The filter, the stats, the split and the visit counts give the
+        same columns when the sliced column passes take one item per slice."""
+        d = columns_of(rows)
+
+        def stages():
+            try:
+                filtered, report = preprocess_filter(d, min_checkins, min_checkins)
+            except DataError:
+                filtered, report = d, None
+            split = temporal_split(filtered)
+            return filtered, report, dataset_stats(filtered), split, filtered.visits()
+
+        whole = stages()
+        with mock.patch.object(data, "BLOCK_BYTES", 8):
+            sliced = stages()
+        (f, report, stats, split, visits), (g, report2, stats2, split2, visits2) = whole, sliced
+        for a, b in ((f.user, g.user), (f.poi, g.poi), (f.ts, g.ts), (f.edges, g.edges),
+                     (split.rows, split2.rows), (split.part, split2.part),
+                     (visits.indptr, visits2.indptr), (visits.col, visits2.col),
+                     (visits.count, visits2.count)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert (f.user_ids, f.poi_ids) == (g.user_ids, g.poi_ids)
+        assert (stats, asdict(report) if report else None) == (
+            stats2, asdict(report2) if report2 else None
+        )
+        assert visits.count.tolist() == [
+            n for _, n in sorted(Counter(zip(f.user.tolist(), f.poi.tolist())).items())
+        ]
 
 
 class TestStats:

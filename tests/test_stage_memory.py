@@ -1,0 +1,136 @@
+"""The stages after the parse run inside the memory the parse needs: the
+cold-start filter, the dataset statistics and the temporal split each hold
+little beyond their input and output columns, and OpenSSL's libcrypto,
+which hashlib loads, stays out of the process until the manifest is
+written."""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
+
+import pytest
+
+from poifair import data
+from poifair.cli import EXIT_OK, main
+from poifair.config import ExperimentConfig
+from poifair.data import dataset_stats, preprocess_filter, temporal_split
+from poifair.synth import SynthConfig, generate, write_tsv
+
+from test_parse_blocks import parse, write_corpus
+
+COLUMNS = ("user", "poi", "ts", "lat", "lon", "category", "edges")
+# Slices of the column passes are this many bytes of int64, as in the
+# parse's memory bound.
+BLOCK_BYTES = 16 << 10
+
+
+def traced(f, *args):
+    """f(*args) and its traced peak, after a warm-up call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def parsed(tmp_path_factory):
+    """About 40k shuffled check-ins of 2k users at 3k POIs: some 20 per
+    user and 13 per POI, so the default thresholds drop a share of each."""
+    path = tmp_path_factory.mktemp("corpus")
+    write_corpus(path, n_users=2000, n_pois=3000, n_checkins=40000)
+    return parse(path, BLOCK_BYTES)
+
+
+def test_filter_and_stats_hold_one_byte_a_check_in(parsed):
+    """The filter gathers each kept column once through a mask and the
+    stats sort one key in place: under 8 bytes per input check-in beyond
+    the filtered columns, where an int64 row index and second copies of the
+    code columns took about 18."""
+    def stage(d):
+        filtered, _ = preprocess_filter(d, 15, 10)
+        return filtered, dataset_stats(filtered)
+
+    with patch.object(data, "BLOCK_BYTES", BLOCK_BYTES):
+        (filtered, stats), peak = traced(stage, parsed)
+    n_ids = len(parsed.user_ids) + len(parsed.poi_ids)
+    assert 0.1 * len(parsed.ts) < len(parsed.ts) - len(filtered.ts) < 0.5 * len(parsed.ts)
+    assert stats.n_unique_checkins == len(set(zip(filtered.user.tolist(), filtered.poi.tolist())))
+    returned = sum(getattr(filtered, name).nbytes for name in COLUMNS)
+    assert peak - returned < 8 * len(parsed.ts) + 32 * n_ids, (peak, returned)
+
+
+def test_split_holds_under_28_bytes_a_check_in(parsed):
+    """The split sorts by a key built in place from a dense timestamp rank:
+    under 28 bytes per check-in and 32 per user beyond the rows and parts
+    it returns, where np.unique's inverse and per-row user and position
+    columns took about 51."""
+    d, _ = preprocess_filter(parsed, 15, 10)
+    with patch.object(data, "BLOCK_BYTES", BLOCK_BYTES):
+        split, peak = traced(temporal_split, d)
+    returned = split.rows.nbytes + split.part.nbytes
+    assert peak - returned < 28 * len(d.ts) + 32 * len(d.user_ids), (peak, returned)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    paths = write_tsv(generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)), root)
+    path = root / "config.json"
+    path.write_text(json.dumps({
+        "checkin_path": str(paths["checkins"]),
+        "poi_path": str(paths["pois"]),
+        "social_path": str(paths["social"]),
+        "out_dir": str(root / "out"),
+    }))
+    return path
+
+
+# Runs `poifair analyze` in a fresh interpreter and prints whether hashlib's
+# OpenSSL module is loaded after `import numpy` alone, after the poifair
+# imports, when the manifest is about to be written, and whether hashlib is
+# loaded after. numpy 1.x imports numpy.random eagerly, whose `secrets`
+# import loads `_hashlib`; numpy 2 loads numpy.random on first use.
+FOOTPRINT = """
+import json
+import sys
+import numpy
+seen = ["_hashlib" in sys.modules]
+from poifair import cli, pipeline
+seen.append("_hashlib" in sys.modules)
+write = pipeline.Pipeline.write_manifest
+def recording(self):
+    seen.append("_hashlib" in sys.modules)
+    write(self)
+    seen.append("hashlib" in sys.modules)
+pipeline.Pipeline.write_manifest = recording
+assert cli.main(["analyze", "--config", sys.argv[1]]) == cli.EXIT_OK
+print(json.dumps(seen))
+"""
+
+
+def test_libcrypto_loads_only_with_the_manifest(config_path):
+    """poifair's imports and stages load `_hashlib` only if numpy did."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(config_path)], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    numpy_loaded, *seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == [numpy_loaded, numpy_loaded, True]
+
+
+def test_manifest_hashes_the_config_json(config_path):
+    assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
+    cfg = ExperimentConfig.from_json(config_path)
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(cfg.to_json().encode()).hexdigest()
