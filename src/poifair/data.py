@@ -6,16 +6,18 @@ pair of user codes per friendship. User, POI and category ids are interned
 to int32 codes in sorted order, so ordering by code is ordering by id and
 every tie-break on ids can be taken on codes.
 
-The parse reads each file in blocks of whole lines and codes a block's ids
-before it reads the next. The POI file's ids and the check-in file's users
-are interned (`_Intern`); the check-ins' POIs and the friendships' users are
-looked up (`_Lookup`) in the ids of the file that defines them. So the parse
-holds its output columns, one block's work, and a key row and a string per
-distinct id, whatever the number or order of the lines.
+The parse reads each file in blocks of whole lines and numbers a block's
+ids before it reads the next, so it holds its output columns, one block's
+work, and a key row and a string per distinct id, whatever the number or
+order of the lines. Every id field is interned: one `_Intern` numbers the
+POIs of the POI and check-in files, another the users of the check-in and
+social files. Once every file that holds a kind of id is read, its ids are
+coded in sorted order and only those of the defining file are kept: the POI
+file's POIs, the check-in file's users. A check-in's unknown POI is then an
+error, a friendship with a user without check-ins is dropped.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
@@ -56,13 +58,6 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(of)) + (lo - (np.cumsum(n) - n))[of], of
 
 
-def spans(n: int):
-    """Slices of BLOCK_BYTES // 8 items that cover range(n): a pass over a
-    column a slice at a time holds one slice's temporaries, not a column's."""
-    step = max(1, BLOCK_BYTES // 8)
-    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
-
-
 def _pair_keys(row: np.ndarray, col: np.ndarray, n_cols: int) -> np.ndarray:
     """The int64 key `row * n_cols + col` of each pair, ascending: one key
     per pair, built and sorted in place."""
@@ -93,11 +88,7 @@ class PairCounts:
         bounds = np.ones(len(keys) + 1, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
         keys = keys[bounds[:-1]]
-        # The run starts, then their differences in place: the run lengths.
-        count = np.flatnonzero(bounds)
-        for s in spans(len(count) - 1):
-            np.subtract(count[s.start + 1:s.stop + 1], count[s], out=count[s])
-        count = count[:-1]
+        count = np.diff(np.flatnonzero(bounds))
         indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
         return cls(indptr, np.remainder(keys, n_cols, out=keys), count, n_cols)
 
@@ -269,13 +260,31 @@ def parse_dataset(
     and counted in the load report.
     """
     report = LoadReport()
-    pois, *poi_columns = _parse_pois(poi_path, report, max_malformed_frac)
-    users, user, poi, ts = _parse_checkins(checkin_path, pois, report, max_malformed_frac)
-    if social_path is None:
-        edges = np.zeros((0, 2), dtype=np.int32)
-    else:
-        edges = _parse_social(social_path, users, report)
-    return Dataset(users.ids, pois.ids, user, poi, ts, *poi_columns, edges, report)
+    # One `_Intern` per kind of id, over every file that holds it.
+    pois, users = _Intern(), _Intern()
+    poi_lines = _parse_pois(poi_path, pois, report, max_malformed_frac)
+    (user, poi, ts), bad = _scan(
+        checkin_path, (2, 2), _checkin_block, _checkin_fields, (users, pois, None), report
+    )
+    report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(ts)
+    code, poi_ids = _defined(pois, poi_lines[0])
+    poi = code[poi]
+    if (poi < 0).any():
+        raise _first_unknown_poi(checkin_path, set(poi_ids))
+    _check_malformed(bad, len(ts) + len(bad), max_malformed_frac, checkin_path)
+    poi_columns = _poi_columns(code, *poi_lines, report)
+    (a, b), bad = (np.zeros(0, dtype=np.int32),) * 2, []
+    if social_path is not None:
+        (a, b), bad = _scan(social_path, (1, 1), _edge_block, _edge_fields, (users, users), report)
+    code, user_ids = _defined(users, user)
+    # The distinct edges between users with check-ins.
+    a, b = code[a], code[b]
+    keep = (a >= 0) & (b >= 0) & (a != b)
+    report.social_edges_dropped = len(bad) + int(len(keep) - keep.sum())
+    report.social_edges_parsed = int(keep.sum())
+    edges = edge_pairs(a[keep], b[keep], len(user_ids))
+    report.social_edges_duplicate = report.social_edges_parsed - len(edges)
+    return Dataset(user_ids, poi_ids, code[user], poi, ts, *poi_columns, edges, report)
 
 
 def _poi_fields(line: str):
@@ -332,53 +341,56 @@ def _edge_block(b: _Block):
     return ok, (b.keys(0, ok), b.keys(1, ok))
 
 
-def _parse_pois(path, report: LoadReport, max_frac: float):
-    """The interned poi ids (see `_Intern`), lat, lon, category and
-    category_ids of the POI file."""
-    pois = _Intern()
-    (code, lat, lon, cat, line), bad = _scan(
+def _parse_pois(path, pois: _Intern, report: LoadReport, max_frac: float):
+    """The POI file's parsed lines as columns: the id numbers in `pois`,
+    lat, lon, category, and line number."""
+    (number, lat, lon, cat, line), bad = _scan(
         path, (2, 3), _poi_block, _poi_fields, (pois, None, None, None), report, lines=True
     )
     report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
-    code = pois.finish(code)
-    # The first line of a poi_id defines it, later ones are duplicates and
-    # the last one wins.
+    return number, lat, lon, cat, line
+
+
+def _defined(intern: _Intern, numbers: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Finishes `intern` and keeps the ids that `numbers` hold: the int32
+    code of each number among them, -1 for an id they lack, and the kept
+    ids, sorted."""
+    code = intern.finish()
+    used = np.zeros(len(intern.ids), dtype=bool)
+    used[code[np.bincount(numbers, minlength=intern.n) > 0]] = True
+    new, kept = renumber(used, intern.ids)
+    return new[code], kept
+
+
+def _poi_columns(code, number, lat, lon, cat, line, report: LoadReport):
+    """lat, lon, category and category_ids by POI code, from the POI file's
+    parsed lines. The first line of a poi_id defines it, later ones are
+    duplicates and the last one wins."""
+    code = code[number]
     dup = np.ones(len(code), dtype=bool)
     dup[np.unique(code, return_index=True)[1]] = False
     report.poi_lines_duplicate = line[dup].tolist()
     last = len(code) - 1 - np.unique(code[::-1], return_index=True)[1]
     cat = cat[last].tolist()
     category_ids = sorted(set(cat) - {None})
-    category = _codes(cat, slice(None), {c: i for i, c in enumerate(category_ids)})
-    return pois, lat[last], lon[last], category, category_ids
+    category = _codes(cat, {c: i for i, c in enumerate(category_ids)})
+    return lat[last], lon[last], category, category_ids
 
 
-def _parse_checkins(path, pois: _Intern, report: LoadReport, max_frac: float):
-    """The interned user ids and the user, poi and ts columns of the
-    check-in file. Its POI ids are looked up in `pois`, not interned."""
-    users, known = _Intern(), _Lookup(pois)
-    (user, poi, ts), bad = _scan(
-        path, (2, 2), _checkin_block, _checkin_fields, (users, known, None), report
-    )
-    report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(ts)
-    if known.unknown is not None:
-        line, name = known.unknown
-        raise DataError(f"check-in at line {line} references unknown poi_id {name!r}")
-    _check_malformed(bad, len(ts) + len(bad), max_frac, path)
-    return users, users.finish(user), poi, ts
-
-
-def _parse_social(path, users: _Intern, report: LoadReport) -> np.ndarray:
-    """The distinct edges of the social file between users with check-ins."""
-    known = _Lookup(users)
-    (a, b), bad = _scan(path, (1, 1), _edge_block, _edge_fields, (known, known), report)
-    keep = (a >= 0) & (b >= 0) & (a != b)
-    report.social_edges_dropped = len(bad) + int(len(keep) - keep.sum())
-    report.social_edges_parsed = int(keep.sum())
-    edges = edge_pairs(a[keep], b[keep], len(users.ids))
-    report.social_edges_duplicate = report.social_edges_parsed - len(edges)
-    return edges
+def _first_unknown_poi(path, known: set) -> DataError:
+    """The error for the first parsed line of the check-in file whose POI is
+    not `known`, read again one text-mode line at a time: universal newlines
+    count lines as `_read_blocks` does, and each non-blank line gets the
+    per-line rules."""
+    with open(path, encoding="utf-8") as fh:
+        for line, text in enumerate(fh, start=1):
+            fields = _checkin_fields(text.rstrip("\n")) if text.strip() else None
+            if fields is not None and fields[1] not in known:
+                return DataError(
+                    f"check-in at line {line} references unknown poi_id {fields[1]!r}"
+                )
+    raise AssertionError(f"no unknown poi_id in {path}")
 
 
 def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
@@ -401,10 +413,10 @@ def _scan(path, n_tabs: tuple[int, int], decode, scalar, coders, report: LoadRep
     non-empty line is a scalar line: if it is not blank, `scalar(text)`
     applies the per-line rules to it and gives its fields, or None if it is
     malformed. The parsed lines come as columns, one per field, then their
-    line numbers if `lines` is set. `coders[j]` (an `_Intern` or a
-    `_Lookup`) codes id field j to int32 before the next block is read. Each
-    column grows in place block by block, so no block outlives its turn and
-    no column is ever held twice."""
+    line numbers if `lines` is set. `coders[j]`, an `_Intern`, numbers id
+    field j as int32 before the next block is read. Each column grows in
+    place block by block, so no block outlives its turn and no column is
+    ever held twice."""
     columns, bad = None, []
     first_line = 1
     for raw in _read_blocks(path):
@@ -433,8 +445,8 @@ def _scan(path, n_tabs: tuple[int, int], decode, scalar, coders, report: LoadRep
         extras = zip(*slow_fields) if slow else [()] * len(fields)
         for field, extra, coder in zip(fields, extras, coders):
             if coder is not None:
-                field = coder.block(field, fast)
-                extra = [coder.scalar(name, n) for name, n in zip(extra, slow)]
+                field = coder.block(field)
+                extra = [coder.scalar(name) for name in extra]
             values.append(
                 np.concatenate((field, np.array(extra, dtype=field.dtype)))[order] if slow
                 else field
@@ -583,17 +595,18 @@ def _float(text: bytes) -> float:
 
 
 class _Intern:
-    """Codes the ids of one field, block by block, in sorted id order.
+    """Numbers the ids of one kind (POIs or users), block by block, in
+    every field of every file that holds them; then codes them in sorted id
+    order.
 
-    `block(keys, lines)` gives each key row (see `_Block.keys`) a number,
-    and `scalar(name, line)` a scalar line's id: each distinct key row and
-    each distinct scalar id is numbered when first seen, whatever the block.
-    (They take the lines' numbers as `_Lookup`'s do, and ignore them.)
-    `keys` holds the
-    distinct key rows seen so far, sorted, and `number` each one's number,
-    so only a block's distinct keys are searched and inserted; no key is
-    kept per line. Once every block is in, `finish` turns the numbers into
-    codes: the sorted key rows are the sorted ids, so no line is sorted."""
+    `block(keys)` gives each key row (see `_Block.keys`) a number, and
+    `scalar(name)` a scalar line's id: each distinct key row and each
+    distinct scalar id is numbered when first seen, whatever the block.
+    `keys` holds the distinct key rows seen so far, sorted, and `number`
+    each one's number, so only a block's distinct keys are searched and
+    inserted; no key is kept per line. Once every block is in, `finish`
+    gives the code of each number: the sorted key rows are the sorted ids,
+    so no line is sorted."""
 
     def __init__(self):
         self.keys = np.zeros((0, 1), dtype=np.uint64)
@@ -601,7 +614,7 @@ class _Intern:
         self.names: dict[str, int] = {}  # id of a scalar line -> number
         self.n = 0
 
-    def block(self, keys: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    def block(self, keys: np.ndarray) -> np.ndarray:
         distinct, of = _distinct(keys)
         self.keys, distinct = _widen(self.keys, distinct)
         at, found = _search(self.keys, distinct)
@@ -614,17 +627,15 @@ class _Intern:
         self.number = np.insert(self.number, at[new], number[new])
         return number[of]
 
-    def scalar(self, name: str, line: int) -> int:
+    def scalar(self, name: str) -> int:
         if name not in self.names:
             self.names[name] = self.n
             self.n += 1
         return self.names[name]
 
-    def finish(self, numbers: np.ndarray) -> np.ndarray:
-        """Sets `ids`, the sorted distinct ids, and `key_code`, the code of
-        each row of `keys`, which then holds the key rows of every id a
-        canonical line could hold; gives `numbers` as codes, mapped in
-        place."""
+    def finish(self) -> np.ndarray:
+        """Sets `ids`, the sorted distinct ids, and gives the int32 code of
+        each number."""
         ids = _decode(self.keys)
         code = np.empty(self.n, dtype=np.int32)
         if self.names:
@@ -633,53 +644,10 @@ class _Intern:
             code[self.number] = [index[s] for s in ids]
             code[list(self.names.values())] = [index[s] for s in self.names]
             ids = merged
-            keyed = [i for i, s in enumerate(ids) if _has_key(s)]
-            self.keys = _key_rows([ids[i] for i in keyed])
-            self.key_code = np.array(keyed, dtype=np.int32)
         else:
             code[self.number] = np.arange(len(ids), dtype=np.int32)
-            self.key_code = np.arange(len(ids), dtype=np.int32)
         self.ids = ids
-        # A slice at a time: indexing makes an intp copy of the indices.
-        step = max(1, BLOCK_BYTES // 8)
-        for lo in range(0, len(numbers), step):
-            numbers[lo:lo + step] = code[numbers[lo:lo + step]]
-        return numbers
-
-
-class _Lookup:
-    """Codes the ids of one field by a finished `_Intern`'s codes, -1 for
-    an id it lacks. A block's distinct key rows are searched in the
-    intern's sorted key rows, a scalar line's id in its sorted ids.
-    `unknown` is (line, id) of the first line with an id it lacks."""
-
-    def __init__(self, interned: _Intern):
-        self.keys, self.code, self.ids = interned.keys, interned.key_code, interned.ids
-        self.unknown = None
-
-    def block(self, keys: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        distinct, of = _distinct(keys)
-        table, distinct = _widen(self.keys, distinct)
-        at, found = _search(table, distinct)
-        code = np.full(len(distinct), -1, dtype=np.int32)
-        code[found] = self.code[at[found]]
-        code = code[of]
-        if self.unknown is None and not found.all():
-            i = int(np.argmax(code < 0))
-            self._note(int(lines[i]), _decode(keys[i:i + 1])[0])
         return code
-
-    def scalar(self, name: str, line: int) -> int:
-        i = bisect.bisect_left(self.ids, name)
-        if i < len(self.ids) and self.ids[i] == name:
-            return i
-        self._note(line, name)
-        return -1
-
-    def _note(self, line: int, name: str) -> None:
-        # A block's scalar lines are looked up after its canonical ones.
-        if self.unknown is None or line < self.unknown[0]:
-            self.unknown = (line, name)
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -729,23 +697,9 @@ def _decode(keys: np.ndarray) -> list[str]:
     return list(map(bytes.decode, _bytes(keys)))
 
 
-def _has_key(name: str) -> bool:
-    """Whether a canonical line could hold id `name`."""
-    return "\0" not in name and 0 < len(name.encode("utf-8")) <= MAX_ID_BYTES
-
-
-def _key_rows(names: list[str]) -> np.ndarray:
-    """The key rows of ids that `_has_key`, as `_Block.keys` gives them."""
-    text = [s.encode("utf-8") for s in names]
-    width = max(1, -(-max(map(len, text), default=0) // 8))
-    rows = np.array(text, dtype=f"S{8 * width}").view(">u8").reshape(-1, width)
-    return rows.astype(np.uint64)
-
-
-def _codes(names: list, idx, code: dict) -> np.ndarray:
-    """`code` of each name at `idx` (an index array or a slice) as int32, -1
-    for a name not in it."""
-    return np.array([code.get(s, -1) for s in names], dtype=np.int32)[idx]
+def _codes(names: list, code: dict) -> np.ndarray:
+    """`code` of each name as int32, -1 for a name not in it."""
+    return np.array([code.get(s, -1) for s in names], dtype=np.int32)
 
 
 def _check_malformed(bad_lines, total, max_frac, path):
@@ -855,8 +809,7 @@ def temporal_split(
     key[by_ts] = rank
     n_distinct = int(rank[-1]) + 1 if len(rank) else 0
     del by_ts, rank
-    for s in spans(len(key)):
-        key[s] += d.user[s].astype(np.int64) * n_distinct
+    key += d.user.astype(np.int64) * n_distinct
     rows = np.argsort(key, kind="stable")
     # Sorted in place, the key is in the order of the sorted rows.
     key.sort()

@@ -134,13 +134,6 @@ class Pipeline:
             filtered, report = preprocess_filter(
                 d, self.cfg.min_user_checkins, self.cfg.min_poi_checkins
             )
-            # The parsed columns are not needed past the filter: dropped
-            # before the stats build their key. That frees them only when
-            # this frame holds the last reference: `_run_stages` names no
-            # parsed dataset, and CPython 3.11 and later hand a call's
-            # argument to the callee, but 3.10 keeps it on the caller's
-            # stack until this returns.
-            del d
             self.counts["preprocess.short_users_removed"] = report.short_users_removed
             self.counts["preprocess.short_checkins_removed"] = (
                 report.short_checkins_removed
@@ -495,7 +488,6 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
 
 def _run_stages(p: Pipeline, command: str):
     cfg = p.cfg
-    # No name holds the parsed dataset: preprocess can free it.
     d = p.preprocess(p.parse())
     if command == "preprocess":
         return []

@@ -20,10 +20,7 @@ UNASSIGNED, LEISURE, WORKING = 0, 1, 2  # group labels
 def hours(timestamps: np.ndarray) -> np.ndarray:
     """Hour of day of each timestamp; timestamps are already-local epoch
     seconds."""
-    # In place: one array per call, not two.
-    h = timestamps // 3600
-    h %= 24
-    return h
+    return timestamps // 3600 % 24
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,9 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 
-from poifair import data
 from poifair.cli import EXIT_OK, main
 from poifair.config import ExperimentConfig
 from poifair.data import dataset_stats, preprocess_filter, temporal_split
@@ -23,8 +21,7 @@ from poifair.synth import SynthConfig, generate, write_tsv
 from test_parse_blocks import parse, write_corpus
 
 COLUMNS = ("user", "poi", "ts", "lat", "lon", "category", "edges")
-# Slices of the column passes are this many bytes of int64, as in the
-# parse's memory bound.
+# The parse's block size, as in its memory bound.
 BLOCK_BYTES = 16 << 10
 
 
@@ -58,8 +55,7 @@ def test_filter_and_stats_hold_one_byte_a_check_in(parsed):
         filtered, _ = preprocess_filter(d, 15, 10)
         return filtered, dataset_stats(filtered)
 
-    with patch.object(data, "BLOCK_BYTES", BLOCK_BYTES):
-        (filtered, stats), peak = traced(stage, parsed)
+    (filtered, stats), peak = traced(stage, parsed)
     n_ids = len(parsed.user_ids) + len(parsed.poi_ids)
     assert 0.1 * len(parsed.ts) < len(parsed.ts) - len(filtered.ts) < 0.5 * len(parsed.ts)
     assert stats.n_unique_checkins == len(set(zip(filtered.user.tolist(), filtered.poi.tolist())))
@@ -73,8 +69,7 @@ def test_split_holds_under_28_bytes_a_check_in(parsed):
     it returns, where np.unique's inverse and per-row user and position
     columns took about 51."""
     d, _ = preprocess_filter(parsed, 15, 10)
-    with patch.object(data, "BLOCK_BYTES", BLOCK_BYTES):
-        split, peak = traced(temporal_split, d)
+    split, peak = traced(temporal_split, d)
     returned = split.rows.nbytes + split.part.nbytes
     assert peak - returned < 28 * len(d.ts) + 32 * len(d.user_ids), (peak, returned)
 
