@@ -46,11 +46,17 @@ from .temporal import (
     temporal_histogram,
 )
 
-log = logging.getLogger(__name__)
+# CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto, a few
+# MB of resident memory, to hash the config.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:  # no built-in hashes, as in some FIPS builds
+        from hashlib import sha256
 
-# The sweep marks hits a block of users at a time, so that the int64
-# temporaries of one block stay under this many bytes.
-SWEEP_BLOCK_BYTES = 1 << 22
+log = logging.getLogger(__name__)
 
 
 class StageFailure(Exception):
@@ -307,7 +313,7 @@ class Pipeline:
                 at, users = np.flatnonzero(kept), users[kept]
                 hits = np.empty((len(users), len(grid), cutoff), dtype=bool)
                 # Users in blocks: hit_matrix holds three int64s per entry.
-                step = max(1, SWEEP_BLOCK_BYTES // (3 * 8 * len(grid) * cutoff))
+                step = block_rows(3 * 8 * len(grid) * cutoff)
                 for lo in range(0, len(users), step):
                     block = slice(lo, lo + step)
                     hits[block] = hit_matrix(
@@ -396,24 +402,27 @@ class Pipeline:
             )
             return reports
 
-    def write_manifest(self) -> None:
-        # hashlib loads OpenSSL's libcrypto, a few MB of resident memory:
-        # imported here, after the last stage, it adds nothing to any
-        # stage's peak RSS.
-        import hashlib
-
+    def write_manifest(self, failure: StageFailure | None = None) -> None:
+        """Write manifest.json, or after a failed stage manifest.json.partial
+        with what was recorded so far and the stage and error that ended the
+        run; either way remove the other name, left by an earlier run."""
         cfg_json = self.cfg.to_json()
         manifest = {
             "config": json.loads(cfg_json),
-            "config_sha256": hashlib.sha256(cfg_json.encode()).hexdigest(),
+            "config_sha256": sha256(cfg_json.encode()).hexdigest(),
             "version": __version__,
             "timings_s": {k: round(v, 4) for k, v in self.timings.items()},
             "counts": self.counts,
             "peak_rss_mb": self.peak_rss_mb,
         }
-        self._write(
-            self.out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
-        )
+        path = self.out / "manifest.json"
+        partial = path.with_name(path.name + ".partial")
+        if failure is not None:
+            manifest["failed_stage"] = failure.stage
+            manifest["error"] = f"{type(failure.cause).__name__}: {failure.cause}"
+            path, partial = partial, path
+        partial.unlink(missing_ok=True)
+        self._write(path, json.dumps(manifest, indent=2, sort_keys=True))
 
     # -- helpers -----------------------------------------------------------
 
@@ -476,12 +485,17 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
     manifest and return the evaluation reports (none for the commands that
     stop before evaluate). `recommend`, `evaluate` and `run` run every stage;
     the sweep runs for `sweep`, when `run_sweep` is set, or when weighted-sum
-    fusion needs its lambdas. `sweep` ranks only the weighted-sum grid."""
+    fusion needs its lambdas. `sweep` ranks only the weighted-sum grid. A
+    failed stage leaves a partial manifest and its StageFailure is raised."""
     commands = ("preprocess", "analyze", "recommend", "sweep", "evaluate", "run")
     if command not in commands:
         raise ValueError(f"unknown command {command!r}")
     p = Pipeline(config)
-    reports = _run_stages(p, command)
+    try:
+        reports = _run_stages(p, command)
+    except StageFailure as e:
+        p.write_manifest(e)
+        raise
     p.write_manifest()
     return reports
 

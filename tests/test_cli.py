@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from poifair import pipeline
+from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from poifair.config import ExperimentConfig
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -166,6 +167,32 @@ class TestRun:
         bad.write_text("u1\tmissing_poi\t1000\n")
         path = write_config(tmp_path, fixture_files, checkin_path=str(bad))
         assert main(["run", "--config", str(path)]) == EXIT_DATA
+
+    def test_stage_failure_writes_a_partial_manifest(self, tmp_path, fixture_files, monkeypatch):
+        """A failed split: exit 4 and manifest.json.partial with what the
+        stages before it recorded and the stage and error that ended the
+        run; a later successful run in the same directory replaces it."""
+        def no_split(*args):
+            raise RuntimeError("no split")
+
+        monkeypatch.setattr(pipeline, "temporal_split", no_split)
+        path = write_config(tmp_path, fixture_files)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path)]) == EXIT_STAGE
+        assert not (out / "manifest.json").exists()
+        manifest = json.loads((out / "manifest.json.partial").read_text())
+        assert manifest["failed_stage"] == "split"
+        assert manifest["error"] == "RuntimeError: no split"
+        assert {"parse", "preprocess"} <= set(manifest["timings_s"])
+        assert {"parse", "preprocess", "split"} == set(manifest["peak_rss_mb"])
+        assert "preprocess.short_users_removed" in manifest["counts"]
+
+        monkeypatch.undo()
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert not (out / "manifest.json.partial").exists()
+        assert set(json.loads((out / "manifest.json").read_text())) == set(manifest) - {
+            "failed_stage", "error",
+        }
 
     @pytest.mark.parametrize("kind,text", [
         ("checkin_path", b"u0000\tp0000\t1000\r\nu\xff\tp0000\t2000\r\n"),

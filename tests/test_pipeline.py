@@ -15,7 +15,7 @@ import pytest
 from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, VALIDATION, temporal_split
 from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, simplex_grid
-from poifair import pipeline, recommend
+from poifair import recommend
 from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth, run_pipeline
 from poifair.recommend import FittedModel, top_k
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
@@ -144,23 +144,22 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
 def test_sweep_in_user_blocks_writes_the_same_rows(
     world, tmp_path, monkeypatch, users_per_block
 ):
-    """Marking hits a block of users at a time changes neither sweep.csv
-    nor the best lambdas; the default budget takes these users in one
-    block."""
+    """Marking hits a block of users at a time, under the common block
+    budget, changes neither sweep.csv nor the best lambdas of one block
+    holding every user."""
     cfg, split, _, labels, _ = world
-
-    def sweep(out):
-        p = Pipeline(ExperimentConfig(
-            checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(out),
-        ))
-        best = p.sweep(p.fit_and_recommend(split, [WEIGHTED_SUM]), labels, split)
-        return best, (out / "sweep.csv").read_bytes()
-
-    whole = sweep(tmp_path / "whole")
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(tmp_path),
+    ))
+    ranked = p.fit_and_recommend(split, [WEIGHTED_SUM])
     per_user = 3 * 8 * len(simplex_grid(cfg.sweep_step)) * 10
-    assert pipeline.SWEEP_BLOCK_BYTES // per_user >= len(split.dataset.user_ids)
-    monkeypatch.setattr(pipeline, "SWEEP_BLOCK_BYTES", users_per_block * per_user)
-    assert sweep(tmp_path / "blocks") == whole
+
+    def sweep(users):
+        monkeypatch.setattr(recommend, "BLOCK_BYTES", users * per_user)
+        best = p.sweep(ranked, labels, split)
+        return best, (tmp_path / "sweep.csv").read_bytes()
+
+    assert sweep(users_per_block) == sweep(len(split.dataset.user_ids))
 
 
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):

@@ -1,8 +1,7 @@
 """The stages after the parse run inside the memory the parse needs: the
 cold-start filter, the dataset statistics and the temporal split each hold
-little beyond their input and output columns, and OpenSSL's libcrypto,
-which hashlib loads, stays out of the process until the manifest is
-written."""
+little beyond their input and output columns, and a run never loads
+OpenSSL's libcrypto, which hashlib's `_hashlib` maps."""
 import hashlib
 import json
 import os
@@ -88,31 +87,27 @@ def config_path(tmp_path_factory):
     return path
 
 
-# Runs `poifair analyze` in a fresh interpreter and prints whether hashlib's
-# OpenSSL module is loaded after `import numpy` alone, after the poifair
-# imports, when the manifest is about to be written, and whether hashlib is
-# loaded after. numpy 1.x imports numpy.random eagerly, whose `secrets`
-# import loads `_hashlib`; numpy 2 loads numpy.random on first use.
+# Runs `poifair analyze`, then `poifair run`, in a fresh interpreter and
+# prints whether hashlib's OpenSSL module is loaded after `import numpy`
+# alone and after each command. numpy 1.x imports numpy.random eagerly,
+# whose `secrets` import loads `_hashlib`; numpy 2 loads numpy.random on
+# first use.
 FOOTPRINT = """
 import json
 import sys
 import numpy
 seen = ["_hashlib" in sys.modules]
-from poifair import cli, pipeline
-seen.append("_hashlib" in sys.modules)
-write = pipeline.Pipeline.write_manifest
-def recording(self):
+from poifair import cli
+for command in ("analyze", "run"):
+    assert cli.main([command, "--config", sys.argv[1]]) == cli.EXIT_OK
     seen.append("_hashlib" in sys.modules)
-    write(self)
-    seen.append("hashlib" in sys.modules)
-pipeline.Pipeline.write_manifest = recording
-assert cli.main(["analyze", "--config", sys.argv[1]]) == cli.EXIT_OK
 print(json.dumps(seen))
 """
 
 
-def test_libcrypto_loads_only_with_the_manifest(config_path):
-    """poifair's imports and stages load `_hashlib` only if numpy did."""
+def test_libcrypto_loads_only_with_numpy(config_path):
+    """poifair's imports, stages and manifest load `_hashlib` only if numpy
+    did: the config is hashed with CPython's built-in SHA-256."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -121,7 +116,7 @@ def test_libcrypto_loads_only_with_the_manifest(config_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     numpy_loaded, *seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == [numpy_loaded, numpy_loaded, True]
+    assert seen == [numpy_loaded, numpy_loaded]
 
 
 def test_manifest_hashes_the_config_json(config_path):
