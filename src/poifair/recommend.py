@@ -111,7 +111,7 @@ class FittedModel:
         else:
             self.global_kde = geo.fit_global_kde(train, coords)
             # The global density does not depend on the user: once per POI.
-            self.global_geo = geo.geo_scores(self.global_kde, self.lats, self.lons)
+            self.global_geo = geo.geo_scores(self.global_kde, self.lats, self.lons)[0]
             self.residence = social.residences(self.visits)
             self.l2tg = sequential.build_l2tg(train, session_gap_hours)
             self.amc_alpha = amc_alpha
@@ -136,14 +136,10 @@ class FittedModel:
         candidate[row, visited] = False
         raw = np.zeros((3, len(users), n_pois))
         if self.name == GEOSOCA:
-            # The KDE's bits depend on how many points it scores at once, so
-            # it scores each user's candidates on their own.
-            for b, u in enumerate(users.tolist()):
-                pos = np.flatnonzero(candidate[b])
-                if len(pos):
-                    raw[0, b, pos] = geo.geo_scores(
-                        self.user_kdes[u], self.lats[pos], self.lons[pos]
-                    )
+            # A user's own POIs are never ranked, and their densities, far
+            # above the candidates', would overflow min-max normalization.
+            c1 = geo.geo_scores(self.user_kdes.take(users), self.lats, self.lons)
+            raw[0] = np.where(candidate, c1, 0.0)
             totals, _ = self._social_frequency(users)
             raw[1] = social.power_law_score(self.social_fit, totals)
             if self.cat_fit is not None:

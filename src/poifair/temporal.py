@@ -140,11 +140,14 @@ def ols_fit(x, y) -> dict[str, float]:
         raise ValueError("need >= 2 distinct x values")
     sx = x - x.mean()
     sy = y - y.mean()
-    sxx = float(sx @ sx)
-    slope = float(sx @ sy) / sxx
+    # numpy's own pairwise sums: a BLAS dot product's bits can change with
+    # its thread count.
+    sxx = float(np.add.reduce(sx * sx))
+    sxy = float(np.add.reduce(sx * sy))
+    syy = float(np.add.reduce(sy * sy))
+    slope = sxy / sxx
     intercept = float(y.mean() - slope * x.mean())
-    syy = float(sy @ sy)
-    r = float(sx @ sy) / math.sqrt(sxx * syy) if syy > 0 else 0.0
+    r = sxy / math.sqrt(sxx * syy) if syy > 0 else 0.0
     return {"slope": slope, "intercept": intercept, "pearson_r": r}
 
 

@@ -31,7 +31,7 @@ from poifair.fusion import (
     simplex_grid,
 )
 from poifair import geo, social as lib_social
-from poifair.geo import KdeModel, geo_score_km, project_km
+from poifair.geo import KdeModel, project_km, silverman_bandwidth
 from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
 from poifair.recommend import GEOSOCA, recommend_topn
 from poifair.sequential import AMC_DECAY, AMC_MEMORY, _amc_weights
@@ -591,18 +591,65 @@ def fcf_score(u, p, counts, social, residences, poi_coords) -> float:
     return num / den if den > 0 else 0.0
 
 
-def geo_score(model: KdeModel, latitude: float, longitude: float) -> float:
+@dataclass(frozen=True)
+class Kde:
+    """One product-Gaussian KDE: (n, 2) projected-km points and their (n,)
+    weights, the (h_lat, h_lon) bandwidth in km and the projection's
+    reference latitude."""
+
+    points_km: np.ndarray
+    bandwidth: tuple[float, float]
+    lat_ref: float
+    weights: np.ndarray
+
+
+def fit_kde(coords) -> Kde:
+    """A KDE over (n, 2) (lat, lon) degree coordinates: the bandwidth from
+    every sample, each distinct point from np.unique(axis=0) once, weighted
+    by how many samples share it."""
+    arr = np.asarray(coords, dtype=float)
+    if not len(arr):
+        raise ValueError("cannot fit KDE on empty sample")
+    lat_ref = float(arr[:, 0].mean())
+    pts = project_km(arr[:, 0], arr[:, 1], lat_ref)
+    h = (silverman_bandwidth(pts[:, 0]), silverman_bandwidth(pts[:, 1]))
+    distinct, counts = np.unique(pts, axis=0, return_counts=True)
+    return Kde(points_km=distinct, bandwidth=h, lat_ref=lat_ref, weights=counts.astype(float))
+
+
+def kde_row(model: KdeModel, u: int) -> Kde:
+    """Row u of a library KDE batch, without its padding."""
+    n = int(np.count_nonzero(model.weights[u]))
+    return Kde(
+        points_km=model.points_km[u, :n], bandwidth=tuple(model.bandwidth[u].tolist()),
+        lat_ref=float(model.lat_ref[u]), weights=model.weights[u, :n],
+    )
+
+
+def kde_density_km(model: Kde, x: float, y: float) -> float:
+    """Density of `model` at one projected-km point: each point's Gaussian
+    kernel in Python floats with `math.exp`, summed in point order."""
+    h1, h2 = model.bandwidth
+    num = den = 0.0
+    for (px, py), w in zip(model.points_km.tolist(), model.weights.tolist()):
+        dx, dy = (x - px) / h1, (y - py) / h2
+        num += math.exp(-0.5 * (dx * dx + dy * dy)) * w
+        den += w
+    return num / den / (2.0 * math.pi * h1 * h2)
+
+
+def geo_score(model: Kde, latitude: float, longitude: float) -> float:
     """Density of `model` at one (lat, lon) point."""
-    q = project_km([latitude], [longitude], model.lat_ref)
-    return float(geo_score_km(model, q)[0])
+    ((x, y),) = project_km([latitude], [longitude], model.lat_ref).tolist()
+    return kde_density_km(model, x, y)
 
 
-def expanded_kde_score(fitted: KdeModel, samples, latitude, longitude) -> float:
+def expanded_kde_score(fitted: Kde, samples, latitude, longitude) -> float:
     """Density of a KDE that keeps every sample as its own unweighted point,
     with the bandwidth and projection of `fitted`."""
     arr = np.asarray(samples, dtype=float)
     pts = project_km(arr[:, 0], arr[:, 1], fitted.lat_ref)
-    expanded = KdeModel(
+    expanded = Kde(
         points_km=pts, bandwidth=fitted.bandwidth, lat_ref=fitted.lat_ref,
         weights=np.ones(len(pts)),
     )
@@ -1020,7 +1067,7 @@ def score_user(model, u: int) -> UserScores:
         return UserScores(pos, np.zeros((0, 3)), model.enabled)
     friends = model.friends.row(u)[0]
     if model.name == GEOSOCA:
-        c1 = geo.geo_scores(model.user_kdes[u], model.lats[pos], model.lons[pos])
+        c1 = geo.geo_scores(model.user_kdes.take([u]), model.lats[pos], model.lons[pos])[0]
         totals = user_social_frequency(friends, model.bounds, model.poi, n_pois)
         c2 = lib_social.power_law_score(model.social_fit, totals[pos])
         if model.cat_fit is not None:

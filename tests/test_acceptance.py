@@ -20,8 +20,8 @@ from poifair.synth import SynthConfig, generate, write_tsv
 from poifair.temporal import LEISURE, WORKING, Profiles, assign_groups
 
 from conftest import make_checkin, make_dataset
-from oracles import checkin_lists, geo_score
-from test_geo import quadrature_mass
+from oracles import checkin_lists
+from test_geo import fit, one, quadrature_mass
 from test_metrics import brute_force_metrics, list_metrics
 
 
@@ -86,7 +86,7 @@ def test_c04_group_split_sizes_and_rank_invariance():
 
 
 def test_c05_kde_properties():
-    from poifair.geo import KdeModel, fit_kde
+    from poifair.geo import geo_scores
 
     t0 = time.perf_counter()
     ok = True
@@ -95,11 +95,9 @@ def test_c05_kde_properties():
         n = int(rng.integers(2, 12))
         pts = rng.normal(0, 1.0, size=(n, 2))
         h = (float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0)))
-        m = KdeModel(points_km=pts, bandwidth=h, lat_ref=0.0, weights=np.ones(n))
-        ok &= abs(quadrature_mass(m) - 1.0) <= 0.02
-    single = fit_kde([(40.0, -100.0)])
-    peak = geo_score(single, 40.0, -100.0)
-    ok &= peak >= geo_score(single, 40.0001, -100.0001)
+        ok &= abs(quadrature_mass(one(pts, h)) - 1.0) <= 0.02
+    ((peak, near),) = geo_scores(fit([(40.0, -100.0)]), [40.0, 40.0001], [-100.0, -100.0001])
+    ok &= peak >= near
     elapsed = time.perf_counter() - t0
     report("5 kde-properties", ok and elapsed < 10.0)
 

@@ -61,7 +61,7 @@ class TestScoreCandidates:
         cs = geosoca.score_candidates([0])
         for p, row in list(zip(cs.poi_ids, cs.raw[:, 0, cs.poi_ids].T))[:5]:
             poi = pois[ds.poi_ids[p]]
-            g = oracles.geo_score(geosoca.user_kdes[0], poi.latitude, poi.longitude)
+            g = oracles.geo_score(oracles.kde_row(geosoca.user_kdes, 0), poi.latitude, poi.longitude)
             x = oracles.social_frequency(u, poi.poi_id, counts, oracles.graph_of(ds))
             s = oracles.power_law_score(geosoca.social_fit, x)
             c = oracles.power_law_score(
@@ -83,7 +83,7 @@ class TestScoreCandidates:
         history = [c.poi_id for c in train[u]]
         for p, row in list(zip(cs.poi_ids, cs.raw[:, 0, cs.poi_ids].T))[:5]:
             poi = pois[ds.poi_ids[p]]
-            g = oracles.geo_score(lore.global_kde, poi.latitude, poi.longitude)
+            g = oracles.geo_score(oracles.kde_row(lore.global_kde, 0), poi.latitude, poi.longitude)
             f = oracles.fcf_score(
                 u, poi.poi_id, counts, oracles.graph_of(ds), residences, coords
             )

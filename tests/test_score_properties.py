@@ -108,7 +108,7 @@ def check_geosoca(model: FittedModel, ds: Dataset, train) -> None:
         for p, (c1, c2, c3) in zip(cands, raw):
             poi = pois[p]
             g = oracles.expanded_kde_score(
-                model.user_kdes[i], samples, poi.latitude, poi.longitude
+                oracles.kde_row(model.user_kdes, i), samples, poi.latitude, poi.longitude
             )
             x = oracles.social_frequency(u, p, counts, social)
             s = oracles.power_law_score(model.social_fit, x)
@@ -134,7 +134,7 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
         for p, (c1, c2, c3) in zip(pos, raw):
             poi = pois[ds.poi_ids[p]]
             g = oracles.expanded_kde_score(
-                model.global_kde, samples, poi.latitude, poi.longitude
+                oracles.kde_row(model.global_kde, 0), samples, poi.latitude, poi.longitude
             )
             f = oracles.fcf_score(u, poi.poi_id, counts, social, residences, coords)
             a = oracles.amc_score(

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,14 @@ class TestHistogram:
         assert bins.sum() == 1000
 
 
+OLS_20K = """
+import numpy as np
+from poifair.temporal import ols_fit
+rng = np.random.default_rng(0)
+print(ols_fit(rng.normal(size=20_000), rng.normal(size=20_000)))
+"""
+
+
 class TestCorrelation:
     def test_identity(self):
         x = list(range(10))
@@ -272,6 +284,19 @@ class TestCorrelation:
         assert fit["slope"] == pytest.approx(coef[0], abs=1e-9)
         assert fit["intercept"] == pytest.approx(coef[1], abs=1e-9)
         assert fit["pearson_r"] == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-9)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product over threads above 10^4 values.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out.append(subprocess.run(
+                [sys.executable, "-c", OLS_20K], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout)
+        assert out[0] == out[1]
 
     def test_zero_variance_errors(self):
         with pytest.raises(ValueError):
