@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("preprocess", "parse, filter, and report dataset statistics"),
         ("analyze", "temporal profiles, groups, histogram, correlations"),
-        ("recommend", "fit models and dump top-N recommendations"),
-        ("evaluate", "ranking and fairness metrics (table3.csv)"),
+        ("recommend", "every stage, writing the same artifacts as run"),
+        ("evaluate", "every stage, writing the same artifacts as run"),
         ("sweep", "weighted-sum lambda grid search on validation"),
         ("run", "all stages end to end"),
     ):

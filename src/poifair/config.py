@@ -1,11 +1,14 @@
 """Experiment configuration: JSON-backed, with every protocol constant as a
-default rather than a hard-coded value."""
+default rather than a hard-coded value. Model, rule and objective names, and
+each default that a module already holds, are taken from that module."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+
+from . import fusion, recommend, sequential, temporal
 
 
 class ConfigError(Exception):
@@ -22,18 +25,18 @@ class ExperimentConfig:
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    work_start_hour: int = 8
-    work_end_hour: int = 18
+    work_start_hour: int = temporal.WORK_START_HOUR
+    work_end_hour: int = temporal.WORK_END_HOUR
     group_quantile: float = 0.2
-    models: list[str] = field(default_factory=lambda: ["geosoca", "lore"])
-    fusion_rules: list[str] = field(default_factory=lambda: ["product", "sum"])
+    models: list[str] = field(default_factory=lambda: list(recommend.MODEL_NAMES))
+    fusion_rules: list[str] = field(default_factory=lambda: [fusion.PRODUCT, fusion.SUM])
     sweep_step: float = 0.1
-    sweep_objective: str = "min_delta"
+    sweep_objective: str = fusion.OBJECTIVE_MIN_DELTA
     run_sweep: bool = False
     cutoffs: list[int] = field(default_factory=lambda: [10, 20])
-    session_gap_hours: float = 24.0
-    amc_alpha: float = 0.5
-    amc_memory: int = 5
+    session_gap_hours: float = sequential.SESSION_GAP_HOURS
+    amc_alpha: float = sequential.AMC_DECAY
+    amc_memory: int = sequential.AMC_MEMORY
     out_dir: str = "out"
     seed: int = 42
 
@@ -86,14 +89,14 @@ class ExperimentConfig:
             if not values or len(set(values)) < len(values):
                 raise ConfigError(f"{key} must be nonempty without repeats")
         for m in self.models:
-            if m not in ("geosoca", "lore"):
+            if m not in recommend.MODEL_NAMES:
                 raise ConfigError(f"unknown model {m!r}")
         for r in self.fusion_rules:
-            if r not in ("product", "sum", "weighted_sum"):
+            if r not in fusion.RULES:
                 raise ConfigError(f"unknown fusion rule {r!r}")
         if any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be >= 1")
-        if self.sweep_objective not in ("min_delta", "max_acc_unf"):
+        if self.sweep_objective not in fusion.OBJECTIVES:
             raise ConfigError(f"unknown sweep_objective {self.sweep_objective!r}")
         step = self.sweep_step  # the simplex grid's step must divide 1
         if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:

@@ -92,11 +92,6 @@ class PairCounts:
         indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
         return cls(indptr, np.remainder(keys, n_cols, out=keys), count, n_cols)
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row r's columns and their counts."""
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return self.col[lo:hi], self.count[lo:hi]
-
     def rows(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs of rows `rs`, row by row in that order: each pair's
         index into rs, its column and its count."""

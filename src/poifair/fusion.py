@@ -9,9 +9,11 @@ from .metrics import GroupMetrics, group_metrics
 PRODUCT = "product"
 SUM = "sum"
 WEIGHTED_SUM = "weighted_sum"
+RULES = (PRODUCT, SUM, WEIGHTED_SUM)
 
 OBJECTIVE_MIN_DELTA = "min_delta"
 OBJECTIVE_MAX_ACC_UNF = "max_acc_unf"
+OBJECTIVES = (OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF)
 
 
 def rule_lambdas(
@@ -71,21 +73,17 @@ def renormalize_weighted_sum(
     return tuple(l / total for l in masked)
 
 
-def normalize_scores(raw: np.ndarray, candidate: np.ndarray | None = None) -> np.ndarray:
+def normalize_scores(raw: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Per-context min-max normalization of (3, ..., n) scores along the
-    last axis, over the (..., n) mask `candidate` if given.
+    last axis, over the (..., n) mask `candidate`.
 
     Constant columns map to 0.5 by convention.
     """
     raw = np.asarray(raw, dtype=float)
-    if candidate is None:
-        lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
-        out = np.empty_like(raw)
-    else:
-        out = np.where(candidate, raw, np.inf)
-        lo = out.min(axis=-1, keepdims=True)
-        np.copyto(out, -np.inf, where=~candidate)
-        hi = out.max(axis=-1, keepdims=True)
+    out = np.where(candidate, raw, np.inf)
+    lo = out.min(axis=-1, keepdims=True)
+    np.copyto(out, -np.inf, where=~candidate)
+    hi = out.max(axis=-1, keepdims=True)
     span = hi - lo
     np.subtract(raw, lo, out=out)
     np.divide(out, span, out=out, where=span != 0)
@@ -118,7 +116,7 @@ def weight_sweep(
     Ties break by higher overall ndcg, then lexicographic lambdas; no gap
     (acc_unf None) is the highest acc_unf.
     """
-    if objective not in (OBJECTIVE_MIN_DELTA, OBJECTIVE_MAX_ACC_UNF):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective: {objective!r}")
     table = [group_metrics(ndcg[:, j], labels) for j in range(len(grid))]
     if objective == OBJECTIVE_MIN_DELTA:

@@ -120,16 +120,15 @@ def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
     pts, w = model.points_km, model.weights
     h1, h2 = model.bandwidth[:, 0, None], model.bandwidth[:, 1, None]
     acc, dx, dy = np.zeros(q.shape[:-1]), np.empty(q.shape[:-1]), np.empty(q.shape[:-1])
-    total = np.zeros((len(w), 1))
     for j in range(w.shape[1]):  # in place, one step of the formula at a time
         np.divide(np.subtract(q[..., 0], pts[:, j, 0, None], out=dx), h1, out=dx)
         np.divide(np.subtract(q[..., 1], pts[:, j, 1, None], out=dy), h2, out=dy)
         np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
         np.exp(np.multiply(dx, -0.5, out=dx), out=dx)
         acc += np.multiply(dx, w[:, j, None], out=dx)
-        total += w[:, j, None]
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
-    return norm * (acc / total)
+    # Weights are check-in counts, so their sum is exact in any order.
+    return norm * (acc / w.sum(axis=1, keepdims=True))
 
 
 def geo_scores(model: KdeModel, lats, lons) -> np.ndarray:

@@ -129,10 +129,9 @@ class Pipeline:
             d = parse_dataset(
                 self.cfg.checkin_path, self.cfg.poi_path, self.cfg.social_path
             )
-            if d.load_report is not None:
-                self._write(self.out / "load_report.json", d.load_report.to_json())
-                self.counts["parse.blocks"] = d.load_report.blocks
-                self.counts["parse.scalar_lines"] = d.load_report.scalar_lines
+            self._write(self.out / "load_report.json", d.load_report.to_json())
+            self.counts["parse.blocks"] = d.load_report.blocks
+            self.counts["parse.scalar_lines"] = d.load_report.scalar_lines
             return d
 
     def preprocess(self, d: Dataset) -> Dataset:
@@ -265,7 +264,7 @@ class Pipeline:
                     cs = model.score_candidates(scored[lo:lo + step])
                     t1 = time.perf_counter()
                     blocks += 1
-                    candidates += len(cs.poi_ids)
+                    candidates += int(np.count_nonzero(cs.candidate))
                     has = cs.candidate.any(axis=1)
                     if not has.all():
                         cs = cs.take(has)

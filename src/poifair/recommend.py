@@ -179,18 +179,12 @@ def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None, out=None) -> n
     return fused
 
 
-# Inputs of at most this many scores are fully sorted: below it one stable
-# argsort beats the partition path's fixed cost (crossover measured at 1.5k to
-# 2.5k float64 scores on x86-64; a 210-wide row sorts in about 5 us).
-FULL_SORT_MAX_SIZE = 2048
-
-
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k largest finite scores along the last axis, by
     descending score, equal scores in position order: exactly
     `np.argsort(-scores, axis=-1, kind="stable")[..., :k]`.
 
-    Large inputs take each row's k-th largest score t with one partition.
+    With k < n, each row's k-th largest score t comes from one partition.
     Every top-k position has a score >= t, and those positions come out of
     `flatnonzero` in ascending order, row by row, so a stable sort of each
     row's positions alone, cut at k, is the full sort's prefix; ties at t
@@ -199,7 +193,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = scores.shape[-1]
-    if k >= n or scores.size <= FULL_SORT_MAX_SIZE:
+    if k >= n:
         return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     rows = scores.reshape(-1, n)
     t = np.partition(rows, n - k, axis=-1)[:, n - k]
@@ -208,7 +202,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     r = at // n
     width = np.bincount(r, minlength=len(rows))
     slot = np.arange(len(at)) - (np.cumsum(width) - width)[r]
-    key = np.full((len(rows), int(width.max())), np.nan)
+    key = np.full((len(rows), int(width.max(initial=0))), np.nan)
     key[r, slot] = -rows.ravel()[at]
     pos = np.zeros(key.shape, dtype=at.dtype)
     pos[r, slot] = at

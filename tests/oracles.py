@@ -977,6 +977,12 @@ class UserScores:
     enabled: tuple[bool, bool, bool]
 
 
+def csr_row(counts, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r of a library `PairCounts`: its columns and their counts."""
+    lo, hi = counts.indptr[r], counts.indptr[r + 1]
+    return counts.col[lo:hi], counts.count[lo:hi]
+
+
 def user_social_frequency(friends, bounds, poi, n_pois) -> np.ndarray:
     """The friends' total training check-ins at each POI code."""
     lo, hi = bounds[friends], bounds[friends + 1]
@@ -988,7 +994,7 @@ def user_social_frequency(friends, bounds, poi, n_pois) -> np.ndarray:
 def user_category_frequency(model, u: int) -> np.ndarray:
     """A library `CategoricalModel`'s frequency for user code u, by POI
     code."""
-    pois, n = model.visits.row(u)
+    pois, n = csr_row(model.visits, u)
     user_counts = np.bincount(model.category[pois], weights=n, minlength=model.n_slots)
     return user_counts[model.category] * model.popularity
 
@@ -1005,7 +1011,7 @@ def user_fcf_score(u, friends, visits, residence, lats, lons) -> np.ndarray:
     for v in friends:
         rv = residence[v]
         sim = 1.0 / (1.0 + distance_km(lats[ru], lons[ru], lats[rv], lons[rv]))
-        pois, n = visits.row(v)
+        pois, n = csr_row(visits, v)
         num[pois] += sim * n
         den += sim
     return num / den
@@ -1061,11 +1067,11 @@ def score_user(model, u: int) -> UserScores:
     has not visited in train, one user at a time."""
     n_pois = len(model.poi_ids)
     candidate = np.ones(n_pois, dtype=bool)
-    candidate[model.visits.row(u)[0]] = False
+    candidate[csr_row(model.visits, u)[0]] = False
     pos = np.flatnonzero(candidate)
     if not len(pos):
         return UserScores(pos, np.zeros((0, 3)), model.enabled)
-    friends = model.friends.row(u)[0]
+    friends = csr_row(model.friends, u)[0]
     if model.name == GEOSOCA:
         c1 = geo.geo_scores(model.user_kdes.take([u]), model.lats[pos], model.lons[pos])[0]
         totals = user_social_frequency(friends, model.bounds, model.poi, n_pois)

@@ -1,11 +1,14 @@
+import ast
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from poifair import pipeline
+from poifair import config, fusion, pipeline
 from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from poifair.config import ExperimentConfig
+from poifair.recommend import MODEL_NAMES
 from poifair.synth import SynthConfig, generate, write_tsv
 
 
@@ -50,6 +53,17 @@ class TestConfig:
         assert (cfg.work_start_hour, cfg.work_end_hour) == (8, 18)
         assert cfg.group_quantile == 0.2
         assert cfg.seed == 42
+
+    def test_names_come_from_the_modules(self):
+        """config.py spells no model, fusion-rule or sweep-objective name; it
+        takes them from the modules that implement them."""
+        names = {*MODEL_NAMES, *fusion.RULES, *fusion.OBJECTIVES}
+        tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+        spelled = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names
+        ]
+        assert spelled == []
 
     def test_unknown_key_rejected(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files, mystery=1)

@@ -129,17 +129,17 @@ class TestRenormalize:
 
 class TestNormalize:
     def test_min_max(self):
-        out = normalize_scores(np.array([[2.0, 4.0, 6.0]]))
+        out = normalize_scores(np.array([[2.0, 4.0, 6.0]]), np.ones(3, dtype=bool))
         assert out.ravel() == pytest.approx([0.0, 0.5, 1.0])
 
     def test_constant_convention(self):
-        out = normalize_scores(np.array([[3.0, 3.0, 3.0]]))
+        out = normalize_scores(np.array([[3.0, 3.0, 3.0]]), np.ones(3, dtype=bool))
         assert out.ravel() == pytest.approx([0.5, 0.5, 0.5])
 
     def test_random_matches_direct_formula(self):
         rng = np.random.default_rng(3)
         raw = rng.random((40, 3)) * 100
-        out = normalize_scores(raw.T).T
+        out = normalize_scores(raw.T, np.ones(len(raw), dtype=bool)).T
         for j in range(3):
             lo, hi = raw[:, j].min(), raw[:, j].max()
             assert out[:, j] == pytest.approx((raw[:, j] - lo) / (hi - lo), abs=1e-12)
@@ -147,7 +147,7 @@ class TestNormalize:
     def test_preserves_candidate_ordering(self):
         rng = np.random.default_rng(4)
         raw = rng.random((30, 3))
-        out = normalize_scores(raw.T).T
+        out = normalize_scores(raw.T, np.ones(len(raw), dtype=bool)).T
         for j in range(3):
             assert np.array_equal(np.argsort(raw[:, j]), np.argsort(out[:, j]))
 

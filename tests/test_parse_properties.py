@@ -112,7 +112,7 @@ def check_same(tmp_path, world):
     assert got.category.tolist() == category.tolist()
     assert got.category_ids == category_ids
     friends = got.friends()
-    assert [friends.row(u)[0].tolist() for u in range(len(got.user_ids))] == (
+    assert [oracles.csr_row(friends, u)[0].tolist() for u in range(len(got.user_ids))] == (
         oracles.friend_codes(want.social, want.user_ids)
     )
     assert got.edges.tolist() == oracles.edge_rows(want.social, want.user_ids).tolist()

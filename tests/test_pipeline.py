@@ -121,7 +121,7 @@ def test_sweep_matches_per_point_oracle(world, tmp_path, objective, step):
     train, val, _ = oracles.checkin_lists(split)
     user_ids, names = split.dataset.user_ids, split.dataset.poi_ids
     truth = ground_truth(split, VALIDATION)
-    val_relevant = {u: set(truth.row(u)[0].tolist()) for u in range(len(user_ids))}
+    val_relevant = {u: set(oracles.csr_row(truth, u)[0].tolist()) for u in range(len(user_ids))}
     assert {user_ids[u]: {names[p] for p in rel} for u, rel in val_relevant.items()} == {
         u: {c.poi_id for c in val[u]} - {c.poi_id for c in train[u]} for u in train
     }

@@ -5,7 +5,6 @@ codes against their user-keyed oracles, and multi-row fusion against one-row
 calls and the one-candidate fusion oracle, bit for bit."""
 import struct
 from dataclasses import asdict
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from poifair.fusion import (
     simplex_grid,
     weight_sweep,
 )
-from poifair import recommend
 from poifair.metrics import evaluate_run, hit_matrix, ranking_metrics
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.recommend import CandidateScores, fused_scores, recommend_topn, top_k
@@ -73,43 +71,51 @@ def test_topn_signed_zero_ties_break_by_poi_id():
 
 @st.composite
 def score_matrices(draw):
-    """(scores, k): G = 1 (as one row or 1-D) or G = 66 rows, values drawn
-    from a small pool so that ties are common, with a run of zeros of both
-    signs across every row."""
+    """(scores, k): a (B, G, n) block as the recommend stage ranks it, B
+    users of G = 1 or 66 rows, or one user's rows without the block axis
+    (and one row as 1-D); values drawn from a small pool so that ties are
+    common, with a run of zeros of both signs across every row."""
+    b = draw(st.sampled_from([1, 2, 6, 47]))
     g = draw(st.sampled_from([1, 66]))
     n = draw(st.integers(min_value=1, max_value=60))
     pool = np.array(draw(st.lists(score_st, min_size=1, max_size=6)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    scores = rng.choice(pool, size=(g, n))
+    scores = rng.choice(pool, size=(b, g, n))
     lo = draw(st.integers(min_value=0, max_value=n))
     hi = draw(st.integers(min_value=lo, max_value=n))
-    scores[:, lo:hi] = rng.choice([0.0, -0.0], size=(g, hi - lo))
-    if g == 1 and draw(st.booleans()):
+    scores[..., lo:hi] = rng.choice([0.0, -0.0], size=(b, g, hi - lo))
+    if b == 1 and draw(st.booleans()):
         scores = scores[0]
+        if g == 1 and draw(st.booleans()):
+            scores = scores[0]
     k = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=n + 3)))
     return scores, k
 
 
-@pytest.mark.parametrize("full_sort_max", [-1, 10**9], ids=["partition", "full-sort"])
 @settings(max_examples=200, deadline=None)
 @given(case=score_matrices())
-def test_top_k_equals_stable_argsort(case, full_sort_max):
-    """Both branches of top_k's shape cut give the stable argsort's prefix,
-    which is a Python sort by (-score, position)."""
+def test_top_k_equals_stable_argsort(case):
+    """top_k gives the stable argsort's prefix, which is a Python sort by
+    (-score, position)."""
     scores, k = case
-    with mock.patch.object(recommend, "FULL_SORT_MAX_SIZE", full_sort_max):
-        got = top_k(scores, k)
+    got = top_k(scores, k)
     want = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     assert got.shape == want.shape
     assert got.tolist() == want.tolist()
-    for row, top in zip(np.atleast_2d(scores).tolist(), np.atleast_2d(got).tolist()):
+    n, kept = scores.shape[-1], got.shape[-1]
+    for row, top in zip(scores.reshape(-1, n).tolist(), got.reshape(-1, kept).tolist()):
         assert top == sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
 
 
-@pytest.mark.parametrize("shape", [(210,), (1, 210), (66, 210), (4000,)])
+@pytest.mark.parametrize(
+    "shape", [(47, 1, 230), (6, 1, 230), (2, 66, 230), (1, 66, 4000), (0, 1, 230)]
+)
 def test_top_k_at_pipeline_shapes(shape):
-    """The shapes evaluate and the sweep pass, on whichever branch the shape
-    cut takes, with a tenth of the scores zero and the rest on a 0.01 grid."""
+    """The (users, rule rows, POIs) blocks that the recommend stage ranks:
+    product and sum blocks of 47 users of the benchmark corpus's 230 POIs
+    and their 6-user tail, a weighted-sum block of 2 users, one user's
+    weighted-sum rows over 4,000 POIs, and an empty block. A tenth of the
+    scores are zero and the rest on a 0.01 grid."""
     rng = np.random.default_rng(sum(shape))
     scores = np.round(rng.random(shape), 2)
     scores[..., rng.random(shape[-1]) < 0.1] = 0.0
@@ -304,7 +310,7 @@ def test_stacked_weighted_sum_rows_equal_per_point_fusion(raw, enabled, step):
     cs = candidate_scores(raw, enabled)
     (rows,) = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid))
     assert rows.shape == (len(grid), len(raw))
-    normalized = normalize_scores(raw.T).T
+    normalized = normalize_scores(raw.T, np.ones(len(raw), dtype=bool)).T
     for row, point in zip(rows, grid):
         one = rule_lambdas(WEIGHTED_SUM, enabled, [point])
         assert row.tobytes() == fused_scores(cs, one).tobytes()
@@ -328,7 +334,8 @@ def test_stacked_arbitrary_weights_equal_per_set_fusion(raw, lambdas, enabled, r
             fuse_arrays(raw.T, None, enabled).tobytes()
         )
     else:
-        mat, stacked = normalize_scores(raw.T).T, np.array(lambdas)
+        mat = normalize_scores(raw.T, np.ones(len(raw), dtype=bool)).T
+        stacked = np.array(lambdas)
     rows = fuse_arrays(mat.T, stacked, enabled)
     assert rows.shape == (1 if stacked is None else len(lambdas), len(raw))
     for g, row in enumerate(rows):

@@ -166,9 +166,9 @@ def check_fit_structures(ds: Dataset, split) -> None:
 
     counts = oracles.visit_counts(train)
     visits = lore.visits
+    rows = [oracles.csr_row(visits, i) for i in range(len(users))]
     assert {
-        u: dict(zip((pois[p] for p in visits.row(i)[0]), visits.row(i)[1].tolist()))
-        for i, u in enumerate(users)
+        u: dict(zip((pois[p] for p in at), n.tolist())) for u, (at, n) in zip(users, rows)
     } == counts
     assert {
         users[i]: pois[r] for i, r in enumerate(lore.residence.tolist()) if r >= 0
