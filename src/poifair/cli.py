@@ -8,8 +8,10 @@ import argparse
 import logging
 import sys
 
-from .config import ConfigError, ExperimentConfig
+# Imported first: where bytecode is not cached, data.py, the largest module,
+# is then compiled before numpy fills the heap, which lowers the peak RSS.
 from .data import DataError
+from .config import ConfigError, ExperimentConfig
 from .pipeline import StageFailure, run_pipeline
 
 EXIT_OK = 0

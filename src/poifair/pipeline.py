@@ -31,12 +31,20 @@ from .data import (
 from .fusion import (
     PRODUCT,
     WEIGHTED_SUM,
+    fuse_arrays,
     rule_lambdas,
     simplex_grid,
     weight_sweep,
 )
 from .metrics import evaluate_run, hit_matrix, ranking_metrics
-from .recommend import FittedModel, block_rows, fused_scores, recommend_topn, score_block_rows
+from .recommend import (
+    FittedModel,
+    block_rows,
+    fused_scores,
+    normalized_scores,
+    recommend_topn,
+    score_block_rows,
+)
 from .temporal import (
     assign_groups,
     build_profiles,
@@ -107,6 +115,47 @@ def ground_truth(split: SplitDataset, part: int) -> PairCounts:
     n_pois = len(held.poi_ids)
     new = ~train.visits().contains(held.user, held.poi)
     return PairCounts.of(held.user[new], held.poi[new], len(held.user_ids), n_pois)
+
+
+class GridContexts:
+    """Per ranked user, the normalised (c1, c2, c3) of each distinct POI code
+    that the user's weighted-sum grid lists name, as CSR: user i's codes are
+    `poi[indptr[i]:indptr[i + 1]]`, ascending, one `values` row each.
+    `enabled` is the model's. Rows are appended a block of users at a time,
+    each array grown in place."""
+
+    def __init__(self, enabled: tuple[bool, bool, bool]):
+        self.enabled = enabled
+        self.indptr = np.zeros(1, dtype=np.intp)
+        self.poi = np.empty(0, dtype=np.int32)
+        self.values = np.empty((0, 3))
+
+    def add(self, named: np.ndarray, normalized: np.ndarray) -> None:
+        """Append a block's users: the (B, n_pois) mask of the POIs their
+        lists name and their (3, B, n_pois) normalised scores."""
+        row, poi = np.nonzero(named)
+        end, n = len(self.indptr), len(self.poi)
+        # A realloc each: the arrays grow by the block, not by a copy.
+        self.indptr.resize(end + len(named), refcheck=False)
+        self.indptr[end:] = n + np.cumsum(np.bincount(row, minlength=len(named)))
+        self.poi.resize(n + len(poi), refcheck=False)
+        self.poi[n:] = poi
+        self.values.resize((n + len(poi), 3), refcheck=False)
+        self.values[n:] = normalized[:, row, poi].T
+
+    def fused(self, top: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+        """The (users, K) scores of one grid row's lists `top`, -1 past a
+        short list, fused from their POIs' contexts with that row's one
+        `lambdas` row: the grid's element-wise fuse, so each score is its
+        grid score bit for bit. 0.0 past a short list."""
+        listed = top >= 0
+        n_cols = int(self.poi.max(initial=0)) + 1
+        users = np.arange(len(self.indptr) - 1, dtype=np.int64)
+        keys = np.repeat(users * n_cols, np.diff(self.indptr)) + self.poi
+        want = (users[:, None] * n_cols + top)[listed]
+        contexts = np.zeros((3,) + top.shape)
+        contexts[:, listed] = self.values[np.searchsorted(keys, want)].T
+        return fuse_arrays(contexts, lambdas, self.enabled)[:, 0]
 
 
 class Pipeline:
@@ -220,12 +269,16 @@ class Pipeline:
     def fit_and_recommend(self, split: SplitDataset, rules):
         """Fit each model once and rank each user once. Per model: the ranked
         user codes, ascending, and per rule in `rules` their (users, rows, K)
-        top POI codes, -1 past a short list, and fused scores, K being
-        max(cutoffs). Weighted-sum has a row per simplex grid point, the
-        other rules one. Users are scored, fused and ranked a block at a
-        time, blocks sized by `recommend.BLOCK_BYTES`, and raw scores are
-        dropped block by block. Users with no training check-in or no
-        candidate are counted and left out."""
+        int32 top POI codes, -1 past a short list, K being max(cutoffs),
+        with what gives their scores. A one-row rule (product, sum) keeps
+        its (users, 1, K) fused scores, 0.0 past a short list. Weighted-sum
+        has a row per simplex grid point and keeps, instead of scores, the
+        `GridContexts` of the POIs its lists name, from which evaluate
+        re-fuses a row's scores. Users are scored, fused and ranked a block
+        at a time, blocks sized by `recommend.BLOCK_BYTES`; the grid
+        normalises a block once for its fuse and its context rows, and raw
+        scores are dropped block by block. Users with no training check-in
+        or no candidate are counted and left out."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
             scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
@@ -257,7 +310,12 @@ class Pipeline:
                     # Fused in place: a fresh array per block costs page faults.
                     sub = max(1, min(step, len(scored), block_rows(8 * rows * n_pois)))
                     buf = np.empty((sub, rows, n_pois))
-                    lists[rule] = lam, buf, np.full(shape, -1, dtype=np.int32), np.zeros(shape)
+                    # A one-row rule keeps its scores, 8 bytes a list slot; a
+                    # grid keeps a 28-byte context row per distinct listed POI.
+                    held = np.zeros(shape) if rows == 1 else GridContexts(model.enabled)
+                    # Codes are filled block by block, so their pages are
+                    # touched as their users are ranked.
+                    lists[rule] = lam, buf, np.empty(shape, dtype=np.int32), held
                 users, n, candidates, blocks = [], 0, 0, 0
                 for lo in range(0, len(scored), step):
                     t0 = time.perf_counter()
@@ -268,15 +326,29 @@ class Pipeline:
                     has = cs.candidate.any(axis=1)
                     if not has.all():
                         cs = cs.take(has)
-                    for lam, buf, codes, scores in lists.values():
+                    for lam, buf, codes, held in lists.values():
+                        codes[n:n + len(cs.users)] = -1
+                        grid_rows = isinstance(held, GridContexts)
+                        if grid_rows:
+                            # Normalised once, for the fuse and the context rows.
+                            normalized = normalized_scores(cs)
+                            named = np.zeros(cs.candidate.shape, dtype=bool)
                         for a in range(0, len(cs.users), len(buf)):
                             part = cs.take(slice(a, a + len(buf)))
                             m = len(part.users)
-                            top, vals = recommend_topn(pois, fused_scores(part, lam, buf[:m]), k)
+                            mat = normalized[:, a:a + m] if grid_rows else None
+                            top, vals = recommend_topn(pois, fused_scores(part, lam, buf[:m], mat), k)
                             listed = vals > -np.inf
                             at = slice(n + a, n + a + m)
                             codes[at, :, :top.shape[2]] = np.where(listed, top, -1)
-                            scores[at, :, :top.shape[2]] = np.where(listed, vals, 0.0)
+                            if grid_rows:
+                                # Exactly the candidates are listed, in every
+                                # row that selects them: one value a POI.
+                                named[np.arange(a, a + m)[:, None, None], top] = listed
+                            else:
+                                held[at, :, :top.shape[2]] = np.where(listed, vals, 0.0)
+                        if grid_rows:
+                            held.add(named, normalized)
                     users.append(cs.users)
                     n += len(cs.users)
                     score_s += t1 - t0
@@ -292,7 +364,8 @@ class Pipeline:
                 self.counts[f"recommend.candidates.{name}"] = candidates
                 self.counts[f"recommend.empty_candidate_users.{name}"] = empty
                 ranked[name] = np.concatenate(users or [np.empty(0, dtype=np.intp)]), {
-                    rule: (codes[:n], scores[:n]) for rule, (_, _, codes, scores) in lists.items()
+                    rule: (codes[:n], held[:n] if isinstance(held, np.ndarray) else held)
+                    for rule, (_, _, codes, held) in lists.items()
                 }
             return ranked
 
@@ -357,9 +430,15 @@ class Pipeline:
                 self.counts[f"evaluate.users_without_test.{name}"] = int((n_relevant == 0).sum())
                 hits_by_rule = {}
                 for rule in self.cfg.fusion_rules:
-                    # Weighted-sum's list is the best lambdas' grid row.
-                    g = grid.index(best_lambdas[name]) if rule == WEIGHTED_SUM else 0
-                    top, scores = (a[:, g] for a in lists[rule])
+                    codes, held = lists[rule]
+                    if rule == WEIGHTED_SUM:
+                        # The best lambdas' grid row, its scores re-fused
+                        # from the contexts of the POIs it lists.
+                        best = best_lambdas[name]
+                        top = codes[:, grid.index(best)]
+                        scores = held.fused(top, rule_lambdas(rule, held.enabled, [best]))
+                    else:
+                        top, scores = codes[:, 0], held[:, 0]
                     hits_by_rule[rule] = hit_matrix(relevant, users, top)
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",

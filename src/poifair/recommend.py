@@ -168,12 +168,24 @@ class FittedModel:
         )
 
 
-def fused_scores(cs: CandidateScores, lambdas: np.ndarray | None, out=None) -> np.ndarray:
+def normalized_scores(cs: CandidateScores) -> np.ndarray:
+    """A block's (3, B, n_pois) context scores min-max-normalized over each
+    user's candidates, which the additive rules fuse."""
+    return normalize_scores(cs.raw, cs.candidate)
+
+
+def fused_scores(
+    cs: CandidateScores, lambdas: np.ndarray | None, out=None, normalized=None
+) -> np.ndarray:
     """Fuse a block's context scores with a rule's `rule_lambdas`, one row
-    per lambda row: product (None) on raw scores, additive rules on scores
-    min-max-normalized over each user's candidates. (B, G, n_pois), into
-    `out` if given, -inf at every POI that is not a candidate."""
-    mat = cs.raw if lambdas is None else normalize_scores(cs.raw, cs.candidate)
+    per lambda row: product (None) on raw scores, additive rules on the
+    block's `normalized_scores`, taken from `normalized` if given.
+    (B, G, n_pois), into `out` if given, -inf at every POI that is not a
+    candidate."""
+    if lambdas is None:
+        mat = cs.raw
+    else:
+        mat = normalized_scores(cs) if normalized is None else normalized
     fused = fuse_arrays(mat, lambdas, cs.enabled, out)
     np.copyto(fused, -np.inf, where=~cs.candidate[:, None, :])
     return fused

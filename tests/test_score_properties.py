@@ -265,7 +265,9 @@ def without_training_rows(split: SplitDataset, u: int) -> SplitDataset:
 def check_blocks_against_users(split, cfg, users_per_block) -> None:
     """The pipeline's lists, and each block's raw and fused scores, at
     `users_per_block` users per block (None: one block), equal the
-    per-user path's bit for bit."""
+    per-user path's bit for bit. Weighted-sum keeps the normalised contexts
+    of the POIs its grid lists name, and every grid row's scores, re-fused
+    from them as evaluate does, are the per-user scores."""
     train = split.columns(TRAIN)
     n_pois = len(train.poi_ids)
     budget = 1 << 40 if users_per_block is None else users_per_block * 24 * n_pois
@@ -278,6 +280,7 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
             scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
             step = recommend.score_block_rows(n_pois)
             want_users, want = [], {rule: ([], []) for rule in RULES}
+            want_contexts = []
             lams = {rule: rule_lambdas(rule, model.enabled, grid) for rule in RULES}
             for lo in range(0, len(scored), step):
                 cs = model.score_candidates(scored[lo:lo + step])
@@ -303,12 +306,26 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
                         pad = K - top.shape[1]
                         want[rule][0].append(np.pad(top, ((0, 0), (0, pad)), constant_values=-1))
                         want[rule][1].append(np.pad(vals, ((0, 0), (0, pad))))
+                    grid_codes = want[WEIGHTED_SUM][0][-1]
+                    named = np.unique(grid_codes[grid_codes >= 0])
+                    at = np.searchsorted(one.poi_ids, named)
+                    want_contexts.append((named, oracles.normalize_user_scores(one.raw)[at]))
             users, lists = ranked[name]
             assert users.tolist() == want_users
             for rule, (codes, scores) in want.items():
-                got_codes, got_scores = lists[rule]
+                got_codes, got = lists[rule]
                 assert got_codes.tolist() == np.array(codes).reshape(got_codes.shape).tolist()
-                assert got_scores.tobytes() == np.array(scores).reshape(got_scores.shape).tobytes()
+                scores = np.array(scores).reshape(got_codes.shape)
+                if rule == WEIGHTED_SUM:
+                    for i, (named, contexts) in enumerate(want_contexts):
+                        row = slice(got.indptr[i], got.indptr[i + 1])
+                        assert got.poi[row].tolist() == named.tolist()
+                        assert got.values[row].tobytes() == contexts.tobytes()
+                    got = np.stack([
+                        got.fused(got_codes[:, g], rule_lambdas(rule, model.enabled, [point]))
+                        for g, point in enumerate(grid)
+                    ], axis=1)
+                assert got.tobytes() == scores.tobytes()
 
 
 # u0 visits both POIs in train; u1, u0's friend, keeps no training check-in.
@@ -336,8 +353,23 @@ THREE_FRIENDS = (
 )
 
 
+# No POI has a category, so GeoSoCa's categorical context is disabled.
+NO_CATEGORIES = (
+    [(0, None), (1, None), (2, None)],
+    [[(0, 1), (1, 2), (2, 3), (0, 30)], [(2, 1), (1, 1), (0, 5), (2, 2)]],
+    0,
+    [(0, 1)],
+)
+
+
+def test_no_categories_example_disables_c3():
+    train = temporal_split(build(NO_CATEGORIES)).columns(TRAIN)
+    assert FittedModel(GEOSOCA, train).enabled == (True, True, False)
+
+
 @settings(max_examples=40, deadline=None)
 @example(SINGLE_CANDIDATE, 5, None)
+@example(NO_CATEGORIES, 2, None)
 @example(FULL_AND_GONE, 2, 1)
 @example(THREE_FRIENDS, 5, None)
 @given(worlds(), st.sampled_from([1, 2, 5, 9]), st.one_of(st.none(), st.integers(0, 4)))
