@@ -15,7 +15,8 @@ from .temporal import LEISURE, WORKING
 
 @dataclass(frozen=True)
 class RankingMetrics:
-    """Per-row metrics, each an (R,) float array."""
+    """Per-list metrics, each a float array shaped as the lists' leading
+    axes: (users,) for one list a user, (users, rows) for a grid's."""
 
     precision: np.ndarray
     recall: np.ndarray
@@ -28,36 +29,35 @@ class GroupMetrics:
     ndcg_leisure: float
     ndcg_working: float
     delta_ndcg: float  # |ndcg_leisure - ndcg_working|
-    delta_ndcg_signed: float
     acc_unf: float | None  # None when delta is exactly 0
     pct_delta: float | None  # None when no baseline supplied
 
 
 def ranking_metrics(hits: np.ndarray, n_relevant: np.ndarray, n: int) -> RankingMetrics:
-    """Precision/recall/nDCG at cutoff n with binary gains, one row per list.
+    """Precision/recall/nDCG at cutoff n with binary gains, one value per list.
 
-    hits is an (R, <= n) bool matrix, True where a list's item at that rank
-    is relevant; a list shorter than n has no hit past its end. n_relevant
-    is each row's number of relevant items. The DCG discount is
-    1/log2(rank+1) with 1-indexed ranks; IDCG assumes min(n, n_relevant)
-    hits at the top. DCG adds one rank column at a time, left to right, and
-    IDCG is a sequential prefix sum, so each row equals the scalar sums taken
-    in rank order."""
+    hits is a (..., <= n) bool array, True where a list's item at that rank
+    is relevant; a list shorter than n has no hit past its end. n_relevant,
+    each list's number of relevant items, broadcasts against the leading
+    axes of hits. The DCG discount is 1/log2(rank+1) with 1-indexed ranks;
+    IDCG assumes min(n, n_relevant) hits at the top. DCG adds one rank
+    column at a time, left to right, and IDCG is a sequential prefix sum, so
+    each list's values equal the scalar sums taken in rank order."""
     if n < 1:
         raise ValueError("cutoff must be >= 1")
-    hits = np.asarray(hits, dtype=bool)[:, :n]
+    hits = np.asarray(hits, dtype=bool)[..., :n]
     n_relevant = np.asarray(n_relevant, dtype=np.intp)
     discounts = [1.0 / math.log2(rank + 1) for rank in range(1, n + 1)]
-    dcg = np.zeros(len(hits))
-    for j in range(hits.shape[1]):
-        dcg[hits[:, j]] += discounts[j]
+    dcg = np.zeros(hits.shape[:-1])
+    for j in range(hits.shape[-1]):
+        dcg[hits[..., j]] += discounts[j]
     idcg = np.array(list(itertools.accumulate(discounts, initial=0.0)))[
         np.minimum(n, n_relevant)
     ]
-    n_hits = hits.sum(axis=1)
-    recall = np.zeros(len(hits))
+    n_hits = hits.sum(axis=-1)
+    recall = np.zeros(dcg.shape)
     np.divide(n_hits, n_relevant, out=recall, where=n_relevant > 0)
-    ndcg = np.zeros(len(hits))
+    ndcg = np.zeros(dcg.shape)
     np.divide(dcg, idcg, out=ndcg, where=idcg > 0)
     return RankingMetrics(precision=n_hits / n, recall=recall, ndcg=ndcg)
 
@@ -69,8 +69,7 @@ def fairness_summary(
     baseline_delta: float | None = None,
 ) -> GroupMetrics:
     """Fairness columns from already-aggregated group nDCG values."""
-    signed = ndcg_leisure - ndcg_working
-    delta = abs(signed)
+    delta = abs(ndcg_leisure - ndcg_working)
     acc_unf = ndcg_all / delta if delta > 0 else None
     if baseline_delta is None:
         pct = None
@@ -83,7 +82,6 @@ def fairness_summary(
         ndcg_leisure=ndcg_leisure,
         ndcg_working=ndcg_working,
         delta_ndcg=delta,
-        delta_ndcg_signed=signed,
         acc_unf=acc_unf,
         pct_delta=pct,
     )
@@ -136,37 +134,32 @@ def hit_matrix(relevant: PairCounts, users, top: np.ndarray) -> np.ndarray:
 
 
 def evaluate_run(
-    hits: np.ndarray,
-    n_relevant: np.ndarray,
+    metrics: RankingMetrics,
     labels: np.ndarray,
+    n_skipped: int,
     cutoff: int,
     model: str,
     fusion: str,
     baseline_delta: float | None = None,
 ) -> EvalReport:
-    """One report row: metrics macro-averaged over users with nonempty test sets.
-
-    Hit rows are the recommended-for users' lists, in user code order; users
-    with no relevant POI are excluded and counted.
-    """
-    kept = n_relevant > 0
-    if not kept.any():
+    """One report row: the per-user metrics of the users with a relevant
+    POI, in user code order, macro-averaged; labels are those users' groups
+    and n_skipped counts the ranked users left out for want of one."""
+    if not len(labels):
         raise ValueError("no users with nonempty test sets")
-    m = ranking_metrics(hits[kept], n_relevant[kept], cutoff)
-    gm = group_metrics(m.ndcg, labels[kept], baseline_delta)
-    n_evaluated = int(kept.sum())
+    gm = group_metrics(metrics.ndcg, labels, baseline_delta)
     return EvalReport(
         model=model,
         fusion=fusion,
         cutoff=cutoff,
-        precision=_mean(m.precision.tolist()),
-        recall=_mean(m.recall.tolist()),
+        precision=_mean(metrics.precision.tolist()),
+        recall=_mean(metrics.recall.tolist()),
         ndcg=gm.ndcg_all,
         ndcg_leisure=gm.ndcg_leisure,
         ndcg_working=gm.ndcg_working,
         delta_ndcg=gm.delta_ndcg,
         pct_delta=gm.pct_delta,
         acc_unf=gm.acc_unf,
-        n_users_evaluated=n_evaluated,
-        n_users_skipped=len(kept) - n_evaluated,
+        n_users_evaluated=len(labels),
+        n_users_skipped=n_skipped,
     )

@@ -9,7 +9,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .fusion import (
     simplex_grid,
     weight_sweep,
 )
-from .metrics import evaluate_run, hit_matrix, ranking_metrics
+from .metrics import evaluate_run, group_metrics, hit_matrix, ranking_metrics
 from .recommend import (
     FittedModel,
     block_rows,
@@ -115,6 +115,23 @@ def ground_truth(split: SplitDataset, part: int) -> PairCounts:
     n_pois = len(held.poi_ids)
     new = ~train.visits().contains(held.user, held.poi)
     return PairCounts.of(held.user[new], held.poi[new], len(held.user_ids), n_pois)
+
+
+def user_metrics(relevant: PairCounts, users: np.ndarray, codes: np.ndarray, cutoffs):
+    """The positions in `users`, ranked user codes, of the users with a
+    relevant POI, and per cutoff the `RankingMetrics` of their lists
+    `codes`, (users, ..., K) int32 POI codes, -1 past a short list: arrays
+    shaped (kept users, ...). Hits are marked a block of users at a time
+    under the common budget: hit_matrix holds three int64s per entry."""
+    n_relevant = np.diff(relevant.indptr)[users]
+    kept = np.flatnonzero(n_relevant)
+    hits = np.empty((len(kept), *codes.shape[1:-1], max(cutoffs)), dtype=bool)
+    step = block_rows(3 * 8 * int(np.prod(hits.shape[1:])))
+    for lo in range(0, len(kept), step):
+        at = kept[lo:lo + step]
+        hits[lo:lo + step] = hit_matrix(relevant, users[at], codes[at, ..., :hits.shape[-1]])
+    n_relevant = n_relevant[kept].reshape(-1, *(1,) * (hits.ndim - 2))
+    return kept, {n: ranking_metrics(hits, n_relevant, n) for n in cutoffs}
 
 
 class GridContexts:
@@ -370,8 +387,9 @@ class Pipeline:
             return ranked
 
     def sweep(self, ranked, labels, split: SplitDataset):
-        """Tune weighted-sum lambdas on the validation split, on the first
-        cutoff columns of the grid lists of the users with a relevant POI."""
+        """Tune weighted-sum lambdas on the validation split: nDCG of the
+        grid lists at 10 when 10 is a cutoff, else at the first cutoff,
+        over the users with a relevant POI."""
         with self._stage("sweep"):
             relevant = ground_truth(split, VALIDATION)
             cutoff = 10 if 10 in self.cfg.cutoffs else self.cfg.cutoffs[0]
@@ -379,23 +397,10 @@ class Pipeline:
             best_lambdas = {}
             all_rows = []
             for name, (users, lists) in sorted(ranked.items()):
-                kept = np.diff(relevant.indptr)[users] > 0
-                self.counts[f"sweep.users_without_validation.{name}"] = int((~kept).sum())
-                codes, _ = lists[WEIGHTED_SUM]
-                at, users = np.flatnonzero(kept), users[kept]
-                hits = np.empty((len(users), len(grid), cutoff), dtype=bool)
-                # Users in blocks: hit_matrix holds three int64s per entry.
-                step = block_rows(3 * 8 * len(grid) * cutoff)
-                for lo in range(0, len(users), step):
-                    block = slice(lo, lo + step)
-                    hits[block] = hit_matrix(
-                        relevant, users[block], codes[at[block], :, :cutoff]
-                    )
-                n_relevant = np.repeat(np.diff(relevant.indptr)[users], len(grid))
-                m = ranking_metrics(hits.reshape(-1, cutoff), n_relevant, cutoff)
-                ndcg = m.ndcg.reshape(len(users), len(grid))
+                kept, m = user_metrics(relevant, users, lists[WEIGHTED_SUM][0], [cutoff])
+                self.counts[f"sweep.users_without_validation.{name}"] = len(users) - len(kept)
                 best_lambdas[name], table = weight_sweep(
-                    ndcg, labels[users], grid, self.cfg.sweep_objective
+                    m[cutoff].ndcg, labels[users[kept]], grid, self.cfg.sweep_objective
                 )
                 all_rows += [
                     [name, *lambdas, gm.ndcg_all, gm.ndcg_leisure, gm.ndcg_working,
@@ -422,13 +427,10 @@ class Pipeline:
                 for ids in (split.dataset.user_ids, split.dataset.poi_ids)
             )
             grid = simplex_grid(self.cfg.sweep_step)
-            rows = []
             reports = []
             for name in self.cfg.models:
                 users, lists = ranked[name]
-                n_relevant, group = np.diff(relevant.indptr)[users], labels[users]
-                self.counts[f"evaluate.users_without_test.{name}"] = int((n_relevant == 0).sum())
-                hits_by_rule = {}
+                metrics = {}
                 for rule in self.cfg.fusion_rules:
                     codes, held = lists[rule]
                     if rule == WEIGHTED_SUM:
@@ -439,38 +441,31 @@ class Pipeline:
                         scores = held.fused(top, rule_lambdas(rule, held.enabled, [best]))
                     else:
                         top, scores = codes[:, 0], held[:, 0]
-                    hits_by_rule[rule] = hit_matrix(relevant, users, top)
+                    kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",
                         _recommendation_text(user_ids[users], poi_ids, top, scores),
                     )
+                skipped = len(users) - len(kept)
+                self.counts[f"evaluate.users_without_test.{name}"] = skipped
+                group = labels[users[kept]]
                 for n in self.cfg.cutoffs:
+                    # Every rule's pct_delta, product's own too, is against
+                    # product's gap; with no user kept evaluate_run raises.
                     baseline_delta = None
-                    if PRODUCT in hits_by_rule:
-                        baseline_delta = evaluate_run(
-                            hits_by_rule[PRODUCT], n_relevant, group, n, name, PRODUCT
-                        ).delta_ndcg
-                    for rule in self.cfg.fusion_rules:
-                        rep = evaluate_run(
-                            hits_by_rule[rule], n_relevant, group, n, name, rule,
-                            baseline_delta=baseline_delta,
-                        )
-                        reports.append(rep)
-                        rows.append(
-                            [
-                                rep.model, rep.fusion, rep.cutoff,
-                                rep.precision, rep.recall, rep.ndcg,
-                                rep.ndcg_leisure, rep.ndcg_working,
-                                rep.delta_ndcg, rep.pct_delta, rep.acc_unf,
-                            ]
-                        )
+                    if PRODUCT in metrics and len(kept):
+                        baseline_delta = group_metrics(metrics[PRODUCT][n].ndcg, group).delta_ndcg
+                    reports += [
+                        evaluate_run(metrics[rule][n], group, skipped, n, name, rule, baseline_delta)
+                        for rule in self.cfg.fusion_rules
+                    ]
+            # Table 3's columns are the reports' first fields, in order.
+            header = [
+                "model", "fusion", "N", "Pre", "Rec", "nDCG",
+                "nDCG_L", "nDCG_W", "dnDCG", "pct_delta", "acc_unf",
+            ]
             self._write_csv_artifact(
-                "table3.csv",
-                [
-                    "model", "fusion", "N", "Pre", "Rec", "nDCG",
-                    "nDCG_L", "nDCG_W", "dnDCG", "pct_delta", "acc_unf",
-                ],
-                rows,
+                "table3.csv", header, [astuple(r)[:len(header)] for r in reports]
             )
             self._write(
                 self.out / "table3.json",

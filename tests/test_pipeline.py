@@ -145,21 +145,28 @@ def test_sweep_in_user_blocks_writes_the_same_rows(
     world, tmp_path, monkeypatch, users_per_block
 ):
     """Marking hits a block of users at a time, under the common block
-    budget, changes neither sweep.csv nor the best lambdas of one block
-    holding every user."""
+    budget, changes neither sweep.csv and the best lambdas nor table3.csv
+    and table3.json, all three rules, from one block holding every user."""
     cfg, split, _, labels, _ = world
+    rules = ["product", "sum", "weighted_sum"]
     p = Pipeline(ExperimentConfig(
         checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(tmp_path),
+        fusion_rules=rules,
     ))
-    ranked = p.fit_and_recommend(split, [WEIGHTED_SUM])
-    per_user = 3 * 8 * len(simplex_grid(cfg.sweep_step)) * 10
+    ranked = p.fit_and_recommend(split, rules)
+    # Bytes a user: three int64s per hit entry, the sweep's at cutoff 10.
+    sweep_user = 3 * 8 * len(simplex_grid(cfg.sweep_step)) * 10
+    evaluate_user = 3 * 8 * max(p.cfg.cutoffs)
 
-    def sweep(users):
-        monkeypatch.setattr(recommend, "BLOCK_BYTES", users * per_user)
+    def run(users):
+        monkeypatch.setattr(recommend, "BLOCK_BYTES", users * sweep_user)
         best = p.sweep(ranked, labels, split)
-        return best, (tmp_path / "sweep.csv").read_bytes()
+        monkeypatch.setattr(recommend, "BLOCK_BYTES", users * evaluate_user)
+        p.evaluate(ranked, labels, split, best)
+        names = ("sweep.csv", "table3.csv", "table3.json")
+        return best, [(tmp_path / name).read_bytes() for name in names]
 
-    assert sweep(users_per_block) == sweep(len(split.dataset.user_ids))
+    assert run(users_per_block) == run(len(split.dataset.user_ids))
 
 
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):

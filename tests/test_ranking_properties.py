@@ -4,7 +4,8 @@ metrics against the one-list oracle, evaluation and the weight sweep on user
 codes against their user-keyed oracles, and multi-row fusion against one-row
 calls and the one-candidate fusion oracle, bit for bit."""
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from poifair.fusion import (
     simplex_grid,
     weight_sweep,
 )
-from poifair.metrics import evaluate_run, hit_matrix, ranking_metrics
+from poifair import recommend
+from poifair.metrics import RankingMetrics, evaluate_run, ranking_metrics
+from poifair.pipeline import user_metrics
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
 from poifair.recommend import CandidateScores, fused_scores, recommend_topn, top_k
 
@@ -179,42 +182,64 @@ def outcome(f):
 
 @st.composite
 def evaluation_runs(draw):
-    """(n_pois, recommended-for user codes, their ranked POI codes, relevant
-    POI codes of every user code, labels of every user code, list width,
-    cutoff). Lists may be shorter than the width; relevant sets may be empty.
-    With the trap on, the last POI code is relevant to every user: a padding
-    -1 keyed as user * n_pois - 1 would hit the previous user's last POI."""
+    """(n_pois, recommended-for user codes, their lists, relevant POI codes
+    of every user code, labels of every user code, list width, cutoffs).
+    Each user has the same number of lists, one a row as the weighted-sum
+    grid has; a list may be shorter than the width, and a relevant set may
+    be empty. With the trap on, the last POI code is relevant to every user:
+    a padding -1 keyed as user * n_pois - 1 would hit the previous user's
+    last POI."""
     n_pois = draw(st.integers(min_value=1, max_value=12))
     n_users = draw(st.integers(min_value=1, max_value=10))
     users = sorted(draw(st.sets(st.integers(min_value=0, max_value=n_users - 1), min_size=1)))
+    rows = draw(st.integers(min_value=1, max_value=3))
     width = draw(st.integers(min_value=1, max_value=8))
     poi = st.integers(min_value=0, max_value=n_pois - 1)
-    lists = {u: draw(st.lists(poi, unique=True, min_size=1, max_size=width)) for u in users}
+    one_list = st.lists(poi, unique=True, min_size=1, max_size=width)
+    lists = {u: draw(st.lists(one_list, min_size=rows, max_size=rows)) for u in users}
     trap = {n_pois - 1} if draw(st.booleans()) else set()
     relevant = {u: draw(st.sets(poi)) | trap for u in range(n_users)}
     labels = np.array(draw(st.lists(label_st, min_size=n_users, max_size=n_users)), dtype=np.int8)
-    cutoff = draw(st.integers(min_value=1, max_value=width))
-    return n_pois, users, lists, relevant, labels, width, cutoff
+    cutoffs = sorted(draw(st.sets(st.integers(min_value=1, max_value=width), min_size=1, max_size=3)))
+    return n_pois, users, lists, relevant, labels, width, cutoffs
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=evaluation_runs(), baseline=st.sampled_from([None, 0.0, 0.25]))
-def test_array_evaluation_equals_user_keyed_oracle(case, baseline):
-    n_pois, users, lists, relevant, labels, width, cutoff = case
+@given(case=evaluation_runs(), flat=st.booleans(), baseline=st.sampled_from([None, 0.0, 0.25]))
+def test_array_evaluation_equals_user_keyed_oracle(case, flat, baseline):
+    """user_metrics, marking hits one user a block, then evaluate_run per
+    (row, cutoff) give the user-keyed oracle's reports and per-user metrics
+    bit for bit, and the oracle's first error. With one row a user, the
+    lists may come as the (users, K) matrix evaluate passes."""
+    n_pois, users, lists, relevant, labels, width, cutoffs = case
+    rows = len(lists[users[0]])
     pairs = [(u, p) for u in sorted(relevant) for p in sorted(relevant[u])]
     row, col = (np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1))
     truth = PairCounts.of(row, col, len(labels), n_pois)
-    top = np.full((len(users), width), -1)
+    top = np.full((len(users), rows, width), -1, dtype=np.int32)
     for i, u in enumerate(users):
-        top[i, :len(lists[u])] = lists[u]
-    hits = hit_matrix(truth, np.array(users), top)
-    got = outcome(lambda: asdict(evaluate_run(
-        hits, np.diff(truth.indptr)[users], labels[users], cutoff, "m", "r", baseline
-    )))
-    want = outcome(lambda: asdict(oracles.evaluate_run(
-        lists, relevant, groups_of(labels), cutoff, "m", "r", baseline
-    )))
-    assert got == want
+        for r, ranked in enumerate(lists[u]):
+            top[i, r, :len(ranked)] = ranked
+    with patch.object(recommend, "BLOCK_BYTES", 1):
+        kept, metrics = user_metrics(
+            truth, np.array(users), top[:, 0] if flat and rows == 1 else top, cutoffs
+        )
+    kept_users = np.array(users)[kept].tolist()
+    assert kept_users == [u for u in users if relevant[u]]
+    for n, m in metrics.items():
+        for r in range(rows):
+            got = RankingMetrics(*(a.reshape(len(kept), rows)[:, r] for a in astuple(m)))
+            assert outcome(lambda: asdict(evaluate_run(
+                got, labels[kept_users], len(users) - len(kept), n, "m", "r", baseline
+            ))) == outcome(lambda: asdict(oracles.evaluate_run(
+                {u: lists[u][r] for u in users}, relevant, groups_of(labels), n, "m", "r",
+                baseline,
+            )))
+            for i, u in enumerate(kept_users):
+                want = oracles.ranking_metrics(lists[u][r], relevant[u], n)
+                assert bits([got.precision[i], got.recall[i], got.ndcg[i]]) == bits(
+                    [want.precision, want.recall, want.ndcg]
+                )
 
 
 ndcg_st = st.one_of(
