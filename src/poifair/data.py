@@ -6,22 +6,29 @@ pair of user codes per friendship. User, POI and category ids are interned
 to int32 codes in sorted order, so ordering by code is ordering by id and
 every tie-break on ids can be taken on codes.
 
+Each kind of id is held as one `Ids`: a UTF-8 buffer and int64 offsets,
+sorted, with no Python object per id until a writer decodes one.
+
 The parse reads each file in blocks of whole lines and numbers a block's
 ids before it reads the next, so it holds its output columns, one block's
-work, and a key row and a string per distinct id, whatever the number or
-order of the lines. Every id field is interned: one `_Intern` numbers the
-POIs of the POI and check-in files, another the users of the check-in and
-social files. Once every file that holds a kind of id is read, its ids are
-coded in sorted order and only those of the defining file are kept: the POI
-file's POIs, the check-in file's users. A check-in's unknown POI is then an
-error, a friendship with a user without check-ins is dropped.
+work, and a key row per distinct id, whatever the number or order of the
+lines. Every id field is interned: one `_Intern` numbers the POIs of the
+POI and check-in files, another the users of the check-in and social
+files, a third the categories of the POI file. Once every file that holds a
+kind of id is read, its ids are coded in sorted order and only those of the
+defining file are kept: the POI file's POIs, the check-in file's users, the
+categories of its POIs. A check-in's unknown POI is then an error, a
+friendship with a user without check-ins is dropped.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +55,69 @@ TRAIN, VALIDATION, TEST = 0, 1, 2
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
+
+
+class Ids(Sequence):
+    """Distinct str ids in ascending order, as one read-only sequence: id i
+    is the UTF-8 `buf[offsets[i]:offsets[i + 1]]`, decoded as it is read.
+    UTF-8 byte order is code-point order, which is `sorted(str)` order, so
+    `index` and `in` are binary searches."""
+
+    __slots__ = ("buf", "offsets")
+
+    def __init__(self, buf: bytes, offsets: np.ndarray):
+        self.buf, self.offsets = buf, offsets
+
+    @classmethod
+    def of(cls, ids) -> Ids:
+        """The distinct strs of `ids`, sorted."""
+        encoded = sorted({s.encode() for s in ids})
+        return cls(b"".join(encoded), np.cumsum([0, *map(len, encoded)], dtype=np.int64))
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray) -> Ids:
+        """The ids of sorted, distinct key rows (see `_Block.keys`): an id
+        holds no NUL, so its bytes are the nonzero bytes of its row."""
+        rows = keys.astype(">u8").view(np.uint8)
+        nonzero = rows != 0
+        n = np.count_nonzero(nonzero, axis=1)
+        return cls(rows[nonzero].tobytes(), np.concatenate(([0], np.cumsum(n, dtype=np.int64))))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i) -> str:
+        i = range(len(self))[i]  # an int's bounds and sign, as a list's
+        return self.buf[self.offsets[i]:self.offsets[i + 1]].decode()
+
+    def __iter__(self):
+        at = self.offsets.tolist()
+        return (self.buf[a:b].decode() for a, b in zip(at, at[1:]))
+
+    def __contains__(self, s) -> bool:
+        i = bisect_left(self, s)
+        return i < len(self) and self[i] == s
+
+    def index(self, s) -> int:
+        i = bisect_left(self, s)
+        if i == len(self) or self[i] != s:
+            raise ValueError(f"{s!r} is not in ids")
+        return i
+
+    def take(self, mask: np.ndarray) -> Ids:
+        """The ids at the True entries of the bool `mask`, in order: their
+        bytes are gathered through one bool per byte."""
+        n = np.diff(self.offsets)
+        buf = np.frombuffer(self.buf, dtype=np.uint8)[np.repeat(mask, n)]
+        return Ids(buf.tobytes(), np.concatenate(([0], np.cumsum(n[mask]))))
+
+    def decode(self, codes: np.ndarray) -> list[str]:
+        """The id at each code of the 1-D int array `codes`; each distinct
+        code is decoded once."""
+        distinct, of = np.unique(codes, return_inverse=True)
+        lo, hi = self.offsets[distinct].tolist(), self.offsets[distinct + 1].tolist()
+        names = np.array([self.buf[a:b].decode() for a, b in zip(lo, hi)], dtype=object)
+        return names[of].tolist()
 
 
 def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +215,7 @@ class Dataset:
     Check-ins are in input order: `user` and `poi` are int32 codes into
     `user_ids` and `poi_ids`; both are sorted, so code order is id order.
     `user_ids` holds the users with at least one check-in. `ts` is int64
-    epoch seconds.
+    epoch seconds. Every id field is an `Ids`.
 
     POIs are aligned to `poi_ids`: `lat`, `lon` and `category`, an int32 code
     into the sorted `category_ids` (-1 for none), which holds exactly the
@@ -154,15 +224,15 @@ class Dataset:
     `edges` holds each friendship once as an int32 (a, b) pair of user codes
     with a < b, in ascending order."""
 
-    user_ids: list[str]
-    poi_ids: list[str]
+    user_ids: Ids
+    poi_ids: Ids
     user: np.ndarray
     poi: np.ndarray
     ts: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
     category: np.ndarray
-    category_ids: list[str]
+    category_ids: Ids
     edges: np.ndarray
     load_report: LoadReport | None = None
 
@@ -256,8 +326,8 @@ def parse_dataset(
     """
     report = LoadReport()
     # One `_Intern` per kind of id, over every file that holds it.
-    pois, users = _Intern(), _Intern()
-    poi_lines = _parse_pois(poi_path, pois, report, max_malformed_frac)
+    pois, users, categories = _Intern(), _Intern(), _Intern()
+    poi_lines = _parse_pois(poi_path, pois, categories, report, max_malformed_frac)
     (user, poi, ts), bad = _scan(
         checkin_path, (2, 2), _checkin_block, _checkin_fields, (users, pois, None), report
     )
@@ -265,9 +335,9 @@ def parse_dataset(
     code, poi_ids = _defined(pois, poi_lines[0])
     poi = code[poi]
     if (poi < 0).any():
-        raise _first_unknown_poi(checkin_path, set(poi_ids))
+        raise _first_unknown_poi(checkin_path, poi_ids)
     _check_malformed(bad, len(ts) + len(bad), max_malformed_frac, checkin_path)
-    poi_columns = _poi_columns(code, *poi_lines, report)
+    poi_columns = _poi_columns(code, *poi_lines, categories, report)
     (a, b), bad = (np.zeros(0, dtype=np.int32),) * 2, []
     if social_path is not None:
         (a, b), bad = _scan(social_path, (1, 1), _edge_block, _edge_fields, (users, users), report)
@@ -318,8 +388,9 @@ def _edge_fields(line: str):
 
 def _poi_block(b: _Block):
     lat, lon = b.floats(1), b.floats(2)
-    ok = b.id_ok(0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-    return ok, (b.keys(0, ok), lat[ok], lon[ok], b.texts(3, ok))
+    ok = b.id_ok(0) & (b.hi[3] - b.lo[3] <= MAX_ID_BYTES)  # the category may be empty
+    ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    return ok, (b.keys(0, ok), lat[ok], lon[ok], b.keys(3, ok))
 
 
 def _checkin_block(b: _Block):
@@ -336,18 +407,20 @@ def _edge_block(b: _Block):
     return ok, (b.keys(0, ok), b.keys(1, ok))
 
 
-def _parse_pois(path, pois: _Intern, report: LoadReport, max_frac: float):
+def _parse_pois(path, pois: _Intern, categories: _Intern, report: LoadReport, max_frac: float):
     """The POI file's parsed lines as columns: the id numbers in `pois`,
-    lat, lon, category, and line number."""
+    lat, lon, the category numbers in `categories` (-1 for none), and line
+    number."""
     (number, lat, lon, cat, line), bad = _scan(
-        path, (2, 3), _poi_block, _poi_fields, (pois, None, None, None), report, lines=True
+        path, (2, 3), _poi_block, _poi_fields, (pois, None, None, categories), report,
+        lines=True,
     )
     report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
     return number, lat, lon, cat, line
 
 
-def _defined(intern: _Intern, numbers: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def _defined(intern: _Intern, numbers: np.ndarray) -> tuple[np.ndarray, Ids]:
     """Finishes `intern` and keeps the ids that `numbers` hold: the int32
     code of each number among them, -1 for an id they lack, and the kept
     ids, sorted."""
@@ -358,7 +431,7 @@ def _defined(intern: _Intern, numbers: np.ndarray) -> tuple[np.ndarray, list[str
     return new[code], kept
 
 
-def _poi_columns(code, number, lat, lon, cat, line, report: LoadReport):
+def _poi_columns(code, number, lat, lon, cat, line, categories: _Intern, report: LoadReport):
     """lat, lon, category and category_ids by POI code, from the POI file's
     parsed lines. The first line of a poi_id defines it, later ones are
     duplicates and the last one wins."""
@@ -367,13 +440,13 @@ def _poi_columns(code, number, lat, lon, cat, line, report: LoadReport):
     dup[np.unique(code, return_index=True)[1]] = False
     report.poi_lines_duplicate = line[dup].tolist()
     last = len(code) - 1 - np.unique(code[::-1], return_index=True)[1]
-    cat = cat[last].tolist()
-    category_ids = sorted(set(cat) - {None})
-    category = _codes(cat, {c: i for i, c in enumerate(category_ids)})
-    return lat[last], lon[last], category, category_ids
+    cat = cat[last]
+    cat_code, category_ids = _defined(categories, cat[cat >= 0])
+    # A last slot maps number -1, no category, to code -1.
+    return lat[last], lon[last], np.append(cat_code, np.int32(-1))[cat], category_ids
 
 
-def _first_unknown_poi(path, known: set) -> DataError:
+def _first_unknown_poi(path, known: Ids) -> DataError:
     """The error for the first parsed line of the check-in file whose POI is
     not `known`, read again one text-mode line at a time: universal newlines
     count lines as `_read_blocks` does, and each non-blank line gets the
@@ -574,10 +647,6 @@ class _Block:
         except ValueError:
             return np.array(list(map(_float, fields)), dtype=float)
 
-    def texts(self, j: int, ok: np.ndarray) -> np.ndarray:
-        """Field j of the rows at `ok` as str, None where it is empty."""
-        return np.array([f.decode("utf-8") or None for f in self._slices(j, ok)], dtype=object)
-
     def _slices(self, j: int, ok) -> list[bytes]:
         return [self.raw[a:b] for a, b in zip(self.lo[j][ok].tolist(), self.hi[j][ok].tolist())]
 
@@ -590,16 +659,17 @@ def _float(text: bytes) -> float:
 
 
 class _Intern:
-    """Numbers the ids of one kind (POIs or users), block by block, in
-    every field of every file that holds them; then codes them in sorted id
-    order.
+    """Numbers the ids of one kind (POIs, users or categories), block by
+    block, in every field of every file that holds them; then codes them in
+    sorted id order.
 
     `block(keys)` gives each key row (see `_Block.keys`) a number, and
     `scalar(name)` a scalar line's id: each distinct key row and each
-    distinct scalar id is numbered when first seen, whatever the block.
-    `keys` holds the distinct key rows seen so far, sorted, and `number`
-    each one's number, so only a block's distinct keys are searched and
-    inserted; no key is kept per line. Once every block is in, `finish`
+    distinct scalar id is numbered when first seen, whatever the block. An
+    empty field, a zero key row or a scalar None, is numbered -1 and names
+    no id. `keys` holds the distinct key rows seen so far, sorted, and
+    `number` each one's number, so only a block's distinct keys are searched
+    and inserted; no key is kept per line. Once every block is in, `finish`
     gives the code of each number: the sorted key rows are the sorted ids,
     so no line is sorted."""
 
@@ -611,18 +681,24 @@ class _Intern:
 
     def block(self, keys: np.ndarray) -> np.ndarray:
         distinct, of = _distinct(keys)
-        self.keys, distinct = _widen(self.keys, distinct)
+        numbers = np.full(len(distinct), -1, dtype=np.int32)
+        # The zero row sorts first; `number` views the others' numbers.
+        empty = int(len(distinct) > 0 and not distinct[0].any())
+        number = numbers[empty:]
+        self.keys, distinct = _widen(self.keys, distinct[empty:])
         at, found = _search(self.keys, distinct)
-        number = np.empty(len(distinct), dtype=np.int32)
         number[found] = self.number[at[found]]
         new = np.flatnonzero(~found)
-        number[new] = np.arange(self.n, self.n + len(new))
-        self.n += len(new)
-        self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
-        self.number = np.insert(self.number, at[new], number[new])
-        return number[of]
+        if len(new):  # np.insert copies the whole table, even to insert nothing
+            number[new] = np.arange(self.n, self.n + len(new))
+            self.n += len(new)
+            self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
+            self.number = np.insert(self.number, at[new], number[new])
+        return numbers[of]
 
-    def scalar(self, name: str) -> int:
+    def scalar(self, name: str | None) -> int:
+        if name is None:
+            return -1
         if name not in self.names:
             self.names[name] = self.n
             self.n += 1
@@ -630,17 +706,17 @@ class _Intern:
 
     def finish(self) -> np.ndarray:
         """Sets `ids`, the sorted distinct ids, and gives the int32 code of
-        each number."""
-        ids = _decode(self.keys)
+        each number. Only with scalar ids is there Python work per id."""
+        ids = Ids.from_keys(self.keys)
         code = np.empty(self.n, dtype=np.int32)
+        code[self.number] = np.arange(len(ids))
         if self.names:
-            merged = sorted(set(ids).union(self.names))
-            index = {s: i for i, s in enumerate(merged)}
-            code[self.number] = [index[s] for s in ids]
-            code[list(self.names.values())] = [index[s] for s in self.names]
-            ids = merged
-        else:
-            code[self.number] = np.arange(len(ids), dtype=np.int32)
+            keyed, ids = ids, Ids.of(chain(ids, self.names))
+            # The keyed ids keep their order: they take the codes of the
+            # merged ids that only scalar lines name, left out.
+            scalar_only = [ids.index(s) for s in self.names if s not in keyed]
+            code[self.number] = np.delete(np.arange(len(ids)), scalar_only)
+            code[list(self.names.values())] = [ids.index(s) for s in self.names]
         self.ids = ids
         return code
 
@@ -686,17 +762,6 @@ def _bytes(keys: np.ndarray) -> np.ndarray:
     return keys.astype(">u8").view(f"S{8 * keys.shape[1]}").ravel()
 
 
-def _decode(keys: np.ndarray) -> list[str]:
-    """The id of each key row. Ids hold no NUL, so a bytes string of the
-    row, which numpy gives without its trailing NULs, is the id."""
-    return list(map(bytes.decode, _bytes(keys)))
-
-
-def _codes(names: list, code: dict) -> np.ndarray:
-    """`code` of each name as int32, -1 for a name not in it."""
-    return np.array([code.get(s, -1) for s in names], dtype=np.int32)
-
-
 def _check_malformed(bad_lines, total, max_frac, path):
     if total and len(bad_lines) / total > max_frac:
         shown = ", ".join(str(n) for n in bad_lines[:20])
@@ -706,13 +771,13 @@ def _check_malformed(bad_lines, total, max_frac, path):
         )
 
 
-def renumber(used: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+def renumber(used: np.ndarray, ids: Ids) -> tuple[np.ndarray, Ids]:
     """The used ids, in order, and a map from old codes to new int32 ones:
     -1 for an unused id, and one extra last slot so that code -1 maps to
     -1."""
     new = np.full(len(ids) + 1, -1, dtype=np.int32)
     new[:-1][used] = np.arange(int(used.sum()), dtype=np.int32)
-    return new, [i for i, u in zip(ids, used.tolist()) if u]
+    return new, ids.take(used)
 
 
 def preprocess_filter(

@@ -21,6 +21,7 @@ from .data import (
     TRAIN,
     VALIDATION,
     Dataset,
+    Ids,
     PairCounts,
     SplitDataset,
     dataset_stats,
@@ -95,15 +96,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _recommendation_text(
-    user_ids: np.ndarray, poi_ids: np.ndarray, top: np.ndarray, scores: np.ndarray
+    user_ids: Ids, poi_ids: Ids, users: np.ndarray, top: np.ndarray, scores: np.ndarray
 ) -> str:
     """The lines `user_id, rank, poi_id, score` of a rule's (users, K) top
     POI codes, each list up to its first -1, with the text `_fmt` gives."""
     listed = np.logical_and.accumulate(top >= 0, axis=1)
     return "".join(map("%s\t%d\t%s\t%s\n".__mod__, zip(
-        np.repeat(user_ids, listed.sum(axis=1)).tolist(),
+        user_ids.decode(np.repeat(users, listed.sum(axis=1))),
         (np.nonzero(listed)[1] + 1).tolist(),
-        poi_ids[top[listed]].tolist(),
+        poi_ids.decode(top[listed]),
         map(_fmt_float, scores[listed].tolist()),
     )))
 
@@ -150,7 +151,7 @@ class GridContexts:
     def add(self, named: np.ndarray, normalized: np.ndarray) -> None:
         """Append a block's users: the (B, n_pois) mask of the POIs their
         lists name and their (3, B, n_pois) normalised scores."""
-        row, poi = np.nonzero(named)
+        row, poi = np.divmod(np.flatnonzero(named), named.shape[1])
         end, n = len(self.indptr), len(self.poi)
         # A realloc each: the arrays grow by the block, not by a copy.
         self.indptr.resize(end + len(named), refcheck=False)
@@ -205,6 +206,10 @@ class Pipeline:
             filtered, report = preprocess_filter(
                 d, self.cfg.min_user_checkins, self.cfg.min_poi_checkins
             )
+            # Frees the parsed columns before the stats, on CPython 3.11+,
+            # where `p.preprocess(p.parse())` leaves this frame the only
+            # reference; on 3.10 the caller's stack holds one too.
+            del d
             self.counts["preprocess.short_users_removed"] = report.short_users_removed
             self.counts["preprocess.short_checkins_removed"] = (
                 report.short_checkins_removed
@@ -247,7 +252,7 @@ class Pipeline:
             ]
             # Column by column, with the text `_fmt` gives.
             columns = (
-                [user_ids[u] for u in profiles.user.tolist()],
+                user_ids.decode(profiles.user),
                 *(map(str, c.tolist()) for c in (
                     profiles.n_checkins, profiles.n_working, profiles.n_leisure,
                 )),
@@ -420,12 +425,7 @@ class Pipeline:
     def evaluate(self, ranked, labels, split: SplitDataset, best_lambdas):
         with self._stage("evaluate"):
             relevant = ground_truth(split, TEST)
-            # Object arrays, so that ids are gathered by code without a
-            # Python lookup per list entry.
-            user_ids, poi_ids = (
-                np.array(ids, dtype=object)
-                for ids in (split.dataset.user_ids, split.dataset.poi_ids)
-            )
+            user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
             grid = simplex_grid(self.cfg.sweep_step)
             reports = []
             for name in self.cfg.models:
@@ -444,7 +444,7 @@ class Pipeline:
                     kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
                     self._write(
                         self.out / f"recommendations_{name}_{rule}.tsv",
-                        _recommendation_text(user_ids[users], poi_ids, top, scores),
+                        _recommendation_text(user_ids, poi_ids, users, top, scores),
                     )
                 skipped = len(users) - len(kept)
                 self.counts[f"evaluate.users_without_test.{name}"] = skipped

@@ -94,10 +94,14 @@ class FittedModel:
             # Both power laws are fitted over every user code in order: the
             # friends' total check-ins at each of their POIs in first-visit
             # order over the ascending friends, and each user's POIs in code
-            # order. Their log-sums run on across blocks.
+            # order. Their log-sums run on across chunks. A social chunk
+            # takes about 40 bytes per friend check-in of its users.
+            friend_checkins = int(np.diff(self.bounds)[self.friends.col].sum())
+            fit_step = block_rows(1 + 40 * friend_checkins // max(1, len(users)))
             self.social_fit = social.fit_power_law(
-                totals.ravel()[keys[np.sort(np.unique(keys, return_index=True)[1])]]
-                for totals, keys in map(self._social_frequency, blocks)
+                social.friend_totals(self.friends, users[lo:lo + fit_step], self.bounds,
+                                     self.poi, n_pois)
+                for lo in range(0, len(users), fit_step)
             )
             self.cat_model = CategoricalModel(self.visits, train.category)
             if self.cat_model.has_categories:
@@ -140,7 +144,9 @@ class FittedModel:
             # above the candidates', would overflow min-max normalization.
             c1 = geo.geo_scores(self.user_kdes.take(users), self.lats, self.lons)
             raw[0] = np.where(candidate, c1, 0.0)
-            totals, _ = self._social_frequency(users)
+            totals = social.social_frequency(
+                self.friends, users, self.bounds, self.poi, n_pois
+            )
             raw[1] = social.power_law_score(self.social_fit, totals)
             if self.cat_fit is not None:
                 raw[2] = social.power_law_score(self.cat_fit, self.cat_model.frequency(users))
@@ -161,11 +167,6 @@ class FittedModel:
                 f"{self.user_ids[users[b]]!r} at POI {self.poi_ids[p]!r}"
             )
         return CandidateScores(users, candidate, raw, self.enabled)
-
-    def _social_frequency(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return social.social_frequency(
-            self.friends, users, self.bounds, self.poi, len(self.poi_ids)
-        )
 
 
 def normalized_scores(cs: CandidateScores) -> np.ndarray:

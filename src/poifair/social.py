@@ -25,22 +25,48 @@ class PowerLawFit:
 DEFAULT_FIT = PowerLawFit(beta=2.0)
 
 
-def social_frequency(
+def _friend_keys(
     friends: PairCounts, users: np.ndarray, bounds: np.ndarray, poi: np.ndarray,
     n_pois: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For a block of user codes: their friends' total training check-ins at
-    each POI code, (users, n_pois), and the key `row * n_pois + poi` of each
-    of those check-ins, row by row, each row's friends in ascending code order
-    and each friend's check-ins in time order.
+) -> np.ndarray:
+    """For a block of user codes, the key `row * n_pois + poi` of each of
+    their friends' training check-ins, row by row, each row's friends in
+    ascending code order and each friend's check-ins in time order.
 
     Row u of `friends` holds u's friends; friend v's training POIs are
     `poi[bounds[v]:bounds[v + 1]]`, in time order."""
     row, v, _ = friends.rows(users)
     at, of = ranges(bounds[v], bounds[v + 1])
-    keys = row[of] * n_pois + poi[at]
-    totals = np.bincount(keys, minlength=len(users) * n_pois)
-    return totals.reshape(len(users), n_pois), keys
+    return row[of] * n_pois + poi[at]
+
+
+def social_frequency(
+    friends: PairCounts, users: np.ndarray, bounds: np.ndarray, poi: np.ndarray,
+    n_pois: int,
+) -> np.ndarray:
+    """For a block of user codes: their friends' total training check-ins at
+    each POI code, (users, n_pois)."""
+    keys = _friend_keys(friends, users, bounds, poi, n_pois)
+    return np.bincount(keys, minlength=len(users) * n_pois).reshape(len(users), n_pois)
+
+
+def friend_totals(
+    friends: PairCounts, users: np.ndarray, bounds: np.ndarray, poi: np.ndarray,
+    n_pois: int,
+) -> np.ndarray:
+    """For a block of user codes, row by row: their friends' total training
+    check-ins at each POI those friends visited, in first-visit order (see
+    `_friend_keys`). The runs of the stably sorted keys are the totals, and
+    each run's first key is its first visit, so no (users, n_pois) array is
+    built."""
+    keys = _friend_keys(friends, users, bounds, poi, n_pois)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # run[i]: keys[i] starts a run; run[-1] closes the last one.
+    run = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run[1:-1])
+    at = np.flatnonzero(run)
+    return np.diff(at)[np.argsort(order[at[:-1]])]
 
 
 def fit_power_law(chunks) -> PowerLawFit:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, edge_pairs, renumber
+from .data import Dataset, Ids, edge_pairs, renumber
 
 
 @dataclass
@@ -108,19 +108,18 @@ def generate(cfg: SynthConfig = SynthConfig()) -> Dataset:
     # Renumber users and POIs in id order; users without check-ins go.
     u_order, p_order = np.argsort(user_names), np.argsort(poi_names)
     new_user, user_ids = renumber(
-        np.bincount(user_col, minlength=cfg.n_users)[u_order] > 0,
-        [user_names[i] for i in u_order],
+        np.bincount(user_col, minlength=cfg.n_users)[u_order] > 0, Ids.of(user_names)
     )
     user_code = np.empty(cfg.n_users, dtype=np.int32)
     user_code[u_order] = new_user[:-1]
     poi_code = np.argsort(p_order).astype(np.int32)
-    category_ids = sorted(set(cats))
+    category_ids = Ids.of(cats)
     cat_code = {c: i for i, c in enumerate(category_ids)}
     pairs = user_code[np.array(friends, dtype=np.intp).reshape(-1, 2)]
     pairs = pairs[(pairs >= 0).all(axis=1)]
     return Dataset(
         user_ids,
-        [poi_names[i] for i in p_order],
+        Ids.of(poi_names),
         user_code[user_col],
         poi_code[poi_col],
         np.array(ts_col, dtype=np.int64),
@@ -142,7 +141,9 @@ def write_tsv(dataset: Dataset, out_dir) -> dict[str, Path]:
         "pois": out / "pois.tsv",
         "social": out / "social.tsv",
     }
-    users, pois, cats = dataset.user_ids, dataset.poi_ids, dataset.category_ids
+    users, pois, cats = (
+        list(ids) for ids in (dataset.user_ids, dataset.poi_ids, dataset.category_ids)
+    )
     with paths["checkins"].open("w", encoding="utf-8") as fh:
         fh.writelines(
             f"{users[u]}\t{pois[p]}\t{t}\n"

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from poifair.data import INT64_MAX, DataError, Dataset, DatasetStats, LoadReport
+from poifair.data import INT64_MAX, DataError, Dataset, DatasetStats, Ids, LoadReport
 from poifair.fusion import (
     OBJECTIVE_MAX_ACC_UNF,
     OBJECTIVE_MIN_DELTA,
@@ -126,13 +126,14 @@ def from_checkins(checkins: list[CheckIn], pois: dict[str, Poi],
     poi_ids = sorted(pois)
     ucode = {u: i for i, u in enumerate(user_ids)}
     pcode = {p: i for i, p in enumerate(poi_ids)}
+    lat, lon, category, category_ids = poi_columns(pois, poi_ids)
     return Dataset(
-        user_ids,
-        poi_ids,
+        Ids.of(user_ids),
+        Ids.of(poi_ids),
         np.array([ucode[c.user_id] for c in checkins], dtype=np.int32),
         np.array([pcode[c.poi_id] for c in checkins], dtype=np.int32),
         np.array([c.timestamp for c in checkins], dtype=np.int64),
-        *poi_columns(pois, poi_ids),
+        lat, lon, category, Ids.of(category_ids),
         edge_rows(social, user_ids),
     )
 
@@ -150,7 +151,7 @@ def pois_of(d: Dataset) -> dict[str, Poi]:
 def without_categories(d: Dataset) -> Dataset:
     """The dataset with no POI category."""
     return replace(
-        d, category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=[]
+        d, category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=Ids.of([])
     )
 
 

@@ -94,8 +94,8 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
         CheckIn(u, p, ts, pois[p].latitude, pois[p].longitude) for u, p, ts in rows
     ]
     assert oracles.checkins(d) == checkins
-    assert d.user_ids == sorted({u for u, _, _ in rows})
-    assert d.poi_ids == sorted({p for p, _, _ in pois_spec})
+    assert list(d.user_ids) == sorted({u for u, _, _ in rows})
+    assert list(d.poi_ids) == sorted({p for p, _, _ in pois_spec})
 
     kept = oracles.preprocess_filter(checkins, min_user, min_poi)
     try:
@@ -105,7 +105,7 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
         return
     assert oracles.checkins(filtered) == kept
     kept_pois = {c.poi_id for c in kept}
-    assert filtered.poi_ids == [p for p in d.poi_ids if p in kept_pois]
+    assert list(filtered.poi_ids) == [p for p in d.poi_ids if p in kept_pois]
     assert report.users_removed == len(d.user_ids) - len({c.user_id for c in kept})
     assert report.checkins_removed == len(checkins) - len(kept)
     assert report.pois_removed == len(d.poi_ids) - len(kept_pois)

@@ -15,6 +15,7 @@ from poifair.data import (
     MIN_SPLIT_CHECKINS,
     DataError,
     Dataset,
+    Ids,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
@@ -67,11 +68,11 @@ class TestParse:
         got, want = parse_dataset(ci, cut), parse_dataset(ci, empty)
         assert got.load_report.scalar_lines == 0
         assert got.load_report.poi_lines_parsed == len(fields) == 240
-        assert got.poi_ids == want.poi_ids
+        assert list(got.poi_ids) == list(want.poi_ids)
         assert got.lat.tobytes() == want.lat.tobytes()
         assert got.lon.tobytes() == want.lon.tobytes()
         assert got.category.tolist() == want.category.tolist() == [-1] * 240
-        assert got.category_ids == []
+        assert list(got.category_ids) == []
 
     def test_basic_counts(self, tmp_path):
         ci, po, _ = write_files(
@@ -173,8 +174,8 @@ class TestParse:
             ["p2\t40\t-100\t", "p10\t41\t-101\t", "p1\t42\t-102\t"],
         )
         d = parse_dataset(ci, po)
-        assert d.user_ids == ["U", "u10", "u9"]
-        assert d.poi_ids == ["p1", "p10", "p2"]
+        assert list(d.user_ids) == ["U", "u10", "u9"]
+        assert list(d.poi_ids) == ["p1", "p10", "p2"]
         assert d.user.tolist() == [2, 1, 0, 2]
         assert d.poi.tolist() == [2, 1, 2, 1]
         assert [(c.user_id, c.poi_id, c.timestamp) for c in oracles.checkins(d)] == [
@@ -217,7 +218,7 @@ class TestFilter:
         checkins += [make_checkin("B", "p0", 50 + i) for i in range(3)]
         d = make_dataset(checkins)
         filtered, report = preprocess_filter(d, 15, 0)
-        assert filtered.user_ids == ["A"]
+        assert list(filtered.user_ids) == ["A"]
         assert report.users_removed == 1
 
     def test_user_retained_when_poi_filter_drops_their_count(self):
@@ -287,7 +288,7 @@ class TestFilter:
                      for j in range(3) for i in range(6)]
         d = make_dataset(checkins)
         filtered, report = preprocess_filter(d, 5, 5)
-        assert filtered.user_ids == ["x0", "x1", "x2"]
+        assert list(filtered.user_ids) == ["x0", "x1", "x2"]
         assert len(filtered.ts) == 18
         assert (report.users_removed, report.pois_removed, report.checkins_removed) == (
             1, 1, 6,
@@ -300,8 +301,8 @@ class TestFilter:
         checkins = [make_checkin("A", "p", 100), make_checkin("A", "q", 200)]
         checkins += [make_checkin("B", "p", 300 + i) for i in range(3)]
         filtered, report = preprocess_filter(make_dataset(checkins), 0, 0)
-        assert filtered.user_ids == ["B"]
-        assert filtered.poi_ids == ["p"]
+        assert list(filtered.user_ids) == ["B"]
+        assert list(filtered.poi_ids) == ["p"]
         assert (report.users_removed, report.pois_removed, report.checkins_removed) == (
             1, 1, 2,
         )
@@ -352,14 +353,14 @@ def split_rows(draw):
 
 def columns_of(rows) -> Dataset:
     """A dataset of (user code, POI code, timestamp) rows, with ids
-    "u<code>" and "p<code>"."""
+    "u<code>" and "p<code>", codes zero-padded so that they sort."""
     user, poi, ts = zip(*rows)
     n_users, n_pois = max(user) + 1, max(poi) + 1
     return Dataset(
-        [f"u{i}" for i in range(n_users)], [f"p{i}" for i in range(n_pois)],
+        Ids.of(f"u{i:04d}" for i in range(n_users)), Ids.of(f"p{i:04d}" for i in range(n_pois)),
         np.array(user, dtype=np.int32), np.array(poi, dtype=np.int32),
         np.array(ts, dtype=np.int64), np.zeros(n_pois), np.zeros(n_pois),
-        np.full(n_pois, -1, dtype=np.int32), [], np.zeros((0, 2), dtype=np.int32),
+        np.full(n_pois, -1, dtype=np.int32), Ids.of([]), np.zeros((0, 2), dtype=np.int32),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poifair.data import Dataset
+from poifair.data import Dataset, Ids
 from poifair.geo import (
     BANDWIDTH_FLOOR_KM,
     KdeModel,
@@ -216,13 +216,13 @@ def test_user_kdes_equal_per_user_fit_kde(samples):
     bandwidth for a user with no check-in."""
     n = [len(s) for s in samples]
     train = Dataset(
-        user_ids=[f"u{i}" for i in range(len(samples))],
-        poi_ids=[f"p{i}" for i in range(len(KDE_SITES))],
+        user_ids=Ids.of(f"u{i:04d}" for i in range(len(samples))),
+        poi_ids=Ids.of(f"p{i:04d}" for i in range(len(KDE_SITES))),
         user=np.repeat(np.arange(len(samples)), n).astype(np.int32),
         poi=np.array([p for s in samples for p in s], dtype=np.int32),
         ts=np.zeros(sum(n), dtype=np.int64),
         lat=KDE_SITES[:, 0], lon=KDE_SITES[:, 1],
-        category=np.full(len(KDE_SITES), -1, dtype=np.int32), category_ids=[],
+        category=np.full(len(KDE_SITES), -1, dtype=np.int32), category_ids=Ids.of([]),
         edges=np.zeros((0, 2), dtype=np.int32),
     )
     got = fit_user_kdes(train, KDE_SITES)

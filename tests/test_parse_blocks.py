@@ -3,6 +3,7 @@ block size or on the order of the check-in lines, and its memory is bounded
 by the block size and the number of distinct ids, not by the number of
 lines."""
 import random
+import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -65,18 +66,17 @@ def test_block_size_changes_nothing(tmp_path):
     assert small.load_report.blocks >= 40 and whole.load_report.blocks == 3
     assert small.load_report.scalar_lines == whole.load_report.scalar_lines > 100
     assert small.load_report.to_json() == whole.load_report.to_json()
-    assert (small.user_ids, small.poi_ids, small.category_ids) == (
-        whole.user_ids, whole.poi_ids, whole.category_ids
-    )
+    for name in ("user_ids", "poi_ids", "category_ids"):
+        assert list(getattr(small, name)) == list(getattr(whole, name)), name
     for name in COLUMNS:
         a, b = getattr(small, name), getattr(whole, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     # ... and both are the file's lines.
-    assert small.user_ids == sorted({u for u, _, _ in rows})
+    assert list(small.user_ids) == sorted({u for u, _, _ in rows})
     assert small.poi_ids[-1] == "zz-last-poi" and "poi-scalar-only" in small.poi_ids
     assert any(len(p.encode()) > 8 for p in small.poi_ids)
     got = zip(
-        np.array(small.user_ids)[small.user], np.array(small.poi_ids)[small.poi],
+        small.user_ids.decode(small.user), small.poi_ids.decode(small.poi),
         small.ts.tolist(),
     )
     assert [tuple(r) for r in got] == [(u, p, t) for u, p, t in rows]
@@ -95,11 +95,13 @@ def test_unknown_poi_names_its_first_line(tmp_path, block_bytes):
 
 
 def test_parse_memory_is_bounded_by_blocks_and_ids(tmp_path):
-    """The traced peak of a parse, less the columns it returns, stays under
-    a multiple of the block size plus an allowance per distinct id, however
-    many lines share those ids. Interning keys of every line at once (about
-    60 bytes a check-in line) overshoots it several times over."""
-    write_corpus(tmp_path, n_users=300, n_pois=200, n_checkins=40000)
+    """The traced peak of a parse, less the columns and ids it returns,
+    stays under a multiple of the block size plus an allowance per distinct
+    id, however many lines share those ids. Interning keys of every line at
+    once (about 60 bytes a check-in line) overshoots it several times over.
+    A fifth of the ids are first named by scalar lines, so `_Intern.finish`
+    merges them in Python: about 80 bytes an id here."""
+    write_corpus(tmp_path, n_users=3000, n_pois=2000, n_checkins=40000)
     block_bytes = 16 << 10
     parse(tmp_path, block_bytes)  # warm up: imports, caches
     tracemalloc.start()
@@ -110,5 +112,20 @@ def test_parse_memory_is_bounded_by_blocks_and_ids(tmp_path):
         tracemalloc.stop()
     n_ids = len(d.user_ids) + len(d.poi_ids)
     assert d.load_report.blocks >= 20 + 2
-    returned = sum(getattr(d, name).nbytes for name in COLUMNS)
-    assert peak - returned < 32 * block_bytes + 512 * n_ids, (peak, returned, n_ids)
+    returned = sum(getattr(d, name).nbytes for name in COLUMNS) + sum(
+        len(ids.buf) + ids.offsets.nbytes for ids in (d.user_ids, d.poi_ids, d.category_ids)
+    )
+    assert peak - returned < 32 * block_bytes + 100 * n_ids, (peak, returned, n_ids)
+
+
+def test_ids_hold_their_utf8_bytes_and_an_offset_each(tmp_path):
+    """A parsed kind of id is one bytes buffer of the ids' UTF-8 and one
+    int64 offset per id, plus one: no Python object per id."""
+    rows = write_corpus(tmp_path, n_users=300, n_pois=200, n_checkins=2000)
+    d = parse(tmp_path, 4 << 10)
+    for ids in (d.user_ids, d.poi_ids, d.category_ids):
+        assert type(ids.buf) is bytes and len(ids.buf) == sum(len(s.encode()) for s in ids)
+        assert type(ids.offsets) is np.ndarray and ids.offsets.dtype == np.int64
+        assert not hasattr(ids, "__dict__")
+        assert sys.getsizeof(ids.buf) + ids.offsets.nbytes < 64 + len(ids.buf) + 8 * len(ids)
+    assert len(d.user_ids) == len({u for u, _, _ in rows}) and len(d.category_ids) == 7

@@ -103,14 +103,14 @@ def check_same(tmp_path, world):
         assert got == want
         return
     assert got.load_report.to_json() == want.load_report.to_json()
-    assert (got.user_ids, got.poi_ids) == (want.user_ids, want.poi_ids)
+    assert (list(got.user_ids), list(got.poi_ids)) == (want.user_ids, want.poi_ids)
     for name in ("user", "poi", "ts"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
     lat, lon, category, category_ids = oracles.poi_columns(want.pois, want.poi_ids)
     assert got.lat.tobytes() == lat.tobytes() and got.lon.tobytes() == lon.tobytes()
     assert got.category.tolist() == category.tolist()
-    assert got.category_ids == category_ids
+    assert list(got.category_ids) == category_ids
     friends = got.friends()
     assert [oracles.csr_row(friends, u)[0].tolist() for u in range(len(got.user_ids))] == (
         oracles.friend_codes(want.social, want.user_ids)
@@ -144,7 +144,7 @@ def test_crlf_and_lone_cr_straddling_blocks(tmp_path, block_bytes):
     assert d.load_report.checkin_lines_malformed == [5]
     assert d.load_report.checkin_lines_parsed == 3
     assert d.ts.tolist() == [100, 200, 300]
-    assert d.category_ids == ["c"] and d.category.tolist() == [0, -1]
+    assert list(d.category_ids) == ["c"] and d.category.tolist() == [0, -1]
     assert d.load_report.blocks >= 2
     assert d.load_report.scalar_lines == 1
 

@@ -18,7 +18,7 @@ from poifair.fusion import PRODUCT, SUM, WEIGHTED_SUM, rule_lambdas, simplex_gri
 from poifair.pipeline import Pipeline
 from poifair.recommend import GEOSOCA, LORE, FittedModel, fused_scores
 from poifair.sequential import SESSION_GAP_HOURS
-from poifair.social import fit_power_law
+from poifair.social import fit_power_law, friend_totals
 from poifair.synth import SynthConfig, generate
 
 import oracles
@@ -148,8 +148,10 @@ def check_lore(model: FittedModel, ds: Dataset, train) -> None:
 def check_fit_structures(ds: Dataset, split) -> None:
     """The int-indexed fit structures, read back by id, equal the string
     oracles exactly; so does each power-law sample, given to fit_power_law
-    as one chunk per block of user codes and flattened in order, equals
-    the oracle's sample; one user per block gives the same fits."""
+    in chunks of user codes (the categorical one a scoring block each) and
+    flattened in order, equals the oracle's sample; one user per block
+    gives the same fits, and 1, 7 or all users per social chunk the same
+    social fit, bit for bit."""
     train = oracles.checkin_lists(split)[0]
     cols = split.columns(TRAIN)
     users, pois = ds.user_ids, ds.poi_ids
@@ -193,11 +195,20 @@ def check_fit_structures(ds: Dataset, split) -> None:
     want_samples = [oracles.positive_social_frequencies(train, oracles.graph_of(ds))]
     if geosoca.cat_model.has_categories:
         want_samples.append(oracles.positive_categorical_frequencies(train, pois))
-    blocks = -(-len(users) // recommend.score_block_rows(len(ds.poi_ids)))
-    assert samples == [(blocks, want) for want in want_samples]
+    assert [sample for _, sample in samples] == want_samples
+    if geosoca.cat_model.has_categories:
+        assert samples[1][0] == -(-len(users) // recommend.score_block_rows(len(ds.poi_ids)))
     with patch.object(recommend, "BLOCK_BYTES", 24 * len(ds.poi_ids)):
         one = FittedModel(GEOSOCA, cols)
     assert (one.social_fit, one.cat_fit) == (geosoca.social_fit, geosoca.cat_fit)
+    codes = np.arange(len(users))
+    for step in (1, 7, len(users)):
+        fit = fit_power_law(
+            friend_totals(geosoca.friends, codes[lo:lo + step], geosoca.bounds, geosoca.poi,
+                          len(ds.poi_ids))
+            for lo in range(0, len(users), step)
+        )
+        assert fit.beta.hex() == geosoca.social_fit.beta.hex(), step
 
 
 # u0 visits two of three POIs (p0, p1 share a site): a single candidate, p2,

@@ -15,6 +15,7 @@ from poifair.social import (
     PowerLawFit,
     fcf_score,
     fit_power_law,
+    friend_totals,
     power_law_score,
     residences,
     social_frequency,
@@ -36,18 +37,17 @@ def rows_of(counts, users, pois):
     return np.array(rows, dtype=np.intp).reshape(-1, 2).T
 
 
-def social_frequency_by_id(u, counts, g) -> Counter:
-    """social_frequency on an id-keyed world: {POI: friends' total}, in the
-    order the library gives first visits."""
+def social_frequency_by_id(u, counts, g) -> tuple[Counter, list[int]]:
+    """social_frequency on an id-keyed world, {POI: friends' total}, and
+    friend_totals: the nonzero totals in the order of first visits."""
     users = sorted(set(counts) | {u})
     pois = sorted({p for c in counts.values() for p in c})
     user, poi = rows_of(counts, users, pois)
     bounds = np.searchsorted(user, np.arange(len(users) + 1))
-    row = np.array([users.index(u)])
-    totals, keys = social_frequency(friend_rows(u, users, g), row, bounds, poi, len(pois))
-    # Row 0's keys are POI codes; first visits in check-in order.
-    order = keys[np.sort(np.unique(keys, return_index=True)[1])]
-    return Counter({pois[p]: int(totals[0, p]) for p in order.tolist()})
+    args = (friend_rows(u, users, g), np.array([users.index(u)]), bounds, poi, len(pois))
+    (totals,) = social_frequency(*args)
+    merged = Counter({pois[p]: n for p, n in enumerate(totals.tolist()) if n})
+    return merged, friend_totals(*args).tolist()
 
 
 def friend_rows(u, users, g) -> PairCounts:
@@ -80,10 +80,10 @@ class TestSocialFrequency:
     def test_direct_sum(self):
         counts = {"v1": Counter({"p": 3}), "v2": Counter()}
         g = SocialGraph([("u", "v1"), ("u", "v2")])
-        assert social_frequency_by_id("u", counts, g) == Counter({"p": 3})
+        assert social_frequency_by_id("u", counts, g) == (Counter({"p": 3}), [3])
 
     def test_no_friends(self):
-        assert social_frequency_by_id("u", {"u": Counter("p")}, SocialGraph()) == Counter()
+        assert social_frequency_by_id("u", {"u": Counter("p")}, SocialGraph()) == (Counter(), [])
 
     def test_random_graph_matches_double_loop(self):
         rnd = random.Random(9)
@@ -102,9 +102,9 @@ class TestSocialFrequency:
             edges.add((min(a, b), max(a, b)))
         g = SocialGraph(edges)
         for u in users:
-            merged = social_frequency_by_id(u, counts, g)
+            merged, first_visits = social_frequency_by_id(u, counts, g)
             want = oracles.merged_social_frequency(u, counts, g)
-            assert list(merged.items()) == list(want.items())
+            assert merged == want and first_visits == list(want.values())
             for p in [f"p{i}" for i in range(8)]:
                 expected = 0
                 for v in users:
