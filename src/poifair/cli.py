@@ -12,7 +12,7 @@ import sys
 # is then compiled before numpy fills the heap, which lowers the peak RSS.
 from .data import DataError
 from .config import ConfigError, ExperimentConfig
-from .pipeline import StageFailure, run_pipeline
+from .pipeline import COMMANDS, StageFailure, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,14 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("preprocess", "parse, filter, and report dataset statistics"),
-        ("analyze", "temporal profiles, groups, histogram, correlations"),
-        ("recommend", "every stage, writing the same artifacts as run"),
-        ("evaluate", "every stage, writing the same artifacts as run"),
-        ("sweep", "weighted-sum lambda grid search on validation"),
-        ("run", "all stages end to end"),
-    ):
+    for name, help_text in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
     return parser

@@ -28,20 +28,18 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-INT64_MAX = 2**63 - 1
 # Input files are read in blocks of whole lines of about this many bytes.
 # A block's work takes a few dozen times as much memory, more for short
 # lines; beyond that the parse holds only its columns and distinct ids.
 BLOCK_BYTES = 1 << 18
-# Longer ids take the per-line path, which bounds the width of an id key.
+# The most UTF-8 bytes of an id or a category, which bounds the width of a key.
 MAX_ID_BYTES = 64
-# A timestamp of at most this many digits fits int64 and is decoded in bulk.
-MAX_TS_DIGITS = 18
+# The most ASCII digits of a timestamp: any such number fits uint64.
+MAX_TS_DIGITS = 19
 # _PREFIX_MASK[k]: the first k bytes of a big-endian uint64.
 _PREFIX_MASK = np.array(
     [(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64
@@ -198,11 +196,9 @@ class LoadReport:
     social_edges_duplicate: int = 0
     social_edges_dropped: int = 0
 
-    # Blocks read from the three files, and the non-empty lines that took
-    # the line-at-a-time path. Plain attributes, not fields, so asdict() and
-    # load_report.json keep their keys.
+    # Blocks read from the three files. A plain attribute, not a field, so
+    # asdict() and load_report.json keep their keys.
     blocks = 0
-    scalar_lines = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -315,22 +311,22 @@ def parse_dataset(
     """Load the canonical TSV files into a referentially-consistent Dataset.
 
     The files are UTF-8 with `\n`, `\r\n` or `\r` line ends, decoded in
-    blocks of whole lines. A line in the canonical form (the expected number
-    of tabs, or a POI line without the category's, no NUL byte, ids of 1 to
-    MAX_ID_BYTES bytes, a timestamp of 1 to MAX_TS_DIGITS ASCII digits above
-    0, coordinates in range) is decoded in bulk; any other line goes through the per-line rules of `_poi_fields`,
-    `_checkin_fields` or `_edge_fields`, which give the same verdict on a
-    canonical line. Line numbers in the report count every physical line,
-    blank ones too. Social edges whose endpoints never check in are dropped
-    and counted in the load report.
+    blocks of whole lines. A line that `bytes.strip()` empties is blank and
+    skipped. Any other line is malformed unless it holds no NUL byte, at
+    least the tabs of its file's required fields (2 in the POI and check-in
+    files, 1 in the social file), ids of 1 to MAX_ID_BYTES bytes, a category
+    of at most MAX_ID_BYTES bytes (empty for none), a timestamp of 1 to
+    MAX_TS_DIGITS ASCII digits with a value in 1..2**63 - 1, and coordinates
+    whose float() is in range; fields after the last one read are ignored.
+    Line numbers in the report count every physical line, blank ones too.
+    Social edges whose endpoints never check in, and malformed social lines,
+    are dropped and counted in the load report.
     """
     report = LoadReport()
     # One `_Intern` per kind of id, over every file that holds it.
     pois, users, categories = _Intern(), _Intern(), _Intern()
     poi_lines = _parse_pois(poi_path, pois, categories, report, max_malformed_frac)
-    (user, poi, ts), bad = _scan(
-        checkin_path, (2, 2), _checkin_block, _checkin_fields, (users, pois, None), report
-    )
+    (user, poi, ts), bad = _scan(checkin_path, (2, 2), _checkin_block, (users, pois, None), report)
     report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(ts)
     code, poi_ids = _defined(pois, poi_lines[0])
     poi = code[poi]
@@ -340,7 +336,7 @@ def parse_dataset(
     poi_columns = _poi_columns(code, *poi_lines, categories, report)
     (a, b), bad = (np.zeros(0, dtype=np.int32),) * 2, []
     if social_path is not None:
-        (a, b), bad = _scan(social_path, (1, 1), _edge_block, _edge_fields, (users, users), report)
+        (a, b), bad = _scan(social_path, (1, 1), _edge_block, (users, users), report)
     code, user_ids = _defined(users, user)
     # The distinct edges between users with check-ins.
     a, b = code[a], code[b]
@@ -350,40 +346,6 @@ def parse_dataset(
     edges = edge_pairs(a[keep], b[keep], len(user_ids))
     report.social_edges_duplicate = report.social_edges_parsed - len(edges)
     return Dataset(user_ids, poi_ids, code[user], poi, ts, *poi_columns, edges, report)
-
-
-def _poi_fields(line: str):
-    """(poi_id, lat, lon, category or None) of one POI line, or None if it
-    is malformed."""
-    parts = line.split("\t")
-    if len(parts) < 3:
-        return None
-    try:
-        lat, lon = float(parts[1]), float(parts[2])
-    except ValueError:
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        return None
-    return parts[0], lat, lon, parts[3] if len(parts) > 3 and parts[3] != "" else None
-
-
-def _checkin_fields(line: str):
-    """(user_id, poi_id, ts) of one check-in line, or None if it is
-    malformed."""
-    parts = line.split("\t")
-    if len(parts) < 3:
-        return None
-    try:
-        ts = int(parts[2])
-    except ValueError:
-        return None
-    return (parts[0], parts[1], ts) if 0 < ts <= INT64_MAX else None
-
-
-def _edge_fields(line: str):
-    """(user_id, user_id) of one social line, or None if it has one field."""
-    parts = line.split("\t")
-    return (parts[0], parts[1]) if len(parts) >= 2 else None
 
 
 def _poi_block(b: _Block):
@@ -400,10 +362,7 @@ def _checkin_block(b: _Block):
 
 
 def _edge_block(b: _Block):
-    # A line of whitespace is blank, though its ids are not empty; one that
-    # starts with a visible ASCII character is not.
-    first = b.buf[b.lo[0]]
-    ok = b.id_ok(0) & b.id_ok(1) & (first > ord(" ")) & (first < 0x80)
+    ok = b.id_ok(0) & b.id_ok(1)
     return ok, (b.keys(0, ok), b.keys(1, ok))
 
 
@@ -412,8 +371,7 @@ def _parse_pois(path, pois: _Intern, categories: _Intern, report: LoadReport, ma
     lat, lon, the category numbers in `categories` (-1 for none), and line
     number."""
     (number, lat, lon, cat, line), bad = _scan(
-        path, (2, 3), _poi_block, _poi_fields, (pois, None, None, categories), report,
-        lines=True,
+        path, (2, 3), _poi_block, (pois, None, None, categories), report, lines=True
     )
     report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
     _check_malformed(bad, len(line) + len(bad), max_frac, path)
@@ -448,17 +406,18 @@ def _poi_columns(code, number, lat, lon, cat, line, categories: _Intern, report:
 
 def _first_unknown_poi(path, known: Ids) -> DataError:
     """The error for the first parsed line of the check-in file whose POI is
-    not `known`, read again one text-mode line at a time: universal newlines
-    count lines as `_read_blocks` does, and each non-blank line gets the
-    per-line rules."""
-    with open(path, encoding="utf-8") as fh:
-        for line, text in enumerate(fh, start=1):
-            fields = _checkin_fields(text.rstrip("\n")) if text.strip() else None
-            if fields is not None and fields[1] not in known:
-                return DataError(
-                    f"check-in at line {line} references unknown poi_id {fields[1]!r}"
-                )
-    raise AssertionError(f"no unknown poi_id in {path}")
+    not `known`. The file is scanned again with fresh `_Intern`s, so that
+    only this path holds the check-ins' line numbers."""
+    pois = _Intern()
+    (_, poi, _, line), _ = _scan(
+        path, (2, 2), _checkin_block, (_Intern(), pois, None), LoadReport(), lines=True
+    )
+    code = pois.finish()[poi]
+    unknown = np.array([s not in known for s in pois.ids], dtype=bool)[code]
+    first = int(np.argmax(unknown))
+    return DataError(
+        f"check-in at line {line[first]} references unknown poi_id {pois.ids[code[first]]!r}"
+    )
 
 
 def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
@@ -471,56 +430,31 @@ def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
     return np.stack((key // n_users, key % n_users), axis=1).astype(np.int32)
 
 
-def _scan(path, n_tabs: tuple[int, int], decode, scalar, coders, report: LoadReport,
+def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
           lines: bool = False):
     """The parsed lines of `path`, decoded block by block, and the line
     numbers of its malformed ones, in file order.
 
-    `decode(block)` gives the mask of the block's `rows` in the canonical
-    form and their fields: id keys (see `_Block.keys`) or values. Every other
-    non-empty line is a scalar line: if it is not blank, `scalar(text)`
-    applies the per-line rules to it and gives its fields, or None if it is
-    malformed. The parsed lines come as columns, one per field, then their
-    line numbers if `lines` is set. `coders[j]`, an `_Intern`, numbers id
-    field j as int32 before the next block is read. Each column grows in
-    place block by block, so no block outlives its turn and no column is
-    ever held twice."""
+    `decode(block)` gives the mask of the block's `rows` that it parses and
+    their fields: id keys (see `_Block.keys`) or values. A non-blank line
+    that it does not parse is malformed. The parsed lines come as columns,
+    one per field, then their line numbers if `lines` is set. `coders[j]`,
+    an `_Intern`, numbers id field j as int32 before the next block is read.
+    Each column grows in place block by block, so no block outlives its turn
+    and no column is ever held twice."""
     columns, bad = None, []
     first_line = 1
     for raw in _read_blocks(path):
         b = _Block(raw, first_line, n_tabs, path)
         ok, fields = decode(b)
-        is_fast = np.zeros(len(b.ends), dtype=bool)
-        is_fast[b.rows[ok]] = True
-        scalar_rows = np.flatnonzero(~is_fast & (b.ends > b.starts)).tolist()
-        slow, slow_fields = [], []
-        for i in scalar_rows:
-            text = raw[b.starts[i]:b.ends[i]].decode("utf-8")
-            if text.strip():
-                parsed = scalar(text)
-                if parsed is None:
-                    bad.append(first_line + i)
-                else:
-                    slow.append(first_line + i)
-                    slow_fields.append(parsed)
+        parsed = b.rows[ok]
+        malformed = b.nonblank.copy()
+        malformed[parsed] = False
+        bad += (first_line + np.flatnonzero(malformed)).tolist()
         report.blocks += 1
-        report.scalar_lines += len(scalar_rows)
-        fast = first_line + b.rows[ok]
-        # The block's parsed lines in file order: the scalar ones go between.
-        line = np.concatenate((fast, np.array(slow, dtype=fast.dtype)))
-        order = np.argsort(line, kind="stable") if slow else slice(None)
-        values = []
-        extras = zip(*slow_fields) if slow else [()] * len(fields)
-        for field, extra, coder in zip(fields, extras, coders):
-            if coder is not None:
-                field = coder.block(field)
-                extra = [coder.scalar(name) for name in extra]
-            values.append(
-                np.concatenate((field, np.array(extra, dtype=field.dtype)))[order] if slow
-                else field
-            )
+        values = [f if coder is None else coder.block(f) for f, coder in zip(fields, coders)]
         if lines:
-            values.append(line[order])
+            values.append(first_line + parsed)
         if columns is None:
             columns = [np.empty(0, dtype=v.dtype) for v in values]
         for column, v in zip(columns, values):
@@ -560,10 +494,11 @@ class _Block:
     """One block of whole lines of an input file.
 
     Line i spans bytes `starts[i]:ends[i]`, its line end excluded, and is
-    physical line `first_line + i` of the file. `rows` are the lines with
-    `n_tabs[0]` to `n_tabs[1]` tabs and no NUL byte; field j of `rows[k]`
-    spans bytes `lo[j][k]:hi[j][k]`, and a field past a line's last tab is
-    empty."""
+    physical line `first_line + i` of the file. `nonblank[i]`: line i holds
+    a byte that `bytes.strip()` keeps. `rows` are the non-blank lines with
+    at least `n_tabs[0]` tabs and no NUL byte; field j, for j up to
+    `n_tabs[1]`, of `rows[k]` spans bytes `lo[j][k]:hi[j][k]`, and a field
+    past a line's last tab is empty."""
 
     def __init__(self, raw: bytes, first_line: int, n_tabs: tuple[int, int], path):
         buf = np.frombuffer(raw, dtype=np.uint8)
@@ -582,19 +517,30 @@ class _Block:
             line = first_line + int(np.searchsorted(self.ends, e.start))
             raise DataError(f"line {line} of {path} is not valid UTF-8") from None
 
+        del eol, is_lf, crlf, first, last  # not held beside the byte masks below
+        # Line i and its line end are bytes starts[i] up to starts[i + 1];
+        # bytes.strip() strips \t, \n, \v, \f, \r (9 to 13) and space.
+        visible = (buf - np.uint8(9) > 4) & (buf != 32)
+        self.nonblank = np.logical_or.reduceat(visible, self.starts)
+        del visible
         tabs = np.flatnonzero(buf == 9)
         n_tabs_of = np.bincount(np.searchsorted(self.ends, tabs), minlength=len(self.ends))
         has_nul = np.zeros(len(self.ends), dtype=bool)
         has_nul[np.searchsorted(self.ends, np.flatnonzero(buf == 0))] = True
         fewest, most = n_tabs
-        self.rows = np.flatnonzero((fewest <= n_tabs_of) & (n_tabs_of <= most) & ~has_nul)
+        self.rows = np.flatnonzero(self.nonblank & (n_tabs_of >= fewest) & ~has_nul)
         first_tab = (np.cumsum(n_tabs_of) - n_tabs_of)[self.rows]
         n, end = n_tabs_of[self.rows], self.ends[self.rows]
-        # A missing tab sits at the line end, so the fields after it are empty.
-        t = [np.where(j < n, tabs[np.minimum(first_tab + j, len(tabs) - 1)], end)
-             for j in range(most)]
-        self.lo = [self.starts[self.rows], *(np.minimum(x + 1, end) for x in t)]
-        self.hi = [*t, end]
+        # Field j ends at tab j; a missing tab sits at the line end, so the
+        # fields after it are empty.
+        self.hi = [np.where(j < n, tabs[np.minimum(first_tab + j, len(tabs) - 1)], end)
+                   for j in range(most)]
+        self.lo = [self.starts[self.rows], *(np.minimum(x + 1, end) for x in self.hi)]
+        # The last field ends at the line end, or at a tab before extra
+        # fields: set in place, so that it takes no array of its own.
+        more = np.flatnonzero(n > most)
+        end[more] = tabs[first_tab[more] + most]
+        self.hi.append(end)
         self.raw, self.buf = raw, buf
         # words[i]: bytes i to i + 7 as one big-endian integer.
         padded = np.zeros(len(buf) + 8, dtype=np.uint8)
@@ -620,8 +566,10 @@ class _Block:
         return keys
 
     def timestamps(self, j: int) -> np.ndarray:
-        """Field j as int64 where it is 1 to MAX_TS_DIGITS ASCII digits, else
-        -1: the digits' weighted sum, taken one digit column at a time."""
+        """Field j as int64: positive exactly where it is 1 to MAX_TS_DIGITS
+        ASCII digits with a value of at most 2**63 - 1, and then that value.
+        The digits' weighted sum is taken in uint64, one digit column at a
+        time; a larger value reads as negative."""
         lo, hi = self.lo[j], self.hi[j]
         n = hi - lo
         width = int(np.clip(n.max(initial=1), 1, MAX_TS_DIGITS))
@@ -632,23 +580,20 @@ class _Block:
         digit = window[hi] - np.uint8(ord("0"))  # non-digits wrap above 9
         # putmask, not a boolean index, which takes 16 bytes per masked digit.
         np.putmask(digit, np.arange(width) < (width - n)[:, None], 0)
-        value = np.zeros(len(n), dtype=np.int64)
+        value = np.zeros(len(n), dtype=np.uint64)
         for k in range(width):
-            value = value * 10 + digit[:, k]
+            value = value * np.uint64(10) + digit[:, k]
         ok = (digit <= 9).all(axis=1) & (n > 0) & (n <= width)
-        return np.where(ok, value, -1)
+        return np.where(ok, value.view(np.int64), -1)
 
     def floats(self, j: int) -> np.ndarray:
         """Python's float() of field j's bytes; nan where it raises, as it
         does on non-ASCII text that float() of the str might accept."""
-        fields = self._slices(j, slice(None))
+        fields = [self.raw[a:b] for a, b in zip(self.lo[j].tolist(), self.hi[j].tolist())]
         try:
             return np.array(list(map(float, fields)), dtype=float)
         except ValueError:
             return np.array(list(map(_float, fields)), dtype=float)
-
-    def _slices(self, j: int, ok) -> list[bytes]:
-        return [self.raw[a:b] for a, b in zip(self.lo[j][ok].tolist(), self.hi[j][ok].tolist())]
 
 
 def _float(text: bytes) -> float:
@@ -663,20 +608,18 @@ class _Intern:
     block, in every field of every file that holds them; then codes them in
     sorted id order.
 
-    `block(keys)` gives each key row (see `_Block.keys`) a number, and
-    `scalar(name)` a scalar line's id: each distinct key row and each
-    distinct scalar id is numbered when first seen, whatever the block. An
-    empty field, a zero key row or a scalar None, is numbered -1 and names
-    no id. `keys` holds the distinct key rows seen so far, sorted, and
-    `number` each one's number, so only a block's distinct keys are searched
-    and inserted; no key is kept per line. Once every block is in, `finish`
-    gives the code of each number: the sorted key rows are the sorted ids,
-    so no line is sorted."""
+    `block(keys)` gives each key row (see `_Block.keys`) a number: each
+    distinct key row is numbered when first seen, whatever the block. An
+    empty field's zero key row is numbered -1 and names no id. `keys` holds
+    the distinct key rows seen so far, sorted, and `number` each one's
+    number, so only a block's distinct keys are searched and inserted; no
+    key is kept per line. Once every block is in, `finish` gives the code of
+    each number: the sorted key rows are the sorted ids, so no line is
+    sorted."""
 
     def __init__(self):
         self.keys = np.zeros((0, 1), dtype=np.uint64)
         self.number = np.zeros(0, dtype=np.int32)
-        self.names: dict[str, int] = {}  # id of a scalar line -> number
         self.n = 0
 
     def block(self, keys: np.ndarray) -> np.ndarray:
@@ -696,28 +639,12 @@ class _Intern:
             self.number = np.insert(self.number, at[new], number[new])
         return numbers[of]
 
-    def scalar(self, name: str | None) -> int:
-        if name is None:
-            return -1
-        if name not in self.names:
-            self.names[name] = self.n
-            self.n += 1
-        return self.names[name]
-
     def finish(self) -> np.ndarray:
         """Sets `ids`, the sorted distinct ids, and gives the int32 code of
-        each number. Only with scalar ids is there Python work per id."""
-        ids = Ids.from_keys(self.keys)
+        each number."""
+        self.ids = Ids.from_keys(self.keys)
         code = np.empty(self.n, dtype=np.int32)
-        code[self.number] = np.arange(len(ids))
-        if self.names:
-            keyed, ids = ids, Ids.of(chain(ids, self.names))
-            # The keyed ids keep their order: they take the codes of the
-            # merged ids that only scalar lines name, left out.
-            scalar_only = [ids.index(s) for s in self.names if s not in keyed]
-            code[self.number] = np.delete(np.arange(len(ids)), scalar_only)
-            code[list(self.names.values())] = [ids.index(s) for s in self.names]
-        self.ids = ids
+        code[self.number] = np.arange(len(self.ids))
         return code
 
 

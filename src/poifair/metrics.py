@@ -15,12 +15,25 @@ from .temporal import LEISURE, WORKING
 
 @dataclass(frozen=True)
 class RankingMetrics:
-    """Per-list metrics, each a float array shaped as the lists' leading
-    axes: (users,) for one list a user, (users, rows) for a grid's."""
+    """Per-list metrics at cutoff n, shaped as the lists' leading axes:
+    (users,) for one list a user, (users, rows) for a grid's. Each list's
+    hit count and nDCG are kept; precision and recall are derived from the
+    hit count when read. n_relevant broadcasts against n_hits."""
 
-    precision: np.ndarray
-    recall: np.ndarray
+    n_hits: np.ndarray
+    n_relevant: np.ndarray
+    n: int
     ndcg: np.ndarray
+
+    @property
+    def precision(self) -> np.ndarray:
+        return self.n_hits / self.n
+
+    @property
+    def recall(self) -> np.ndarray:
+        recall = np.zeros(self.n_hits.shape)
+        np.divide(self.n_hits, self.n_relevant, out=recall, where=self.n_relevant > 0)
+        return recall
 
 
 @dataclass(frozen=True)
@@ -54,12 +67,9 @@ def ranking_metrics(hits: np.ndarray, n_relevant: np.ndarray, n: int) -> Ranking
     idcg = np.array(list(itertools.accumulate(discounts, initial=0.0)))[
         np.minimum(n, n_relevant)
     ]
-    n_hits = hits.sum(axis=-1)
-    recall = np.zeros(dcg.shape)
-    np.divide(n_hits, n_relevant, out=recall, where=n_relevant > 0)
     ndcg = np.zeros(dcg.shape)
     np.divide(dcg, idcg, out=ndcg, where=idcg > 0)
-    return RankingMetrics(precision=n_hits / n, recall=recall, ndcg=ndcg)
+    return RankingMetrics(hits.sum(axis=-1, dtype=np.int32), n_relevant, n, ndcg)
 
 
 def fairness_summary(

@@ -198,7 +198,6 @@ class Pipeline:
             )
             self._write(self.out / "load_report.json", d.load_report.to_json())
             self.counts["parse.blocks"] = d.load_report.blocks
-            self.counts["parse.scalar_lines"] = d.load_report.scalar_lines
             return d
 
     def preprocess(self, d: Dataset) -> Dataset:
@@ -553,6 +552,17 @@ def _peak_rss_mb() -> float:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
+# Each command, in stage order, and its help text.
+COMMANDS = {
+    "preprocess": "parse, filter, and report dataset statistics",
+    "analyze": "temporal profiles, groups, histogram, correlations",
+    "recommend": "every stage, writing the same artifacts as run",
+    "sweep": "weighted-sum lambda grid search on validation",
+    "evaluate": "every stage, writing the same artifacts as run",
+    "run": "all stages end to end",
+}
+
+
 def run_pipeline(config: ExperimentConfig, command: str = "run"):
     """Run the stages in order up to the last one `command` needs, write the
     manifest and return the evaluation reports (none for the commands that
@@ -560,8 +570,7 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
     the sweep runs for `sweep`, when `run_sweep` is set, or when weighted-sum
     fusion needs its lambdas. `sweep` ranks only the weighted-sum grid. A
     failed stage leaves a partial manifest and its StageFailure is raised."""
-    commands = ("preprocess", "analyze", "recommend", "sweep", "evaluate", "run")
-    if command not in commands:
+    if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     p = Pipeline(config)
     try:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from poifair.data import INT64_MAX, DataError, Dataset, DatasetStats, Ids, LoadReport
+from poifair.data import DataError, Dataset, DatasetStats, Ids, LoadReport
 from poifair.fusion import (
     OBJECTIVE_MAX_ACC_UNF,
     OBJECTIVE_MIN_DELTA,
@@ -177,29 +177,21 @@ class Parsed:
 
 def parse_dataset(checkin_path, poi_path, social_path=None,
                   max_malformed_frac: float = 0.01) -> Parsed:
-    """The canonical TSV files read one text-mode line at a time."""
+    """The canonical TSV files read one text-mode line at a time, each
+    non-blank line split into fields by the file format's rules."""
     report = LoadReport()
 
     pois: dict[str, Poi] = {}
     poi_lines = 0
-    for lineno, line in _read_lines(poi_path):
+    for lineno, parts in _read_lines(poi_path, 3, 4):
         poi_lines += 1
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3:
+        fields = _poi_fields(parts)
+        if fields is None:
             report.poi_lines_malformed.append(lineno)
             continue
-        try:
-            lat, lon = float(parts[1]), float(parts[2])
-        except ValueError:
-            report.poi_lines_malformed.append(lineno)
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            report.poi_lines_malformed.append(lineno)
-            continue
-        category = parts[3] if len(parts) > 3 and parts[3] != "" else None
-        if parts[0] in pois:
+        if fields.poi_id in pois:
             report.poi_lines_duplicate.append(lineno)
-        pois[parts[0]] = Poi(parts[0], lat, lon, category)
+        pois[fields.poi_id] = fields
     report.poi_lines_parsed = poi_lines - len(report.poi_lines_malformed)
     _check_malformed(report.poi_lines_malformed, poi_lines, max_malformed_frac, poi_path)
 
@@ -211,18 +203,13 @@ def parse_dataset(checkin_path, poi_path, social_path=None,
     ts_col: list[int] = []
     malformed = report.checkin_lines_malformed
     ci_lines = 0
-    for lineno, line in _read_lines(checkin_path):
+    for lineno, parts in _read_lines(checkin_path, 3, 3):
         ci_lines += 1
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3:
+        if parts is None or not (_is_id(parts[0]) and _is_id(parts[1])):
             malformed.append(lineno)
             continue
-        try:
-            ts = int(parts[2])
-        except ValueError:
-            malformed.append(lineno)
-            continue
-        if not 0 < ts <= INT64_MAX:
+        ts = _timestamp(parts[2])
+        if ts is None:
             malformed.append(lineno)
             continue
         p = poi_code.get(parts[1])
@@ -243,9 +230,8 @@ def parse_dataset(checkin_path, poi_path, social_path=None,
 
     social = SocialGraph()
     if social_path is not None:
-        for _, line in _read_lines(social_path):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2 or parts[0] == parts[1]:
+        for _, parts in _read_lines(social_path, 2, 2):
+            if parts is None or not all(map(_is_id, parts)) or parts[0] == parts[1]:
                 report.social_edges_dropped += 1
                 continue
             if parts[0] not in user_code or parts[1] not in user_code:
@@ -261,15 +247,60 @@ def parse_dataset(checkin_path, poi_path, social_path=None,
     )
 
 
-def _read_lines(path):
-    """(physical line number, line) for every non-blank line of path."""
+# The file format's limits, stated here apart from `poifair.data`: the most
+# UTF-8 bytes of an id or a category, the most digits of a timestamp, and
+# the largest timestamp.
+MAX_ID_BYTES = 64
+MAX_TS_DIGITS = 19
+INT64_MAX = 2**63 - 1
+
+
+def _read_lines(path, fewest: int, n_fields: int):
+    """(physical line number, fields) for every non-blank line of path, a
+    blank one being what bytes.strip() empties. The fields are the line's
+    first `n_fields`, those it lacks empty; None if it holds a NUL or fewer
+    than `fewest` fields."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"unreadable file: {p}")
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, line
+            line = line.removesuffix("\n")
+            if not line.encode("utf-8").strip():
+                continue
+            parts = line.split("\t")
+            if "\x00" in line or len(parts) < fewest:
+                yield lineno, None
+            else:
+                yield lineno, (parts + [""] * n_fields)[:n_fields]
+
+
+def _is_id(s: str, fewest: int = 1) -> bool:
+    """Whether s is `fewest` to MAX_ID_BYTES UTF-8 bytes."""
+    return fewest <= len(s.encode("utf-8")) <= MAX_ID_BYTES
+
+
+def _timestamp(s: str) -> int | None:
+    """The value of 1 to MAX_TS_DIGITS ASCII digits, if it is 1 to
+    INT64_MAX."""
+    if not (s.isascii() and s.isdigit() and len(s) <= MAX_TS_DIGITS):
+        return None
+    ts = int(s)
+    return ts if 0 < ts <= INT64_MAX else None
+
+
+def _poi_fields(parts) -> Poi | None:
+    if parts is None or not (_is_id(parts[0]) and _is_id(parts[3], fewest=0)):
+        return None
+    try:
+        # The float() of the field's UTF-8 bytes, not of the str: it takes
+        # no non-ASCII digit.
+        lat, lon = float(parts[1].encode("utf-8")), float(parts[2].encode("utf-8"))
+    except ValueError:
+        return None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None
+    return Poi(parts[0], lat, lon, parts[3] or None)
 
 
 def _check_malformed(bad_lines, total, max_frac, path):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from poifair import config, fusion, pipeline
-from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
+from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, build_parser, main
 from poifair.config import ExperimentConfig
 from poifair.recommend import MODEL_NAMES
 from poifair.synth import SynthConfig, generate, write_tsv
@@ -231,6 +231,17 @@ class TestRun:
         assert main(["evaluate", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "table3.csv").is_file()
 
+    def test_commands_are_named_once(self, tmp_path, fixture_files):
+        """The parser's subcommands, with their help, are pipeline.COMMANDS,
+        and run_pipeline rejects any other command."""
+        subs = next(a for a in build_parser()._actions if a.dest == "command")
+        assert list(subs.choices) == list(pipeline.COMMANDS)
+        assert {a.dest: a.help for a in subs._choices_actions} == pipeline.COMMANDS
+        cfg = ExperimentConfig.from_json(write_config(tmp_path, fixture_files))
+        with pytest.raises(ValueError, match="unknown command 'fit'"):
+            pipeline.run_pipeline(cfg, "fit")
+        assert not (tmp_path / "out").exists()
+
     def test_recommend_and_evaluate_write_the_same_artifacts(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
         outs = {}
@@ -286,7 +297,6 @@ class TestRun:
         out = tmp_path / "out"
         assert json.loads((out / "manifest.json").read_text())["counts"] == {
             "parse.blocks": 2,
-            "parse.scalar_lines": 0,
             "preprocess.short_checkins_removed": 2,
             "preprocess.short_users_removed": 1,
         }

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poifair.data import (
-    INT64_MAX,
     MIN_SPLIT_CHECKINS,
     DataError,
     Dataset,
@@ -24,7 +23,7 @@ from poifair.data import (
 
 import oracles
 from conftest import make_checkin, make_dataset
-from oracles import Poi, SocialGraph
+from oracles import INT64_MAX, Poi, SocialGraph
 
 
 def write_files(tmp_path, checkin_rows, poi_rows, social_rows=None):
@@ -53,11 +52,94 @@ def benchmark_corpus(workload: str) -> dict[str, str]:
     return corpus.generate(corpus.CorpusSpec.from_json(w["corpus"]), w["corpus_seed"])
 
 
+# The file format's boundary: each line is added, after a blank one, to a
+# valid corpus; None if it is malformed, else the record it parses to.
+FORMAT_BASE = {
+    "pois.tsv": ["p1\t40\t-100\tc", "p2\t41\t-101\t"],
+    "checkins.tsv": ["u1\tp1\t100", "u2\tp2\t200", "u1\tp2\t300"],
+    "social.tsv": [],
+}
+FORMAT = [
+    # Timestamps with a sign, spaces, underscores, non-ASCII digits or more
+    # than 19 digits.
+    ("checkins.tsv", "u1\tp1\t+12", None),
+    ("checkins.tsv", "u1\tp1\t 12", None),
+    ("checkins.tsv", "u1\tp1\t12 ", None),
+    ("checkins.tsv", "u1\tp1\t1_000", None),
+    ("checkins.tsv", "u1\tp1\t١٢", None),
+    ("checkins.tsv", "u1\tp1\t１２", None),
+    ("checkins.tsv", "u1\tp1\t" + "0" * 18 + "12", None),
+    # Empty ids, and ids with a NUL.
+    ("checkins.tsv", "\tp1\t101", None),
+    ("checkins.tsv", "u1\t\t101", None),
+    ("checkins.tsv", "u\x00x\tp1\t102", None),
+    ("pois.tsv", "\t40\t-100\tc", None),
+    ("pois.tsv", "p\x009\t40\t-100\tc", None),
+    ("social.tsv", "\tu2", None),
+    ("social.tsv", "u1\tu\x002", None),
+    # Ids and categories over 64 bytes.
+    ("checkins.tsv", "M" * 65 + "\tp1\t1", None),
+    ("checkins.tsv", "é" * 33 + "\tp1\t1", None),
+    ("pois.tsv", "p" * 65 + "\t40\t-100\tc", None),
+    ("pois.tsv", "p9\t40\t-100\t" + "c" * 65, None),
+    ("social.tsv", "u1\t" + "M" * 65, None),
+    # Non-ASCII coordinates.
+    ("pois.tsv", "p9\t٤٠\t-100\tc", None),
+    ("pois.tsv", "p9\t40\t-１００\tc", None),
+    # Lines of non-ASCII whitespace only.
+    ("checkins.tsv", "\x85", None),
+    ("checkins.tsv", "\u2028", None),
+    ("pois.tsv", "\u2028", None),
+    ("social.tsv", "\x85", None),
+    # Extra fields, the largest timestamp, a 64-byte id, a one-space id.
+    ("checkins.tsv", "u1\tp1\t400\textra", ("u1", "p1", 400)),
+    ("pois.tsv", "p9\t40\t-100\tc\textra", ("p9", 40.0, -100.0, "c")),
+    ("pois.tsv", "p9\t40\t-100\t\textra", ("p9", 40.0, -100.0, None)),
+    ("social.tsv", "u1\tu2\textra", ("u1", "u2")),
+    ("checkins.tsv", f"u1\tp1\t{2**63 - 1}", ("u1", "p1", 2**63 - 1)),
+    ("checkins.tsv", "M" * 64 + "\tp1\t1", ("M" * 64, "p1", 1)),
+    ("checkins.tsv", "é" * 32 + "\tp1\t1", ("é" * 32, "p1", 1)),
+    ("pois.tsv", "p9\t40\t-100\t" + "c" * 64, ("p9", 40.0, -100.0, "c" * 64)),
+    ("checkins.tsv", " \tp1\t1", (" ", "p1", 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, line, want", FORMAT, ids=[f"{n[:-4]}-{i}" for i, (n, _, _) in enumerate(FORMAT)]
+)
+def test_format_boundary(tmp_path, name, line, want):
+    files = {**FORMAT_BASE, name: [*FORMAT_BASE[name], "", line]}
+    for n, rows in files.items():
+        (tmp_path / n).write_bytes("".join(r + "\n" for r in rows).encode("utf-8"))
+    paths = [tmp_path / n for n in ("checkins.tsv", "pois.tsv", "social.tsv")]
+    d = parse_dataset(*paths, max_malformed_frac=0.5)
+    r = d.load_report
+    malformed = {"checkins.tsv": r.checkin_lines_malformed, "pois.tsv": r.poi_lines_malformed}
+    if want is None:
+        # The line is listed with its physical line, blank lines counted;
+        # a social line is dropped.
+        if name == "social.tsv":
+            assert (r.social_edges_dropped, r.social_edges_parsed) == (1, 0)
+        else:
+            assert malformed[name] == [len(FORMAT_BASE[name]) + 2]
+        return
+    assert r.checkin_lines_malformed == r.poi_lines_malformed == []
+    assert r.social_edges_dropped == 0
+    if name == "checkins.tsv":
+        got = (d.user_ids[d.user[-1]], d.poi_ids[d.poi[-1]], int(d.ts[-1]))
+    elif name == "pois.tsv":
+        i = d.poi_ids.index(want[0])
+        category = d.category_ids[d.category[i]] if d.category[i] >= 0 else None
+        got = (want[0], float(d.lat[i]), float(d.lon[i]), category)
+    else:
+        got = tuple(d.user_ids[c] for c in d.edges[0])
+    assert got == want
+
+
 class TestParse:
     def test_pois_without_category_column_decode_in_bulk(self, tmp_path):
         """A POI file with no category column (SNAP's loc-gowalla has none)
-        takes no line through the per-line rules, and parses as it does with
-        each line's empty category kept."""
+        parses as it does with each line's empty category kept."""
         texts = benchmark_corpus("geosoca-sweep")
         fields = [line.split("\t")[:3] for line in texts["pois.tsv"].splitlines()]
         ci, cut, _ = write_files(
@@ -66,7 +148,7 @@ class TestParse:
         empty = tmp_path / "empty_category.tsv"
         empty.write_text("".join("\t".join(f) + "\t\n" for f in fields))
         got, want = parse_dataset(ci, cut), parse_dataset(ci, empty)
-        assert got.load_report.scalar_lines == 0
+        assert got.load_report.poi_lines_malformed == []
         assert got.load_report.poi_lines_parsed == len(fields) == 240
         assert list(got.poi_ids) == list(want.poi_ids)
         assert got.lat.tobytes() == want.lat.tobytes()

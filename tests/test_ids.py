@@ -58,7 +58,7 @@ def test_ids_equal_sorted_list_oracle(names, probes, data):
 def test_a_block_of_known_ids_keeps_the_key_table():
     """Only a block that brings a new id copies the table; an empty field's
     zero row is numbered -1 and enters no table. A block's new ids are
-    numbered in key order, scalar ids when first seen."""
+    numbered in key order."""
     intern = data._Intern()
     first = intern.block(key_rows(["bb", "a", "a longer id"]))
     table, numbers = intern.keys, intern.number
@@ -67,9 +67,7 @@ def test_a_block_of_known_ids_keeps_the_key_table():
         assert intern.block(key_rows(block)).tolist() == first[at].tolist()
         assert intern.keys is table and intern.number is numbers
     assert intern.block(np.zeros((2, 1), dtype=np.uint64)).tolist() == [-1, -1]
-    assert intern.keys is table and intern.scalar(None) == -1
+    assert intern.keys is table
     assert intern.block(key_rows(["c"])).tolist() == [3] and intern.keys is not table
-    # A scalar line's new id, and one a key row already numbered.
-    assert (intern.scalar("b"), intern.scalar("c")) == (4, 5)
-    assert intern.finish().tolist() == [0, 1, 3, 4, 2, 4]
-    assert list(intern.ids) == ["a", "a longer id", "b", "bb", "c"]
+    assert intern.finish().tolist() == [0, 1, 2, 3]
+    assert list(intern.ids) == ["a", "a longer id", "bb", "c"]

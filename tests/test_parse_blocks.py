@@ -20,9 +20,9 @@ def write_corpus(path, n_users, n_pois, n_checkins, seed=0):
     """A corpus whose check-in lines are shuffled, so that users and POIs
     recur in blocks that are not next to each other, and that holds:
     - POI ids of 9 to 16 bytes, which take two key words, beside short ones;
-    - a POI that only a scalar line (one with an extra field) defines, which
-      canonical and scalar check-in lines visit;
-    - a user that only a scalar check-in line names;
+    - a POI that only a line with an extra field defines, which check-in
+      lines with and without an extra field visit;
+    - a user that only a check-in line with an extra field names;
     - on its first check-in line, a user and a POI above every other id, so
       that every other id first appears after a larger one.
     Returns the (user, poi, ts) of each check-in line, in file order."""
@@ -33,20 +33,20 @@ def write_corpus(path, n_users, n_pois, n_checkins, seed=0):
     poi_lines = [
         f"{p}\t{40 + i / 1000}\t{-100 - i / 1000}\tcat{i % 7}" for i, p in enumerate(pois)
     ]
-    poi_lines.append("poi-scalar-only\t40.5\t-100.5\tcat0\textra")
+    poi_lines.append("poi-extra-only\t40.5\t-100.5\tcat0\textra")
     poi_lines.append("zz-last-poi\t41\t-101")
     (path / "pois.tsv").write_text("\n".join(poi_lines) + "\n", encoding="utf-8")
 
     rows = [(rng.choice(users), rng.choice(pois), rng.randrange(1, 2**40))
             for _ in range(n_checkins)]
-    rows += [(u, "poi-scalar-only", 1000 + i) for i, u in enumerate(users[:5])]
-    rows.append(("u-scalar-only", pois[0], 7))
+    rows += [(u, "poi-extra-only", 1000 + i) for i, u in enumerate(users[:5])]
+    rows.append(("u-extra-only", pois[0], 7))
     rng.shuffle(rows)
     rows.insert(0, ("zz-last-user", "zz-last-poi", 5))
     lines = []
     for u, p, t in rows:
-        # Every 50th line, and the scalar-only user's, has an extra field.
-        extra = "\tx" if len(lines) % 50 == 49 or u == "u-scalar-only" else ""
+        # Every 50th line, and the extra-only user's, has an extra field.
+        extra = "\tx" if len(lines) % 50 == 49 or u == "u-extra-only" else ""
         lines.append(f"{u}\t{p}\t{t}{extra}")
     (path / "checkins.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -64,7 +64,6 @@ def test_block_size_changes_nothing(tmp_path):
     rows = write_corpus(tmp_path, n_users=300, n_pois=400, n_checkins=6000)
     small, whole = parse(tmp_path, 4 << 10), parse(tmp_path, 1 << 30)
     assert small.load_report.blocks >= 40 and whole.load_report.blocks == 3
-    assert small.load_report.scalar_lines == whole.load_report.scalar_lines > 100
     assert small.load_report.to_json() == whole.load_report.to_json()
     for name in ("user_ids", "poi_ids", "category_ids"):
         assert list(getattr(small, name)) == list(getattr(whole, name)), name
@@ -73,7 +72,7 @@ def test_block_size_changes_nothing(tmp_path):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     # ... and both are the file's lines.
     assert list(small.user_ids) == sorted({u for u, _, _ in rows})
-    assert small.poi_ids[-1] == "zz-last-poi" and "poi-scalar-only" in small.poi_ids
+    assert small.poi_ids[-1] == "zz-last-poi" and "poi-extra-only" in small.poi_ids
     assert any(len(p.encode()) > 8 for p in small.poi_ids)
     got = zip(
         small.user_ids.decode(small.user), small.poi_ids.decode(small.poi),
@@ -86,7 +85,8 @@ def test_block_size_changes_nothing(tmp_path):
 def test_unknown_poi_names_its_first_line(tmp_path, block_bytes):
     write_corpus(tmp_path, n_users=50, n_pois=60, n_checkins=1000)
     lines = (tmp_path / "checkins.tsv").read_text(encoding="utf-8").splitlines()
-    # A scalar line, then a canonical one, with unknown POIs, late in the file.
+    # A line with an extra field, then one without, with unknown POIs, late
+    # in the file.
     lines[700:700] = ["u1\tghost-poi-b\t5\textra", "u1\tghost-poi-a\t5"]
     (tmp_path / "checkins.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError) as e:
@@ -98,9 +98,7 @@ def test_parse_memory_is_bounded_by_blocks_and_ids(tmp_path):
     """The traced peak of a parse, less the columns and ids it returns,
     stays under a multiple of the block size plus an allowance per distinct
     id, however many lines share those ids. Interning keys of every line at
-    once (about 60 bytes a check-in line) overshoots it several times over.
-    A fifth of the ids are first named by scalar lines, so `_Intern.finish`
-    merges them in Python: about 80 bytes an id here."""
+    once (about 60 bytes a check-in line) overshoots it several times over."""
     write_corpus(tmp_path, n_users=3000, n_pois=2000, n_checkins=40000)
     block_bytes = 16 << 10
     parse(tmp_path, block_bytes)  # warm up: imports, caches

@@ -1,6 +1,7 @@
 """Property test: the block-wise `parse_dataset` equals the line-at-a-time
-oracle (`oracles.parse_dataset`) on adversarial TSV files. Both give the
-same check-in columns, POI columns, friend CSR and load report, or the same
+oracle (`oracles.parse_dataset`), which applies the file format's rules to
+one text-mode line at a time, on adversarial TSV files. Both give the same
+check-in columns, POI columns, friend CSR and load report, or the same
 DataError message; also with blocks of a few bytes, so that lines and CRLF
 pairs straddle blocks."""
 from unittest.mock import patch
@@ -17,7 +18,7 @@ import oracles
 
 # Ids that sort differently as strings and as numbers, non-ASCII ones, ids
 # of 8, 9, 64 and 65 UTF-8 bytes (one or two key words, at and past the
-# per-line limit), ids with NUL, empty and whitespace ids.
+# limit), ids with NUL, empty and whitespace ids.
 LONG = "M" * 64
 IDS = [
     "u1", "u10", "u9", "U", "a b", "é", "日本", "abcdefgh", "abcdefghi",
@@ -123,6 +124,8 @@ def check_same(tmp_path, world):
 # A short id after a 64-byte one, at the end of a block: its key words past
 # its end must be read inside the block.
 @example(world=("", f"u1\t{LONG}\t1\nu1\tu1\t1\n", None, 0.01))
+# The largest timestamp, of MAX_TS_DIGITS digits, and the first too large.
+@example(world=("p\t40\t-100\n", f"u\tp\t{2**63 - 1}\nu\tp\t{2**63}\n", None, 0.5))
 def test_parse_equals_line_oracle(tmp_path_factory, world):
     check_same(tmp_path_factory.mktemp("parse"), world)
 
@@ -146,17 +149,15 @@ def test_crlf_and_lone_cr_straddling_blocks(tmp_path, block_bytes):
     assert d.ts.tolist() == [100, 200, 300]
     assert list(d.category_ids) == ["c"] and d.category.tolist() == [0, -1]
     assert d.load_report.blocks >= 2
-    assert d.load_report.scalar_lines == 1
 
 
-def test_fast_path_carries_canonical_lines(tmp_path):
+def test_canonical_lines_parse_and_a_signed_timestamp_is_malformed(tmp_path):
     po, ci, so = tmp_path / "pois.tsv", tmp_path / "checkins.tsv", tmp_path / "social.tsv"
     po.write_text("p1\t40.5\t-100.25\tcafe\np2\t41\t-101\t\n")
     ci.write_text("u1\tp1\t100\nu2\tp2\t999999999999999999\n\nu1\tp2\t+3\n")
     so.write_text("u1\tu2\nu2\tu1\n")
-    d = parse_dataset(ci, po, so)
-    # Only the signed timestamp takes the per-line path; it is still valid.
-    assert d.load_report.scalar_lines == 1
-    assert d.ts.tolist() == [100, 999999999999999999, 3]
+    d = parse_dataset(ci, po, so, max_malformed_frac=0.5)
+    assert d.load_report.checkin_lines_malformed == [4]
+    assert d.ts.tolist() == [100, 999999999999999999]
     assert d.edges.tolist() == [[0, 1]]
     assert np.array_equal(d.lat, [40.5, 41.0])

@@ -4,7 +4,7 @@ metrics against the one-list oracle, evaluation and the weight sweep on user
 codes against their user-keyed oracles, and multi-row fusion against one-row
 calls and the one-candidate fusion oracle, bit for bit."""
 import struct
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from unittest.mock import patch
 
 import numpy as np
@@ -228,7 +228,8 @@ def test_array_evaluation_equals_user_keyed_oracle(case, flat, baseline):
     assert kept_users == [u for u in users if relevant[u]]
     for n, m in metrics.items():
         for r in range(rows):
-            got = RankingMetrics(*(a.reshape(len(kept), rows)[:, r] for a in astuple(m)))
+            row = lambda a: np.broadcast_to(a, m.ndcg.shape).reshape(len(kept), rows)[:, r]
+            got = RankingMetrics(row(m.n_hits), row(m.n_relevant), m.n, row(m.ndcg))
             assert outcome(lambda: asdict(evaluate_run(
                 got, labels[kept_users], len(users) - len(kept), n, "m", "r", baseline
             ))) == outcome(lambda: asdict(oracles.evaluate_run(
