@@ -53,6 +53,7 @@ from .temporal import (
     group_stats,
     poi_popularity,
     temporal_histogram,
+    training_visits,
 )
 
 # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto, a few
@@ -87,26 +88,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of text fields as CSV."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _recommendation_text(
+def _recommendation_rows(
     user_ids: Ids, poi_ids: Ids, users: np.ndarray, top: np.ndarray, scores: np.ndarray
-) -> str:
-    """The lines `user_id, rank, poi_id, score` of a rule's (users, K) top
-    POI codes, each list up to its first -1, with the text `_fmt` gives."""
+):
+    """The rows `user_id, rank, poi_id, score` of a rule's (users, K) top POI
+    codes, each list up to its first -1, with the text `_fmt` gives."""
     listed = np.logical_and.accumulate(top >= 0, axis=1)
-    return "".join(map("%s\t%d\t%s\t%s\n".__mod__, zip(
+    return zip(
         user_ids.decode(np.repeat(users, listed.sum(axis=1))),
         (np.nonzero(listed)[1] + 1).tolist(),
         poi_ids.decode(top[listed]),
         map(_fmt_float, scores[listed].tolist()),
-    )))
+    )
 
 
 def ground_truth(split: SplitDataset, part: int) -> PairCounts:
@@ -229,62 +222,40 @@ class Pipeline:
 
     def analyze(self, d: Dataset, split: SplitDataset):
         with self._stage("analyze"):
-            train = split.columns(TRAIN)
             window = (self.cfg.work_start_hour, self.cfg.work_end_hour)
-            profiles = build_profiles(train, poi_popularity(train), window)
-            # The training columns are not needed past the profiles; their
-            # id lists are the split's.
-            del train
+            # The call holds the only reference to the training columns.
+            visits, n_work = training_visits(split.columns(TRAIN), window)
+            profiles = build_profiles(visits, n_work, poi_popularity(visits))
+            del visits, n_work
             user_ids = split.dataset.user_ids
             labels = assign_groups(profiles, len(user_ids), self.cfg.group_quantile)
             gstats = group_stats(labels, profiles)
             hist = temporal_histogram(d.ts)
 
             self._write_csv_artifact(
-                "histogram.csv",
-                ["hour", "count"],
-                [[h, int(n)] for h, n in enumerate(hist)],
+                "histogram.csv", ["hour", "count"], [[h, int(n)] for h, n in enumerate(hist)]
             )
             header = [
                 "user_id", "n_checkins", "n_working", "n_leisure",
                 "leisure_ratio", "avg_popularity_consumption",
             ]
-            # Column by column, with the text `_fmt` gives.
-            columns = (
-                user_ids.decode(profiles.user),
-                *(map(str, c.tolist()) for c in (
-                    profiles.n_checkins, profiles.n_working, profiles.n_leisure,
-                )),
-                *(map(_fmt_float, c.tolist()) for c in (
-                    profiles.leisure_ratio, profiles.avg_popularity_consumption,
-                )),
-            )
-            self._replace(
-                self.out / "profiles.csv",
-                lambda tmp: _write_csv(tmp, header, zip(*columns)),
-            )
-            self._write_csv_artifact(
-                "groups.csv",
-                [
-                    "group", "n_checkins", "avg_popularity_consumption",
-                    "avg_activity_level", "n_users",
-                ],
-                [
-                    [
-                        g.group, g.n_checkins, g.avg_popularity_consumption,
-                        g.avg_activity_level, g.n_users,
-                    ]
-                    for g in gstats
-                ],
-            )
+            ints = (profiles.n_checkins, profiles.n_working, profiles.n_leisure)
+            floats = (profiles.leisure_ratio, profiles.avg_popularity_consumption)
+            self._write_rows("profiles.csv", [header], len(profiles.user), 6, lambda at: zip(
+                user_ids.decode(profiles.user[at]),
+                *(c[at].tolist() for c in ints),
+                *(map(_fmt_float, c[at].tolist()) for c in floats),
+            ))
+            # GroupStats' fields are the columns, in order.
+            self._write_csv_artifact("groups.csv", [
+                "group", "n_checkins", "avg_popularity_consumption", "avg_activity_level",
+                "n_users",
+            ], [astuple(g) for g in gstats])
             try:
                 corr = correlation_analysis(profiles)
             except ValueError as e:
                 corr = {"error": str(e)}
-            self._write(
-                self.out / "correlations.json",
-                json.dumps(corr, indent=2, sort_keys=True),
-            )
+            self._write(self.out / "correlations.json", json.dumps(corr, indent=2, sort_keys=True))
             return profiles, labels
 
     def fit_and_recommend(self, split: SplitDataset, rules):
@@ -441,9 +412,12 @@ class Pipeline:
                     else:
                         top, scores = codes[:, 0], held[:, 0]
                     kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
-                    self._write(
-                        self.out / f"recommendations_{name}_{rule}.tsv",
-                        _recommendation_text(user_ids, poi_ids, users, top, scores),
+                    self._write_rows(
+                        f"recommendations_{name}_{rule}.tsv", [], len(users), 4 * top.shape[1],
+                        lambda at: _recommendation_rows(
+                            user_ids, poi_ids, users[at], top[at], scores[at]
+                        ),
+                        "%s\t%d\t%s\t%s\n",
                     )
                 skipped = len(users) - len(kept)
                 self.counts[f"evaluate.users_without_test.{name}"] = skipped
@@ -501,9 +475,28 @@ class Pipeline:
     def _write(self, path: Path, text: str) -> None:
         self._replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
-    def _write_csv_artifact(self, name: str, header, rows) -> None:
-        text = ([_fmt(v) for v in row] for row in rows)
-        self._replace(self.out / name, lambda tmp: _write_csv(tmp, header, text))
+    def _write_csv_artifact(self, name: str, header, rows: list) -> None:
+        self._write_rows(name, [header], len(rows), len(header),
+                         lambda at: ([_fmt(v) for v in row] for row in rows[at]))
+
+    def _write_rows(self, name: str, head: list, n: int, fields: int, rows, line=None) -> None:
+        """Write artifact `name`: the CSV rows `head`, then `rows(at)` for
+        blocks `at` of the n items, as CSV or as `line % row` each; a block
+        is what the common budget holds at 64 bytes a field."""
+        step = block_rows(64 * fields)
+
+        def write(tmp):
+            with tmp.open("w", encoding="utf-8", newline="") as fh:
+                out = csv.writer(fh)
+                out.writerows(head)
+                for lo in range(0, n, step):
+                    block = rows(slice(lo, lo + step))
+                    if line:  # a block's lines joined: faster than csv
+                        fh.write("".join(map(line.__mod__, block)))
+                    else:
+                        out.writerows(block)
+
+        self._replace(self.out / name, write)
 
     def _replace(self, path: Path, write) -> None:
         """Write through a temporary file next to path and move it into

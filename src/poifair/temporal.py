@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset, PairCounts
 
 log = logging.getLogger(__name__)
 
@@ -48,43 +48,46 @@ class GroupStats:
     n_users: int
 
 
-def poi_popularity(train: Dataset) -> np.ndarray:
-    """Fraction of users that visited each POI in the training split, by POI
-    code."""
-    n_pois = len(train.poi_ids)
-    return np.bincount(train.visits().col, minlength=n_pois) / len(train.user_ids)
+def training_visits(
+    train: Dataset, work_window: tuple[int, int] = (WORK_START_HOUR, WORK_END_HOUR)
+) -> tuple[PairCounts, np.ndarray]:
+    """The training visit CSR and each user code's check-ins in the working
+    period, the half-open [start, end) hours of work_window. `train` is let
+    go before the CSR is built: its timestamps are freed first where this
+    call holds its only reference (CPython 3.11+)."""
+    start, end = work_window
+    h = hours(train.ts)
+    n_work = np.bincount(train.user[(start <= h) & (h < end)], minlength=len(train.user_ids))
+    user, poi, shape = train.user, train.poi, (len(train.user_ids), len(train.poi_ids))
+    del h, train
+    return PairCounts.of(user, poi, *shape), n_work
 
 
-def build_profiles(
-    train: Dataset,
-    popularity: np.ndarray,
-    work_window: tuple[int, int] = (WORK_START_HOUR, WORK_END_HOUR),
-) -> Profiles:
+def poi_popularity(visits: PairCounts) -> np.ndarray:
+    """Fraction of users that visited each POI, by POI code."""
+    return np.bincount(visits.col, minlength=visits.n_cols) / (len(visits.indptr) - 1)
+
+
+def build_profiles(visits: PairCounts, n_work: np.ndarray, popularity: np.ndarray) -> Profiles:
     """The temporal profiles of the users with training check-ins.
 
-    A check-in is in the working period iff its hour falls in the half-open
-    [start, end) of work_window. A user's popularity consumption is the mean
-    popularity of their distinct POIs, added strictly left to right in
-    poi_id order (the builtin sum() of floats is compensated from Python
-    3.12 on): pass j adds every user's j-th POI.
+    A user's popularity consumption is the mean popularity of their distinct
+    POIs, added strictly left to right in poi_id order (the builtin sum() of
+    floats is compensated from Python 3.12 on): pass j adds every user's
+    j-th POI.
     """
-    start, end = work_window
-    n_users = len(train.user_ids)
-    n_all = np.bincount(train.user, minlength=n_users)
-    user = np.flatnonzero(n_all)
-    if len(user) < n_users:
-        log.warning("%d users have no training check-ins; excluded", n_users - len(user))
-    n = n_all[user]
-    h = hours(train.ts)
-    n_work = np.bincount(train.user[(start <= h) & (h < end)], minlength=n_users)[user]
-    del h  # an int64 per check-in, not held while the visits are built
+    n_distinct = np.diff(visits.indptr)
+    user = np.flatnonzero(n_distinct)
+    if len(user) < len(n_distinct):
+        log.warning("%d users have no training check-ins; excluded", len(n_distinct) - len(user))
     # Each user's row is sorted by POI code, which is poi_id order.
-    visits = train.visits()
-    first, n_distinct = visits.indptr[user], np.diff(visits.indptr)[user]
+    first, n_distinct = visits.indptr[user], n_distinct[user]
+    n = np.add.reduceat(visits.count, first)
     total = np.zeros(len(user))
     for j in range(n_distinct.max(initial=0)):
         more = n_distinct > j
         total[more] += popularity[visits.col[first[more] + j]]
+    n_work = n_work[user]
     return Profiles(user, n, n_work, (n - n_work) / n, total / n_distinct)
 
 
@@ -95,7 +98,9 @@ def assign_groups(profiles: Profiles, n_users: int, quantile: float = 0.2) -> np
     users without a profile."""
     n = len(profiles.user)
     if n < 5:
-        raise ValueError("need at least 5 users to assign groups")
+        raise DataError(
+            f"need at least 5 users with training check-ins to form the groups, got {n}"
+        )
     if quantile > 0.5:
         raise ValueError("quantile > 0.5 makes the groups overlap")
     ranked = profiles.user[np.lexsort((profiles.user, -profiles.leisure_ratio))]
@@ -112,7 +117,7 @@ def group_stats(labels: np.ndarray, profiles: Profiles) -> list[GroupStats]:
     for name, label in (("leisure-focused", LEISURE), ("working-focused", WORKING)):
         member = labels[profiles.user] == label
         if not member.any():
-            raise ValueError(f"empty group: {name}")
+            raise DataError(f"empty group: {name}")
         out.append(
             GroupStats(
                 group=name,

@@ -827,7 +827,9 @@ def assign_groups(profiles, quantile=0.2) -> GroupAssignment:
     """Top/bottom quantile of users ranked by leisure-check-in ratio, as sets
     of user ids."""
     if len(profiles) < 5:
-        raise ValueError("need at least 5 users to assign groups")
+        raise DataError(
+            f"need at least 5 users with training check-ins to form the groups, got {len(profiles)}"
+        )
     if quantile > 0.5:
         raise ValueError("quantile > 0.5 makes the groups overlap")
     ranked = sorted(profiles, key=lambda p: (-p.leisure_ratio, p.user_id))
@@ -845,7 +847,7 @@ def group_stats(profiles, assignment: GroupAssignment) -> list[GroupStats]:
                           ("working-focused", assignment.working_focused)):
         ps = [p for p in profiles if p.user_id in members]
         if not ps:
-            raise ValueError(f"empty group: {name}")
+            raise DataError(f"empty group: {name}")
         out.append(GroupStats(
             group=name,
             n_checkins=sum(p.n_checkins for p in ps),

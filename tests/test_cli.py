@@ -208,6 +208,33 @@ class TestRun:
             "failed_stage", "error",
         }
 
+    @pytest.mark.parametrize("n_users,quantile,condition", [
+        (4, 0.2, "need at least 5 users with training check-ins to form the groups, got 4"),
+        (5, 0.1, "empty group: leisure-focused"),
+    ], ids=["too-few-users", "empty-group"])
+    def test_too_small_for_the_groups_is_a_data_error(
+        self, tmp_path, capsys, n_users, quantile, condition
+    ):
+        """Users with 40 check-ins each pass both filters at 1, but too few
+        to form the fairness groups (or a quantile of them that rounds to
+        none): exit 3, naming the condition, not a stage failure."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "pois.tsv").write_text("".join(f"p{i}\t40.0\t-100.0\tc\n" for i in range(8)))
+        (data / "checkins.tsv").write_text("".join(
+            f"u{u}\tp{(u + t) % 8}\t{1_300_000_000 + 3600 * (40 * u + t)}\n"
+            for u in range(n_users) for t in range(40)
+        ))
+        (data / "social.tsv").write_text("u0\tu1\n")
+        paths = {name: data / f"{name}.tsv" for name in ("checkins", "pois", "social")}
+        path = write_config(
+            tmp_path, paths, min_user_checkins=1, min_poi_checkins=1, group_quantile=quantile
+        )
+        assert main(["analyze", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"data error in stage 'analyze': {condition}"
+        manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
+        assert manifest["failed_stage"] == "analyze"
+
     @pytest.mark.parametrize("kind,text", [
         ("checkin_path", b"u0000\tp0000\t1000\r\nu\xff\tp0000\t2000\r\n"),
         ("poi_path", b"p0000\t40\t-100\t\r\np\xff\t40\t-100\t\r\n"),

@@ -23,6 +23,7 @@ from poifair.temporal import (
     group_stats,
     poi_popularity,
     temporal_histogram,
+    training_visits,
 )
 
 import oracles
@@ -121,10 +122,11 @@ def test_columns_match_checkin_oracles(tmp_path_factory, world, min_user, min_po
 
     cols = split.columns(TRAIN)
     assert oracles.checkins(cols) == [c for seq in train.values() for c in seq]
-    pop = poi_popularity(cols)
+    visits, n_work = training_visits(cols, window)
+    pop = poi_popularity(visits)
     want_pop = oracles.poi_popularity(train, len(train))
     assert pop.tolist() == [want_pop.get(p, 0.0) for p in cols.poi_ids]
-    profiles = build_profiles(cols, pop, window)
+    profiles = build_profiles(visits, n_work, pop)
     objects = oracles.build_profiles(train, want_pop, window)
     assert oracles.profile_objects(profiles, cols.user_ids) == objects
 
@@ -168,7 +170,7 @@ def test_popularity_consumption_sums_left_to_right():
     ]
     d = make_dataset(checkins)
     train = d.take(np.flatnonzero(d.user != d.user_ids.index("z")))
-    profiles = build_profiles(train, pop)
+    profiles = build_profiles(*training_visits(train), pop)
     assert profiles.user.tolist() == [0, 1, 2, 3]
     assert profiles.avg_popularity_consumption.tolist() == [
         oracles.sequential_sum(pop[sorted(set(visited[u]))].tolist()) / len(set(visited[u]))

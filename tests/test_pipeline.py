@@ -169,6 +169,40 @@ def test_sweep_in_user_blocks_writes_the_same_rows(
     assert run(users_per_block) == run(len(split.dataset.user_ids))
 
 
+@pytest.mark.parametrize("users_per_block", [1, 7])
+def test_writer_blocks_write_the_same_profiles_and_lists(
+    world, tmp_path, monkeypatch, users_per_block
+):
+    """Writing profiles.csv and the six recommendation TSVs a block of users
+    at a time, under the common block budget, gives the bytes that the
+    default budget gives: every rule's lists, weighted-sum's re-fused scores
+    included."""
+    cfg, split, _, labels, _ = world
+    rules = ["product", "sum", "weighted_sum"]
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(tmp_path),
+        fusion_rules=rules,
+    ))
+    ranked = p.fit_and_recommend(split, rules)
+    best = p.sweep(ranked, labels, split)
+    names = ["profiles.csv"] + [
+        f"recommendations_{name}_{rule}.tsv" for name in cfg.models for rule in rules
+    ]
+
+    def run(profile_budget, list_budget):
+        monkeypatch.setattr(recommend, "BLOCK_BYTES", profile_budget)
+        p.analyze(split.dataset, split)
+        monkeypatch.setattr(recommend, "BLOCK_BYTES", list_budget)
+        p.evaluate(ranked, labels, split, best)
+        return {name: (tmp_path / name).read_bytes() for name in names}
+
+    whole = run(recommend.BLOCK_BYTES, recommend.BLOCK_BYTES)
+    # Bytes a user in a writer block: 64 a text field, 6 fields a profile
+    # and 4 a list line, K lines a list.
+    k = max(p.cfg.cutoffs)
+    assert run(users_per_block * 64 * 6, users_per_block * 64 * 4 * k) == whole
+
+
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
     """Every report equals the oracle's, computed from the written
     recommendation lists and the check-in lists, all keyed by user id."""

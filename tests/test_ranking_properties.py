@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poifair.data import PairCounts
+from poifair.data import DataError, PairCounts
 from poifair.fusion import (
     OBJECTIVE_MAX_ACC_UNF,
     OBJECTIVE_MIN_DELTA,
@@ -173,11 +173,12 @@ def groups_of(labels):
 
 
 def outcome(f):
-    """repr of f's result, which tells -0.0 from 0.0, or its ValueError."""
+    """repr of f's result, which tells -0.0 from 0.0, or its ValueError or
+    DataError."""
     try:
         return repr(f())
-    except ValueError as e:
-        return f"ValueError: {e}"
+    except (ValueError, DataError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 @st.composite

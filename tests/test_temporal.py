@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poifair.data import DataError
 from poifair.temporal import (
     LEISURE,
     UNASSIGNED,
@@ -22,6 +23,7 @@ from poifair.temporal import (
     ols_fit,
     poi_popularity,
     temporal_histogram,
+    training_visits,
 )
 
 import oracles
@@ -42,13 +44,13 @@ def profiles_of(train, popularity=None):
     """build_profiles on columns; popularity as {poi_id: value}, absent = 0."""
     d = columns(train)
     pop = np.array([(popularity or {}).get(p, 0.0) for p in d.poi_ids])
-    return build_profiles(d, pop)
+    return build_profiles(*training_visits(d), pop)
 
 
 def working_count(timestamps, window=(8, 18)):
     """n_working of one user's profile over the given check-in times."""
     train = {"u": [make_checkin("u", "p", ts) for ts in timestamps]}
-    (n_working,) = build_profiles(columns(train), np.zeros(1), window).n_working
+    (n_working,) = build_profiles(*training_visits(columns(train), window), np.zeros(1)).n_working
     return n_working
 
 
@@ -96,9 +98,10 @@ class TestProfiles:
                 for i in range(rnd.randrange(5, 20))
             ]
         d = columns(train)
-        pop_codes = poi_popularity(d)
+        visits, n_work = training_visits(d)
+        pop_codes = poi_popularity(visits)
         pop = {p: pop_codes[i] for i, p in enumerate(d.poi_ids)}
-        objects = oracles.profile_objects(build_profiles(d, pop_codes), d.user_ids)
+        objects = oracles.profile_objects(build_profiles(visits, n_work, pop_codes), d.user_ids)
         profiles = {p.user_id: p for p in objects}
         for u, seq in train.items():
             n_leis = sum(1 for c in seq if not (8 <= hour_of(c.timestamp) < 18))
@@ -125,7 +128,7 @@ class TestProfiles:
             "a": [make_checkin("a", "p1", 100), make_checkin("a", "p1", 200)],
             "b": [make_checkin("b", "p1", 300)],
         }
-        pop = poi_popularity(columns(train))
+        pop = poi_popularity(columns(train).visits())
         # two distinct visitors out of two users
         assert pop.tolist() == [1.0]
         assert oracles.poi_popularity(train, 2) == {"p1": 1.0}
@@ -137,7 +140,7 @@ class TestProfiles:
             "c": [make_checkin("c", "p3", 500)],
             "d": [make_checkin("d", "p3", 600)],
         }
-        assert poi_popularity(columns(train)).tolist() == [0.25, 0.5, 0.5]
+        assert poi_popularity(columns(train).visits()).tolist() == [0.25, 0.5, 0.5]
 
 
 def profiles(ratios, n=10, users=None):
@@ -174,7 +177,7 @@ class TestGroups:
         assert labels.tolist() == [LEISURE] * 5 + [WORKING] * 5
 
     def test_too_few_users(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="need at least 5 users"):
             assign_groups(profiles([0.5] * 4), 4)
 
     def test_overlapping_quantile(self):
@@ -211,8 +214,8 @@ class TestGroupStats:
             "m": [make_checkin("m", "p", ts_at(8, day=i)) for i in range(5)]
             + [make_checkin("m", "p", ts_at(20, day=i)) for i in range(5)],
         }
-        d = columns(train)
-        profiles = build_profiles(d, poi_popularity(d))
+        visits, n_work = training_visits(columns(train))
+        profiles = build_profiles(visits, n_work, poi_popularity(visits))
         # Profiles in user id order: l1, l2, m, w1, w2.
         labels = np.array([LEISURE, LEISURE, UNASSIGNED, WORKING, WORKING])
         stats = {g.group: g for g in group_stats(labels, profiles)}
@@ -224,7 +227,7 @@ class TestGroupStats:
     def test_empty_group_errors(self):
         train = {"u": [make_checkin("u", "p", 100)]}
         profiles = profiles_of(train, {"p": 1.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="empty group: leisure-focused"):
             group_stats(np.array([WORKING]), profiles)
 
 
