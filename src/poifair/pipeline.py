@@ -9,6 +9,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .data import (
     TEST,
     TRAIN,
     VALIDATION,
+    DataError,
     Dataset,
     Ids,
     PairCounts,
@@ -47,6 +49,8 @@ from .recommend import (
     score_block_rows,
 )
 from .temporal import (
+    LEISURE,
+    WORKING,
     assign_groups,
     build_profiles,
     correlation_analysis,
@@ -128,25 +132,45 @@ def user_metrics(relevant: PairCounts, users: np.ndarray, codes: np.ndarray, cut
     return kept, {n: ranking_metrics(hits, n_relevant, n) for n in cutoffs}
 
 
-class GridContexts:
-    """Per ranked user, the normalised (c1, c2, c3) of each distinct POI code
-    that the user's weighted-sum grid lists name, as CSR: user i's codes are
-    `poi[indptr[i]:indptr[i + 1]]`, ascending, one `values` row each.
-    `enabled` is the model's. Rows are appended a block of users at a time,
-    each array grown in place."""
+class ListScores:
+    """A one-row rule's (product, sum) lists: `codes`, (users, 1, K) int32
+    top POI codes, -1 past a short list, and their (users, K) fused scores,
+    0.0 past a short list. `add` keeps ranked users `at`'s scores, and
+    `scores(top, row)` gives the first len(top) users' for row `row`."""
 
-    def __init__(self, enabled: tuple[bool, bool, bool]):
-        self.enabled = enabled
+    def __init__(self, lambdas, enabled, n_users: int, k: int):
+        self.lambdas = lambdas
+        self.codes = np.empty((n_users, 1, k), dtype=np.int32)
+        self.values = np.zeros((n_users, k))
+
+    def add(self, at: slice, top: np.ndarray, vals: np.ndarray, normalized) -> None:
+        self.values[at, :top.shape[2]] = np.where(vals[:, 0] > -np.inf, vals[:, 0], 0.0)
+
+    def scores(self, top: np.ndarray, row: int) -> np.ndarray:
+        return self.values[:len(top)]
+
+
+class GridContexts:
+    """The weighted-sum grid's lists, a row per `lambdas` row, as in
+    `ListScores`, and per ranked user the normalised (c1, c2, c3) of each
+    distinct POI code its lists name, 28 bytes each, as CSR: user i's codes
+    are `poi[indptr[i]:indptr[i + 1]]`, ascending, each array grown in place."""
+
+    def __init__(self, lambdas, enabled, n_users: int, k: int):
+        self.lambdas, self.enabled = lambdas, enabled
+        self.codes = np.empty((n_users, len(lambdas), k), dtype=np.int32)
         self.indptr = np.zeros(1, dtype=np.intp)
         self.poi = np.empty(0, dtype=np.int32)
         self.values = np.empty((0, 3))
 
-    def add(self, named: np.ndarray, normalized: np.ndarray) -> None:
-        """Append a block's users: the (B, n_pois) mask of the POIs their
-        lists name and their (3, B, n_pois) normalised scores."""
+    def add(self, at: slice, top: np.ndarray, vals: np.ndarray, normalized) -> None:
+        # Exactly the candidates are listed, in every row that selects them:
+        # one value a POI.
+        named = np.zeros(normalized.shape[1:], dtype=bool)
+        named[np.arange(len(top))[:, None, None], top] = vals > -np.inf
         row, poi = np.divmod(np.flatnonzero(named), named.shape[1])
         end, n = len(self.indptr), len(self.poi)
-        # A realloc each: the arrays grow by the block, not by a copy.
+        # A realloc each: the arrays grow by the sub-block, not by a copy.
         self.indptr.resize(end + len(named), refcheck=False)
         self.indptr[end:] = n + np.cumsum(np.bincount(row, minlength=len(named)))
         self.poi.resize(n + len(poi), refcheck=False)
@@ -154,11 +178,10 @@ class GridContexts:
         self.values.resize((n + len(poi), 3), refcheck=False)
         self.values[n:] = normalized[:, row, poi].T
 
-    def fused(self, top: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-        """The (users, K) scores of one grid row's lists `top`, -1 past a
-        short list, fused from their POIs' contexts with that row's one
-        `lambdas` row: the grid's element-wise fuse, so each score is its
-        grid score bit for bit. 0.0 past a short list."""
+    def scores(self, top: np.ndarray, row: int) -> np.ndarray:
+        """Fused from the listed POIs' contexts with row `row`'s lambdas:
+        the grid's element-wise fuse, so each score is its grid score bit
+        for bit. 0.0 past a short list."""
         listed = top >= 0
         n_cols = int(self.poi.max(initial=0)) + 1
         users = np.arange(len(self.indptr) - 1, dtype=np.int64)
@@ -166,7 +189,7 @@ class GridContexts:
         want = (users[:, None] * n_cols + top)[listed]
         contexts = np.zeros((3,) + top.shape)
         contexts[:, listed] = self.values[np.searchsorted(keys, want)].T
-        return fuse_arrays(contexts, lambdas, self.enabled)[:, 0]
+        return fuse_arrays(contexts, self.lambdas[row:row + 1], self.enabled)[:, 0]
 
 
 class Pipeline:
@@ -181,8 +204,22 @@ class Pipeline:
 
     # -- stages ------------------------------------------------------------
 
+    @contextmanager
     def _stage(self, name: str):
-        return _StageContext(self, name)
+        self._stage_files = []
+        t0 = time.perf_counter()
+        log.info("stage %s started", name)
+        try:
+            yield
+        except BaseException as e:
+            for path in self._stage_files:
+                if path.exists():
+                    path.rename(path.with_suffix(path.suffix + ".partial"))
+            raise StageFailure(name, e) from e
+        finally:
+            self.timings[name] = time.perf_counter() - t0
+            self.peak_rss_mb[name] = _peak_rss_mb()
+        log.info("stage %s done in %.2fs", name, self.timings[name])
 
     def parse(self) -> Dataset:
         with self._stage("parse"):
@@ -261,16 +298,11 @@ class Pipeline:
     def fit_and_recommend(self, split: SplitDataset, rules):
         """Fit each model once and rank each user once. Per model: the ranked
         user codes, ascending, and per rule in `rules` their (users, rows, K)
-        int32 top POI codes, -1 past a short list, K being max(cutoffs),
-        with what gives their scores. A one-row rule (product, sum) keeps
-        its (users, 1, K) fused scores, 0.0 past a short list. Weighted-sum
-        has a row per simplex grid point and keeps, instead of scores, the
-        `GridContexts` of the POIs its lists name, from which evaluate
-        re-fuses a row's scores. Users are scored, fused and ranked a block
-        at a time, blocks sized by `recommend.BLOCK_BYTES`; the grid
-        normalises a block once for its fuse and its context rows, and raw
-        scores are dropped block by block. Users with no training check-in
-        or no candidate are counted and left out."""
+        int32 top POI codes, -1 past a short list, K being max(cutoffs), and
+        their `ListScores` (one-row rules) or `GridContexts` (the grid).
+        Users are scored, fused and ranked a block at a time, blocks sized by
+        `recommend.BLOCK_BYTES`, each normalised once for every additive
+        rule. Users with no training check-in or no candidate are left out."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
             scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
@@ -297,17 +329,13 @@ class Pipeline:
                 lists = {}
                 for rule in rules:
                     lam = rule_lambdas(rule, model.enabled, grid)
-                    rows = 1 if lam is None else len(lam)
-                    shape = (len(scored), rows, k)
-                    # Fused in place: a fresh array per block costs page faults.
-                    sub = max(1, min(step, len(scored), block_rows(8 * rows * n_pois)))
-                    buf = np.empty((sub, rows, n_pois))
-                    # A one-row rule keeps its scores, 8 bytes a list slot; a
-                    # grid keeps a 28-byte context row per distinct listed POI.
-                    held = np.zeros(shape) if rows == 1 else GridContexts(model.enabled)
-                    # Codes are filled block by block, so their pages are
-                    # touched as their users are ranked.
-                    lists[rule] = lam, buf, np.empty(shape, dtype=np.int32), held
+                    # A one-row rule keeps its scores; a grid, its contexts.
+                    holder = ListScores if lam is None or len(lam) == 1 else GridContexts
+                    lists[rule] = holder(lam, model.enabled, len(scored), k)
+                additive = any(held.lambdas is not None for held in lists.values())
+                # Fused in place: a fresh array per block costs page faults.
+                bufs = [np.empty((min(step, len(scored), block_rows(8 * r * n_pois)), r, n_pois))
+                        for r in (held.codes.shape[1] for held in lists.values())]
                 users, n, candidates, blocks = [], 0, 0, 0
                 for lo in range(0, len(scored), step):
                     t0 = time.perf_counter()
@@ -318,31 +346,23 @@ class Pipeline:
                     has = cs.candidate.any(axis=1)
                     if not has.all():
                         cs = cs.take(has)
-                    for lam, buf, codes, held in lists.values():
-                        codes[n:n + len(cs.users)] = -1
-                        grid_rows = isinstance(held, GridContexts)
-                        if grid_rows:
-                            # Normalised once, for the fuse and the context rows.
-                            normalized = normalized_scores(cs)
-                            named = np.zeros(cs.candidate.shape, dtype=bool)
+                    normalized = normalized_scores(cs) if additive else None
+                    for held, buf in zip(lists.values(), bufs):
+                        # Codes are filled block by block, so their pages
+                        # are touched as their users are ranked.
+                        held.codes[n:n + len(cs.users)] = -1
                         for a in range(0, len(cs.users), len(buf)):
                             part = cs.take(slice(a, a + len(buf)))
                             m = len(part.users)
-                            mat = normalized[:, a:a + m] if grid_rows else None
-                            top, vals = recommend_topn(pois, fused_scores(part, lam, buf[:m], mat), k)
-                            listed = vals > -np.inf
+                            mat = None if normalized is None else normalized[:, a:a + m]
+                            fused = fused_scores(part, held.lambdas, buf[:m], mat)
+                            top, vals = recommend_topn(pois, fused, k)
                             at = slice(n + a, n + a + m)
-                            codes[at, :, :top.shape[2]] = np.where(listed, top, -1)
-                            if grid_rows:
-                                # Exactly the candidates are listed, in every
-                                # row that selects them: one value a POI.
-                                named[np.arange(a, a + m)[:, None, None], top] = listed
-                            else:
-                                held[at, :, :top.shape[2]] = np.where(listed, vals, 0.0)
-                        if grid_rows:
-                            held.add(named, normalized)
+                            held.codes[at, :, :top.shape[2]] = np.where(vals > -np.inf, top, -1)
+                            held.add(at, top, vals, mat)
                     users.append(cs.users)
                     n += len(cs.users)
+                    normalized = mat = None  # freed before the next block is scored
                     score_s += t1 - t0
                     select_s += time.perf_counter() - t1
                 empty = len(scored) - n
@@ -356,8 +376,7 @@ class Pipeline:
                 self.counts[f"recommend.candidates.{name}"] = candidates
                 self.counts[f"recommend.empty_candidate_users.{name}"] = empty
                 ranked[name] = np.concatenate(users or [np.empty(0, dtype=np.intp)]), {
-                    rule: (codes[:n], held[:n] if isinstance(held, np.ndarray) else held)
-                    for rule, (_, _, codes, held) in lists.items()
+                    rule: (held.codes[:n], held) for rule, held in lists.items()
                 }
             return ranked
 
@@ -375,7 +394,8 @@ class Pipeline:
                 kept, m = user_metrics(relevant, users, lists[WEIGHTED_SUM][0], [cutoff])
                 self.counts[f"sweep.users_without_validation.{name}"] = len(users) - len(kept)
                 best_lambdas[name], table = weight_sweep(
-                    m[cutoff].ndcg, labels[users[kept]], grid, self.cfg.sweep_objective
+                    m[cutoff].ndcg, _scored_groups(labels, users[kept], name, "validation"),
+                    grid, self.cfg.sweep_objective,
                 )
                 all_rows += [
                     [name, *lambdas, gm.ndcg_all, gm.ndcg_leisure, gm.ndcg_working,
@@ -403,14 +423,10 @@ class Pipeline:
                 metrics = {}
                 for rule in self.cfg.fusion_rules:
                     codes, held = lists[rule]
-                    if rule == WEIGHTED_SUM:
-                        # The best lambdas' grid row, its scores re-fused
-                        # from the contexts of the POIs it lists.
-                        best = best_lambdas[name]
-                        top = codes[:, grid.index(best)]
-                        scores = held.fused(top, rule_lambdas(rule, held.enabled, [best]))
-                    else:
-                        top, scores = codes[:, 0], held[:, 0]
+                    # The best lambdas' grid row; a one-row rule's only row.
+                    row = grid.index(best_lambdas[name]) if rule == WEIGHTED_SUM else 0
+                    top = codes[:, row]
+                    scores = held.scores(top, row)
                     kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
                     self._write_rows(
                         f"recommendations_{name}_{rule}.tsv", [], len(users), 4 * top.shape[1],
@@ -421,12 +437,11 @@ class Pipeline:
                     )
                 skipped = len(users) - len(kept)
                 self.counts[f"evaluate.users_without_test.{name}"] = skipped
-                group = labels[users[kept]]
+                group = _scored_groups(labels, users[kept], name, "test")
                 for n in self.cfg.cutoffs:
-                    # Every rule's pct_delta, product's own too, is against
-                    # product's gap; with no user kept evaluate_run raises.
+                    # Every rule's pct_delta, product's own too, is against product's gap.
                     baseline_delta = None
-                    if PRODUCT in metrics and len(kept):
+                    if PRODUCT in metrics:
                         baseline_delta = group_metrics(metrics[PRODUCT][n].ndcg, group).delta_ndcg
                     reports += [
                         evaluate_run(metrics[rule][n], group, skipped, n, name, rule, baseline_delta)
@@ -509,31 +524,16 @@ class Pipeline:
             tmp.unlink(missing_ok=True)
         self._stage_files.append(path)
 
-    def _mark_partial(self) -> None:
-        for path in self._stage_files:
-            if path.exists():
-                path.rename(path.with_suffix(path.suffix + ".partial"))
 
-
-class _StageContext:
-    def __init__(self, pipeline: Pipeline, name: str):
-        self.p = pipeline
-        self.name = name
-
-    def __enter__(self):
-        self.p._stage_files = []
-        self.t0 = time.perf_counter()
-        log.info("stage %s started", self.name)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.p.timings[self.name] = time.perf_counter() - self.t0
-        self.p.peak_rss_mb[self.name] = _peak_rss_mb()
-        if exc is not None:
-            self.p._mark_partial()
-            raise StageFailure(self.name, exc) from exc
-        log.info("stage %s done in %.2fs", self.name, self.p.timings[self.name])
-        return False
+def _scored_groups(labels: np.ndarray, users: np.ndarray, model: str, part: str) -> np.ndarray:
+    """The group labels of a model's ranked `users` with a relevant POI in
+    `part`; DataError if there is none, or none of a fairness group."""
+    group = labels[users]
+    for kind, n in (("ranked", len(group)), ("leisure-focused", np.sum(group == LEISURE)),
+                    ("working-focused", np.sum(group == WORKING))):
+        if not n:
+            raise DataError(f"{model}: no {kind} user has a relevant POI in the {part} split")
+    return group
 
 
 def _peak_rss_mb() -> float:

@@ -235,6 +235,29 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
         assert manifest["failed_stage"] == "analyze"
 
+    @pytest.mark.parametrize("fracs,rules,stage,part", [
+        ((0.9, 0.1, 0.0), ["product", "sum"], "evaluate", "test"),
+        ((1.0, 0.0, 0.0), ["weighted_sum"], "sweep", "validation"),
+    ], ids=["no-test-split", "no-validation-split"])
+    def test_no_user_to_score_is_a_data_error(
+        self, tmp_path, fixture_files, capsys, fracs, rules, stage, part
+    ):
+        """An empty test (or validation) split leaves evaluate (or the sweep) no
+        user with a relevant POI: exit 3, naming the condition, not a stage
+        failure."""
+        train, val, test = fracs
+        path = write_config(
+            tmp_path, fixture_files, train_frac=train, val_frac=val, test_frac=test,
+            fusion_rules=rules,
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            f"data error in stage {stage!r}: "
+            f"geosoca: no ranked user has a relevant POI in the {part} split"
+        )
+        manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
+        assert manifest["failed_stage"] == stage
+
     @pytest.mark.parametrize("kind,text", [
         ("checkin_path", b"u0000\tp0000\t1000\r\nu\xff\tp0000\t2000\r\n"),
         ("poi_path", b"p0000\t40\t-100\t\r\np\xff\t40\t-100\t\r\n"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from poifair.config import ExperimentConfig
-from poifair.data import TRAIN, VALIDATION, temporal_split
+from poifair.data import TRAIN, VALIDATION, DataError, temporal_split
 from poifair.fusion import PRODUCT, WEIGHTED_SUM, rule_lambdas, simplex_grid
 from poifair import recommend
 from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth, run_pipeline
@@ -201,6 +201,58 @@ def test_writer_blocks_write_the_same_profiles_and_lists(
     # and 4 a list line, K lines a list.
     k = max(p.cfg.cutoffs)
     assert run(users_per_block * 64 * 6, users_per_block * 64 * 4 * k) == whole
+
+
+@pytest.mark.parametrize("budget", [recommend.BLOCK_BYTES, 1], ids=["default", "one-user"])
+def test_product_and_sum_lists_do_not_depend_on_the_grid(world, tmp_path, monkeypatch, budget):
+    """Ranking the weighted-sum grid too, whose blocks share their
+    normalised scores with sum's, changes neither product's and sum's lists
+    nor their table3.csv rows, at the default block budget and at one user
+    a block."""
+    cfg, split, _, labels, _ = world
+    monkeypatch.setattr(recommend, "BLOCK_BYTES", budget)
+
+    def run(rules):
+        out = tmp_path / "_".join(rules)
+        p = Pipeline(ExperimentConfig(
+            checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(out),
+            fusion_rules=rules,
+        ))
+        ranked = p.fit_and_recommend(split, rules)
+        p.evaluate(ranked, labels, split, p.sweep(ranked, labels, split) if len(rules) > 2 else {})
+        tsvs = [
+            f"recommendations_{name}_{rule}.tsv" for name in cfg.models for rule in ("product", "sum")
+        ]
+        with (out / "table3.csv").open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[1] in ("product", "sum")]
+        return [(out / name).read_bytes() for name in tsvs], rows
+
+    assert run(["product", "sum"]) == run(["product", "sum", "weighted_sum"])
+
+
+@pytest.mark.parametrize("stage,part", [("sweep", "validation"), ("evaluate", "test")])
+def test_a_group_without_a_scored_user_is_a_data_error(world, tmp_path, stage, part):
+    """A fairness group none of whose ranked users has a relevant POI in the
+    split leaves the sweep or evaluate no gap to measure: a DataError that
+    names the group, the model and the split."""
+    cfg, split, _, labels, _ = world
+    p = Pipeline(ExperimentConfig(
+        checkin_path=cfg.checkin_path, poi_path=cfg.poi_path, out_dir=str(tmp_path),
+        fusion_rules=["weighted_sum"],
+    ))
+    ranked = p.fit_and_recommend(split, [WEIGHTED_SUM])
+    best = p.sweep(ranked, labels, split)
+    no_working = np.where(labels == WORKING, UNASSIGNED, labels)
+    with pytest.raises(StageFailure) as failed:
+        if stage == "sweep":
+            p.sweep(ranked, no_working, split)
+        else:
+            p.evaluate(ranked, no_working, split, best)
+    assert failed.value.stage == stage
+    assert isinstance(failed.value.cause, DataError)
+    assert str(failed.value.cause) == (
+        f"geosoca: no working-focused user has a relevant POI in the {part} split"
+    )
 
 
 def test_evaluate_matches_user_keyed_oracle(world, tmp_path):

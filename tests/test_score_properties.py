@@ -276,9 +276,10 @@ def without_training_rows(split: SplitDataset, u: int) -> SplitDataset:
 def check_blocks_against_users(split, cfg, users_per_block) -> None:
     """The pipeline's lists, and each block's raw and fused scores, at
     `users_per_block` users per block (None: one block), equal the
-    per-user path's bit for bit. Weighted-sum keeps the normalised contexts
-    of the POIs its grid lists name, and every grid row's scores, re-fused
-    from them as evaluate does, are the per-user scores."""
+    per-user path's bit for bit. Every rule's scores are read through its
+    holder's `scores`, as evaluate reads them: for each weighted-sum grid
+    row, re-fused from the normalised contexts of the POIs the grid lists
+    name, which the grid's holder keeps and nothing more."""
     train = split.columns(TRAIN)
     n_pois = len(train.poi_ids)
     budget = 1 << 40 if users_per_block is None else users_per_block * 24 * n_pois
@@ -324,19 +325,18 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
             users, lists = ranked[name]
             assert users.tolist() == want_users
             for rule, (codes, scores) in want.items():
-                got_codes, got = lists[rule]
+                got_codes, held = lists[rule]
                 assert got_codes.tolist() == np.array(codes).reshape(got_codes.shape).tolist()
                 scores = np.array(scores).reshape(got_codes.shape)
-                if rule == WEIGHTED_SUM:
-                    for i, (named, contexts) in enumerate(want_contexts):
-                        row = slice(got.indptr[i], got.indptr[i + 1])
-                        assert got.poi[row].tolist() == named.tolist()
-                        assert got.values[row].tobytes() == contexts.tobytes()
-                    got = np.stack([
-                        got.fused(got_codes[:, g], rule_lambdas(rule, model.enabled, [point]))
-                        for g, point in enumerate(grid)
-                    ], axis=1)
+                got = np.stack([
+                    held.scores(got_codes[:, g], g) for g in range(got_codes.shape[1])
+                ], axis=1)
                 assert got.tobytes() == scores.tobytes()
+            held = lists[WEIGHTED_SUM][1]
+            for i, (named, contexts) in enumerate(want_contexts):
+                row = slice(held.indptr[i], held.indptr[i + 1])
+                assert held.poi[row].tolist() == named.tolist()
+                assert held.values[row].tobytes() == contexts.tobytes()
 
 
 # u0 visits both POIs in train; u1, u0's friend, keeps no training check-in.

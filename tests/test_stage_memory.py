@@ -2,7 +2,8 @@
 cold-start filter, the dataset statistics and the temporal split each hold
 little beyond their input and output columns, the analysis builds the
 training visits once and without the timestamps, the weighted-sum grid keeps
-its lists but not their scores, a run never loads OpenSSL's libcrypto,
+its lists but not their scores while a one-row rule keeps its scores but no
+context rows, a run never loads OpenSSL's libcrypto,
 which hashlib's `_hashlib` maps, and the CLI compiles `poifair.data`
 before numpy is imported."""
 import hashlib
@@ -19,7 +20,7 @@ import pytest
 from poifair.cli import EXIT_OK, main
 from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, PairCounts, dataset_stats, preprocess_filter, temporal_split
-from poifair.fusion import WEIGHTED_SUM, simplex_grid
+from poifair.fusion import PRODUCT, RULES, SUM, WEIGHTED_SUM, simplex_grid
 from poifair.pipeline import Pipeline
 from poifair.synth import SynthConfig, generate, write_tsv
 
@@ -126,17 +127,20 @@ def config_path(tmp_path_factory):
 
 
 def test_grid_lists_hold_codes_and_listed_contexts(config_path):
-    """The weighted-sum lists that the recommend stage returns hold their
-    int32 codes and one row of normalised contexts per distinct POI a
-    user's grid lists name: under 4 G K + 32 d bytes per ranked user, for G
-    grid rows, K list slots and d such POIs, plus 32 KiB, where a float64
-    score for every slot took 12 G K."""
+    """The lists of every rule that the recommend stage returns hold their
+    int32 codes and what gives their scores. The weighted-sum grid keeps one
+    row of normalised contexts per distinct POI a user's grid lists name:
+    under 4 G K + 32 d bytes per ranked user, for G grid rows, K list slots
+    and d such POIs, where a float64 score for every slot took 12 G K.
+    Product and sum keep their float64 scores: 12 K bytes per ranked user
+    each, where a context row per listed POI would take up to 32 K. All of
+    it within 32 KiB."""
     p = Pipeline(ExperimentConfig.from_json(config_path))
     split = p.split(p.preprocess(p.parse()))
-    p.fit_and_recommend(split, [WEIGHTED_SUM])
+    p.fit_and_recommend(split, RULES)
     tracemalloc.start()
     try:
-        ranked = p.fit_and_recommend(split, [WEIGHTED_SUM])
+        ranked = p.fit_and_recommend(split, RULES)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -147,6 +151,9 @@ def test_grid_lists_hold_codes_and_listed_contexts(config_path):
         assert codes.shape == (len(users), rows, k)
         named = sum(len(np.unique(c[c >= 0])) for c in codes)
         bound += 4 * rows * k * len(users) + 32 * named
+        for rule in (PRODUCT, SUM):
+            assert lists[rule][0].shape == (len(users), 1, k)
+            bound += 12 * k * len(users)
     assert held < bound + (32 << 10), (held, bound)
 
 
