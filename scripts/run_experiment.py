@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Full demo experiment on a synthetic corpus: generate data, run both models
-under product and sum fusion, and print the fairness table.
+under product and sum fusion, and print the fairness table. With --sweep,
+weighted-sum fusion joins them, its lambdas tuned on validation.
 
-Usage: python3 scripts/run_experiment.py /tmp/experiment
+Usage: python3 scripts/run_experiment.py /tmp/experiment [--sweep]
 """
 import argparse
 import csv
@@ -12,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from poifair.config import ExperimentConfig  # noqa: E402
+from poifair.fusion import WEIGHTED_SUM  # noqa: E402
 from poifair.pipeline import run_pipeline  # noqa: E402
 from poifair.synth import SynthConfig, generate, write_tsv  # noqa: E402
 
@@ -21,7 +23,8 @@ def main():
     ap.add_argument("workdir", help="scratch directory for data and outputs")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--cutoff", type=int, default=10)
-    ap.add_argument("--sweep", action="store_true", help="also run the weight sweep")
+    ap.add_argument("--sweep", action="store_true",
+                    help="also rank weighted-sum fusion, which runs the weight sweep")
     args = ap.parse_args()
 
     work = Path(args.workdir)
@@ -41,8 +44,9 @@ def main():
         out_dir=str(work / "out"),
         cutoffs=[args.cutoff],
         seed=args.seed,
-        run_sweep=args.sweep,
     )
+    if args.sweep:
+        cfg.fusion_rules.append(WEIGHTED_SUM)
     run_pipeline(cfg)
 
     table = work / "out" / "table3.csv"

@@ -55,13 +55,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = _load_config(args)
+        # An unusable out_dir is a ConfigError too, raised before any stage.
+        run_pipeline(_load_config(args), args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        run_pipeline(cfg, args.command)
     except StageFailure as e:
         if isinstance(e.cause, DataError):
             print(f"data error in stage {e.stage!r}: {e.cause}", file=sys.stderr)

@@ -32,7 +32,6 @@ class ExperimentConfig:
     fusion_rules: list[str] = field(default_factory=lambda: [fusion.PRODUCT, fusion.SUM])
     sweep_step: float = 0.1
     sweep_objective: str = fusion.OBJECTIVE_MIN_DELTA
-    run_sweep: bool = False
     cutoffs: list[int] = field(default_factory=lambda: [10, 20])
     session_gap_hours: float = sequential.SESSION_GAP_HOURS
     amc_alpha: float = sequential.AMC_DECAY
@@ -111,12 +110,12 @@ class ExperimentConfig:
 
 
 def _has_type(value, kind: str) -> bool:
-    """Whether a JSON value has a field's annotated type: a bool is not a
-    number, and an int is a float."""
+    """Whether a JSON value has a field's annotated type: no field is a
+    bool, a bool is not a number, and an int is a float."""
     if kind.startswith("list["):
         return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
     if kind == "str | None":
         return value is None or isinstance(value, str)
     if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, {"str": str, "int": int, "float": (int, float), "bool": bool}[kind])
+        return False
+    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[kind])

@@ -49,24 +49,26 @@ class GroupMetrics:
 def ranking_metrics(hits: np.ndarray, n_relevant: np.ndarray, n: int) -> RankingMetrics:
     """Precision/recall/nDCG at cutoff n with binary gains, one value per list.
 
-    hits is a (..., <= n) bool array, True where a list's item at that rank
-    is relevant; a list shorter than n has no hit past its end. n_relevant,
-    each list's number of relevant items, broadcasts against the leading
-    axes of hits. The DCG discount is 1/log2(rank+1) with 1-indexed ranks;
-    IDCG assumes min(n, n_relevant) hits at the top. DCG adds one rank
-    column at a time, left to right, and IDCG is a sequential prefix sum, so
-    each list's values equal the scalar sums taken in rank order."""
+    hits is a (..., width) bool array, True where a list's item at that
+    rank is relevant; a list has no hit past its width, which n may exceed.
+    n_relevant, each list's number of relevant items, broadcasts against
+    the leading axes of hits. The DCG discount is 1/log2(rank+1) with
+    1-indexed ranks; IDCG assumes min(n, n_relevant) hits at the top. DCG
+    adds one rank column at a time, left to right, and IDCG is a sequential
+    prefix sum, so each list's values equal the scalar sums taken in rank
+    order. Discounts are taken only up to the hit columns and the longest
+    ideal list, so a cutoff far past both costs nothing."""
     if n < 1:
         raise ValueError("cutoff must be >= 1")
     hits = np.asarray(hits, dtype=bool)[..., :n]
     n_relevant = np.asarray(n_relevant, dtype=np.intp)
-    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, n + 1)]
+    ideal = np.minimum(n, n_relevant)
+    ranks = max(hits.shape[-1], int(ideal.max(initial=0)))
+    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, ranks + 1)]
     dcg = np.zeros(hits.shape[:-1])
     for j in range(hits.shape[-1]):
         dcg[hits[..., j]] += discounts[j]
-    idcg = np.array(list(itertools.accumulate(discounts, initial=0.0)))[
-        np.minimum(n, n_relevant)
-    ]
+    idcg = np.array(list(itertools.accumulate(discounts, initial=0.0)))[ideal]
     ndcg = np.zeros(dcg.shape)
     np.divide(dcg, idcg, out=ndcg, where=idcg > 0)
     return RankingMetrics(hits.sum(axis=-1, dtype=np.int32), n_relevant, n, ndcg)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import (
     TEST,
     TRAIN,
@@ -119,15 +119,17 @@ def user_metrics(relevant: PairCounts, users: np.ndarray, codes: np.ndarray, cut
     """The positions in `users`, ranked user codes, of the users with a
     relevant POI, and per cutoff the `RankingMetrics` of their lists
     `codes`, (users, ..., K) int32 POI codes, -1 past a short list: arrays
-    shaped (kept users, ...). Hits are marked a block of users at a time
-    under the common budget: hit_matrix holds three int64s per entry."""
+    shaped (kept users, ...). Hits are marked for the first min(K,
+    max(cutoffs)) ranks, a block of users at a time under the common
+    budget: hit_matrix holds three int64s per entry."""
     n_relevant = np.diff(relevant.indptr)[users]
     kept = np.flatnonzero(n_relevant)
-    hits = np.empty((len(kept), *codes.shape[1:-1], max(cutoffs)), dtype=bool)
+    width = min(codes.shape[-1], max(cutoffs))
+    hits = np.empty((len(kept), *codes.shape[1:-1], width), dtype=bool)
     step = block_rows(3 * 8 * int(np.prod(hits.shape[1:])))
     for lo in range(0, len(kept), step):
         at = kept[lo:lo + step]
-        hits[lo:lo + step] = hit_matrix(relevant, users[at], codes[at, ..., :hits.shape[-1]])
+        hits[lo:lo + step] = hit_matrix(relevant, users[at], codes[at, ..., :width])
     n_relevant = n_relevant[kept].reshape(-1, *(1,) * (hits.ndim - 2))
     return kept, {n: ranking_metrics(hits, n_relevant, n) for n in cutoffs}
 
@@ -144,7 +146,7 @@ class ListScores:
         self.values = np.zeros((n_users, k))
 
     def add(self, at: slice, top: np.ndarray, vals: np.ndarray, normalized) -> None:
-        self.values[at, :top.shape[2]] = np.where(vals[:, 0] > -np.inf, vals[:, 0], 0.0)
+        self.values[at] = np.where(vals[:, 0] > -np.inf, vals[:, 0], 0.0)
 
     def scores(self, top: np.ndarray, row: int) -> np.ndarray:
         return self.values[:len(top)]
@@ -196,7 +198,10 @@ class Pipeline:
     def __init__(self, config: ExperimentConfig):
         self.cfg = config
         self.out = Path(config.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # a file, or a path under one
+            raise ConfigError(f"unusable out_dir {config.out_dir!r}: {e.strerror}") from e
         self.timings: dict[str, float] = {}
         self.counts: dict[str, int] = {}
         self.peak_rss_mb: dict[str, float] = {}
@@ -298,7 +303,8 @@ class Pipeline:
     def fit_and_recommend(self, split: SplitDataset, rules):
         """Fit each model once and rank each user once. Per model: the ranked
         user codes, ascending, and per rule in `rules` their (users, rows, K)
-        int32 top POI codes, -1 past a short list, K being max(cutoffs), and
+        int32 top POI codes, -1 past a short list, K being max(cutoffs) or
+        the POI count if that is less, the longest list there can be, and
         their `ListScores` (one-row rules) or `GridContexts` (the grid).
         Users are scored, fused and ranked a block at a time, blocks sized by
         `recommend.BLOCK_BYTES`, each normalised once for every additive
@@ -310,9 +316,9 @@ class Pipeline:
             self.counts["recommend.users_without_train"] = missing
             if missing:
                 log.warning("%d users have no training check-in; not scored", missing)
-            k = max(self.cfg.cutoffs)
             grid = simplex_grid(self.cfg.sweep_step)
             n_pois = len(train.poi_ids)
+            k = min(max(self.cfg.cutoffs), n_pois)
             step = score_block_rows(n_pois)
             pois = np.arange(n_pois)
             ranked = {}
@@ -348,17 +354,14 @@ class Pipeline:
                         cs = cs.take(has)
                     normalized = normalized_scores(cs) if additive else None
                     for held, buf in zip(lists.values(), bufs):
-                        # Codes are filled block by block, so their pages
-                        # are touched as their users are ranked.
-                        held.codes[n:n + len(cs.users)] = -1
                         for a in range(0, len(cs.users), len(buf)):
                             part = cs.take(slice(a, a + len(buf)))
                             m = len(part.users)
                             mat = None if normalized is None else normalized[:, a:a + m]
-                            fused = fused_scores(part, held.lambdas, buf[:m], mat)
+                            fused = fused_scores(part, held.lambdas, mat, buf[:m])
                             top, vals = recommend_topn(pois, fused, k)
                             at = slice(n + a, n + a + m)
-                            held.codes[at, :, :top.shape[2]] = np.where(vals > -np.inf, top, -1)
+                            held.codes[at] = np.where(vals > -np.inf, top, -1)
                             held.add(at, top, vals, mat)
                     users.append(cs.users)
                     n += len(cs.users)
@@ -549,9 +552,7 @@ def _peak_rss_mb() -> float:
 COMMANDS = {
     "preprocess": "parse, filter, and report dataset statistics",
     "analyze": "temporal profiles, groups, histogram, correlations",
-    "recommend": "every stage, writing the same artifacts as run",
     "sweep": "weighted-sum lambda grid search on validation",
-    "evaluate": "every stage, writing the same artifacts as run",
     "run": "all stages end to end",
 }
 
@@ -559,10 +560,11 @@ COMMANDS = {
 def run_pipeline(config: ExperimentConfig, command: str = "run"):
     """Run the stages in order up to the last one `command` needs, write the
     manifest and return the evaluation reports (none for the commands that
-    stop before evaluate). `recommend`, `evaluate` and `run` run every stage;
-    the sweep runs for `sweep`, when `run_sweep` is set, or when weighted-sum
-    fusion needs its lambdas. `sweep` ranks only the weighted-sum grid. A
-    failed stage leaves a partial manifest and its StageFailure is raised."""
+    stop before evaluate). `sweep` ranks only the weighted-sum grid, `run`
+    the configured fusion rules, and the sweep runs exactly when the grid is
+    ranked. An unusable out_dir raises ConfigError before anything is
+    written; a failed stage leaves a partial manifest and raises its
+    StageFailure."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     p = Pipeline(config)
@@ -576,7 +578,6 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
 
 
 def _run_stages(p: Pipeline, command: str):
-    cfg = p.cfg
     d = p.preprocess(p.parse())
     if command == "preprocess":
         return []
@@ -584,10 +585,9 @@ def _run_stages(p: Pipeline, command: str):
     _, labels = p.analyze(d, split)
     if command == "analyze":
         return []
-    sweeps = command == "sweep" or cfg.run_sweep or WEIGHTED_SUM in cfg.fusion_rules
-    rules = ([] if command == "sweep" else cfg.fusion_rules) + [WEIGHTED_SUM] * sweeps
-    ranked = p.fit_and_recommend(split, sorted(set(rules)))
-    best_lambdas = p.sweep(ranked, labels, split) if sweeps else {}
+    rules = [WEIGHTED_SUM] if command == "sweep" else p.cfg.fusion_rules
+    ranked = p.fit_and_recommend(split, rules)
+    best_lambdas = p.sweep(ranked, labels, split) if WEIGHTED_SUM in rules else {}
     if command == "sweep":
         return []
     return p.evaluate(ranked, labels, split, best_lambdas)

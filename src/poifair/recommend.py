@@ -176,17 +176,14 @@ def normalized_scores(cs: CandidateScores) -> np.ndarray:
 
 
 def fused_scores(
-    cs: CandidateScores, lambdas: np.ndarray | None, out=None, normalized=None
+    cs: CandidateScores, lambdas: np.ndarray | None, normalized, out=None
 ) -> np.ndarray:
     """Fuse a block's context scores with a rule's `rule_lambdas`, one row
-    per lambda row: product (None) on raw scores, additive rules on the
-    block's `normalized_scores`, taken from `normalized` if given.
+    per lambda row: product (None) on raw scores, additive rules on
+    `normalized`, the block's `normalized_scores`, which product ignores.
     (B, G, n_pois), into `out` if given, -inf at every POI that is not a
     candidate."""
-    if lambdas is None:
-        mat = cs.raw
-    else:
-        mat = normalized_scores(cs) if normalized is None else normalized
+    mat = cs.raw if lambdas is None else normalized
     fused = fuse_arrays(mat, lambdas, cs.enabled, out)
     np.copyto(fused, -np.inf, where=~cs.candidate[:, None, :])
     return fused

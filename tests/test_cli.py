@@ -65,9 +65,15 @@ class TestConfig:
         ]
         assert spelled == []
 
-    def test_unknown_key_rejected(self, tmp_path, fixture_files):
+    def test_unknown_key_rejected(self, tmp_path, fixture_files, capsys):
         path = write_config(tmp_path, fixture_files, mystery=1)
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        # A removed key is unknown too: the rules ranked decide the sweep.
+        path = write_config(tmp_path, fixture_files, run_sweep=True)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: unknown config keys: ['run_sweep']"
+        )
 
     def test_missing_input_file(self, tmp_path, fixture_files):
         path = write_config(tmp_path, fixture_files, poi_path="/nope/pois.tsv")
@@ -93,7 +99,6 @@ class TestConfig:
         {"cutoffs": ["10"]},
         {"cutoffs": [True]},
         {"sweep_step": "0.1"},
-        {"run_sweep": "no"},
         {"min_user_checkins": 2.5},
         {"train_frac": float("nan")},
         {"session_gap_hours": float("nan")},
@@ -107,7 +112,7 @@ class TestConfig:
         "negative-min-user-checkins", "negative-min-poi-checkins",
         "no-cutoffs", "no-models", "no-fusion-rules",
         "repeated-model", "repeated-fusion-rule", "repeated-cutoff",
-        "string-cutoff", "bool-cutoff", "string-sweep-step", "string-run-sweep",
+        "string-cutoff", "bool-cutoff", "string-sweep-step",
         "fractional-min-user-checkins", "nan-train-frac", "nan-session-gap",
         "infinite-session-gap", "zero-session-gap", "negative-session-gap",
     ])
@@ -167,14 +172,25 @@ class TestRun:
         assert a == b
 
     def test_sweep_emits_66_rows(self, tmp_path, fixture_files):
-        path = write_config(
-            tmp_path, fixture_files,
-            fusion_rules=["product", "weighted_sum"], run_sweep=True,
-        )
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        with (tmp_path / "out" / "sweep.csv").open() as fh:
-            rows = list(csv.reader(fh))
+        """Weighted-sum fusion runs the sweep; the sweep command ranks only
+        the grid, yet writes the same sweep.csv as run, and no table and no
+        lists."""
+        path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
+        outs = {}
+        for command in ("run", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            outs[command] = {
+                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+            }
+        rows = outs["run"]["sweep.csv"].decode().splitlines()
         assert len(rows) - 1 == 66  # one model, full 0.1 simplex grid
+        assert "table3.csv" in outs["run"]
+        assert "recommendations_geosoca_weighted_sum.tsv" in outs["run"]
+        assert outs["sweep"] == {
+            name: data for name, data in outs["run"].items()
+            if not name.startswith(("table3.", "recommendations_"))
+        }
 
     def test_data_error_exit_code(self, tmp_path, fixture_files):
         bad = tmp_path / "bad_checkins.tsv"
@@ -278,51 +294,29 @@ class TestRun:
         assert (tmp_path / "out" / "dataset_stats.json").is_file()
         assert main(["analyze", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "histogram.csv").is_file()
-        assert main(["evaluate", "--config", str(path)]) == EXIT_OK
+        assert main(["run", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "table3.csv").is_file()
+        # Without weighted-sum fusion, run does not sweep.
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_commands_are_named_once(self, tmp_path, fixture_files):
         """The parser's subcommands, with their help, are pipeline.COMMANDS,
-        and run_pipeline rejects any other command."""
+        and run_pipeline rejects any other command; the parser exits 2 for
+        `recommend` and `evaluate`, the removed aliases of run."""
         subs = next(a for a in build_parser()._actions if a.dest == "command")
-        assert list(subs.choices) == list(pipeline.COMMANDS)
+        assert list(subs.choices) == list(pipeline.COMMANDS) == [
+            "preprocess", "analyze", "sweep", "run",
+        ]
         assert {a.dest: a.help for a in subs._choices_actions} == pipeline.COMMANDS
-        cfg = ExperimentConfig.from_json(write_config(tmp_path, fixture_files))
+        path = write_config(tmp_path, fixture_files)
+        cfg = ExperimentConfig.from_json(path)
         with pytest.raises(ValueError, match="unknown command 'fit'"):
             pipeline.run_pipeline(cfg, "fit")
+        for command in ("recommend", "evaluate"):
+            with pytest.raises(SystemExit) as raised:
+                main([command, "--config", str(path)])
+            assert raised.value.code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
-
-    def test_recommend_and_evaluate_write_the_same_artifacts(self, tmp_path, fixture_files):
-        path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
-        outs = {}
-        for command in ("recommend", "evaluate", "sweep"):
-            out = tmp_path / command
-            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
-            outs[command] = {
-                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
-            }
-        assert "table3.csv" in outs["recommend"]
-        assert "sweep.csv" in outs["recommend"]
-        assert "recommendations_geosoca_weighted_sum.tsv" in outs["recommend"]
-        assert outs["recommend"] == outs["evaluate"]
-        # sweep ranks only the grid, yet writes the same sweep.csv; it
-        # writes no table and no lists.
-        assert outs["sweep"] == {
-            name: data for name, data in outs["recommend"].items()
-            if not name.startswith(("table3.", "recommendations_"))
-        }
-
-    def test_recommend_and_evaluate_honour_run_sweep_like_run(self, tmp_path, fixture_files):
-        path = write_config(tmp_path, fixture_files, run_sweep=True)
-        outs = {}
-        for command in ("run", "recommend", "evaluate"):
-            out = tmp_path / command
-            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
-            outs[command] = {
-                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
-            }
-        assert "sweep.csv" in outs["run"]
-        assert outs["recommend"] == outs["run"] == outs["evaluate"]
 
     def test_user_left_below_three_is_dropped_not_fatal(self, tmp_path, fixture_files):
         # A passes the 15-check-in user filter, then loses 13 check-ins to
@@ -421,7 +415,7 @@ class TestRun:
             tmp_path, fixture_files, models=["geosoca", "lore"],
             social_path=str(fixture_files["social"]) if social else None,
         )
-        assert main(["recommend", "--config", str(path)]) == EXIT_OK
+        assert main(["run", "--config", str(path)]) == EXIT_OK
         counts = json.loads((tmp_path / "out" / "manifest.json").read_text())["counts"]
         assert counts["recommend.power_law_fallbacks.geosoca"] == (0 if social else 1)
         assert counts["recommend.power_law_fallbacks.lore"] == 0
@@ -431,3 +425,22 @@ class TestRun:
         other = tmp_path / "elsewhere"
         assert main(["run", "--config", str(path), "--out", str(other)]) == EXIT_OK
         assert (other / "table3.csv").is_file()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["out_dir", "--out"])
+    def test_unusable_out_dir_is_a_config_error(
+        self, tmp_path, fixture_files, capsys, under, flag
+    ):
+        """An out_dir, or --out, that is an existing file or lies under one:
+        exit 2 with one config error line, and nothing written."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if under else blocker
+        path = write_config(tmp_path, fixture_files, **{} if flag else {"out_dir": str(out)})
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["run", "--config", str(path)] + (["--out", str(out)] if flag else [])
+        assert main(argv) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: unusable out_dir {str(out)!r}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "not a directory\n"

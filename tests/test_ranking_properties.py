@@ -29,7 +29,9 @@ from poifair import recommend
 from poifair.metrics import RankingMetrics, evaluate_run, ranking_metrics
 from poifair.pipeline import user_metrics
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
-from poifair.recommend import CandidateScores, fused_scores, recommend_topn, top_k
+from poifair.recommend import (
+    CandidateScores, fused_scores, normalized_scores, recommend_topn, top_k,
+)
 
 import oracles
 
@@ -159,6 +161,32 @@ def test_row_metrics_equal_one_list_oracle(case):
         want = oracles.ranking_metrics(top, rel, n)
         got = (m.precision[i], m.recall[i], m.ndcg[i])
         assert bits(got) == bits([want.precision, want.recall, want.ndcg])
+
+
+@st.composite
+def short_hits(draw):
+    """(hits, n_relevant, n): up to 6 lists of up to 12 ranks each, marked,
+    with relevant counts up to 400 and a cutoff n beyond their width."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=0, max_value=12))
+    flat = draw(st.lists(st.booleans(), min_size=rows * width, max_size=rows * width))
+    n_relevant = draw(st.lists(st.integers(min_value=0, max_value=400),
+                               min_size=rows, max_size=rows))
+    n = draw(st.integers(min_value=width + 1, max_value=width + 300))
+    return np.array(flat, dtype=bool).reshape(rows, width), n_relevant, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=short_hits())
+def test_cutoff_past_the_hits_equals_hits_padded_to_it(case):
+    """A list holds no hit past its width, so a cutoff n beyond it reads as
+    the hits padded with False up to n."""
+    hits, n_relevant, n = case
+    padded = np.zeros((len(hits), n), dtype=bool)
+    padded[:, :hits.shape[1]] = hits
+    got, want = ranking_metrics(hits, n_relevant, n), ranking_metrics(padded, n_relevant, n)
+    for field in ("n_hits", "precision", "recall", "ndcg"):
+        assert bits(getattr(got, field)) == bits(getattr(want, field)), field
 
 
 label_st = st.sampled_from([UNASSIGNED, LEISURE, WORKING])
@@ -335,12 +363,12 @@ def oracle_row(mat, enabled, rule, lambdas):
 def test_stacked_weighted_sum_rows_equal_per_point_fusion(raw, enabled, step):
     grid = simplex_grid(step)
     cs = candidate_scores(raw, enabled)
-    (rows,) = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid))
+    (rows,) = fused_scores(cs, rule_lambdas(WEIGHTED_SUM, enabled, grid), normalized_scores(cs))
     assert rows.shape == (len(grid), len(raw))
     normalized = normalize_scores(raw.T, np.ones(len(raw), dtype=bool)).T
     for row, point in zip(rows, grid):
         one = rule_lambdas(WEIGHTED_SUM, enabled, [point])
-        assert row.tobytes() == fused_scores(cs, one).tobytes()
+        assert row.tobytes() == fused_scores(cs, one, normalized_scores(cs)).tobytes()
         assert bits(row) == bits(oracle_row(normalized, enabled, WEIGHTED_SUM, one[0]))
 
 
@@ -357,7 +385,7 @@ def test_stacked_arbitrary_weights_equal_per_set_fusion(raw, lambdas, enabled, r
     scalar oracle."""
     if rule == PRODUCT:
         mat, stacked = raw, None
-        assert fused_scores(candidate_scores(raw, enabled), None).tobytes() == (
+        assert fused_scores(candidate_scores(raw, enabled), None, None).tobytes() == (
             fuse_arrays(raw.T, None, enabled).tobytes()
         )
     else:

@@ -14,6 +14,7 @@ from poifair.recommend import (
     LORE,
     FittedModel,
     fused_scores,
+    normalized_scores,
     recommend_topn,
 )
 from poifair.synth import SynthConfig, generate
@@ -164,7 +165,7 @@ class TestTopN:
 def top_n(model, u, rule, n):
     """u's top-n (POIs, fused scores) under a product or sum rule, as lists."""
     cs = model.score_candidates([u])
-    ((scores,),) = fused_scores(cs, rule_lambdas(rule, cs.enabled))
+    ((scores,),) = fused_scores(cs, rule_lambdas(rule, cs.enabled), normalized_scores(cs))
     pois, vals = recommend_topn(np.arange(len(scores)), scores, n)
     listed = vals > -np.inf
     return pois[listed].tolist(), vals[listed].tolist()
@@ -186,7 +187,7 @@ class TestRecommend:
 
     def test_monotone_transform_keeps_order(self, lore):
         cs = lore.score_candidates([2])
-        ((scores,),) = fused_scores(cs, rule_lambdas(SUM, cs.enabled))
+        ((scores,),) = fused_scores(cs, rule_lambdas(SUM, cs.enabled), normalized_scores(cs))
         base, _ = recommend_topn(cs.poi_ids, scores[cs.poi_ids], len(cs.poi_ids))
         boosted, _ = recommend_topn(cs.poi_ids, 3.0 * scores[cs.poi_ids] + 7.0, len(cs.poi_ids))
         assert base.tolist() == boosted.tolist()
@@ -201,6 +202,6 @@ class TestDisabledContext:
         assert len(pois) == 5
         # product fusion ignores the disabled context entirely
         cs = model.score_candidates([0])
-        ((fused,),) = fused_scores(cs, rule_lambdas(PRODUCT, cs.enabled))
+        ((fused,),) = fused_scores(cs, rule_lambdas(PRODUCT, cs.enabled), None)
         c1, c2 = cs.raw[0, 0, cs.poi_ids], cs.raw[1, 0, cs.poi_ids]
         assert fused[cs.poi_ids].tobytes() == (c1 * c2).tobytes()

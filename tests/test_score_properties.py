@@ -16,7 +16,7 @@ from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, VALIDATION, Dataset, SplitDataset, temporal_split
 from poifair.fusion import PRODUCT, SUM, WEIGHTED_SUM, rule_lambdas, simplex_grid
 from poifair.pipeline import Pipeline
-from poifair.recommend import GEOSOCA, LORE, FittedModel, fused_scores
+from poifair.recommend import GEOSOCA, LORE, FittedModel, fused_scores, normalized_scores
 from poifair.sequential import SESSION_GAP_HOURS
 from poifair.social import fit_power_law, friend_totals
 from poifair.synth import SynthConfig, generate
@@ -299,7 +299,9 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
                 # As the pipeline does, the block's rows with candidates
                 # are fused together.
                 has = cs.candidate.any(axis=1)
-                fused = {rule: fused_scores(cs.take(has), lam) for rule, lam in lams.items()}
+                block = cs.take(has)
+                normalized = normalized_scores(block)
+                fused = {rule: fused_scores(block, lam, normalized) for rule, lam in lams.items()}
                 for b, u in enumerate(cs.users.tolist()):
                     one = oracles.score_user(model, u)
                     pos = np.flatnonzero(cs.candidate[b])
@@ -315,7 +317,8 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
                         )
                         assert (row[:, ~cs.candidate[b]] == -np.inf).all()
                         top, vals = oracles.user_topn(one, lam, K)
-                        pad = K - top.shape[1]
+                        # Lists are as long as the POI count allows.
+                        pad = min(K, n_pois) - top.shape[1]
                         want[rule][0].append(np.pad(top, ((0, 0), (0, pad)), constant_values=-1))
                         want[rule][1].append(np.pad(vals, ((0, 0), (0, pad))))
                     grid_codes = want[WEIGHTED_SUM][0][-1]

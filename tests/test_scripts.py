@@ -30,3 +30,18 @@ def test_run_experiment_writes_table3(tmp_path):
     assert len(table) == 1 + 4  # two models x product, sum at one cutoff
     for name in ("checkins.tsv", "pois.tsv", "social.tsv"):
         assert (tmp_path / "exp" / "data" / name).is_file()
+
+
+def test_run_experiment_sweep_adds_weighted_sum(tmp_path):
+    out = run("run_experiment.py", "exp", "--sweep", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.split("\n\n")[0].splitlines()
+    assert header.split() == ["model", "fusion", "N", "nDCG", "nDCG_L", "nDCG_W", "dnDCG", "acc_unf"]
+    # two models x product, sum and weighted_sum at one cutoff, each column
+    # cut at 10 characters
+    assert sorted(tuple(row.split()[:2]) for row in rows) == [
+        (model, rule[:10]) for model in ("geosoca", "lore")
+        for rule in ("product", "sum", "weighted_sum")
+    ]
+    sweep = (tmp_path / "exp" / "out" / "sweep.csv").read_text().splitlines()
+    assert len(sweep) == 2 * 66 + 1  # a header and the 0.1 grid per model

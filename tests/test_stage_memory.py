@@ -157,6 +157,28 @@ def test_grid_lists_hold_codes_and_listed_contexts(config_path):
     assert held < bound + (32 << 10), (held, bound)
 
 
+def test_a_cutoff_past_the_poi_count_costs_no_memory(config_path, tmp_path):
+    """Lists are as long as the longest list there can be, the POI count,
+    and hits and discounts as long as the lists: with a cutoff of 100,000
+    on 40 POIs, the recommend and evaluate stages peak within 1 MB of
+    cutoffs 10 and 20, where arrays sized by the cutoff took over 100 MB."""
+    peaks = {}
+    for cutoffs in ([10, 20], [10, 100_000]):
+        cfg = ExperimentConfig.from_json(config_path)
+        cfg.cutoffs, cfg.out_dir = cutoffs, str(tmp_path / str(cutoffs[-1]))
+        p = Pipeline(cfg)
+        d = p.preprocess(p.parse())
+        split = p.split(d)
+        _, labels = p.analyze(d, split)
+
+        def stages():
+            return p.evaluate(p.fit_and_recommend(split, cfg.fusion_rules), labels, split, {})
+
+        reports, peaks[cutoffs[-1]] = traced(stages)
+        assert {r.cutoff for r in reports} == set(cutoffs)
+    assert peaks[100_000] - peaks[20] < 1 << 20, peaks
+
+
 # Records the order in which modules start to import, from the "import"
 # audit event: sys.modules lists a module once its import finishes.
 IMPORT_ORDER = """
