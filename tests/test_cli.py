@@ -99,6 +99,7 @@ class TestConfig:
         {"cutoffs": ["10"]},
         {"cutoffs": [True]},
         {"sweep_step": "0.1"},
+        {"run_sweep": "no"},  # removed key: the rules ranked decide the sweep
         {"min_user_checkins": 2.5},
         {"train_frac": float("nan")},
         {"session_gap_hours": float("nan")},
@@ -112,7 +113,7 @@ class TestConfig:
         "negative-min-user-checkins", "negative-min-poi-checkins",
         "no-cutoffs", "no-models", "no-fusion-rules",
         "repeated-model", "repeated-fusion-rule", "repeated-cutoff",
-        "string-cutoff", "bool-cutoff", "string-sweep-step",
+        "string-cutoff", "bool-cutoff", "string-sweep-step", "string-run-sweep",
         "fractional-min-user-checkins", "nan-train-frac", "nan-session-gap",
         "infinite-session-gap", "zero-session-gap", "negative-session-gap",
     ])
@@ -172,9 +173,17 @@ class TestRun:
         assert a == b
 
     def test_sweep_emits_66_rows(self, tmp_path, fixture_files):
-        """Weighted-sum fusion runs the sweep; the sweep command ranks only
-        the grid, yet writes the same sweep.csv as run, and no table and no
-        lists."""
+        """Weighted-sum fusion runs the sweep."""
+        path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        with (tmp_path / "out" / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) - 1 == 66  # one model, full 0.1 simplex grid
+
+    def test_recommend_and_evaluate_write_the_same_artifacts(self, tmp_path, fixture_files):
+        """run writes every artifact that recommend and evaluate, its removed
+        aliases, wrote; sweep ranks only the grid, yet writes the same
+        sweep.csv as run, and no table and no lists."""
         path = write_config(tmp_path, fixture_files, fusion_rules=["product", "weighted_sum"])
         outs = {}
         for command in ("run", "sweep"):
@@ -183,9 +192,8 @@ class TestRun:
             outs[command] = {
                 f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
             }
-        rows = outs["run"]["sweep.csv"].decode().splitlines()
-        assert len(rows) - 1 == 66  # one model, full 0.1 simplex grid
         assert "table3.csv" in outs["run"]
+        assert "sweep.csv" in outs["run"]
         assert "recommendations_geosoca_weighted_sum.tsv" in outs["run"]
         assert outs["sweep"] == {
             name: data for name, data in outs["run"].items()
