@@ -53,10 +53,21 @@ def main():
     with table.open() as fh:
         rows = list(csv.DictReader(fh))
     cols = ["model", "fusion", "N", "nDCG", "nDCG_L", "nDCG_W", "dnDCG", "acc_unf"]
-    print("  ".join(f"{c:>10}" for c in cols))
-    for row in rows:
-        print("  ".join(f"{row[c]:>10.10}" for c in cols))
+    lines = [cols, *([cell(row[c]) for c in cols] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for line in lines:
+        print("  ".join(text.rjust(w) for text, w in zip(line, widths)))
     print(f"\nfull artifacts in {work / 'out'}")
+
+
+def cell(text: str) -> str:
+    """A table3.csv cell as the table prints it: a number to 6 significant
+    digits, any other text whole; an empty cell (an undefined acc_unf) is
+    blank."""
+    try:
+        return f"{float(text):.6g}"
+    except ValueError:
+        return text
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poifair",
         description="Context-aware POI recommendation with temporal-fairness evaluation",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
@@ -50,10 +49,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         # An unusable out_dir is a ConfigError too, raised before any stage.
         run_pipeline(_load_config(args), args.command)

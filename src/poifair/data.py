@@ -17,14 +17,14 @@ POI and check-in files, another the users of the check-in and social
 files, a third the categories of the POI file. Once every file that holds a
 kind of id is read, its ids are coded in sorted order and only those of the
 defining file are kept: the POI file's POIs, the check-in file's users, the
-categories of its POIs. A check-in's unknown POI is then an error, a
+categories of its POIs. The POI file's POIs are numbered first: the scan of
+the check-ins stops at the first numbered past them, an unknown POI. A
 friendship with a user without check-ins is dropped.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
@@ -58,8 +58,7 @@ class DataError(Exception):
 class Ids(Sequence):
     """Distinct str ids in ascending order, as one read-only sequence: id i
     is the UTF-8 `buf[offsets[i]:offsets[i + 1]]`, decoded as it is read.
-    UTF-8 byte order is code-point order, which is `sorted(str)` order, so
-    `index` and `in` are binary searches."""
+    UTF-8 byte order is code-point order, which is `sorted(str)` order."""
 
     __slots__ = ("buf", "offsets")
 
@@ -91,16 +90,6 @@ class Ids(Sequence):
     def __iter__(self):
         at = self.offsets.tolist()
         return (self.buf[a:b].decode() for a, b in zip(at, at[1:]))
-
-    def __contains__(self, s) -> bool:
-        i = bisect_left(self, s)
-        return i < len(self) and self[i] == s
-
-    def index(self, s) -> int:
-        i = bisect_left(self, s)
-        if i == len(self) or self[i] != s:
-            raise ValueError(f"{s!r} is not in ids")
-        return i
 
     def take(self, mask: np.ndarray) -> Ids:
         """The ids at the True entries of the bool `mask`, in order: their
@@ -326,12 +315,17 @@ def parse_dataset(
     # One `_Intern` per kind of id, over every file that holds it.
     pois, users, categories = _Intern(), _Intern(), _Intern()
     poi_lines = _parse_pois(poi_path, pois, categories, report, max_malformed_frac)
-    (user, poi, ts), bad = _scan(checkin_path, (2, 2), _checkin_block, (users, pois, None), report)
+
+    def known_pois(values, line, n_known=pois.n):  # numbers below n_known: the POI file's
+        for at in np.flatnonzero(values[1] >= n_known)[:1]:
+            poi_id = Ids.from_keys(pois.keys[pois.number == values[1][at]])[0]
+            raise DataError(f"check-in at line {line[at]} references unknown poi_id {poi_id!r}")
+
+    (user, poi, ts), bad = _scan(checkin_path, (2, 2), _checkin_block, (users, pois, None),
+                                 report, check=known_pois)
     report.checkin_lines_malformed, report.checkin_lines_parsed = bad, len(ts)
     code, poi_ids = _defined(pois, poi_lines[0])
     poi = code[poi]
-    if (poi < 0).any():
-        raise _first_unknown_poi(checkin_path, poi_ids)
     _check_malformed(bad, len(ts) + len(bad), max_malformed_frac, checkin_path)
     poi_columns = _poi_columns(code, *poi_lines, categories, report)
     (a, b), bad = (np.zeros(0, dtype=np.int32),) * 2, []
@@ -404,22 +398,6 @@ def _poi_columns(code, number, lat, lon, cat, line, categories: _Intern, report:
     return lat[last], lon[last], np.append(cat_code, np.int32(-1))[cat], category_ids
 
 
-def _first_unknown_poi(path, known: Ids) -> DataError:
-    """The error for the first parsed line of the check-in file whose POI is
-    not `known`. The file is scanned again with fresh `_Intern`s, so that
-    only this path holds the check-ins' line numbers."""
-    pois = _Intern()
-    (_, poi, _, line), _ = _scan(
-        path, (2, 2), _checkin_block, (_Intern(), pois, None), LoadReport(), lines=True
-    )
-    code = pois.finish()[poi]
-    unknown = np.array([s not in known for s in pois.ids], dtype=bool)[code]
-    first = int(np.argmax(unknown))
-    return DataError(
-        f"check-in at line {line[first]} references unknown poi_id {pois.ids[code[first]]!r}"
-    )
-
-
 def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
     """Each distinct undirected pair of user codes once, as an int32
     (lower, higher) row, in ascending order."""
@@ -431,7 +409,7 @@ def edge_pairs(a: np.ndarray, b: np.ndarray, n_users: int) -> np.ndarray:
 
 
 def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
-          lines: bool = False):
+          lines: bool = False, check=lambda *_: None):
     """The parsed lines of `path`, decoded block by block, and the line
     numbers of its malformed ones, in file order.
 
@@ -439,7 +417,8 @@ def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
     their fields: id keys (see `_Block.keys`) or values. A non-blank line
     that it does not parse is malformed. The parsed lines come as columns,
     one per field, then their line numbers if `lines` is set. `coders[j]`,
-    an `_Intern`, numbers id field j as int32 before the next block is read.
+    an `_Intern`, numbers id field j as int32; then `check(fields, line_numbers)`
+    may raise on them, ending the scan, before the next block is read.
     Each column grows in place block by block, so no block outlives its turn
     and no column is ever held twice."""
     columns, bad = None, []
@@ -453,8 +432,10 @@ def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
         bad += (first_line + np.flatnonzero(malformed)).tolist()
         report.blocks += 1
         values = [f if coder is None else coder.block(f) for f, coder in zip(fields, coders)]
+        line = first_line + parsed
+        check(values, line)
         if lines:
-            values.append(first_line + parsed)
+            values.append(line)
         if columns is None:
             columns = [np.empty(0, dtype=v.dtype) for v in values]
         for column, v in zip(columns, values):

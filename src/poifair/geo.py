@@ -14,8 +14,8 @@ BANDWIDTH_FLOOR_KM = 0.01
 
 
 def project_km(lats, lons, lat_ref) -> np.ndarray:
-    """Equirectangular local projection of (n,) degree coordinates to km, (n, 2),
-    or (U, n, 2) for (U,) reference latitudes, each cosine Python's `math.cos`."""
+    """Equirectangular local projection of (n,) or (U, n) degree coordinates to
+    km, (n, 2), or (U, n, 2) for (U,) reference latitudes; each cosine is `math.cos`."""
     ref = np.asarray(lat_ref, dtype=float)
     cos = np.array([math.cos(math.radians(r)) for r in ref.ravel().tolist()])
     kx = KM_PER_DEG_LON_EQUATOR * cos.reshape(ref.shape)
@@ -28,11 +28,9 @@ def distances_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Equirectangular distance of each pair of points, using the pair's
     midpoint latitude as reference: `project_km` of the two points, with
     Python's `math.cos` once per pair."""
-    lat_ref = (lat1 + lat2) / 2.0
-    kx = KM_PER_DEG_LON_EQUATOR * np.array(
-        [math.cos(math.radians(x)) for x in lat_ref.tolist()], dtype=float
-    )
-    return np.hypot(KM_PER_DEG_LAT * lat1 - KM_PER_DEG_LAT * lat2, kx * lon1 - kx * lon2)
+    p = project_km(np.stack((lat1, lat2), axis=1), np.stack((lon1, lon2), axis=1),
+                   (lat1 + lat2) / 2.0)
+    return np.hypot(*(p[:, 0] - p[:, 1]).T)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 plot-ready CSV artifacts."""
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -90,6 +89,20 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return _fmt_float(x)
     return str(x)
+
+
+def _quote(text: str) -> str:
+    """A CSV text cell as `csv.writer` quotes it by default: wrapped in `"`
+    when it holds `,`, `"`, CR or LF, with each `"` doubled."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(row) -> str:
+    """The CSV line of a row, each cell `_fmt`'s text; `csv.writer` writes a
+    lone empty cell, which no artifact row is, as `""`."""
+    return ",".join([_quote(_fmt(x)) for x in row]) + "\r\n"
 
 
 def _recommendation_rows(
@@ -283,11 +296,14 @@ class Pipeline:
             ]
             ints = (profiles.n_checkins, profiles.n_working, profiles.n_leisure)
             floats = (profiles.leisure_ratio, profiles.avg_popularity_consumption)
-            self._write_rows("profiles.csv", [header], len(profiles.user), 6, lambda at: zip(
-                user_ids.decode(profiles.user[at]),
-                *(c[at].tolist() for c in ints),
-                *(map(_fmt_float, c[at].tolist()) for c in floats),
-            ))
+            # Only the id can need quotes, so each line is one format.
+            self._write_rows(
+                "profiles.csv", _csv_line(header), len(profiles.user), 6, lambda at: zip(
+                    map(_quote, user_ids.decode(profiles.user[at])),
+                    *(c[at].tolist() for c in ints),
+                    *(map(_fmt_float, c[at].tolist()) for c in floats),
+                ), "%s,%d,%d,%d,%s,%s\r\n".__mod__,
+            )
             # GroupStats' fields are the columns, in order.
             self._write_csv_artifact("groups.csv", [
                 "group", "n_checkins", "avg_popularity_consumption", "avg_activity_level",
@@ -432,11 +448,11 @@ class Pipeline:
                     scores = held.scores(top, row)
                     kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
                     self._write_rows(
-                        f"recommendations_{name}_{rule}.tsv", [], len(users), 4 * top.shape[1],
+                        f"recommendations_{name}_{rule}.tsv", "", len(users), 4 * top.shape[1],
                         lambda at: _recommendation_rows(
                             user_ids, poi_ids, users[at], top[at], scores[at]
                         ),
-                        "%s\t%d\t%s\t%s\n",
+                        "%s\t%d\t%s\t%s\n".__mod__,
                     )
                 skipped = len(users) - len(kept)
                 self.counts[f"evaluate.users_without_test.{name}"] = skipped
@@ -494,25 +510,20 @@ class Pipeline:
         self._replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def _write_csv_artifact(self, name: str, header, rows: list) -> None:
-        self._write_rows(name, [header], len(rows), len(header),
-                         lambda at: ([_fmt(v) for v in row] for row in rows[at]))
+        self._write_rows(name, _csv_line(header), len(rows), len(header),
+                         lambda at: rows[at], _csv_line)
 
-    def _write_rows(self, name: str, head: list, n: int, fields: int, rows, line=None) -> None:
-        """Write artifact `name`: the CSV rows `head`, then `rows(at)` for
-        blocks `at` of the n items, as CSV or as `line % row` each; a block
+    def _write_rows(self, name: str, head: str, n: int, fields: int, rows, line) -> None:
+        """Write artifact `name`: the text `head`, then the text `line(row)`
+        of each row of `rows(at)`, for blocks `at` of the n items; a block
         is what the common budget holds at 64 bytes a field."""
         step = block_rows(64 * fields)
 
         def write(tmp):
             with tmp.open("w", encoding="utf-8", newline="") as fh:
-                out = csv.writer(fh)
-                out.writerows(head)
+                fh.write(head)
                 for lo in range(0, n, step):
-                    block = rows(slice(lo, lo + step))
-                    if line:  # a block's lines joined: faster than csv
-                        fh.write("".join(map(line.__mod__, block)))
-                    else:
-                        out.writerows(block)
+                    fh.write("".join(map(line, rows(slice(lo, lo + step)))))
 
         self._replace(self.out / name, write)
 
@@ -562,14 +573,19 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
     manifest and return the evaluation reports (none for the commands that
     stop before evaluate). `sweep` ranks only the weighted-sum grid, `run`
     the configured fusion rules, and the sweep runs exactly when the grid is
-    ranked. An unusable out_dir raises ConfigError before anything is
-    written; a failed stage leaves a partial manifest and raises its
-    StageFailure."""
+    ranked. An empty split part that a stage would score, or an unusable
+    out_dir, raises ConfigError before anything is written; a failed stage
+    leaves a partial manifest and raises its StageFailure."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    rules = [WEIGHTED_SUM] if command == "sweep" else config.fusion_rules
+    if command == "run" and not config.test_frac:
+        raise ConfigError("run evaluates on the test split: test_frac must be > 0")
+    if command in ("sweep", "run") and WEIGHTED_SUM in rules and not config.val_frac:
+        raise ConfigError("the weighted-sum sweep tunes on validation: val_frac must be > 0")
     p = Pipeline(config)
     try:
-        reports = _run_stages(p, command)
+        reports = _run_stages(p, command, rules)
     except StageFailure as e:
         p.write_manifest(e)
         raise
@@ -577,7 +593,7 @@ def run_pipeline(config: ExperimentConfig, command: str = "run"):
     return reports
 
 
-def _run_stages(p: Pipeline, command: str):
+def _run_stages(p: Pipeline, command: str, rules: list[str]):
     d = p.preprocess(p.parse())
     if command == "preprocess":
         return []
@@ -585,7 +601,6 @@ def _run_stages(p: Pipeline, command: str):
     _, labels = p.analyze(d, split)
     if command == "analyze":
         return []
-    rules = [WEIGHTED_SUM] if command == "sweep" else p.cfg.fusion_rules
     ranked = p.fit_and_recommend(split, rules)
     best_lambdas = p.sweep(ranked, labels, split) if WEIGHTED_SUM in rules else {}
     if command == "sweep":

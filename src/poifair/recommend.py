@@ -194,8 +194,8 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     descending score, equal scores in position order: exactly
     `np.argsort(-scores, axis=-1, kind="stable")[..., :k]`.
 
-    With k < n, each row's k-th largest score t comes from one partition.
-    Every top-k position has a score >= t, and those positions come out of
+    With k clamped to n, each row's k-th largest score t comes from one
+    partition. Every top-k position has a score >= t, and those come out of
     `flatnonzero` in ascending order, row by row, so a stable sort of each
     row's positions alone, cut at k, is the full sort's prefix; ties at t
     only keep more of them. Rows that ties leave shorter than the longest
@@ -203,8 +203,9 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = scores.shape[-1]
-    if k >= n:
-        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    k = min(k, n)
+    if not k:
+        return np.empty(scores.shape, dtype=np.intp)
     rows = scores.reshape(-1, n)
     t = np.partition(rows, n - k, axis=-1)[:, n - k]
     at = np.flatnonzero(rows >= t[:, None])

@@ -259,28 +259,50 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
         assert manifest["failed_stage"] == "analyze"
 
-    @pytest.mark.parametrize("fracs,rules,stage,part", [
-        ((0.9, 0.1, 0.0), ["product", "sum"], "evaluate", "test"),
-        ((1.0, 0.0, 0.0), ["weighted_sum"], "sweep", "validation"),
-    ], ids=["no-test-split", "no-validation-split"])
-    def test_no_user_to_score_is_a_data_error(
-        self, tmp_path, fixture_files, capsys, fracs, rules, stage, part
+    @pytest.mark.parametrize("rules", [
+        ["product", "sum"], ["weighted_sum"],
+    ], ids=["no-test-split", "no-test-split-after-sweep"])
+    def test_no_user_to_score_is_a_data_error(self, tmp_path, fixture_files, capsys, rules):
+        """A test fraction of 0.01 gives no fixture user, each with under 100
+        check-ins, a test row: evaluate, after the sweep if weighted-sum is
+        ranked, has no user with a relevant POI, and the run exits 3, naming
+        the condition, not a stage failure."""
+        path = write_config(
+            tmp_path, fixture_files, train_frac=0.89, val_frac=0.1, test_frac=0.01,
+            fusion_rules=rules,
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            "data error in stage 'evaluate': "
+            "geosoca: no ranked user has a relevant POI in the test split"
+        )
+        manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
+        assert manifest["failed_stage"] == "evaluate"
+
+    @pytest.mark.parametrize("command,fracs,rules,text", [
+        ("run", (0.9, 0.1, 0.0), ["product", "sum"],
+         "run evaluates on the test split: test_frac must be > 0"),
+        ("run", (0.8, 0.0, 0.2), ["product", "weighted_sum"],
+         "the weighted-sum sweep tunes on validation: val_frac must be > 0"),
+        ("sweep", (0.8, 0.0, 0.2), ["product", "sum"],
+         "the weighted-sum sweep tunes on validation: val_frac must be > 0"),
+    ], ids=["no-test-split", "no-validation-split", "sweep-no-validation-split"])
+    def test_empty_scored_split_is_a_config_error(
+        self, tmp_path, fixture_files, capsys, command, fracs, rules, text
     ):
-        """An empty test (or validation) split leaves evaluate (or the sweep) no
-        user with a relevant POI: exit 3, naming the condition, not a stage
-        failure."""
+        """An empty part that a stage scores exits 2 before any stage runs,
+        with no out_dir made; preprocess and analyze, which score no part,
+        accept it."""
         train, val, test = fracs
         path = write_config(
             tmp_path, fixture_files, train_frac=train, val_frac=val, test_frac=test,
             fusion_rules=rules,
         )
-        assert main(["run", "--config", str(path)]) == EXIT_DATA
-        assert capsys.readouterr().err.strip() == (
-            f"data error in stage {stage!r}: "
-            f"geosoca: no ranked user has a relevant POI in the {part} split"
-        )
-        manifest = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
-        assert manifest["failed_stage"] == stage
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == f"config error: {text}"
+        assert not (tmp_path / "out").exists()
+        for unscored in ("preprocess", "analyze"):
+            assert main([unscored, "--config", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("kind,text", [
         ("checkin_path", b"u0000\tp0000\t1000\r\nu\xff\tp0000\t2000\r\n"),
@@ -324,6 +346,16 @@ class TestRun:
             with pytest.raises(SystemExit) as raised:
                 main([command, "--config", str(path)])
             assert raised.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_verbose_flag_is_gone(self, tmp_path, fixture_files, flag):
+        """No code logs below INFO, so there is no flag to show it: the
+        parser exits 2 for -v and --verbose, and nothing is written."""
+        path = write_config(tmp_path, fixture_files)
+        with pytest.raises(SystemExit) as raised:
+            main([flag, "run", "--config", str(path)])
+        assert raised.value.code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_user_left_below_three_is_dropped_not_fatal(self, tmp_path, fixture_files):

@@ -94,6 +94,48 @@ def test_unknown_poi_names_its_first_line(tmp_path, block_bytes):
     assert str(e.value) == "check-in at line 701 references unknown poi_id 'ghost-poi-b'"
 
 
+def test_unknown_poi_ends_the_only_read_of_the_checkins(tmp_path):
+    """The check-in file is read once: the scan stops in the block that
+    holds the first unknown POI, and no block after it is read."""
+    write_corpus(tmp_path, n_users=50, n_pois=60, n_checkins=1000)
+    lines = (tmp_path / "checkins.tsv").read_text(encoding="utf-8").splitlines()
+    lines.insert(300, "u1\tghost-poi\t5")
+    (tmp_path / "checkins.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reads, read_blocks = [], data._read_blocks
+
+    def counted(path):
+        reads.append([path.name, 0])
+        for block in read_blocks(path):
+            reads[-1][1] += 1
+            yield block
+
+    with patch.object(data, "_read_blocks", counted), pytest.raises(DataError) as e:
+        parse(tmp_path, 4 << 10)
+    assert str(e.value) == "check-in at line 301 references unknown poi_id 'ghost-poi'"
+    assert [name for name, _ in reads] == ["pois.tsv", "checkins.tsv"]
+    with patch.object(data, "BLOCK_BYTES", 4 << 10):
+        n_blocks = sum(1 for _ in read_blocks(tmp_path / "checkins.tsv"))
+    assert reads[1][1] < n_blocks / 2
+
+
+@pytest.mark.parametrize("unknown_at,bad_at,error", [
+    (100, 900, "check-in at line 101 references unknown poi_id 'ghost-poi'"),
+    (900, 100, "line 101 of {} is not valid UTF-8"),
+], ids=["unknown-poi-first", "invalid-utf8-first"])
+def test_first_bad_block_names_the_error(tmp_path, unknown_at, bad_at, error):
+    """Of an unknown POI and invalid UTF-8 in different blocks, the earlier
+    one is reported: the scan stops at the first."""
+    write_corpus(tmp_path, n_users=50, n_pois=60, n_checkins=1000)
+    path = tmp_path / "checkins.tsv"
+    lines = path.read_bytes().splitlines()
+    lines[unknown_at] = b"u1\tghost-poi\t5"
+    lines[bad_at] = b"u\xff\tp0\t5"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError) as e:
+        parse(tmp_path, 4 << 10)
+    assert str(e.value) == error.format(path)
+
+
 def test_parse_memory_is_bounded_by_blocks_and_ids(tmp_path):
     """The traced peak of a parse, less the columns and ids it returns,
     stays under a multiple of the block size plus an allowance per distinct

@@ -113,14 +113,16 @@ def test_top_k_equals_stable_argsort(case):
 
 
 @pytest.mark.parametrize(
-    "shape", [(47, 1, 230), (6, 1, 230), (2, 66, 230), (1, 66, 4000), (0, 1, 230)]
+    "shape",
+    [(47, 1, 230), (6, 1, 230), (2, 66, 230), (1, 66, 4000), (0, 1, 230), (3, 66, 20)],
 )
 def test_top_k_at_pipeline_shapes(shape):
     """The (users, rule rows, POIs) blocks that the recommend stage ranks:
     product and sum blocks of 47 users of the benchmark corpus's 230 POIs
     and their 6-user tail, a weighted-sum block of 2 users, one user's
-    weighted-sum rows over 4,000 POIs, and an empty block. A tenth of the
-    scores are zero and the rest on a 0.01 grid."""
+    weighted-sum rows over 4,000 POIs, an empty block, and a weighted-sum
+    block over 20 POIs, where k = 20 lists every POI. A tenth of the scores
+    are zero and the rest on a 0.01 grid."""
     rng = np.random.default_rng(sum(shape))
     scores = np.round(rng.random(shape), 2)
     scores[..., rng.random(shape[-1]) < 0.1] = 0.0

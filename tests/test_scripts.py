@@ -1,5 +1,6 @@
 """The demo scripts run end to end as their own processes and leave their
 outputs behind."""
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -36,12 +37,22 @@ def test_run_experiment_sweep_adds_weighted_sum(tmp_path):
     out = run("run_experiment.py", "exp", "--sweep", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     header, *rows = out.stdout.split("\n\n")[0].splitlines()
-    assert header.split() == ["model", "fusion", "N", "nDCG", "nDCG_L", "nDCG_W", "dnDCG", "acc_unf"]
-    # two models x product, sum and weighted_sum at one cutoff, each column
-    # cut at 10 characters
+    cols = ["model", "fusion", "N", "nDCG", "nDCG_L", "nDCG_W", "dnDCG", "acc_unf"]
+    assert header.split() == cols
+    # two models x product, sum and weighted_sum at one cutoff, names whole
+    # and each number table3.csv's to 6 significant digits
+    with (tmp_path / "exp" / "out" / "table3.csv").open(newline="") as fh:
+        table = list(csv.DictReader(fh))
     assert sorted(tuple(row.split()[:2]) for row in rows) == [
-        (model, rule[:10]) for model in ("geosoca", "lore")
+        (model, rule) for model in ("geosoca", "lore")
         for rule in ("product", "sum", "weighted_sum")
     ]
+    for printed, want in zip(rows, table):
+        cells = printed.split()
+        assert cells[:2] == [want["model"], want["fusion"]]
+        numbers = [want[c] for c in cols[2:]]
+        if not numbers[-1]:  # an undefined acc_unf prints blank
+            numbers.pop()
+        assert cells[2:] == [f"{float(x):.6g}" for x in numbers]
     sweep = (tmp_path / "exp" / "out" / "sweep.csv").read_text().splitlines()
     assert len(sweep) == 2 * 66 + 1  # a header and the 0.1 grid per model
