@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 # Imported first: where bytecode is not cached, data.py, the largest module,
@@ -23,7 +24,8 @@ EXIT_STAGE = 4
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="experiment config JSON")
     sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--seed", type=int, help="random seed (overrides config)")
+    sub.add_argument("--seed", type=int, help="seed recorded in the manifest's config "
+                     "and its hash (overrides config); no stage reads it yet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,5 +70,17 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """`main()` as a process: every artifact is closed when it returns, so
+    once logs and streams are flushed the process ends without interpreter
+    finalization (about 20 ms with numpy loaded). If main() raises, SystemExit
+    included, the process exits the normal way."""
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

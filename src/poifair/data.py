@@ -26,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,8 +194,7 @@ class LoadReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """Check-ins, POIs and friendships as numpy columns.
 
     Check-ins are in input order: `user` and `poi` are int32 codes into
@@ -224,9 +224,7 @@ class Dataset:
     def take(self, rows: np.ndarray) -> Dataset:
         """The check-ins at `rows`, in that order, with the same id lists
         (so some users may have no check-in left)."""
-        return replace(
-            self, user=self.user[rows], poi=self.poi[rows], ts=self.ts[rows]
-        )
+        return self._replace(user=self.user[rows], poi=self.poi[rows], ts=self.ts[rows])
 
     def visits(self) -> PairCounts:
         """Check-ins per distinct (user, POI) pair, by user code then POI
@@ -246,8 +244,7 @@ class Dataset:
         return PairCounts.of(np.concatenate((a, b)), np.concatenate((b, a)), n, n)
 
 
-@dataclass
-class SplitDataset:
+class SplitDataset(NamedTuple):
     """Per-user chronological partition of a dataset's check-ins.
 
     `rows` holds the dataset's row indices sorted by (user, timestamp,
@@ -265,8 +262,7 @@ class SplitDataset:
         return self.dataset.take(self.rows[self.part == part])
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     n_users: int
     n_pois: int
     n_checkins: int

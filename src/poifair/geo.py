@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def distances_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return np.hypot(*(p[:, 0] - p[:, 1]).T)
 
 
-@dataclass(frozen=True)
-class KdeModel:
+class KdeModel(NamedTuple):
     """A batch of product-Gaussian KDEs over distinct projected points: row u
     is one KDE, padded with weight-0 points to the longest row. `weights`
     holds each point's sample count (check-ins at one POI share its

@@ -5,7 +5,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +13,7 @@ from .data import PairCounts
 from .temporal import LEISURE, WORKING
 
 
-@dataclass(frozen=True)
-class RankingMetrics:
+class RankingMetrics(NamedTuple):
     """Per-list metrics at cutoff n, shaped as the lists' leading axes:
     (users,) for one list a user, (users, rows) for a grid's. Each list's
     hit count and nDCG are kept; precision and recall are derived from the
@@ -36,8 +35,7 @@ class RankingMetrics:
         return recall
 
 
-@dataclass(frozen=True)
-class GroupMetrics:
+class GroupMetrics(NamedTuple):
     ndcg_all: float
     ndcg_leisure: float
     ndcg_working: float
@@ -121,8 +119,7 @@ def group_metrics(
     )
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     model: str
     fusion: str
     cutoff: int

@@ -9,7 +9,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +262,7 @@ class Pipeline:
                 report.short_checkins_removed
             )
             stats = dataset_stats(filtered)
-            payload = {"filter": asdict(report), "stats": asdict(stats)}
+            payload = {"filter": asdict(report), "stats": stats._asdict()}
             self._write(
                 self.out / "dataset_stats.json",
                 json.dumps(payload, indent=2, sort_keys=True),
@@ -308,7 +308,7 @@ class Pipeline:
             self._write_csv_artifact("groups.csv", [
                 "group", "n_checkins", "avg_popularity_consumption", "avg_activity_level",
                 "n_users",
-            ], [astuple(g) for g in gstats])
+            ], gstats)
             try:
                 corr = correlation_analysis(profiles)
             except ValueError as e:
@@ -471,14 +471,10 @@ class Pipeline:
                 "model", "fusion", "N", "Pre", "Rec", "nDCG",
                 "nDCG_L", "nDCG_W", "dnDCG", "pct_delta", "acc_unf",
             ]
-            self._write_csv_artifact(
-                "table3.csv", header, [astuple(r)[:len(header)] for r in reports]
-            )
+            self._write_csv_artifact("table3.csv", header, [r[:len(header)] for r in reports])
             self._write(
                 self.out / "table3.json",
-                json.dumps(
-                    [asdict(r) for r in reports], indent=2, sort_keys=True
-                ),
+                json.dumps([r._asdict() for r in reports], indent=2, sort_keys=True),
             )
             return reports
 

@@ -2,8 +2,7 @@
 produce top-N recommendations."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ def score_block_rows(n_pois: int) -> int:
     return block_rows(24 * n_pois)
 
 
-@dataclass(frozen=True)
-class CandidateScores:
+class CandidateScores(NamedTuple):
     """Raw (c1, c2, c3) context scores of a block of users at every POI code.
 
     A user's candidates are the POIs they did not visit in train; scores at
@@ -48,7 +46,7 @@ class CandidateScores:
     raw: np.ndarray  # (3, B, n_pois)
     enabled: tuple[bool, bool, bool]
 
-    @cached_property
+    @property
     def poi_ids(self) -> np.ndarray:
         """Each candidate's POI code, row by row."""
         return np.nonzero(self.candidate)[1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ AMC_DECAY = 0.5
 AMC_MEMORY = 5
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(NamedTuple):
     """Transitions between POI codes as CSR rows by source: source s moves to
     `dst[indptr[s]:indptr[s + 1]]` with probability `prob`, its count over
     s's out-total."""

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ BETA_MAX = 10.0
 MIN_FIT_OBSERVATIONS = 10
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     beta: float
     x_min: float = 1.0
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ def hours(timestamps: np.ndarray) -> np.ndarray:
     return timestamps // 3600 % 24
 
 
-@dataclass(frozen=True)
-class Profiles:
+class Profiles(NamedTuple):
     """Temporal profiles of the users with training check-ins, as columns in
     ascending user code order."""
 
@@ -39,8 +38,7 @@ class Profiles:
         return self.n_checkins - self.n_working
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     group: str
     n_checkins: int
     avg_popularity_consumption: float

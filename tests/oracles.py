@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +150,8 @@ def pois_of(d: Dataset) -> dict[str, Poi]:
 
 def without_categories(d: Dataset) -> Dataset:
     """The dataset with no POI category."""
-    return replace(
-        d, category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=Ids.of([])
+    return d._replace(
+        category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=Ids.of([])
     )
 
 

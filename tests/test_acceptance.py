@@ -4,7 +4,6 @@ import math
 import os
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ def test_c04_group_split_sizes_and_rank_invariance():
                         np.array(ratios), np.full(5628, 0.5))
     a = assign_groups(profiles, 5628)
     ok = (a == LEISURE).sum() == 1125 and (a == WORKING).sum() == 1125
-    transformed = replace(profiles, leisure_ratio=np.array([math.tanh(3 * r) for r in ratios]))
+    transformed = profiles._replace(leisure_ratio=np.array([math.tanh(3 * r) for r in ratios]))
     ok &= assign_groups(transformed, 5628).tolist() == a.tolist()
     report("4 group-split", ok)
 

@@ -6,7 +6,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,7 @@ def test_analyze_artifacts_match_object_oracles(world):
         ]
     with (out / "groups.csv").open(newline="") as fh:
         assert list(csv.reader(fh))[1:] == [
-            [_fmt(v) for v in astuple(g)]
+            [_fmt(v) for v in g]
             for g in oracles.group_stats(want, oracles.assign_groups(want))
         ]
     assert json.loads((out / "correlations.json").read_text()) == (
@@ -287,7 +287,7 @@ def test_evaluate_matches_user_keyed_oracle(world, tmp_path):
                 oracles.evaluate_run(recs[r], relevant, groups, n, name, r, base.delta_ndcg)
                 for r in rules
             ]
-    assert repr([asdict(r) for r in reports]) == repr([asdict(r) for r in want])
+    assert repr([r._asdict() for r in reports]) == repr([r._asdict() for r in want])
 
 
 def test_evaluate_reuses_the_ranked_grid_lists(world, tmp_path):

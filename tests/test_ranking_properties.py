@@ -4,7 +4,6 @@ metrics against the one-list oracle, evaluation and the weight sweep on user
 codes against their user-keyed oracles, and multi-row fusion against one-row
 calls and the one-candidate fusion oracle, bit for bit."""
 import struct
-from dataclasses import asdict
 from unittest.mock import patch
 
 import numpy as np
@@ -261,12 +260,12 @@ def test_array_evaluation_equals_user_keyed_oracle(case, flat, baseline):
         for r in range(rows):
             row = lambda a: np.broadcast_to(a, m.ndcg.shape).reshape(len(kept), rows)[:, r]
             got = RankingMetrics(row(m.n_hits), row(m.n_relevant), m.n, row(m.ndcg))
-            assert outcome(lambda: asdict(evaluate_run(
+            assert outcome(lambda: evaluate_run(
                 got, labels[kept_users], len(users) - len(kept), n, "m", "r", baseline
-            ))) == outcome(lambda: asdict(oracles.evaluate_run(
+            )._asdict()) == outcome(lambda: oracles.evaluate_run(
                 {u: lists[u][r] for u in users}, relevant, groups_of(labels), n, "m", "r",
                 baseline,
-            )))
+            )._asdict())
             for i, u in enumerate(kept_users):
                 want = oracles.ranking_metrics(lists[u][r], relevant[u], n)
                 assert bits([got.precision[i], got.recall[i], got.ndcg[i]]) == bits(
