@@ -475,48 +475,67 @@ class _Block:
     a byte that `bytes.strip()` keeps. `rows` are the non-blank lines with
     at least `n_tabs[0]` tabs and no NUL byte; field j, for j up to
     `n_tabs[1]`, of `rows[k]` spans bytes `lo[j][k]:hi[j][k]`, and a field
-    past a line's last tab is empty."""
+    past a line's last tab is empty.
+
+    A block of LF-ended ASCII lines, each led by a visible byte and holding
+    `n_tabs[1]` tabs, is scanned only for LFs, tabs and by `keys`; the CR,
+    NUL, UTF-8, blank-byte and tabs-per-line steps run only where needed."""
 
     def __init__(self, raw: bytes, first_line: int, n_tabs: tuple[int, int], path):
         buf = np.frombuffer(raw, dtype=np.uint8)
-        eol = np.flatnonzero((buf == 10) | (buf == 13))
-        is_lf = buf[eol] == 10
-        # crlf[i]: eol[i] and eol[i + 1] are a CR and an LF, one line end.
-        crlf = ~is_lf[:-1] & is_lf[1:] & (np.diff(eol) == 1)
-        first, last = np.ones(len(eol), dtype=bool), np.ones(len(eol), dtype=bool)
-        first[1:] = ~crlf
-        last[:-1] = ~crlf
-        self.ends = eol[first]
-        self.starts = np.concatenate(([0], eol[last] + 1))[:-1]
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = first_line + int(np.searchsorted(self.ends, e.start))
-            raise DataError(f"line {line} of {path} is not valid UTF-8") from None
+        if b"\r" in raw:
+            eol = np.flatnonzero((buf == 10) | (buf == 13))
+            is_lf = buf[eol] == 10
+            # eol[pair] and eol[pair + 1] are a CR and an LF, one line end.
+            pair = np.flatnonzero(~is_lf[:-1] & is_lf[1:] & (np.diff(eol) == 1))
+            self.ends = np.delete(eol, pair + 1)
+            self.starts = np.concatenate(([0], np.delete(eol, pair) + 1))[:-1]
+            del eol, is_lf, pair  # not held beside the byte masks below
+        else:
+            self.ends = np.flatnonzero(buf == 10)
+            self.starts = np.concatenate(([0], self.ends + 1))[:-1]
+        if not raw.isascii():
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                line = first_line + int(np.searchsorted(self.ends, e.start))
+                raise DataError(f"line {line} of {path} is not valid UTF-8") from None
 
-        del eol, is_lf, crlf, first, last  # not held beside the byte masks below
-        # Line i and its line end are bytes starts[i] up to starts[i + 1];
-        # bytes.strip() strips \t, \n, \v, \f, \r (9 to 13) and space.
-        visible = (buf - np.uint8(9) > 4) & (buf != 32)
-        self.nonblank = np.logical_or.reduceat(visible, self.starts)
-        del visible
-        tabs = np.flatnonzero(buf == 9)
-        n_tabs_of = np.bincount(np.searchsorted(self.ends, tabs), minlength=len(self.ends))
-        has_nul = np.zeros(len(self.ends), dtype=bool)
-        has_nul[np.searchsorted(self.ends, np.flatnonzero(buf == 0))] = True
+        # bytes.strip() strips \t, \n, \v, \f, \r (9 to 13) and space. Only if a line is
+        # led by one of them (an empty line by its end) are lines tested on every byte.
+        lead = buf[self.starts]
+        self.nonblank = (lead - np.uint8(9) > 4) & (lead != 32)
+        if not self.nonblank.all():
+            visible = (buf - np.uint8(9) > 4) & (buf != 32)
+            self.nonblank = np.logical_or.reduceat(visible, self.starts)
+            del visible
+        keep = self.nonblank.copy()
+        if b"\0" in raw:
+            keep[np.searchsorted(self.ends, np.flatnonzero(buf == 0))] = False
         fewest, most = n_tabs
-        self.rows = np.flatnonzero(self.nonblank & (n_tabs_of >= fewest) & ~has_nul)
-        first_tab = (np.cumsum(n_tabs_of) - n_tabs_of)[self.rows]
-        n, end = n_tabs_of[self.rows], self.ends[self.rows]
-        # Field j ends at tab j; a missing tab sits at the line end, so the
-        # fields after it are empty.
-        self.hi = [np.where(j < n, tabs[np.minimum(first_tab + j, len(tabs) - 1)], end)
-                   for j in range(most)]
+        tabs = np.flatnonzero(buf == 9)
+        # If line i holds the first and last of tabs[most * i:][:most], every
+        # line has exactly `most` tabs, those ones.
+        if (len(tabs) == most * len(self.ends) and (tabs[::most] >= self.starts).all()
+                and (tabs[most - 1::most] < self.ends).all()):
+            self.rows = np.flatnonzero(keep)
+            self.hi = list(tabs.reshape(-1, most).take(self.rows, axis=0).T)
+            end = self.ends[self.rows]
+        else:
+            per = np.searchsorted(tabs, self.ends)  # the tabs before each line's end
+            n_tabs_of = np.diff(per, prepend=0)
+            self.rows = np.flatnonzero(keep & (n_tabs_of >= fewest))
+            first_tab = (per - n_tabs_of)[self.rows]
+            n, end = n_tabs_of[self.rows], self.ends[self.rows]
+            # Field j ends at tab j; a missing tab sits at the line end, so
+            # the fields after it are empty.
+            self.hi = [np.where(j < n, tabs[np.minimum(first_tab + j, len(tabs) - 1)], end)
+                       for j in range(most)]
+            # The last field ends at a tab before extra fields: set in
+            # place, so that it takes no array of its own.
+            more = np.flatnonzero(n > most)
+            end[more] = tabs[first_tab[more] + most]
         self.lo = [self.starts[self.rows], *(np.minimum(x + 1, end) for x in self.hi)]
-        # The last field ends at the line end, or at a tab before extra
-        # fields: set in place, so that it takes no array of its own.
-        more = np.flatnonzero(n > most)
-        end[more] = tabs[first_tab[more] + most]
         self.hi.append(end)
         self.raw, self.buf = raw, buf
         # words[i]: bytes i to i + 7 as one big-endian integer.
@@ -543,25 +562,26 @@ class _Block:
         return keys
 
     def timestamps(self, j: int) -> np.ndarray:
-        """Field j as int64: positive exactly where it is 1 to MAX_TS_DIGITS
-        ASCII digits with a value of at most 2**63 - 1, and then that value.
-        The digits' weighted sum is taken in uint64, one digit column at a
-        time; a larger value reads as negative."""
+        """Field j as int64: its value where it is 1 to MAX_TS_DIGITS ASCII
+        digits with a value of at most 2**63 - 1, else -1. Digit column k of
+        fields right-aligned to `width` bytes is read from the block at
+        `hi - width + k` and added into a uint64 value, one column at a time."""
         lo, hi = self.lo[j], self.hi[j]
         n = hi - lo
         width = int(np.clip(n.max(initial=1), 1, MAX_TS_DIGITS))
-        # Right-aligned: column k holds byte hi - width + k.
-        padded = np.zeros(len(self.buf) + width, dtype=np.uint8)
-        padded[width:] = self.buf
-        window = np.lib.stride_tricks.sliding_window_view(padded, width)
-        digit = window[hi] - np.uint8(ord("0"))  # non-digits wrap above 9
-        # putmask, not a boolean index, which takes 16 bytes per masked digit.
-        np.putmask(digit, np.arange(width) < (width - n)[:, None], 0)
+        ragged = not (n == width).all()
         value = np.zeros(len(n), dtype=np.uint64)
+        top = np.zeros(len(n), dtype=np.uint8)  # the largest digit
         for k in range(width):
-            value = value * np.uint64(10) + digit[:, k]
-        ok = (digit <= 9).all(axis=1) & (n > 0) & (n <= width)
-        return np.where(ok, value.view(np.int64), -1)
+            # Bytes before a narrower field (at index -1 or less, the block's end) read as 0.
+            digit = self.buf[hi - (width - k)] - np.uint8(ord("0"))  # non-digits wrap above 9
+            if ragged:
+                np.putmask(digit, n < width - k, 0)
+            np.maximum(top, digit, out=top)
+            value *= np.uint64(10)
+            value += digit
+        value = value.view(np.int64)
+        return np.where((top <= 9) & (n > 0) & (n <= width) & (value >= 0), value, -1)
 
     def floats(self, j: int) -> np.ndarray:
         """Python's float() of field j's bytes; nan where it raises, as it
@@ -626,15 +646,25 @@ class _Intern:
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct key rows, sorted, and the index of each row among
-    them."""
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
-    rows = keys[order]
+    """The distinct key rows, sorted, and each row's index among them. Only
+    the first row of each run of equal rows is sorted (each user's lines are
+    together); take and compress gather rows several times as fast as indexing."""
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = _differ(keys[1:], keys[:-1])
+    head = np.flatnonzero(head)
+    heads = keys.take(head, axis=0)
+    order = np.argsort(heads[:, 0]) if keys.shape[1] == 1 else np.lexsort(heads.T[::-1])
+    rows = heads.take(order, axis=0)
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    new[1:] = _differ(rows[1:], rows[:-1])
     of = np.empty(len(rows), dtype=np.intp)
     of[order] = np.cumsum(new) - 1
-    return rows[new], of
+    return rows.compress(new, axis=0), np.repeat(of, np.diff(head, append=len(keys)))
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each key row of a differs from b's, one-word rows as a column."""
+    return a[:, 0] != b[:, 0] if a.shape[1] == 1 else (a != b).any(axis=1)
 
 
 def _widen(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -657,7 +687,7 @@ def _search(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     else:
         at = np.searchsorted(_bytes(table), _bytes(keys))
     found = at < len(table)
-    found[found] = (table[at[found]] == keys[found]).all(axis=1)
+    found[found] = ~_differ(table.take(at[found], axis=0), keys.compress(found, axis=0))
     return at, found
 
 
