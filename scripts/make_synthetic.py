@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from poifair.synth import SynthConfig, generate, write_tsv  # noqa: E402
+from poifair.synth import FRIEND_SCHEMES, SynthConfig, write_tsv  # noqa: E402
 
 
 def main():
@@ -21,9 +21,7 @@ def main():
     ap.add_argument("--clusters", type=int, default=6)
     ap.add_argument("--pois-per-cluster", type=int, default=20)
     ap.add_argument("--friends", type=int, default=4)
-    ap.add_argument(
-        "--friend-scheme", choices=["home", "random", "mixed"], default="home"
-    )
+    ap.add_argument("--friend-scheme", choices=FRIEND_SCHEMES, default="home")
     ap.add_argument("--home-focus-working", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
@@ -37,9 +35,11 @@ def main():
         home_focus_working=args.home_focus_working,
         seed=args.seed,
     )
-    ds = generate(cfg)
-    paths = write_tsv(ds, args.out_dir)
-    print(f"{len(ds.user_ids)} users, {len(ds.poi_ids)} POIs, {len(ds.ts)} check-ins")
+    paths = write_tsv(cfg, args.out_dir)
+    checkins = paths["checkins"].read_text(encoding="utf-8").splitlines()
+    users = {line.split("\t", 1)[0] for line in checkins}
+    pois = paths["pois"].read_text(encoding="utf-8").splitlines()
+    print(f"{len(users)} users, {len(pois)} POIs, {len(checkins)} check-ins")
     for name, p in paths.items():
         print(f"  {name}: {p}")
 

@@ -12,10 +12,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from poifair.config import ExperimentConfig  # noqa: E402
+from poifair.cli import EXIT_CONFIG  # noqa: E402
+from poifair.config import ConfigError, ExperimentConfig  # noqa: E402
 from poifair.fusion import WEIGHTED_SUM  # noqa: E402
 from poifair.pipeline import run_pipeline  # noqa: E402
-from poifair.synth import SynthConfig, generate, write_tsv  # noqa: E402
+from poifair.synth import SynthConfig, write_tsv  # noqa: E402
 
 
 def main():
@@ -28,15 +29,15 @@ def main():
     args = ap.parse_args()
 
     work = Path(args.workdir)
-    ds = generate(
+    paths = write_tsv(
         SynthConfig(
             friend_scheme="random",
             home_focus_working=0.3,
             friends_per_user=5,
             seed=args.seed,
-        )
+        ),
+        work / "data",
     )
-    paths = write_tsv(ds, work / "data")
     cfg = ExperimentConfig(
         checkin_path=str(paths["checkins"]),
         poi_path=str(paths["pois"]),
@@ -47,6 +48,11 @@ def main():
     )
     if args.sweep:
         cfg.fusion_rules.append(WEIGHTED_SUM)
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
     run_pipeline(cfg)
 
     table = work / "out" / "table3.csv"

@@ -67,12 +67,6 @@ class Ids(Sequence):
         self.buf, self.offsets = buf, offsets
 
     @classmethod
-    def of(cls, ids) -> Ids:
-        """The distinct strs of `ids`, sorted."""
-        encoded = sorted({s.encode() for s in ids})
-        return cls(b"".join(encoded), np.cumsum([0, *map(len, encoded)], dtype=np.int64))
-
-    @classmethod
     def from_keys(cls, keys: np.ndarray) -> Ids:
         """The ids of sorted, distinct key rows (see `_Block.keys`): an id
         holds no NUL, so its bytes are the nonzero bytes of its row."""

@@ -10,11 +10,13 @@ groups as sets of users, the user-keyed group metrics and evaluation, and the
 weighted-sum sweep with its per-point callback. Tests compare the library
 against them. `from_checkins` is the
 fixture constructor: it builds a `Dataset` from `CheckIn`, `Poi` and
-`SocialGraph` objects."""
+`SocialGraph` objects; `synth_dataset` parses a synthetic corpus into one,
+and `ids_of` builds an `Ids` from strs."""
 from __future__ import annotations
 
 import enum
 import math
+import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,12 +32,13 @@ from poifair.fusion import (
     rule_lambdas,
     simplex_grid,
 )
-from poifair import geo, social as lib_social
+from poifair import data as lib_data, geo, social as lib_social
 from poifair.geo import KdeModel, project_km, silverman_bandwidth
 from poifair.metrics import EvalReport, GroupMetrics, fairness_summary
 from poifair.recommend import GEOSOCA, recommend_topn
 from poifair.sequential import AMC_DECAY, AMC_MEMORY, _amc_weights
 from poifair.social import BETA_MAX, DEFAULT_FIT, MIN_FIT_OBSERVATIONS, PowerLawFit
+from poifair.synth import SynthConfig, write_tsv
 from poifair.temporal import (
     WORK_END_HOUR,
     WORK_START_HOUR,
@@ -89,6 +92,12 @@ class SocialGraph:
         return self._n_edges
 
 
+def ids_of(strs) -> Ids:
+    """The distinct strs of `strs`, sorted."""
+    encoded = sorted({s.encode() for s in strs})
+    return Ids(b"".join(encoded), np.cumsum([0, *map(len, encoded)], dtype=np.int64))
+
+
 def poi_columns(pois: dict[str, Poi], poi_ids: list[str]):
     """(lat, lon, category, category_ids) of the POIs in `poi_ids` order:
     category codes number the distinct categories in sorted order, -1 for
@@ -128,14 +137,21 @@ def from_checkins(checkins: list[CheckIn], pois: dict[str, Poi],
     pcode = {p: i for i, p in enumerate(poi_ids)}
     lat, lon, category, category_ids = poi_columns(pois, poi_ids)
     return Dataset(
-        Ids.of(user_ids),
-        Ids.of(poi_ids),
+        ids_of(user_ids),
+        ids_of(poi_ids),
         np.array([ucode[c.user_id] for c in checkins], dtype=np.int32),
         np.array([pcode[c.poi_id] for c in checkins], dtype=np.int32),
         np.array([c.timestamp for c in checkins], dtype=np.int64),
-        lat, lon, category, Ids.of(category_ids),
+        lat, lon, category, ids_of(category_ids),
         edge_rows(social, user_ids),
     )
+
+
+def synth_dataset(cfg: SynthConfig) -> Dataset:
+    """The `Dataset` that the library's parse reads from `cfg`'s corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_tsv(cfg, tmp)
+        return lib_data.parse_dataset(paths["checkins"], paths["pois"], paths["social"])
 
 
 def pois_of(d: Dataset) -> dict[str, Poi]:
@@ -151,7 +167,7 @@ def pois_of(d: Dataset) -> dict[str, Poi]:
 def without_categories(d: Dataset) -> Dataset:
     """The dataset with no POI category."""
     return d._replace(
-        category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=Ids.of([])
+        category=np.full(len(d.poi_ids), -1, dtype=np.int32), category_ids=ids_of([])
     )
 
 

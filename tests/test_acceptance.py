@@ -15,7 +15,7 @@ from poifair.metrics import fairness_summary
 from poifair.pipeline import run_pipeline
 from poifair.sequential import amc_scores, transition_graph
 from poifair.social import fit_power_law
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 from poifair.temporal import LEISURE, WORKING, Profiles, assign_groups
 
 from conftest import make_checkin, make_dataset
@@ -145,13 +145,10 @@ def test_c08_split_integrity():
 
 def test_c09_end_to_end_bias_detection(tmp_path):
     t0 = time.perf_counter()
-    ds = generate(
-        SynthConfig(
-            friend_scheme="random", home_focus_working=0.3,
-            friends_per_user=5, seed=42,
-        )
+    paths = write_tsv(
+        SynthConfig(friend_scheme="random", home_focus_working=0.3, friends_per_user=5, seed=42),
+        tmp_path / "data",
     )
-    paths = write_tsv(ds, tmp_path / "data")
     cfg = ExperimentConfig(
         checkin_path=str(paths["checkins"]),
         poi_path=str(paths["pois"]),
@@ -204,8 +201,8 @@ def test_c11_run_determinism(tmp_path):
 
     from poifair.cli import main
 
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=3))
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=3)
+    paths = write_tsv(corpus, tmp_path / "data")
     base = {
         "checkin_path": str(paths["checkins"]),
         "poi_path": str(paths["pois"]),
@@ -231,8 +228,8 @@ def test_run_determinism_default_models(tmp_path):
 
     from poifair.cli import main
 
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=3))
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=3)
+    paths = write_tsv(corpus, tmp_path / "data")
     base = {
         "checkin_path": str(paths["checkins"]),
         "poi_path": str(paths["pois"]),

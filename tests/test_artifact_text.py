@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from poifair.config import ExperimentConfig
 from poifair.pipeline import _csv_line, _fmt, run_pipeline
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 
 cell_st = st.one_of(
     st.text(st.characters(blacklist_characters="\x00")),
@@ -50,10 +50,8 @@ def test_ids_with_commas_and_quotes_come_back_whole(tmp_path):
     artifact is the lines `csv.writer` writes for the rows `csv.reader`
     reads back from it, byte for byte, and those rows, the prefix removed,
     are the base corpus's; so are the TSV lists' rows, split on tabs."""
-    base = write_tsv(
-        generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)),
-        tmp_path / "base",
-    )
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)
+    base = write_tsv(corpus, tmp_path / "base")
     (tmp_path / "prefixed").mkdir()
     cols = {"checkins": (0, 1), "pois": (0, 3), "social": (0, 1)}
     prefixed = {}

@@ -9,14 +9,13 @@ from poifair import config, fusion, pipeline
 from poifair.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, build_parser, main
 from poifair.config import ExperimentConfig
 from poifair.recommend import MODEL_NAMES
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 
 
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixture")
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-    return write_tsv(ds, root)
+    return write_tsv(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11), root)
 
 
 def write_config(tmp_path, paths, **overrides):
@@ -392,8 +391,7 @@ class TestRun:
 
     def test_users_without_training_rows_are_skipped_and_counted(self, tmp_path):
         # floor(0.02 * n) is 0 for a user with fewer than 50 check-ins.
-        ds = generate(SynthConfig(n_users=80))
-        paths = write_tsv(ds, tmp_path / "data")
+        paths = write_tsv(SynthConfig(n_users=80), tmp_path / "data")
         path = write_config(
             tmp_path, paths, models=["geosoca", "lore"],
             train_frac=0.02, val_frac=0.38, test_frac=0.6,

@@ -14,7 +14,6 @@ from poifair.data import (
     MIN_SPLIT_CHECKINS,
     DataError,
     Dataset,
-    Ids,
     dataset_stats,
     parse_dataset,
     preprocess_filter,
@@ -439,10 +438,11 @@ def columns_of(rows) -> Dataset:
     user, poi, ts = zip(*rows)
     n_users, n_pois = max(user) + 1, max(poi) + 1
     return Dataset(
-        Ids.of(f"u{i:04d}" for i in range(n_users)), Ids.of(f"p{i:04d}" for i in range(n_pois)),
+        oracles.ids_of(f"u{i:04d}" for i in range(n_users)),
+        oracles.ids_of(f"p{i:04d}" for i in range(n_pois)),
         np.array(user, dtype=np.int32), np.array(poi, dtype=np.int32),
         np.array(ts, dtype=np.int64), np.zeros(n_pois), np.zeros(n_pois),
-        np.full(n_pois, -1, dtype=np.int32), Ids.of([]), np.zeros((0, 2), dtype=np.int32),
+        np.full(n_pois, -1, dtype=np.int32), oracles.ids_of([]), np.zeros((0, 2), dtype=np.int32),
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from poifair import cli
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -48,8 +48,7 @@ def poifair(*args):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-    return write_tsv(ds, root)
+    return write_tsv(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11), root)
 
 
 def write_config(tmp_path, corpus, **overrides):

@@ -19,7 +19,7 @@ from poifair import recommend
 from poifair.pipeline import Pipeline, StageFailure, _fmt, ground_truth, run_pipeline
 from poifair.recommend import FittedModel, top_k
 from poifair.temporal import LEISURE, UNASSIGNED, WORKING
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 
 import oracles
 from oracles import CheckIn, Poi, SocialGraph
@@ -28,10 +28,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _world(tmp_path, seed, categories):
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=seed))
-    if not categories:
-        ds = oracles.without_categories(ds)
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=seed)
+    paths = write_tsv(corpus, tmp_path / "data")
+    if not categories:  # every POI line's category field emptied
+        lines = paths["pois"].read_text(encoding="utf-8").splitlines()
+        text = "".join(line.rsplit("\t", 1)[0] + "\t\n" for line in lines)
+        paths["pois"].write_text(text, encoding="utf-8")
     cfg = ExperimentConfig(
         checkin_path=str(paths["checkins"]),
         poi_path=str(paths["pois"]),
@@ -382,8 +384,8 @@ def test_successful_write_replaces_content(tmp_path):
 
 
 def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)
+    paths = write_tsv(corpus, tmp_path / "data")
     p = Pipeline(ExperimentConfig(
         checkin_path=str(paths["checkins"]), poi_path=str(paths["pois"]),
         social_path=str(paths["social"]), out_dir=str(tmp_path / "out"),
@@ -402,8 +404,8 @@ def test_analyze_builds_no_checkin_objects(tmp_path, monkeypatch):
 
 
 def test_model_stages_build_no_checkin_objects(tmp_path, monkeypatch):
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)
+    paths = write_tsv(corpus, tmp_path / "data")
     p = Pipeline(ExperimentConfig(
         checkin_path=str(paths["checkins"]), poi_path=str(paths["pois"]),
         social_path=str(paths["social"]), out_dir=str(tmp_path / "out"),
@@ -426,8 +428,8 @@ def test_checkin_line_order_does_not_change_the_artifacts(tmp_path):
     """The same check-ins in another line order give every artifact but
     manifest.json byte for byte: ids, the split and every tie-break depend
     on codes and timestamps, not on input order."""
-    ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-    paths = write_tsv(ds, tmp_path / "data")
+    corpus = SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)
+    paths = write_tsv(corpus, tmp_path / "data")
     lines = paths["checkins"].read_text(encoding="utf-8").splitlines(keepends=True)
     random.Random(5).shuffle(lines)
     shuffled = tmp_path / "data" / "shuffled.tsv"
@@ -452,8 +454,7 @@ def _synthetic_run(tmp_path, name, command="run", **overrides):
     manifest.json, by name, and the manifest."""
     data = tmp_path / "data"
     if not data.exists():
-        ds = generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11))
-        write_tsv(ds, data)
+        write_tsv(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11), data)
     out = tmp_path / name
     run_pipeline(ExperimentConfig(
         checkin_path=str(data / "checkins.tsv"), poi_path=str(data / "pois.tsv"),

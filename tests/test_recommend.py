@@ -17,7 +17,7 @@ from poifair.recommend import (
     normalized_scores,
     recommend_topn,
 )
-from poifair.synth import SynthConfig, generate
+from poifair.synth import SynthConfig
 
 import oracles
 
@@ -25,7 +25,7 @@ import oracles
 @pytest.fixture(scope="module")
 def small_world():
     """(dataset, train columns, id-keyed train lists)."""
-    ds = generate(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
+    ds = oracles.synth_dataset(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
     split = temporal_split(ds)
     return ds, split.columns(TRAIN), oracles.checkin_lists(split)[0]
 
@@ -109,8 +109,9 @@ SCORE_DIGEST = """
 import hashlib
 from poifair.data import TRAIN, temporal_split
 from poifair.recommend import FittedModel
-from poifair.synth import SynthConfig, generate
-ds = generate(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
+from poifair.synth import SynthConfig
+from oracles import synth_dataset
+ds = synth_dataset(SynthConfig(n_users=30, n_clusters=3, pois_per_cluster=8, seed=7))
 train = temporal_split(ds).columns(TRAIN)
 for name in ("geosoca", "lore"):
     model = FittedModel(name, train)
@@ -122,11 +123,12 @@ for name in ("geosoca", "lore"):
 
 
 def test_scores_bitwise_independent_of_string_hashing():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests)]
     digests = []
     for hash_seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", SCORE_DIGEST], env=env,
             capture_output=True, text=True, check=True, timeout=120,

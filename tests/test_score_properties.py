@@ -19,7 +19,7 @@ from poifair.pipeline import Pipeline
 from poifair.recommend import GEOSOCA, LORE, FittedModel, fused_scores, normalized_scores
 from poifair.sequential import SESSION_GAP_HOURS
 from poifair.social import fit_power_law, friend_totals
-from poifair.synth import SynthConfig, generate
+from poifair.synth import SynthConfig
 
 import oracles
 from oracles import CheckIn, Poi, SocialGraph
@@ -245,7 +245,7 @@ def test_fit_structures_match_string_oracles(world):
 def test_power_law_samples_in_oracle_order_on_synthetic_world(categories):
     """A world large enough that both power laws are fitted: users with many
     friends whose histories overlap."""
-    ds = generate(SynthConfig(n_users=40, n_clusters=3, pois_per_cluster=8, seed=5))
+    ds = oracles.synth_dataset(SynthConfig(n_users=40, n_clusters=3, pois_per_cluster=8, seed=5))
     if not categories:
         ds = oracles.without_categories(ds)
     check_fit_structures(ds, temporal_split(ds))

@@ -56,3 +56,10 @@ def test_run_experiment_sweep_adds_weighted_sum(tmp_path):
         assert cells[2:] == [f"{float(x):.6g}" for x in numbers]
     sweep = (tmp_path / "exp" / "out" / "sweep.csv").read_text().splitlines()
     assert len(sweep) == 2 * 66 + 1  # a header and the 0.1 grid per model
+
+
+def test_run_experiment_rejects_a_bad_config_before_any_stage(tmp_path):
+    out = run("run_experiment.py", "exp", "--cutoff", "0", cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == "config error: cutoffs must be >= 1\n"
+    assert not (tmp_path / "exp" / "out").exists()

@@ -22,7 +22,7 @@ from poifair.config import ExperimentConfig
 from poifair.data import TRAIN, PairCounts, dataset_stats, preprocess_filter, temporal_split
 from poifair.fusion import PRODUCT, RULES, SUM, WEIGHTED_SUM, simplex_grid
 from poifair.pipeline import Pipeline
-from poifair.synth import SynthConfig, generate, write_tsv
+from poifair.synth import SynthConfig, write_tsv
 
 from test_parse_blocks import parse, write_corpus
 
@@ -115,7 +115,7 @@ def test_analyze_builds_the_training_visits_once_without_timestamps(
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     root = tmp_path_factory.mktemp("run")
-    paths = write_tsv(generate(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11)), root)
+    paths = write_tsv(SynthConfig(n_users=60, n_clusters=4, pois_per_cluster=10, seed=11), root)
     path = root / "config.json"
     path.write_text(json.dumps({
         "checkin_path": str(paths["checkins"]),
