@@ -409,8 +409,9 @@ def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
     one per field, then their line numbers if `lines` is set. `coders[j]`,
     an `_Intern`, numbers id field j as int32; then `check(fields, line_numbers)`
     may raise on them, ending the scan, before the next block is read.
-    Each column grows in place block by block, so no block outlives its turn
-    and no column is ever held twice."""
+    Each column doubles in place when a block does not fit in it and is cut
+    to the parsed length at the end, so no block outlives its turn, no
+    column is ever held twice and each row is copied O(1) times."""
     columns, bad = None, []
     first_line = 1
     for raw in _read_blocks(path):
@@ -427,13 +428,16 @@ def _scan(path, n_tabs: tuple[int, int], decode, coders, report: LoadReport,
         if lines:
             values.append(line)
         if columns is None:
-            columns = [np.empty(0, dtype=v.dtype) for v in values]
+            columns, size = [np.empty(0, dtype=v.dtype) for v in values], 0
+        end = size + len(line)
         for column, v in zip(columns, values):
-            n = len(column)
-            # A realloc: the column grows by the block, not by a copy of itself.
-            column.resize(n + len(v), refcheck=False)
-            column[n:] = v
+            if end > len(column):  # a realloc to twice the size, or to fit
+                column.resize(max(end, 2 * len(column)), refcheck=False)
+            column[size:end] = v
+        size = end
         first_line += len(b.ends)
+    for column in columns:
+        column.resize(size, refcheck=False)
     return columns, bad
 
 

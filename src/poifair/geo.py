@@ -34,23 +34,16 @@ def distances_km(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 
 class KdeModel(NamedTuple):
-    """A batch of product-Gaussian KDEs over distinct projected points: row u
-    is one KDE, padded with weight-0 points to the longest row. `weights`
-    holds each point's sample count (check-ins at one POI share its
+    """A batch of product-Gaussian KDEs over distinct projected points, as
+    CSR: row u is one KDE over `points_km[indptr[u]:indptr[u + 1]]`, each
+    point weighted by its sample count (check-ins at one POI share its
     coordinates)."""
 
-    points_km: np.ndarray  # (U, n, 2)
+    points_km: np.ndarray  # (P, 2)
+    weights: np.ndarray  # (P,)
+    indptr: np.ndarray  # (U + 1,)
     bandwidth: np.ndarray  # (U, 2): (h_lat, h_lon) in km
     lat_ref: np.ndarray  # (U,)
-    weights: np.ndarray  # (U, n)
-
-    def take(self, rows) -> KdeModel:
-        """The rows `rows`, without the padding that all of them share."""
-        w = self.weights[rows]
-        n = int(np.count_nonzero(w, axis=1).max(initial=0))
-        return KdeModel(
-            self.points_km[rows, :n], self.bandwidth[rows], self.lat_ref[rows], w[:, :n]
-        )
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -66,13 +59,12 @@ def fit_kdes(samples: np.ndarray, bounds) -> KdeModel:
 
     The bandwidth comes from every sample; a row keeps each distinct point
     once, weighted by how many samples share it, in (x, y) order from one
-    lexsort over (run, x, y). An empty run's row is only padding, with NaN
+    lexsort over (run, x, y). An empty run's row is empty, with NaN
     bandwidth and lat_ref."""
     bounds = np.asarray(bounds).tolist()
     n_rows = len(bounds) - 1
     pts = np.empty_like(samples)
-    lat_ref = np.full(n_rows, np.nan)
-    h = np.full((n_rows, 2), np.nan)
+    lat_ref, h = np.full(n_rows, np.nan), np.full((n_rows, 2), np.nan)
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if hi == lo:
             continue
@@ -86,13 +78,8 @@ def fit_kdes(samples: np.ndarray, bounds) -> KdeModel:
     first = np.ones(len(pts), dtype=bool)
     first[1:] = (run[1:] != run[:-1]) | (pts[1:] != pts[:-1]).any(axis=1)
     at = np.flatnonzero(first)
-    owner = run[at]
-    ends = np.searchsorted(owner, np.arange(n_rows + 1))
-    col = np.arange(len(at)) - ends[owner]  # each point's column in its row
-    points = np.zeros((n_rows, int(np.diff(ends).max(initial=0)), 2))
-    weights = np.zeros(points.shape[:2])
-    points[owner, col], weights[owner, col] = pts[at], np.diff(at, append=len(pts))
-    return KdeModel(points_km=points, bandwidth=h, lat_ref=lat_ref, weights=weights)
+    indptr = np.searchsorted(run[at], np.arange(n_rows + 1))
+    return KdeModel(pts[at], np.diff(at, append=len(pts)).astype(float), indptr, h, lat_ref)
 
 
 def fit_user_kdes(train: Dataset, coords: np.ndarray) -> KdeModel:
@@ -107,27 +94,39 @@ def fit_global_kde(train: Dataset, coords: np.ndarray) -> KdeModel:
     return fit_kdes(coords[train.poi], [0, len(train.poi)])
 
 
-def geo_score_km(model: KdeModel, query_km: np.ndarray) -> np.ndarray:
-    """Density of each of a batch's U KDEs at its row of projected-km query
-    points, (U, m, 2) -> (U, m): `exp(-0.5 * (dx * dx + dy * dy)) * w` added
-    point by point, in point order, over all queries at once. No BLAS, so a
-    query's bits depend neither on the other queries nor on the thread
-    count; a weight-0 point adds exactly 0.0, so nor on padding or batch."""
+def geo_score_km(model: KdeModel, rows, query_km) -> np.ndarray:
+    """Density of the batch's KDEs `rows` at their rows of projected-km query
+    points, (B, m, 2) -> (B, m): `exp(-0.5 * (dx * dx + dy * dy)) * w` added
+    point by point, in each row's point order, over all queries at once,
+    without BLAS. Rows are scored busiest first, step j over the rows that
+    have a point j, so a row adds only its own points: its bits depend
+    neither on the other rows and queries nor on the thread count."""
+    rows = np.asarray(rows, dtype=np.intp)
+    lo, n = model.indptr[rows], model.indptr[rows + 1] - model.indptr[rows]
+    if (n[1:] > n[:-1]).any():
+        order = np.argsort(-n, kind="stable")
+        return geo_score_km(model, rows[order], np.asarray(query_km)[order])[np.argsort(order)]
     q = np.asarray(query_km, dtype=float)
-    pts, w = model.points_km, model.weights
-    h1, h2 = model.bandwidth[:, 0, None], model.bandwidth[:, 1, None]
+    h1, h2 = model.bandwidth[rows, 0, None], model.bandwidth[rows, 1, None]
     acc, dx, dy = np.zeros(q.shape[:-1]), np.empty(q.shape[:-1]), np.empty(q.shape[:-1])
-    for j in range(w.shape[1]):  # in place, one step of the formula at a time
-        np.divide(np.subtract(q[..., 0], pts[:, j, 0, None], out=dx), h1, out=dx)
-        np.divide(np.subtract(q[..., 1], pts[:, j, 1, None], out=dy), h2, out=dy)
-        np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-        np.exp(np.multiply(dx, -0.5, out=dx), out=dx)
-        acc += np.multiply(dx, w[:, j, None], out=dx)
+    den, js = np.zeros((len(rows), 1)), [*n.tolist(), 0]
+    for c in [c for c in range(len(rows), 0, -1) if js[c] < js[c - 1]]:
+        # Steps js[c] to js[c - 1] run over the first c rows, their points
+        # gathered once: in place, one step of the formula at a time.
+        at = (lo[:c, None] + np.arange(js[c], js[c - 1])).T[..., None]  # (steps, c, 1)
+        pts, w = model.points_km[at], model.weights[at]
+        qx, qy, hx, hy, x, y, a = q[:c, :, 0], q[:c, :, 1], h1[:c], h2[:c], dx[:c], dy[:c], acc[:c]
+        for p, wp in zip(pts, w):
+            np.divide(np.subtract(qx, p[..., 0], out=x), hx, out=x)
+            np.divide(np.subtract(qy, p[..., 1], out=y), hy, out=y)
+            np.add(np.square(x, out=x), np.square(y, out=y), out=x)
+            np.exp(np.multiply(x, -0.5, out=x), out=x)
+            a += np.multiply(x, wp, out=x)
+        den[:c] += w.sum(axis=0)  # check-in counts: exact in any order
     norm = 1.0 / (2.0 * math.pi * h1 * h2)
-    # Weights are check-in counts, so their sum is exact in any order.
-    return norm * (acc / w.sum(axis=1, keepdims=True))
+    return np.multiply(norm, np.divide(acc, den, out=acc), out=acc)
 
 
-def geo_scores(model: KdeModel, lats, lons) -> np.ndarray:
-    q = project_km(lats, lons, model.lat_ref)
-    return geo_score_km(model, q)
+def geo_scores(model: KdeModel, rows, lats, lons) -> np.ndarray:
+    """Density of the batch's KDEs `rows` at each (lat, lon) point, (B, m)."""
+    return geo_score_km(model, rows, project_km(lats, lons, model.lat_ref[rows]))

@@ -113,7 +113,7 @@ class FittedModel:
         else:
             self.global_kde = geo.fit_global_kde(train, coords)
             # The global density does not depend on the user: once per POI.
-            self.global_geo = geo.geo_scores(self.global_kde, self.lats, self.lons)[0]
+            self.global_geo = geo.geo_scores(self.global_kde, [0], self.lats, self.lons)[0]
             self.residence = social.residences(self.visits)
             self.l2tg = sequential.build_l2tg(train, session_gap_hours)
             self.amc_alpha = amc_alpha
@@ -140,7 +140,7 @@ class FittedModel:
         if self.name == GEOSOCA:
             # A user's own POIs are never ranked, and their densities, far
             # above the candidates', would overflow min-max normalization.
-            c1 = geo.geo_scores(self.user_kdes.take(users), self.lats, self.lons)
+            c1 = geo.geo_scores(self.user_kdes, users, self.lats, self.lons)
             raw[0] = np.where(candidate, c1, 0.0)
             totals = social.social_frequency(
                 self.friends, users, self.bounds, self.poi, n_pois

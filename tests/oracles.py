@@ -666,11 +666,11 @@ def fit_kde(coords) -> Kde:
 
 
 def kde_row(model: KdeModel, u: int) -> Kde:
-    """Row u of a library KDE batch, without its padding."""
-    n = int(np.count_nonzero(model.weights[u]))
+    """Row u of a library KDE batch."""
+    lo, hi = model.indptr[u], model.indptr[u + 1]
     return Kde(
-        points_km=model.points_km[u, :n], bandwidth=tuple(model.bandwidth[u].tolist()),
-        lat_ref=float(model.lat_ref[u]), weights=model.weights[u, :n],
+        points_km=model.points_km[lo:hi], bandwidth=tuple(model.bandwidth[u].tolist()),
+        lat_ref=float(model.lat_ref[u]), weights=model.weights[lo:hi],
     )
 
 
@@ -1123,7 +1123,7 @@ def score_user(model, u: int) -> UserScores:
         return UserScores(pos, np.zeros((0, 3)), model.enabled)
     friends = csr_row(model.friends, u)[0]
     if model.name == GEOSOCA:
-        c1 = geo.geo_scores(model.user_kdes.take([u]), model.lats[pos], model.lons[pos])[0]
+        c1 = geo.geo_scores(model.user_kdes, [u], model.lats[pos], model.lons[pos])[0]
         totals = user_social_frequency(friends, model.bounds, model.poi, n_pois)
         c2 = lib_social.power_law_score(model.social_fit, totals[pos])
         if model.cat_fit is not None:

@@ -95,7 +95,7 @@ def test_c05_kde_properties():
         pts = rng.normal(0, 1.0, size=(n, 2))
         h = (float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0)))
         ok &= abs(quadrature_mass(one(pts, h)) - 1.0) <= 0.02
-    ((peak, near),) = geo_scores(fit([(40.0, -100.0)]), [40.0, 40.0001], [-100.0, -100.0001])
+    ((peak, near),) = geo_scores(fit([(40.0, -100.0)]), [0], [40.0, 40.0001], [-100.0, -100.0001])
     ok &= peak >= near
     elapsed = time.perf_counter() - t0
     report("5 kde-properties", ok and elapsed < 10.0)

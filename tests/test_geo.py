@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,17 +33,13 @@ def fit(coords) -> KdeModel:
 
 
 def batch(rows: list[Kde]) -> KdeModel:
-    """KDEs as one library batch, padded to the longest with weight-0 points
-    at the origin."""
-    n = max(len(r.weights) for r in rows)
-    points = np.zeros((len(rows), n, 2))
-    weights = np.zeros((len(rows), n))
-    for i, r in enumerate(rows):
-        points[i, :len(r.weights)] = r.points_km
-        weights[i, :len(r.weights)] = r.weights
+    """KDEs as one library batch, row i holding rows[i]'s points."""
+    n = [len(r.weights) for r in rows]
     return KdeModel(
-        points_km=points, bandwidth=np.array([r.bandwidth for r in rows]),
-        lat_ref=np.array([r.lat_ref for r in rows]), weights=weights,
+        points_km=np.concatenate([r.points_km for r in rows]).reshape(-1, 2),
+        weights=np.concatenate([r.weights for r in rows]).astype(float),
+        indptr=np.cumsum([0, *n]), bandwidth=np.array([r.bandwidth for r in rows]),
+        lat_ref=np.array([r.lat_ref for r in rows]),
     )
 
 
@@ -55,7 +50,7 @@ def one(points_km, bandwidth) -> KdeModel:
 
 def density(m: KdeModel, latitude: float, longitude: float) -> float:
     """The library's density of a one-row batch at one (lat, lon) point."""
-    return float(geo_scores(m, [latitude], [longitude])[0, 0])
+    return float(geo_scores(m, [0], [latitude], [longitude])[0, 0])
 
 
 class TestFit:
@@ -79,9 +74,10 @@ class TestFit:
             for u in ("a", "b") for i, (lat, lon) in enumerate(sites)
         ])
         m = fit_user_kdes(train, coords(train))
-        assert np.array_equal(m.points_km[0], m.points_km[1])
-        assert np.array_equal(m.weights[0], m.weights[1])
-        assert np.array_equal(m.bandwidth[0], m.bandwidth[1])
+        a, b = kde_row(m, 0), kde_row(m, 1)
+        assert np.array_equal(a.points_km, b.points_km)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.bandwidth == b.bandwidth
 
     def test_global_uses_all_points(self):
         train = make_train([
@@ -89,7 +85,7 @@ class TestFit:
             make_checkin("b", "q", 1, 41.0, -101.0),
         ])
         m = fit_global_kde(train, coords(train))
-        assert m.points_km.shape == (1, 2, 2)
+        assert m.points_km.shape == (2, 2)
 
     def test_model_sample_count(self):
         m = fit([(40.0, -100.0), (40.1, -100.1)])
@@ -98,8 +94,8 @@ class TestFit:
     def test_repeated_coordinates_kept_once_with_counts(self):
         coords = [(40.0, -100.0)] * 3 + [(40.1, -100.1)] * 2 + [(40.2, -99.9)]
         m = fit(coords)
-        assert m.points_km.shape == (1, 3, 2)
-        assert sorted(m.weights[0].tolist()) == [1.0, 2.0, 3.0]
+        assert m.points_km.shape == (3, 2)
+        assert sorted(m.weights.tolist()) == [1.0, 2.0, 3.0]
         assert m.weights.sum() == 6
         expanded = project_km([c[0] for c in coords], [c[1] for c in coords], m.lat_ref[0])
         assert tuple(m.bandwidth[0].tolist()) == (
@@ -130,7 +126,7 @@ class TestScore:
             d2 = ((q[0, 0] - p[0]) / 0.5) ** 2 + ((q[0, 1] - p[1]) / 0.5) ** 2
             expected += math.exp(-0.5 * d2) / (2 * math.pi * 0.25)
         expected /= 5
-        assert geo_score_km(m, q[None])[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert geo_score_km(m, [0], q[None])[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_decay_single_sample(self):
         m = fit([(40.0, -100.0)])
@@ -156,7 +152,7 @@ class TestRepeatedCoordinates:
         sites = [(40.0 + rng.normal(0, 0.02), -100.0 + rng.normal(0, 0.02)) for _ in range(6)]
         coords = [sites[i] for i in rng.integers(0, len(sites), size=40)]
         m = fit(coords)
-        assert m.points_km.shape[1] < len(coords)
+        assert len(m.points_km) < len(coords)
         for lat, lon in [*sites, (40.01, -99.99), (40.3, -100.3)]:
             got = density(m, lat, lon)
             assert got == pytest.approx(
@@ -169,8 +165,8 @@ class TestRepeatedCoordinates:
             make_checkin("b", "q", 4, 41.0, -101.0),
         ])
         m = fit_global_kde(train, coords(train))
-        assert m.points_km.shape == (1, 2, 2)
-        assert sorted(m.weights[0].tolist()) == [1.0, 3.0]
+        assert m.points_km.shape == (2, 2)
+        assert sorted(m.weights.tolist()) == [1.0, 3.0]
 
 
 class TestNormalization:
@@ -187,14 +183,14 @@ class TestNormalization:
 def quadrature_mass(m: KdeModel, cells: int = 220) -> float:
     """The density of a one-row batch, integrated over a grid that spans its
     points and six bandwidths beyond."""
-    (h1, h2), pts = m.bandwidth[0], m.points_km[0]
+    (h1, h2), pts = m.bandwidth[0], m.points_km
     x0, x1 = pts[:, 0].min() - 6 * h1, pts[:, 0].max() + 6 * h1
     y0, y1 = pts[:, 1].min() - 6 * h2, pts[:, 1].max() + 6 * h2
     xs = np.linspace(x0, x1, cells)
     ys = np.linspace(y0, y1, cells)
     gx, gy = np.meshgrid(xs, ys)
     q = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    dens = geo_score_km(m, q[None])[0].reshape(cells, cells)
+    dens = geo_score_km(m, [0], q[None])[0].reshape(cells, cells)
     return float(np.trapezoid(np.trapezoid(dens, ys, axis=0), xs))
 
 
@@ -204,20 +200,10 @@ KDE_SITES = np.array([
 ])
 
 
-@settings(max_examples=200, deadline=None)
-@example(samples=[[0]])
-@example(samples=[[1, 1, 1], [], [3, 0, 3, 0, 4]])
-@given(samples=st.lists(
-    st.lists(st.integers(0, len(KDE_SITES) - 1), max_size=6), min_size=1, max_size=5,
-))
-def test_user_kdes_equal_per_user_fit_kde(samples):
-    """Each row of the batch from one lexsort over (user, x, y) holds
-    `fit_kde`'s distinct points from np.unique(axis=0), with the same
-    weights, bandwidths and lat_ref, bit for bit, then only weight-0
-    padding: repeated points, a single point, and a row of padding with NaN
-    bandwidth for a user with no check-in."""
+def kde_train(samples) -> Dataset:
+    """A training split whose user i checks in at `KDE_SITES[samples[i]]`."""
     n = [len(s) for s in samples]
-    train = Dataset(
+    return Dataset(
         user_ids=ids_of(f"u{i:04d}" for i in range(len(samples))),
         poi_ids=ids_of(f"p{i:04d}" for i in range(len(KDE_SITES))),
         user=np.repeat(np.arange(len(samples)), n).astype(np.int32),
@@ -227,61 +213,94 @@ def test_user_kdes_equal_per_user_fit_kde(samples):
         category=np.full(len(KDE_SITES), -1, dtype=np.int32), category_ids=ids_of([]),
         edges=np.zeros((0, 2), dtype=np.int32),
     )
-    got = fit_user_kdes(train, KDE_SITES)
-    assert got.weights.shape == got.points_km.shape[:2] == (len(samples), max(
-        len(set(s)) for s in samples
-    ))
-    for u, s in enumerate(samples):
-        if not s:
-            assert not got.weights[u].any()
-            assert np.isnan(got.bandwidth[u]).all() and np.isnan(got.lat_ref[u])
-            continue
-        want = fit_kde(KDE_SITES[s])
-        k = len(want.weights)
-        assert got.points_km[u, :k].tobytes() == want.points_km.tobytes()
-        assert got.weights[u, :k].tobytes() == want.weights.tobytes()
-        assert not got.weights[u, k:].any()
-        assert tuple(got.bandwidth[u].tolist()) == want.bandwidth
-        assert got.lat_ref[u] == want.lat_ref
 
 
-km_st = st.floats(min_value=-5.0, max_value=5.0)
-kde_st = st.builds(
-    lambda pts, h: Kde(
-        points_km=np.array([p for p, _ in pts]).reshape(-1, 2), bandwidth=h,
-        lat_ref=0.0, weights=np.array([float(w) for _, w in pts]),
-    ),
-    st.lists(st.tuples(st.tuples(km_st, km_st), st.integers(1, 5)), min_size=1, max_size=8),
-    st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+samples_st = st.lists(
+    st.lists(st.integers(0, len(KDE_SITES) - 1), max_size=6), min_size=1, max_size=5,
 )
 
 
 @settings(max_examples=200, deadline=None)
+@example(samples=[[0]])
+@example(samples=[[1, 1, 1], [], [3, 0, 3, 0, 4]])
+@given(samples=samples_st)
+def test_user_kdes_equal_per_user_fit_kde(samples):
+    """Each row of the batch from one lexsort over (user, x, y) holds
+    `fit_kde`'s distinct points from np.unique(axis=0), with the same
+    weights, bandwidths and lat_ref, bit for bit: repeated points, a single
+    point, and an empty row with NaN bandwidth for a user with no check-in."""
+    got = fit_user_kdes(kde_train(samples), KDE_SITES)
+    for u, s in enumerate(samples):
+        row = kde_row(got, u)
+        if not s:
+            assert not len(row.points_km) and not len(row.weights)
+            assert np.isnan(row.bandwidth).all() and np.isnan(row.lat_ref)
+            continue
+        want = fit_kde(KDE_SITES[s])
+        assert row.points_km.tobytes() == want.points_km.tobytes()
+        assert row.weights.tobytes() == want.weights.tobytes()
+        assert row.bandwidth == want.bandwidth
+        assert row.lat_ref == want.lat_ref
+
+
+@settings(max_examples=100, deadline=None)
+@example(samples=[[2, 2, 2, 2], [], [4], [0, 1, 2, 3, 4, 0]])
+@given(samples=samples_st)
+def test_fitted_batch_holds_exactly_its_distinct_points(samples):
+    """The batch holds each user's distinct points once and nothing else:
+    as many points and weights as distinct (user, point) pairs, row u's
+    starting at the count of the rows before it, the weights summing to
+    the check-ins."""
+    got = fit_user_kdes(kde_train(samples), KDE_SITES)
+    distinct = [len(set(s)) for s in samples]
+    assert got.points_km.shape == (sum(distinct), 2)
+    assert got.weights.shape == (sum(distinct),)
+    assert got.indptr.tolist() == np.cumsum([0, *distinct]).tolist()
+    assert got.weights.sum() == sum(map(len, samples))
+
+
+km_st = st.floats(min_value=-5.0, max_value=5.0)
+
+
+def kde_st(max_points: int):
+    """A KDE in km of 1 to `max_points` points with weights 1 to 5."""
+    return st.builds(
+        lambda pts, h: Kde(
+            points_km=np.array([p for p, _ in pts]).reshape(-1, 2), bandwidth=h,
+            lat_ref=0.0, weights=np.array([float(w) for _, w in pts]),
+        ),
+        st.lists(st.tuples(st.tuples(km_st, km_st), st.integers(1, 5)),
+                 min_size=1, max_size=max_points),
+        st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(kde_st, min_size=1, max_size=4),
+    rows=st.lists(st.one_of(kde_st(1), kde_st(12)), min_size=1, max_size=5),
+    data=st.data(),
     queries=st.lists(st.tuples(km_st, km_st), min_size=1, max_size=12),
-    pad=st.lists(st.tuples(km_st, km_st), min_size=1, max_size=3),
     cut=st.integers(1, 12),
 )
-def test_kernel_row_bits_do_not_depend_on_batch_padding_or_query_blocks(
-    rows, queries, pad, cut
-):
-    """Each KDE's density at each query is the same float scored alone,
-    inside a batch, with extra weight-0 points, and with its queries split
-    into blocks; and it matches the pure-Python sum over its points."""
+def test_kernel_row_bits_do_not_depend_on_block_or_query_blocks(rows, data, queries, cut):
+    """Each KDE's density at each query is the same float scored in a
+    one-row block as in a block of ragged rows, one-point rows beside
+    many-point rows, taken in any order and any number of times, each with
+    its own queries; the same with its queries split into blocks; and it
+    matches the pure-Python sum over its points."""
+    block = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8))
     q = np.array(queries)
-    together = geo_score_km(batch(rows), np.broadcast_to(q, (len(rows),) + q.shape))
-    for r, row in enumerate(rows):
-        alone = geo_score_km(batch([row]), q[None])[0]
-        padded = replace(
-            row, points_km=np.concatenate([row.points_km, pad]),
-            weights=np.concatenate([row.weights, np.zeros(len(pad))]),
-        )
+    qs = np.stack([q + 0.25 * b for b in range(len(block))])
+    together = geo_score_km(batch(rows), block, qs)
+    for b, r in enumerate(block):
+        alone = geo_score_km(batch([rows[r]]), [0], qs[b:b + 1])[0]
+        assert together[b].tobytes() == alone.tobytes()
+    for row in rows:
+        alone = geo_score_km(batch([row]), [0], q[None])[0]
         blocks = [
-            geo_score_km(batch([row]), q[None, lo:lo + cut])[0] for lo in range(0, len(q), cut)
+            geo_score_km(batch([row]), [0], q[None, lo:lo + cut])[0]
+            for lo in range(0, len(q), cut)
         ]
-        assert together[r].tobytes() == alone.tobytes()
-        assert geo_score_km(batch([padded]), q[None])[0].tobytes() == alone.tobytes()
         assert np.concatenate(blocks).tobytes() == alone.tobytes()
         want = [kde_density_km(row, x, y) for x, y in queries]
         assert alone.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
