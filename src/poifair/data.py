@@ -23,10 +23,9 @@ friendship with a user without check-ins is dropped.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -184,9 +183,6 @@ class LoadReport:
     # asdict() and load_report.json keep their keys.
     blocks = 0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 class Dataset(NamedTuple):
     """Check-ins, POIs and friendships as numpy columns.
@@ -304,7 +300,13 @@ def parse_dataset(
     report = LoadReport()
     # One `_Intern` per kind of id, over every file that holds it.
     pois, users, categories = _Intern(), _Intern(), _Intern()
-    poi_lines = _parse_pois(poi_path, pois, categories, report, max_malformed_frac)
+    # The POI file's parsed lines: id numbers in `pois`, lat, lon, category
+    # numbers in `categories` (-1 for none) and line numbers.
+    poi_lines, bad = _scan(
+        poi_path, (2, 3), _poi_block, (pois, None, None, categories), report, lines=True
+    )
+    report.poi_lines_malformed, report.poi_lines_parsed = bad, len(poi_lines[-1])
+    _check_malformed(bad, len(poi_lines[-1]) + len(bad), max_malformed_frac, poi_path)
 
     def known_pois(values, line, n_known=pois.n):  # numbers below n_known: the POI file's
         for at in np.flatnonzero(values[1] >= n_known)[:1]:
@@ -348,18 +350,6 @@ def _checkin_block(b: _Block):
 def _edge_block(b: _Block):
     ok = b.id_ok(0) & b.id_ok(1)
     return ok, (b.keys(0, ok), b.keys(1, ok))
-
-
-def _parse_pois(path, pois: _Intern, categories: _Intern, report: LoadReport, max_frac: float):
-    """The POI file's parsed lines as columns: the id numbers in `pois`,
-    lat, lon, the category numbers in `categories` (-1 for none), and line
-    number."""
-    (number, lat, lon, cat, line), bad = _scan(
-        path, (2, 3), _poi_block, (pois, None, None, categories), report, lines=True
-    )
-    report.poi_lines_malformed, report.poi_lines_parsed = bad, len(line)
-    _check_malformed(bad, len(line) + len(bad), max_frac, path)
-    return number, lat, lon, cat, line
 
 
 def _defined(intern: _Intern, numbers: np.ndarray) -> tuple[np.ndarray, Ids]:
@@ -475,23 +465,19 @@ class _Block:
     `n_tabs[1]`, of `rows[k]` spans bytes `lo[j][k]:hi[j][k]`, and a field
     past a line's last tab is empty.
 
-    A block of LF-ended ASCII lines, each led by a visible byte and holding
-    `n_tabs[1]` tabs, is scanned only for LFs, tabs and by `keys`; the CR,
-    NUL, UTF-8, blank-byte and tabs-per-line steps run only where needed."""
+    A block that holds a CR is first rewritten with LF line ends: each CRLF
+    pair, then each lone CR, becomes one LF, and byte offsets are those of
+    the rewritten block. A block of LF-ended ASCII lines, each led by a
+    visible byte and holding `n_tabs[1]` tabs, is scanned only for LFs, tabs
+    and by `keys`; the NUL, UTF-8, blank-byte and tabs-per-line steps run
+    only where needed."""
 
     def __init__(self, raw: bytes, first_line: int, n_tabs: tuple[int, int], path):
-        buf = np.frombuffer(raw, dtype=np.uint8)
         if b"\r" in raw:
-            eol = np.flatnonzero((buf == 10) | (buf == 13))
-            is_lf = buf[eol] == 10
-            # eol[pair] and eol[pair + 1] are a CR and an LF, one line end.
-            pair = np.flatnonzero(~is_lf[:-1] & is_lf[1:] & (np.diff(eol) == 1))
-            self.ends = np.delete(eol, pair + 1)
-            self.starts = np.concatenate(([0], np.delete(eol, pair) + 1))[:-1]
-            del eol, is_lf, pair  # not held beside the byte masks below
-        else:
-            self.ends = np.flatnonzero(buf == 10)
-            self.starts = np.concatenate(([0], self.ends + 1))[:-1]
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        self.ends = np.flatnonzero(buf == 10)
+        self.starts = np.concatenate(([0], self.ends + 1))[:-1]
         if not raw.isascii():
             try:
                 raw.decode("utf-8")

@@ -150,8 +150,8 @@ def user_metrics(relevant: PairCounts, users: np.ndarray, codes: np.ndarray, cut
 class ListScores:
     """A one-row rule's (product, sum) lists: `codes`, (users, 1, K) int32
     top POI codes, -1 past a short list, and their (users, K) fused scores,
-    0.0 past a short list. `add` keeps ranked users `at`'s scores, and
-    `scores(top, row)` gives the first len(top) users' for row `row`."""
+    0.0 past a short list. `add` keeps ranked users `at`'s codes and scores,
+    and `scores(row)` gives every user's for row `row`."""
 
     def __init__(self, lambdas, enabled, n_users: int, k: int):
         self.lambdas = lambdas
@@ -159,10 +159,11 @@ class ListScores:
         self.values = np.zeros((n_users, k))
 
     def add(self, at: slice, top: np.ndarray, vals: np.ndarray, normalized) -> None:
+        self.codes[at] = np.where(vals > -np.inf, top, -1)
         self.values[at] = np.where(vals[:, 0] > -np.inf, vals[:, 0], 0.0)
 
-    def scores(self, top: np.ndarray, row: int) -> np.ndarray:
-        return self.values[:len(top)]
+    def scores(self, row: int) -> np.ndarray:
+        return self.values
 
 
 class GridContexts:
@@ -179,6 +180,7 @@ class GridContexts:
         self.values = np.empty((0, 3))
 
     def add(self, at: slice, top: np.ndarray, vals: np.ndarray, normalized) -> None:
+        self.codes[at] = np.where(vals > -np.inf, top, -1)
         # Exactly the candidates are listed, in every row that selects them:
         # one value a POI.
         named = np.zeros(normalized.shape[1:], dtype=bool)
@@ -193,10 +195,11 @@ class GridContexts:
         self.values.resize((n + len(poi), 3), refcheck=False)
         self.values[n:] = normalized[:, row, poi].T
 
-    def scores(self, top: np.ndarray, row: int) -> np.ndarray:
+    def scores(self, row: int) -> np.ndarray:
         """Fused from the listed POIs' contexts with row `row`'s lambdas:
         the grid's element-wise fuse, so each score is its grid score bit
         for bit. 0.0 past a short list."""
+        top = self.codes[:, row]
         listed = top >= 0
         n_cols = int(self.poi.max(initial=0)) + 1
         users = np.arange(len(self.indptr) - 1, dtype=np.int64)
@@ -244,7 +247,7 @@ class Pipeline:
             d = parse_dataset(
                 self.cfg.checkin_path, self.cfg.poi_path, self.cfg.social_path
             )
-            self._write(self.out / "load_report.json", d.load_report.to_json())
+            self._write_json("load_report.json", asdict(d.load_report))
             self.counts["parse.blocks"] = d.load_report.blocks
             return d
 
@@ -262,10 +265,8 @@ class Pipeline:
                 report.short_checkins_removed
             )
             stats = dataset_stats(filtered)
-            payload = {"filter": asdict(report), "stats": stats._asdict()}
-            self._write(
-                self.out / "dataset_stats.json",
-                json.dumps(payload, indent=2, sort_keys=True),
+            self._write_json(
+                "dataset_stats.json", {"filter": asdict(report), "stats": stats._asdict()}
             )
             return filtered
 
@@ -313,22 +314,22 @@ class Pipeline:
                 corr = correlation_analysis(profiles)
             except ValueError as e:
                 corr = {"error": str(e)}
-            self._write(self.out / "correlations.json", json.dumps(corr, indent=2, sort_keys=True))
+            self._write_json("correlations.json", corr)
             return profiles, labels
 
     def fit_and_recommend(self, split: SplitDataset, rules):
         """Fit each model once and rank each user once. Per model: the ranked
-        user codes, ascending, and per rule in `rules` their (users, rows, K)
-        int32 top POI codes, -1 past a short list, K being max(cutoffs) or
-        the POI count if that is less, the longest list there can be, and
-        their `ListScores` (one-row rules) or `GridContexts` (the grid).
-        Users are scored, fused and ranked a block at a time, blocks sized by
-        `recommend.BLOCK_BYTES`, each normalised once for every additive
-        rule. Users with no training check-in or no candidate are left out."""
+        user codes, ascending, those with a training check-in and a
+        candidate, and per rule in `rules` its `ListScores` (one-row rules)
+        or `GridContexts` (the grid), whose `codes` are the users' (users,
+        rows, K) int32 top POI codes, -1 past a short list, K being
+        max(cutoffs) or the POI count if that is less, the longest list
+        there can be. The ranked users are scored, fused and ranked a block
+        at a time, blocks sized by `recommend.BLOCK_BYTES`, each normalised
+        once for every additive rule."""
         with self._stage("recommend"):
             train = split.columns(TRAIN)
-            scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
-            missing = len(train.user_ids) - len(scored)
+            missing = len(train.user_ids) - int(np.count_nonzero(np.diff(train.user_rows())))
             self.counts["recommend.users_without_train"] = missing
             if missing:
                 log.warning("%d users have no training check-in; not scored", missing)
@@ -348,26 +349,29 @@ class Pipeline:
                 )
                 fit_s, score_s, select_s = time.perf_counter() - t0, 0.0, 0.0
                 self.counts[f"recommend.power_law_fallbacks.{name}"] = model.power_law_fallbacks
+                # A user who visited every POI in train has no candidate.
+                distinct = np.diff(model.visits.indptr)
+                users = np.flatnonzero((distinct > 0) & (distinct < n_pois))
+                empty = len(train.user_ids) - missing - len(users)
+                if empty:
+                    log.warning("%s: %d users visited every POI; not ranked", name, empty)
                 lists = {}
                 for rule in rules:
                     lam = rule_lambdas(rule, model.enabled, grid)
                     # A one-row rule keeps its scores; a grid, its contexts.
                     holder = ListScores if lam is None or len(lam) == 1 else GridContexts
-                    lists[rule] = holder(lam, model.enabled, len(scored), k)
+                    lists[rule] = holder(lam, model.enabled, len(users), k)
                 additive = any(held.lambdas is not None for held in lists.values())
                 # Fused in place: a fresh array per block costs page faults.
-                bufs = [np.empty((min(step, len(scored), block_rows(8 * r * n_pois)), r, n_pois))
+                bufs = [np.empty((min(step, len(users), block_rows(8 * r * n_pois)), r, n_pois))
                         for r in (held.codes.shape[1] for held in lists.values())]
-                users, n, candidates, blocks = [], 0, 0, 0
-                for lo in range(0, len(scored), step):
+                candidates, blocks = 0, 0
+                for lo in range(0, len(users), step):
                     t0 = time.perf_counter()
-                    cs = model.score_candidates(scored[lo:lo + step])
+                    cs = model.score_candidates(users[lo:lo + step])
                     t1 = time.perf_counter()
                     blocks += 1
                     candidates += int(np.count_nonzero(cs.candidate))
-                    has = cs.candidate.any(axis=1)
-                    if not has.all():
-                        cs = cs.take(has)
                     normalized = normalized_scores(cs) if additive else None
                     for held, buf in zip(lists.values(), bufs):
                         for a in range(0, len(cs.users), len(buf)):
@@ -376,27 +380,18 @@ class Pipeline:
                             mat = None if normalized is None else normalized[:, a:a + m]
                             fused = fused_scores(part, held.lambdas, mat, buf[:m])
                             top, vals = recommend_topn(pois, fused, k)
-                            at = slice(n + a, n + a + m)
-                            held.codes[at] = np.where(vals > -np.inf, top, -1)
-                            held.add(at, top, vals, mat)
-                    users.append(cs.users)
-                    n += len(cs.users)
+                            held.add(slice(lo + a, lo + a + m), top, vals, mat)
                     normalized = mat = None  # freed before the next block is scored
                     score_s += t1 - t0
                     select_s += time.perf_counter() - t1
-                empty = len(scored) - n
-                if empty:
-                    log.warning("%s: %d users visited every POI; not ranked", name, empty)
                 self.timings[f"recommend.fit.{name}"] = fit_s
                 self.timings[f"recommend.score.{name}"] = score_s
                 self.timings[f"recommend.fuse_select.{name}"] = select_s
                 self.counts[f"recommend.blocks.{name}"] = blocks
-                self.counts[f"recommend.users_ranked.{name}"] = n
+                self.counts[f"recommend.users_ranked.{name}"] = len(users)
                 self.counts[f"recommend.candidates.{name}"] = candidates
                 self.counts[f"recommend.empty_candidate_users.{name}"] = empty
-                ranked[name] = np.concatenate(users or [np.empty(0, dtype=np.intp)]), {
-                    rule: (held.codes[:n], held) for rule, held in lists.items()
-                }
+                ranked[name] = users, lists
             return ranked
 
     def sweep(self, ranked, labels, split: SplitDataset):
@@ -410,7 +405,7 @@ class Pipeline:
             best_lambdas = {}
             all_rows = []
             for name, (users, lists) in sorted(ranked.items()):
-                kept, m = user_metrics(relevant, users, lists[WEIGHTED_SUM][0], [cutoff])
+                kept, m = user_metrics(relevant, users, lists[WEIGHTED_SUM].codes, [cutoff])
                 self.counts[f"sweep.users_without_validation.{name}"] = len(users) - len(kept)
                 best_lambdas[name], table = weight_sweep(
                     m[cutoff].ndcg, _scored_groups(labels, users[kept], name, "validation"),
@@ -441,11 +436,11 @@ class Pipeline:
                 users, lists = ranked[name]
                 metrics = {}
                 for rule in self.cfg.fusion_rules:
-                    codes, held = lists[rule]
+                    held = lists[rule]
                     # The best lambdas' grid row; a one-row rule's only row.
                     row = grid.index(best_lambdas[name]) if rule == WEIGHTED_SUM else 0
-                    top = codes[:, row]
-                    scores = held.scores(top, row)
+                    top = held.codes[:, row]
+                    scores = held.scores(row)
                     kept, metrics[rule] = user_metrics(relevant, users, top, self.cfg.cutoffs)
                     self._write_rows(
                         f"recommendations_{name}_{rule}.tsv", "", len(users), 4 * top.shape[1],
@@ -472,10 +467,7 @@ class Pipeline:
                 "nDCG_L", "nDCG_W", "dnDCG", "pct_delta", "acc_unf",
             ]
             self._write_csv_artifact("table3.csv", header, [r[:len(header)] for r in reports])
-            self._write(
-                self.out / "table3.json",
-                json.dumps([r._asdict() for r in reports], indent=2, sort_keys=True),
-            )
+            self._write_json("table3.json", [r._asdict() for r in reports])
             return reports
 
     def write_manifest(self, failure: StageFailure | None = None) -> None:
@@ -491,19 +483,22 @@ class Pipeline:
             "counts": self.counts,
             "peak_rss_mb": self.peak_rss_mb,
         }
-        path = self.out / "manifest.json"
-        partial = path.with_name(path.name + ".partial")
+        name, other = "manifest.json", "manifest.json.partial"
         if failure is not None:
             manifest["failed_stage"] = failure.stage
             manifest["error"] = f"{type(failure.cause).__name__}: {failure.cause}"
-            path, partial = partial, path
-        partial.unlink(missing_ok=True)
-        self._write(path, json.dumps(manifest, indent=2, sort_keys=True))
+            name, other = other, name
+        (self.out / other).unlink(missing_ok=True)
+        self._write_json(name, manifest)
 
     # -- helpers -----------------------------------------------------------
 
     def _write(self, path: Path, text: str) -> None:
         self._replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+    def _write_json(self, name: str, obj) -> None:
+        """Write JSON artifact `name`: `obj` indented by 2, keys sorted."""
+        self._write(self.out / name, json.dumps(obj, indent=2, sort_keys=True))
 
     def _write_csv_artifact(self, name: str, header, rows: list) -> None:
         self._write_rows(name, _csv_line(header), len(rows), len(header),

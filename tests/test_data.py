@@ -184,7 +184,6 @@ class TestParse:
         assert d.load_report.poi_lines_parsed == 5
         assert oracles.pois_of(d)["p1"] == Poi("p1", 42.0, -102.0, None)
         assert oracles.checkins(d)[0].latitude == 42.0
-        assert json.loads(d.load_report.to_json())["poi_lines_duplicate"] == [3, 5, 6]
 
     def test_unknown_poi_is_hard_error(self, tmp_path):
         ci, po, _ = write_files(tmp_path, ["u1\tpX\t100"], ["p1\t40\t-100\t"])
@@ -277,7 +276,7 @@ class TestParse:
         assert graph.n_edges == len(d.edges) == 1
         assert d.load_report.social_edges_dropped == 2
         # report serializes
-        json.loads(d.load_report.to_json())
+        json.dumps(asdict(d.load_report))
 
     def test_duplicate_social_edges_counted(self, tmp_path):
         ci, po, so = write_files(
@@ -290,7 +289,6 @@ class TestParse:
         assert report.social_edges_parsed == 4
         assert report.social_edges_duplicate == 2
         assert report.social_edges_dropped == 0
-        assert json.loads(report.to_json())["social_edges_duplicate"] == 2
 
 
 class TestFilter:

@@ -8,6 +8,7 @@ import re
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def test_evaluate_reuses_the_ranked_grid_lists(world, tmp_path):
     user_ids, poi_ids = split.dataset.user_ids, split.dataset.poi_ids
     for name in cfg.models:
         ranked_users, lists = ranked[name]
-        codes = lists[WEIGHTED_SUM][0]
+        codes = lists[WEIGHTED_SUM].codes
         users = [u for u, cs in enumerate(caches[name]) if cs is not None and len(cs.poi_ids)]
         assert ranked_users.tolist() == users
         want = []
@@ -514,7 +515,7 @@ def test_manifest_records_the_peak_rss_of_each_stage(tmp_path, command, stages):
 
 def test_users_without_candidates_warn_once_per_model(tmp_path, caplog):
     """Two users who visited every POI in train: one warning per model with
-    their count, and both are counted and left out."""
+    their count, and both are counted, left out and never scored."""
     pois = {p: Poi(p, 40.0 + i / 100, -100.0, "c0") for i, p in enumerate(("p0", "p1", "p2"))}
     checkins = []
     for u, seq in (("a", "0120120"), ("b", "2100121"), ("c", "0000111")):
@@ -524,13 +525,24 @@ def test_users_without_candidates_warn_once_per_model(tmp_path, caplog):
         ]
     ds = oracles.from_checkins(checkins, pois, SocialGraph([("a", "c")]))
     p = Pipeline(ExperimentConfig(checkin_path="x", poi_path="y", out_dir=str(tmp_path)))
-    with caplog.at_level(logging.WARNING, logger="poifair"):
+    blocks, score = [], FittedModel.score_candidates
+
+    def spy(model, users):
+        blocks.append(list(users))
+        return score(model, users)
+
+    with patch.object(FittedModel, "score_candidates", spy), \
+            caplog.at_level(logging.WARNING, logger="poifair"):
         ranked = p.fit_and_recommend(temporal_split(ds), [PRODUCT])
     warned = [r.getMessage() for r in caplog.records if "visited every POI" in r.getMessage()]
     assert warned == [f"{name}: 2 users visited every POI; not ranked" for name in ("geosoca", "lore")]
+    c = ds.user_ids.index("c")
+    assert blocks == [[c], [c]]
     for name in ("geosoca", "lore"):
         assert p.counts[f"recommend.empty_candidate_users.{name}"] == 2
-        assert ranked[name][0].tolist() == [ds.user_ids.index("c")]
+        assert p.counts[f"recommend.blocks.{name}"] == 1
+        assert ranked[name][0].tolist() == [c]
+        assert ranked[name][1][PRODUCT].codes.shape[0] == 1
 
 
 def _perfbench_module(name):

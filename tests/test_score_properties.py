@@ -290,28 +290,25 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
         for name in cfg.models:
             model = FittedModel(name, train, amc_memory=cfg.amc_memory)
             scored = np.flatnonzero(np.diff(train.user_rows()) > 0)
+            ones = {u: oracles.score_user(model, u) for u in scored.tolist()}
+            # Ranked, and so scored: the users with a candidate.
+            users, lists = ranked[name]
+            assert users.tolist() == [u for u, one in ones.items() if len(one.poi_ids)]
             step = recommend.score_block_rows(n_pois)
-            want_users, want = [], {rule: ([], []) for rule in RULES}
+            want = {rule: ([], []) for rule in RULES}
             want_contexts = []
             lams = {rule: rule_lambdas(rule, model.enabled, grid) for rule in RULES}
-            for lo in range(0, len(scored), step):
-                cs = model.score_candidates(scored[lo:lo + step])
-                # As the pipeline does, the block's rows with candidates
-                # are fused together.
-                has = cs.candidate.any(axis=1)
-                block = cs.take(has)
-                normalized = normalized_scores(block)
-                fused = {rule: fused_scores(block, lam, normalized) for rule, lam in lams.items()}
+            for lo in range(0, len(users), step):
+                cs = model.score_candidates(users[lo:lo + step])
+                normalized = normalized_scores(cs)
+                fused = {rule: fused_scores(cs, lam, normalized) for rule, lam in lams.items()}
                 for b, u in enumerate(cs.users.tolist()):
-                    one = oracles.score_user(model, u)
+                    one = ones[u]
                     pos = np.flatnonzero(cs.candidate[b])
                     assert pos.tolist() == one.poi_ids.tolist()
                     assert cs.raw[:, b, pos].T.tobytes() == one.raw.tobytes()
-                    if not len(pos):
-                        continue
-                    want_users.append(u)
                     for rule, lam in lams.items():
-                        row = fused[rule][int(has[:b].sum())]
+                        row = fused[rule][b]
                         assert row[:, pos].tobytes() == (
                             oracles.fused_user_scores(one, lam).tobytes()
                         )
@@ -325,17 +322,13 @@ def check_blocks_against_users(split, cfg, users_per_block) -> None:
                     named = np.unique(grid_codes[grid_codes >= 0])
                     at = np.searchsorted(one.poi_ids, named)
                     want_contexts.append((named, oracles.normalize_user_scores(one.raw)[at]))
-            users, lists = ranked[name]
-            assert users.tolist() == want_users
             for rule, (codes, scores) in want.items():
-                got_codes, held = lists[rule]
-                assert got_codes.tolist() == np.array(codes).reshape(got_codes.shape).tolist()
-                scores = np.array(scores).reshape(got_codes.shape)
-                got = np.stack([
-                    held.scores(got_codes[:, g], g) for g in range(got_codes.shape[1])
-                ], axis=1)
+                held = lists[rule]
+                assert held.codes.tolist() == np.array(codes).reshape(held.codes.shape).tolist()
+                scores = np.array(scores).reshape(held.codes.shape)
+                got = np.stack([held.scores(g) for g in range(held.codes.shape[1])], axis=1)
                 assert got.tobytes() == scores.tobytes()
-            held = lists[WEIGHTED_SUM][1]
+            held = lists[WEIGHTED_SUM]
             for i, (named, contexts) in enumerate(want_contexts):
                 row = slice(held.indptr[i], held.indptr[i + 1])
                 assert held.poi[row].tolist() == named.tolist()

@@ -147,12 +147,12 @@ def test_grid_lists_hold_codes_and_listed_contexts(config_path):
     rows, k = len(simplex_grid(p.cfg.sweep_step)), max(p.cfg.cutoffs)
     bound = 0
     for users, lists in ranked.values():
-        codes, _ = lists[WEIGHTED_SUM]
+        codes = lists[WEIGHTED_SUM].codes
         assert codes.shape == (len(users), rows, k)
         named = sum(len(np.unique(c[c >= 0])) for c in codes)
         bound += 4 * rows * k * len(users) + 32 * named
         for rule in (PRODUCT, SUM):
-            assert lists[rule][0].shape == (len(users), 1, k)
+            assert lists[rule].codes.shape == (len(users), 1, k)
             bound += 12 * k * len(users)
     assert held < bound + (32 << 10), (held, bound)
 
